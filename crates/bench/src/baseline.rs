@@ -1,9 +1,9 @@
 //! Machine-readable perf-baseline records (`BENCH_sssp.json`).
 //!
-//! `perf_baseline` measures the engine three ways — pooled superstep
-//! buffers, the historical fresh-allocation mode, and the real-thread
-//! backend — and records wall time, allocation counts, message traffic
-//! and simulated time here. The JSON is hand-rolled: the document is a
+//! `perf_baseline` measures the engine on both transports — lockstep
+//! (the `pooled` record, named for its pooled superstep buffers) and
+//! real threads — and records wall time, allocation counts, message
+//! traffic and simulated time here. The JSON is hand-rolled: the document is a
 //! shallow object tree, so rendering and extraction are a few lines
 //! each and the harness stays dependency-free.
 //!
@@ -22,8 +22,7 @@
 //! time. Compare wall to wall and simulated to simulated — the two clocks
 //! measure different machines.
 
-/// Metrics of one measured simulated configuration (pooled or fresh
-/// buffers).
+/// Metrics of the measured lockstep (simulated-machine) runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfRecord {
     /// Wall-clock milliseconds over all measured roots.
@@ -282,10 +281,8 @@ pub struct PerfBaseline {
     /// The traversed-edge denominator shared by every GTEPS figure in this
     /// block: the undirected input edge count of the benchmark graph.
     pub gteps_edges: u64,
-    /// Metrics with buffer pooling on (the default engine).
+    /// Metrics of the lockstep transport (pooled superstep buffers).
     pub pooled: PerfRecord,
-    /// Metrics with fresh per-superstep allocation (the pre-pool engine).
-    pub fresh: PerfRecord,
     /// Metrics of the real-thread backend on the same workload.
     pub threaded: ThreadedRecord,
     /// The unified-telemetry block (simulated vs threaded trace compare).
@@ -302,7 +299,7 @@ impl PerfBaseline {
                 "{{\n    \"family\": \"{}\",\n",
                 "    \"scale\": {},\n    \"ranks\": {},\n    \"threads\": {},\n",
                 "    \"roots\": {},\n    \"gteps_edges\": {},\n",
-                "    \"pooled\": {},\n    \"fresh\": {},\n",
+                "    \"pooled\": {},\n",
                 "    \"threaded\": {},\n    \"telemetry\": {}\n  }}"
             ),
             self.family,
@@ -312,7 +309,6 @@ impl PerfBaseline {
             self.roots,
             self.gteps_edges,
             self.pooled.to_json(),
-            self.fresh.to_json(),
             self.threaded.to_json(),
             self.telemetry.to_json(),
         )
@@ -623,18 +619,6 @@ mod tests {
                 gteps: 0.0125,
                 gteps_wall: 0.004,
             },
-            fresh: PerfRecord {
-                wall_ms: 15.0,
-                allocs: 9600,
-                alloc_bytes: 1048576,
-                supersteps: 120,
-                msgs: 30000,
-                remote_msgs: 22000,
-                coalesced_msgs: 10000,
-                simulated_s: 0.25,
-                gteps: 0.0125,
-                gteps_wall: 0.0033,
-            },
             threaded: ThreadedRecord {
                 wall_ms: 5.0,
                 gteps: 0.05,
@@ -669,10 +653,9 @@ mod tests {
         assert_eq!(extract_number(&json, "pooled", "wall_ms"), Some(12.5));
         assert_eq!(extract_number(&json, "pooled", "allocs"), Some(480.0));
         assert_eq!(extract_number(&json, "pooled", "msgs"), Some(30000.0));
-        assert_eq!(extract_number(&json, "fresh", "allocs"), Some(9600.0));
         assert_eq!(
-            extract_number(&json, "fresh", "allocs_per_superstep"),
-            Some(80.0)
+            extract_number(&json, "pooled", "allocs_per_superstep"),
+            Some(4.0)
         );
         assert_eq!(
             extract_number(&json, "pooled", "remote_msgs"),

@@ -1,7 +1,7 @@
 //! Recorded performance baseline: wall time, allocations per superstep,
-//! message traffic and simulated time of the engine — pooled vs
-//! fresh-allocation buffers, plus the real-thread backend's wall time on
-//! the same roots.
+//! message traffic and simulated time of the engine on the lockstep
+//! transport (the `pooled` record), plus the threaded transport's wall
+//! time on the same roots.
 //!
 //! Usage:
 //!   cargo run -p sssp-bench --bin perf_baseline [--release] --
@@ -10,7 +10,7 @@
 //!
 //! Writes a `BENCH_sssp.json` document (see `sssp_bench::baseline`) with
 //! one `"scale_N"` block per measured scale, each holding one record per
-//! engine mode; a run re-records only its own scale's block and preserves
+//! transport; a run re-records only its own scale's block and preserves
 //! the others. `--check PATH` additionally compares the freshly measured
 //! pooled and threaded runs against the committed baseline's block for
 //! the same scale and exits nonzero when wall time or allocations per
@@ -72,7 +72,7 @@ fn measure(
     model: &MachineModel,
 ) -> PerfRecord {
     // One warmup run outside the measured window: first-touch effects
-    // (lazy page faults, branch history) hit both modes equally.
+    // (lazy page faults, branch history) stay out of the numbers.
     let _ = run_sssp(dg, roots[0], cfg, model);
 
     let a0 = ALLOCS.load(Ordering::Relaxed);
@@ -337,7 +337,6 @@ fn main() {
     let roots = pick_roots(&g, nroots, 23);
     let cfg = SsspConfig::opt(25);
 
-    let fresh = measure(&dg, &roots, &cfg.clone().with_pooled_buffers(false), &model);
     let pooled = measure(&dg, &roots, &cfg, &model);
     let threaded = measure_threaded(&dg, &roots, &cfg, &model, pooled.wall_ms);
     let telemetry = measure_telemetry(&dg, roots[0], &cfg, &model);
@@ -350,27 +349,22 @@ fn main() {
         roots: roots.len(),
         gteps_edges: dg.m_input_undirected,
         pooled,
-        fresh,
         threaded,
         telemetry,
     };
 
-    let mut rows: Vec<Vec<String>> = [("pooled", &doc.pooled), ("fresh", &doc.fresh)]
-        .iter()
-        .map(|(name, r)| {
-            vec![
-                name.to_string(),
-                format!("{:.2}", r.wall_ms),
-                r.allocs.to_string(),
-                format!("{:.1}", r.allocs_per_superstep()),
-                r.alloc_bytes.to_string(),
-                r.supersteps.to_string(),
-                format!("{:.3e}", r.simulated_s),
-                format!("{:.4}", r.gteps),
-                format!("{:.4}", r.gteps_wall),
-            ]
-        })
-        .collect();
+    let r = &doc.pooled;
+    let mut rows = vec![vec![
+        "pooled".to_string(),
+        format!("{:.2}", r.wall_ms),
+        r.allocs.to_string(),
+        format!("{:.1}", r.allocs_per_superstep()),
+        r.alloc_bytes.to_string(),
+        r.supersteps.to_string(),
+        format!("{:.3e}", r.simulated_s),
+        format!("{:.4}", r.gteps),
+        format!("{:.4}", r.gteps_wall),
+    ]];
     rows.push(vec![
         "threaded".to_string(),
         format!("{:.2}", doc.threaded.wall_ms),
@@ -400,13 +394,6 @@ fn main() {
         ],
         &rows,
     );
-    if doc.pooled.allocs > 0 {
-        println!(
-            "allocation reduction: {:.1}x fewer allocations, {:.1}x fewer bytes (pooled vs fresh)",
-            doc.fresh.allocs as f64 / doc.pooled.allocs as f64,
-            doc.fresh.alloc_bytes as f64 / doc.pooled.alloc_bytes.max(1) as f64,
-        );
-    }
     println!(
         "threaded speedup vs pooled simulated: {:.2}x wall",
         doc.threaded.speedup_vs_pooled

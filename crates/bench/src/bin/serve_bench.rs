@@ -29,7 +29,7 @@ use sssp_bench::baseline::{extract_number, serving_block, upsert_serving_block, 
 use sssp_bench::{build_family, pick_roots, print_table, Family};
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
-use sssp_core::threaded_sssp_seeded;
+use sssp_core::threaded_delta_stepping;
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
 use sssp_serve::{QueryOutput, QuerySpec, ServeConfig, SsspServer};
@@ -205,7 +205,7 @@ fn main() {
     // batch so oracle time never pollutes the throughput window.
     let oracles: Vec<Vec<u64>> = roots
         .iter()
-        .map(|&r| threaded_sssp_seeded(&dg, &[(r, 0)], &cfg, &model).distances)
+        .map(|&r| threaded_delta_stepping(&dg, r, &cfg, &model).distances)
         .collect();
     let targets: Vec<VertexId> = roots
         .iter()

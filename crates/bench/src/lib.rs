@@ -23,9 +23,9 @@ use std::sync::Arc;
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
 use sssp_core::engine::{run_sssp, SsspOutput};
-use sssp_core::{threaded_delta_stepping_traced, RunTrace};
+use sssp_core::{merged_trace, run, EngineScratch, Lockstep, Query, RunStats, RunTrace, Threaded};
 use sssp_dist::DistGraph;
-use sssp_graph::prng::SplitMix;
+pub use sssp_graph::pick_roots;
 use sssp_graph::rmat::{RmatGenerator, RmatParams};
 use sssp_graph::{Csr, CsrBuilder, VertexId};
 
@@ -97,14 +97,14 @@ pub fn weak_scaling_ranks() -> Vec<usize> {
     v
 }
 
-/// Which engine backend a figure binary drives. Both backends produce
-/// bit-identical distances and — through the unified telemetry layer —
-/// identical traces, so a figure regenerated on either must agree.
+/// Which transport a figure binary runs the engine on. Both produce
+/// bit-identical distances and traces, so a figure regenerated on either
+/// must agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The simulated BSP engine (`run_sssp`), with the α–β–γ cost model.
+    /// The lockstep transport: the simulated machine.
     Simulated,
-    /// The real-thread engine (one OS thread per rank), traced.
+    /// The threaded transport: one OS thread per rank.
     Threaded,
 }
 
@@ -151,34 +151,15 @@ pub fn run_trace(
     model: &MachineModel,
     backend: Backend,
 ) -> (Vec<u64>, RunTrace) {
-    match backend {
-        Backend::Simulated => {
-            let out = run_sssp(dg, root, cfg, model);
-            let trace = RunTrace::from_run_stats(&out.stats, "simulated");
-            (out.distances, trace)
-        }
+    let (query, stats) = (Query::root(root), RunStats::for_run(dg, None));
+    let (out, recorded) = match backend {
+        Backend::Simulated => run(dg.as_ref(), &query, cfg, model, Lockstep, stats),
         Backend::Threaded => {
-            let (out, trace) = threaded_delta_stepping_traced(dg, root, cfg, model);
-            (out.distances, trace)
+            let mut scratch = EngineScratch::new(dg.num_ranks());
+            run(dg, &query, cfg, model, Threaded(&mut scratch), stats)
         }
-    }
-}
-
-/// Pick `count` deterministic non-isolated roots.
-pub fn pick_roots(g: &Csr, count: usize, seed: u64) -> Vec<VertexId> {
-    let n = g.num_vertices();
-    let mut rng = SplitMix::new(seed ^ 0xB00F);
-    let mut roots = Vec::with_capacity(count);
-    let mut guard = 0;
-    while roots.len() < count && guard < 100 * count + 1000 {
-        guard += 1;
-        let v = rng.next_below(n as u64) as VertexId;
-        if g.degree(v) > 0 && !roots.contains(&v) {
-            roots.push(v);
-        }
-    }
-    assert!(!roots.is_empty(), "no non-isolated vertex found");
-    roots
+    };
+    (out.distances, merged_trace(&recorded, backend.name()))
 }
 
 /// Aggregate of several runs (different roots) of one configuration.

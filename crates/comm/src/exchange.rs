@@ -5,12 +5,14 @@
 //! per destination, concatenating in source-rank order so delivery is
 //! deterministic, and records the traffic in a [`StepStats`].
 //!
-//! Two delivery flavors exist: the original consuming [`exchange`] /
-//! [`exchange_with`] (fresh inboxes every call) and the pooled
-//! [`exchange_pooled`] / [`ExchangeBuffers`] path, which recycles both
-//! outbox lanes and inboxes across supersteps so a steady-state superstep
-//! performs no heap allocation. Both produce identical delivery order and
-//! identical [`StepStats`].
+//! Two delivery flavors exist: the consuming [`exchange`] /
+//! [`exchange_with`] (fresh inboxes every call, used by the lockstep
+//! analytics kernels) and the pooled [`exchange_pooled`] /
+//! [`ExchangeBuffers`] path, which recycles both outbox lanes and inboxes
+//! across supersteps so a steady-state superstep performs no heap
+//! allocation — the transpose the SSSP engine's lockstep transport
+//! ([`crate::transport::LockstepComm`]) runs. Both produce identical
+//! delivery order and identical [`StepStats`].
 
 use crate::stats::StepStats;
 use crate::Rank;
@@ -276,17 +278,6 @@ impl<M> ExchangeBuffers<M> {
         self.watermark = 0;
         shrunk
     }
-
-    /// Drop every held buffer, replacing it with a fresh zero-capacity one.
-    /// This deliberately reinstates the per-superstep allocation pattern the
-    /// pool exists to avoid — the differential tests and the allocation
-    /// benchmark use it to emulate a non-pooled engine.
-    pub fn reset_capacity(&mut self) {
-        let p = self.outboxes.len();
-        self.outboxes = (0..p).map(|_| Outbox::new(p)).collect();
-        self.inboxes = (0..p).map(|_| Vec::new()).collect();
-        self.watermark = 0;
-    }
 }
 
 #[cfg(test)]
@@ -392,9 +383,6 @@ mod tests {
             assert!(bufs.outboxes[0].out[0].capacity() >= 50);
             assert!(bufs.inboxes[0].capacity() >= 50);
         }
-        bufs.reset_capacity();
-        assert_eq!(bufs.outboxes[0].out[0].capacity(), 0);
-        assert_eq!(bufs.inboxes[0].capacity(), 0);
     }
 
     #[test]

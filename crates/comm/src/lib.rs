@@ -33,7 +33,7 @@ pub mod collective;
 pub mod cost;
 /// Bulk-synchronous message exchange between simulated ranks.
 pub mod exchange;
-/// Rolling collective-schedule fingerprints shared by both backends.
+/// Rolling collective-schedule fingerprints.
 pub mod fingerprint;
 /// Debug-gated runtime twin of the static lock-order model.
 pub mod lockorder;
@@ -41,8 +41,11 @@ pub mod lockorder;
 pub mod packet;
 /// Per-superstep traffic ledgers ([`stats::CommStats`]).
 pub mod stats;
-/// Real-thread SPMD runtime (one OS thread per rank) for differential tests.
+/// Real-thread SPMD runtime (one OS thread per rank).
 pub mod threaded;
+/// The [`transport::Comm`] contract the SSSP epoch loop is written against,
+/// and the lockstep transport that drives every rank from one thread.
+pub mod transport;
 
 /// Index of a logical processor (the paper's "node"/"rank").
 pub type Rank = usize;

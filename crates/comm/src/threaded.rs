@@ -15,15 +15,19 @@
 //! time.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier, Mutex};
 
+use crate::exchange::Outbox;
 use crate::fingerprint::{
     fp_mix, FP_EXCHANGE, FP_REDUCE, FP_REDUCE_ANY, FP_REDUCE_MAX, FP_REDUCE_MIN, FP_REDUCE_SUM,
     FP_WINDOW,
 };
 use crate::lockorder;
 use crate::packet::PacketConfig;
+use crate::stats::StepStats;
+use crate::transport::Comm;
 use crate::Rank;
 
 /// Smallest buffer capacity [`RankCtx::trim_spares`] will ever release. A
@@ -409,6 +413,82 @@ impl<M: Send> RankCtx<M> {
         self.allreduce_inner(u64::from(flag), |vals| {
             u64::from(vals.iter().any(|&v| v != 0))
         }) != 0
+    }
+}
+
+/// The rank-thread transport: the process owns its own rank, collectives
+/// are the rendezvous primitives above, and an exchange goes through the
+/// pooled channel path.
+impl<M: Send> Comm<M> for RankCtx<M> {
+    fn owned(&self) -> Range<Rank> {
+        self.rank..self.rank + 1
+    }
+
+    fn set_epoch(&mut self, epoch: u64) {
+        RankCtx::set_epoch(self, epoch);
+    }
+
+    fn allreduce_min(&mut self, value: u64) -> u64 {
+        RankCtx::allreduce_min(self, value)
+    }
+
+    fn allreduce_max(&mut self, value: u64) -> u64 {
+        RankCtx::allreduce_max(self, value)
+    }
+
+    fn allreduce_sum(&mut self, value: u64) -> u64 {
+        RankCtx::allreduce_sum(self, value)
+    }
+
+    fn allreduce_min_window(&mut self, value: u64) -> u64 {
+        RankCtx::allreduce_min_window(self, value)
+    }
+
+    fn any(&mut self, flag: bool) -> bool {
+        RankCtx::any(self, flag)
+    }
+
+    fn exchange(
+        &mut self,
+        out: &mut [Outbox<M>],
+        inboxes: &mut [Vec<M>],
+        msg_bytes: usize,
+        packet: Option<&PacketConfig>,
+    ) -> StepStats {
+        assert!(
+            out.len() == 1 && inboxes.len() == 1,
+            "a rank thread owns exactly one rank"
+        );
+        let c = self.exchange_pooled_counted(&mut out[0].out, &mut inboxes[0], msg_bytes, packet);
+        StepStats {
+            remote_msgs: c.sent_remote,
+            local_msgs: c.sent_local,
+            remote_bytes: c.sent_remote_bytes,
+            max_rank_send_bytes: c.sent_remote_bytes,
+            max_rank_recv_bytes: c.recv_remote_bytes,
+            coalesced_msgs: 0,
+        }
+    }
+
+    fn end_epoch(&mut self) {
+        self.trim_spares();
+    }
+
+    fn end_query(&mut self) {
+        self.finish_query();
+    }
+
+    fn assert_consistent(&self, _sent: u64, _delivered: u64) {
+        self.assert_schedule_uniform();
+        #[cfg(debug_assertions)]
+        {
+            let sum = |vals: &[u64]| vals.iter().sum();
+            assert_eq!(
+                self.allreduce_inner(_delivered, sum),
+                self.allreduce_inner(_sent, sum),
+                "message conservation violated: delivered != sent"
+            );
+        }
     }
 }
 

@@ -7,7 +7,8 @@ use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
 
 use crate::config::SsspConfig;
-use crate::engine::{run_sssp, run_sssp_multi};
+use crate::engine::record::NoopRecorder;
+use crate::engine::{run, run_sssp, Lockstep, Query};
 use crate::state::INF;
 
 /// Harmonic closeness of every vertex, estimated from SSSP runs out of
@@ -54,7 +55,14 @@ pub fn voronoi(
 ) -> (Vec<usize>, Vec<u64>) {
     assert!(!sites.is_empty(), "need at least one site");
     let n = dg.num_vertices();
-    let field = run_sssp_multi(dg, sites, cfg, model);
+    let (field, _) = run(
+        dg,
+        &Query::sources(sites),
+        cfg,
+        model,
+        Lockstep,
+        NoopRecorder,
+    );
     let mut owner = vec![usize::MAX; n];
     for (i, &s) in sites.iter().enumerate() {
         let out = run_sssp(dg, s, cfg, model);

@@ -136,20 +136,6 @@ pub struct SsspConfig {
     pub hybrid_tau: Option<f64>,
     /// Intra-node thread load balancing mode (π threshold).
     pub intra_balance: IntraBalance,
-    /// Reuse outbox/inbox/scratch capacity across supersteps (the
-    /// zero-allocation hot path). `false` drops every buffer at each
-    /// superstep boundary — the historical allocation pattern, kept for
-    /// differential testing and the allocation benchmark. Message flow is
-    /// identical either way, so distances and comm statistics must match
-    /// bit for bit.
-    pub pooled_buffers: bool,
-    /// Flat hot-path state layout (on by default): bucket members live in
-    /// the lazy cyclic ring of flat lanes ([`crate::state::FLAT_LANES`])
-    /// instead of the legacy `BTreeMap` bucket structure. Distances, the
-    /// collective schedule and all message statistics are identical either
-    /// way — the legacy layout is kept for one release as the differential
-    /// baseline of the flat-layout proptests.
-    pub flat_state: bool,
     /// Sender-side relaxation coalescing (on by default): before every
     /// exchange, each outbox lane is min-reduced per destination vertex so
     /// only the smallest tentative distance crosses the wire. Relaxation
@@ -173,8 +159,6 @@ impl SsspConfig {
             imbalance_aware: true,
             hybrid_tau: None,
             intra_balance: IntraBalance::Off,
-            pooled_buffers: true,
-            flat_state: true,
             coalescing: true,
         }
     }
@@ -297,24 +281,6 @@ impl SsspConfig {
         self
     }
 
-    /// Toggle superstep buffer pooling (on by default). Turning it off
-    /// reinstates fresh per-superstep allocations without changing any
-    /// message, distance or statistic — the differential axis used by the
-    /// pooled-vs-fresh proptest and `perf_baseline`.
-    pub fn with_pooled_buffers(mut self, pooled: bool) -> Self {
-        self.pooled_buffers = pooled;
-        self
-    }
-
-    /// Toggle the flat bucket/frontier layout (on by default). Turning it
-    /// off reinstates the legacy `BTreeMap` bucket structure without
-    /// changing any message, distance or statistic — the differential axis
-    /// used by the flat-vs-legacy proptests.
-    pub fn with_flat_state(mut self, flat: bool) -> Self {
-        self.flat_state = flat;
-        self
-    }
-
     /// Toggle sender-side relaxation coalescing (on by default). Turning it
     /// off sends every produced relaxation verbatim — the differential axis
     /// used by the coalescing proptests. Distances are identical either
@@ -412,20 +378,6 @@ mod tests {
     #[should_panic]
     fn invalid_tau_rejected() {
         let _ = SsspConfig::opt(10).with_hybrid(Some(1.5));
-    }
-
-    #[test]
-    fn pooled_buffers_default_on_and_toggleable() {
-        assert!(SsspConfig::del(5).pooled_buffers);
-        assert!(SsspConfig::opt(5).pooled_buffers);
-        assert!(!SsspConfig::opt(5).with_pooled_buffers(false).pooled_buffers);
-    }
-
-    #[test]
-    fn flat_state_default_on_and_toggleable() {
-        assert!(SsspConfig::del(5).flat_state);
-        assert!(SsspConfig::rho(64).flat_state);
-        assert!(!SsspConfig::opt(5).with_flat_state(false).flat_state);
     }
 
     #[test]

@@ -4,20 +4,17 @@
 //! bottleneck-rank (imbalance-aware) refinement the paper describes.
 //!
 //! Split into a rank-local volume pass ([`rank_volumes`]) and a pure
-//! totals→decision conversion ([`decide_from_totals`]) so the simulated
-//! engine (parallel fold over its rank states) and the real-thread engine
-//! (one pass per rank thread + five allreduces) share the arithmetic.
-use rayon::prelude::*;
-
-use sssp_comm::collective::allgather;
-use sssp_comm::cost::{MachineModel, TimeClass};
+//! totals→decision conversion ([`decide_from_totals`]); the driver folds
+//! the former over its owned ranks, reduces across processes and feeds the
+//! latter. This is the only engine file floating point may appear in.
+use sssp_comm::cost::MachineModel;
 use sssp_dist::LocalGraph;
 
-use crate::config::{DirectionPolicy, LongPhaseMode, PullEstimator, SsspConfig};
+use crate::config::{LongPhaseMode, PullEstimator, SsspConfig};
 use crate::policy::EpochWindow;
 use crate::state::{RankState, INF};
 
-use super::{kernels, Engine, RELAX_BYTES};
+use super::{kernels, WIRE_BYTES};
 
 /// One rank's §III-C volume estimates for the epoch window: the push send
 /// volume, the pull request volume, and the number of unsettled vertices
@@ -84,8 +81,7 @@ pub(super) fn rank_volumes(
 
 /// Convert globally reduced volumes into the push/pull decision plus the
 /// `(est_push, est_pull)` pair recorded per bucket. Pure arithmetic over
-/// the machine model — both backends feed it their own reductions
-/// (parallel fold here, allreduces on the thread backend).
+/// the machine model.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn decide_from_totals(
     cfg: &SsspConfig,
@@ -107,7 +103,7 @@ pub(super) fn decide_from_totals(
     // the imbalance-aware refinement is on; otherwise the average is
     // used (the paper's first-cut heuristic).
     let per_edge = model.gamma_s_per_op / model.threads_per_rank.max(1) as f64
-        + model.beta_s_per_byte * RELAX_BYTES as f64;
+        + model.beta_s_per_byte * WIRE_BYTES as f64;
     let bottleneck = |total: u64, maxr: u64| -> f64 {
         if cfg.imbalance_aware {
             (total as f64 / p as f64).max(maxr as f64)
@@ -137,74 +133,8 @@ pub(super) fn decide_from_totals(
 }
 
 /// The §III-D hybrid switch test: true once more than fraction τ of the
-/// graph's vertices is settled. Shared by both engine run loops so the
-/// float arithmetic lives only in this module.
+/// graph's vertices is settled. Lives here so the float arithmetic stays
+/// in this module.
 pub(super) fn hybrid_should_switch(tau: f64, settled_total: u64, n_total: u64) -> bool {
     settled_total as f64 > tau * n_total as f64
-}
-
-impl Engine<'_> {
-    // -- push/pull decision heuristic (§III-C) ----------------------------------
-
-    pub(super) fn decide(&mut self, window: &EpochWindow) -> (LongPhaseMode, u64, u64) {
-        match &self.cfg.direction {
-            DirectionPolicy::AlwaysPush => (LongPhaseMode::Push, 0, 0),
-            DirectionPolicy::AlwaysPull => (LongPhaseMode::Pull, 0, 0),
-            DirectionPolicy::Heuristic => self.heuristic_decide(window),
-            DirectionPolicy::Forced(seq) => {
-                let idx = self.stats.bucket_records.len();
-                match seq.get(idx) {
-                    Some(&mode) => {
-                        // Still compute the estimates so the record shows
-                        // what the heuristic would have seen.
-                        let (_, ep, el) = self.heuristic_decide(window);
-                        (mode, ep, el)
-                    }
-                    None => self.heuristic_decide(window),
-                }
-            }
-        }
-    }
-
-    pub(super) fn heuristic_decide(&mut self, window: &EpochWindow) -> (LongPhaseMode, u64, u64) {
-        let dg = self.dg;
-        let ios = self.cfg.ios;
-        let estimator = self.cfg.pull_estimator;
-        let w_max = self.max_weight as u64;
-
-        // Per-rank volume estimates (one pass; read-only), folded straight
-        // into (Σpush, Σpull, max push, max pull, max scanned) so the hot
-        // path stays free of per-bucket scratch vectors.
-        let (push_total, pull_total, push_max, pull_max, scan_max) = self
-            .states
-            .par_iter()
-            .map(|st| {
-                let (push, pull, scanned) =
-                    rank_volumes(&dg.locals[st.rank], st, window, ios, estimator, w_max);
-                (push, pull, push, pull, scanned)
-            })
-            .reduce_with(|a, b| {
-                (
-                    a.0 + b.0,
-                    a.1 + b.1,
-                    a.2.max(b.2),
-                    a.3.max(b.3),
-                    a.4.max(b.4),
-                )
-            })
-            .unwrap_or((0, 0, 0, 0, 0));
-
-        // The estimates travel through one allgather (§III-C preprocesses
-        // per-vertex long-edge counts; at runtime only the per-rank sums
-        // need to be shared). The parallel fold above already globalized
-        // them, so the gathered vector is read straight back.
-        let g = allgather(
-            &[push_total, pull_total, push_max, pull_max, scan_max],
-            &mut self.comm,
-        );
-        self.ledger
-            .charge_collective(self.model, TimeClass::Relax, self.p);
-
-        decide_from_totals(self.cfg, self.model, self.p, g[0], g[1], g[2], g[3], g[4])
-    }
 }

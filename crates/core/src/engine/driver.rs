@@ -1,0 +1,859 @@
+//! The epoch loop — select bucket, short phases to a fixpoint, push-or-pull
+//! long phase, settle, τ-switch into Bellman-Ford — written once over a
+//! [`Comm`] transport and a [`Recorder`].
+//!
+//! A process drives the slice of ranks its transport *owns* (one on a rank
+//! thread, all `p` in lockstep). Rank-local work — the kernels of
+//! `kernels.rs` — runs once per owned rank ([`ProcBufs::fan_out`]); every
+//! collective receives a contribution already folded over the owned ranks
+//! and never sits inside a per-rank loop, so each process issues the same
+//! collective sequence whatever it owns. That sequence is the protocol
+//! table `sssp-lint --protocol` extracts from this file.
+//!
+//! Cost-model charges are recorder events placed at the schedule's charge
+//! sites: one `Bucket` collective per selection / cutoff / deadline /
+//! window / activity / settle reduction, **one** `Relax` collective for the
+//! decision's five reductions, none for the set-up reductions; a `Bucket`
+//! scan for the window collection, a `Relax` scan for the pull-request
+//! sweep; one superstep per exchange.
+
+use std::ops::Range;
+use std::time::Instant;
+
+use rayon::prelude::*;
+
+use sssp_comm::cost::{MachineModel, TimeClass};
+use sssp_comm::exchange::{pack_sorted_run, shrink_oversized, Outbox};
+use sssp_comm::stats::StepStats;
+use sssp_comm::threaded::SPARE_CAPACITY_FLOOR;
+use sssp_comm::transport::Comm;
+use sssp_dist::{DistGraph, Partition};
+use sssp_graph::VertexId;
+
+use crate::config::{DirectionPolicy, LongPhaseMode, SsspConfig};
+use crate::instrument::{BucketRecord, PhaseKind, PhaseRecord};
+use crate::policy::{EpochWindow, PolicyDispatch, SteppingPolicy, WindowRule};
+use crate::state::{RankState, INF};
+
+use super::record::Recorder;
+use super::{decide, invariants, kernels, resolved_pi, RelaxMsg, RunOutput, WIRE_BYTES};
+
+/// One run as every process sees it: the graph, the canonical seed list
+/// and the uniform run parameters.
+#[derive(Clone, Copy)]
+pub struct Job<'a> {
+    pub(super) dg: &'a DistGraph,
+    pub(super) seeds: &'a [(VertexId, u64)],
+    pub(super) target: Option<VertexId>,
+    pub(super) deadline: Option<Instant>,
+    pub(super) cfg: &'a SsspConfig,
+    pub(super) model: &'a MachineModel,
+}
+
+/// One process's share of a finished run: the distances of its owned ranks
+/// and its transport counters.
+#[derive(Debug, Default)]
+pub struct ProcessOut {
+    first_rank: usize,
+    dist: Vec<Vec<u64>>,
+    relax_local_msgs: u64,
+    relax_remote_msgs: u64,
+    coalesced_msgs: u64,
+    epochs: u64,
+    timed_out: bool,
+}
+
+impl ProcessOut {
+    /// Fold this process's share into the run's global output.
+    pub(super) fn fold_into(self, out: &mut RunOutput, part: &Partition) {
+        for (rank, dist) in (self.first_rank..).zip(&self.dist) {
+            for (l, &d) in dist.iter().enumerate() {
+                out.distances[part.to_global(rank, l) as usize] = d;
+            }
+        }
+        out.relax_local_msgs += self.relax_local_msgs;
+        out.relax_remote_msgs += self.relax_remote_msgs;
+        out.coalesced_msgs += self.coalesced_msgs;
+        out.epochs = out.epochs.max(self.epochs);
+        out.timed_out |= self.timed_out;
+    }
+}
+
+/// The engine-side state of a process's owned ranks, one entry per rank in
+/// every vector: the [`RankState`] (distances, buckets, frontier bitsets),
+/// the outbox lanes, and the relax and request inboxes. Reusable across
+/// runs: [`ProcBufs::prepare`] resets the states in place and keeps every
+/// capacity warm.
+#[derive(Debug, Default)]
+pub struct ProcBufs {
+    st: Vec<RankState>,
+    out: Vec<Outbox<RelaxMsg>>,
+    inbox: Vec<Vec<RelaxMsg>>,
+    req_inbox: Vec<Vec<RelaxMsg>>,
+}
+
+/// One owned rank's slice of a [`ProcBufs`], as the kernels see it.
+struct RankIo<'a> {
+    st: &'a mut RankState,
+    out: &'a mut Outbox<RelaxMsg>,
+    inbox: &'a [RelaxMsg],
+    req_inbox: &'a [RelaxMsg],
+}
+
+impl ProcBufs {
+    /// Make the buffers fit the `owned` ranks of `dg` for a fresh run.
+    /// States whose shape still matches are reset in place (distances,
+    /// bucket ring *including its base*, frontier stamps, spill lanes —
+    /// the fresh-state contract without touching any allocation); any
+    /// mismatch rebuilds them, so a stale buffer set is merely a cold
+    /// start, never a wrong answer.
+    fn prepare(&mut self, dg: &DistGraph, owned: Range<usize>) {
+        let p = dg.num_ranks();
+        let fits = self.st.len() == owned.len()
+            && self
+                .st
+                .iter()
+                .zip(owned.clone())
+                .all(|(st, r)| st.rank == r && st.n_local() == dg.part.local_count(r));
+        if fits {
+            self.st.iter_mut().for_each(RankState::reset);
+        } else {
+            self.st = owned
+                .clone()
+                .map(|r| RankState::new(r, dg.part.local_count(r), dg.threads_per_rank))
+                .collect();
+        }
+        self.out.resize_with(owned.len(), || Outbox::new(p));
+        for ob in &mut self.out {
+            ob.clear();
+            ob.out.resize_with(p, Vec::new);
+        }
+        for inboxes in [&mut self.inbox, &mut self.req_inbox] {
+            inboxes.resize_with(owned.len(), Vec::new);
+            inboxes.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    /// Run `f` once per owned rank and fold the results. A process that
+    /// owns one rank (a rank thread) runs it inline, allocation-free; one
+    /// that owns many (lockstep) fans the ranks out over rayon.
+    fn fan_out<T: Send>(
+        &mut self,
+        zero: T,
+        f: impl Fn(RankIo<'_>) -> T + Sync,
+        fold: impl Fn(T, T) -> T + Sync,
+    ) -> T {
+        let owned = self.st.len();
+        let ranks = self
+            .st
+            .iter_mut()
+            .zip(&mut self.out)
+            .zip(&self.inbox)
+            .zip(&self.req_inbox)
+            .map(|(((st, out), inbox), req_inbox)| RankIo {
+                st,
+                out,
+                inbox,
+                req_inbox,
+            });
+        if owned == 1 {
+            ranks.map(f).fold(zero, fold)
+        } else {
+            let ranks: Vec<RankIo<'_>> = ranks.collect();
+            ranks
+                .into_par_iter()
+                .map(f)
+                .reduce_with(fold)
+                .unwrap_or(zero)
+        }
+    }
+
+    /// Release every buffer whose capacity exceeds 4× `high_water`. The
+    /// same capacity floor as the channel spare pool keeps a quiet epoch
+    /// (mark 0) from freeing every lane.
+    fn shrink(&mut self, high_water: usize) {
+        let floor = high_water.max(SPARE_CAPACITY_FLOOR / 4);
+        let lanes = self.out.iter_mut().flat_map(|ob| ob.out.iter_mut());
+        for buf in lanes.chain(&mut self.inbox).chain(&mut self.req_inbox) {
+            shrink_oversized(buf, floor);
+        }
+    }
+
+    /// Capacity (in messages) of the largest buffer held.
+    pub(super) fn max_buffer_capacity(&self) -> usize {
+        self.out
+            .iter()
+            .flat_map(|ob| ob.out.iter())
+            .chain(&self.inbox)
+            .chain(&self.req_inbox)
+            .map(Vec::capacity)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Start a superstep on one rank: clear the changed set and the per-thread
+/// operation ledger.
+#[inline]
+fn begin_superstep(st: &mut RankState) {
+    st.begin_phase();
+    st.loads.reset();
+}
+
+/// Wall-clock nanoseconds since `start`, saturated into a `u64` (580 years
+/// of headroom — the cast can only be reached by a clock bug).
+#[inline]
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// One process's whole run. `bufs` carries engine state across runs (a
+/// serving layer keeps it warm); it is prepared here and trimmed at query
+/// end against this query's own high-water mark, so a large query's pools
+/// never chase a small successor.
+// sssp-lint: protocol-entry(engine)
+// sssp-lint: panic-root(rank-thread, forwarded): on the threaded transport
+// this is the body of every rank thread; rank panics propagate through the
+// spawning scope's join into the caller, where the serving layer's
+// catch_unwind (or the bench process boundary) absorbs them.
+pub(super) fn epoch_loop<C: Comm<RelaxMsg>, R: Recorder>(
+    job: &Job<'_>,
+    ctx: &mut C,
+    rec: &mut R,
+    bufs: &mut ProcBufs,
+) -> ProcessOut {
+    bufs.prepare(job.dg, ctx.owned());
+    let mut driver = Driver::new(job, ctx, rec, bufs);
+    // An empty graph has nothing to select; the guard is uniform.
+    if job.dg.num_vertices() > 0 {
+        driver.seed();
+        driver.run_epochs();
+    }
+    driver.finish()
+}
+
+/// The epoch loop's working set on one process.
+struct Driver<'a, C, R> {
+    job: &'a Job<'a>,
+    ctx: &'a mut C,
+    rec: &'a mut R,
+    bufs: &'a mut ProcBufs,
+    /// The run's stepping policy (bucket assignment + window selection),
+    /// resolved once from the config.
+    policy: PolicyDispatch,
+    /// Resolved intra-node balancing threshold π (`u64::MAX` = off).
+    pi: u64,
+    /// Whether any short edge exists at all for the policy's short bound
+    /// (lets the Dijkstra configuration skip its necessarily-empty short
+    /// stage; an edgeless graph has none).
+    has_short_edges: bool,
+    /// Largest edge weight in the graph (0 on an edgeless one).
+    max_weight: u64,
+    out: ProcessOut,
+    /// Largest lane or inbox fill of the current epoch / the whole query:
+    /// the pool-shrink policy's high-water marks.
+    epoch_hwm: usize,
+    query_hwm: usize,
+    /// Messages this process sent / had delivered since the last
+    /// consistency check (debug-build conservation check).
+    sent: u64,
+    delivered: u64,
+}
+
+impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
+    fn new(job: &'a Job<'a>, ctx: &'a mut C, rec: &'a mut R, bufs: &'a mut ProcBufs) -> Self {
+        let dg = job.dg;
+        // Global weight extremes: rows are weight-sorted, so first/last
+        // entries suffice. An edgeless graph has no extremes; its scan
+        // sentinels must not leak into the decision heuristic's eq. 1
+        // estimate or open a short stage.
+        let (mut w_lo, mut w_hi) = (u64::from(u32::MAX), 0u64);
+        for lg in &dg.locals[ctx.owned()] {
+            for v in 0..lg.num_local() {
+                let (_, ws) = lg.row(v);
+                if let (Some(&first), Some(&last)) = (ws.first(), ws.last()) {
+                    w_lo = w_lo.min(u64::from(first));
+                    w_hi = w_hi.max(u64::from(last));
+                }
+            }
+        }
+        // sssp-lint: protocol: setup.weight-extremes
+        let min_weight = ctx.allreduce_min(w_lo);
+        let max_weight = ctx.allreduce_max(w_hi);
+        let policy = PolicyDispatch::from_config(job.cfg, dg.num_ranks());
+        let out = ProcessOut {
+            first_rank: ctx.owned().start,
+            ..ProcessOut::default()
+        };
+        Driver {
+            job,
+            ctx,
+            rec,
+            bufs,
+            policy,
+            pi: resolved_pi(
+                job.cfg.intra_balance,
+                dg.m_directed,
+                dg.num_vertices() as u64,
+            ),
+            has_short_edges: dg.m_directed > 0 && min_weight < policy.short_bound(),
+            max_weight: if dg.m_directed > 0 { max_weight } else { 0 },
+            out,
+            epoch_hwm: 0,
+            query_hwm: 0,
+            sent: 0,
+            delivered: 0,
+        }
+    }
+
+    /// Place the seeds on their owner ranks.
+    fn seed(&mut self) {
+        let part = &self.job.dg.part;
+        let first_rank = self.out.first_rank;
+        for st in &mut self.bufs.st {
+            st.begin_phase();
+        }
+        for &(v, d) in self.job.seeds {
+            if let Some(st) = part
+                .owner(v)
+                .checked_sub(first_rank)
+                .and_then(|i| self.bufs.st.get_mut(i))
+            {
+                st.relax(part.local_index(v), d, &self.policy);
+            }
+        }
+    }
+
+    fn run_epochs(&mut self) {
+        let job = self.job;
+        let n_total = job.dg.num_vertices() as u64;
+        let mut k_prev: Option<u64> = None;
+        let mut settled_total = 0u64;
+        let mut buckets_done = 0usize;
+        loop {
+            // Epoch tag for the schedule fingerprint: advanced by the same
+            // uniform counter on every rank (set-up ran as epoch 0).
+            self.out.epochs += 1;
+            self.ctx.set_epoch(self.out.epochs);
+
+            // Bucket collective: smallest nonempty bucket across all ranks.
+            let k_owned = self
+                .bufs
+                .st
+                .iter()
+                .map(|st| st.next_nonempty_after(k_prev).unwrap_or(u64::MAX))
+                .min()
+                .unwrap_or(u64::MAX);
+            // sssp-lint: protocol: epoch.select
+            let k = self.ctx.allreduce_min(k_owned);
+            self.rec.collective(TimeClass::Bucket);
+            if k == u64::MAX {
+                break;
+            }
+            invariants::check_epoch_monotone(k, k_prev);
+            // Slide the flat bucket rings up to the epoch's bucket before
+            // anything queries the structure (window proposals included);
+            // every later query of the epoch is at or above `k`.
+            for st in &mut self.bufs.st {
+                st.advance_frontier(k);
+            }
+
+            // Point-to-point early termination (see `Query::target`): every
+            // unsettled vertex now sits in bucket >= k, so nothing a future
+            // epoch relaxes can land below the k-window's `start_dist` (kΔ
+            // for finite Δ, k for rho/radius, 0 — never early — for
+            // infinite Δ); at or below it the target is final.
+            if let Some(tv) = job.target {
+                let (owner, local) = (job.dg.part.owner(tv), job.dg.part.local_index(tv));
+                let td_owned = self
+                    .bufs
+                    .st
+                    .iter()
+                    .find(|st| st.rank == owner)
+                    .map_or(INF, |st| st.dist[local as usize]);
+                // sssp-lint: protocol: epoch.target-cutoff
+                let td = self.ctx.allreduce_min(td_owned);
+                self.rec.collective(TimeClass::Bucket);
+                if td <= self.policy.window_for(k, k).start_dist {
+                    break;
+                }
+            }
+
+            // Per-query deadline, between bucket selection and the epoch's
+            // first exchange, so a run never starts a superstep it may not
+            // finish. The guard is uniform and the verdict a collective:
+            // all ranks break together, none wedges a peer mid-rendezvous.
+            if let Some(deadline) = job.deadline {
+                let expired = Instant::now() >= deadline;
+                // sssp-lint: protocol: epoch.deadline
+                let stop = self.ctx.any(expired);
+                self.rec.collective(TimeClass::Bucket);
+                if stop {
+                    self.out.timed_out = true;
+                    break;
+                }
+            }
+
+            // Hybrid switch (§III-D): merge the remaining buckets and
+            // finish with Bellman-Ford rounds.
+            if let (Some(tau), Some(kp)) = (job.cfg.hybrid_tau, k_prev) {
+                if decide::hybrid_should_switch(tau, settled_total, n_total) {
+                    self.rec.hybrid_switch(kp);
+                    self.bellman_ford_tail(kp);
+                    break;
+                }
+            }
+
+            // Window selection: policies that process more than one bucket
+            // per epoch min-reduce their per-rank window proposals through
+            // the dedicated window collective; Δ-stepping's single-bucket
+            // rule issues no collective at all.
+            let window = match self.policy.window_rule() {
+                WindowRule::SingleBucket => self.policy.window_for(k, k),
+                WindowRule::RhoPrefix => {
+                    // sssp-lint: protocol: epoch.window-rho
+                    let hi = self.window_collective(k);
+                    self.policy.window_for(k, hi)
+                }
+                WindowRule::RadiusBall => {
+                    // sssp-lint: protocol: epoch.window-radius
+                    let hi = self.window_collective(k);
+                    self.policy.window_for(k, hi)
+                }
+            };
+
+            // Collect the epoch's initial active set from the window.
+            let metered = self.rec.enabled();
+            let scanned = self.bufs.fan_out(
+                0,
+                |io| {
+                    io.st.collect_active_from_window(window.lo, window.hi);
+                    if metered {
+                        io.st.window_scan_len(window.lo, window.hi) as u64
+                    } else {
+                        0
+                    }
+                },
+                u64::max,
+            );
+            self.rec.scan(TimeClass::Bucket, scanned);
+
+            // Stage 1: short-edge phases, to a fixpoint.
+            if self.has_short_edges {
+                let start = Instant::now();
+                // sssp-lint: protocol: short.active-any
+                while self.any_active() {
+                    // sssp-lint: protocol: short.exchange-relax
+                    self.short_phase(&window);
+                }
+                self.rec.phase_nanos(PhaseKind::Short, elapsed_ns(start));
+            }
+
+            // Stage 2: long-edge phase, push or pull.
+            // sssp-lint: protocol: decide.estimates
+            let (mode, est_push, est_pull) = self.decide(&window, buckets_done);
+            let mut record = BucketRecord {
+                est_push,
+                est_pull,
+                ..BucketRecord::new(window.lo, mode)
+            };
+            let start = Instant::now();
+            let kind = match mode {
+                LongPhaseMode::Push => self.long_push(&window, &mut record),
+                LongPhaseMode::Pull => self.long_pull(&window, &mut record),
+            };
+            self.rec.phase_nanos(kind, elapsed_ns(start));
+            // The recorder fills the per-epoch traffic fields from the
+            // supersteps recorded since the previous bucket closed.
+            self.rec.bucket(record);
+
+            // Settled-count collective (drives the hybrid switch; the paper
+            // computes it at every epoch end). A window epoch settles its
+            // whole bucket range.
+            let settled_owned = self
+                .bufs
+                .st
+                .iter()
+                .map(|st| st.window_count(window.lo, window.hi))
+                .sum();
+            // sssp-lint: protocol: epoch.settle
+            let settled_k = self.ctx.allreduce_sum(settled_owned);
+            self.rec.collective(TimeClass::Bucket);
+            settled_total += settled_k;
+            self.rec.settled(settled_k);
+            // The next epoch starts past the *window*, not the selected
+            // bucket — everything inside `[lo, hi]` is settled now.
+            k_prev = Some(window.hi);
+            buckets_done += 1;
+
+            // Epoch-boundary pool bound: release transport spares, lanes
+            // and inboxes that ballooned past 4× this epoch's high-water
+            // mark, so a one-off giant superstep cannot pin memory for the
+            // rest of the run.
+            self.ctx.end_epoch();
+            self.bufs.shrink(self.epoch_hwm);
+            self.query_hwm = self.query_hwm.max(self.epoch_hwm);
+            self.epoch_hwm = 0;
+            self.check_consistency();
+        }
+    }
+
+    /// Close the run: trim the pools against the whole query's high-water
+    /// mark (not just the last — possibly quiet — epoch's), so buffers a
+    /// large query ballooned are released before a small successor
+    /// inherits them, and hand back this process's share of the result.
+    fn finish(mut self) -> ProcessOut {
+        // Covers the epochs that exit early (empty-bucket break, the
+        // point-to-point cutoff, the deadline and the Bellman-Ford tail).
+        self.check_consistency();
+        self.ctx.end_query();
+        self.bufs.shrink(self.query_hwm.max(self.epoch_hwm));
+        self.rec.finish();
+        self.out.dist = self.bufs.st.iter().map(|st| st.dist.clone()).collect();
+        self.out
+    }
+
+    /// Debug cross-check of the static protocol table and of message
+    /// conservation: every rank folded the same collective schedule into
+    /// its fingerprint, and everything sent since the last check arrived.
+    fn check_consistency(&mut self) {
+        self.ctx.assert_consistent(self.sent, self.delivered);
+        self.sent = 0;
+        self.delivered = 0;
+    }
+
+    // -- collectives -------------------------------------------------------
+
+    /// The window-selection collective: min-reduce the per-rank window
+    /// proposals for the epoch starting at bucket `k`.
+    fn window_collective(&mut self, k: u64) -> u64 {
+        let locals = &self.job.dg.locals;
+        let proposal = self
+            .bufs
+            .st
+            .iter()
+            .map(|st| self.policy.window_proposal(st, &locals[st.rank], k))
+            .min()
+            .unwrap_or(u64::MAX);
+        let hi = self.ctx.allreduce_min_window(proposal);
+        self.rec.collective(TimeClass::Bucket);
+        hi
+    }
+
+    fn any_active(&mut self) -> bool {
+        let active = self.bufs.st.iter().any(|st| !st.active.is_empty());
+        let any = self.ctx.any(active);
+        self.rec.collective(TimeClass::Bucket);
+        any
+    }
+
+    /// The §III-C push/pull decision for the window's long phase:
+    /// `(mode, est_push, est_pull)`. Always policies skip the collectives
+    /// uniformly (every rank holds the same config, so the SPMD sequence
+    /// stays aligned); a `Forced` bucket skips them too — except when a
+    /// recorder is listening, where the volume pass still runs so
+    /// telemetry shows what the heuristic would have seen.
+    /// [`Recorder::enabled`] is uniform across the processes of a run, so
+    /// the collective sequence stays aligned either way.
+    fn decide(&mut self, window: &EpochWindow, buckets_done: usize) -> (LongPhaseMode, u64, u64) {
+        let cfg = self.job.cfg;
+        let forced = match &cfg.direction {
+            DirectionPolicy::AlwaysPush => return (LongPhaseMode::Push, 0, 0),
+            DirectionPolicy::AlwaysPull => return (LongPhaseMode::Pull, 0, 0),
+            DirectionPolicy::Heuristic => None,
+            DirectionPolicy::Forced(seq) => seq.get(buckets_done).copied(),
+        };
+        if let (Some(mode), false) = (forced, self.rec.enabled()) {
+            return (mode, 0, 0);
+        }
+        // Per-rank volume estimates (one read-only pass), folded straight
+        // into (Σpush, Σpull, max push, max pull, max scanned) over the
+        // owned ranks, then reduced across processes.
+        let locals = &self.job.dg.locals;
+        let w_max = self.max_weight;
+        let owned = self.bufs.fan_out(
+            (0, 0, 0, 0, 0),
+            |io| {
+                let (push, pull, scanned) = decide::rank_volumes(
+                    &locals[io.st.rank],
+                    io.st,
+                    window,
+                    cfg.ios,
+                    cfg.pull_estimator,
+                    w_max,
+                );
+                (push, pull, push, pull, scanned)
+            },
+            |a, b| {
+                (
+                    a.0 + b.0,
+                    a.1 + b.1,
+                    a.2.max(b.2),
+                    a.3.max(b.3),
+                    a.4.max(b.4),
+                )
+            },
+        );
+        let push_total = self.ctx.allreduce_sum(owned.0);
+        let pull_total = self.ctx.allreduce_sum(owned.1);
+        let push_max = self.ctx.allreduce_max(owned.2);
+        let pull_max = self.ctx.allreduce_max(owned.3);
+        let scan_max = self.ctx.allreduce_max(owned.4);
+        // §III-C shares the per-rank sums once: one collective's latency.
+        self.rec.collective(TimeClass::Relax);
+        let (mode, est_push, est_pull) = decide::decide_from_totals(
+            cfg,
+            self.job.model,
+            self.job.dg.num_ranks(),
+            push_total,
+            pull_total,
+            push_max,
+            pull_max,
+            scan_max,
+        );
+        (forced.unwrap_or(mode), est_push, est_pull)
+    }
+
+    // -- superstep plumbing --------------------------------------------------
+
+    /// Exchange the filled lanes into the relax inboxes, or — for the pull
+    /// phase's request sub-step — into the request inboxes, and track the
+    /// pool high-water mark.
+    fn exchange_into(&mut self, requests: bool) -> StepStats {
+        let lanes = self.bufs.out.iter().flat_map(|ob| ob.out.iter());
+        let mut hwm = lanes.map(Vec::len).max().unwrap_or(0);
+        let inboxes = if requests {
+            &mut self.bufs.req_inbox
+        } else {
+            &mut self.bufs.inbox
+        };
+        let packet = self.job.model.packet.as_ref();
+        let step = self
+            .ctx
+            .exchange(&mut self.bufs.out, inboxes, WIRE_BYTES, packet);
+        for inbox in inboxes.iter() {
+            hwm = hwm.max(inbox.len());
+            self.delivered += inbox.len() as u64;
+        }
+        self.sent += step.remote_msgs + step.local_msgs;
+        self.epoch_hwm = self.epoch_hwm.max(hwm);
+        step
+    }
+
+    /// Pack + exchange a relax superstep: each outbox lane becomes one
+    /// target-sorted run (sorted by `(target, nd)`), so the receiver can
+    /// apply it as a sequential min-merge; with coalescing enabled the
+    /// sort additionally collapses duplicate targets to their minimum, so
+    /// only the smallest tentative distance per target crosses the wire.
+    /// The removed-message count rides on the returned step record.
+    fn exchange_relax(&mut self) -> StepStats {
+        let dedup = self.job.cfg.coalescing;
+        let lanes = self.bufs.out.iter_mut().flat_map(|ob| ob.out.iter_mut());
+        let saved: u64 = lanes
+            .map(|lane| pack_sorted_run(lane, |m| m.target, |m| m.nd, dedup))
+            .sum();
+        let mut step = self.exchange_into(false);
+        step.coalesced_msgs = saved;
+        self.out.relax_local_msgs += step.local_msgs;
+        self.out.relax_remote_msgs += step.remote_msgs;
+        self.out.coalesced_msgs += saved;
+        step
+    }
+
+    /// Charge and record a finished superstep (after its receive side ran:
+    /// the per-thread operation maxima include the receive work).
+    fn end_superstep(&mut self, step: &StepStats) {
+        let max_thread_ops = if self.rec.enabled() {
+            let loads = self.bufs.st.iter().map(|st| st.loads.max());
+            loads.max().unwrap_or(0)
+        } else {
+            0
+        };
+        self.rec.superstep(step, max_thread_ops);
+    }
+
+    /// Record one finished relaxation phase; `outer_short` of its
+    /// `relaxations` travelled along IOS outer-short edges.
+    fn end_phase(
+        &mut self,
+        bucket: u64,
+        kind: PhaseKind,
+        relaxations: u64,
+        outer_short: u64,
+        remote_msgs: u64,
+    ) {
+        let rec = PhaseRecord {
+            bucket,
+            kind,
+            relaxations,
+            remote_msgs,
+        };
+        self.rec.phase(&rec, outer_short);
+    }
+
+    // -- phases ---------------------------------------------------------------
+
+    /// One plain relax superstep: `send` fills each rank's lanes (returning
+    /// its relaxation count), the lanes travel, and each rank applies its
+    /// inbox and then runs `after`. Returns the relaxations sent.
+    fn relax_round(
+        &mut self,
+        send: impl Fn(RankIo<'_>) -> u64 + Sync,
+        after: impl Fn(&mut RankState) + Sync,
+    ) -> (u64, StepStats) {
+        let policy = self.policy;
+        let begin_and_send = |io: RankIo<'_>| {
+            begin_superstep(io.st);
+            send(io)
+        };
+        let sent = self.bufs.fan_out(0, begin_and_send, |a, b| a + b);
+        let step = self.exchange_relax();
+        let apply = |io: RankIo<'_>| {
+            kernels::apply_relax(io.st, &policy, io.inbox);
+            after(io.st);
+        };
+        self.bufs.fan_out((), apply, |(), ()| ());
+        self.end_superstep(&step);
+        (sent, step)
+    }
+
+    /// One short-edge phase (§II / §III-A): relax the (inner) short edges
+    /// of the active vertices.
+    fn short_phase(&mut self, window: &EpochWindow) {
+        let (dg, ios, pi) = (self.job.dg, self.job.cfg.ios, self.pi);
+        let (sent, step) = self.relax_round(
+            |io| {
+                let lg = &dg.locals[io.st.rank];
+                kernels::short_send(lg, &dg.part, io.st, window, ios, pi, io.out)
+            },
+            // Next phase's active set: changed vertices now inside the
+            // window (the classic B_k under Δ-stepping).
+            |st| st.collect_active_changed_in_window(window.lo, window.hi),
+        );
+        self.end_phase(window.lo, PhaseKind::Short, sent, 0, step.remote_msgs);
+    }
+
+    /// Push-mode long phase (§III-B): every vertex settled in the window
+    /// relaxes its long (and, under IOS, outer-short) edges outward, with
+    /// receiver-side self/backward/forward classification for Fig 7.
+    fn long_push(&mut self, window: &EpochWindow, record: &mut BucketRecord) -> PhaseKind {
+        let (dg, ios, pi, policy) = (self.job.dg, self.job.cfg.ios, self.pi, self.policy);
+        let (outer, long) = self.bufs.fan_out(
+            (0, 0),
+            |io| {
+                begin_superstep(io.st);
+                let lg = &dg.locals[io.st.rank];
+                kernels::long_push_send(lg, &dg.part, io.st, window, ios, pi, io.out)
+            },
+            |a, b| (a.0 + b.0, a.1 + b.1),
+        );
+        // sssp-lint: protocol: long-push.exchange-relax
+        let step = self.exchange_relax();
+        (
+            record.self_edges,
+            record.backward_edges,
+            record.forward_edges,
+        ) = self.bufs.fan_out(
+            (0, 0, 0),
+            |io| kernels::classify_apply_relax(io.st, window, &policy, io.inbox),
+            |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
+        );
+        self.end_superstep(&step);
+        let (relaxations, remote_msgs) = (outer + long, step.remote_msgs);
+        self.end_phase(
+            window.lo,
+            PhaseKind::LongPush,
+            relaxations,
+            outer,
+            remote_msgs,
+        );
+        PhaseKind::LongPush
+    }
+
+    /// Pull-mode long phase (§III-B): unsettled vertices request along
+    /// long edges satisfying `w < d(v) − kΔ` (eq. 1); only sources settled
+    /// in the window respond.
+    fn long_pull(&mut self, window: &EpochWindow, record: &mut BucketRecord) -> PhaseKind {
+        let (dg, pi) = (self.job.dg, self.pi);
+        let (mut outer, mut remote_msgs) = (0, 0);
+
+        // Sub-step 0 (IOS only): the outer short edges of the settled
+        // window are not covered by the pull protocol (requests target
+        // long edges), so push them directly. Without IOS, short phases
+        // already relaxed every short edge.
+        if self.job.cfg.ios {
+            // sssp-lint: protocol: long-pull.ios-outer-short
+            let (sent, step) = self.relax_round(
+                |io| {
+                    let lg = &dg.locals[io.st.rank];
+                    kernels::outer_short_send(lg, &dg.part, io.st, window, pi, io.out)
+                },
+                |_| (),
+            );
+            outer = sent;
+            remote_msgs += step.remote_msgs;
+        }
+
+        // Sub-step 1: requests. Every unsettled vertex v asks along each
+        // long edge that could still improve it. Requests are never
+        // coalesced — each one expects its own response — and do not
+        // count as relax traffic.
+        let (requests, scanned) = self.bufs.fan_out(
+            (0, 0),
+            |io| {
+                begin_superstep(io.st);
+                let lg = &dg.locals[io.st.rank];
+                kernels::pull_request_send(lg, &dg.part, io.st, window, pi, io.out)
+            },
+            |a, b| (a.0 + b.0, a.1.max(b.1)),
+        );
+        self.rec.scan(TimeClass::Relax, scanned);
+        // sssp-lint: protocol: long-pull.requests
+        let step = self.exchange_into(true);
+        self.end_superstep(&step);
+        remote_msgs += step.remote_msgs;
+
+        // Sub-step 2: responses. Only sources settled in the window
+        // answer; everything else is the redundancy being pruned away.
+        // sssp-lint: protocol: long-pull.responses
+        let (responses, step) = self.relax_round(
+            |io| kernels::pull_respond(&dg.part, io.st, window, io.req_inbox, io.out),
+            |_| (),
+        );
+        remote_msgs += step.remote_msgs;
+
+        (record.requests, record.responses) = (requests, responses);
+        let relaxations = outer + requests + responses;
+        self.end_phase(
+            window.lo,
+            PhaseKind::LongPull,
+            relaxations,
+            outer,
+            remote_msgs,
+        );
+        PhaseKind::LongPull
+    }
+
+    /// The hybrid tail (§III-D): all remaining buckets merge and finish
+    /// with Bellman-Ford rounds that relax every edge of every active
+    /// vertex.
+    fn bellman_ford_tail(&mut self, k_last: u64) {
+        let (dg, pi) = (self.job.dg, self.pi);
+        let start = Instant::now();
+        for st in &mut self.bufs.st {
+            st.collect_active_unsettled(k_last);
+        }
+        // sssp-lint: protocol: bf-tail.active-any
+        while self.any_active() {
+            // sssp-lint: protocol: bf-tail.exchange-relax
+            let (sent, step) = self.relax_round(
+                |io| kernels::bf_send(&dg.locals[io.st.rank], &dg.part, io.st, pi, io.out),
+                // Next round's frontier: the vertices this round improved.
+                RankState::collect_active_changed,
+            );
+            self.end_phase(u64::MAX, PhaseKind::BellmanFord, sent, 0, step.remote_msgs);
+        }
+        self.rec
+            .phase_nanos(PhaseKind::BellmanFord, elapsed_ns(start));
+    }
+}

@@ -11,10 +11,10 @@
 //! * **Bucket monotonicity** — a vertex only ever moves to a lower bucket
 //!   (checked in [`RankState::relax`](crate::state::RankState::relax)) and
 //!   the run loop processes strictly increasing bucket indices.
-//! * **Message conservation** — every superstep delivers exactly the
-//!   messages that were sent, per [`StepStats`] accounting.
-
-use sssp_comm::stats::StepStats;
+//!
+//! Message conservation — every message sent is delivered — is a property
+//! of all ranks together, so its debug check lives behind the transport
+//! (`Comm::assert_consistent`), which the driver calls at every epoch end.
 
 use crate::state::INF;
 
@@ -46,17 +46,6 @@ pub(super) fn check_pull_request(w: u32, dv: u64, k_delta: u64, short_bound: u64
     debug_assert!(
         dv == INF || (w as u64) < dv - k_delta,
         "pull request violates eq. 1: w = {w} cannot improve d(v) = {dv} (kΔ = {k_delta})"
-    );
-}
-
-/// Per-superstep message conservation: the inboxes delivered by an
-/// exchange must hold exactly `remote_msgs + local_msgs` messages.
-#[inline]
-pub(super) fn check_conservation<M>(inboxes: &[Vec<M>], step: &StepStats) {
-    debug_assert_eq!(
-        inboxes.iter().map(|b| b.len() as u64).sum::<u64>(),
-        step.remote_msgs + step.local_msgs,
-        "superstep message conservation violated: delivered != sent"
     );
 }
 

@@ -1,13 +1,9 @@
-//! Rank-local bodies of the relaxation phases, shared by both backends.
+//! Rank-local bodies of the relaxation phases.
 //!
-//! The simulated engine ([`super::Engine`]) calls these once per rank
-//! inside its parallel iterators; the real-thread engine
-//! ([`super::threaded`]) calls the very same functions on each rank's own
-//! OS thread. Every kernel reads and writes exactly one rank's
-//! [`RankState`] and emits messages through a caller-supplied sink, so the
-//! two backends cannot drift apart: there is one implementation of the
-//! relaxation logic, and the backends differ only in how the emitted
-//! messages travel.
+//! The driver calls these once per owned rank. Every kernel reads and
+//! writes exactly one rank's [`RankState`] and queues its messages in that
+//! rank's [`Outbox`], so the relaxation logic exists once and knows
+//! nothing about how the queued messages travel.
 //!
 //! The kernels cut edges against an [`EpochWindow`], not a raw bucket:
 //! the stepping policy resolves each epoch's window once, and everything
@@ -21,6 +17,9 @@
 //! the kernels too — it is part of the paper's per-phase work definition,
 //! not a transport concern.
 
+use std::ops::Range;
+
+use sssp_comm::exchange::Outbox;
 use sssp_dist::{LocalGraph, Partition};
 
 use crate::policy::{EpochWindow, SteppingPolicy};
@@ -47,6 +46,45 @@ pub(super) fn push_range_start(
     }
 }
 
+/// The shared body of the push-style send kernels: every active vertex `u`
+/// relaxes the slice `range(d(u), weights)` of its weight-sorted row,
+/// and the work is charged to `u`'s thread (spread over the rank's threads
+/// when `u` is heavy). Returns the relaxations produced, split at the
+/// short/long boundary: `(w < short_bound, w ≥ short_bound)`.
+fn relax_active_rows(
+    lg: &LocalGraph,
+    part: &Partition,
+    st: &mut RankState,
+    short_bound: u64,
+    pi: u64,
+    out: &mut Outbox<RelaxMsg>,
+    range: impl Fn(u64, &[u32]) -> Range<usize>,
+) -> (u64, u64) {
+    let (mut short, mut long) = (0u64, 0u64);
+    for wi in 0..st.active.num_words() {
+        let mut word = st.active.word(wi);
+        while word != 0 {
+            let u = sssp_graph::checked_u32(wi * 64) + word.trailing_zeros();
+            word &= word - 1;
+            let ul = u as usize;
+            let du = st.dist[ul];
+            let (ts, ws) = lg.row(ul);
+            let edges = range(du, ws);
+            for j in edges.clone() {
+                let target = part.local_index(ts[j]);
+                let nd = du + ws[j] as u64;
+                out.send(part.owner(ts[j]), RelaxMsg { target, nd });
+            }
+            let shorts = ws[edges.clone()].partition_point(|&w| (w as u64) < short_bound);
+            short += shorts as u64;
+            long += (edges.len() - shorts) as u64;
+            let heavy = (lg.degree(ul) as u64) > pi;
+            st.loads.charge(ul, edges.len() as u64, heavy);
+        }
+    }
+    (short, long)
+}
+
 /// One rank's send side of a short phase (§II / §III-A): relax the (inner)
 /// short edges of the active vertices. Returns the number of relaxations
 /// produced.
@@ -57,46 +95,27 @@ pub(super) fn short_send(
     window: &EpochWindow,
     ios: bool,
     pi: u64,
-    send: &mut impl FnMut(usize, RelaxMsg),
+    out: &mut Outbox<RelaxMsg>,
 ) -> u64 {
-    let short_bound = window.short_bound;
-    let end_dist = window.end_dist;
-    let mut sent = 0u64;
-    for wi in 0..st.active.num_words() {
-        let mut word = st.active.word(wi);
-        while word != 0 {
-            let u = sssp_graph::checked_u32(wi * 64) + word.trailing_zeros();
-            word &= word - 1;
-            let ul = u as usize;
-            debug_assert!(window.contains(st.bucket_of[ul]));
-            let du = st.dist[ul];
-            debug_assert!(du <= end_dist);
-            let (ts, ws) = lg.row(ul);
-            let hi = if ios {
-                // Inner short edges only: d(u) + w must stay inside the
-                // window (and the edge must be short).
-                let bound = (end_dist - du).min(short_bound.saturating_sub(1));
-                ws.partition_point(|&w| (w as u64) <= bound)
-            } else {
-                ws.partition_point(|&w| (w as u64) < short_bound)
-            };
-            for i in 0..hi {
-                let v = ts[i];
-                invariants::check_ios_inner_edge(ios, ws[i], du, short_bound, end_dist);
-                send(
-                    part.owner(v),
-                    RelaxMsg {
-                        target: part.local_index(v),
-                        nd: du + ws[i] as u64,
-                    },
-                );
-            }
-            let heavy = (lg.degree(ul) as u64) > pi;
-            st.loads.charge(ul, hi as u64, heavy);
-            sent += hi as u64;
+    let (short_bound, end_dist) = (window.short_bound, window.end_dist);
+    debug_assert!(st
+        .active
+        .iter()
+        .all(|u| window.contains(st.bucket_of[u as usize])));
+    let inner_shorts = |du: u64, ws: &[u32]| {
+        debug_assert!(du <= end_dist);
+        // The complement of the long phase's push range: with IOS the
+        // inner short edges only — d(u) + w must stay inside the window
+        // (and the edge must be short). Rows are weight-sorted, so the
+        // prefix's last edge is the binding case of the invariant.
+        let hi = push_range_start(ios, ws, du, end_dist, short_bound);
+        if let Some(&w) = ws[..hi].last() {
+            invariants::check_ios_inner_edge(ios, w, du, short_bound, end_dist);
         }
-    }
-    sent
+        0..hi
+    };
+    let (short, long) = relax_active_rows(lg, part, st, short_bound, pi, out, inner_shorts);
+    short + long
 }
 
 /// One rank's receive side of a relax superstep: apply every delivered
@@ -104,13 +123,9 @@ pub(super) fn short_send(
 /// target-sorted runs (one per sender lane), so a repeated target with a
 /// non-decreasing distance cannot improve — the min-merge skips the relax
 /// call outright. Observationally identical to relaxing every message.
-pub(super) fn apply_relax<P: SteppingPolicy>(
-    st: &mut RankState,
-    policy: &P,
-    msgs: impl Iterator<Item = RelaxMsg>,
-) {
+pub(super) fn apply_relax<P: SteppingPolicy>(st: &mut RankState, policy: &P, msgs: &[RelaxMsg]) {
     let mut prev: Option<(u32, u64)> = None;
-    for m in msgs {
+    for &m in msgs {
         st.charge_recv(m.target);
         if let Some((pt, pn)) = prev {
             if pt == m.target && m.nd >= pn {
@@ -130,10 +145,10 @@ pub(super) fn classify_apply_relax<P: SteppingPolicy>(
     st: &mut RankState,
     window: &EpochWindow,
     policy: &P,
-    msgs: impl Iterator<Item = RelaxMsg>,
+    msgs: &[RelaxMsg],
 ) -> (u64, u64, u64) {
     let (mut se, mut be, mut fe) = (0u64, 0u64, 0u64);
-    for m in msgs {
+    for &m in msgs {
         let b = st.bucket_of[m.target as usize];
         if window.contains(b) {
             se += 1;
@@ -159,41 +174,13 @@ pub(super) fn long_push_send(
     window: &EpochWindow,
     ios: bool,
     pi: u64,
-    send: &mut impl FnMut(usize, RelaxMsg),
+    out: &mut Outbox<RelaxMsg>,
 ) -> (u64, u64) {
-    let short_bound = window.short_bound;
-    let end_dist = window.end_dist;
-    let (mut outer, mut long) = (0u64, 0u64);
+    let (short_bound, end_dist) = (window.short_bound, window.end_dist);
     st.collect_active_from_window(window.lo, window.hi);
-    for wi in 0..st.active.num_words() {
-        let mut word = st.active.word(wi);
-        while word != 0 {
-            let u = sssp_graph::checked_u32(wi * 64) + word.trailing_zeros();
-            word &= word - 1;
-            let ul = u as usize;
-            let du = st.dist[ul];
-            let (ts, ws) = lg.row(ul);
-            let start = push_range_start(ios, ws, du, end_dist, short_bound);
-            for j in start..ts.len() {
-                let v = ts[j];
-                send(
-                    part.owner(v),
-                    RelaxMsg {
-                        target: part.local_index(v),
-                        nd: du + ws[j] as u64,
-                    },
-                );
-                if (ws[j] as u64) < short_bound {
-                    outer += 1;
-                } else {
-                    long += 1;
-                }
-            }
-            let heavy = (lg.degree(ul) as u64) > pi;
-            st.loads.charge(ul, (ts.len() - start) as u64, heavy);
-        }
-    }
-    (outer, long)
+    relax_active_rows(lg, part, st, short_bound, pi, out, |du, ws| {
+        push_range_start(ios, ws, du, end_dist, short_bound)..ws.len()
+    })
 }
 
 /// One rank's send side of a pull phase's IOS sub-step 0: the settled
@@ -207,38 +194,15 @@ pub(super) fn outer_short_send(
     st: &mut RankState,
     window: &EpochWindow,
     pi: u64,
-    send: &mut impl FnMut(usize, RelaxMsg),
+    out: &mut Outbox<RelaxMsg>,
 ) -> u64 {
-    let short_bound = window.short_bound;
-    let end_dist = window.end_dist;
-    let mut outer = 0u64;
+    let (short_bound, end_dist) = (window.short_bound, window.end_dist);
     st.collect_active_from_window(window.lo, window.hi);
-    for wi in 0..st.active.num_words() {
-        let mut word = st.active.word(wi);
-        while word != 0 {
-            let u = sssp_graph::checked_u32(wi * 64) + word.trailing_zeros();
-            word &= word - 1;
-            let ul = u as usize;
-            let du = st.dist[ul];
-            let (ts, ws) = lg.row(ul);
-            let start = push_range_start(true, ws, du, end_dist, short_bound);
-            let long_start = ws.partition_point(|&w| (w as u64) < short_bound);
-            for j in start..long_start {
-                let v = ts[j];
-                send(
-                    part.owner(v),
-                    RelaxMsg {
-                        target: part.local_index(v),
-                        nd: du + ws[j] as u64,
-                    },
-                );
-                outer += 1;
-            }
-            let heavy = (lg.degree(ul) as u64) > pi;
-            st.loads.charge(ul, (long_start - start) as u64, heavy);
-        }
-    }
-    outer
+    let outer_shorts = |du, ws: &[u32]| {
+        let long_start = ws.partition_point(|&w| (w as u64) < short_bound);
+        push_range_start(true, ws, du, end_dist, short_bound)..long_start
+    };
+    relax_active_rows(lg, part, st, short_bound, pi, out, outer_shorts).0
 }
 
 /// One rank's send side of a pull phase's request sub-step (§III-B):
@@ -251,7 +215,7 @@ pub(super) fn pull_request_send(
     st: &mut RankState,
     window: &EpochWindow,
     pi: u64,
-    send: &mut impl FnMut(usize, ReqMsg),
+    out: &mut Outbox<RelaxMsg>,
 ) -> (u64, u64) {
     let short_bound = window.short_bound;
     let kd = window.start_dist;
@@ -274,14 +238,12 @@ pub(super) fn pull_request_send(
         for i in lo..hi {
             let u = ts[i];
             invariants::check_pull_request(ws[i], dv, kd, short_bound);
-            send(
-                part.owner(u),
-                ReqMsg {
-                    u_local: part.local_index(u),
-                    origin,
-                    w: ws[i],
-                },
-            );
+            let req = ReqMsg {
+                u_local: part.local_index(u),
+                origin,
+                w: ws[i],
+            };
+            out.send(part.owner(u), req.to_wire());
         }
         let heavy = (lg.degree(vl) as u64) > pi;
         st.loads.charge(vl, (hi - lo) as u64, heavy);
@@ -297,15 +259,15 @@ pub(super) fn pull_respond(
     part: &Partition,
     st: &mut RankState,
     window: &EpochWindow,
-    reqs: impl Iterator<Item = ReqMsg>,
-    send: &mut impl FnMut(usize, RelaxMsg),
+    reqs: &[RelaxMsg],
+    out: &mut Outbox<RelaxMsg>,
 ) -> u64 {
     let mut responses = 0u64;
-    for r in reqs {
+    for r in reqs.iter().copied().map(ReqMsg::from_wire) {
         st.charge_recv(r.u_local);
         if window.contains(st.bucket_of[r.u_local as usize]) {
             let nd = st.dist[r.u_local as usize] + r.w as u64;
-            send(
+            out.send(
                 part.owner(r.origin),
                 RelaxMsg {
                     target: part.local_index(r.origin),
@@ -325,31 +287,7 @@ pub(super) fn bf_send(
     part: &Partition,
     st: &mut RankState,
     pi: u64,
-    send: &mut impl FnMut(usize, RelaxMsg),
+    out: &mut Outbox<RelaxMsg>,
 ) -> u64 {
-    let mut sent = 0u64;
-    for wi in 0..st.active.num_words() {
-        let mut word = st.active.word(wi);
-        while word != 0 {
-            let u = sssp_graph::checked_u32(wi * 64) + word.trailing_zeros();
-            word &= word - 1;
-            let ul = u as usize;
-            let du = st.dist[ul];
-            let (ts, ws) = lg.row(ul);
-            for i in 0..ts.len() {
-                let v = ts[i];
-                send(
-                    part.owner(v),
-                    RelaxMsg {
-                        target: part.local_index(v),
-                        nd: du + ws[i] as u64,
-                    },
-                );
-            }
-            let heavy = (lg.degree(ul) as u64) > pi;
-            st.loads.charge(ul, ts.len() as u64, heavy);
-            sent += ts.len() as u64;
-        }
-    }
-    sent
+    relax_active_rows(lg, part, st, u64::MAX, pi, out, |_, ws| 0..ws.len()).0
 }

@@ -1,7 +1,7 @@
 //! The distributed SSSP engine (§II–III of the paper).
 //!
-//! One `run_sssp` call executes the configured algorithm over a
-//! [`DistGraph`] in bulk-synchronous supersteps:
+//! One [`run`] call executes the configured algorithm over a [`DistGraph`]
+//! in bulk-synchronous supersteps:
 //!
 //! ```text
 //! per epoch (bucket k):
@@ -16,32 +16,38 @@
 //!                            Bellman-Ford phases (§III-D).
 //! ```
 //!
-//! Every relaxation travels as a message between simulated ranks; collective
-//! operations synchronize phase/epoch boundaries exactly as the paper's
-//! Blue Gene/Q implementation does, and the α–β–γ cost model converts the
-//! recorded traffic into simulated time.
+//! That loop exists once (`driver.rs`), generic over two things:
+//!
+//! * the **transport** ([`Transport`] → [`sssp_comm::transport::Comm`]):
+//!   [`Lockstep`] drives all `p` ranks from the calling thread and
+//!   transposes their lanes in memory — the simulator, which models more
+//!   ranks than the machine has cores; [`Threaded`] runs one OS thread per
+//!   rank over channels and rendezvous collectives. Distances, schedules
+//!   and telemetry are bit-identical between the two.
+//! * the **recorder** ([`record::Recorder`]): [`record::NoopRecorder`]
+//!   compiles to nothing; a [`RunStats`] keeps the run telemetry and — given
+//!   a machine model — the α–β–γ simulated-time ledger.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use rayon::prelude::*;
-
-use sssp_comm::collective::{allreduce_max, allreduce_min, allreduce_min_window, allreduce_sum};
-use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
-use sssp_comm::exchange::{pack_sorted_run, ExchangeBuffers};
-use sssp_comm::stats::{CommStats, StepStats};
+use sssp_comm::cost::MachineModel;
+use sssp_comm::transport::LockstepComm;
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
 
-use crate::config::{IntraBalance, LongPhaseMode, SsspConfig};
-use crate::instrument::{BucketRecord, RunStats};
-use crate::policy::{EpochWindow, PolicyDispatch, SteppingPolicy, WindowRule};
-use crate::state::{RankState, INF};
+use crate::config::{IntraBalance, SsspConfig};
+use crate::instrument::RunStats;
+use crate::state::INF;
 
+use driver::{epoch_loop, ProcBufs};
 use record::Recorder;
 
-/// A relaxation proposal: `d(target) ← min(d(target), nd)`.
-#[derive(Debug, Clone, Copy)]
+/// The 16-byte wire record every lane carries. As a relaxation proposal it
+/// reads `d(target) ← min(d(target), nd)`; a pull request travels in the
+/// same record (see [`ReqMsg`]), so the transport moves one message type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct RelaxMsg {
     /// Local index on the destination rank.
     pub(super) target: u32,
@@ -49,7 +55,7 @@ pub(super) struct RelaxMsg {
 }
 
 /// A pull request: "if `u` is in the current bucket, send me `d(u) + w`".
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct ReqMsg {
     /// Local index of the requested source vertex on the destination rank.
     pub(super) u_local: u32,
@@ -59,26 +65,153 @@ pub(super) struct ReqMsg {
     pub(super) w: u32,
 }
 
-/// On-wire message sizes charged by the cost model (a packed
-/// target + 48-bit distance fits 16 bytes; requests likewise).
-pub(super) const RELAX_BYTES: usize = 16;
-pub(super) const REQ_BYTES: usize = 16;
+impl ReqMsg {
+    /// Pack the request into the wire record: `target` carries `u_local`,
+    /// `nd` carries `origin` in its high and `w` in its low 32 bits.
+    #[inline]
+    pub(super) fn to_wire(self) -> RelaxMsg {
+        RelaxMsg {
+            target: self.u_local,
+            nd: (u64::from(self.origin) << 32) | u64::from(self.w),
+        }
+    }
 
-/// Result of a run: final distances (indexed by global vertex id, `u64::MAX`
-/// = unreachable) plus the full instrumentation record.
-#[derive(Debug, Clone)]
-pub struct SsspOutput {
+    /// Inverse of [`ReqMsg::to_wire`].
+    #[inline]
+    pub(super) fn from_wire(m: RelaxMsg) -> ReqMsg {
+        let [o0, o1, o2, o3, w0, w1, w2, w3] = m.nd.to_be_bytes();
+        ReqMsg {
+            u_local: m.target,
+            origin: u32::from_be_bytes([o0, o1, o2, o3]),
+            w: u32::from_be_bytes([w0, w1, w2, w3]),
+        }
+    }
+}
+
+/// On-wire size of the record (a packed target + 48-bit distance fits 16
+/// bytes; requests likewise) — what the cost model charges per message.
+pub(super) const WIRE_BYTES: usize = 16;
+
+/// What to compute: the `(vertex, distance)` seeds the run starts from,
+/// an optional point-to-point target and an optional wall-clock deadline.
+#[derive(Debug, Clone, Default)]
+pub struct Query {
+    /// Start seeds. A vertex listed twice keeps its smallest distance; an
+    /// empty list is legal and yields all-[`INF`] distances.
+    pub seeds: Vec<(VertexId, u64)>,
+    /// Point-to-point mode: stop epoch selection as soon as the target's
+    /// tentative distance can no longer improve — at or below the
+    /// `start_dist` of the window about to run, every unsettled vertex is
+    /// provably at least that far, so the target is final under all three
+    /// stepping policies. `distances[target]` is exact; other entries may
+    /// remain tentative.
+    pub target: Option<VertexId>,
+    /// Stop at the first epoch boundary past this instant, with
+    /// [`RunOutput::timed_out`] set. The verdict is a collective, so every
+    /// rank stops at the same epoch. A timed-out distance field is
+    /// partially tentative: entries settled before the cutoff are final,
+    /// the rest are upper bounds.
+    pub deadline: Option<Instant>,
+}
+
+impl Query {
+    /// Single-source query from `root`.
+    pub fn root(root: VertexId) -> Query {
+        Query::seeded(&[(root, 0)])
+    }
+
+    /// Multi-source query: every vertex's distance to its *nearest* source
+    /// (all sources start at distance 0). Equivalent to adding a virtual
+    /// root with zero-weight edges to each source, without the transform.
+    pub fn sources(sources: &[VertexId]) -> Query {
+        Query {
+            seeds: sources.iter().map(|&s| (s, 0)).collect(),
+            ..Query::default()
+        }
+    }
+
+    /// Fully general query from arbitrary `(vertex, distance)` seeds.
+    pub fn seeded(seeds: &[(VertexId, u64)]) -> Query {
+        Query {
+            seeds: seeds.to_vec(),
+            ..Query::default()
+        }
+    }
+
+    /// Select (or clear) point-to-point mode.
+    pub fn with_target(mut self, target: Option<VertexId>) -> Query {
+        self.target = target;
+        self
+    }
+
+    /// Set (or clear) the wall-clock deadline.
+    pub fn with_deadline(mut self, deadline: Option<Instant>) -> Query {
+        self.deadline = deadline;
+        self
+    }
+}
+
+/// What every run yields, whatever its transport and recorder: final
+/// distances plus the transport counters the wall-clock benchmarks record.
+#[derive(Debug, Clone, Default)]
+pub struct RunOutput {
     /// Final distances indexed by global vertex id (`u64::MAX` = unreached).
     pub distances: Vec<u64>,
-    /// Full instrumentation record.
-    pub stats: RunStats,
+    /// Relaxation messages that entered an exchange addressed to the
+    /// sender's own rank (post-coalescing, all ranks summed). These never
+    /// touch the wire. Pull requests are not included.
+    pub relax_local_msgs: u64,
+    /// Relaxation messages that entered an exchange addressed to another
+    /// rank (post-coalescing, all ranks summed) — the wire traffic. Pull
+    /// requests are not included.
+    pub relax_remote_msgs: u64,
+    /// Relaxation messages removed by sender-side coalescing before the
+    /// exchanges (all ranks summed).
+    pub coalesced_msgs: u64,
+    /// Epoch-select rounds the run performed (one `epoch.select`
+    /// collective each, identical on every rank). A point-to-point query
+    /// that terminates early performs strictly fewer rounds than the same
+    /// query run to completion — the `serve_bench` superstep-savings gate
+    /// compares exactly this counter.
+    pub epochs: u64,
     /// True when the run stopped at its deadline instead of settling every
     /// bucket — the distance field is partially tentative and must not be
     /// served or cached as final.
     pub timed_out: bool,
 }
 
+impl RunOutput {
+    /// All relaxation messages that entered an exchange, local and remote.
+    pub fn relax_msgs_total(&self) -> u64 {
+        self.relax_local_msgs + self.relax_remote_msgs
+    }
+}
+
+/// Result of [`run_sssp`]: final distances plus the full instrumentation
+/// record, simulated-time ledger included.
+#[derive(Debug, Clone)]
+pub struct SsspOutput {
+    /// Final distances indexed by global vertex id (`u64::MAX` = unreached).
+    pub distances: Vec<u64>,
+    /// Full instrumentation record.
+    pub stats: RunStats,
+    /// True when the run stopped at its deadline (see
+    /// [`RunOutput::timed_out`]).
+    pub timed_out: bool,
+}
+
 impl SsspOutput {
+    /// Pair a lockstep run's output with the stats its one process recorded.
+    fn new(out: RunOutput, recorded: Vec<RunStats>) -> SsspOutput {
+        let mut stats = recorded.into_iter().next().unwrap_or_default();
+        stats.reachable = out.distances.iter().filter(|&&d| d != INF).count() as u64;
+        SsspOutput {
+            distances: out.distances,
+            stats,
+            timed_out: out.timed_out,
+        }
+    }
+
     #[inline]
     /// Final distance of `v` ([`INF`](crate::state::INF) when unreached).
     pub fn dist(&self, v: VertexId) -> u64 {
@@ -91,7 +224,107 @@ impl SsspOutput {
     }
 }
 
-/// Run the configured SSSP algorithm from `root` over the distributed graph.
+/// How a run's processes come to exist and reach each other. The epoch
+/// loop itself never knows: it is handed a [`Comm`] and the buffers of the
+/// ranks that `Comm` owns.
+///
+/// [`Comm`]: sssp_comm::transport::Comm
+pub trait Transport {
+    /// How the transport holds the graph: [`Lockstep`] borrows it,
+    /// [`Threaded`] shares it with its rank threads.
+    type Graph: Borrow<DistGraph>;
+
+    /// Run the epoch loop on every process of the world, each with its own
+    /// clone of `recorder`, and return the per-process results in rank
+    /// order.
+    fn drive<R: Recorder>(
+        self,
+        dg: &Self::Graph,
+        job: &Job<'_>,
+        recorder: &R,
+    ) -> Vec<(ProcessOut, R)>;
+}
+
+/// The lockstep transport: the calling thread drives all `p` ranks (rank
+/// kernels fan out over rayon) and exchanges are in-memory transposes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Lockstep;
+
+impl Transport for Lockstep {
+    type Graph = DistGraph;
+
+    fn drive<R: Recorder>(
+        self,
+        dg: &DistGraph,
+        job: &Job<'_>,
+        recorder: &R,
+    ) -> Vec<(ProcessOut, R)> {
+        let mut rec = recorder.clone();
+        let mut ctx = LockstepComm::new(dg.num_ranks());
+        let out = epoch_loop(job, &mut ctx, &mut rec, &mut ProcBufs::default());
+        vec![(out, rec)]
+    }
+}
+
+/// Run `query` under `cfg` over the distributed graph, on the chosen
+/// transport, feeding telemetry to one clone of `recorder` per process.
+/// Returns the distances and transport counters plus those recorders in
+/// rank order ([`record::merged_trace`] folds them into the run's trace).
+///
+/// Out-of-range seeds or targets panic; validate untrusted input first.
+///
+/// # Examples
+///
+/// ```
+/// use sssp_core::engine::record::NoopRecorder;
+/// use sssp_core::{run, Lockstep, Query, SsspConfig};
+/// use sssp_comm::cost::MachineModel;
+/// use sssp_dist::DistGraph;
+/// use sssp_graph::{gen, CsrBuilder};
+///
+/// let csr = CsrBuilder::new().build(&gen::path(5, 3));
+/// let dg = DistGraph::build(&csr, 2, 2);
+/// let query = Query::sources(&[0, 4]);
+/// let model = MachineModel::bgq_like();
+/// let (out, _) = run(&dg, &query, &SsspConfig::opt(25), &model, Lockstep, NoopRecorder);
+/// assert_eq!(out.distances, vec![0, 3, 6, 3, 0]);
+/// ```
+pub fn run<T: Transport, R: Recorder>(
+    dg: &T::Graph,
+    query: &Query,
+    cfg: &SsspConfig,
+    model: &MachineModel,
+    transport: T,
+    recorder: R,
+) -> (RunOutput, Vec<R>) {
+    let graph: &DistGraph = dg.borrow();
+    let n = graph.num_vertices();
+    let seeds = canonical_seeds(&query.seeds, n);
+    if let Some(tv) = query.target {
+        assert!((tv as usize) < n, "target {tv} out of range (n = {n})");
+    }
+    let job = Job {
+        dg: graph,
+        seeds: &seeds,
+        target: query.target,
+        deadline: query.deadline,
+        cfg,
+        model,
+    };
+    let mut out = RunOutput {
+        distances: vec![INF; n],
+        ..RunOutput::default()
+    };
+    let mut recorders = Vec::new();
+    for (process, rec) in transport.drive(dg, &job, &recorder) {
+        process.fold_into(&mut out, &graph.part);
+        recorders.push(rec);
+    }
+    (out, recorders)
+}
+
+/// Single-source SSSP from `root` on the lockstep transport, with full
+/// telemetry and the simulated-time ledger.
 ///
 /// # Examples
 ///
@@ -113,77 +346,20 @@ pub fn run_sssp(
     cfg: &SsspConfig,
     model: &MachineModel,
 ) -> SsspOutput {
-    Engine::new(dg, cfg, model).run(&[(root, 0)], None)
+    let stats = RunStats::for_run(dg, Some(model));
+    let (out, recorded) = run(dg, &Query::root(root), cfg, model, Lockstep, stats);
+    SsspOutput::new(out, recorded)
 }
 
-/// Multi-source SSSP: every vertex's distance to its *nearest* source
-/// (all sources start at distance 0). Equivalent to adding a virtual root
-/// with zero-weight edges to each source, without the graph transform.
-/// Useful for closeness fields, graph Voronoi partitions and the sampled
-/// centrality drivers.
-pub fn run_sssp_multi(
-    dg: &DistGraph,
-    sources: &[VertexId],
-    cfg: &SsspConfig,
-    model: &MachineModel,
-) -> SsspOutput {
-    let seeds: Vec<(VertexId, u64)> = sources.iter().map(|&s| (s, 0)).collect();
-    run_sssp_seeded(dg, &seeds, cfg, model)
-}
-
-/// Fully general entry point: start from arbitrary `(vertex, distance)`
-/// seeds. A vertex listed twice keeps its smallest seed distance.
-pub fn run_sssp_seeded(
-    dg: &DistGraph,
-    seeds: &[(VertexId, u64)],
-    cfg: &SsspConfig,
-    model: &MachineModel,
-) -> SsspOutput {
-    Engine::new(dg, cfg, model).run(seeds, None)
-}
-
-/// Point-to-point query on the simulated backend: run from `root` and stop
-/// epoch selection as soon as `target`'s tentative distance can no longer
-/// improve — at or below the `start_dist` of the window about to run,
-/// every unsettled vertex is provably at least that far, so the target is
-/// final under all three stepping policies. `distances[target]` is exact;
-/// other entries may remain tentative. The cutoff issues one extra
-/// collective per epoch (`epoch.target-cutoff` in the protocol table), in
-/// the same schedule position as the threaded backend's.
-pub fn run_sssp_p2p(
-    dg: &DistGraph,
-    root: VertexId,
-    target: VertexId,
-    cfg: &SsspConfig,
-    model: &MachineModel,
-) -> SsspOutput {
-    Engine::new(dg, cfg, model).run(&[(root, 0)], Some(target))
-}
-
-/// [`run_sssp_seeded`] with a wall-clock deadline: the epoch loop checks
-/// the clock once per epoch — at the same schedule slot as the threaded
-/// backend's `epoch.deadline` collective, right after bucket selection —
-/// and stops with [`SsspOutput::timed_out`] set when the deadline has
-/// passed. A timed-out distance field is partially tentative: entries
-/// settled before the cutoff are final, the rest are upper bounds.
-pub fn run_sssp_seeded_deadline(
-    dg: &DistGraph,
-    seeds: &[(VertexId, u64)],
-    cfg: &SsspConfig,
-    model: &MachineModel,
-    deadline: Option<Instant>,
-) -> SsspOutput {
-    let mut engine = Engine::new(dg, cfg, model);
-    engine.deadline = deadline;
-    engine.run(seeds, None)
-}
-
-/// Validate and canonicalize a seed list, shared by both backends: every
-/// seed vertex must exist, and a vertex listed twice keeps its smallest
-/// seed distance — so the relax order of duplicate seeds can never matter.
-/// An empty list is legal: the run settles nothing and every distance
-/// stays [`INF`].
-pub(super) fn dedup_seeds(seeds: &[(VertexId, u64)], n_total: usize) -> Vec<(VertexId, u64)> {
+/// The seed canonicalization every run performs: validate against
+/// `n_total` (out-of-range vertices panic), drop duplicate vertices keeping
+/// each one's smallest seed distance — so the relax order of duplicate
+/// seeds can never matter — and return the list sorted by vertex id. An
+/// empty list is legal: the run settles nothing and every distance stays
+/// [`INF`]. Two seed lists with the same canonical form provably produce
+/// the same distances, which is exactly the equivalence a serving-layer
+/// result cache needs for its keys.
+pub fn canonical_seeds(seeds: &[(VertexId, u64)], n_total: usize) -> Vec<(VertexId, u64)> {
     let mut best: BTreeMap<VertexId, u64> = BTreeMap::new();
     for &(v, d) in seeds {
         assert!(
@@ -194,45 +370,6 @@ pub(super) fn dedup_seeds(seeds: &[(VertexId, u64)], n_total: usize) -> Vec<(Ver
         *e = (*e).min(d);
     }
     best.into_iter().collect()
-}
-
-/// Public face of the seed canonicalization both backends run internally:
-/// validate against `n_total`, drop duplicate vertices keeping each one's
-/// smallest seed distance, and return the list sorted by vertex id. Two
-/// seed lists with the same canonical form provably produce the same
-/// distances, which is exactly the equivalence a serving-layer result
-/// cache needs for its keys.
-pub fn canonical_seeds(seeds: &[(VertexId, u64)], n_total: usize) -> Vec<(VertexId, u64)> {
-    dedup_seeds(seeds, n_total)
-}
-
-struct Engine<'a> {
-    pub(super) dg: &'a DistGraph,
-    pub(super) cfg: &'a SsspConfig,
-    pub(super) model: &'a MachineModel,
-    pub(super) p: usize,
-    /// The run's stepping policy (bucket assignment + window selection),
-    /// resolved once from the config.
-    pub(super) policy: PolicyDispatch,
-    pub(super) states: Vec<RankState>,
-    pub(super) comm: CommStats,
-    pub(super) ledger: TimeLedger,
-    pub(super) stats: RunStats,
-    /// Resolved intra-node balancing threshold π (`u64::MAX` = off).
-    pub(super) pi: u64,
-    pub(super) min_weight: u32,
-    pub(super) max_weight: u32,
-    /// Pooled relax-message buffers, reused by every phase of every
-    /// superstep (cleared between phases, capacity retained).
-    pub(super) relax_bufs: ExchangeBuffers<RelaxMsg>,
-    /// Pooled pull-request buffers.
-    pub(super) req_bufs: ExchangeBuffers<ReqMsg>,
-    /// Reusable per-rank contribution scratch for collectives.
-    pub(super) coll: Vec<u64>,
-    /// Wall-clock deadline for the whole run (`None` = unbounded).
-    pub(super) deadline: Option<Instant>,
-    /// Set when the epoch loop stopped at the deadline.
-    pub(super) timed_out: bool,
 }
 
 /// Resolve the §III-E intra-node balancing threshold π from the configured
@@ -253,441 +390,18 @@ pub fn resolved_pi(balance: IntraBalance, m_directed: u64, n_vertices: u64) -> u
     }
 }
 
-impl<'a> Engine<'a> {
-    // sssp-lint: protocol-entry(simulated)
-    fn new(dg: &'a DistGraph, cfg: &'a SsspConfig, model: &'a MachineModel) -> Self {
-        assert!(
-            cfg.flat_state,
-            "SsspConfig::flat_state = false selects the legacy BTreeMap bucket layout, \
-             which was retired after the PR 8 differential soak; only the flat bucket \
-             ring remains"
-        );
-        let p = dg.num_ranks();
-        let threads = dg.threads_per_rank;
-        let states: Vec<RankState> = (0..p)
-            .map(|r| RankState::new(r, dg.part.local_count(r), threads))
-            .collect();
-
-        // Global weight extremes (rows are weight-sorted, so first/last
-        // entries suffice). An edgeless graph has no extremes; collapse the
-        // scan sentinels to (0, 0) so `min_weight = u32::MAX` never leaks
-        // into the decision heuristic's eq. 1 estimate. The ranks share the
-        // simulator's memory, so no collective travels here — the threaded
-        // backend reduces the same extremes with two allreduces.
-        // sssp-lint: protocol-implicit: setup.weight-extremes reduce
-        let mut min_w = u32::MAX;
-        let mut max_w = 0u32;
-        for lg in &dg.locals {
-            for v in 0..lg.num_local() {
-                let (_, ws) = lg.row(v);
-                if let (Some(&first), Some(&last)) = (ws.first(), ws.last()) {
-                    min_w = min_w.min(first);
-                    max_w = max_w.max(last);
-                }
-            }
-        }
-        if dg.m_directed == 0 {
-            min_w = 0;
-            max_w = 0;
-        }
-
-        let pi = resolved_pi(cfg.intra_balance, dg.m_directed, dg.num_vertices() as u64);
-
-        let stats = RunStats {
-            num_ranks: p,
-            threads_per_rank: threads,
-            ..Default::default()
-        };
-
-        Engine {
-            dg,
-            cfg,
-            model,
-            p,
-            policy: PolicyDispatch::from_config(cfg, p),
-            states,
-            comm: CommStats::new(),
-            ledger: TimeLedger::new(),
-            stats,
-            pi,
-            min_weight: min_w,
-            max_weight: max_w,
-            relax_bufs: ExchangeBuffers::new(p),
-            req_bufs: ExchangeBuffers::new(p),
-            coll: Vec::with_capacity(p),
-            deadline: None,
-            timed_out: false,
-        }
-    }
-
-    // sssp-lint: protocol-entry(simulated)
-    fn run(mut self, seeds: &[(VertexId, u64)], target: Option<VertexId>) -> SsspOutput {
-        let n_total = self.dg.num_vertices() as u64;
-        // Seed validation runs before the empty-graph return so both
-        // degenerate cases behave the same on both backends: out-of-range
-        // seeds always panic, an empty seed list always yields all-INF.
-        let seeds = dedup_seeds(seeds, n_total as usize);
-        if let Some(tv) = target {
-            assert!(
-                (tv as u64) < n_total,
-                "target {tv} out of range (n = {n_total})"
-            );
-        }
-        if n_total == 0 {
-            return self.finish();
-        }
-        let policy = self.policy;
-        for st in &mut self.states {
-            st.begin_phase();
-        }
-        for &(v, d) in &seeds {
-            let owner = self.dg.part.owner(v);
-            let local = self.dg.part.local_index(v);
-            self.states[owner].relax(local, d, &policy);
-        }
-
-        let mut k_prev: Option<u64> = None;
-        let mut settled_total = 0u64;
-        let mut epoch = 0u64;
-        loop {
-            // Uniform epoch tag for the schedule fingerprint: bumped once
-            // per bucket epoch on both backends (setup runs as epoch 0).
-            epoch += 1;
-            self.comm.set_epoch(epoch);
-            self.stats.comm.set_epoch(epoch);
-            // sssp-lint: protocol: epoch.select
-            let next = self.next_bucket(k_prev);
-            let Some(k) = next else { break };
-            invariants::check_epoch_monotone(k, k_prev);
-            // Slide the flat bucket rings up to the epoch's bucket before
-            // anything queries the structure (window proposals included);
-            // every later query of the epoch is at or above `k`.
-            for st in &mut self.states {
-                st.advance_frontier(k);
-            }
-
-            // Point-to-point early termination, in the same schedule slot
-            // as the threaded backend's: every unsettled vertex now sits in
-            // bucket >= k, so nothing a future epoch relaxes can land below
-            // the k-window's `start_dist` — once the target's tentative
-            // distance is at or below that bound it is final and the run
-            // may stop. Safe under all three policies because the bound is
-            // the policy's own `window_for`.
-            if let Some(tv) = target {
-                // sssp-lint: protocol: epoch.target-cutoff
-                let td = self.target_distance_collective(tv);
-                if td <= self.policy.window_for(k, k).start_dist {
-                    break;
-                }
-            }
-
-            // Per-query deadline, in the same schedule slot as the threaded
-            // backend's: checked once per epoch between bucket selection
-            // and the epoch's first exchange, so a run never starts a
-            // superstep it is not allowed to finish. The guard is uniform
-            // (the deadline is fixed at entry) and the verdict is a
-            // collective, so every rank stops together.
-            if self.deadline.is_some() {
-                // sssp-lint: protocol: epoch.deadline
-                if self.deadline_collective() {
-                    self.timed_out = true;
-                    break;
-                }
-            }
-
-            if let (Some(tau), Some(kp)) = (self.cfg.hybrid_tau, k_prev) {
-                if decide::hybrid_should_switch(tau, settled_total, n_total) {
-                    self.stats.hybrid_switch(kp);
-                    self.bellman_ford_tail(kp);
-                    break;
-                }
-            }
-
-            // Window selection: policies that process more than one bucket
-            // per epoch reduce their per-rank window proposals through the
-            // dedicated window collective; Δ-stepping's single-bucket rule
-            // issues no collective at all. Both backends hold this match in
-            // the same arm order so the protocol checker extracts the same
-            // per-policy schedule from each.
-            let window = match self.policy.window_rule() {
-                WindowRule::SingleBucket => self.policy.window_for(k, k),
-                WindowRule::RhoPrefix => {
-                    // sssp-lint: protocol: epoch.window-rho
-                    let hi = self.window_collective(k);
-                    self.policy.window_for(k, hi)
-                }
-                WindowRule::RadiusBall => {
-                    // sssp-lint: protocol: epoch.window-radius
-                    let hi = self.window_collective(k);
-                    self.policy.window_for(k, hi)
-                }
-            };
-
-            self.process_window(window);
-            self.stats.epochs += 1;
-
-            // Settled-count collective (drives the hybrid switch; the paper
-            // computes it at every epoch end). A window epoch settles its
-            // whole bucket range.
-            self.coll.clear();
-            self.coll.extend(
-                self.states
-                    .iter()
-                    .map(|s| s.window_count(window.lo, window.hi)),
-            );
-            // sssp-lint: protocol: epoch.settle
-            let settled_k = allreduce_sum(&self.coll, &mut self.comm);
-            self.ledger
-                .charge_collective(self.model, TimeClass::Bucket, self.p);
-            settled_total += settled_k;
-            self.stats.settled(settled_k);
-
-            // Epoch-boundary pool bound: release any buffer whose capacity
-            // ballooned past 4× this epoch's high-water mark, so a one-off
-            // giant superstep cannot pin memory for the rest of the run.
-            if self.cfg.pooled_buffers {
-                self.relax_bufs.shrink_to_watermark();
-                self.req_bufs.shrink_to_watermark();
-            }
-
-            // The next epoch starts past the *window*, not the selected
-            // bucket — everything inside `[lo, hi]` is settled now.
-            k_prev = Some(window.hi);
-        }
-        self.finish()
-    }
-
-    fn finish(mut self) -> SsspOutput {
-        let part = &self.dg.part;
-        let mut distances = vec![INF; self.dg.num_vertices()];
-        for st in &self.states {
-            for l in 0..st.n_local() {
-                distances[part.to_global(st.rank, l) as usize] = st.dist[l];
-            }
-        }
-        self.stats.reachable = distances.iter().filter(|&&d| d != INF).count() as u64;
-        // Flush the hybrid tail's pseudo-bucket record (if any) before the
-        // stats leave the engine.
-        self.stats.finish();
-        // Superstep records flow into `stats.comm` through the recorder as
-        // they happen; only the collective count lives on the engine side.
-        self.stats.comm.collectives = self.comm.collectives;
-        // Fold the engine-side collective fingerprint into the recorder's
-        // exchange fingerprint so the output carries the full schedule.
-        self.stats.comm.fingerprint ^= self.comm.fingerprint;
-        self.stats.ledger = self.ledger;
-        SsspOutput {
-            distances,
-            stats: self.stats,
-            timed_out: self.timed_out,
-        }
-    }
-
-    // -- collectives -------------------------------------------------------
-
-    pub(super) fn next_bucket(&mut self, after: Option<u64>) -> Option<u64> {
-        self.coll.clear();
-        self.coll.extend(
-            self.states
-                .iter()
-                .map(|s| s.next_nonempty_after(after).unwrap_or(u64::MAX)),
-        );
-        let k = allreduce_min(&self.coll, &mut self.comm);
-        self.ledger
-            .charge_collective(self.model, TimeClass::Bucket, self.p);
-        (k != u64::MAX).then_some(k)
-    }
-
-    /// The window-selection collective: min-reduce the per-rank window
-    /// proposals for the epoch starting at bucket `k`. Only policies whose
-    /// [`WindowRule`] extends past a single bucket issue it.
-    pub(super) fn window_collective(&mut self, k: u64) -> u64 {
-        self.coll.clear();
-        let policy = self.policy;
-        let dg = self.dg;
-        self.coll.extend(
-            self.states
-                .iter()
-                .map(|s| policy.window_proposal(s, &dg.locals[s.rank], k)),
-        );
-        let hi = allreduce_min_window(&self.coll, &mut self.comm);
-        self.ledger
-            .charge_collective(self.model, TimeClass::Bucket, self.p);
-        hi
-    }
-
-    /// The point-to-point cutoff collective: min-reduce the target's
-    /// tentative distance (its owner contributes `dist[target]`, every
-    /// other rank contributes INF — mirroring the threaded backend, where
-    /// the owner is the only rank with the value in memory).
-    pub(super) fn target_distance_collective(&mut self, tv: VertexId) -> u64 {
-        let owner = self.dg.part.owner(tv);
-        let local = self.dg.part.local_index(tv) as usize;
-        self.coll.clear();
-        let states = &self.states;
-        self.coll.extend((0..self.p).map(|r| {
-            if r == owner {
-                states[r].dist[local]
-            } else {
-                INF
-            }
-        }));
-        let td = allreduce_min(&self.coll, &mut self.comm);
-        self.ledger
-            .charge_collective(self.model, TimeClass::Bucket, self.p);
-        td
-    }
-
-    /// The per-query deadline collective: every rank contributes whether
-    /// its clock has passed the deadline, and the run stops iff any rank
-    /// says so. The simulator's ranks share one clock, so one wall read
-    /// fans out to every contribution — the collective still travels so
-    /// the schedule (and its fingerprint) stays aligned with the threaded
-    /// backend's `epoch.deadline`.
-    pub(super) fn deadline_collective(&mut self) -> bool {
-        let expired = self.deadline.is_some_and(|d| Instant::now() >= d);
-        self.coll.clear();
-        self.coll.extend((0..self.p).map(|_| u64::from(expired)));
-        let any = allreduce_max(&self.coll, &mut self.comm) != 0;
-        self.ledger
-            .charge_collective(self.model, TimeClass::Bucket, self.p);
-        any
-    }
-
-    pub(super) fn any_active(&mut self) -> bool {
-        self.coll.clear();
-        self.coll
-            .extend(self.states.iter().map(|s| u64::from(!s.active.is_empty())));
-        let any = allreduce_max(&self.coll, &mut self.comm) != 0;
-        self.ledger
-            .charge_collective(self.model, TimeClass::Bucket, self.p);
-        any
-    }
-
-    // -- shared phase plumbing ---------------------------------------------
-
-    pub(super) fn begin_superstep(&mut self) {
-        if !self.cfg.pooled_buffers {
-            // Fresh-allocation mode: drop the pooled capacity so every
-            // superstep re-allocates, exactly like the pre-pool engine.
-            // Only the relax buffers are safe to drop here — a pull phase
-            // calls begin_superstep between exchanging and *processing* its
-            // request inboxes, so `req_bufs` resets at its own fill site.
-            self.relax_bufs.reset_capacity();
-        }
-        self.states.par_iter_mut().for_each(|st| {
-            st.begin_phase();
-            st.loads.reset();
-        });
-    }
-
-    pub(super) fn max_thread_ops(&self) -> u64 {
-        self.states.iter().map(|s| s.loads.max()).max().unwrap_or(0)
-    }
-
-    /// Pack + exchange the relax buffers: each outbox lane becomes one
-    /// target-sorted run (sorted by `(target, nd)`), so the receiver can
-    /// apply it as a sequential min-merge; with coalescing enabled the
-    /// sort additionally collapses duplicate targets to their minimum, so
-    /// only the smallest tentative distance per target crosses the wire.
-    /// The removed-message count rides on the returned step record.
-    pub(super) fn exchange_relax(&mut self) -> StepStats {
-        let dedup = self.cfg.coalescing;
-        let saved: u64 = self
-            .relax_bufs
-            .outboxes
-            .iter_mut()
-            .flat_map(|ob| ob.out.iter_mut())
-            .map(|lane| pack_sorted_run(lane, |m| m.target, |m| m.nd, dedup))
-            .sum();
-        let mut step = self
-            .relax_bufs
-            .exchange(RELAX_BYTES, self.model.packet.as_ref());
-        step.coalesced_msgs = saved;
-        step
-    }
-
-    pub(super) fn charge_exchange(&mut self, step: &StepStats) {
-        let bytes = step.max_rank_send_bytes.max(step.max_rank_recv_bytes);
-        let ops = self.max_thread_ops();
-        self.ledger
-            .charge_superstep(self.model, TimeClass::Relax, ops, bytes);
-    }
-
-    /// Whether any short edge exists at all for the policy's short bound
-    /// (lets the Dijkstra configuration skip its necessarily-empty short
-    /// stages). The `m_directed` guard keeps an edgeless graph (whose
-    /// weight extremes are the degenerate (0, 0)) out of the short stages.
-    pub(super) fn has_short_edges(&self) -> bool {
-        self.dg.m_directed > 0 && (self.min_weight as u64) < self.policy.short_bound()
-    }
-
-    // -- epoch processing ---------------------------------------------------
-
-    fn process_window(&mut self, window: EpochWindow) {
-        // Collect the epoch's initial active set from the window.
-        let scan_max = self
-            .states
-            .par_iter_mut()
-            .map(|st| {
-                st.collect_active_from_window(window.lo, window.hi);
-                st.window_scan_len(window.lo, window.hi) as u64
-            })
-            .reduce_with(u64::max)
-            .unwrap_or(0);
-        self.ledger
-            .charge_scan(self.model, TimeClass::Bucket, scan_max);
-
-        // Stage 1: short-edge phases.
-        if self.has_short_edges() {
-            // sssp-lint: protocol: short.active-any
-            while self.any_active() {
-                // sssp-lint: protocol: short.exchange-relax
-                self.short_phase(window);
-            }
-        }
-
-        // Stage 2: long-edge phase, push or pull.
-        // sssp-lint: protocol: decide.estimates
-        let (mode, est_push, est_pull) = self.decide(&window);
-        let mut record = BucketRecord {
-            bucket: window.lo,
-            settled: 0,
-            mode,
-            est_push,
-            est_pull,
-            self_edges: 0,
-            backward_edges: 0,
-            forward_edges: 0,
-            requests: 0,
-            responses: 0,
-            supersteps: 0,
-            local_msgs: 0,
-            remote_msgs: 0,
-            coalesced_msgs: 0,
-        };
-        match mode {
-            LongPhaseMode::Push => self.long_push(window, &mut record),
-            LongPhaseMode::Pull => self.long_pull(window, &mut record),
-        }
-        // The recorder fills the per-epoch traffic fields from the
-        // supersteps recorded since the previous bucket closed.
-        self.stats.bucket(record);
-    }
-}
-
-mod bellman_ford;
 mod decide;
+mod driver;
 mod invariants;
 mod kernels;
-mod long_pull;
-mod long_push;
-/// The backend-neutral telemetry recorder ([`record::Recorder`]) and the
-/// per-rank trace merge of the threaded backend.
+/// The telemetry and cost-model recorder ([`record::Recorder`]) and the
+/// per-process trace merge.
 pub mod record;
-mod short;
-/// The real-thread backend: the same epoch loop on one OS thread per rank.
+/// The real-thread transport: one OS thread per rank.
 pub mod threaded;
+
+pub use driver::{Job, ProcessOut};
+pub use threaded::Threaded;
 
 #[cfg(test)]
 mod tests;

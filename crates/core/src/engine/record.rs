@@ -1,43 +1,61 @@
-//! The run-telemetry recorder: one abstraction both backends feed their
-//! per-superstep, per-phase and per-bucket observations through.
+//! The run-telemetry recorder: the one sink the epoch loop feeds its
+//! per-superstep, per-phase and per-bucket observations — and the α–β–γ
+//! cost model's charges — through.
 //!
-//! The simulated engine records into its [`RunStats`] directly (stats are
-//! the whole point of simulation, so its recorder is always on). The
-//! real-thread engine is generic over [`Recorder`]: the wall-clock entry
-//! point instantiates the zero-sized [`NoopRecorder`] — every call inlines
-//! to nothing, keeping the benchmarked hot path clean — while the traced
-//! entry point gives each rank its own `RunStats` and merges the per-rank
-//! [`RunTrace`]s deterministically after `run_threaded` joins
-//! ([`merge_rank_traces`]): rank-local volumes sum, per-step maxima
-//! combine by max (max is commutative, so per-rank-then-merge equals the
-//! simulator's per-step global max), and globally allreduced quantities
-//! (mode, estimates, settled counts) are asserted identical across ranks.
+//! The driver is generic over [`Recorder`]. The wall-clock entry points
+//! instantiate the zero-sized [`NoopRecorder`] — every call inlines to
+//! nothing, keeping the benchmarked hot path clean — while traced runs give
+//! every *process* of the run (one for the lockstep transport, one per
+//! rank thread for the threaded one) its own [`RunStats`] and merge the
+//! per-process traces deterministically afterwards ([`merged_trace`]):
+//! rank-local volumes sum, per-step maxima combine by max (max is
+//! commutative, so per-process-then-merge equals the per-step global max),
+//! and globally allreduced quantities (mode, estimates, settled counts)
+//! are asserted identical across processes.
+//!
+//! The simulated-time ledger is a recorder concern too: a [`RunStats`]
+//! built with a machine model ([`RunStats::for_run`]) converts the
+//! `collective` / `scan` / `superstep` events into [`TimeLedger`] charges.
+//! The figures are meaningful when the recording process drives every rank
+//! (its per-step maxima are then the global ones) — the lockstep
+//! transport, which is what [`run_sssp`](super::run_sssp) uses.
+//!
+//! [`TimeLedger`]: sssp_comm::cost::TimeLedger
 
+use sssp_comm::cost::TimeClass;
 use sssp_comm::stats::StepStats;
 
-use crate::instrument::{BucketRecord, PhaseRecord, RunStats, RunTrace};
+use crate::instrument::{BucketRecord, PhaseKind, PhaseRecord, RunStats, RunTrace};
 
-/// Sink for one backend run's telemetry events. All methods default to
-/// no-ops so a disabled recorder costs nothing; `enabled` lets callers
+/// Sink for one process's telemetry and cost-model events; every process
+/// of a run gets its own clone, moved onto its thread. All methods default
+/// to no-ops so a disabled recorder costs nothing; `enabled` lets callers
 /// skip work that exists only to be recorded (e.g. the heuristic volume
 /// pass under a forced direction policy).
-pub trait Recorder {
+pub trait Recorder: Clone + Send + Sync + 'static {
     /// Whether this recorder stores anything at all. Must be uniform
     /// across ranks of one run (it steers collective-bearing code paths).
     fn enabled(&self) -> bool {
         false
     }
-    /// One data-exchange superstep completed with the given traffic.
-    fn superstep(&mut self, _step: &StepStats) {}
+    /// One collective of cost class `_class` was issued (the §III-C
+    /// decision's five reductions travel as one charged collective; the
+    /// set-up reductions are not charged at all).
+    fn collective(&mut self, _class: TimeClass) {}
+    /// A bookkeeping scan examined `_len` entries on the busiest owned rank.
+    fn scan(&mut self, _class: TimeClass, _len: u64) {}
+    /// One data-exchange superstep completed with the given traffic;
+    /// `_max_thread_ops` is the largest per-thread operation count on any
+    /// owned rank (0 unless [`Recorder::enabled`]).
+    fn superstep(&mut self, _step: &StepStats, _max_thread_ops: u64) {}
     /// One relaxation phase (a short round, a long push, a whole pull
-    /// phase, or a Bellman-Ford round) completed.
-    fn phase(&mut self, _rec: &PhaseRecord) {}
-    /// Wall-clock nanoseconds one phase of `kind` took on this rank,
-    /// including the rendezvous wait inside its exchanges. Only the
-    /// threaded backend reports these; the simulated engine never calls
-    /// this hook, so its traces keep all-zero timings.
-    fn phase_nanos(&mut self, _kind: crate::instrument::PhaseKind, _ns: u64) {}
-    /// One Δ-bucket epoch completed. The recorder fills the record's
+    /// phase, or a Bellman-Ford round) completed; `_outer_short` of its
+    /// relaxations travelled along IOS outer-short edges.
+    fn phase(&mut self, _rec: &PhaseRecord, _outer_short: u64) {}
+    /// Wall-clock nanoseconds one phase of `kind` took on this process,
+    /// including the wait inside its exchanges.
+    fn phase_nanos(&mut self, _kind: PhaseKind, _ns: u64) {}
+    /// One bucket epoch completed. The recorder fills the record's
     /// per-epoch traffic fields from the supersteps since the last bucket.
     fn bucket(&mut self, _rec: BucketRecord) {}
     /// The settled count of the bucket recorded last.
@@ -59,16 +77,41 @@ impl Recorder for RunStats {
         true
     }
 
-    fn superstep(&mut self, step: &StepStats) {
+    fn collective(&mut self, class: TimeClass) {
+        if let Some(model) = &self.cost_model {
+            self.ledger.charge_collective(model, class, self.num_ranks);
+        }
+    }
+
+    fn scan(&mut self, class: TimeClass, len: u64) {
+        if let Some(model) = &self.cost_model {
+            self.ledger.charge_scan(model, class, len);
+        }
+    }
+
+    fn superstep(&mut self, step: &StepStats, max_thread_ops: u64) {
+        if let Some(model) = &self.cost_model {
+            let bytes = step.max_rank_send_bytes.max(step.max_rank_recv_bytes);
+            self.ledger
+                .charge_superstep(model, TimeClass::Relax, max_thread_ops, bytes);
+        }
         self.comm.record(*step);
     }
 
-    fn phase(&mut self, rec: &PhaseRecord) {
+    fn phase(&mut self, rec: &PhaseRecord, outer_short: u64) {
         self.phases += 1;
         self.phase_records.push(*rec);
+        self.outer_short_relaxations += outer_short;
+        match rec.kind {
+            PhaseKind::Short => self.short_relaxations += rec.relaxations,
+            PhaseKind::LongPush => self.long_push_relaxations += rec.relaxations - outer_short,
+            // Requests and responses are counted off the bucket record.
+            PhaseKind::LongPull => {}
+            PhaseKind::BellmanFord => self.bf_relaxations += rec.relaxations,
+        }
     }
 
-    fn phase_nanos(&mut self, kind: crate::instrument::PhaseKind, ns: u64) {
+    fn phase_nanos(&mut self, kind: PhaseKind, ns: u64) {
         self.wall.add(kind, ns);
     }
 
@@ -78,6 +121,9 @@ impl Recorder for RunStats {
         rec.local_msgs = local;
         rec.remote_msgs = remote;
         rec.coalesced_msgs = coalesced;
+        self.epochs += 1;
+        self.pull_requests += rec.requests;
+        self.pull_responses += rec.responses;
         self.bucket_records.push(rec);
     }
 
@@ -95,37 +141,40 @@ impl Recorder for RunStats {
         if self.hybrid_switch_at.is_some() {
             let (supersteps, local, remote, coalesced) = self.epoch_window();
             self.tail_record = Some(BucketRecord {
-                bucket: u64::MAX,
-                settled: 0,
-                mode: crate::config::LongPhaseMode::Push,
-                est_push: 0,
-                est_pull: 0,
-                self_edges: 0,
-                backward_edges: 0,
-                forward_edges: 0,
-                requests: 0,
-                responses: 0,
                 supersteps,
                 local_msgs: local,
                 remote_msgs: remote,
                 coalesced_msgs: coalesced,
+                ..BucketRecord::new(u64::MAX, crate::config::LongPhaseMode::Push)
             });
         }
     }
 }
 
-/// Merge the per-rank traces of one threaded run into the run's global
-/// trace. Rank-local volumes (message and byte counts, relaxations) sum;
-/// per-superstep maxima combine by max; quantities every rank obtained
+/// The run's global trace from the per-process recorders [`run`](super::run)
+/// returns (one for the lockstep transport, one per rank for the threaded
+/// one), labelled `backend`.
+pub fn merged_trace(stats: &[RunStats], backend: &str) -> RunTrace {
+    merge_rank_traces(
+        stats
+            .iter()
+            .map(|s| RunTrace::from_run_stats(s, backend))
+            .collect(),
+    )
+}
+
+/// Merge the per-process traces of one run into the run's global trace.
+/// Rank-local volumes (message and byte counts, relaxations) sum;
+/// per-superstep maxima combine by max; quantities every process obtained
 /// from the same allreduce (bucket ids, modes, estimates, settled counts,
 /// superstep counts) are asserted identical — a mismatch means the SPMD
 /// contract broke, which must abort rather than produce a silently wrong
 /// trace.
-pub(super) fn merge_rank_traces(traces: Vec<RunTrace>) -> RunTrace {
+fn merge_rank_traces(traces: Vec<RunTrace>) -> RunTrace {
     let mut it = traces.into_iter();
     // sssp-lint: allow(no-panic-hot-path): post-join merge, not a hot path;
-    // run_threaded always returns one result per rank.
-    let mut merged = it.next().expect("at least one rank trace");
+    // every transport returns one recorder per process and at least one process.
+    let mut merged = it.next().expect("at least one process trace");
     for t in it {
         assert_eq!(merged.ranks, t.ranks, "rank count drift across ranks");
         assert_eq!(
@@ -202,24 +251,20 @@ fn merge_bucket(m: &mut BucketRecord, r: &BucketRecord) {
 mod tests {
     use super::*;
     use crate::config::LongPhaseMode;
-    use crate::instrument::PhaseKind;
 
     fn bucket(remote: u64) -> BucketRecord {
         BucketRecord {
-            bucket: 1,
             settled: 6,
-            mode: LongPhaseMode::Push,
             est_push: 12,
             est_pull: 20,
             self_edges: 1,
             backward_edges: 2,
             forward_edges: 3,
-            requests: 0,
-            responses: 0,
             supersteps: 2,
             local_msgs: 1,
             remote_msgs: remote,
             coalesced_msgs: 1,
+            ..BucketRecord::new(1, LongPhaseMode::Push)
         }
     }
 
@@ -284,18 +329,24 @@ mod tests {
     fn run_stats_recorder_builds_records() {
         let mut s = RunStats::default();
         assert!(Recorder::enabled(&s));
-        s.superstep(&StepStats {
-            local_msgs: 2,
-            remote_msgs: 3,
-            coalesced_msgs: 1,
-            ..Default::default()
-        });
-        s.phase(&PhaseRecord {
-            bucket: 0,
-            kind: PhaseKind::Short,
-            relaxations: 5,
-            remote_msgs: 3,
-        });
+        s.superstep(
+            &StepStats {
+                local_msgs: 2,
+                remote_msgs: 3,
+                coalesced_msgs: 1,
+                ..Default::default()
+            },
+            0,
+        );
+        s.phase(
+            &PhaseRecord {
+                bucket: 0,
+                kind: PhaseKind::Short,
+                relaxations: 5,
+                remote_msgs: 3,
+            },
+            0,
+        );
         s.bucket(bucket(0));
         s.settled(9);
         // The epoch fields came from the recorded superstep, not the
@@ -308,10 +359,13 @@ mod tests {
         assert_eq!(rec.settled, 9);
         assert_eq!(s.phases, 1);
         // A hybrid tail flushes the remaining steps at finish().
-        s.superstep(&StepStats {
-            remote_msgs: 7,
-            ..Default::default()
-        });
+        s.superstep(
+            &StepStats {
+                remote_msgs: 7,
+                ..Default::default()
+            },
+            0,
+        );
         s.hybrid_switch(0);
         s.finish();
         let tail = s.tail_record.expect("tail record");

@@ -1,6 +1,7 @@
 //! Engine correctness and behavior tests (exercised through the public
-//! `run_sssp*` API).
+//! `run` / `run_sssp` API on the lockstep transport).
 
+use super::record::NoopRecorder;
 use super::*;
 use crate::config::DirectionPolicy;
 use crate::validate::assert_matches_dijkstra;
@@ -227,7 +228,15 @@ fn multi_source_is_min_over_single_sources() {
     let g = medium_graph();
     let dg = DistGraph::build(&g, 4, 2);
     let sources = [0u32, 50, 200];
-    let multi = run_sssp_multi(&dg, &sources, &SsspConfig::opt(25), &model());
+    let query = Query::sources(&sources);
+    let (multi, _) = run(
+        &dg,
+        &query,
+        &SsspConfig::opt(25),
+        &model(),
+        Lockstep,
+        NoopRecorder,
+    );
     let singles: Vec<_> = sources
         .iter()
         .map(|&s| run_sssp(&dg, s, &SsspConfig::opt(25), &model()).distances)
@@ -245,7 +254,15 @@ fn seeded_run_matches_virtual_source_construction() {
     let g = medium_graph();
     let dg = DistGraph::build(&g, 3, 2);
     let seeds = [(5u32, 7u64), (100, 0), (250, 30)];
-    let out = run_sssp_seeded(&dg, &seeds, &SsspConfig::opt(25), &model());
+    let query = Query::seeded(&seeds);
+    let (out, _) = run(
+        &dg,
+        &query,
+        &SsspConfig::opt(25),
+        &model(),
+        Lockstep,
+        NoopRecorder,
+    );
     let mut el2 = sssp_graph::EdgeList::new(g.num_vertices() + 1);
     for (u, v, w) in g.undirected_edges() {
         el2.push(u, v, w);
@@ -265,7 +282,15 @@ fn seeded_run_matches_virtual_source_construction() {
 fn duplicate_seeds_keep_minimum() {
     let g = CsrBuilder::new().build(&gen::path(4, 5));
     let dg = DistGraph::build(&g, 2, 1);
-    let out = run_sssp_seeded(&dg, &[(0, 9), (0, 2)], &SsspConfig::del(5), &model());
+    let query = Query::seeded(&[(0, 9), (0, 2)]);
+    let (out, _) = run(
+        &dg,
+        &query,
+        &SsspConfig::del(5),
+        &model(),
+        Lockstep,
+        NoopRecorder,
+    );
     assert_eq!(out.distances[0], 2);
     assert_eq!(out.distances[3], 2 + 15);
 }
@@ -526,4 +551,30 @@ fn receive_work_charged_to_target_owner_threads() {
     }
     assert_eq!(out.stats.ledger.relax_s, 13.0);
     assert_eq!(out.stats.comm.total_coalesced_msgs(), 3);
+}
+
+#[test]
+fn one_sixteen_byte_wire_record_carries_both_message_kinds() {
+    // What the cost model charges per message is what a lane stores.
+    assert_eq!(std::mem::size_of::<RelaxMsg>(), WIRE_BYTES);
+    let req = ReqMsg {
+        u_local: 7,
+        origin: u32::MAX,
+        w: 0,
+    };
+    assert_eq!(ReqMsg::from_wire(req.to_wire()), req);
+}
+
+proptest::proptest! {
+    #[test]
+    fn request_wire_encoding_round_trips(
+        u_local in proptest::prelude::any::<u32>(),
+        origin in proptest::prelude::any::<u32>(),
+        w in proptest::prelude::any::<u32>(),
+    ) {
+        let req = ReqMsg { u_local, origin, w };
+        let wire = req.to_wire();
+        proptest::prop_assert_eq!(wire.target, u_local);
+        proptest::prop_assert_eq!(ReqMsg::from_wire(wire), req);
+    }
 }

@@ -1,83 +1,40 @@
-//! The real-thread Δ-stepping engine: the complete epoch loop of
-//! [`super::Engine`] — bucket collectives, repeated inner-short phases,
-//! the per-bucket §III-C push/pull decision and the τ-triggered
-//! Bellman-Ford tail — running one OS thread per rank over
-//! [`sssp_comm::threaded::RankCtx`].
+//! The real-thread transport: the epoch loop of `driver.rs` running one
+//! OS thread per rank over [`sssp_comm::threaded::RankCtx`] — channels for
+//! the exchanges, rendezvous collectives for everything else.
 //!
-//! Both backends call the same rank-local kernels (`super::kernels`), so
-//! the relaxation logic exists exactly once; this module contributes only
-//! the SPMD driver: which kernel runs when, and how its messages travel.
 //! Because channel inboxes are delivered in source-rank order (matching
-//! the simulated transpose) and sender-side coalescing leaves each lane
-//! sorted by `(target, nd)`, a threaded run applies the *identical*
-//! message sequence in the *identical* order as a simulated run — final
-//! distances are bit-identical, which the differential proptests pin.
+//! the lockstep transpose) and sender-side packing leaves each lane sorted
+//! by `(target, nd)`, a threaded run applies the *identical* message
+//! sequence in the *identical* order as a lockstep run — final distances
+//! and telemetry are bit-identical, which the differential suites pin.
 //!
-//! Collectives use only the `sssp_comm::threaded` rendezvous primitives;
-//! everything else is rank-private state.
+//! What is transport-specific lives here: spawning the rank threads,
+//! moving each rank's resident [`EngineScratch`] share into its thread and
+//! back, and adopting / releasing the channel spare pool around the run.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use sssp_comm::cost::MachineModel;
-use sssp_comm::exchange::{pack_sorted_run, shrink_oversized};
-use sssp_comm::packet::PacketConfig;
-use sssp_comm::stats::StepStats;
-use sssp_comm::threaded::{run_threaded_with, RankCtx, SPARE_CAPACITY_FLOOR};
-use sssp_dist::{DistGraph, LocalGraph};
+use sssp_comm::threaded::{run_threaded_with, RankCtx};
+use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
 
-use crate::config::{DirectionPolicy, LongPhaseMode, SsspConfig};
-use crate::instrument::{BucketRecord, PhaseKind, PhaseRecord, RunStats, RunTrace};
-use crate::policy::{EpochWindow, PolicyDispatch, SteppingPolicy, WindowRule};
-use crate::state::{RankState, INF};
+use crate::config::SsspConfig;
+use crate::instrument::{RunStats, RunTrace};
 
-use super::record::{merge_rank_traces, NoopRecorder, Recorder};
-use super::{decide, dedup_seeds, kernels, resolved_pi, RelaxMsg, ReqMsg, RELAX_BYTES, REQ_BYTES};
-
-/// Messages of the threaded engine's single channel world: relax proposals
-/// and pull requests share one wire type (a superstep carries only one of
-/// the two kinds, exactly as the simulated engine keeps separate buffer
-/// pools per kind).
-enum Wire {
-    /// A relaxation proposal.
-    Relax(RelaxMsg),
-    /// A pull request.
-    Req(ReqMsg),
-}
-
-impl Wire {
-    #[inline]
-    fn relax(&self) -> RelaxMsg {
-        match self {
-            Wire::Relax(m) => *m,
-            // A request inside a relax superstep breaks the SPMD protocol;
-            // aborting the run is the correct response.
-            // sssp-lint: allow(no-panic-hot-path): SPMD protocol contract
-            Wire::Req(_) => panic!("pull request delivered in a relax superstep"),
-        }
-    }
-
-    #[inline]
-    fn req(&self) -> ReqMsg {
-        match self {
-            Wire::Req(m) => *m,
-            // sssp-lint: allow(no-panic-hot-path): SPMD protocol contract
-            Wire::Relax(_) => panic!("relaxation delivered in a request superstep"),
-        }
-    }
-}
+use super::driver::{epoch_loop, Job, ProcBufs, ProcessOut};
+use super::record::{merged_trace, NoopRecorder, Recorder};
+use super::{run, Query, RelaxMsg, RunOutput, Transport};
 
 /// Resident per-rank engine state a serving layer keeps warm between
-/// queries: the [`RankState`] (distances, buckets, frontier bitsets), the
-/// engine-side outbox lanes and inboxes, and the channel transport spares.
-/// One scratch belongs to exactly one in-flight query at a time; handing it
-/// to [`threaded_sssp_query`] runs the query without re-allocating any of
-/// the pooled structures (the state is `reset`, not rebuilt). A scratch is
-/// graph-shape-specific only through per-rank vertex counts: if the graph
-/// changes shape the affected rank states are rebuilt transparently, but a
-/// serving layer should still discard scratches on graph rebuild so stale
-/// pool sizes do not linger.
+/// queries: each rank's [`ProcBufs`] (rank state, outbox lanes, inboxes)
+/// and its channel transport spares. One scratch belongs to exactly one
+/// in-flight query at a time; running a query on it ([`Threaded`]) re-uses
+/// every pooled structure instead of re-allocating (the state is reset,
+/// not rebuilt). A scratch is graph-shape-specific only through per-rank
+/// vertex counts: if the graph changes shape the affected rank states are
+/// rebuilt transparently, but a serving layer should still discard
+/// scratches on graph rebuild so stale pool sizes do not linger.
 #[derive(Default)]
 pub struct EngineScratch {
     ranks: Vec<RankScratch>,
@@ -86,11 +43,8 @@ pub struct EngineScratch {
 /// One rank's share of an [`EngineScratch`].
 #[derive(Default)]
 struct RankScratch {
-    st: Option<RankState>,
-    out: Vec<Vec<Wire>>,
-    inbox: Vec<Wire>,
-    req_inbox: Vec<Wire>,
-    spares: Vec<Vec<Wire>>,
+    bufs: ProcBufs,
+    spares: Vec<Vec<RelaxMsg>>,
 }
 
 impl EngineScratch {
@@ -109,89 +63,77 @@ impl EngineScratch {
     /// (floored at the warm-pool minimum), not by the largest query ever
     /// run on the scratch.
     pub fn max_buffer_capacity(&self) -> usize {
-        self.ranks
-            .iter()
-            .flat_map(|r| {
-                r.out
-                    .iter()
-                    .map(Vec::capacity)
-                    .chain(std::iter::once(r.inbox.capacity()))
-                    .chain(std::iter::once(r.req_inbox.capacity()))
-                    .chain(r.spares.iter().map(Vec::capacity))
-            })
-            .max()
-            .unwrap_or(0)
+        let spares = self.ranks.iter().flat_map(|r| &r.spares).map(Vec::capacity);
+        let bufs = self.ranks.iter().map(|r| r.bufs.max_buffer_capacity());
+        spares.chain(bufs).max().unwrap_or(0)
     }
 }
 
-/// Result of a threaded run: final distances plus the transport counters
-/// the wall-clock benchmark records.
-#[derive(Debug, Clone)]
-pub struct ThreadedSsspOutput {
-    /// Final distances indexed by global vertex id (`u64::MAX` = unreached).
-    pub distances: Vec<u64>,
-    /// Relaxation messages that entered an exchange addressed to the
-    /// sender's own rank (post-coalescing, all ranks summed). These never
-    /// touch the wire; the simulated engine counts them separately, and so
-    /// do we. Pull requests are not included.
-    pub relax_local_msgs: u64,
-    /// Relaxation messages that entered an exchange addressed to another
-    /// rank (post-coalescing, all ranks summed) — the wire traffic. Pull
-    /// requests are not included.
-    pub relax_remote_msgs: u64,
-    /// Relaxation messages removed by sender-side coalescing before the
-    /// exchanges (all ranks summed).
-    pub coalesced_msgs: u64,
-    /// Epoch-select rounds the run performed (one `epoch.select`
-    /// collective each, identical on every rank). A point-to-point query
-    /// that terminates early performs strictly fewer rounds than the same
-    /// query run to completion — the `serve_bench` superstep-savings gate
-    /// compares exactly this counter.
-    pub epochs: u64,
-    /// True when the run stopped at its deadline instead of settling every
-    /// bucket — the distance field is partially tentative and must not be
-    /// served or cached as final.
-    pub timed_out: bool,
-}
+/// The name the threaded entry points have always returned their
+/// [`RunOutput`] under.
+pub type ThreadedSsspOutput = RunOutput;
 
-impl ThreadedSsspOutput {
-    /// All relaxation messages that entered an exchange, local and remote.
-    pub fn relax_msgs_total(&self) -> u64 {
-        self.relax_local_msgs + self.relax_remote_msgs
+/// The real-thread transport: one OS thread per rank, re-using the
+/// resident state in the given scratch. The first query on a fresh scratch
+/// allocates everything; every later query resets the state in place and
+/// inherits the warmed pools, trimmed at query end to the finishing
+/// query's own high-water mark.
+pub struct Threaded<'a>(pub &'a mut EngineScratch);
+
+impl Transport for Threaded<'_> {
+    type Graph = Arc<DistGraph>;
+
+    fn drive<R: Recorder>(
+        self,
+        dg: &Arc<DistGraph>,
+        job: &Job<'_>,
+        recorder: &R,
+    ) -> Vec<(ProcessOut, R)> {
+        let scratch = self.0;
+        let p = dg.num_ranks();
+        if scratch.ranks.len() != p {
+            // A scratch sized for a different world is stale wholesale.
+            *scratch = EngineScratch::new(p);
+        }
+        let payloads = std::mem::take(&mut scratch.ranks);
+        // Rank threads outlive no borrow: every thread gets its own handle
+        // on the graph and its own copy of the uniform run parameters.
+        let (dg, cfg, model) = (Arc::clone(dg), job.cfg.clone(), *job.model);
+        let (seeds, target, deadline) = (job.seeds.to_vec(), job.target, job.deadline);
+        let recorder = recorder.clone();
+        let per_rank = run_threaded_with(
+            p,
+            payloads,
+            move |mut ctx: RankCtx<RelaxMsg>, mut rs: RankScratch| {
+                let job = Job {
+                    dg: &dg,
+                    seeds: &seeds,
+                    target,
+                    deadline,
+                    cfg: &cfg,
+                    model: &model,
+                };
+                let mut rec = recorder.clone();
+                ctx.adopt_spares(std::mem::take(&mut rs.spares));
+                let out = epoch_loop(&job, &mut ctx, &mut rec, &mut rs.bufs);
+                rs.spares = ctx.release_spares();
+                (out, rec, rs)
+            },
+        );
+        let (results, ranks) = per_rank
+            .into_iter()
+            .map(|(out, rec, rs)| ((out, rec), rs))
+            .unzip();
+        scratch.ranks = ranks;
+        results
     }
-}
-
-/// Per-rank return value of the rank body.
-struct RankResult {
-    dist: Vec<u64>,
-    relax_local_msgs: u64,
-    relax_remote_msgs: u64,
-    coalesced_msgs: u64,
-    epochs: u64,
-    timed_out: bool,
-}
-
-/// Wall-clock nanoseconds since `start`, saturated into a `u64` (580 years
-/// of headroom — the cast can only be reached by a clock bug).
-#[inline]
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Per-rank transport counters plus the epoch's pool high-water mark and
-/// the query-level mark that survives the per-epoch resets.
-struct Traffic {
-    relax_local_msgs: u64,
-    relax_remote_msgs: u64,
-    coalesced_msgs: u64,
-    hwm: usize,
-    query_hwm: usize,
 }
 
 /// Run the configured SSSP algorithm from `root` with one OS thread per
-/// rank. Distances are bit-identical to [`super::run_sssp`] under every
-/// configuration; only wall-clock behavior (and the absence of the
-/// simulated cost model) differs.
+/// rank, on fresh scratch. Distances are bit-identical to
+/// [`run_sssp`](super::run_sssp) under every configuration; only
+/// wall-clock behavior (and the absence of the simulated cost model)
+/// differs.
 ///
 /// # Examples
 ///
@@ -213,40 +155,16 @@ pub fn threaded_delta_stepping(
     cfg: &SsspConfig,
     model: &MachineModel,
 ) -> ThreadedSsspOutput {
-    threaded_sssp_seeded(dg, &[(root, 0)], cfg, model)
-}
-
-/// Fully general threaded entry point: start from arbitrary
-/// `(vertex, distance)` seeds, mirroring [`super::run_sssp_seeded`]. A
-/// vertex listed twice keeps its smallest seed distance; an empty seed
-/// list is legal and yields all-INF distances — the same contract, and
-/// bit-identical results, as the simulated backend.
-pub fn threaded_sssp_seeded(
-    dg: &Arc<DistGraph>,
-    seeds: &[(VertexId, u64)],
-    cfg: &SsspConfig,
-    model: &MachineModel,
-) -> ThreadedSsspOutput {
     let mut scratch = EngineScratch::new(dg.num_ranks());
-    run_ranks_with(dg, seeds, None, None, cfg, model, &mut scratch, || {
-        NoopRecorder
-    })
-    .0
+    threaded_sssp_query(dg, &[(root, 0)], None, cfg, model, &mut scratch)
 }
 
-/// Serving entry point: run one query over a **resident** graph, reusing
-/// the per-rank engine state and buffer pools held in `scratch` instead of
-/// rebuilding them. The first query on a fresh scratch allocates
-/// everything; every later query resets the state in place (distances,
-/// bucket ring, frontier stamps) and inherits the warmed pools, trimmed at
-/// query end to the finishing query's own high-water mark.
-///
-/// `target` selects point-to-point mode: the epoch loop stops as soon as
-/// the target's tentative distance can no longer improve (see the cutoff
-/// collective in the rank body), so `distances[target]` is final but other
-/// entries may still hold tentative values. With `target = None` the
-/// result is bit-identical to a fresh [`threaded_sssp_seeded`] run — the
-/// serving differential proptests pin exactly that.
+/// Serving entry point: run one query over a **resident** graph on the
+/// threaded transport, reusing the per-rank engine state and buffer pools
+/// held in `scratch`. `target` selects point-to-point mode (see
+/// [`Query::target`]); with `target = None` the result is bit-identical to
+/// a run on fresh scratch — the serving differential proptests pin exactly
+/// that.
 pub fn threaded_sssp_query(
     dg: &Arc<DistGraph>,
     seeds: &[(VertexId, u64)],
@@ -255,751 +173,57 @@ pub fn threaded_sssp_query(
     model: &MachineModel,
     scratch: &mut EngineScratch,
 ) -> ThreadedSsspOutput {
-    threaded_sssp_query_deadline(dg, seeds, target, None, cfg, model, scratch)
-}
-
-/// [`threaded_sssp_query`] with a wall-clock deadline: the epoch loop
-/// checks the clock once per epoch through the `epoch.deadline` collective
-/// (right after bucket selection, in the same slot as the point-to-point
-/// cutoff) and stops with [`ThreadedSsspOutput::timed_out`] set once the
-/// deadline has passed. The verdict is a collective, so every rank stops
-/// at the same epoch — a timed-out run can never wedge a peer
-/// mid-rendezvous. A timed-out distance field is partially tentative and
-/// must not be cached or served as final.
-pub fn threaded_sssp_query_deadline(
-    dg: &Arc<DistGraph>,
-    seeds: &[(VertexId, u64)],
-    target: Option<VertexId>,
-    deadline: Option<Instant>,
-    cfg: &SsspConfig,
-    model: &MachineModel,
-    scratch: &mut EngineScratch,
-) -> ThreadedSsspOutput {
-    run_ranks_with(dg, seeds, target, deadline, cfg, model, scratch, || {
-        NoopRecorder
-    })
-    .0
+    let query = Query::seeded(seeds).with_target(target);
+    run(dg, &query, cfg, model, Threaded(scratch), NoopRecorder).0
 }
 
 /// [`threaded_delta_stepping`] with run telemetry: each rank records its
-/// private [`RunStats`] through the shared [`Recorder`] hooks, and the
-/// per-rank traces are merged deterministically after the join — rank-local
-/// volumes sum, per-step maxima combine by max, and globally-allreduced
-/// quantities are asserted identical (the SPMD contract).
-///
-/// Distances are still bit-identical to the untraced entry point; the
-/// recorder only observes values the run already computes.
+/// private [`RunStats`], and the per-rank traces are merged
+/// deterministically after the join ([`merged_trace`]). Distances are
+/// still bit-identical to the untraced entry point; the recorder only
+/// observes values the run already computes.
 pub fn threaded_delta_stepping_traced(
     dg: &Arc<DistGraph>,
     root: VertexId,
     cfg: &SsspConfig,
     model: &MachineModel,
 ) -> (ThreadedSsspOutput, RunTrace) {
-    let p = dg.num_ranks();
-    let tpr = dg.threads_per_rank;
-    let mut scratch = EngineScratch::new(p);
-    let (out, stats) = run_ranks_with(
-        dg,
-        &[(root, 0)],
-        None,
-        None,
-        cfg,
-        model,
-        &mut scratch,
-        move || RunStats {
-            num_ranks: p,
-            threads_per_rank: tpr,
-            ..RunStats::default()
-        },
-    );
-    let trace = merge_rank_traces(
-        stats
-            .iter()
-            .map(|s| RunTrace::from_run_stats(s, "threaded"))
-            .collect(),
-    );
-    (out, trace)
-}
-
-/// Shared driver behind the traced, untraced and serving entry points:
-/// spawn one thread per rank, move each rank's [`RankScratch`] into its
-/// thread, run [`rank_body`] with a freshly made recorder, then fold the
-/// per-rank results into the global output and reassemble the scratch
-/// (returning the recorders in rank order for the caller to merge).
-#[allow(clippy::too_many_arguments)]
-fn run_ranks_with<R, F>(
-    dg: &Arc<DistGraph>,
-    seeds: &[(VertexId, u64)],
-    target: Option<VertexId>,
-    deadline: Option<Instant>,
-    cfg: &SsspConfig,
-    model: &MachineModel,
-    scratch: &mut EngineScratch,
-    mk: F,
-) -> (ThreadedSsspOutput, Vec<R>)
-where
-    R: Recorder + Send + 'static,
-    F: Fn() -> R + Send + Sync + 'static,
-{
-    assert!(
-        cfg.flat_state,
-        "SsspConfig::flat_state = false selects the legacy BTreeMap bucket layout, \
-         which was retired after the PR 8 differential soak; only the flat bucket \
-         ring remains"
-    );
-    let n = dg.num_vertices();
-    let seeds = dedup_seeds(seeds, n);
-    if let Some(tv) = target {
-        assert!((tv as usize) < n, "target {tv} out of range (n = {n})");
-    }
-    if n == 0 {
-        // Mirror the simulated engine: an empty graph short-circuits (any
-        // seed already panicked above as out of range).
-        return (
-            ThreadedSsspOutput {
-                distances: Vec::new(),
-                relax_local_msgs: 0,
-                relax_remote_msgs: 0,
-                coalesced_msgs: 0,
-                epochs: 0,
-                timed_out: false,
-            },
-            Vec::new(),
-        );
-    }
-    let p = dg.num_ranks();
-    if scratch.ranks.len() != p {
-        // A scratch sized for a different world is stale wholesale (the
-        // serving layer discards scratches on graph rebuild; this makes a
-        // mismatched one merely a fresh start, never a wrong answer).
-        scratch.ranks = (0..p).map(|_| RankScratch::default()).collect();
-    }
-    let payloads: Vec<RankScratch> = std::mem::take(&mut scratch.ranks);
-    let dg_body = Arc::clone(dg);
-    let cfg_body = cfg.clone();
-    let model_body = *model;
-    let per_rank = run_threaded_with(p, payloads, move |mut ctx: RankCtx<Wire>, mut rs| {
-        let mut rec = mk();
-        let res = rank_body(
-            &dg_body,
-            &seeds,
-            target,
-            deadline,
-            &cfg_body,
-            &model_body,
-            &mut ctx,
-            &mut rec,
-            &mut rs,
-        );
-        (res, rec, rs)
-    });
-
-    let mut distances = vec![INF; n];
-    let mut relax_local_msgs = 0u64;
-    let mut relax_remote_msgs = 0u64;
-    let mut coalesced_msgs = 0u64;
-    let mut epochs = 0u64;
-    let mut timed_out = false;
-    let mut recorders = Vec::with_capacity(p);
-    scratch.ranks.reserve_exact(p);
-    for (rank, (res, rec, rs)) in per_rank.into_iter().enumerate() {
-        for (l, &d) in res.dist.iter().enumerate() {
-            distances[dg.part.to_global(rank, l) as usize] = d;
-        }
-        relax_local_msgs += res.relax_local_msgs;
-        relax_remote_msgs += res.relax_remote_msgs;
-        coalesced_msgs += res.coalesced_msgs;
-        epochs = epochs.max(res.epochs);
-        timed_out |= res.timed_out;
-        recorders.push(rec);
-        scratch.ranks.push(rs);
-    }
-    (
-        ThreadedSsspOutput {
-            distances,
-            relax_local_msgs,
-            relax_remote_msgs,
-            coalesced_msgs,
-            epochs,
-            timed_out,
-        },
-        recorders,
-    )
-}
-
-/// Pack (and, when enabled, coalesce) and exchange a relax superstep's
-/// lanes: every lane becomes one target-sorted run, so the receiver
-/// applies it as a sequential min-merge. Splits post-packing messages into
-/// rank-local and remote (the self lane never touches the wire, matching
-/// the simulated accounting), records the superstep with the rank's
-/// recorder, and tracks the epoch high-water mark for the pool-shrink
-/// policy. Returns the rank's own [`StepStats`]; merged across ranks it
-/// reproduces the simulated global step record.
-fn exchange_relax<R: Recorder>(
-    ctx: &mut RankCtx<Wire>,
-    out: &mut [Vec<Wire>],
-    inbox: &mut Vec<Wire>,
-    coalescing: bool,
-    packet: Option<&PacketConfig>,
-    t: &mut Traffic,
-    rec: &mut R,
-) -> StepStats {
-    let mut saved = 0u64;
-    for lane in out.iter_mut() {
-        saved += pack_sorted_run(lane, |w| w.relax().target, |w| w.relax().nd, coalescing);
-    }
-    for lane in out.iter() {
-        t.hwm = t.hwm.max(lane.len());
-    }
-    let c = ctx.exchange_pooled_counted(out, inbox, RELAX_BYTES, packet);
-    t.hwm = t.hwm.max(inbox.len());
-    t.relax_local_msgs += c.sent_local;
-    t.relax_remote_msgs += c.sent_remote;
-    t.coalesced_msgs += saved;
-    let step = StepStats {
-        remote_msgs: c.sent_remote,
-        local_msgs: c.sent_local,
-        remote_bytes: c.sent_remote_bytes,
-        max_rank_send_bytes: c.sent_remote_bytes,
-        max_rank_recv_bytes: c.recv_remote_bytes,
-        coalesced_msgs: saved,
-    };
-    rec.superstep(&step);
-    step
-}
-
-/// Exchange a request superstep's lanes. Requests are never coalesced —
-/// each one expects its own response — and do not count as relax traffic
-/// in [`Traffic`] (the recorder still sees them as a full superstep).
-fn exchange_reqs<R: Recorder>(
-    ctx: &mut RankCtx<Wire>,
-    out: &mut [Vec<Wire>],
-    inbox: &mut Vec<Wire>,
-    packet: Option<&PacketConfig>,
-    t: &mut Traffic,
-    rec: &mut R,
-) -> StepStats {
-    for lane in out.iter() {
-        t.hwm = t.hwm.max(lane.len());
-    }
-    let c = ctx.exchange_pooled_counted(out, inbox, REQ_BYTES, packet);
-    t.hwm = t.hwm.max(inbox.len());
-    let step = StepStats {
-        remote_msgs: c.sent_remote,
-        local_msgs: c.sent_local,
-        remote_bytes: c.sent_remote_bytes,
-        max_rank_send_bytes: c.sent_remote_bytes,
-        max_rank_recv_bytes: c.recv_remote_bytes,
-        coalesced_msgs: 0,
-    };
-    rec.superstep(&step);
-    step
-}
-
-/// The §III-C decision on the thread backend: rank-local volume estimates
-/// reduced through five allreduces, then the shared totals→decision
-/// arithmetic. Returns `(mode, est_push, est_pull)` like the simulated
-/// engine's decision. Always policies skip the collectives uniformly
-/// (every rank holds the same config, so the SPMD sequence stays aligned);
-/// a `Forced` bucket skips them too — except under `record_estimates`,
-/// where the volume pass still runs so telemetry shows what the heuristic
-/// would have seen, mirroring the simulated engine. `record_estimates`
-/// derives from [`Recorder::enabled`], which is uniform across ranks, so
-/// the collective sequence stays aligned either way.
-#[allow(clippy::too_many_arguments)]
-fn decide_threaded(
-    ctx: &mut RankCtx<Wire>,
-    lg: &LocalGraph,
-    st: &RankState,
-    window: &EpochWindow,
-    cfg: &SsspConfig,
-    model: &MachineModel,
-    p: usize,
-    max_weight: u64,
-    buckets_done: usize,
-    record_estimates: bool,
-) -> (LongPhaseMode, u64, u64) {
-    let heuristic = |ctx: &mut RankCtx<Wire>| -> (LongPhaseMode, u64, u64) {
-        let (push, pull, scanned) =
-            decide::rank_volumes(lg, st, window, cfg.ios, cfg.pull_estimator, max_weight);
-        let push_total = ctx.allreduce_sum(push);
-        let pull_total = ctx.allreduce_sum(pull);
-        let push_max = ctx.allreduce_max(push);
-        let pull_max = ctx.allreduce_max(pull);
-        let scan_max = ctx.allreduce_max(scanned);
-        decide::decide_from_totals(
-            cfg, model, p, push_total, pull_total, push_max, pull_max, scan_max,
-        )
-    };
-    match &cfg.direction {
-        DirectionPolicy::AlwaysPush => (LongPhaseMode::Push, 0, 0),
-        DirectionPolicy::AlwaysPull => (LongPhaseMode::Pull, 0, 0),
-        DirectionPolicy::Heuristic => heuristic(ctx),
-        DirectionPolicy::Forced(seq) => match seq.get(buckets_done) {
-            Some(&mode) => {
-                if record_estimates {
-                    let (_, est_push, est_pull) = heuristic(ctx);
-                    (mode, est_push, est_pull)
-                } else {
-                    (mode, 0, 0)
-                }
-            }
-            None => heuristic(ctx),
-        },
-    }
-}
-
-/// One rank's whole run: the exact epoch loop of the simulated engine,
-/// with every simulated collective replaced by its `RankCtx` counterpart
-/// and every buffer rank-private. The recorder observes the rank's own
-/// share of each superstep/phase/bucket; merging the per-rank records
-/// reproduces the simulated engine's global telemetry.
-///
-/// The rank's [`RankScratch`] carries state across queries: transport
-/// spares are adopted into the channel pool at entry and released back at
-/// exit, the `RankState` is reset in place when its shape still matches
-/// the graph (rebuilt otherwise), and outbox/inbox capacities survive —
-/// trimmed at query end against this query's own high-water mark so a
-/// large query's pools never chase a small successor.
-// sssp-lint: protocol-entry(threaded)
-// sssp-lint: panic-root(rank-thread, forwarded): rank panics propagate through
-// the spawning scope's join into the caller, where the serving layer's
-// catch_unwind (or the bench process boundary) absorbs them.
-#[allow(clippy::too_many_arguments)]
-fn rank_body<R: Recorder>(
-    dg: &DistGraph,
-    seeds: &[(VertexId, u64)],
-    target: Option<VertexId>,
-    deadline: Option<Instant>,
-    cfg: &SsspConfig,
-    model: &MachineModel,
-    ctx: &mut RankCtx<Wire>,
-    rec: &mut R,
-    rs: &mut RankScratch,
-) -> RankResult {
-    let r = ctx.rank();
-    let p = ctx.num_ranks();
-    let lg = &dg.locals[r];
-    let part = &dg.part;
-    let policy = PolicyDispatch::from_config(cfg, p);
-    let n_total = dg.num_vertices() as u64;
-    ctx.adopt_spares(std::mem::take(&mut rs.spares));
-    let mut st = match rs.st.take() {
-        // Reuse path: same rank, same local vertex count — a full reset
-        // (distances, bucket ring *including its base*, frontier stamps,
-        // spill lanes) restores the fresh-state contract without touching
-        // any allocation.
-        Some(mut st) if st.rank == r && st.n_local() == part.local_count(r) => {
-            st.reset();
-            st
-        }
-        _ => RankState::new(r, part.local_count(r), dg.threads_per_rank),
-    };
-
-    // Global weight extremes: a local scan over the weight-sorted rows,
-    // reduced through two collectives (the simulated engine scans every
-    // rank directly). Degenerate (edgeless) graphs collapse to (0, 0).
-    let (mut w_lo, mut w_hi) = (u64::from(u32::MAX), 0u64);
-    for v in 0..lg.num_local() {
-        let (_, ws) = lg.row(v);
-        if let (Some(&first), Some(&last)) = (ws.first(), ws.last()) {
-            w_lo = w_lo.min(first as u64);
-            w_hi = w_hi.max(last as u64);
-        }
-    }
-    // sssp-lint: protocol: setup.weight-extremes
-    let mut min_weight = ctx.allreduce_min(w_lo);
-    let mut max_weight = ctx.allreduce_max(w_hi);
-    if dg.m_directed == 0 {
-        min_weight = 0;
-        max_weight = 0;
-    }
-
-    let pi = resolved_pi(cfg.intra_balance, dg.m_directed, n_total);
-    let has_short = dg.m_directed > 0 && min_weight < policy.short_bound();
-
-    let mut out: Vec<Vec<Wire>> = std::mem::take(&mut rs.out);
-    out.iter_mut().for_each(Vec::clear);
-    out.resize_with(p, Vec::new);
-    let mut inbox: Vec<Wire> = std::mem::take(&mut rs.inbox);
-    inbox.clear();
-    let mut req_inbox: Vec<Wire> = std::mem::take(&mut rs.req_inbox);
-    req_inbox.clear();
-    let mut t = Traffic {
-        relax_local_msgs: 0,
-        relax_remote_msgs: 0,
-        coalesced_msgs: 0,
-        hwm: 0,
-        query_hwm: 0,
-    };
-    let packet = model.packet.as_ref();
-
-    st.begin_phase();
-    for &(v, d) in seeds {
-        if part.owner(v) == r {
-            st.relax(part.local_index(v), d, &policy);
-        }
-    }
-
-    let mut k_prev: Option<u64> = None;
-    let mut settled_total = 0u64;
-    let mut buckets_done = 0usize;
-    let mut epoch = 0u64;
-    let mut timed_out = false;
-
-    loop {
-        // Epoch tag for the schedule fingerprint: advanced by the same
-        // uniform counter on every rank (setup was epoch 0).
-        epoch += 1;
-        ctx.set_epoch(epoch);
-
-        // Bucket collective: smallest nonempty bucket across all ranks.
-        // sssp-lint: protocol: epoch.select
-        let k = ctx.allreduce_min(st.next_nonempty_after(k_prev).unwrap_or(u64::MAX));
-        if k == u64::MAX {
-            break;
-        }
-        // Slide the flat bucket ring up to the epoch's bucket before
-        // anything queries the structure (window proposals included);
-        // every later query of the epoch is at or above `k`.
-        st.advance_frontier(k);
-
-        // Point-to-point early termination: every unsettled vertex now
-        // sits in bucket >= k, and under BSP consistency any relaxation a
-        // future epoch can produce lands at distance >= start_dist of the
-        // k-window (kΔ for finite delta, k for rho/radius, 0 — i.e. never
-        // early — for infinite delta). Once the target's tentative
-        // distance is at or below that bound no future epoch can improve
-        // it, so the target is settled and the run may stop. Safe under
-        // all three policies because the bound comes from the policy's own
-        // `window_for`.
-        if let Some(tv) = target {
-            let mut td_local = INF;
-            if part.owner(tv) == r {
-                td_local = st.dist[part.local_index(tv) as usize];
-            }
-            // sssp-lint: protocol: epoch.target-cutoff
-            let td = ctx.allreduce_min(td_local);
-            if td <= policy.window_for(k, k).start_dist {
-                break;
-            }
-        }
-
-        // Per-query deadline: one cheap collective per epoch, in the same
-        // slot as the point-to-point cutoff — between bucket selection and
-        // the epoch's first exchange, so a run never starts a superstep it
-        // is not allowed to finish. The guard is uniform (every rank gets
-        // the same `deadline` from the entry point) and the verdict is a
-        // collective, so all ranks break together — a timed-out rank can
-        // never wedge a peer mid-rendezvous.
-        if deadline.is_some() {
-            let expired = deadline.is_some_and(|d| Instant::now() >= d);
-            // sssp-lint: protocol: epoch.deadline
-            if ctx.any(expired) {
-                timed_out = true;
-                break;
-            }
-        }
-
-        // Hybrid switch (§III-D): merge the remaining buckets and finish
-        // with Bellman-Ford rounds.
-        if let (Some(tau), Some(kp)) = (cfg.hybrid_tau, k_prev) {
-            if decide::hybrid_should_switch(tau, settled_total, n_total) {
-                rec.hybrid_switch(kp);
-                st.collect_active_unsettled(kp);
-                let bf_start = Instant::now();
-                // sssp-lint: protocol: bf-tail.active-any
-                while ctx.any(!st.active.is_empty()) {
-                    st.begin_phase();
-                    st.loads.reset();
-                    let sent = kernels::bf_send(lg, part, &mut st, pi, &mut |dst, m| {
-                        out[dst].push(Wire::Relax(m))
-                    });
-                    // sssp-lint: protocol: bf-tail.exchange-relax
-                    let step = exchange_relax(
-                        ctx,
-                        &mut out,
-                        &mut inbox,
-                        cfg.coalescing,
-                        packet,
-                        &mut t,
-                        rec,
-                    );
-                    kernels::apply_relax(&mut st, &policy, inbox.iter().map(Wire::relax));
-                    st.collect_active_changed();
-                    rec.phase(&PhaseRecord {
-                        bucket: u64::MAX,
-                        kind: PhaseKind::BellmanFord,
-                        relaxations: sent,
-                        remote_msgs: step.remote_msgs,
-                    });
-                }
-                rec.phase_nanos(PhaseKind::BellmanFord, elapsed_ns(bf_start));
-                break;
-            }
-        }
-
-        // Window selection: how far past bucket `k` this epoch reaches.
-        // The match arms stay in the same source order as the simulated
-        // engine so the protocol checker extracts identical schedules.
-        let window = match policy.window_rule() {
-            WindowRule::SingleBucket => policy.window_for(k, k),
-            WindowRule::RhoPrefix => {
-                // sssp-lint: protocol: epoch.window-rho
-                let hi = ctx.allreduce_min_window(policy.window_proposal(&st, lg, k));
-                policy.window_for(k, hi)
-            }
-            WindowRule::RadiusBall => {
-                // sssp-lint: protocol: epoch.window-radius
-                let hi = ctx.allreduce_min_window(policy.window_proposal(&st, lg, k));
-                policy.window_for(k, hi)
-            }
-        };
-
-        // Stage 1: repeated inner-short phases.
-        st.collect_active_from_window(window.lo, window.hi);
-        if has_short {
-            let short_start = Instant::now();
-            // sssp-lint: protocol: short.active-any
-            while ctx.any(!st.active.is_empty()) {
-                st.begin_phase();
-                st.loads.reset();
-                let sent =
-                    kernels::short_send(lg, part, &mut st, &window, cfg.ios, pi, &mut |dst, m| {
-                        out[dst].push(Wire::Relax(m))
-                    });
-                // sssp-lint: protocol: short.exchange-relax
-                let step = exchange_relax(
-                    ctx,
-                    &mut out,
-                    &mut inbox,
-                    cfg.coalescing,
-                    packet,
-                    &mut t,
-                    rec,
-                );
-                kernels::apply_relax(&mut st, &policy, inbox.iter().map(Wire::relax));
-                st.collect_active_changed_in_window(window.lo, window.hi);
-                rec.phase(&PhaseRecord {
-                    bucket: window.lo,
-                    kind: PhaseKind::Short,
-                    relaxations: sent,
-                    remote_msgs: step.remote_msgs,
-                });
-            }
-            rec.phase_nanos(PhaseKind::Short, elapsed_ns(short_start));
-        }
-
-        // Stage 2: long-edge phase, push or pull.
-        // sssp-lint: protocol: decide.estimates
-        let (mode, est_push, est_pull) = decide_threaded(
-            ctx,
-            lg,
-            &st,
-            &window,
-            cfg,
-            model,
-            p,
-            max_weight,
-            buckets_done,
-            rec.enabled(),
-        );
-        let mut record = BucketRecord {
-            bucket: window.lo,
-            settled: 0,
-            mode,
-            est_push,
-            est_pull,
-            self_edges: 0,
-            backward_edges: 0,
-            forward_edges: 0,
-            requests: 0,
-            responses: 0,
-            supersteps: 0,
-            local_msgs: 0,
-            remote_msgs: 0,
-            coalesced_msgs: 0,
-        };
-        match mode {
-            LongPhaseMode::Push => {
-                let push_start = Instant::now();
-                st.begin_phase();
-                st.loads.reset();
-                let (outer, long) = kernels::long_push_send(
-                    lg,
-                    part,
-                    &mut st,
-                    &window,
-                    cfg.ios,
-                    pi,
-                    &mut |dst, m| out[dst].push(Wire::Relax(m)),
-                );
-                // sssp-lint: protocol: long-push.exchange-relax
-                let step = exchange_relax(
-                    ctx,
-                    &mut out,
-                    &mut inbox,
-                    cfg.coalescing,
-                    packet,
-                    &mut t,
-                    rec,
-                );
-                let (se, be, fe) = kernels::classify_apply_relax(
-                    &mut st,
-                    &window,
-                    &policy,
-                    inbox.iter().map(Wire::relax),
-                );
-                record.self_edges = se;
-                record.backward_edges = be;
-                record.forward_edges = fe;
-                rec.phase(&PhaseRecord {
-                    bucket: window.lo,
-                    kind: PhaseKind::LongPush,
-                    relaxations: outer + long,
-                    remote_msgs: step.remote_msgs,
-                });
-                rec.phase_nanos(PhaseKind::LongPush, elapsed_ns(push_start));
-            }
-            LongPhaseMode::Pull => {
-                let pull_start = Instant::now();
-                let mut phase_relax = 0u64;
-                let mut phase_remote = 0u64;
-                if cfg.ios {
-                    st.begin_phase();
-                    st.loads.reset();
-                    let outer =
-                        kernels::outer_short_send(lg, part, &mut st, &window, pi, &mut |dst, m| {
-                            out[dst].push(Wire::Relax(m))
-                        });
-                    // sssp-lint: protocol: long-pull.ios-outer-short
-                    let step = exchange_relax(
-                        ctx,
-                        &mut out,
-                        &mut inbox,
-                        cfg.coalescing,
-                        packet,
-                        &mut t,
-                        rec,
-                    );
-                    kernels::apply_relax(&mut st, &policy, inbox.iter().map(Wire::relax));
-                    phase_relax += outer;
-                    phase_remote += step.remote_msgs;
-                }
-                st.begin_phase();
-                st.loads.reset();
-                let (req_total, _scanned) =
-                    kernels::pull_request_send(lg, part, &mut st, &window, pi, &mut |dst, m| {
-                        out[dst].push(Wire::Req(m))
-                    });
-                // sssp-lint: protocol: long-pull.requests
-                let req_step = exchange_reqs(ctx, &mut out, &mut req_inbox, packet, &mut t, rec);
-                phase_remote += req_step.remote_msgs;
-                st.begin_phase();
-                st.loads.reset();
-                let resp_total = kernels::pull_respond(
-                    part,
-                    &mut st,
-                    &window,
-                    req_inbox.iter().map(Wire::req),
-                    &mut |dst, m| out[dst].push(Wire::Relax(m)),
-                );
-                // sssp-lint: protocol: long-pull.responses
-                let resp_step = exchange_relax(
-                    ctx,
-                    &mut out,
-                    &mut inbox,
-                    cfg.coalescing,
-                    packet,
-                    &mut t,
-                    rec,
-                );
-                kernels::apply_relax(&mut st, &policy, inbox.iter().map(Wire::relax));
-                phase_remote += resp_step.remote_msgs;
-                record.requests = req_total;
-                record.responses = resp_total;
-                phase_relax += req_total + resp_total;
-                rec.phase(&PhaseRecord {
-                    bucket: window.lo,
-                    kind: PhaseKind::LongPull,
-                    relaxations: phase_relax,
-                    remote_msgs: phase_remote,
-                });
-                rec.phase_nanos(PhaseKind::LongPull, elapsed_ns(pull_start));
-            }
-        }
-        rec.bucket(record);
-
-        // Settled-count collective (drives the hybrid switch; the paper
-        // computes it at every epoch end).
-        // sssp-lint: protocol: epoch.settle
-        let settled_k = ctx.allreduce_sum(st.window_count(window.lo, window.hi));
-        settled_total += settled_k;
-        rec.settled(settled_k);
-        k_prev = Some(window.hi);
-        buckets_done += 1;
-
-        // Epoch-boundary pool bound: release lanes, inboxes and channel
-        // spares that ballooned past 4× this epoch's high-water mark. The
-        // same capacity floor as the channel spare pool keeps a quiet epoch
-        // (hwm = 0) from freeing every lane.
-        ctx.trim_spares();
-        let floor = t.hwm.max(SPARE_CAPACITY_FLOOR / 4);
-        for lane in out.iter_mut() {
-            shrink_oversized(lane, floor);
-        }
-        shrink_oversized(&mut inbox, floor);
-        shrink_oversized(&mut req_inbox, floor);
-        t.query_hwm = t.query_hwm.max(t.hwm);
-        t.hwm = 0;
-
-        // Debug cross-check of the static protocol table: every rank must
-        // have folded the same collective schedule into its fingerprint.
-        ctx.assert_schedule_uniform();
-    }
-
-    // Final check covers the epochs that exit early (empty-bucket break,
-    // the point-to-point cutoff and the Bellman-Ford tail).
-    ctx.assert_schedule_uniform();
-
-    // Query-end pool bound: trim channel spares against the whole query's
-    // high-water mark (not just the last — possibly quiet — epoch's), then
-    // shrink engine lanes the same way, and park everything back in the
-    // scratch for the next query. Buffers a large predecessor ballooned
-    // are released here, before a small successor inherits the pool.
-    t.query_hwm = t.query_hwm.max(t.hwm);
-    ctx.finish_query();
-    let floor = t.query_hwm.max(SPARE_CAPACITY_FLOOR / 4);
-    for lane in out.iter_mut() {
-        shrink_oversized(lane, floor);
-    }
-    shrink_oversized(&mut inbox, floor);
-    shrink_oversized(&mut req_inbox, floor);
-    rs.out = out;
-    rs.inbox = inbox;
-    rs.req_inbox = req_inbox;
-    rs.spares = ctx.release_spares();
-
-    rec.finish();
-    let res = RankResult {
-        dist: st.dist.clone(),
-        relax_local_msgs: t.relax_local_msgs,
-        relax_remote_msgs: t.relax_remote_msgs,
-        coalesced_msgs: t.coalesced_msgs,
-        epochs: epoch,
-        timed_out,
-    };
-    rs.st = Some(st);
-    res
+    let mut scratch = EngineScratch::new(dg.num_ranks());
+    let transport = Threaded(&mut scratch);
+    let stats = RunStats::for_run(dg, None);
+    let (out, recorded) = run(dg, &Query::root(root), cfg, model, transport, stats);
+    (out, merged_trace(&recorded, "threaded"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::seq;
+    use crate::state::INF;
     #[cfg(debug_assertions)]
     use sssp_comm::threaded::run_threaded;
+    use sssp_comm::threaded::SPARE_CAPACITY_FLOOR;
     use sssp_graph::{gen, CsrBuilder};
+
+    /// One rank's share of a root-0 run on a caller-held context, so the
+    /// lock-order tests can inspect the context afterwards.
+    #[cfg(debug_assertions)]
+    fn rank_run(
+        dg: &DistGraph,
+        cfg: &SsspConfig,
+        model: &MachineModel,
+        ctx: &mut RankCtx<RelaxMsg>,
+    ) {
+        let job = Job {
+            dg,
+            seeds: &[(0, 0)],
+            target: None,
+            deadline: None,
+            cfg,
+            model,
+        };
+        epoch_loop(&job, ctx, &mut NoopRecorder, &mut ProcBufs::default());
+    }
 
     #[test]
     fn threaded_matches_sequential_dijkstra() {
@@ -1041,7 +265,7 @@ mod tests {
     fn auto_split_proxies_keep_the_schedule_uniform_across_backends() {
         // Hub-heavy graph through the §III-E auto-split trigger: the proxy
         // region must not perturb the collective schedule. In debug builds
-        // every run crosses the rank_body fingerprint assertion, so a
+        // every run crosses the driver's fingerprint assertion, so a
         // divergent schedule on any rank count aborts here; both backends
         // must also stay bit-identical and correct against Dijkstra.
         let mut el = gen::star(300, 5);
@@ -1114,11 +338,10 @@ mod tests {
             !trace.timings.is_zero(),
             "threaded trace recorded no wall-clock phase time"
         );
-        // The simulated backend leaves timings zero, and the differential
-        // comparison must not see the difference.
+        // Wall-clock timings differ run to run; the differential
+        // comparison must not see them.
         let sim = super::super::run_sssp(&dg, 0, &SsspConfig::opt(20), &model);
         let sim_trace = RunTrace::from_run_stats(&sim.stats, "simulated");
-        assert!(sim_trace.timings.is_zero());
         assert!(
             sim_trace.diff(&trace).is_empty(),
             "timings leaked into diff"
@@ -1162,20 +385,8 @@ mod tests {
                 let obs = run_threaded(p, {
                     let dg = Arc::clone(&dg);
                     let cfg = cfg.clone();
-                    move |mut ctx: RankCtx<Wire>| {
-                        let mut rec = NoopRecorder;
-                        let mut rs = RankScratch::default();
-                        rank_body(
-                            &dg,
-                            &[(0, 0)],
-                            None,
-                            None,
-                            &cfg,
-                            &model,
-                            &mut ctx,
-                            &mut rec,
-                            &mut rs,
-                        );
+                    move |mut ctx: RankCtx<RelaxMsg>| {
+                        rank_run(&dg, &cfg, &model, &mut ctx);
                         (ctx.observed_locks(), ctx.observed_lock_pairs())
                     }
                 });
@@ -1205,20 +416,8 @@ mod tests {
         let g = CsrBuilder::new().build(&gen::uniform(80, 400, 20, 3));
         let dg = Arc::new(DistGraph::build(&g, 2, 2));
         let model = MachineModel::bgq_like();
-        run_threaded(2, move |mut ctx: RankCtx<Wire>| {
-            let mut rec = NoopRecorder;
-            let mut rs = RankScratch::default();
-            rank_body(
-                &dg,
-                &[(0, 0)],
-                None,
-                None,
-                &SsspConfig::opt(15),
-                &model,
-                &mut ctx,
-                &mut rec,
-                &mut rs,
-            );
+        run_threaded(2, move |mut ctx: RankCtx<RelaxMsg>| {
+            rank_run(&dg, &SsspConfig::opt(15), &model, &mut ctx);
             if ctx.rank() == 1 {
                 ctx.perturb_lock_order("slots", "slots");
             }
@@ -1278,7 +477,7 @@ mod tests {
                     seq::dijkstra_radix(&g, root),
                     "p {p} root {root}: reused scratch diverged from dijkstra"
                 );
-                let fresh = threaded_sssp_seeded(&dg, &[(root, 0)], &cfg, &model);
+                let fresh = threaded_delta_stepping(&dg, root, &cfg, &model);
                 assert_eq!(
                     reused.distances, fresh.distances,
                     "p {p} root {root}: reused scratch diverged from a fresh run"
@@ -1294,7 +493,14 @@ mod tests {
                 &model,
                 &mut scratch,
             );
-            let fresh = threaded_sssp_seeded(&dg, &seeds, &SsspConfig::opt(15), &model);
+            let fresh = threaded_sssp_query(
+                &dg,
+                &seeds,
+                None,
+                &SsspConfig::opt(15),
+                &model,
+                &mut EngineScratch::new(p),
+            );
             assert_eq!(reused.distances, fresh.distances, "p {p} multi-seed");
         }
     }

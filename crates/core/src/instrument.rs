@@ -1,7 +1,8 @@
 //! Run instrumentation: every count the paper's figures are built from.
 
-use sssp_comm::cost::TimeLedger;
+use sssp_comm::cost::{MachineModel, TimeLedger};
 use sssp_comm::stats::CommStats;
+use sssp_dist::DistGraph;
 
 use crate::config::LongPhaseMode;
 
@@ -67,11 +68,32 @@ pub struct BucketRecord {
     pub coalesced_msgs: u64,
 }
 
-/// Wall-clock nanoseconds spent in each phase family, recorded only by
-/// the threaded backend (the simulated engine charges ledger time instead
-/// and leaves these zero). Each rank's timer spans kernel work *and* the
-/// rendezvous wait inside the phase's exchanges, so merged values report
-/// the slowest rank's critical path, not a sum of useful work.
+impl BucketRecord {
+    /// An otherwise-zero record for `bucket`, processed in `mode`.
+    pub fn new(bucket: u64, mode: LongPhaseMode) -> BucketRecord {
+        BucketRecord {
+            bucket,
+            settled: 0,
+            mode,
+            est_push: 0,
+            est_pull: 0,
+            self_edges: 0,
+            backward_edges: 0,
+            forward_edges: 0,
+            requests: 0,
+            responses: 0,
+            supersteps: 0,
+            local_msgs: 0,
+            remote_msgs: 0,
+            coalesced_msgs: 0,
+        }
+    }
+}
+
+/// Wall-clock nanoseconds spent in each phase family. Each process's
+/// timer spans kernel work *and* the wait inside the phase's exchanges, so
+/// merged values report the slowest process's critical path, not a sum of
+/// useful work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Short-edge phases (all buckets).
@@ -107,7 +129,7 @@ impl PhaseTimings {
         }
     }
 
-    /// True when no phase recorded any time (e.g. a simulated run).
+    /// True when no phase recorded any time.
     pub fn is_zero(&self) -> bool {
         *self == PhaseTimings::default()
     }
@@ -151,10 +173,13 @@ pub struct RunStats {
 
     /// Message traffic ledger.
     pub comm: CommStats,
-    /// Simulated time ledger.
+    /// Simulated time ledger, charged by the recorder hooks when
+    /// [`Self::cost_model`] is set.
     pub ledger: TimeLedger,
-    /// Wall-clock per-phase timings (threaded backend only; all-zero on
-    /// the simulated backend).
+    /// The α–β–γ machine model the ledger is charged under (`None` = no
+    /// simulated time is kept).
+    pub cost_model: Option<MachineModel>,
+    /// Wall-clock per-phase timings.
     pub wall: PhaseTimings,
 
     /// Ranks and threads the run was simulated with (for per-thread stats).
@@ -164,6 +189,17 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Empty stats for a run over `dg`. With a `cost_model` the recorder
+    /// hooks also keep the simulated-time ledger.
+    pub fn for_run(dg: &DistGraph, cost_model: Option<&MachineModel>) -> RunStats {
+        RunStats {
+            num_ranks: dg.num_ranks(),
+            threads_per_rank: dg.threads_per_rank,
+            cost_model: cost_model.copied(),
+            ..RunStats::default()
+        }
+    }
+
     /// Total relaxation operations under the paper's accounting: pull
     /// requests and responses each count once ("contributing two times" per
     /// relaxed edge).
@@ -273,17 +309,13 @@ impl RunStats {
     }
 }
 
-/// A backend-neutral telemetry trace of one SSSP run: global traffic
-/// totals plus the per-phase and per-bucket records, with every timing
-/// field (wall clock, simulated ledger) deliberately excluded — so a
-/// simulated and a threaded run of the same configuration produce traces
+/// A transport-neutral telemetry trace of one SSSP run: global traffic
+/// totals plus the per-phase and per-bucket records. The simulated ledger
+/// is excluded and [`RunTrace::diff`] ignores the wall-clock timings — so
+/// a lockstep and a threaded run of the same configuration produce traces
 /// that compare equal field-for-field. Exported and re-imported through a
 /// small hand-rolled JSON codec ([`RunTrace::to_json`] /
 /// [`RunTrace::from_json`]) consumed by the `trace_diff` tool.
-///
-/// Collective counts are also excluded: the backends intentionally differ
-/// there (the threaded §III-C decision runs five allreduces where the
-/// simulator charges one allgather).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// Which backend produced the trace (`"simulated"` or `"threaded"`).
@@ -307,10 +339,8 @@ pub struct RunTrace {
     pub max_step_recv_bytes: u64,
     /// Bucket at which the hybrid τ switch fired, if it did.
     pub hybrid_switch_at: Option<u64>,
-    /// Wall-clock per-phase timings (threaded backend only). Like every
-    /// other timing quantity, [`RunTrace::diff`] ignores them; they ride
-    /// along for reporting, serialized only when nonzero so deterministic
-    /// simulated traces stay byte-stable.
+    /// Wall-clock per-phase timings. Like every other timing quantity,
+    /// [`RunTrace::diff`] ignores them; they ride along for reporting.
     pub timings: PhaseTimings,
     /// One record per relaxation superstep-group, in execution order.
     pub phases: Vec<PhaseRecord>,
@@ -321,10 +351,10 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// Project the telemetry trace out of a finished run's stats. For the
-    /// threaded backend this is applied per rank and the per-rank traces
-    /// are merged (sums for volumes, maxima for maxima, equality-checked
-    /// for globally reduced quantities).
+    /// Project the telemetry trace out of one process's stats. A run's
+    /// per-process traces merge (sums for volumes, maxima for maxima,
+    /// equality-checked for globally reduced quantities) through
+    /// [`merged_trace`](crate::engine::record::merged_trace).
     pub fn from_run_stats(stats: &RunStats, backend: &str) -> RunTrace {
         RunTrace {
             backend: backend.to_string(),

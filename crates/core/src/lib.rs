@@ -1,9 +1,12 @@
 //! The paper's contribution: distributed Δ-stepping with edge
 //! classification, the IOS refinement, push/pull direction-optimized
 //! pruning, Bellman-Ford hybridization and two-tier load balancing —
-//! running on the simulated distributed runtime of `sssp-comm`.
+//! one epoch loop over the transports of `sssp-comm`.
 //!
-//! Entry point: [`engine::run_sssp`] with a [`config::SsspConfig`] preset:
+//! Entry point: [`engine::run`] with a [`Query`], a transport
+//! ([`Lockstep`] — the simulated machine — or [`Threaded`]) and a
+//! [`config::SsspConfig`] preset ([`run_sssp`] is the single-source,
+//! lockstep, fully instrumented shorthand):
 //!
 //! | Preset | Paper name | Ingredients |
 //! |---|---|---|
@@ -17,10 +20,6 @@
 //! Inter-node vertex splitting (the second load-balancing tier) is a graph
 //! transformation: apply [`sssp_dist::split_heavy_vertices`] before building
 //! the [`sssp_dist::DistGraph`].
-//!
-//! The same algorithm also runs on real OS threads (one per rank, channels
-//! and barriers instead of the simulated runtime) via
-//! [`threaded_delta_stepping`], with bit-identical distances.
 //!
 //! [`SsspConfig::dijkstra`]: config::SsspConfig::dijkstra
 //! [`SsspConfig::bellman_ford`]: config::SsspConfig::bellman_ford
@@ -64,10 +63,13 @@ pub mod validate;
 pub use config::{
     DeltaParam, DirectionPolicy, IntraBalance, LongPhaseMode, SsspConfig, SteppingPolicyKind,
 };
+pub use engine::record::{merged_trace, NoopRecorder, Recorder};
 pub use engine::threaded::{
-    threaded_delta_stepping, threaded_delta_stepping_traced, threaded_sssp_query,
-    threaded_sssp_query_deadline, threaded_sssp_seeded, EngineScratch, ThreadedSsspOutput,
+    threaded_delta_stepping, threaded_delta_stepping_traced, threaded_sssp_query, EngineScratch,
+    ThreadedSsspOutput,
 };
-pub use engine::{canonical_seeds, run_sssp, run_sssp_p2p, run_sssp_seeded_deadline, SsspOutput};
+pub use engine::{
+    canonical_seeds, run, run_sssp, Lockstep, Query, RunOutput, SsspOutput, Threaded, Transport,
+};
 pub use instrument::{RunStats, RunTrace};
 pub use policy::{EpochWindow, PolicyDispatch, SteppingPolicy, WindowRule};

@@ -43,9 +43,7 @@ use crate::state::{RankState, INF};
 pub const NO_PROPOSAL: u64 = u64::MAX - 1;
 
 /// How the engine derives each epoch's window from the policy — the
-/// discriminant both backends `match` on in the same source order, so the
-/// protocol checker extracts the same per-policy collective schedule from
-/// each.
+/// discriminant the driver's window selection `match`es on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowRule {
     /// The window is exactly the selected bucket; no extra collective.

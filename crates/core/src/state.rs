@@ -14,10 +14,7 @@
 //! calls [`RankState::advance_frontier`] once per epoch; lanes the
 //! frontier passed are recycled in O(passed) and spill entries whose
 //! bucket entered the ring migrate in. All hot-path operations are
-//! array indexing instead of `BTreeMap` node chasing. (The historical
-//! `BTreeMap<u64, Vec<u32>>` layout was retired after its differential
-//! soak release — `SsspConfig::flat_state = false` now fails loudly; see
-//! DESIGN.md §6h.)
+//! array indexing instead of `BTreeMap` node chasing.
 //!
 //! State is reusable across runs: the serving layer keeps one
 //! [`RankState`] per rank resident and calls [`RankState::reset`] between

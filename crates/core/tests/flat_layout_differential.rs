@@ -2,13 +2,9 @@
 //! flat bucket queue and the stamp-bitset frontiers must be
 //! observationally identical to an eager `BTreeMap` bucket-queue oracle —
 //! same pop order, counts and window proposals per epoch under every
-//! stepping policy's bucket function — and end to end both backends must
-//! match the sequential references, degenerate graphs included.
-//!
-//! The legacy `BTreeMap` layout itself (`SsspConfig::flat_state = false`)
-//! was retired after its differential soak release; the oracle here is an
-//! in-test reference model, and the tombstone tests at the bottom pin the
-//! loud error the retired flag now produces on both backends.
+//! stepping policy's bucket function — and end to end both transports must
+//! match the sequential references, degenerate graphs included. The oracle
+//! is an in-test reference model of the retired `BTreeMap` layout.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -337,26 +333,4 @@ fn degenerate_graphs_agree_across_backends() {
             assert_eq!(thr.distances, expect, "{name}: threaded, cfg = {cfg:?}");
         }
     }
-}
-
-/// Tombstone for the retired layout, simulated backend: requesting
-/// `flat_state = false` must fail loudly instead of silently running the
-/// flat layout (or worse, resurrecting dead code paths).
-#[test]
-#[should_panic(expected = "legacy BTreeMap bucket layout")]
-fn retired_legacy_flag_errors_loudly_on_the_simulated_backend() {
-    let g = CsrBuilder::new().build(&gen::path(4, 3));
-    let dg = DistGraph::build(&g, 2, 1);
-    let cfg = SsspConfig::opt(10).with_flat_state(false);
-    let _ = run_sssp(&dg, 0, &cfg, &MachineModel::bgq_like());
-}
-
-/// Tombstone for the retired layout, threaded backend.
-#[test]
-#[should_panic(expected = "legacy BTreeMap bucket layout")]
-fn retired_legacy_flag_errors_loudly_on_the_threaded_backend() {
-    let g = CsrBuilder::new().build(&gen::path(4, 3));
-    let dg = Arc::new(DistGraph::build(&g, 2, 1));
-    let cfg = SsspConfig::opt(10).with_flat_state(false);
-    let _ = threaded_delta_stepping_traced(&dg, 0, &cfg, &MachineModel::bgq_like());
 }

@@ -11,12 +11,44 @@ use proptest::prelude::*;
 
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
-use sssp_core::engine::{run_sssp, run_sssp_seeded};
+use sssp_core::engine::run_sssp;
 use sssp_core::seq;
 use sssp_core::state::INF;
-use sssp_core::{threaded_delta_stepping, threaded_sssp_seeded};
+use sssp_core::{
+    run, threaded_delta_stepping, threaded_sssp_query, EngineScratch, Lockstep, NoopRecorder,
+    Query, RunOutput,
+};
 use sssp_dist::DistGraph;
 use sssp_graph::{gen, Csr, CsrBuilder, EdgeList};
+
+/// A seeded run on the lockstep transport.
+fn run_sssp_seeded(
+    dg: &DistGraph,
+    seeds: &[(u32, u64)],
+    cfg: &SsspConfig,
+    model: &MachineModel,
+) -> RunOutput {
+    run(
+        dg,
+        &Query::seeded(seeds),
+        cfg,
+        model,
+        Lockstep,
+        NoopRecorder,
+    )
+    .0
+}
+
+/// The same run on the threaded transport, fresh scratch.
+fn threaded_sssp_seeded(
+    dg: &Arc<DistGraph>,
+    seeds: &[(u32, u64)],
+    cfg: &SsspConfig,
+    model: &MachineModel,
+) -> RunOutput {
+    let mut scratch = EngineScratch::new(dg.num_ranks());
+    threaded_sssp_query(dg, seeds, None, cfg, model, &mut scratch)
+}
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
     (2usize..60, 0usize..250, 1u32..60, 0u64..1000)

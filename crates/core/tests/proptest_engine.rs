@@ -162,44 +162,6 @@ proptest! {
     }
 
     #[test]
-    fn pooled_buffers_never_change_results(
-        g in arb_graph(),
-        delta in 1u32..60,
-        ios in any::<bool>(),
-        dir_pick in 0usize..4,
-        p in 1usize..6,
-        seeds in proptest::collection::vec((any::<prop::sample::Index>(), 0u64..50), 1..4),
-    ) {
-        // Buffer pooling is a pure allocation strategy: a pooled run and a
-        // fresh-allocation run must agree bit for bit on distances and on
-        // every message count, across Δ, IOS, every direction policy and
-        // arbitrary multi-seed starts.
-        use sssp_core::engine::run_sssp_seeded;
-        let dir = match dir_pick {
-            0 => DirectionPolicy::AlwaysPush,
-            1 => DirectionPolicy::AlwaysPull,
-            2 => DirectionPolicy::Heuristic,
-            _ => DirectionPolicy::Forced(vec![LongPhaseMode::Pull, LongPhaseMode::Push]),
-        };
-        let cfg = SsspConfig::opt(delta).with_ios(ios).with_direction(dir);
-        let seed_list: Vec<(u32, u64)> = seeds
-            .into_iter()
-            .map(|(ix, d)| (ix.index(g.num_vertices()) as u32, d))
-            .collect();
-        let dg = DistGraph::build(&g, p, 2);
-        let model = MachineModel::bgq_like();
-        let pooled = run_sssp_seeded(&dg, &seed_list, &cfg, &model);
-        let fresh = run_sssp_seeded(&dg, &seed_list, &cfg.clone().with_pooled_buffers(false), &model);
-        prop_assert_eq!(&pooled.distances, &fresh.distances);
-        prop_assert_eq!(pooled.stats.comm.total_msgs(), fresh.stats.comm.total_msgs());
-        prop_assert_eq!(pooled.stats.comm.total_remote_msgs(), fresh.stats.comm.total_remote_msgs());
-        prop_assert_eq!(pooled.stats.comm.total_remote_bytes(), fresh.stats.comm.total_remote_bytes());
-        prop_assert_eq!(pooled.stats.comm.num_supersteps(), fresh.stats.comm.num_supersteps());
-        prop_assert_eq!(pooled.stats.comm.collectives, fresh.stats.comm.collectives);
-        prop_assert_eq!(pooled.stats.relaxations_total(), fresh.stats.relaxations_total());
-    }
-
-    #[test]
     fn coalescing_never_changes_results(g in arb_graph(), delta in 1u32..60, p in 1usize..6) {
         // Sender-side coalescing keeps only the minimum proposal per
         // (target, distance) key ahead of each exchange. Relaxation is an

@@ -10,9 +10,10 @@ use sssp_core::bfs::{run_bfs, seq_bfs};
 use sssp_core::cc::run_cc;
 use sssp_core::config::SsspConfig;
 use sssp_core::crauser::run_crauser;
-use sssp_core::engine::{run_sssp, run_sssp_multi};
+use sssp_core::engine::run_sssp;
 use sssp_core::pagerank::{run_pagerank, seq_pagerank, PageRankConfig};
 use sssp_core::threaded_kernels::{threaded_bellman_ford, threaded_cc};
+use sssp_core::{run, Lockstep, NoopRecorder, Query};
 use sssp_core::{seq, validate};
 use sssp_dist::DistGraph;
 use sssp_graph::{gen, Csr, CsrBuilder};
@@ -99,7 +100,8 @@ proptest! {
         sources.dedup();
         let dg = DistGraph::build(&g, p, 2);
         let cfg = SsspConfig::opt(20);
-        let multi = run_sssp_multi(&dg, &sources, &cfg, &model());
+        let query = Query::sources(&sources);
+        let (multi, _) = run(&dg, &query, &cfg, &model(), Lockstep, NoopRecorder);
         for (v, &got) in multi.distances.iter().enumerate() {
             let expect = sources
                 .iter()

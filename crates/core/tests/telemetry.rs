@@ -13,7 +13,10 @@ use std::sync::Arc;
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::{DirectionPolicy, LongPhaseMode, SsspConfig};
 use sssp_core::engine::run_sssp;
-use sssp_core::{threaded_delta_stepping, threaded_delta_stepping_traced, RunTrace};
+use sssp_core::{
+    merged_trace, run, threaded_delta_stepping, threaded_delta_stepping_traced, EngineScratch,
+    Lockstep, Query, RunStats, RunTrace, Threaded,
+};
 use sssp_dist::DistGraph;
 use sssp_graph::{gen, Csr, CsrBuilder};
 
@@ -221,4 +224,40 @@ fn tracing_is_invisible_to_results() {
 /// relax counters; recover them from the per-bucket request counts.
 fn trace_request_msgs(trace: &RunTrace) -> u64 {
     trace.buckets.iter().map(|b| b.requests).sum()
+}
+
+#[test]
+fn empty_seeds_and_empty_graphs_trace_empty_on_both_transports() {
+    // A query with nothing to settle must come back all-INF with an empty
+    // trace on either transport — the per-process trace merge has a trace
+    // per process even when no epoch ever ran.
+    let model = MachineModel::bgq_like();
+    let cfg = SsspConfig::opt(25);
+    let empty = CsrBuilder::new().build(&sssp_graph::EdgeList::new(0));
+    for (g, p) in [(bench_graph(), 1usize), (bench_graph(), 4), (empty, 3)] {
+        let dg = Arc::new(DistGraph::build(&g, p, 2));
+        let stats = RunStats::for_run(&dg, Some(&model));
+        let query = Query::default();
+        let (sim, sim_rec) = run(dg.as_ref(), &query, &cfg, &model, Lockstep, stats.clone());
+        let mut scratch = EngineScratch::new(p);
+        let (thr, thr_rec) = run(&dg, &query, &cfg, &model, Threaded(&mut scratch), stats);
+        assert_eq!((sim_rec.len(), thr_rec.len()), (1, p));
+        let traces = [
+            (sim, merged_trace(&sim_rec, "simulated")),
+            (thr, merged_trace(&thr_rec, "threaded")),
+        ];
+        for (out, trace) in traces {
+            let backend = &trace.backend;
+            assert_eq!(out.distances.len(), g.num_vertices(), "{backend} p {p}");
+            assert!(
+                out.distances.iter().all(|&d| d == u64::MAX),
+                "{backend} p {p}"
+            );
+            assert!(
+                trace.phases.is_empty() && trace.buckets.is_empty(),
+                "{backend} p {p}"
+            );
+            assert_eq!((trace.supersteps, trace.tail), (0, None), "{backend} p {p}");
+        }
+    }
 }

@@ -38,6 +38,7 @@ pub mod weights;
 pub use builder::CsrBuilder;
 pub use csr::Csr;
 pub use rmat::{RmatGenerator, RmatParams};
+pub use stats::pick_roots;
 pub use weights::assign_uniform_weights;
 
 /// Vertex identifier. The paper scales to 2^38 vertices; this laptop-scale

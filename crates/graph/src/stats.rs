@@ -1,7 +1,28 @@
 //! Degree statistics: the inputs to Fig. 8 (max degree vs scale) and to the
 //! load-balancing thresholds of §III-E.
 
+use crate::prng::SplitMix;
 use crate::{Csr, VertexId};
+
+/// Pick up to `count` distinct non-isolated vertices, deterministically in
+/// `seed` — the run roots of every figure binary and of `sssp-cli`. The
+/// random probe is bounded, so a graph with fewer than `count`
+/// non-isolated vertices (an edgeless one included) yields a shorter
+/// list instead of spinning; callers decide whether that is an error.
+pub fn pick_roots(g: &Csr, count: usize, seed: u64) -> Vec<VertexId> {
+    let n = g.num_vertices() as u64;
+    let mut rng = SplitMix::new(seed ^ 0xB00F);
+    let mut roots = Vec::with_capacity(count.min(g.num_vertices()));
+    let mut probes = 0;
+    while n > 0 && roots.len() < count && probes < 100 * count + 1000 {
+        probes += 1;
+        let v = rng.next_below(n) as VertexId;
+        if g.degree(v) > 0 && !roots.contains(&v) {
+            roots.push(v);
+        }
+    }
+    roots
+}
 
 /// Summary of a graph's degree distribution.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,6 +117,24 @@ mod tests {
         el.n = 6; // add three isolated vertices
         let g = CsrBuilder::new().build(&el);
         assert_eq!(degree_stats(&g).isolated, 3);
+    }
+
+    #[test]
+    fn pick_roots_is_bounded_distinct_and_deterministic() {
+        let mut el = gen::path(3, 1);
+        el.n = 6; // three isolated vertices
+        let g = CsrBuilder::new().build(&el);
+        let roots = pick_roots(&g, 2, 7);
+        assert_eq!(roots.len(), 2);
+        assert!(roots[0] != roots[1] && roots.iter().all(|&v| g.degree(v) > 0));
+        assert_eq!(pick_roots(&g, 2, 7), roots);
+        // More roots than non-isolated vertices: a shorter list, not a hang.
+        assert_eq!(pick_roots(&g, 5, 7).len(), 3);
+        // Edgeless and empty graphs have no root at all.
+        let edgeless = CsrBuilder::new().build(&crate::EdgeList::new(4));
+        assert!(pick_roots(&edgeless, 1, 7).is_empty());
+        let empty = CsrBuilder::new().build(&crate::EdgeList::new(0));
+        assert!(pick_roots(&empty, 1, 7).is_empty());
     }
 
     #[test]

@@ -11,9 +11,13 @@
 //! whose file stem equals the qualifier, method calls (`.f(`) match
 //! `self` methods, bare calls match free functions. Same-file
 //! definitions win over cross-file ones; the first match wins otherwise.
-//! Unresolvable calls (std, vendored deps, closures) are terminal. The
-//! graph over-approximates on same-named methods across types — fine for
-//! an auditor that must not under-report reachability.
+//! A method call additionally reaches every same-named method of a
+//! *workspace trait* (`impl Comm for …`, a default body in `trait …`):
+//! the engine dispatches statically through such traits, so any
+//! implementation may be the callee. Unresolvable calls (std, vendored
+//! deps, closures) are terminal. The graph over-approximates on
+//! same-named methods across types — fine for an auditor that must not
+//! under-report reachability.
 
 use std::collections::BTreeSet;
 
@@ -38,6 +42,8 @@ pub(crate) type FnId = (usize, usize);
 /// The workspace-wide call graph.
 pub struct CallGraph {
     pub(crate) files: Vec<GraphFile>,
+    /// Names of the traits declared in the workspace (`trait X`).
+    traits: BTreeSet<String>,
 }
 
 impl CallGraph {
@@ -66,7 +72,22 @@ impl CallGraph {
             })
             .collect();
         parsed.sort_by(|a, b| a.path.cmp(&b.path));
-        CallGraph { files: parsed }
+        let mut traits = BTreeSet::new();
+        for line in parsed
+            .iter()
+            .flat_map(|f| &f.sf.lines)
+            .filter(|l| !l.in_test)
+        {
+            for at in crate::rules::token_positions(&line.code, "trait", false) {
+                let name = line.code[at + "trait".len()..].trim_start();
+                let end = name.find(|c: char| !(c.is_alphanumeric() || c == '_'));
+                traits.insert(name[..end.unwrap_or(name.len())].to_string());
+            }
+        }
+        CallGraph {
+            files: parsed,
+            traits,
+        }
     }
 
     /// Resolve a call token to a definition, same semantics as the
@@ -99,6 +120,31 @@ impl CallGraph {
         first
     }
 
+    /// Every implementation a method call may dispatch to through a trait
+    /// defined in the workspace (std traits — `fmt`, `next`, `clone` —
+    /// are deliberately left out: their callers are everywhere).
+    fn trait_methods(&self, t: &CallTok) -> Vec<FnId> {
+        let mut out = Vec::new();
+        if !t.method {
+            return out;
+        }
+        for (fj, f) in self.files.iter().enumerate() {
+            for (nj, fd) in f.fns.iter().enumerate() {
+                if fd.in_test || !fd.has_self || fd.name != t.ident {
+                    continue;
+                }
+                if fd
+                    .trait_name
+                    .as_ref()
+                    .is_some_and(|tr| self.traits.contains(tr))
+                {
+                    out.push((fj, nj));
+                }
+            }
+        }
+        out
+    }
+
     /// Direct callees of one function, resolved within the workspace.
     /// Test regions inside the body are skipped.
     pub(crate) fn callees(&self, (fi, ni): FnId) -> Vec<FnId> {
@@ -119,7 +165,8 @@ impl CallGraph {
                 if t.is_def {
                     continue;
                 }
-                if let Some(id) = self.resolve(fi, &t) {
+                let dispatched = self.trait_methods(&t);
+                for id in self.resolve(fi, &t).into_iter().chain(dispatched) {
                     if !out.contains(&id) {
                         out.push(id);
                     }
@@ -209,6 +256,25 @@ mod tests {
         let reach = g.reachable(go);
         assert!(reach.contains(&node(&g, "crates/x/src/a.rs", "free")));
         assert_eq!(reach.len(), 2);
+    }
+
+    #[test]
+    fn workspace_trait_calls_reach_every_impl() {
+        let g = graph(&[
+            (
+                "crates/x/src/a.rs",
+                "pub trait Comm {\n    fn go(&mut self);\n}\nstruct A;\nimpl Comm for A {\n    fn go(&mut self) { a_only(); }\n}\nfn a_only() {}\nfn drive<C: Comm>(c: &mut C) { c.go(); }\n",
+            ),
+            (
+                "crates/x/src/b.rs",
+                "struct B;\nimpl Comm for B {\n    fn go(&mut self) { b_only(); }\n}\nfn b_only() {}\nimpl Iterator for B {\n    fn next(&mut self) -> Option<u8> { None }\n}\n",
+            ),
+        ]);
+        let reach = g.reachable(node(&g, "crates/x/src/a.rs", "drive"));
+        assert!(reach.contains(&node(&g, "crates/x/src/a.rs", "a_only")));
+        assert!(reach.contains(&node(&g, "crates/x/src/b.rs", "b_only")));
+        // Std traits are not dispatch candidates.
+        assert!(g.trait_methods(&call_tokens("it.next()")[0]).is_empty());
     }
 
     #[test]

@@ -62,8 +62,10 @@ impl fmt::Display for Diagnostic {
 
 /// Directory names never descended into: build output, the vendored
 /// dependency shims (external API surface, not project code), VCS
-/// metadata, and the lint crate's own seeded-violation fixtures.
-const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
+/// metadata, the lint crate's own seeded-violation fixtures, and the
+/// standalone benchmark package (its own workspace — its free functions
+/// would shadow same-named workspace ones in the lexical call graph).
+const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "benchmark"];
 
 /// Files treated as test code wholesale (on top of inline
 /// `#[cfg(test)]` masking): integration test trees and `tests.rs`

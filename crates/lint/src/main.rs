@@ -4,8 +4,8 @@
 //! cargo run -p sssp-lint -- --check            # lint the workspace
 //! cargo run -p sssp-lint -- --check --root DIR # lint another tree
 //! cargo run -p sssp-lint -- --list-rules       # show the rule set
-//! cargo run -p sssp-lint -- --protocol         # extract + diff the
-//!                                              # collective schedules
+//! cargo run -p sssp-lint -- --protocol         # extract the engine's
+//!                                              # collective schedule
 //! cargo run -p sssp-lint -- --concurrency      # lock-order + channel
 //!                                              # topology models
 //! cargo run -p sssp-lint -- --concurrency-locks     # lock table only
@@ -55,8 +55,8 @@ fn main() -> ExitCode {
                      Lints every .rs file in the workspace against the \
                      project rules.\nMark deliberate exceptions with \
                      `// sssp-lint: allow(rule-name): reason`.\n\
-                     --protocol extracts both engine backends' collective \
-                     schedules,\ndiffs them, and prints the normalized \
+                     --protocol extracts the collective schedule of the \
+                     engine's epoch loop\nand prints the normalized \
                      protocol table.\n\
                      --concurrency builds the lock-order graph and channel \
                      topology\nfrom the comm and threaded-engine sources and \
@@ -107,10 +107,8 @@ fn main() -> ExitCode {
             print!("{table}");
         }
         if analysis.findings.is_empty() {
-            eprintln!(
-                "sssp-lint: protocol clean ({} backends)",
-                analysis.schedules.len()
-            );
+            let events: usize = analysis.schedules.iter().map(|s| s.events.len()).sum();
+            eprintln!("sssp-lint: protocol clean ({events} collective call sites)");
             return ExitCode::SUCCESS;
         }
         for f in &analysis.findings {

@@ -2,27 +2,27 @@
 //!
 //! The lexical rules in [`crate::rules`] look at single lines; this module
 //! parses function bodies in `crates/core/src/engine/` into a lightweight
-//! control-flow model and extracts each backend's *collective schedule* —
+//! control-flow model and extracts the engine's *collective schedule* —
 //! the ordered sequence of allreduce/exchange/barrier call sites, with
-//! their loop-nesting depth along the call path from a marked entry point.
-//! The two backends (the simulated BSP engine and the real-thread engine)
-//! must issue the same sequence, or a run deadlocks / silently skews; the
-//! checker diffs the normalized schedules and renders the agreed protocol
-//! as a golden table (`crates/lint/golden/protocol_table.txt`).
+//! their loop-nesting depth along the call path from the marked entry
+//! point. The engine has one epoch loop, run unchanged by every transport,
+//! so there is one schedule; the checker renders it as a golden table
+//! (`crates/lint/golden/protocol_table.txt`) that a schedule change must
+//! regenerate deliberately.
 //!
 //! Source markers drive the model:
 //!
 //! ```text
-//! // sssp-lint: protocol-entry(<backend>)      (directly above an entry fn)
+//! // sssp-lint: protocol-entry(<name>)         (directly above the entry fn)
 //! // sssp-lint: protocol: <label>              (labels following collectives)
 //! // sssp-lint: protocol-implicit: <label> <op>  (synthetic event: a
-//!                                               collective the backend gets
-//!                                               for free, e.g. the simulated
-//!                                               engine's shared-memory scan)
+//!                                               collective a driver gets
+//!                                               for free, e.g. a
+//!                                               shared-memory scan)
 //! ```
 //!
 //! Labels propagate down call chains (the innermost marker wins), so a
-//! phase file can label `self.exchange_relax()` once and every terminal
+//! phase can label `self.exchange_relax()` once and every terminal
 //! `exchange` reached through it inherits the label.
 //!
 //! The comm primitives (`crates/comm/src/{collective,threaded}.rs`) are
@@ -94,7 +94,7 @@ pub fn op_from_str(s: &str) -> Option<Op> {
 /// A `sssp-lint: protocol…` marker parsed from one raw source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Marker {
-    /// `protocol-entry(<backend>)`: the next `fn` is that backend's entry.
+    /// `protocol-entry(<name>)`: the next `fn` is the schedule's entry.
     Entry(String),
     /// `protocol: <label>`: collectives from here on carry this label.
     Label(String),
@@ -159,17 +159,17 @@ impl fmt::Display for Finding {
     }
 }
 
-/// One backend's full collective schedule, in program order.
+/// The full collective schedule reached from one entry, in program order.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    /// Backend name from the `protocol-entry(<backend>)` marker.
-    pub backend: String,
+    /// Entry name from the `protocol-entry(<name>)` marker.
+    pub entry: String,
     /// Events in the order the walk reached them.
     pub events: Vec<Event>,
 }
 
 /// One normalized protocol-table row: consecutive events with the same
-/// `(depth, op, label)` merge into a row with a per-backend count.
+/// `(depth, op, label)` merge into a row with a call-site count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRow {
     /// Loop-nesting depth.
@@ -197,77 +197,37 @@ pub fn normalize(events: &[Event]) -> Vec<(TableRow, usize)> {
     out
 }
 
-fn describe(row: Option<&(TableRow, usize)>) -> String {
-    match row {
-        Some((r, n)) => format!("(depth {}, {}, {}) x{}", r.depth, r.op, r.label, n),
-        None => "nothing (schedule ended)".to_string(),
-    }
-}
-
-/// Zip two normalized schedules into the shared protocol table. The
-/// `(depth, op, label)` sequence must match exactly; the per-row call-site
-/// counts may differ (e.g. the threaded backend reduces weight extremes
-/// with two allreduces where the simulated engine scans shared memory).
-/// `Err` describes the first divergence.
-pub fn merge(
-    sim: &[(TableRow, usize)],
-    thr: &[(TableRow, usize)],
-) -> Result<Vec<(TableRow, usize, usize)>, String> {
-    for i in 0..sim.len().max(thr.len()) {
-        let (a, b) = (sim.get(i), thr.get(i));
-        if let (Some(ra), Some(rb)) = (a, b) {
-            if ra.0 == rb.0 {
-                continue;
-            }
-        }
-        return Err(format!(
-            "collective schedules diverge at row {}: simulated issues {}, threaded issues {}",
-            i + 1,
-            describe(a),
-            describe(b)
-        ));
-    }
-    Ok(sim
-        .iter()
-        .zip(thr.iter())
-        .map(|(a, b)| (a.0.clone(), a.1, b.1))
-        .collect())
-}
-
-/// Render the merged protocol table (the golden artifact committed at
+/// Render the protocol table (the golden artifact committed at
 /// `crates/lint/golden/protocol_table.txt`).
-pub fn render_table(rows: &[(TableRow, usize, usize)]) -> String {
+pub fn render_table(rows: &[(TableRow, usize)]) -> String {
     let mut s = String::new();
-    s.push_str("# Collective protocol table: the normalized SPMD schedule both engine\n");
-    s.push_str("# backends must follow. Regenerate with:\n");
+    s.push_str("# Collective protocol table: the normalized SPMD schedule of the engine's\n");
+    s.push_str("# one epoch loop, which every transport runs. Regenerate with:\n");
     s.push_str("#   cargo run -p sssp-lint -- --protocol\n");
     s.push_str("# Rows merge consecutive call sites with the same (depth, op, label);\n");
-    s.push_str("# per-backend counts may differ, the row sequence may not (DESIGN.md).\n");
+    s.push_str("# `calls` counts them (DESIGN.md).\n");
     s.push_str(&format!(
-        "{:<6} {:<9} {:<26} {:>9} {:>9}\n",
-        "depth", "op", "label", "simulated", "threaded"
+        "{:<6} {:<9} {:<26} {:>5}\n",
+        "depth", "op", "label", "calls"
     ));
-    for (row, a, b) in rows {
-        let line = format!(
-            "{:<6} {:<9} {:<26} {:>9} {:>9}",
+    for (row, calls) in rows {
+        s.push_str(&format!(
+            "{:<6} {:<9} {:<26} {:>5}\n",
             row.depth,
             row.op.to_string(),
             row.label,
-            a,
-            b
-        );
-        s.push_str(line.trim_end());
-        s.push('\n');
+            calls
+        ));
     }
     render_policy_sections(&mut s, rows);
     s
 }
 
 /// Append one schedule section per stepping policy. A run executes the
-/// merged rows minus the *other* policies' window collectives (labels
+/// table's rows minus the *other* policies' window collectives (labels
 /// `epoch.window-*` are policy-specific; every other row is shared), so
 /// pinning each filtered section pins each policy's schedule distinctly.
-fn render_policy_sections(s: &mut String, rows: &[(TableRow, usize, usize)]) {
+fn render_policy_sections(s: &mut String, rows: &[(TableRow, usize)]) {
     type LabelFilter = fn(&str) -> bool;
     let sections: &[(&str, LabelFilter)] = &[
         ("delta", |l| !l.starts_with("epoch.window-")),
@@ -280,7 +240,7 @@ fn render_policy_sections(s: &mut String, rows: &[(TableRow, usize, usize)]) {
     s.push_str("# all other rows are shared by every policy).\n");
     for (name, keep) in sections {
         s.push_str(&format!("## policy: {name}\n"));
-        for (row, _, _) in rows.iter().filter(|(r, _, _)| keep(&r.label)) {
+        for (row, _) in rows.iter().filter(|(r, _)| keep(&r.label)) {
             let line = format!("{:<6} {:<9} {}", row.depth, row.op.to_string(), row.label);
             s.push_str(line.trim_end());
             s.push('\n');
@@ -418,6 +378,9 @@ pub(crate) struct FnDef {
     pub(crate) name: String,
     /// Surrounding `impl`/`trait` target type, if any.
     pub(crate) impl_type: Option<String>,
+    /// The trait a method belongs to: `A` inside `impl A for B`, and the
+    /// trait itself for default bodies inside `trait A`.
+    pub(crate) trait_name: Option<String>,
     /// True when the signature mentions `self` (method).
     pub(crate) has_self: bool,
     /// Backend name from a `protocol-entry` marker directly above.
@@ -430,10 +393,11 @@ pub(crate) struct FnDef {
     pub(crate) end_line: usize,
 }
 
-/// Extract the target type from an `impl`/`trait` header (text after the
-/// keyword, up to the opening brace): angle-bracket spans are stripped,
-/// `impl A for B` resolves to `B`, paths keep their last segment.
-fn impl_target(header: &str) -> Option<String> {
+/// Extract `(target type, trait)` from an `impl`/`trait` header (text
+/// after the keyword, up to the opening brace): angle-bracket spans are
+/// stripped, `impl A for B` resolves to `(B, Some(A))`, `trait A` to
+/// `(A, Some(A))`, paths keep their last segment.
+fn impl_target(header: &str, is_trait: bool) -> Option<(String, Option<String>)> {
     let mut flat = String::new();
     let mut angle = 0i32;
     for c in header.chars() {
@@ -448,11 +412,15 @@ fn impl_target(header: &str) -> Option<String> {
         .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
         .filter(|s| !s.is_empty())
         .collect();
-    let pick = match toks.iter().position(|&t| t == "for") {
-        Some(i) => toks.get(i + 1).copied(),
-        None => toks.first().copied(),
-    };
-    pick.map(|t| t.rsplit("::").next().unwrap_or(t).to_string())
+    let last = |t: &str| t.rsplit("::").next().unwrap_or(t).to_string();
+    match toks.iter().position(|&t| t == "for") {
+        Some(i) => Some((last(toks.get(i + 1)?), toks.first().map(|t| last(t)))),
+        None => {
+            let target = last(toks.first()?);
+            let of_trait = is_trait.then(|| target.clone());
+            Some((target, of_trait))
+        }
+    }
 }
 
 /// Scan a parsed file for function definitions, tracking brace depth,
@@ -461,13 +429,14 @@ fn impl_target(header: &str) -> Option<String> {
 pub(crate) fn scan_fns(sf: &SourceFile) -> Vec<FnDef> {
     let mut fns: Vec<FnDef> = Vec::new();
     let mut open_fns: Vec<(usize, usize)> = Vec::new(); // (fn index, depth at open)
-    let mut impls: Vec<(String, usize)> = Vec::new(); // (target, depth at open)
+                                                        // (target, trait, depth at open)
+    let mut impls: Vec<(String, Option<String>, usize)> = Vec::new();
     let mut pending_entry: Option<String> = None;
     let mut depth = 0usize;
     // In-flight signature: (fn index, paren depth, signature text).
     let mut sig: Option<(usize, i32, String)> = None;
-    // In-flight impl/trait header text.
-    let mut impl_head: Option<String> = None;
+    // In-flight impl/trait header: (text, is a `trait` block).
+    let mut impl_head: Option<(String, bool)> = None;
 
     for (li, line) in sf.lines.iter().enumerate() {
         if let Some(Marker::Entry(b)) = parse_marker(&line.raw) {
@@ -507,12 +476,12 @@ pub(crate) fn scan_fns(sf: &SourceFile) -> Vec<FnDef> {
                 i += 1;
                 continue;
             }
-            if let Some(text) = impl_head.as_mut() {
+            if let Some((text, is_trait)) = impl_head.as_mut() {
                 let c = cs[i];
                 if c == '{' {
                     depth += 1;
-                    if let Some(target) = impl_target(text) {
-                        impls.push((target, depth));
+                    if let Some((target, of_trait)) = impl_target(text, *is_trait) {
+                        impls.push((target, of_trait, depth));
                     }
                     impl_head = None;
                 } else {
@@ -549,7 +518,8 @@ pub(crate) fn scan_fns(sf: &SourceFile) -> Vec<FnDef> {
                             let name: String = cs[ns..j].iter().collect();
                             fns.push(FnDef {
                                 name,
-                                impl_type: impls.last().map(|(t, _)| t.clone()),
+                                impl_type: impls.last().map(|(t, _, _)| t.clone()),
+                                trait_name: impls.last().and_then(|(_, tr, _)| tr.clone()),
                                 has_self: false,
                                 entry: pending_entry.take(),
                                 in_test: line.in_test,
@@ -561,7 +531,7 @@ pub(crate) fn scan_fns(sf: &SourceFile) -> Vec<FnDef> {
                         }
                     }
                     "impl" | "trait" => {
-                        impl_head = Some(String::new());
+                        impl_head = Some((String::new(), tok == "trait"));
                     }
                     _ => {}
                 }
@@ -574,7 +544,7 @@ pub(crate) fn scan_fns(sf: &SourceFile) -> Vec<FnDef> {
                                 fns[fx].end_line = li;
                             }
                         }
-                        if impls.last().map(|&(_, d)| d) == Some(depth) {
+                        if impls.last().map(|(_, _, d)| *d) == Some(depth) {
                             impls.pop();
                         }
                         depth = depth.saturating_sub(1);
@@ -670,13 +640,14 @@ impl Model {
         first
     }
 
-    /// Walk every marked entry point and collect each backend's schedule.
-    /// Also reports findings for collectives reached without a label.
+    /// Walk every marked entry point and collect the schedule reached from
+    /// it (entries sharing a name concatenate). Also reports findings for
+    /// collectives reached without a label.
     pub fn schedules(&self) -> (Vec<Schedule>, Vec<Finding>) {
-        let mut by_backend: Vec<(String, Vec<Event>)> = Vec::new();
+        let mut by_entry: Vec<(String, Vec<Event>)> = Vec::new();
         for (fi, f) in self.files.iter().enumerate() {
             for (ni, fd) in f.fns.iter().enumerate() {
-                let Some(backend) = &fd.entry else { continue };
+                let Some(entry) = &fd.entry else { continue };
                 if fd.in_test {
                     continue;
                 }
@@ -686,21 +657,21 @@ impl Model {
                     stack: Vec::new(),
                 };
                 w.walk(fi, ni, None, 0);
-                match by_backend.iter_mut().find(|(b, _)| b == backend) {
+                match by_entry.iter_mut().find(|(e, _)| e == entry) {
                     Some((_, ev)) => ev.extend(w.events),
-                    None => by_backend.push((backend.clone(), w.events)),
+                    None => by_entry.push((entry.clone(), w.events)),
                 }
             }
         }
         let mut findings: Vec<Finding> = Vec::new();
-        for (backend, events) in &by_backend {
+        for (entry, events) in &by_entry {
             for e in events {
                 if e.label.is_none() {
                     findings.push(Finding {
                         file: e.file.clone(),
                         line: e.line,
                         message: format!(
-                            "{} reached from the `{backend}` entry without a \
+                            "{} reached from the `{entry}` entry without a \
                              `sssp-lint: protocol:` label — label the call site \
                              so the schedule diff can align it",
                             e.op
@@ -711,9 +682,9 @@ impl Model {
         }
         findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
         findings.dedup();
-        let schedules = by_backend
+        let schedules = by_entry
             .into_iter()
-            .map(|(backend, events)| Schedule { backend, events })
+            .map(|(entry, events)| Schedule { entry, events })
             .collect();
         (schedules, findings)
     }
@@ -818,12 +789,12 @@ impl Walk<'_> {
 /// Result of the whole-tree protocol pass.
 #[derive(Debug)]
 pub struct Analysis {
-    /// The rendered protocol table when both backends' schedules align.
+    /// The rendered protocol table when exactly one entry was found.
     pub table: Option<String>,
-    /// Everything the pass flagged (unlabeled sites, divergence, missing
-    /// entries). Empty on a healthy tree.
+    /// Everything the pass flagged (unlabeled sites, a missing or a second
+    /// entry). Empty on a healthy tree.
     pub findings: Vec<Finding>,
-    /// The raw per-backend schedules, for tests and tooling.
+    /// The raw schedule per entry name, for tests and tooling.
     pub schedules: Vec<Schedule>,
 }
 
@@ -832,33 +803,21 @@ pub struct Analysis {
 pub fn analyze(files: &[(String, String)]) -> Analysis {
     let model = Model::build(files);
     let (schedules, mut findings) = model.schedules();
-    let sim = schedules.iter().find(|s| s.backend == "simulated");
-    let thr = schedules.iter().find(|s| s.backend == "threaded");
-    let mut table = None;
-    match (sim, thr) {
-        (Some(s), Some(t)) => match merge(&normalize(&s.events), &normalize(&t.events)) {
-            Ok(rows) => table = Some(render_table(&rows)),
-            Err(msg) => findings.push(Finding {
+    let table = match schedules.as_slice() {
+        [only] => Some(render_table(&normalize(&only.events))),
+        _ => {
+            findings.push(Finding {
                 file: "crates/core/src/engine/".to_string(),
                 line: 0,
-                message: msg,
-            }),
-        },
-        _ => {
-            for backend in ["simulated", "threaded"] {
-                if !schedules.iter().any(|s| s.backend == backend) {
-                    findings.push(Finding {
-                        file: "crates/core/src/engine/".to_string(),
-                        line: 0,
-                        message: format!(
-                            "no `sssp-lint: protocol-entry({backend})` marker found — \
-                             the {backend} backend's schedule cannot be extracted"
-                        ),
-                    });
-                }
-            }
+                message: format!(
+                    "expected exactly one `sssp-lint: protocol-entry(<name>)` schedule — the \
+                     engine's one epoch loop — found {}",
+                    schedules.len()
+                ),
+            });
+            None
         }
-    }
+    };
     Analysis {
         table,
         findings,
@@ -1034,7 +993,7 @@ fn apply_assign(code: &str, taint: &mut BTreeSet<String>, in_tainted: bool) {
 /// `protocol-divergent-guard`: a collective call site under a rank-local
 /// condition. Every rank must reach every collective the same number of
 /// times; a guard on the rank id or on per-rank buffers/state deadlocks
-/// the rendezvous (threaded) or skews the schedule (simulated).
+/// the rendezvous.
 pub(crate) fn check_divergent_guard(sf: &SourceFile) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     for fd in scan_fns(sf) {
@@ -1164,60 +1123,6 @@ pub(crate) fn check_missing_barrier(sf: &SourceFile) -> Vec<(usize, String)> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// rule: protocol-backend-skew
-
-/// `protocol-backend-skew`: a file defining protocol entries for more than
-/// one backend must produce the same normalized schedule from each. (The
-/// cross-file simulated/threaded diff runs in `--protocol` mode and CI;
-/// this rule catches the single-file case in fixtures and future twins.)
-pub(crate) fn check_backend_skew(sf: &SourceFile) -> Vec<(usize, String)> {
-    let fns = scan_fns(sf);
-    let mut backends: Vec<&String> = Vec::new();
-    for fd in &fns {
-        if let Some(b) = &fd.entry {
-            if !fd.in_test && !backends.contains(&b) {
-                backends.push(b);
-            }
-        }
-    }
-    if backends.len() < 2 {
-        return Vec::new();
-    }
-    let path = if traversable(&sf.rel_path) {
-        sf.rel_path.clone()
-    } else {
-        "crates/core/src/engine/backend_skew_probe.rs".to_string()
-    };
-    let text: String = sf
-        .lines
-        .iter()
-        .map(|l| l.raw.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    let model = Model::build(&[(path, text)]);
-    let (schedules, _) = model.schedules();
-    let first = backends[0].clone();
-    let second = backends[1].clone();
-    let a = schedules.iter().find(|s| s.backend == first);
-    let b = schedules.iter().find(|s| s.backend == second);
-    let (Some(a), Some(b)) = (a, b) else {
-        return Vec::new();
-    };
-    if let Err(msg) = merge(&normalize(&a.events), &normalize(&b.events)) {
-        let line = fns
-            .iter()
-            .find(|f| f.entry.as_ref() == Some(&second))
-            .map(|f| f.open.0)
-            .unwrap_or(0);
-        return vec![(
-            line,
-            format!("backend `{second}` skews from `{first}`: {msg}"),
-        )];
-    }
-    Vec::new()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1295,6 +1200,7 @@ trait Rec {
         let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["run", "go", "free"]);
         assert_eq!(fns[0].impl_type.as_deref(), Some("Engine"));
+        assert_eq!(fns[0].trait_name, None);
         assert_eq!(fns[0].entry.as_deref(), Some("simulated"));
         assert!(fns[0].has_self);
         assert!(!fns[2].has_self);
@@ -1302,58 +1208,65 @@ trait Rec {
         assert_eq!(fns[0].end_line, 4);
     }
 
-    fn two_backend_src() -> (String, String) {
+    fn entry_src() -> (String, String) {
         let src = "\
-// sssp-lint: protocol-entry(simulated)
-fn run_sim(&mut self) {
+// sssp-lint: protocol-entry(engine)
+fn epoch_loop(&mut self) {
     loop {
         // sssp-lint: protocol: epoch.select
-        let k = allreduce_min(&self.coll, &mut self.comm);
+        let k = self.ctx.allreduce_min(v);
         // sssp-lint: protocol: epoch.body
         self.body();
     }
 }
 fn body(&mut self) {
-    let step = bufs.exchange(BYTES, packet);
-}
-// sssp-lint: protocol-entry(threaded)
-fn run_thr(ctx: &mut RankCtx) {
-    loop {
-        // sssp-lint: protocol: epoch.select
-        let k = ctx.allreduce_min(v);
-        // sssp-lint: protocol: epoch.body
-        let step = ctx.exchange_pooled_counted(out, inbox, BYTES, packet);
-    }
+    let step = self.ctx.exchange(out, inbox, BYTES, packet);
 }
 ";
         ("crates/core/src/engine/x.rs".to_string(), src.to_string())
     }
 
     #[test]
-    fn walker_labels_depths_and_diffs_align() {
-        let a = analyze(&[two_backend_src()]);
+    fn walker_labels_depths_and_renders_the_table() {
+        let a = analyze(&[entry_src()]);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
         let table = a.table.expect("table");
         assert!(table.contains("epoch.select"));
         assert!(table.contains("epoch.body"));
-        let sim = &a.schedules[0];
-        assert_eq!(sim.backend, "simulated");
-        assert_eq!(sim.events.len(), 2);
-        assert_eq!(sim.events[0].depth, 1);
-        assert_eq!(sim.events[1].op, Op::Exchange);
-        assert_eq!(sim.events[1].label.as_deref(), Some("epoch.body"));
+        let schedule = &a.schedules[0];
+        assert_eq!(schedule.entry, "engine");
+        assert_eq!(schedule.events.len(), 2);
+        assert_eq!(schedule.events[0].depth, 1);
+        assert_eq!(schedule.events[1].op, Op::Exchange);
+        assert_eq!(schedule.events[1].label.as_deref(), Some("epoch.body"));
+    }
+
+    #[test]
+    fn a_missing_or_second_entry_is_a_finding() {
+        let none = analyze(&[(
+            "crates/core/src/engine/x.rs".to_string(),
+            "fn f() {}\n".to_string(),
+        )]);
+        assert!(none.table.is_none());
+        assert!(none.findings[0].message.contains("found 0"));
+        let (path, src) = entry_src();
+        let second =
+            "// sssp-lint: protocol-entry(other)\nfn g(&mut self) {\n    self.body();\n}\n";
+        let two = analyze(&[(path, format!("{src}{second}"))]);
+        assert!(two.table.is_none());
+        assert!(two.findings.iter().any(|f| f.message.contains("found 2")));
     }
 
     #[test]
     fn unlabeled_collectives_are_flagged() {
         let src = "\
-// sssp-lint: protocol-entry(simulated)
+// sssp-lint: protocol-entry(engine)
 fn run(&mut self) {
-    let k = allreduce_min(&self.coll, &mut self.comm);
+    let k = self.ctx.allreduce_min(v);
 }
 ";
         let a = analyze(&[("crates/core/src/engine/x.rs".to_string(), src.to_string())]);
-        assert_eq!(a.findings.len(), 2, "{:?}", a.findings);
+        assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
         assert!(a.findings[0].message.contains("without a"));
     }
 
@@ -1374,26 +1287,6 @@ fn run(&mut self) {
         ]);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].1, 2);
-    }
-
-    #[test]
-    fn merge_reports_first_divergence() {
-        let row = |label: &str| {
-            (
-                TableRow {
-                    depth: 1,
-                    op: Op::Reduce,
-                    label: label.to_string(),
-                },
-                1,
-            )
-        };
-        let err = merge(&[row("a"), row("b")], &[row("a")]).unwrap_err();
-        assert!(err.contains("row 2"), "{err}");
-        assert!(err.contains("schedule ended"), "{err}");
-        let ok = merge(&[row("a")], &[(row("a").0, 3)]).unwrap();
-        assert_eq!(ok[0].1, 1);
-        assert_eq!(ok[0].2, 3);
     }
 
     #[test]
@@ -1477,31 +1370,5 @@ fn good(&self) {
         let hits = check_missing_barrier(&sf);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, 2);
-    }
-
-    #[test]
-    fn backend_skew_fires_on_single_file_divergence() {
-        let src = "\
-// sssp-lint: protocol-entry(simulated)
-fn run_sim(&mut self) {
-    // sssp-lint: protocol: a
-    let k = allreduce_min(&self.coll, &mut self.comm);
-    // sssp-lint: protocol: b
-    let s = allreduce_sum(&self.coll, &mut self.comm);
-}
-// sssp-lint: protocol-entry(threaded)
-fn run_thr(ctx: &mut RankCtx) {
-    // sssp-lint: protocol: a
-    let k = ctx.allreduce_min(v);
-}
-";
-        let sf = SourceFile::parse("crates/core/src/engine/x.rs", src);
-        let hits = check_backend_skew(&sf);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, 8);
-        assert!(hits[0].1.contains("diverge"), "{}", hits[0].1);
-        let (p, aligned) = two_backend_src();
-        let sf = SourceFile::parse(&p, &aligned);
-        assert!(check_backend_skew(&sf).is_empty());
     }
 }

@@ -173,16 +173,6 @@ pub static RULES: &[Rule] = &[
         check: crate::protocol::check_missing_barrier,
     },
     Rule {
-        name: "protocol-backend-skew",
-        summary: "a file with protocol entries for several backends must \
-                  extract the same normalized collective schedule from each",
-        scope: Scope {
-            include: &["crates/core/src/engine/"],
-            exclude: &[],
-        },
-        check: crate::protocol::check_backend_skew,
-    },
-    Rule {
         name: "concurrency-lock-cycle",
         summary: "lock acquisitions must follow one global order; an \
                   acquisition that closes an order cycle can deadlock",

@@ -165,15 +165,6 @@ fn protocol_missing_barrier_flags_back_to_back_locks() {
 }
 
 #[test]
-fn protocol_backend_skew_flags_divergent_twins() {
-    let diags = lint_fixture(
-        "protocol_backend_skew.rs",
-        "crates/core/src/engine/fixture.rs",
-    );
-    assert_eq!(lines_for(&diags, "protocol-backend-skew"), vec![15]);
-}
-
-#[test]
 fn lock_cycle_flags_both_inversion_sites_only() {
     let diags = lint_fixture("concurrency_lock_cycle.rs", "crates/comm/src/fixture.rs");
     // Lines 13 and 18 close the a/b cycle; the a->c extension on line 23
@@ -271,10 +262,6 @@ fn every_rule_has_a_fixture_that_fires() {
             "crates/core/src/engine/fixture.rs",
         ),
         ("protocol_missing_barrier.rs", "crates/comm/src/fixture.rs"),
-        (
-            "protocol_backend_skew.rs",
-            "crates/core/src/engine/fixture.rs",
-        ),
         ("concurrency_lock_cycle.rs", "crates/comm/src/fixture.rs"),
         ("concurrency_blocking_hold.rs", "crates/comm/src/fixture.rs"),
         ("concurrency_endpoint_leak.rs", "crates/comm/src/fixture.rs"),

@@ -1,5 +1,5 @@
 //! The protocol gate: the flow-aware pass must report zero findings on
-//! the real engine, both backends' schedules must merge into the golden
+//! the real engine, the one driver's schedule must render the golden
 //! table, and the rule list snapshot must stay in sync. Running plain
 //! `cargo test` therefore enforces the collective protocol; CI also diffs
 //! the CLI output against the same goldens.
@@ -34,37 +34,30 @@ fn real_engine_protocol_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(analysis.table.is_some(), "no merged table produced");
+    assert!(analysis.table.is_some(), "no table produced");
 }
 
 #[test]
-fn both_backends_are_extracted() {
+fn the_one_driver_is_the_only_entry() {
     let analysis = protocol::analyze(&workspace_inputs());
-    let mut backends: Vec<&str> = analysis
+    let entries: Vec<&str> = analysis
         .schedules
         .iter()
-        .map(|s| s.backend.as_str())
+        .map(|s| s.entry.as_str())
         .collect();
-    backends.sort_unstable();
-    assert_eq!(backends, vec!["simulated", "threaded"]);
-    for s in &analysis.schedules {
-        assert!(
-            !s.events.is_empty(),
-            "backend {} produced no events",
-            s.backend
-        );
-    }
+    assert_eq!(entries, vec!["engine"]);
+    assert!(!analysis.schedules[0].events.is_empty());
 }
 
 #[test]
 fn protocol_table_matches_golden() {
     let analysis = protocol::analyze(&workspace_inputs());
-    let table = analysis.table.expect("merged table");
+    let table = analysis.table.expect("protocol table");
     let golden = include_str!("../golden/protocol_table.txt");
     assert_eq!(
         table, golden,
         "protocol table drifted from crates/lint/golden/protocol_table.txt — \
-         if the schedule change is intentional on BOTH backends, regenerate \
+         if the schedule change is intentional, regenerate \
          with `cargo run -p sssp-lint -- --protocol > crates/lint/golden/protocol_table.txt`"
     );
 }
@@ -78,33 +71,4 @@ fn rule_list_matches_golden() {
         "rule list drifted from crates/lint/golden/rules.txt — regenerate \
          with `cargo run -p sssp-lint -- --list-rules > crates/lint/golden/rules.txt`"
     );
-}
-
-#[test]
-fn skew_fixture_schedules_diverge_with_a_useful_message() {
-    // The backend-skew fixture's two entries must fail to merge, and the
-    // error must name the row and both sides (the message CI users see).
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("fixtures")
-        .join("protocol_backend_skew.rs");
-    let text = std::fs::read_to_string(&path).expect("fixture readable");
-    let model = protocol::Model::build(&[("crates/core/src/engine/fixture.rs".to_string(), text)]);
-    let (schedules, findings) = model.schedules();
-    assert!(findings.is_empty(), "{findings:?}");
-    let sim = schedules
-        .iter()
-        .find(|s| s.backend == "simulated")
-        .expect("simulated entry");
-    let thr = schedules
-        .iter()
-        .find(|s| s.backend == "threaded")
-        .expect("threaded entry");
-    let err = protocol::merge(
-        &protocol::normalize(&sim.events),
-        &protocol::normalize(&thr.events),
-    )
-    .expect_err("fixture schedules must diverge");
-    assert!(err.contains("row 2"), "{err}");
-    assert!(err.contains("epoch.settle"), "{err}");
-    assert!(err.contains("schedule ended"), "{err}");
 }

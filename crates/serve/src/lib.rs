@@ -25,7 +25,8 @@
 //!
 //! Results are bit-identical to fresh one-shot runs — the differential
 //! proptests in `tests/` pin scheduler output against
-//! [`sssp_core::threaded_sssp_seeded`] under all three stepping policies.
+//! fresh-scratch [`sssp_core::threaded_sssp_query`] runs under all three
+//! stepping policies.
 //!
 //! # Crash isolation
 //!

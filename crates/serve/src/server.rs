@@ -32,7 +32,7 @@ use sssp_core::bfs::run_bfs;
 use sssp_core::cc::run_cc;
 use sssp_core::closeness::harmonic_closeness_sampled;
 use sssp_core::pagerank::run_pagerank;
-use sssp_core::{canonical_seeds, threaded_sssp_query_deadline, EngineScratch, SsspConfig};
+use sssp_core::{canonical_seeds, run, EngineScratch, NoopRecorder, Query, SsspConfig, Threaded};
 use sssp_dist::DistGraph;
 
 use crate::cache::{DistanceCache, SeedKey};
@@ -517,8 +517,8 @@ fn run_spec(
     match spec {
         QuerySpec::SingleSource { .. } | QuerySpec::MultiSeed { .. } => {
             let seeds = spec.seeds().unwrap_or_default();
-            let out =
-                threaded_sssp_query_deadline(graph, &seeds, None, deadline, cfg, model, scratch);
+            let query = Query::seeded(&seeds).with_deadline(deadline);
+            let (out, _) = run(graph, &query, cfg, model, Threaded(scratch), NoopRecorder);
             if out.timed_out {
                 // A timed-out field is partially tentative: never served,
                 // never cached.
@@ -529,15 +529,10 @@ fn run_spec(
             Ok((QueryOutput::Distances(dist), out.epochs, insert))
         }
         QuerySpec::PointToPoint { root, target } => {
-            let out = threaded_sssp_query_deadline(
-                graph,
-                &[(*root, 0)],
-                Some(*target),
-                deadline,
-                cfg,
-                model,
-                scratch,
-            );
+            let query = Query::root(*root)
+                .with_target(Some(*target))
+                .with_deadline(deadline);
+            let (out, _) = run(graph, &query, cfg, model, Threaded(scratch), NoopRecorder);
             if out.timed_out {
                 return Err(QueryError::TimedOut);
             }

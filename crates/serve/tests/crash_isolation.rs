@@ -11,7 +11,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use sssp_comm::cost::MachineModel;
-use sssp_core::{threaded_sssp_seeded, SsspConfig};
+use sssp_core::{threaded_delta_stepping, threaded_sssp_query, EngineScratch, SsspConfig};
 use sssp_dist::DistGraph;
 use sssp_graph::{gen, Csr, CsrBuilder};
 use sssp_serve::{QueryError, QueryOutput, QuerySpec, ServeConfig, SsspServer};
@@ -111,7 +111,9 @@ proptest! {
                         QuerySpec::PointToPoint { root, .. } => vec![(root, 0)],
                         other => panic!("unexpected spec in batch: {other:?}"),
                     };
-                    let oracle = threaded_sssp_seeded(&dg, &seeds, &cfg, &model).distances;
+                    let mut fresh = EngineScratch::new(dg.num_ranks());
+                    let oracle =
+                        threaded_sssp_query(&dg, &seeds, None, &cfg, &model, &mut fresh).distances;
                     match (&res.output, spec.clone()) {
                         (QueryOutput::Distances(dist), _) => {
                             prop_assert_eq!(dist.as_ref(), &oracle);
@@ -142,7 +144,7 @@ proptest! {
             let res = server
                 .run(QuerySpec::SingleSource { root })
                 .expect("post-crash query must succeed");
-            let oracle = threaded_sssp_seeded(&dg, &[(root, 0)], &cfg, &model).distances;
+            let oracle = threaded_delta_stepping(&dg, root, &cfg, &model).distances;
             match &res.output {
                 QueryOutput::Distances(dist) => prop_assert_eq!(dist.as_ref(), &oracle),
                 other => prop_assert!(false, "unexpected output shape: {:?}", other),

@@ -12,7 +12,7 @@ use sssp_core::bfs::run_bfs;
 use sssp_core::cc::run_cc;
 use sssp_core::closeness::harmonic_closeness_sampled;
 use sssp_core::pagerank::{run_pagerank, PageRankConfig};
-use sssp_core::{threaded_sssp_seeded, SsspConfig};
+use sssp_core::{threaded_delta_stepping, SsspConfig};
 use sssp_dist::DistGraph;
 use sssp_graph::{gen, Csr, CsrBuilder};
 use sssp_serve::{QueryError, QueryOutput, QuerySpec, ServeConfig, SsspServer};
@@ -148,7 +148,7 @@ fn point_to_point_saves_epochs_and_reports_the_exact_distance() {
     let fresh_near = run_ok(&server, QuerySpec::PointToPoint { root: 1, target: 2 });
     assert!(!fresh_near.cache_hit);
 
-    let oracle = threaded_sssp_seeded(&dg, &[(1, 0)], &SsspConfig::del(10), &model());
+    let oracle = threaded_delta_stepping(&dg, 1, &SsspConfig::del(10), &model());
     assert_eq!(
         fresh_near.output.target_distance(),
         Some(oracle.distances[2])
@@ -238,7 +238,7 @@ fn concurrent_workers_stay_within_the_inflight_bound() {
     for (i, t) in tickets.into_iter().enumerate() {
         let res = server.wait(t).expect("valid query must succeed");
         let root = (i as u32) * 17;
-        let oracle = threaded_sssp_seeded(&dg, &[(root, 0)], &SsspConfig::opt(20), &model());
+        let oracle = threaded_delta_stepping(&dg, root, &SsspConfig::opt(20), &model());
         assert_eq!(
             res.output.distances().expect("distances").as_ref(),
             &oracle.distances,

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use sssp_comm::cost::MachineModel;
 use sssp_core::bfs::run_bfs;
-use sssp_core::{threaded_sssp_seeded, SsspConfig};
+use sssp_core::{threaded_sssp_query, EngineScratch, SsspConfig};
 use sssp_dist::DistGraph;
 use sssp_graph::{gen, Csr, CsrBuilder, VertexId};
 use sssp_serve::{QueryOutput, QuerySpec, ServeConfig, SsspServer};
@@ -40,7 +40,16 @@ fn policy_matrix() -> Vec<SsspConfig> {
 
 /// The fresh one-shot oracle for a seed set.
 fn fresh(dg: &Arc<DistGraph>, seeds: &[(VertexId, u64)], cfg: &SsspConfig) -> Vec<u64> {
-    threaded_sssp_seeded(dg, seeds, cfg, &MachineModel::bgq_like()).distances
+    let mut scratch = EngineScratch::new(dg.num_ranks());
+    threaded_sssp_query(
+        dg,
+        seeds,
+        None,
+        cfg,
+        &MachineModel::bgq_like(),
+        &mut scratch,
+    )
+    .distances
 }
 
 proptest! {

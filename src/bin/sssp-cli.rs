@@ -93,7 +93,53 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
         }
         i += 1;
     }
+    validate(&args)?;
     Ok(args)
+}
+
+const ALGOS: [&str; 9] = [
+    "dijkstra",
+    "bellman-ford",
+    "bf",
+    "del",
+    "ios",
+    "prune",
+    "opt",
+    "lb-opt",
+    "bfs",
+];
+const POLICIES: [&str; 3] = ["delta", "rho", "radius"];
+
+/// Reject flag values the library would only answer with a panic.
+fn validate(args: &Args) -> Result<(), String> {
+    let one_of = |flag: &str, value: &str, allowed: &[&str]| {
+        if allowed.contains(&value) {
+            Ok(())
+        } else {
+            Err(format!(
+                "{flag} must be one of {}, got '{value}'",
+                allowed.join(" | ")
+            ))
+        }
+    };
+    if !["rmat1", "rmat2", "uniform"].contains(&args.family.as_str())
+        && social_preset(&args.family, 1024).is_none()
+    {
+        return Err(format!("unknown --family '{}' (see --help)", args.family));
+    }
+    one_of("--algo", &args.algo, &ALGOS)?;
+    one_of("--policy", &args.policy, &POLICIES)?;
+    for (flag, value) in [
+        ("--ranks", args.ranks),
+        ("--threads", args.threads),
+        ("--delta", args.delta as usize),
+        ("--rho", args.rho as usize),
+    ] {
+        if value == 0 {
+            return Err(format!("{flag} must be at least 1"));
+        }
+    }
+    Ok(())
 }
 
 fn print_help() {
@@ -150,8 +196,7 @@ fn build_graph(args: &Args) -> Csr {
             CsrBuilder::new().build(&el)
         }
         name => {
-            let gen = social_preset(name, 1024)
-                .unwrap_or_else(|| panic!("unknown family '{name}' (see --help)"));
+            let gen = social_preset(name, 1024).expect("family validated by parse_args");
             CsrBuilder::new().build(&gen.seed(args.seed).generate())
         }
     }
@@ -166,13 +211,13 @@ fn config_for(args: &Args) -> SsspConfig {
         "prune" => SsspConfig::prune(args.delta),
         "opt" => SsspConfig::opt(args.delta),
         "lb-opt" => SsspConfig::opt(args.delta).with_intra_balance(IntraBalance::Auto),
-        other => panic!("unknown algorithm '{other}' (see --help)"),
+        other => unreachable!("algorithm '{other}' validated by parse_args"),
     };
     match args.policy.as_str() {
         "delta" => cfg,
         "rho" => cfg.with_policy(SteppingPolicyKind::Rho(args.rho)),
         "radius" => cfg.with_policy(SteppingPolicyKind::Radius(args.rho)),
-        other => panic!("unknown policy '{other}' (see --help)"),
+        other => unreachable!("policy '{other}' validated by parse_args"),
     }
 }
 
@@ -307,14 +352,14 @@ fn main() {
     };
 
     // Deterministic root selection over non-isolated vertices.
-    let mut roots = Vec::new();
-    let mut cursor = args.seed;
-    while roots.len() < args.roots {
-        cursor = sssp_mps::graph::prng::splitmix64(cursor);
-        let v = (cursor % csr.num_vertices() as u64) as u32;
-        if csr.degree(v) > 0 && !roots.contains(&v) {
-            roots.push(v);
-        }
+    let roots = sssp_mps::graph::pick_roots(&csr, args.roots, args.seed);
+    if roots.len() < args.roots {
+        eprintln!(
+            "error: --roots {} requested but only {} distinct non-isolated vertices were found",
+            args.roots,
+            roots.len()
+        );
+        std::process::exit(2);
     }
 
     let model = MachineModel::bgq_like();

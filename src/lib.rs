@@ -30,9 +30,17 @@
 //! let dg = DistGraph::build(&csr, 4, 4);
 //!
 //! // Run the paper's OPT algorithm (Δ = 25) from root 0.
-//! let out = run_sssp(&dg, 0, &SsspConfig::opt(25), &MachineModel::bgq_like());
+//! let (cfg, model) = (SsspConfig::opt(25), MachineModel::bgq_like());
+//! let out = run_sssp(&dg, 0, &cfg, &model);
 //! println!("settled {} vertices in {} buckets, {} phases",
 //!          out.reachable(), out.stats.epochs, out.stats.phases);
+//!
+//! // `run_sssp` is shorthand for the one engine entry point: a `Query`,
+//! // a transport (`Lockstep` here, `Threaded` for one OS thread per
+//! // rank) and a recorder.
+//! let query = Query::root(0).with_target(Some(17));
+//! let (p2p, _) = run(&dg, &query, &cfg, &model, Lockstep, NoopRecorder);
+//! assert_eq!(p2p.distances[17], out.distances[17]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,8 +55,9 @@ pub use sssp_graph as graph;
 pub mod prelude {
     pub use sssp_comm::cost::MachineModel;
     pub use sssp_core::config::{DeltaParam, DirectionPolicy, SsspConfig};
-    pub use sssp_core::engine::threaded::{threaded_delta_stepping, ThreadedSsspOutput};
-    pub use sssp_core::engine::{run_sssp, run_sssp_multi, run_sssp_seeded, SsspOutput};
+    pub use sssp_core::engine::record::{merged_trace, NoopRecorder};
+    pub use sssp_core::engine::threaded::{threaded_delta_stepping, EngineScratch};
+    pub use sssp_core::engine::{run, run_sssp, Lockstep, Query, RunOutput, SsspOutput, Threaded};
     pub use sssp_core::instrument::RunStats;
     pub use sssp_core::seq;
     pub use sssp_dist::DistGraph;
