@@ -15,8 +15,6 @@
 //! backends can fingerprint through different internal plumbing while
 //! still exposing per-kind divergence.
 
-/// Generic reduction (custom combiner).
-pub const FP_REDUCE: u64 = 0x11;
 /// Min-reduction.
 pub const FP_REDUCE_MIN: u64 = 0x12;
 /// Max-reduction.
@@ -35,6 +33,9 @@ pub const FP_EXCHANGE: u64 = 0x18;
 /// kind so a policy that adds or drops the window collective diverges
 /// from one that does not, even at identical epochs.
 pub const FP_WINDOW: u64 = 0x19;
+/// Fused reduction: several sums and maxima in one collective episode (the
+/// push/pull decision's inputs).
+pub const FP_REDUCE_FUSED: u64 = 0x1A;
 
 /// Fold one collective of `kind` issued during `epoch` into the rolling
 /// fingerprint `fp`. A splitmix64-style finalizer: order-sensitive,

@@ -21,12 +21,22 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 /// Locks of the static model, by the names the static pass extracts from
-/// the declarations (see `crates/lint/golden/lock_order.txt`). `slots` is
-/// the rendezvous exchange; `queue` is the serving layer's single state
-/// mutex, and `work_ready`/`done_ready` are its condvars (modeled as
-/// primitives by the static pass even though waiting on them only ever
-/// re-parks the `queue` guard).
-pub const STATIC_LOCKS: &[&str] = &["slots", "queue", "work_ready", "done_ready"];
+/// the declarations (see `crates/lint/golden/lock_order.txt`). `park` and
+/// its condvar `wake` are the last rung of the rendezvous barrier's wait
+/// ladder and `mailbox` is the exchange's cell lock; `queue` is the
+/// serving layer's single state mutex, and `work_ready`/`done_ready` are
+/// its condvars (condvars are modeled as primitives by the static pass
+/// even though waiting on them only ever re-parks their mutex's guard).
+/// Only `mailbox` is taken through a rank's [`Recorder`]: the barrier is
+/// shared by all ranks and takes `park` with nothing else held.
+pub const STATIC_LOCKS: &[&str] = &[
+    "park",
+    "wake",
+    "mailbox",
+    "queue",
+    "work_ready",
+    "done_ready",
+];
 
 /// Held→acquired edges of the static lock-order graph. Neither the
 /// rendezvous runtime nor the serving layer nests acquisitions, so the
@@ -60,9 +70,9 @@ impl Recorder {
     /// lexical site keeps its `.lock(` token visible to the static pass:
     ///
     /// ```text
-    /// let mut slots = self.lock_rec.track(
-    ///     "slots",
-    ///     self.slots.lock().expect("poisoned"),
+    /// let mut cell = self.lock_rec.track(
+    ///     "mailbox",
+    ///     mailbox[i].lock().unwrap_or_else(PoisonError::into_inner),
     /// );
     /// ```
     pub fn track<G>(&self, name: &'static str, guard: G) -> Tracked<'_, G> {
@@ -187,10 +197,10 @@ mod tests {
     fn acquisitions_and_releases_balance() {
         let rec = Recorder::new();
         {
-            let g = rec.track("slots", 7u32);
+            let g = rec.track("mailbox", 7u32);
             assert_eq!(*g, 7);
         }
-        assert_eq!(rec.observed_locks(), vec!["slots"]);
+        assert_eq!(rec.observed_locks(), vec!["mailbox"]);
         assert!(rec.observed_pairs().is_empty());
         assert!(rec.held.borrow().is_empty());
     }
@@ -199,9 +209,9 @@ mod tests {
     fn nesting_records_the_pair() {
         let rec = Recorder::new();
         {
-            let _a = rec.track("slots", ());
+            let _a = rec.track("mailbox", ());
             let _b = rec.track("queue", ());
-            assert_eq!(rec.observed_pairs(), vec![("slots", "queue")]);
+            assert_eq!(rec.observed_pairs(), vec![("mailbox", "queue")]);
         }
         std::mem::forget(rec); // the pair would (correctly) trip Drop
     }
@@ -210,10 +220,10 @@ mod tests {
     fn sequential_acquisitions_record_no_pair() {
         let rec = Recorder::new();
         {
-            let _a = rec.track("slots", ());
+            let _a = rec.track("mailbox", ());
         }
         {
-            let _b = rec.track("slots", ());
+            let _b = rec.track("mailbox", ());
         }
         assert!(rec.observed_pairs().is_empty());
     }
@@ -221,7 +231,7 @@ mod tests {
     #[test]
     fn tracked_deref_mut_reaches_the_guard() {
         let rec = Recorder::new();
-        let mut g = rec.track("slots", vec![1u64]);
+        let mut g = rec.track("mailbox", vec![1u64]);
         g.push(2);
         assert_eq!(*g, vec![1, 2]);
     }
@@ -240,7 +250,7 @@ mod tests {
     #[should_panic(expected = "lock acquisition order")]
     fn injected_inversion_trips_the_drop_check() {
         let rec = Recorder::new();
-        rec.inject_pair("slots", "slots");
+        rec.inject_pair("mailbox", "mailbox");
         drop(rec);
     }
 }

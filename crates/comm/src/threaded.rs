@@ -3,26 +3,50 @@
 //! The main runtime simulates ranks inside one address space for
 //! determinism and accounting. This module provides the complementary
 //! proof: the same bulk-synchronous programs run unchanged on *actual*
-//! OS threads exchanging messages through channels, one thread per rank,
-//! with no shared mutable state beyond the collective rendezvous. Kernels
-//! ported to [`RankCtx`] (see `sssp-core`'s threaded variants) are tested
-//! to produce bit-identical results to their simulated counterparts —
-//! evidence that the simulator's semantics match a real distributed
-//! execution.
+//! OS threads, one thread per rank, with no shared mutable state beyond
+//! the rendezvous below. Kernels ported to [`RankCtx`] (see `sssp-core`'s
+//! threaded variants) are tested to produce bit-identical results to their
+//! simulated counterparts — evidence that the simulator's semantics match
+//! a real distributed execution.
 //!
 //! Determinism under true concurrency comes from the same rule real MPI
 //! programs use: inboxes are ordered by source rank, never by arrival
 //! time.
+//!
+//! # The rendezvous
+//!
+//! Every collective and every exchange is one *episode*: publish, cross
+//! the barrier once, read. What makes one crossing enough is that
+//! everything published lives in two **parity banks**: episode `r` (a
+//! rank-local count of crossings, equal on all ranks by the SPMD contract)
+//! uses bank `r & 1`. A rank writes bank `r & 1` again in episode `r + 2`,
+//! i.e. after it passed crossing `r + 1` — and crossing `r + 1` completes
+//! only once every rank has arrived at it, which each does after it
+//! finished reading bank `r & 1` in episode `r`. So no slot is overwritten
+//! before its last reader is done, with no trailing barrier.
+//!
+//! * Reductions publish into per-rank [`AtomicU64`] lanes (one cache line
+//!   per rank and bank) and fold all ranks' lanes after the crossing.
+//! * An exchange posts each batch into a `p × p` mailbox of
+//!   `Mutex<Option<Vec<M>>>` cells — cell `(dst, src)` is locked by `src`
+//!   before the crossing and by `dst` after it, so never contended — and
+//!   drains its row in source-rank order.
+//!
+//! The barrier ([`Barrier`]) is sense-reversing over atomics; a waiter
+//! climbs a spin → `yield_now` → `Condvar` ladder (see [`Barrier::wait`]).
+//! A rank that panics raises an abort flag every rung checks, so its peers
+//! panic out of the rendezvous instead of waiting for it forever.
 
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use crate::exchange::Outbox;
 use crate::fingerprint::{
-    fp_mix, FP_EXCHANGE, FP_REDUCE, FP_REDUCE_ANY, FP_REDUCE_MAX, FP_REDUCE_MIN, FP_REDUCE_SUM,
-    FP_WINDOW,
+    fp_mix, FP_EXCHANGE, FP_REDUCE_ANY, FP_REDUCE_FUSED, FP_REDUCE_MAX, FP_REDUCE_MIN,
+    FP_REDUCE_SUM, FP_WINDOW,
 };
 use crate::lockorder;
 use crate::packet::PacketConfig;
@@ -35,6 +59,208 @@ use crate::Rank;
 /// mark; without a floor that computed `limit = 0` and dumped the *entire*
 /// spare pool, forcing every lane to reallocate on the next busy epoch.
 pub const SPARE_CAPACITY_FLOOR: usize = 64;
+
+/// Checks of the barrier word a waiter makes back to back before it starts
+/// giving up its time slice. Sized to cover the skew between ranks that are
+/// all running (a few microseconds of lane packing), where staying on the
+/// core beats any system call.
+const SPIN_BUDGET: u32 = 256;
+
+/// How long a waiter keeps calling `yield_now` after the spin budget before it
+/// parks. With more ranks than cores the missing peer is usually runnable but
+/// not running, and a yield hands it the core for the price of one cheap
+/// system call. With a core per rank the yields come straight back, and the
+/// window has to outlast the ordinary skew between ranks (one rank relaxing a
+/// superstep's frontier while the other has none: tens to a few hundred
+/// microseconds), because a parked waiter pays a futex wake-up — 40–120 µs on
+/// a virtual CPU that went idle, and a different amount from one run to the
+/// next. A waiter still waiting after the window is waiting on real work (or a
+/// descheduled peer) and parks instead of burning the core its peers need. A
+/// duration, not a count: a yield costs 0.5 µs alone on a core and a context
+/// switch otherwise, so a count would be two different budgets.
+const YIELD_WINDOW: Duration = Duration::from_millis(1);
+
+/// [`Barrier::aborted`] while every rank is healthy.
+const NO_RANK: usize = usize::MAX;
+
+/// Reduction lanes per rank: the fused decision collective carries five
+/// values, every other collective one or two.
+const LANES: usize = 5;
+
+/// One rank's reduction lanes in one parity bank, on a cache line of its
+/// own so publishing ranks do not false-share.
+#[repr(align(64))]
+struct Slot([AtomicU64; LANES]);
+
+/// Sense-reversing barrier for `p` rank threads with an abort flag.
+///
+/// `generation` counts completed crossings. Ordering: every arrival is an
+/// `AcqRel` increment of `arrived`, and the last arriver publishes the new
+/// `generation`, which waiters read with `Acquire` or stronger — so all
+/// that any rank wrote before arriving (reduction lanes, mailbox cells)
+/// happens-before everything any rank does after the crossing. The park
+/// handshake is the classic store-then-load pair and needs `SeqCst`: the
+/// releaser stores `generation` then loads `sleepers`; a parker increments
+/// `sleepers` then loads `generation` (holding `park`). In the single total
+/// order either the parker sees the new generation and does not sleep, or
+/// the releaser sees the sleeper and notifies under `park` — which it can
+/// only take once the parker is inside `wake.wait`.
+struct Barrier {
+    p: usize,
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    /// Rank whose thread started unwinding first, or [`NO_RANK`].
+    aborted: AtomicUsize,
+    /// Ranks inside [`Barrier::park`]; lets the releaser skip the lock and
+    /// the wake-up system call when everyone is spinning.
+    sleepers: AtomicUsize,
+    park: Mutex<()>,
+    wake: Condvar,
+}
+
+impl Barrier {
+    fn new(p: usize) -> Barrier {
+        Barrier {
+            p,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            aborted: AtomicUsize::new(NO_RANK),
+            sleepers: AtomicUsize::new(0),
+            park: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Arrive at crossing `round` (the caller's count of crossings it has
+    /// completed) and return once all `p` ranks have. Panics if a peer
+    /// rank aborted while this one was waiting.
+    ///
+    /// The wait is a ladder because no single rung serves every shape of
+    /// run: spinning is the cheapest way to absorb microsecond skew when
+    /// each rank has a core; yielding is what lets `p >` cores make
+    /// progress without a futex round trip per crossing, and what keeps
+    /// `p <=` cores off the futex through a superstep's worth of skew (see
+    /// [`YIELD_WINDOW`]); and parking is what keeps a long wait (a peer
+    /// relaxing a million edges, the serving layer's other query) from
+    /// starving the very thread being waited on.
+    fn wait(&self, round: u64) {
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.p {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.store(round + 1, Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                self.wake_all();
+            }
+            return;
+        }
+        for _ in 0..SPIN_BUDGET {
+            if self.crossed(round) {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        let yielding_since = Instant::now();
+        while yielding_since.elapsed() < YIELD_WINDOW {
+            if self.crossed(round) {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        self.park(round);
+    }
+
+    /// Whether crossing `round` has completed. Panics when it has not and
+    /// never will because a peer rank is gone.
+    fn crossed(&self, round: u64) -> bool {
+        if self.generation.load(Ordering::SeqCst) != round {
+            return true;
+        }
+        // A dead peer is unrecoverable by design (SPMD contract): waiting
+        // for it would hang, returning would hand the caller garbage.
+        // sssp-lint: allow(no-panic-hot-path): see above
+        assert!(
+            self.aborted.load(Ordering::SeqCst) == NO_RANK,
+            "peer rank aborted"
+        );
+        false
+    }
+
+    /// Last rung of the ladder: sleep on `wake` until the crossing
+    /// completes or a peer aborts.
+    fn park(&self, round: u64) {
+        // `park` guards no data, so a poisoned lock is as good as a clean one.
+        let mut guard = self.park.lock().unwrap_or_else(PoisonError::into_inner);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while self.generation.load(Ordering::SeqCst) == round
+            && self.aborted.load(Ordering::SeqCst) == NO_RANK
+        {
+            // sssp-lint: allow(concurrency-blocking-hold): a condvar wait
+            // releases `park` while it sleeps; that is the protocol.
+            let woken = self.wake.wait(guard);
+            guard = woken.unwrap_or_else(PoisonError::into_inner);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        drop(guard);
+        // Woken by the releaser or by an abort: `crossed` tells which, and
+        // panics on the latter.
+        let crossed = self.crossed(round);
+        debug_assert!(crossed);
+    }
+
+    /// Wake every parked rank. Taking `park` first orders the notification
+    /// after any parker that already decided to sleep.
+    fn wake_all(&self) {
+        let _guard = self.park.lock().unwrap_or_else(PoisonError::into_inner);
+        self.wake.notify_all();
+    }
+
+    /// Record that `rank` is unwinding and release everyone waiting for it.
+    /// The first rank to abort stays on record: later ones are its victims.
+    fn abort(&self, rank: Rank) {
+        let _ = self
+            .aborted
+            .compare_exchange(NO_RANK, rank, Ordering::SeqCst, Ordering::SeqCst);
+        self.wake_all();
+    }
+
+    /// The rank that aborted first, if any did.
+    fn aborted_by(&self) -> Option<Rank> {
+        Some(self.aborted.load(Ordering::SeqCst)).filter(|&r| r != NO_RANK)
+    }
+}
+
+/// Everything the rank threads of one run share.
+struct Shared<M> {
+    barrier: Barrier,
+    /// `banks[parity][rank]`: reduction lanes.
+    banks: [Vec<Slot>; 2],
+    /// `mailbox[parity][dst * p + src]`: the batch `src` posted for `dst`.
+    mailbox: [Vec<Mutex<Option<Vec<M>>>>; 2],
+}
+
+impl<M> Shared<M> {
+    fn new(p: usize) -> Shared<M> {
+        Shared {
+            barrier: Barrier::new(p),
+            banks: [0, 1].map(|_| (0..p).map(|_| Slot(Default::default())).collect()),
+            mailbox: [0, 1].map(|_| (0..p * p).map(|_| Mutex::new(None)).collect()),
+        }
+    }
+}
+
+/// Raises the abort flag when its rank thread unwinds, so peers blocked in
+/// (or about to enter) the rendezvous panic instead of waiting forever.
+struct AbortOnUnwind<M> {
+    shared: Arc<Shared<M>>,
+    rank: Rank,
+}
+
+impl<M> Drop for AbortOnUnwind<M> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.shared.barrier.abort(self.rank);
+        }
+    }
+}
 
 /// One rank's transport counts for a single pooled exchange, as seen from
 /// that rank: messages it sent to itself (`sent_local`), messages it put on
@@ -59,18 +285,13 @@ pub struct ExchangeCounts {
 pub struct RankCtx<M> {
     rank: Rank,
     p: usize,
-    /// `senders[dst]` — shared producer side of dst's inbox channel.
-    senders: Vec<Sender<(Rank, Vec<M>)>>,
-    inbox: Receiver<(Rank, Vec<M>)>,
-    barrier: Arc<Barrier>,
-    /// Rendezvous buffer for collectives (one slot per rank).
-    slots: Arc<Mutex<Vec<Option<u64>>>>,
+    shared: Arc<Shared<M>>,
+    /// Crossings this rank has completed; selects the parity bank.
+    round: Cell<u64>,
     /// Recycled transport buffers for [`RankCtx::exchange_pooled`]: the `p`
     /// batches drained at superstep `s` become the send buffers of `s + 1`,
     /// so the pool never holds more than `p` vectors.
     spare: Vec<Vec<M>>,
-    /// Reusable receive staging area (batches sorted by source rank).
-    batches: Vec<(Rank, Vec<M>)>,
     /// Largest batch moved through [`RankCtx::exchange_pooled`] since the
     /// last [`RankCtx::trim_spares`] — the spare pool's high-water mark.
     watermark: usize,
@@ -125,18 +346,22 @@ impl<M: Send> RankCtx<M> {
     }
 
     /// Debug-build cross-rank check that every rank has executed the same
-    /// collective schedule: min- and max-reduce the fingerprints and assert
-    /// they agree. A no-op in release builds. The gate is compile-time
-    /// uniform across ranks (all threads run the same binary), so the extra
-    /// collectives cannot themselves skew the schedule.
+    /// collective schedule: one episode max-reduces the fingerprint and its
+    /// complement (the minimum in disguise) and asserts they agree. A no-op
+    /// in release builds. The gate is compile-time uniform across ranks
+    /// (all threads run the same binary), so the extra episode cannot
+    /// itself skew the schedule.
     pub fn assert_schedule_uniform(&self) {
         #[cfg(debug_assertions)]
         {
             let fp = self.fp.get();
-            let lo = self.allreduce_inner(fp, |vals| vals.iter().copied().min().unwrap_or(0));
-            let hi = self.allreduce_inner(fp, |vals| vals.iter().copied().max().unwrap_or(0));
+            let (mut hi, mut not_lo) = (0u64, 0u64);
+            self.episode([fp, !fp], |[a, b]| {
+                hi = hi.max(a);
+                not_lo = not_lo.max(b);
+            });
             assert_eq!(
-                lo,
+                !not_lo,
                 hi,
                 "collective schedule diverged across ranks (rank {} fp {fp:#018x}, epoch {})",
                 self.rank,
@@ -175,36 +400,20 @@ impl<M: Send> RankCtx<M> {
         self.lock_rec.observed_locks()
     }
 
-    /// Bulk-synchronous exchange: send `out[dst]` to every rank, receive
-    /// one batch from every rank, deliver concatenated in source order.
-    /// Blocks until all ranks have exchanged.
-    pub fn exchange(&self, out: Vec<Vec<M>>) -> Vec<M> {
-        assert_eq!(out.len(), self.p, "outbox fan-out mismatch");
-        self.note_collective(FP_EXCHANGE);
-        for (dst, msgs) in out.into_iter().enumerate() {
-            // A peer disappearing mid-superstep is unrecoverable by design
-            // (SPMD contract), hence the allowed panic below.
-            self.senders[dst]
-                .send((self.rank, msgs))
-                .expect("peer hung up"); // sssp-lint: allow(no-panic-hot-path): SPMD contract
-        }
-        let mut batches: Vec<(Rank, Vec<M>)> =
-            // sssp-lint: allow(no-panic-hot-path): same SPMD contract as above.
-            (0..self.p).map(|_| self.inbox.recv().expect("peer hung up")).collect();
-        batches.sort_by_key(|&(src, _)| src);
-        let inbox: Vec<M> = batches.into_iter().flat_map(|(_, m)| m).collect();
-        // Close the superstep: no rank may start the next exchange before
-        // every rank has drained this one.
-        self.barrier.wait();
-        inbox
+    /// Start the next episode: its crossing number, whose parity selects
+    /// the bank.
+    fn next_round(&self) -> u64 {
+        let round = self.round.get();
+        self.round.set(round + 1);
+        round
     }
 
     /// Pooled bulk-synchronous exchange: drains `out[dst]` into recycled
     /// transport buffers, delivers the concatenated batches (source-rank
-    /// order, like [`RankCtx::exchange`]) into `inbox`, and keeps every
-    /// emptied buffer for the next superstep. `out` lanes are left empty
-    /// with capacity intact, so after a warm-up superstep the steady state
-    /// allocates nothing on either side of the channel.
+    /// order) into `inbox`, and keeps every emptied buffer for the next
+    /// superstep. `out` lanes are left empty with capacity intact, so after
+    /// a warm-up superstep the steady state allocates nothing on either
+    /// side of the mailbox.
     pub fn exchange_pooled(&mut self, out: &mut [Vec<M>], inbox: &mut Vec<M>) {
         self.exchange_pooled_counted(out, inbox, 0, None);
     }
@@ -229,6 +438,8 @@ impl<M: Send> RankCtx<M> {
                 None => count * msg_bytes as u64,
             }
         };
+        let round = self.next_round();
+        let mailbox = &self.shared.mailbox[(round & 1) as usize];
         let mut counts = ExchangeCounts::default();
         for (dst, msgs) in out.iter_mut().enumerate() {
             self.watermark = self.watermark.max(msgs.len());
@@ -242,29 +453,48 @@ impl<M: Send> RankCtx<M> {
             }
             let mut buf = self.spare.pop().unwrap_or_default();
             buf.append(msgs);
-            // A peer disappearing mid-superstep is unrecoverable by design
-            // (SPMD contract), hence the allowed panic below.
-            self.senders[dst]
-                .send((self.rank, buf))
-                .expect("peer hung up"); // sssp-lint: allow(no-panic-hot-path): SPMD contract
+            let stale = {
+                let mut cell = self.lock_rec.track(
+                    "mailbox",
+                    // A cell is only ever replaced or taken under its lock,
+                    // so a poisoned one still holds a whole value.
+                    mailbox[dst * self.p + self.rank]
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner),
+                );
+                cell.replace(buf)
+            };
+            debug_assert!(
+                stale.is_none(),
+                "mailbox cell overwritten before its reader"
+            );
         }
-        while self.batches.len() < self.p {
-            // sssp-lint: allow(no-panic-hot-path): same SPMD contract as above.
-            let batch = self.inbox.recv().expect("peer hung up");
-            self.batches.push(batch);
-        }
-        self.batches.sort_by_key(|&(src, _)| src);
+        // Every batch is posted before the crossing and taken after it; the
+        // parity banks make a trailing barrier unnecessary (module docs).
+        self.shared.barrier.wait(round);
         inbox.clear();
-        for (src, mut b) in self.batches.drain(..) {
-            self.watermark = self.watermark.max(b.len());
-            self.query_watermark = self.query_watermark.max(b.len());
+        for src in 0..self.p {
+            let batch = {
+                let mut cell = self.lock_rec.track(
+                    "mailbox",
+                    mailbox[self.rank * self.p + src]
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner),
+                );
+                cell.take()
+            };
+            // Every rank posted before the crossing; a hole means the
+            // barrier itself is broken, hence the allowed panic below.
+            // sssp-lint: allow(no-panic-hot-path): barrier guarantees the batch; a hole is unrecoverable
+            let mut batch = batch.expect("missing batch");
+            self.watermark = self.watermark.max(batch.len());
+            self.query_watermark = self.query_watermark.max(batch.len());
             if src != self.rank {
-                counts.recv_remote_bytes += wire(b.len() as u64);
+                counts.recv_remote_bytes += wire(batch.len() as u64);
             }
-            inbox.append(&mut b);
-            self.spare.push(b);
+            inbox.append(&mut batch);
+            self.spare.push(batch);
         }
-        self.barrier.wait();
         counts
     }
 
@@ -330,60 +560,37 @@ impl<M: Send> RankCtx<M> {
         self.spare.iter().map(Vec::capacity).max().unwrap_or(0)
     }
 
-    /// Allreduce over one `u64` contribution per rank.
-    pub fn allreduce<F: Fn(&[u64]) -> u64>(&self, value: u64, combine: F) -> u64 {
-        self.note_collective(FP_REDUCE);
-        self.allreduce_inner(value, combine)
+    /// One reduction episode, without the fingerprint update: publish
+    /// `mine` into this round's bank, cross once, and hand every rank's
+    /// lanes to `fold` in rank order. Shared by the public collectives
+    /// (which mix their own kind codes first) and by the debug self-checks,
+    /// whose meta-collectives must not perturb the fingerprint they check.
+    /// Lane accesses are `Relaxed`: the crossing orders them (see
+    /// [`Barrier`]).
+    fn episode<const N: usize>(&self, mine: [u64; N], mut fold: impl FnMut([u64; N])) {
+        let round = self.next_round();
+        let bank = &self.shared.banks[(round & 1) as usize];
+        for (lane, v) in bank[self.rank].0.iter().zip(mine) {
+            lane.store(v, Ordering::Relaxed);
+        }
+        self.shared.barrier.wait(round);
+        for slot in bank {
+            fold(std::array::from_fn(|i| slot.0[i].load(Ordering::Relaxed)));
+        }
     }
 
-    /// The rendezvous itself, without the fingerprint update: shared by the
-    /// public collectives (which mix their own kind codes first) and by
-    /// [`RankCtx::assert_schedule_uniform`], whose meta-collectives must not
-    /// perturb the fingerprint they are checking.
-    fn allreduce_inner<F: Fn(&[u64]) -> u64>(&self, value: u64, combine: F) -> u64 {
-        {
-            let mut slots = self.lock_rec.track(
-                "slots",
-                // sssp-lint: allow(no-panic-hot-path, panic-silent-poison): poisoned = a
-                // rank already panicked; die-on-poison is the correct SPMD behavior —
-                // recovering the guard would hang the rendezvous on the dead rank.
-                self.slots.lock().expect("collective mutex poisoned"),
-            );
-            slots[self.rank] = Some(value);
-        }
-        self.barrier.wait();
-        let result = {
-            let slots = self.lock_rec.track(
-                "slots",
-                // sssp-lint: allow(no-panic-hot-path, panic-silent-poison): see poisoning note above.
-                self.slots.lock().expect("collective mutex poisoned"),
-            );
-            // Every rank filled its slot before the barrier; a hole means
-            // the barrier itself is broken, hence the allowed panic below.
-            let vals: Vec<u64> = slots
-                .iter()
-                .map(|s| s.expect("missing contribution")) // sssp-lint: allow(no-panic-hot-path, panic-in-critical-section): barrier guarantees slots; a hole is unrecoverable
-                .collect();
-            combine(&vals)
-        };
-        // Second barrier before anyone clears their slot for reuse.
-        self.barrier.wait();
-        {
-            let mut slots = self.lock_rec.track(
-                "slots",
-                // sssp-lint: allow(no-panic-hot-path, panic-silent-poison): see poisoning note above.
-                self.slots.lock().expect("collective mutex poisoned"),
-            );
-            slots[self.rank] = None;
-        }
-        self.barrier.wait();
-        result
+    /// A single-value allreduce of `kind`: fold every rank's contribution
+    /// into `init` with `fold`, in rank order.
+    fn reduce(&self, kind: u64, value: u64, init: u64, fold: impl Fn(u64, u64) -> u64) -> u64 {
+        self.note_collective(kind);
+        let mut acc = init;
+        self.episode([value], |[v]| acc = fold(acc, v));
+        acc
     }
 
     /// Minimum allreduce: every rank receives the smallest contribution.
     pub fn allreduce_min(&self, value: u64) -> u64 {
-        self.note_collective(FP_REDUCE_MIN);
-        self.allreduce_inner(value, |vals| vals.iter().copied().min().unwrap_or(u64::MAX))
+        self.reduce(FP_REDUCE_MIN, value, u64::MAX, u64::min)
     }
 
     /// Minimum allreduce of per-rank epoch-window proposals. The threaded
@@ -391,34 +598,46 @@ impl<M: Send> RankCtx<M> {
     /// fingerprinted with its own kind, so policies that issue the window
     /// collective hold schedules distinct from those that do not.
     pub fn allreduce_min_window(&self, value: u64) -> u64 {
-        self.note_collective(FP_WINDOW);
-        self.allreduce_inner(value, |vals| vals.iter().copied().min().unwrap_or(u64::MAX))
+        self.reduce(FP_WINDOW, value, u64::MAX, u64::min)
     }
 
     /// Maximum allreduce: every rank receives the largest contribution.
     pub fn allreduce_max(&self, value: u64) -> u64 {
-        self.note_collective(FP_REDUCE_MAX);
-        self.allreduce_inner(value, |vals| vals.iter().copied().max().unwrap_or(0))
+        self.reduce(FP_REDUCE_MAX, value, 0, u64::max)
     }
 
     /// Sum allreduce: every rank receives the total of all contributions.
     pub fn allreduce_sum(&self, value: u64) -> u64 {
-        self.note_collective(FP_REDUCE_SUM);
-        self.allreduce_inner(value, |vals| vals.iter().sum())
+        self.reduce(FP_REDUCE_SUM, value, 0, |a, b| a + b)
     }
 
     /// Logical-or allreduce.
     pub fn any(&self, flag: bool) -> bool {
-        self.note_collective(FP_REDUCE_ANY);
-        self.allreduce_inner(u64::from(flag), |vals| {
-            u64::from(vals.iter().any(|&v| v != 0))
-        }) != 0
+        self.reduce(FP_REDUCE_ANY, u64::from(flag), 0, u64::max) != 0
+    }
+
+    /// Fused allreduce: two sums and three maxima in one episode (the
+    /// threaded side of [`Comm::allreduce_fused`]).
+    pub fn allreduce_fused(&self, sums: [u64; 2], maxes: [u64; 3]) -> ([u64; 2], [u64; 3]) {
+        self.note_collective(FP_REDUCE_FUSED);
+        let (mut sum, mut max) = ([0u64; 2], [0u64; 3]);
+        self.episode(
+            [sums[0], sums[1], maxes[0], maxes[1], maxes[2]],
+            |[s0, s1, m0, m1, m2]| {
+                sum[0] += s0;
+                sum[1] += s1;
+                max[0] = max[0].max(m0);
+                max[1] = max[1].max(m1);
+                max[2] = max[2].max(m2);
+            },
+        );
+        (sum, max)
     }
 }
 
 /// The rank-thread transport: the process owns its own rank, collectives
-/// are the rendezvous primitives above, and an exchange goes through the
-/// pooled channel path.
+/// are the rendezvous episodes above, and an exchange goes through the
+/// pooled mailbox path.
 impl<M: Send> Comm<M> for RankCtx<M> {
     fn owned(&self) -> Range<Rank> {
         self.rank..self.rank + 1
@@ -446,6 +665,10 @@ impl<M: Send> Comm<M> for RankCtx<M> {
 
     fn any(&mut self, flag: bool) -> bool {
         RankCtx::any(self, flag)
+    }
+
+    fn allreduce_fused(&mut self, sums: [u64; 2], maxes: [u64; 3]) -> ([u64; 2], [u64; 3]) {
+        RankCtx::allreduce_fused(self, sums, maxes)
     }
 
     fn exchange(
@@ -482,10 +705,13 @@ impl<M: Send> Comm<M> for RankCtx<M> {
         self.assert_schedule_uniform();
         #[cfg(debug_assertions)]
         {
-            let sum = |vals: &[u64]| vals.iter().sum();
+            let (mut delivered, mut sent) = (0u64, 0u64);
+            self.episode([_delivered, _sent], |[d, s]| {
+                delivered += d;
+                sent += s;
+            });
             assert_eq!(
-                self.allreduce_inner(_delivered, sum),
-                self.allreduce_inner(_sent, sum),
+                delivered, sent,
                 "message conservation violated: delivered != sent"
             );
         }
@@ -495,7 +721,7 @@ impl<M: Send> Comm<M> for RankCtx<M> {
 /// Spawn `p` rank threads, run `body` on each, and collect the results in
 /// rank order. `body` receives the rank's [`RankCtx`] and drives as many
 /// supersteps as it likes; all ranks must execute the same sequence of
-/// `exchange`/collective calls (the usual SPMD contract).
+/// exchange/collective calls (the usual SPMD contract).
 pub fn run_threaded<M, R, F>(p: usize, body: F) -> Vec<R>
 where
     M: Send + 'static,
@@ -510,6 +736,11 @@ where
 /// thread per-rank scratch state (reusable buffers, resident engine state)
 /// through a run without any shared locking: each payload has exactly one
 /// owner at all times. `payloads.len()` must equal `p`.
+///
+/// A panic in one rank's body aborts the rendezvous — peers waiting for
+/// that rank panic with "peer rank aborted" rather than hang — and, once
+/// every rank thread has been joined, is re-raised here with the original
+/// payload.
 pub fn run_threaded_with<M, R, T, F>(p: usize, payloads: Vec<T>, body: F) -> Vec<R>
 where
     M: Send + 'static,
@@ -519,22 +750,17 @@ where
 {
     assert!(p > 0);
     assert_eq!(payloads.len(), p, "one payload per rank");
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..p).map(|_| channel()).unzip();
-    let barrier = Arc::new(Barrier::new(p));
-    let slots = Arc::new(Mutex::new(vec![None; p]));
+    let shared = Arc::new(Shared::new(p));
     let body = Arc::new(body);
 
     let mut handles = Vec::with_capacity(p);
-    for ((rank, inbox), payload) in receivers.into_iter().enumerate().zip(payloads) {
+    for (rank, payload) in payloads.into_iter().enumerate() {
         let ctx = RankCtx {
             rank,
             p,
-            senders: senders.clone(),
-            inbox,
-            barrier: Arc::clone(&barrier),
-            slots: Arc::clone(&slots),
+            shared: Arc::clone(&shared),
+            round: Cell::new(0),
             spare: Vec::new(),
-            batches: Vec::with_capacity(p),
             watermark: 0,
             query_watermark: 0,
             fp: Cell::new(0),
@@ -542,25 +768,34 @@ where
             lock_rec: lockorder::Recorder::new(),
         };
         let body = Arc::clone(&body);
+        let guard = AbortOnUnwind {
+            shared: Arc::clone(&shared),
+            rank,
+        };
         handles.push(
             std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
-                .spawn(move || body(ctx, payload))
+                .spawn(move || {
+                    // Declared before the call so it drops after `ctx`,
+                    // whose lock-order check may itself be what panics.
+                    let _guard = guard;
+                    body(ctx, payload)
+                })
                 // sssp-lint: allow(no-panic-hot-path): setup, not a hot path;
                 // no ranks have started yet, so aborting is clean.
                 .expect("failed to spawn rank thread"),
         );
     }
-    drop(senders);
-    // Re-raise a rank panic on the driver thread instead of returning
-    // partial results, preserving the rank's own panic payload so the
-    // driver reports the real failure rather than a generic join error.
-    handles
+    // Join every rank before reporting anything, then re-raise the panic of
+    // the rank that aborted first — the real failure — rather than one of
+    // the "peer rank aborted" panics it caused in the others.
+    let mut results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+    if let Some(Err(e)) = shared.barrier.aborted_by().map(|r| results.swap_remove(r)) {
+        std::panic::resume_unwind(e);
+    }
+    results
         .into_iter()
-        .map(|h| match h.join() {
-            Ok(r) => r,
-            Err(e) => std::panic::resume_unwind(e),
-        })
+        .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
         .collect()
 }
 
@@ -568,12 +803,19 @@ where
 mod tests {
     use super::*;
 
+    /// One exchange of freshly built lanes, returning the inbox.
+    fn exchange_once<M: Send>(ctx: &mut RankCtx<M>, mut out: Vec<Vec<M>>) -> Vec<M> {
+        let mut inbox = Vec::new();
+        ctx.exchange_pooled(&mut out, &mut inbox);
+        inbox
+    }
+
     #[test]
     fn exchange_routes_and_orders_by_source() {
-        let inboxes = run_threaded(4, |ctx: RankCtx<(usize, usize)>| {
+        let inboxes = run_threaded(4, |mut ctx: RankCtx<(usize, usize)>| {
             let p = ctx.num_ranks();
             let out: Vec<Vec<(usize, usize)>> = (0..p).map(|dst| vec![(ctx.rank(), dst)]).collect();
-            ctx.exchange(out)
+            exchange_once(&mut ctx, out)
         });
         for (dst, inbox) in inboxes.iter().enumerate() {
             let expect: Vec<(usize, usize)> = (0..4).map(|src| (src, dst)).collect();
@@ -583,14 +825,14 @@ mod tests {
 
     #[test]
     fn multiple_supersteps_stay_in_lockstep() {
-        let results = run_threaded(3, |ctx: RankCtx<u64>| {
+        let results = run_threaded(3, |mut ctx: RankCtx<u64>| {
             let p = ctx.num_ranks();
             let mut acc = ctx.rank() as u64;
             for _ in 0..5 {
                 // Everyone broadcasts its accumulator; each rank sums what
                 // it hears.
                 let out: Vec<Vec<u64>> = (0..p).map(|_| vec![acc]).collect();
-                let inbox = ctx.exchange(out);
+                let inbox = exchange_once(&mut ctx, out);
                 acc = inbox.iter().sum();
             }
             acc
@@ -604,13 +846,24 @@ mod tests {
     #[test]
     fn allreduce_combines_contributions() {
         let sums = run_threaded(5, |ctx: RankCtx<()>| {
-            ctx.allreduce(ctx.rank() as u64 + 1, |vals| vals.iter().sum())
+            ctx.allreduce_sum(ctx.rank() as u64 + 1)
         });
         assert!(sums.iter().all(|&s| s == 15));
         let mins = run_threaded(5, |ctx: RankCtx<()>| {
-            ctx.allreduce(10 - ctx.rank() as u64, |vals| *vals.iter().min().unwrap())
+            ctx.allreduce_min(10 - ctx.rank() as u64)
         });
         assert!(mins.iter().all(|&m| m == 6));
+    }
+
+    #[test]
+    fn fused_allreduce_sums_and_maxes_lane_by_lane() {
+        let out = run_threaded(4, |ctx: RankCtx<()>| {
+            let r = ctx.rank() as u64;
+            ctx.allreduce_fused([r, 10 * r], [r, 7 - r, 3])
+        });
+        for got in out {
+            assert_eq!(got, ([6, 60], [3, 7, 3]));
+        }
     }
 
     #[test]
@@ -623,12 +876,12 @@ mod tests {
 
     #[test]
     fn collectives_and_exchanges_interleave() {
-        let results = run_threaded(3, |ctx: RankCtx<u64>| {
+        let results = run_threaded(3, |mut ctx: RankCtx<u64>| {
             let p = ctx.num_ranks();
             let mut x = ctx.rank() as u64;
             loop {
                 let out: Vec<Vec<u64>> = (0..p).map(|_| vec![x]).collect();
-                let inbox = ctx.exchange(out);
+                let inbox = exchange_once(&mut ctx, out);
                 x = *inbox.iter().max().unwrap();
                 if ctx.any(x >= 2) {
                     break;
@@ -640,7 +893,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_exchange_matches_consuming_exchange() {
+    fn pooled_exchange_routes_every_round_in_source_order() {
         let inboxes = run_threaded(4, |mut ctx: RankCtx<(usize, usize)>| {
             let p = ctx.num_ranks();
             let mut out: Vec<Vec<(usize, usize)>> = (0..p).map(|_| Vec::new()).collect();
@@ -930,22 +1183,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_plain_exchange_interleave() {
-        let results = run_threaded(2, |mut ctx: RankCtx<u32>| {
-            let p = ctx.num_ranks();
-            let plain = ctx.exchange((0..p).map(|_| vec![1u32]).collect());
-            let mut out: Vec<Vec<u32>> = (0..p).map(|_| vec![2u32]).collect();
-            let mut inbox = Vec::new();
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            (plain, inbox)
-        });
-        for (plain, pooled) in results {
-            assert_eq!(plain, vec![1, 1]);
-            assert_eq!(pooled, vec![2, 2]);
-        }
-    }
-
-    #[test]
     fn fingerprints_agree_across_ranks_and_rank_counts() {
         for p in [1, 3, 5] {
             let fps = run_threaded(p, |mut ctx: RankCtx<u64>| {
@@ -999,13 +1236,16 @@ mod tests {
     #[cfg(debug_assertions)]
     fn lock_order_twin_records_the_collective_mutex_and_no_nesting() {
         for p in [1, 3, 5] {
-            let obs = run_threaded(p, |ctx: RankCtx<u64>| {
+            let obs = run_threaded(p, move |mut ctx: RankCtx<u64>| {
                 ctx.allreduce_sum(ctx.rank() as u64);
                 ctx.any(false);
+                exchange_once(&mut ctx, vec![vec![1]; p]);
                 (ctx.observed_locks(), ctx.observed_lock_pairs())
             });
             for (locks, pairs) in obs {
-                assert_eq!(locks, vec!["slots"], "p={p}");
+                // Reductions are lock-free; the only lock a rank context
+                // takes is its mailbox cells'.
+                assert_eq!(locks, vec!["mailbox"], "p={p}");
                 assert!(
                     pairs.is_empty(),
                     "p={p}: rendezvous runtime must never nest locks: {pairs:?}"
@@ -1021,16 +1261,86 @@ mod tests {
         run_threaded(3, |ctx: RankCtx<u64>| {
             ctx.allreduce_sum(1);
             if ctx.rank() == 2 {
-                ctx.perturb_lock_order("slots", "slots");
+                ctx.perturb_lock_order("mailbox", "mailbox");
             }
         });
     }
 
+    /// Run `f` on a thread of its own and return how it ended, failing —
+    /// rather than hanging the suite — if it has not ended after 20 s.
+    fn outcome_of(f: impl FnOnce() + Send + 'static) -> std::thread::Result<()> {
+        let worker = std::thread::spawn(f);
+        let start = std::time::Instant::now();
+        while !worker.is_finished() {
+            assert!(start.elapsed().as_secs() < 20, "peers of a dead rank hung");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        worker.join()
+    }
+
+    fn panic_message(outcome: std::thread::Result<()>) -> String {
+        let payload = outcome.expect_err("the run must re-raise the rank's panic");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => (*p.downcast::<&str>().expect("string payload")).to_string(),
+        }
+    }
+
+    #[test]
+    fn a_rank_panicking_before_an_allreduce_fails_the_run_instead_of_wedging_it() {
+        // `late` = the dying rank dawdles first, so its peers have climbed
+        // the whole ladder and are parked when the abort has to reach them.
+        for late in [false, true] {
+            let outcome = outcome_of(move || {
+                run_threaded(3, move |ctx: RankCtx<u64>| {
+                    ctx.allreduce_sum(1);
+                    if ctx.rank() == 1 {
+                        if late {
+                            std::thread::sleep(std::time::Duration::from_millis(30));
+                        }
+                        panic!("rank 1 blew up before the reduce");
+                    }
+                    ctx.allreduce_sum(2);
+                    ctx.allreduce_sum(3);
+                });
+            });
+            assert_eq!(
+                panic_message(outcome),
+                "rank 1 blew up before the reduce",
+                "late {late}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_rank_panicking_mid_exchange_after_posting_fails_the_run_instead_of_wedging_it() {
+        let outcome = outcome_of(|| {
+            run_threaded(3, |mut ctx: RankCtx<u64>| {
+                let p = ctx.num_ranks();
+                let warm = exchange_once(&mut ctx, vec![vec![7]; p]);
+                assert_eq!(warm, vec![7; p]);
+                if ctx.rank() == 1 {
+                    // The first half of an exchange by hand — post every
+                    // batch into the round's bank — then die before the
+                    // crossing the peers are waiting at.
+                    let bank = &ctx.shared.mailbox[(ctx.round.get() & 1) as usize];
+                    for dst in 0..p {
+                        let stale = bank[dst * p + 1].lock().unwrap().replace(vec![8]);
+                        assert!(stale.is_none());
+                    }
+                    panic!("rank 1 blew up after posting");
+                }
+                exchange_once(&mut ctx, vec![vec![8]; p])
+            });
+        });
+        assert_eq!(panic_message(outcome), "rank 1 blew up after posting");
+    }
+
     #[test]
     fn single_rank_world() {
-        let out = run_threaded(1, |ctx: RankCtx<u32>| {
-            let inbox = ctx.exchange(vec![vec![7, 8]]);
-            (inbox, ctx.allreduce(9, |v| v[0]))
+        let out = run_threaded(1, |mut ctx: RankCtx<u32>| {
+            let inbox = exchange_once(&mut ctx, vec![vec![7, 8]]);
+            (inbox, ctx.allreduce_max(9))
         });
         assert_eq!(out[0].0, vec![7, 8]);
         assert_eq!(out[0].1, 9);

@@ -47,6 +47,11 @@ pub trait Comm<M> {
     /// Logical or over all ranks.
     fn any(&mut self, flag: bool) -> bool;
 
+    /// Two sums and three maxima over all ranks as *one* collective — the
+    /// shape of the §III-C push/pull decision (Σ push, Σ pull, max push,
+    /// max pull, max scanned), which the cost model charges one latency.
+    fn allreduce_fused(&mut self, sums: [u64; 2], maxes: [u64; 3]) -> ([u64; 2], [u64; 3]);
+
     /// One superstep: deliver `out[i].out[dst]` of every owned rank `i` to
     /// rank `dst`, fill `inboxes[i]` with what owned rank `i` receives
     /// (source-rank order), leave every lane empty with its capacity
@@ -117,6 +122,10 @@ impl<M> Comm<M> for LockstepComm {
         flag
     }
 
+    fn allreduce_fused(&mut self, sums: [u64; 2], maxes: [u64; 3]) -> ([u64; 2], [u64; 3]) {
+        (sums, maxes)
+    }
+
     fn exchange(
         &mut self,
         out: &mut [Outbox<M>],
@@ -140,9 +149,21 @@ mod tests {
     use super::*;
     use crate::threaded::{run_threaded, RankCtx};
 
+    /// What [`program`] hands back: the inboxes, the single reductions
+    /// `(sum, min, any)`, the fused reduce next to the five single ones it
+    /// replaces, and the step record.
+    type Outcome = (
+        Vec<Vec<u64>>,
+        (u64, u64, bool),
+        [([u64; 2], [u64; 3]); 2],
+        StepStats,
+    );
+
     /// Drive the same tiny SPMD program through a transport: every rank
-    /// sends its id to every rank, then the world reduces the inbox sums.
-    fn program<C: Comm<u64>>(ctx: &mut C, p: usize) -> (Vec<Vec<u64>>, u64, u64, bool, StepStats) {
+    /// sends its id to every rank, then the world reduces the inbox sums —
+    /// and two sums and three maxima, once as five reductions and once
+    /// fused.
+    fn program<C: Comm<u64>>(ctx: &mut C, p: usize) -> Outcome {
         let owned = ctx.owned();
         let mut out: Vec<Outbox<u64>> = owned.clone().map(|_| Outbox::new(p)).collect();
         let mut inboxes: Vec<Vec<u64>> = owned.clone().map(|_| Vec::new()).collect();
@@ -158,22 +179,39 @@ mod tests {
         let total = ctx.allreduce_sum(local);
         let least = ctx.allreduce_min(owned.start as u64);
         let any = ctx.any(owned.contains(&(p - 1)));
-        (inboxes, total, least, any, step)
+        // Contributions pre-folded over the owned ranks, as the driver does:
+        // sums of r and r², maxima of r, p - r and a constant.
+        let ranks = || owned.clone().map(|r| r as u64);
+        let sums = [ranks().sum(), ranks().map(|r| r * r).sum()];
+        let maxes = [
+            ranks().max().unwrap(),
+            ranks().map(|r| p as u64 - r).max().unwrap(),
+            7,
+        ];
+        let single = (
+            sums.map(|v| ctx.allreduce_sum(v)),
+            maxes.map(|v| ctx.allreduce_max(v)),
+        );
+        let fused = ctx.allreduce_fused(sums, maxes);
+        (inboxes, (total, least, any), [single, fused], step)
     }
 
     #[test]
     fn lockstep_and_rank_threads_run_the_same_program() {
         let p = 3;
-        let (inboxes, total, least, any, step) = program(&mut LockstepComm::new(p), p);
+        let (inboxes, reduced, [single, fused], step) = program(&mut LockstepComm::new(p), p);
         assert_eq!(inboxes, vec![vec![0, 1, 2]; 3]);
-        assert_eq!((total, least, any), (9, 0, true));
+        assert_eq!(reduced, (9, 0, true));
+        assert_eq!(single, ([3, 5], [2, 3, 7]));
+        assert_eq!(fused, single, "fused reduce must equal five reductions");
         assert_eq!((step.local_msgs, step.remote_msgs), (3, 6));
 
         let per_rank = run_threaded(p, move |mut ctx: RankCtx<u64>| program(&mut ctx, p));
         let mut merged = StepStats::default();
-        for (rank, (inbox, t, l, a, s)) in per_rank.into_iter().enumerate() {
+        for (rank, (inbox, r, both, s)) in per_rank.into_iter().enumerate() {
             assert_eq!(inbox, vec![vec![0, 1, 2]], "rank {rank}");
-            assert_eq!((t, l, a), (total, least, any), "rank {rank}");
+            assert_eq!(r, reduced, "rank {rank}");
+            assert_eq!(both, [single, single], "rank {rank}");
             merged.local_msgs += s.local_msgs;
             merged.remote_msgs += s.remote_msgs;
             merged.remote_bytes += s.remote_bytes;

@@ -169,7 +169,7 @@ impl ProcBufs {
     }
 
     /// Release every buffer whose capacity exceeds 4× `high_water`. The
-    /// same capacity floor as the channel spare pool keeps a quiet epoch
+    /// same capacity floor as the transport spare pool keeps a quiet epoch
     /// (mark 0) from freeing every lane.
     fn shrink(&mut self, high_water: usize) {
         let floor = high_water.max(SPARE_CAPACITY_FLOOR / 4);
@@ -594,12 +594,10 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 )
             },
         );
-        let push_total = self.ctx.allreduce_sum(owned.0);
-        let pull_total = self.ctx.allreduce_sum(owned.1);
-        let push_max = self.ctx.allreduce_max(owned.2);
-        let pull_max = self.ctx.allreduce_max(owned.3);
-        let scan_max = self.ctx.allreduce_max(owned.4);
         // §III-C shares the per-rank sums once: one collective's latency.
+        let ([push_total, pull_total], [push_max, pull_max, scan_max]) = self
+            .ctx
+            .allreduce_fused([owned.0, owned.1], [owned.2, owned.3, owned.4]);
         self.rec.collective(TimeClass::Relax);
         let (mode, est_push, est_pull) = decide::decide_from_totals(
             cfg,

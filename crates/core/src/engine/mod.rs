@@ -22,7 +22,7 @@
 //!   [`Lockstep`] drives all `p` ranks from the calling thread and
 //!   transposes their lanes in memory — the simulator, which models more
 //!   ranks than the machine has cores; [`Threaded`] runs one OS thread per
-//!   rank over channels and rendezvous collectives. Distances, schedules
+//!   rank over a mailbox exchange and rendezvous collectives. Distances, schedules
 //!   and telemetry are bit-identical between the two.
 //! * the **recorder** ([`record::Recorder`]): [`record::NoopRecorder`]
 //!   compiles to nothing; a [`RunStats`] keeps the run telemetry and — given

@@ -1,8 +1,8 @@
 //! The real-thread transport: the epoch loop of `driver.rs` running one
-//! OS thread per rank over [`sssp_comm::threaded::RankCtx`] — channels for
+//! OS thread per rank over [`sssp_comm::threaded::RankCtx`] — a mailbox for
 //! the exchanges, rendezvous collectives for everything else.
 //!
-//! Because channel inboxes are delivered in source-rank order (matching
+//! Because mailbox rows are drained in source-rank order (matching
 //! the lockstep transpose) and sender-side packing leaves each lane sorted
 //! by `(target, nd)`, a threaded run applies the *identical* message
 //! sequence in the *identical* order as a lockstep run — final distances
@@ -10,7 +10,7 @@
 //!
 //! What is transport-specific lives here: spawning the rank threads,
 //! moving each rank's resident [`EngineScratch`] share into its thread and
-//! back, and adopting / releasing the channel spare pool around the run.
+//! back, and adopting / releasing the transport spare pool around the run.
 
 use std::sync::Arc;
 
@@ -28,7 +28,7 @@ use super::{run, Query, RelaxMsg, RunOutput, Transport};
 
 /// Resident per-rank engine state a serving layer keeps warm between
 /// queries: each rank's [`ProcBufs`] (rank state, outbox lanes, inboxes)
-/// and its channel transport spares. One scratch belongs to exactly one
+/// and its transport spares. One scratch belongs to exactly one
 /// in-flight query at a time; running a query on it ([`Threaded`]) re-uses
 /// every pooled structure instead of re-allocating (the state is reset,
 /// not rebuilt). A scratch is graph-shape-specific only through per-rank
@@ -391,7 +391,7 @@ mod tests {
                     }
                 });
                 for (locks, pairs) in obs {
-                    assert!(locks.contains(&"slots"), "p {p}: no collective lock");
+                    assert!(locks.contains(&"mailbox"), "p {p}: no exchange lock");
                     for lock in &locks {
                         assert!(
                             sssp_comm::lockorder::STATIC_LOCKS.contains(lock),
@@ -419,7 +419,7 @@ mod tests {
         run_threaded(2, move |mut ctx: RankCtx<RelaxMsg>| {
             rank_run(&dg, &SsspConfig::opt(15), &model, &mut ctx);
             if ctx.rank() == 1 {
-                ctx.perturb_lock_order("slots", "slots");
+                ctx.perturb_lock_order("mailbox", "mailbox");
             }
         });
     }

@@ -1,8 +1,8 @@
 //! Kernels on the real-thread backend ([`sssp_comm::threaded`]).
 //!
 //! These run the same bulk-synchronous programs as the simulated engine,
-//! but with one OS thread per rank and messages moving through channels —
-//! no shared state. The test suite asserts they produce results identical
+//! but with one OS thread per rank and messages moving through the rank
+//! runtime's mailbox — no other shared state. The test suite asserts they produce results identical
 //! to the simulated kernels, which is the evidence that the simulator's
 //! semantics (source-ordered delivery, superstep barriers, collectives)
 //! faithfully model a real distributed execution.

@@ -72,6 +72,35 @@ fn traced_backends_agree_bucket_by_bucket() {
 }
 
 #[test]
+fn fused_decision_reduce_reproduces_the_five_reduction_decisions() {
+    // What §III-C decided per bucket — (est_push, est_pull, mode) — on the
+    // sweep's configs at p = 4, recorded while `Driver::decide` still
+    // issued two sum- and three max-allreduces. The fused collective must
+    // feed the heuristic the same five totals on both transports.
+    use LongPhaseMode::{Pull, Push};
+    let recorded: [&[(u64, u64, LongPhaseMode)]; 6] = [
+        &[(1684, 128, Push)],
+        &[(0, 0, Push); 3],
+        &[(0, 0, Pull); 3],
+        &[(1482, 704, Push), (386, 0, Pull)],
+        &[(0, 0, Push)],
+        &[(1482, 704, Push)],
+    ];
+    let g = bench_graph();
+    for (cfg, want) in trace_matrix().iter().zip(recorded) {
+        let (sim, thr) = traces_for(&g, 4, cfg);
+        for trace in [sim, thr] {
+            let got: Vec<_> = trace
+                .buckets
+                .iter()
+                .map(|b| (b.est_push, b.est_pull, b.mode))
+                .collect();
+            assert_eq!(got, want, "{} transport, cfg {cfg:?}", trace.backend);
+        }
+    }
+}
+
+#[test]
 fn threaded_trace_survives_json_roundtrip() {
     let g = bench_graph();
     for cfg in [

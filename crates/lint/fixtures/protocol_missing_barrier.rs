@@ -1,29 +1,29 @@
-//! Fixture: a collective rendezvous missing the barrier between its
-//! write and read phases. The second `.lock(` at line 10 must fire.
+//! Fixture: a mailbox exchange missing the crossing between its post and
+//! take phases. The second `.lock(` at line 10 must fire.
 
-fn bad_collective(&self, value: u64) -> u64 {
+fn bad_exchange(&self, batch: Vec<u64>) -> Vec<u64> {
     {
-        let mut slots = self.slots.lock();
-        slots.push(value);
+        let mut cell = self.mailbox[self.dst].lock();
+        cell.replace(batch);
     }
-    // Missing: a barrier between the write phase and the read below.
-    let combined = self.slots.lock();
-    let out = combined.iter().sum();
-    drop(combined);
-    self.barrier.wait();
+    // Missing: the barrier crossing between the post and the take below.
+    let mut mine = self.mailbox[self.rank].lock();
+    let out = mine.take().unwrap_or_default();
+    drop(mine);
+    self.barrier.wait(self.round);
     out
 }
 
-fn good_collective(&self, value: u64) -> u64 {
+fn good_exchange(&self, batch: Vec<u64>) -> Vec<u64> {
     {
-        let mut slots = self.slots.lock();
-        slots.push(value);
+        let mut cell = self.mailbox[self.dst].lock();
+        cell.replace(batch);
     }
-    self.barrier.wait();
+    self.barrier.wait(self.round);
     let out = {
-        let slots = self.slots.lock();
-        slots.iter().sum()
+        let mut mine = self.mailbox[self.rank].lock();
+        mine.take().unwrap_or_default()
     };
-    self.barrier.wait();
+    self.barrier.wait(self.round + 1);
     out
 }

@@ -27,8 +27,8 @@
 //!
 //! The comm primitives (`crates/comm/src/{collective,threaded}.rs`) are
 //! modeled as *terminal* operations — the walker never descends into them,
-//! so the rendezvous internals (triple lock/barrier handshakes) do not leak
-//! into the protocol. They are still covered by the lexical
+//! so the rendezvous internals (publish → crossing → read episodes) do not
+//! leak into the protocol. They are still covered by the lexical
 //! `protocol-missing-barrier` rule in this module.
 
 use std::collections::BTreeSet;
@@ -336,6 +336,7 @@ const REDUCE_IDENTS: &[&str] = &[
     "allreduce_min",
     "allreduce_min_window",
     "allreduce_max",
+    "allreduce_fused",
     "allreduce_any",
     "allreduce_sum_f64",
     "allreduce_max_f64",
@@ -347,7 +348,7 @@ const EXCHANGE_IDENTS: &[&str] = &["exchange", "exchange_pooled", "exchange_pool
 
 /// Classify a call token as a terminal collective, if it is one. The comm
 /// primitives are the protocol alphabet; the walker never descends into
-/// them (`allreduce_inner`'s lock/barrier handshake is an implementation
+/// them (an episode's publish/crossing/read handshake is an implementation
 /// detail, not part of the schedule).
 fn terminal_op(t: &CallTok) -> Option<Op> {
     if t.is_def {
@@ -841,6 +842,7 @@ const SANITIZERS: &[&str] = &[
     "allreduce_min",
     "allreduce_min_window",
     "allreduce_max",
+    "allreduce_fused",
     "allreduce_any",
     "allreduce_sum_f64",
     "allreduce_max_f64",
@@ -1076,9 +1078,10 @@ pub(crate) fn check_divergent_guard(sf: &SourceFile) -> Vec<(usize, String)> {
 // rule: protocol-missing-barrier
 
 /// `protocol-missing-barrier`: two `.lock(` phases in one function with no
-/// `.wait(` between them. The rendezvous protocol writes a slot table
-/// under one lock, barriers, then reads it under the next; dropping the
-/// barrier lets a reader observe a half-written table.
+/// `.wait(` between them. The exchange posts every batch into its mailbox
+/// cell under the cell's lock, crosses the barrier (`barrier.wait`), then
+/// takes its own row under the same locks; dropping the crossing lets a
+/// reader take a cell its sender has not posted yet.
 pub(crate) fn check_missing_barrier(sf: &SourceFile) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     for fd in scan_fns(sf) {
@@ -1107,8 +1110,8 @@ pub(crate) fn check_missing_barrier(sf: &SourceFile) -> Vec<(usize, String)> {
                             li,
                             format!(
                                 "second `.lock(` with no barrier `.wait(` since the \
-                                 lock at line {}: a reader may observe a \
-                                 half-written collective slot table",
+                                 lock at line {}: a reader may take a \
+                                 mailbox cell before its sender posted it",
                                 prev + 1
                             ),
                         ));
@@ -1163,7 +1166,7 @@ mod tests {
 
     #[test]
     fn terminal_ops_are_token_exact() {
-        let t = &call_tokens("self.allreduce_inner(v, f)")[0];
+        let t = &call_tokens("self.episode(v, f)")[0];
         assert_eq!(terminal_op(t), None);
         let t = &call_tokens("allgather(&vals, &mut comm)")[0];
         assert_eq!(terminal_op(t), Some(Op::Reduce));
@@ -1355,15 +1358,15 @@ fn f(ctx: &mut RankCtx, target: Option<u32>) {
     fn missing_barrier_resets_per_function() {
         let src = "\
 fn bad(&self) {
-    let a = self.slots.lock();
-    let b = self.slots.lock();
-    self.barrier.wait();
+    let a = self.mailbox[i].lock();
+    let b = self.mailbox[j].lock();
+    self.barrier.wait(round);
 }
 fn good(&self) {
-    let a = self.slots.lock();
-    self.barrier.wait();
-    let b = self.slots.lock();
-    self.barrier.wait();
+    let a = self.mailbox[i].lock();
+    self.barrier.wait(round);
+    let b = self.mailbox[j].lock();
+    self.barrier.wait(round + 1);
 }
 ";
         let sf = SourceFile::parse("crates/comm/src/x.rs", src);

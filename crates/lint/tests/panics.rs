@@ -72,13 +72,24 @@ fn roots_cover_the_real_entry_points() {
 }
 
 #[test]
-fn model_sees_the_collective_critical_section() {
-    // The one legitimate held-lock panic cluster: the comm rendezvous
-    // aborts under `slots` (justified die-on-poison), reachable from both
-    // thread roots. If this disappears the held-lock walk went blind.
+fn model_sees_the_rendezvous_abort_site() {
+    // The comm rendezvous holds no lock where it can panic (mailbox cells
+    // are only swapped under theirs); its one deliberate abort is the
+    // "peer rank aborted" assertion in the barrier's wait ladder, justified
+    // and reachable from both thread roots. If it disappears, or turns up
+    // under a lock, the walk went blind or the ladder changed shape. (The
+    // held-lock walk itself is pinned by the critical-section fixture.)
     let analysis = panics::analyze(&workspace_inputs());
-    assert!(analysis.table.contains("allreduce_inner"));
-    assert!(analysis.table.contains("held: slots"));
+    let at = analysis
+        .table
+        .find("Barrier::crossed")
+        .expect("the barrier's abort site dropped out of the model");
+    let cluster: Vec<&str> = analysis.table[at..].lines().take(3).collect();
+    assert!(
+        cluster[1].contains("rank-thread,serve-worker") && cluster[1].ends_with("held: -"),
+        "{cluster:?}"
+    );
+    assert!(cluster[2].contains("assert 1/1"), "{cluster:?}");
     assert!(
         analysis.num_sites > 0,
         "no panic sites classified on the real tree"
