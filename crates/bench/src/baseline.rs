@@ -157,6 +157,37 @@ impl ThreadedRecord {
     }
 }
 
+/// The sequential anchor: `seq::dijkstra_radix` over the same graph and
+/// roots, timed in the same process as the engine records.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SequentialRecord {
+    /// Wall-clock milliseconds over all measured roots.
+    pub wall_ms: f64,
+    /// Wall-clock GTEPS over the block's `gteps_edges` denominator.
+    pub gteps: f64,
+}
+
+impl SequentialRecord {
+    /// Render as a JSON object literal.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"wall_ms\": {:.3}, \"gteps\": {:.6}}}",
+            self.wall_ms, self.gteps
+        )
+    }
+}
+
+/// Quartiles of a ratio measured once per round.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RatioSpread {
+    /// Lower quartile — what a fresh run is gated on.
+    pub q1: f64,
+    /// Median — the headline figure.
+    pub median: f64,
+    /// Upper quartile — what the committed baseline is gated at.
+    pub q3: f64,
+}
+
 /// The unified-telemetry block: a simulated and a threaded trace of the
 /// same workload compared bucket-by-bucket, plus the threaded trace's
 /// headline counters (which the `--check` gate watches for drift).
@@ -285,6 +316,13 @@ pub struct PerfBaseline {
     pub pooled: PerfRecord,
     /// Metrics of the real-thread backend on the same workload.
     pub threaded: ThreadedRecord,
+    /// The sequential oracle on the same workload.
+    pub sequential: SequentialRecord,
+    /// Threaded wall time over sequential wall time — the one timing
+    /// `--check` gates: the spread over rounds that time both back to back
+    /// in this process, not the quotient of the two records' best rounds.
+    /// Below 1 the rank threads beat one radix-Dijkstra thread.
+    pub threaded_over_seq: RatioSpread,
     /// The unified-telemetry block (simulated vs threaded trace compare).
     pub telemetry: TelemetryRecord,
 }
@@ -300,7 +338,10 @@ impl PerfBaseline {
                 "    \"scale\": {},\n    \"ranks\": {},\n    \"threads\": {},\n",
                 "    \"roots\": {},\n    \"gteps_edges\": {},\n",
                 "    \"pooled\": {},\n",
-                "    \"threaded\": {},\n    \"telemetry\": {}\n  }}"
+                "    \"threaded\": {},\n    \"sequential\": {},\n",
+                "    \"threaded_over_seq\": {:.3},\n",
+                "    \"threaded_over_seq_q1\": {:.3},\n",
+                "    \"threaded_over_seq_q3\": {:.3},\n    \"telemetry\": {}\n  }}"
             ),
             self.family,
             self.scale,
@@ -310,6 +351,10 @@ impl PerfBaseline {
             self.gteps_edges,
             self.pooled.to_json(),
             self.threaded.to_json(),
+            self.sequential.to_json(),
+            self.threaded_over_seq.median,
+            self.threaded_over_seq.q1,
+            self.threaded_over_seq.q3,
             self.telemetry.to_json(),
         )
     }
@@ -627,6 +672,15 @@ mod tests {
                 relax_remote_msgs: 22000,
                 coalesced_msgs: 10000,
             },
+            sequential: SequentialRecord {
+                wall_ms: 4.0,
+                gteps: 0.0625,
+            },
+            threaded_over_seq: RatioSpread {
+                q1: 1.125,
+                median: 1.25,
+                q3: 1.5,
+            },
             telemetry: TelemetryRecord {
                 backends_agree: 1,
                 buckets: 40,
@@ -678,6 +732,13 @@ mod tests {
             extract_number(&json, "threaded", "coalesced_msgs"),
             Some(10000.0)
         );
+        assert_eq!(extract_number(&json, "sequential", "wall_ms"), Some(4.0));
+        assert_eq!(extract_number(&json, "", "threaded_over_seq"), Some(1.25));
+        assert_eq!(
+            extract_number(&json, "", "threaded_over_seq_q1"),
+            Some(1.125)
+        );
+        assert_eq!(extract_number(&json, "", "threaded_over_seq_q3"), Some(1.5));
         assert_eq!(
             extract_number(&json, "telemetry", "backends_agree"),
             Some(1.0)

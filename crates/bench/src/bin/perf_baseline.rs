@@ -1,7 +1,8 @@
 //! Recorded performance baseline: wall time, allocations per superstep,
 //! message traffic and simulated time of the engine on the lockstep
-//! transport (the `pooled` record), plus the threaded transport's wall
-//! time on the same roots.
+//! transport (the `pooled` record), the threaded transport's wall time on
+//! the same roots, and the sequential oracle (`seq::dijkstra_radix`) on the
+//! same graph in the same process, with the `threaded_over_seq` ratio.
 //!
 //! Usage:
 //!   cargo run -p sssp-bench --bin perf_baseline [--release] --
@@ -11,11 +12,14 @@
 //! Writes a `BENCH_sssp.json` document (see `sssp_bench::baseline`) with
 //! one `"scale_N"` block per measured scale, each holding one record per
 //! transport; a run re-records only its own scale's block and preserves
-//! the others. `--check PATH` additionally compares the freshly measured
-//! pooled and threaded runs against the committed baseline's block for
-//! the same scale and exits nonzero when wall time or allocations per
-//! superstep regress by more than `SSSP_PERF_TOLERANCE` (default 0.25,
-//! i.e. 25%).
+//! the others. `--check PATH` additionally compares the fresh run against
+//! the committed baseline's block for the same scale and exits nonzero
+//! when a message or superstep count differs at all, or when
+//! `threaded_over_seq` (this run's lower quartile against the committed
+//! upper one) or allocations per superstep regress by more than
+//! `SSSP_PERF_TOLERANCE` (default 0.25, i.e. 25%). Absolute wall times are
+//! recorded and never compared: they move with the machine, the ratio of
+//! two timings taken in one process far less.
 //!
 //! The binary installs a counting global allocator, so its allocation
 //! numbers are exact (every heap allocation and reallocation on every
@@ -27,16 +31,17 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sssp_bench::baseline::{
-    extract_number, scale_block, upsert_scale_block, PerfBaseline, PerfRecord, TelemetryRecord,
-    ThreadedRecord,
+    extract_number, scale_block, upsert_scale_block, PerfBaseline, PerfRecord, RatioSpread,
+    SequentialRecord, TelemetryRecord, ThreadedRecord,
 };
 use sssp_bench::{build_family, pick_roots, print_table, Family};
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
 use sssp_core::engine::run_sssp;
-use sssp_core::{threaded_delta_stepping, threaded_delta_stepping_traced, RunTrace};
+use sssp_core::instrument::SubPhaseSpread;
+use sssp_core::{threaded_delta_stepping, threaded_delta_stepping_traced, RunTrace, SubPhase};
 use sssp_dist::DistGraph;
-use sssp_graph::VertexId;
+use sssp_graph::{Csr, VertexId};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0); // sssp-lint: allow(no-shared-state): allocator counter, written from any thread by design.
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0); // sssp-lint: allow(no-shared-state): allocator counter, written from any thread by design.
@@ -126,47 +131,94 @@ fn measure(
     }
 }
 
-/// Time the real-thread backend on the same roots. Its GTEPS are
-/// wall-clock (there is no cost-model ledger on this backend) over the
-/// same traversed-edge denominator as the simulated records, so the
-/// comparable simulated figure is `gteps_wall`, never the simulated
-/// `gteps`.
-fn measure_threaded(
+/// Time the real-thread backend and the sequential oracle
+/// (`seq::dijkstra_radix`) on the same roots, in alternating rounds: one
+/// sequential pass, one threaded pass, repeated at least three times and as
+/// often as fits in `PAIRED_BUDGET` (capped at `PAIRED_ROUNDS`). Each record
+/// keeps its best round. The gated `threaded_over_seq` is the spread of
+/// the *per-round ratios*: a round's two passes run within milliseconds of
+/// each other, so whatever the machine was doing then scales both, and the
+/// ratio holds still where either wall time alone swings 2× on a shared
+/// box. At scale 10 a round is a few milliseconds and the quartiles are
+/// over a hundred of them; at scale 20 it takes seconds and three is what
+/// there is time for.
+///
+/// The threaded GTEPS are wall-clock (there is no cost-model ledger on this
+/// backend) over the same traversed-edge denominator as the simulated
+/// records, so the comparable simulated figure is `gteps_wall`, never the
+/// simulated `gteps`.
+fn measure_threaded_and_sequential(
+    g: &Csr,
     dg: &Arc<DistGraph>,
     roots: &[VertexId],
     cfg: &SsspConfig,
     model: &MachineModel,
     pooled_wall_ms: f64,
-) -> ThreadedRecord {
-    let _ = threaded_delta_stepping(dg, roots[0], cfg, model);
-
+) -> (ThreadedRecord, SequentialRecord, RatioSpread) {
+    const PAIRED_BUDGET: std::time::Duration = std::time::Duration::from_millis(600);
+    const PAIRED_ROUNDS: usize = 200;
+    let timed_ms = |pass: &mut dyn FnMut()| {
+        let t = Instant::now();
+        pass();
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    let mut sequential = || {
+        for &root in roots {
+            std::hint::black_box(sssp_core::seq::dijkstra_radix(g, root));
+        }
+    };
+    // Warm-up passes; the threaded one also yields the counts, which repeat
+    // exactly on every later pass.
+    sequential();
     let mut relax_local_msgs = 0u64;
     let mut relax_remote_msgs = 0u64;
     let mut coalesced_msgs = 0u64;
-    let t0 = Instant::now();
     for &root in roots {
         let out = threaded_delta_stepping(dg, root, cfg, model);
         relax_local_msgs += out.relax_local_msgs;
         relax_remote_msgs += out.relax_remote_msgs;
         coalesced_msgs += out.coalesced_msgs;
     }
-    let mut wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    for _ in 0..2 {
-        let t = Instant::now();
+    let mut threaded = || {
         for &root in roots {
-            let _ = threaded_delta_stepping(dg, root, cfg, model);
+            std::hint::black_box(threaded_delta_stepping(dg, root, cfg, model));
         }
-        wall_ms = wall_ms.min(t.elapsed().as_secs_f64() * 1e3);
+    };
+
+    let started = Instant::now();
+    let (mut seq_ms, mut thr_ms) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::new();
+    while ratios.len() < 3 || (ratios.len() < PAIRED_ROUNDS && started.elapsed() < PAIRED_BUDGET) {
+        let (s, t) = (timed_ms(&mut sequential), timed_ms(&mut threaded));
+        seq_ms = seq_ms.min(s);
+        thr_ms = thr_ms.min(t);
+        ratios.push(t / s.max(f64::MIN_POSITIVE));
     }
-    let per_run_s = wall_ms / 1e3 / roots.len() as f64;
-    ThreadedRecord {
-        wall_ms,
-        gteps: sssp_comm::cost::teps(dg.m_input_undirected, per_run_s) / 1e9,
-        speedup_vs_pooled: pooled_wall_ms / wall_ms.max(f64::MIN_POSITIVE),
-        relax_local_msgs,
-        relax_remote_msgs,
-        coalesced_msgs,
-    }
+    ratios.sort_by(f64::total_cmp);
+    let threaded_over_seq = RatioSpread {
+        q1: ratios[ratios.len() / 4],
+        median: ratios[ratios.len() / 2],
+        q3: ratios[3 * ratios.len() / 4],
+    };
+
+    let k = roots.len() as f64;
+    let gteps =
+        |wall_ms: f64| sssp_comm::cost::teps(dg.m_input_undirected, wall_ms / 1e3 / k) / 1e9;
+    (
+        ThreadedRecord {
+            wall_ms: thr_ms,
+            gteps: gteps(thr_ms),
+            speedup_vs_pooled: pooled_wall_ms / thr_ms.max(f64::MIN_POSITIVE),
+            relax_local_msgs,
+            relax_remote_msgs,
+            coalesced_msgs,
+        },
+        SequentialRecord {
+            wall_ms: seq_ms,
+            gteps: gteps(seq_ms),
+        },
+        threaded_over_seq,
+    )
 }
 
 /// Trace the first root on both backends, diff the traces, and fold the
@@ -178,7 +230,7 @@ fn measure_telemetry(
     root: VertexId,
     cfg: &SsspConfig,
     model: &MachineModel,
-) -> TelemetryRecord {
+) -> (TelemetryRecord, SubPhaseSpread) {
     let simulated = run_sssp(dg, root, cfg, model);
     let trace_sim = RunTrace::from_run_stats(&simulated.stats, "simulated");
     let t0 = Instant::now();
@@ -191,7 +243,7 @@ fn measure_telemetry(
             diffs.join("\n")
         );
     }
-    TelemetryRecord {
+    let record = TelemetryRecord {
         backends_agree: u8::from(diffs.is_empty()),
         buckets: trace_thr.buckets.len() as u64,
         supersteps: trace_thr.supersteps,
@@ -203,7 +255,8 @@ fn measure_telemetry(
         wall_long_pull_ns: trace_thr.timings.long_pull_ns,
         wall_bf_ns: trace_thr.timings.bf_ns,
         wall_measured_ns,
-    }
+    };
+    (record, trace_thr.spans)
 }
 
 /// Gate the freshly measured `current` document against one scale's block
@@ -226,46 +279,45 @@ fn check_against(committed: &str, current: &PerfBaseline) -> Result<(), String> 
         Some(_) => {}
         None => problems.push(format!("committed baseline is missing {name}")),
     };
+    // The ratio's tolerance starts from its recorded spread: this run's
+    // lower quartile against the committed upper one. Whole runs shift by
+    // ±15 % on a shared box; a regression worth catching moves the lower
+    // quartile past the old upper one.
     gate(
-        "pooled.wall_ms",
-        extract_number(committed, "pooled", "wall_ms"),
-        current.pooled.wall_ms,
+        "threaded_over_seq (this run's q1 vs the baseline's q3)",
+        extract_number(committed, "", "threaded_over_seq_q3"),
+        current.threaded_over_seq.q1,
     );
     gate(
         "pooled.allocs_per_superstep",
         extract_number(committed, "pooled", "allocs_per_superstep"),
         current.pooled.allocs_per_superstep(),
     );
-    gate(
-        "threaded.wall_ms",
-        extract_number(committed, "threaded", "wall_ms"),
-        current.threaded.wall_ms,
-    );
-    // Remote-message drift gate: wire traffic is deterministic for a fixed
-    // workload, so it may not drift in *either* direction past the
-    // tolerance — fewer messages than the baseline is as suspicious as
-    // more (it means the accounting changed, not the machine).
-    let mut drift = |name: &str, base: Option<f64>, now: f64| match base {
-        Some(b) if b > 0.0 && (now / b - 1.0).abs() > tol => {
-            problems.push(format!(
-                "{name} drifted: {now:.0} vs baseline {b:.0} ({:+.1}%, tolerance {:.0}%)",
-                100.0 * (now / b - 1.0),
-                100.0 * tol
-            ));
+    // Counts are a pure function of (graph, roots, config): any difference
+    // from the committed block — in either direction — means the algorithm
+    // or its accounting changed, and the block must be re-recorded on
+    // purpose.
+    let (pooled, threaded, telemetry) = (&current.pooled, &current.threaded, &current.telemetry);
+    for (object, key, now) in [
+        ("pooled", "supersteps", pooled.supersteps),
+        ("pooled", "msgs", pooled.msgs),
+        ("pooled", "remote_msgs", pooled.remote_msgs),
+        ("pooled", "coalesced_msgs", pooled.coalesced_msgs),
+        ("threaded", "relax_local_msgs", threaded.relax_local_msgs),
+        ("threaded", "relax_remote_msgs", threaded.relax_remote_msgs),
+        ("threaded", "coalesced_msgs", threaded.coalesced_msgs),
+        ("telemetry", "buckets", telemetry.buckets),
+        ("telemetry", "supersteps", telemetry.supersteps),
+        ("telemetry", "local_msgs", telemetry.local_msgs),
+        ("telemetry", "remote_msgs", telemetry.remote_msgs),
+        ("telemetry", "coalesced_msgs", telemetry.coalesced_msgs),
+    ] {
+        match extract_number(committed, object, key) {
+            Some(b) if b == now as f64 => {}
+            Some(b) => problems.push(format!("{object}.{key} changed: {now} vs baseline {b:.0}")),
+            None => problems.push(format!("committed baseline is missing {object}.{key}")),
         }
-        Some(_) => {}
-        None => problems.push(format!("committed baseline is missing {name}")),
-    };
-    drift(
-        "pooled.remote_msgs",
-        extract_number(committed, "pooled", "remote_msgs"),
-        current.pooled.remote_msgs as f64,
-    );
-    drift(
-        "telemetry.remote_msgs",
-        extract_number(committed, "telemetry", "remote_msgs"),
-        current.telemetry.remote_msgs as f64,
-    );
+    }
     match extract_number(committed, "telemetry", "backends_agree") {
         Some(b) => {
             if b != 1.0 {
@@ -338,8 +390,9 @@ fn main() {
     let cfg = SsspConfig::opt(25);
 
     let pooled = measure(&dg, &roots, &cfg, &model);
-    let threaded = measure_threaded(&dg, &roots, &cfg, &model, pooled.wall_ms);
-    let telemetry = measure_telemetry(&dg, roots[0], &cfg, &model);
+    let (threaded, sequential, threaded_over_seq) =
+        measure_threaded_and_sequential(&g, &dg, &roots, &cfg, &model, pooled.wall_ms);
+    let (telemetry, spans) = measure_telemetry(&dg, roots[0], &cfg, &model);
 
     let doc = PerfBaseline {
         family: family.name().to_string(),
@@ -350,6 +403,8 @@ fn main() {
         gteps_edges: dg.m_input_undirected,
         pooled,
         threaded,
+        sequential,
+        threaded_over_seq,
         telemetry,
     };
 
@@ -376,6 +431,17 @@ fn main() {
         "-".to_string(),
         format!("{:.4}", doc.threaded.gteps),
     ]);
+    rows.push(vec![
+        "sequential".to_string(),
+        format!("{:.2}", doc.sequential.wall_ms),
+        "-".to_string(),
+        "-".to_string(),
+        "-".to_string(),
+        "-".to_string(),
+        "-".to_string(),
+        "-".to_string(),
+        format!("{:.4}", doc.sequential.gteps),
+    ]);
     print_table(
         &format!(
             "perf baseline — {} scale {scale}, p={ranks}×{threads}",
@@ -395,8 +461,12 @@ fn main() {
         &rows,
     );
     println!(
-        "threaded speedup vs pooled simulated: {:.2}x wall",
-        doc.threaded.speedup_vs_pooled
+        "threaded speedup vs pooled simulated: {:.2}x wall; \
+         threaded / sequential: {:.2} (quartiles {:.2} – {:.2})",
+        doc.threaded.speedup_vs_pooled,
+        doc.threaded_over_seq.median,
+        doc.threaded_over_seq.q1,
+        doc.threaded_over_seq.q3
     );
     println!(
         "coalescing savings: {} of {} relax msgs removed ({:.1}%) on the threaded backend",
@@ -425,6 +495,19 @@ fn main() {
         wall.wall_long_pull_ns as f64 / 1e6,
         wall.wall_bf_ns as f64 / 1e6,
     );
+
+    let ms = |ns: u64| ns as f64 / 1e6;
+    println!("telemetry sub-phases (threaded, per-rank min / median / max ms):");
+    for sub in SubPhase::ALL {
+        let s = spans.get(sub);
+        println!(
+            "  {:<16} {:>8.2} {:>8.2} {:>8.2}",
+            sub.name(),
+            ms(s.min_ns),
+            ms(s.median_ns),
+            ms(s.max_ns)
+        );
+    }
 
     // Re-record only this scale's block; other scales' blocks in an
     // existing document survive verbatim.

@@ -193,6 +193,81 @@ where
     pack_sorted_run(lane, key, val, true)
 }
 
+/// Sort-free form of [`pack_sorted_run`] with `dedup` enabled, for lanes
+/// whose keys are dense indices below a known bound (a relax lane's targets
+/// are local indices on the destination rank). One pass over the lane folds
+/// `min(val)` per key into `best`, marking the key in a bitset; the lane is
+/// then re-emitted in ascending key order by walking the touched bitset
+/// words. The only sort is over the touched *word* indices (at most
+/// `n_keys / 64` of them), never over the messages.
+///
+/// Reusable across lanes and runs: emitting zeroes every word it visits, so
+/// the bitset is all-zero between calls and `best` needs no clearing (a
+/// slot is written before it is read). The arrays only ever grow.
+#[derive(Debug, Default)]
+pub struct MinTable {
+    /// Smallest value seen per key; meaningful only where `present` is set.
+    best: Vec<u64>,
+    present: Vec<u64>,
+    /// Indices of the `present` words this lane set a bit in.
+    touched: Vec<u32>,
+}
+
+impl MinTable {
+    /// Coalesce `lane` in place: for every distinct `key(m)` only
+    /// `make(key, min val)` survives, in ascending key order — byte for
+    /// byte what [`pack_sorted_run`] with `dedup` leaves behind when a
+    /// message is its `(key, val)` pair. Every key must be below `n_keys`.
+    ///
+    /// Returns the number of messages removed.
+    pub fn coalesce<M>(
+        &mut self,
+        lane: &mut Vec<M>,
+        n_keys: usize,
+        key: impl Fn(&M) -> u32,
+        val: impl Fn(&M) -> u64,
+        make: impl Fn(u32, u64) -> M,
+    ) -> u64 {
+        if lane.len() < 2 {
+            return 0;
+        }
+        if self.best.len() < n_keys {
+            let words = n_keys.div_ceil(64);
+            self.best.resize(n_keys, 0);
+            self.present.resize(words, 0);
+            self.touched.reserve(words);
+        }
+        let before = lane.len();
+        let (best, present) = (&mut self.best[..n_keys], &mut self.present);
+        for m in lane.iter() {
+            let (k, v) = (key(m), val(m));
+            let slot = &mut best[k as usize];
+            let (wi, bit) = (k >> 6, 1u64 << (k & 63));
+            let word = &mut present[wi as usize];
+            if *word & bit == 0 {
+                if *word == 0 {
+                    self.touched.push(wi);
+                }
+                *word |= bit;
+                *slot = v;
+            } else if v < *slot {
+                *slot = v;
+            }
+        }
+        self.touched.sort_unstable();
+        lane.clear();
+        for wi in self.touched.drain(..) {
+            let mut word = std::mem::take(&mut present[wi as usize]);
+            while word != 0 {
+                let k = wi * 64 + word.trailing_zeros();
+                word &= word - 1;
+                lane.push(make(k, best[k as usize]));
+            }
+        }
+        (before - lane.len()) as u64
+    }
+}
+
 /// The pool-growth bound: shrink `buf` back to `high_water` capacity when
 /// its current capacity exceeds 4× that high-water mark. A single giant
 /// superstep thereby cannot pin its peak allocation for the rest of the

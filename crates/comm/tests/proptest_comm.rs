@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use sssp_comm::collective::{allreduce_any, allreduce_max, allreduce_min, allreduce_sum};
-use sssp_comm::exchange::{exchange, exchange_with, Outbox};
+use sssp_comm::exchange::{exchange, exchange_with, pack_sorted_run, MinTable, Outbox};
 use sssp_comm::packet::PacketConfig;
 use sssp_comm::stats::CommStats;
 
@@ -15,7 +15,55 @@ fn arb_traffic() -> impl Strategy<Value = (usize, Vec<(usize, usize, u32)>)> {
     })
 }
 
+/// Coalesce `lane` through `table` and through the comparison sort it
+/// replaces; the two must leave the same bytes and report the same savings.
+fn table_matches_sort(table: &mut MinTable, lane: &[(u32, u64)], n_keys: usize) {
+    let (mut by_table, mut by_sort) = (lane.to_vec(), lane.to_vec());
+    let saved = table.coalesce(&mut by_table, n_keys, |m| m.0, |m| m.1, |k, v| (k, v));
+    assert_eq!(saved, pack_sorted_run(&mut by_sort, |m| m.0, |m| m.1, true));
+    assert_eq!(by_table, by_sort, "n_keys {n_keys}");
+}
+
+#[test]
+fn min_table_edge_lanes_match_the_sort() {
+    let mut table = MinTable::default();
+    table_matches_sort(&mut table, &[], 8);
+    table_matches_sort(&mut table, &[(5, 40)], 8);
+    // Every message for one target, the minimum neither first nor last.
+    table_matches_sort(
+        &mut table,
+        &[(3, 9), (3, 2), (3, 2), (3, u64::MAX), (3, 7)],
+        4,
+    );
+    // The largest local index, on a word boundary and just past one.
+    for n_keys in [64usize, 65, 128, 1000] {
+        let top = (n_keys - 1) as u32;
+        table_matches_sort(&mut table, &[(top, 4), (0, 1), (top, 3), (63, 0)], n_keys);
+    }
+    // A large table followed by a small one: no word of the first survives.
+    table_matches_sort(&mut table, &[(900, 1), (899, 2), (900, 0)], 1000);
+    table_matches_sort(&mut table, &[(2, 5), (1, 5)], 3);
+}
+
 proptest! {
+    #[test]
+    fn min_table_matches_sorted_dedup_byte_for_byte(
+        lanes in proptest::collection::vec(
+            (1usize..300).prop_flat_map(|n_keys| {
+                let msgs = proptest::collection::vec((0..n_keys as u32, 0u64..50), 0..400);
+                (Just(n_keys), msgs)
+            }),
+            1..6,
+        )
+    ) {
+        // One table across lanes of different key ranges, as the engine
+        // reuses it across destinations: stale words would surface here.
+        let mut table = MinTable::default();
+        for (n_keys, lane) in &lanes {
+            table_matches_sort(&mut table, lane, *n_keys);
+        }
+    }
+
     #[test]
     fn exchange_conserves_every_message((p, sends) in arb_traffic()) {
         let mut obs: Vec<Outbox<(usize, usize, u32)>> = (0..p).map(|_| Outbox::new(p)).collect();

@@ -12,13 +12,51 @@ use sssp_dist::LocalGraph;
 
 use crate::config::{LongPhaseMode, PullEstimator, SsspConfig};
 use crate::policy::EpochWindow;
-use crate::state::{RankState, INF};
+use crate::state::RankState;
 
-use super::{kernels, WIRE_BYTES};
+use super::{invariants, kernels, WIRE_BYTES};
+
+/// What one unsettled vertex adds to its rank's §III-C pull-request volume:
+/// the number of edges eq. 1 ([`kernels::pull_range`]) admits — counted
+/// exactly, read off the weight histogram, or taken as the closed-form
+/// expectation under uniform weights on `[1, w_max]`. With `dv = INF` (and
+/// any `kd`) this is the vertex's per-run constant while unreached, which
+/// [`RankState::install_unreached_terms`] stores.
+pub(super) fn pull_term(
+    lg: &LocalGraph,
+    vl: usize,
+    dv: u64,
+    kd: u64,
+    short_bound: u64,
+    estimator: PullEstimator,
+    w_max: u64,
+) -> u64 {
+    match estimator {
+        PullEstimator::Exact => kernels::pull_range(lg.row(vl).1, dv, kd, short_bound).len() as u64,
+        PullEstimator::Histogram => {
+            let threshold = kernels::pull_threshold(dv, kd);
+            let hi = lg.estimate_weight_below(vl, threshold);
+            let lo = lg.estimate_weight_below(vl, short_bound);
+            hi.saturating_sub(lo)
+        }
+        PullEstimator::Expectation => {
+            // Uniform weights on [1, w_max]: expected number of edges
+            // with Δ ≤ w < T.
+            if w_max == 0 || short_bound > w_max {
+                return 0;
+            }
+            let t_hi = kernels::pull_threshold(dv, kd).saturating_sub(1).min(w_max);
+            let t_lo = short_bound.saturating_sub(1);
+            lg.degree(vl) as u64 * t_hi.saturating_sub(t_lo) / w_max
+        }
+    }
+}
 
 /// One rank's §III-C volume estimates for the epoch window: the push send
 /// volume, the pull request volume, and the number of unsettled vertices
-/// scanned (the pull model's scan extent). Read-only over the rank state.
+/// scanned (the pull model's scan extent). Read-only over the rank state,
+/// and proportional to the *reached* unsettled vertices only: the unreached
+/// ones enter through the totals the state maintains.
 pub(super) fn rank_volumes(
     lg: &LocalGraph,
     st: &RankState,
@@ -40,43 +78,14 @@ pub(super) fn rank_volumes(
         push += (ws.len() - start) as u64;
     }
     // Pull: the request volume of this rank.
-    let mut pull = 0u64;
-    let mut scanned = 0u64;
-    for vl in 0..st.n_local() {
-        if st.bucket_of[vl] <= window.hi {
-            continue;
-        }
-        scanned += 1;
-        let dv = st.dist[vl];
-        let threshold = if dv == INF { u64::MAX } else { dv - kd };
-        match estimator {
-            PullEstimator::Exact => {
-                let (_, ws) = lg.row(vl);
-                let lo = ws.partition_point(|&w| (w as u64) < short_bound);
-                let hi = ws.partition_point(|&w| (w as u64) < threshold);
-                pull += (hi.saturating_sub(lo)) as u64;
-            }
-            PullEstimator::Histogram => {
-                let hi = lg.estimate_weight_below(vl, threshold);
-                let lo = lg.estimate_weight_below(vl, short_bound);
-                pull += hi.saturating_sub(lo);
-            }
-            PullEstimator::Expectation => {
-                // Uniform weights on [1, w_max]: expected number of edges
-                // with Δ ≤ w < T.
-                let deg = lg.degree(vl) as u64;
-                if w_max == 0 || short_bound > w_max {
-                    continue;
-                }
-                let t_hi = threshold.saturating_sub(1).min(w_max);
-                let t_lo = short_bound.saturating_sub(1);
-                if t_hi > t_lo {
-                    pull += deg * (t_hi - t_lo) / w_max;
-                }
-            }
-        }
+    let mut pull = st.unreached_pull_mass();
+    for v in st.members_after(window.hi) {
+        let vl = v as usize;
+        pull += pull_term(lg, vl, st.dist[vl], kd, short_bound, estimator, w_max);
     }
-    (push, pull, scanned)
+    let volumes = (push, pull, st.count_unsettled_after(window.hi));
+    invariants::check_rank_volumes(lg, st, window, ios, estimator, w_max, volumes);
+    volumes
 }
 
 /// Convert globally reduced volumes into the push/pull decision plus the

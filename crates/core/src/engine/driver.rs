@@ -23,7 +23,7 @@ use std::time::Instant;
 use rayon::prelude::*;
 
 use sssp_comm::cost::{MachineModel, TimeClass};
-use sssp_comm::exchange::{pack_sorted_run, shrink_oversized, Outbox};
+use sssp_comm::exchange::{pack_sorted_run, shrink_oversized, MinTable, Outbox};
 use sssp_comm::stats::StepStats;
 use sssp_comm::threaded::SPARE_CAPACITY_FLOOR;
 use sssp_comm::transport::Comm;
@@ -31,7 +31,7 @@ use sssp_dist::{DistGraph, Partition};
 use sssp_graph::VertexId;
 
 use crate::config::{DirectionPolicy, LongPhaseMode, SsspConfig};
-use crate::instrument::{BucketRecord, PhaseKind, PhaseRecord};
+use crate::instrument::{BucketRecord, PhaseKind, PhaseRecord, SubPhase};
 use crate::policy::{EpochWindow, PolicyDispatch, SteppingPolicy, WindowRule};
 use crate::state::{RankState, INF};
 
@@ -81,15 +81,17 @@ impl ProcessOut {
 
 /// The engine-side state of a process's owned ranks, one entry per rank in
 /// every vector: the [`RankState`] (distances, buckets, frontier bitsets),
-/// the outbox lanes, and the relax and request inboxes. Reusable across
-/// runs: [`ProcBufs::prepare`] resets the states in place and keeps every
-/// capacity warm.
+/// the outbox lanes, and the relax and request inboxes — plus the one
+/// coalescing table the process packs all its lanes through. Reusable
+/// across runs: [`ProcBufs::prepare`] resets the states in place and keeps
+/// every capacity warm.
 #[derive(Debug, Default)]
 pub struct ProcBufs {
     st: Vec<RankState>,
     out: Vec<Outbox<RelaxMsg>>,
     inbox: Vec<Vec<RelaxMsg>>,
     req_inbox: Vec<Vec<RelaxMsg>>,
+    table: MinTable,
 }
 
 /// One owned rank's slice of a [`ProcBufs`], as the kernels see it.
@@ -207,6 +209,15 @@ fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Attribute the wall clock since `since` (a [`Driver::clock`] reading, so
+/// `None` when nobody listens) to `sub`.
+#[inline]
+fn close_span<R: Recorder>(rec: &mut R, sub: SubPhase, since: Option<Instant>) {
+    if let Some(start) = since {
+        rec.span(sub, elapsed_ns(start));
+    }
+}
+
 /// One process's whole run. `bufs` carries engine state across runs (a
 /// serving layer keeps it warm); it is prepared here and trimmed at query
 /// end against this query's own high-water mark, so a large query's pools
@@ -280,7 +291,23 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         // sssp-lint: protocol: setup.weight-extremes
         let min_weight = ctx.allreduce_min(w_lo);
         let max_weight = ctx.allreduce_max(w_hi);
+        let max_weight = if dg.m_directed > 0 { max_weight } else { 0 };
         let policy = PolicyDispatch::from_config(job.cfg, dg.num_ranks());
+        // What each vertex adds to the §III-C pull estimate while unreached
+        // is fixed by the graph, the policy's short bound and the weight
+        // range: install it once, and the per-epoch estimate never has to
+        // visit an unreached vertex again.
+        let (short_bound, estimator) = (policy.short_bound(), job.cfg.pull_estimator);
+        bufs.fan_out(
+            (),
+            |io| {
+                let lg = &dg.locals[io.st.rank];
+                io.st.install_unreached_terms(|v| {
+                    decide::pull_term(lg, v, INF, 0, short_bound, estimator, max_weight)
+                });
+            },
+            |(), ()| (),
+        );
         let out = ProcessOut {
             first_rank: ctx.owned().start,
             ..ProcessOut::default()
@@ -296,8 +323,8 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 dg.m_directed,
                 dg.num_vertices() as u64,
             ),
-            has_short_edges: dg.m_directed > 0 && min_weight < policy.short_bound(),
-            max_weight: if dg.m_directed > 0 { max_weight } else { 0 },
+            has_short_edges: dg.m_directed > 0 && min_weight < short_bound,
+            max_weight,
             out,
             epoch_hwm: 0,
             query_hwm: 0,
@@ -344,8 +371,10 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 .map(|st| st.next_nonempty_after(k_prev).unwrap_or(u64::MAX))
                 .min()
                 .unwrap_or(u64::MAX);
+            let waited = self.clock();
             // sssp-lint: protocol: epoch.select
             let k = self.ctx.allreduce_min(k_owned);
+            self.span(SubPhase::CollectiveWait, waited);
             self.rec.collective(TimeClass::Bucket);
             if k == u64::MAX {
                 break;
@@ -354,9 +383,11 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             // Slide the flat bucket rings up to the epoch's bucket before
             // anything queries the structure (window proposals included);
             // every later query of the epoch is at or above `k`.
+            let scanning = self.clock();
             for st in &mut self.bufs.st {
                 st.advance_frontier(k);
             }
+            self.span(SubPhase::Scan, scanning);
 
             // Point-to-point early termination (see `Query::target`): every
             // unsettled vertex now sits in bucket >= k, so nothing a future
@@ -371,8 +402,10 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                     .iter()
                     .find(|st| st.rank == owner)
                     .map_or(INF, |st| st.dist[local as usize]);
+                let waited = self.clock();
                 // sssp-lint: protocol: epoch.target-cutoff
                 let td = self.ctx.allreduce_min(td_owned);
+                self.span(SubPhase::CollectiveWait, waited);
                 self.rec.collective(TimeClass::Bucket);
                 if td <= self.policy.window_for(k, k).start_dist {
                     break;
@@ -385,8 +418,10 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             // all ranks break together, none wedges a peer mid-rendezvous.
             if let Some(deadline) = job.deadline {
                 let expired = Instant::now() >= deadline;
+                let waited = self.clock();
                 // sssp-lint: protocol: epoch.deadline
                 let stop = self.ctx.any(expired);
+                self.span(SubPhase::CollectiveWait, waited);
                 self.rec.collective(TimeClass::Bucket);
                 if stop {
                     self.out.timed_out = true;
@@ -424,6 +459,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
 
             // Collect the epoch's initial active set from the window.
             let metered = self.rec.enabled();
+            let scanning = self.clock();
             let scanned = self.bufs.fan_out(
                 0,
                 |io| {
@@ -436,17 +472,18 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 },
                 u64::max,
             );
+            self.span(SubPhase::Scan, scanning);
             self.rec.scan(TimeClass::Bucket, scanned);
 
             // Stage 1: short-edge phases, to a fixpoint.
             if self.has_short_edges {
-                let start = Instant::now();
+                let start = self.clock();
                 // sssp-lint: protocol: short.active-any
                 while self.any_active() {
                     // sssp-lint: protocol: short.exchange-relax
                     self.short_phase(&window);
                 }
-                self.rec.phase_nanos(PhaseKind::Short, elapsed_ns(start));
+                self.phase_span(PhaseKind::Short, start);
             }
 
             // Stage 2: long-edge phase, push or pull.
@@ -457,12 +494,12 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 est_pull,
                 ..BucketRecord::new(window.lo, mode)
             };
-            let start = Instant::now();
+            let start = self.clock();
             let kind = match mode {
                 LongPhaseMode::Push => self.long_push(&window, &mut record),
                 LongPhaseMode::Pull => self.long_pull(&window, &mut record),
             };
-            self.rec.phase_nanos(kind, elapsed_ns(start));
+            self.phase_span(kind, start);
             // The recorder fills the per-epoch traffic fields from the
             // supersteps recorded since the previous bucket closed.
             self.rec.bucket(record);
@@ -476,8 +513,10 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 .iter()
                 .map(|st| st.window_count(window.lo, window.hi))
                 .sum();
+            let waited = self.clock();
             // sssp-lint: protocol: epoch.settle
             let settled_k = self.ctx.allreduce_sum(settled_owned);
+            self.span(SubPhase::CollectiveWait, waited);
             self.rec.collective(TimeClass::Bucket);
             settled_total += settled_k;
             self.rec.settled(settled_k);
@@ -522,12 +561,36 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         self.delivered = 0;
     }
 
+    // -- wall-clock spans ----------------------------------------------------
+
+    /// Start a span — only when the recorder listens, so a run on the
+    /// `NoopRecorder` never reads the clock.
+    #[inline]
+    fn clock(&self) -> Option<Instant> {
+        self.rec.enabled().then(Instant::now)
+    }
+
+    /// Close a span opened by [`Self::clock`] and attribute it to `sub`.
+    #[inline]
+    fn span(&mut self, sub: SubPhase, since: Option<Instant>) {
+        close_span(self.rec, sub, since);
+    }
+
+    /// Close a span opened by [`Self::clock`] as one whole phase of `kind`.
+    #[inline]
+    fn phase_span(&mut self, kind: PhaseKind, since: Option<Instant>) {
+        if let Some(start) = since {
+            self.rec.phase_nanos(kind, elapsed_ns(start));
+        }
+    }
+
     // -- collectives -------------------------------------------------------
 
     /// The window-selection collective: min-reduce the per-rank window
     /// proposals for the epoch starting at bucket `k`.
     fn window_collective(&mut self, k: u64) -> u64 {
         let locals = &self.job.dg.locals;
+        let scanning = self.clock();
         let proposal = self
             .bufs
             .st
@@ -535,14 +598,19 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             .map(|st| self.policy.window_proposal(st, &locals[st.rank], k))
             .min()
             .unwrap_or(u64::MAX);
+        self.span(SubPhase::Scan, scanning);
+        let waited = self.clock();
         let hi = self.ctx.allreduce_min_window(proposal);
+        self.span(SubPhase::CollectiveWait, waited);
         self.rec.collective(TimeClass::Bucket);
         hi
     }
 
     fn any_active(&mut self) -> bool {
         let active = self.bufs.st.iter().any(|st| !st.active.is_empty());
+        let waited = self.clock();
         let any = self.ctx.any(active);
+        self.span(SubPhase::CollectiveWait, waited);
         self.rec.collective(TimeClass::Bucket);
         any
     }
@@ -571,6 +639,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         // owned ranks, then reduced across processes.
         let locals = &self.job.dg.locals;
         let w_max = self.max_weight;
+        let scanning = self.clock();
         let owned = self.bufs.fan_out(
             (0, 0, 0, 0, 0),
             |io| {
@@ -594,10 +663,13 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 )
             },
         );
+        self.span(SubPhase::Scan, scanning);
         // §III-C shares the per-rank sums once: one collective's latency.
+        let waited = self.clock();
         let ([push_total, pull_total], [push_max, pull_max, scan_max]) = self
             .ctx
             .allreduce_fused([owned.0, owned.1], [owned.2, owned.3, owned.4]);
+        self.span(SubPhase::CollectiveWait, waited);
         self.rec.collective(TimeClass::Relax);
         let (mode, est_push, est_pull) = decide::decide_from_totals(
             cfg,
@@ -620,6 +692,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     fn exchange_into(&mut self, requests: bool) -> StepStats {
         let lanes = self.bufs.out.iter().flat_map(|ob| ob.out.iter());
         let mut hwm = lanes.map(Vec::len).max().unwrap_or(0);
+        let waited = self.clock();
         let inboxes = if requests {
             &mut self.bufs.req_inbox
         } else {
@@ -629,6 +702,8 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         let step = self
             .ctx
             .exchange(&mut self.bufs.out, inboxes, WIRE_BYTES, packet);
+        // Not `self.span`: `inboxes` still borrows the buffers.
+        close_span(self.rec, SubPhase::ExchangeWait, waited);
         for inbox in inboxes.iter() {
             hwm = hwm.max(inbox.len());
             self.delivered += inbox.len() as u64;
@@ -639,17 +714,30 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     }
 
     /// Pack + exchange a relax superstep: each outbox lane becomes one
-    /// target-sorted run (sorted by `(target, nd)`), so the receiver can
-    /// apply it as a sequential min-merge; with coalescing enabled the
-    /// sort additionally collapses duplicate targets to their minimum, so
-    /// only the smallest tentative distance per target crosses the wire.
-    /// The removed-message count rides on the returned step record.
+    /// target-sorted run, so the receiver can apply it as a sequential
+    /// min-merge. With coalescing enabled the lane goes through the
+    /// process's [`MinTable`] — targets are dense local indices on the
+    /// destination, so one pass keeps the smallest tentative distance per
+    /// target and re-emits in target order with no comparison sort; without
+    /// it the lane is sorted by `(target, nd)` and ships whole. The
+    /// removed-message count rides on the returned step record.
     fn exchange_relax(&mut self) -> StepStats {
-        let dedup = self.job.cfg.coalescing;
-        let lanes = self.bufs.out.iter_mut().flat_map(|ob| ob.out.iter_mut());
-        let saved: u64 = lanes
-            .map(|lane| pack_sorted_run(lane, |m| m.target, |m| m.nd, dedup))
-            .sum();
+        let (coalescing, part) = (self.job.cfg.coalescing, &self.job.dg.part);
+        let packing = self.clock();
+        let ProcBufs { out, table, .. } = &mut *self.bufs;
+        let mut saved = 0u64;
+        for ob in out.iter_mut() {
+            for (dst, lane) in ob.out.iter_mut().enumerate() {
+                saved += if coalescing {
+                    let n_dst = part.local_count(dst);
+                    let relax = |target, nd| RelaxMsg { target, nd };
+                    table.coalesce(lane, n_dst, |m| m.target, |m| m.nd, relax)
+                } else {
+                    pack_sorted_run(lane, |m| m.target, |m| m.nd, false)
+                };
+            }
+        }
+        self.span(SubPhase::Pack, packing);
         let mut step = self.exchange_into(false);
         step.coalesced_msgs = saved;
         self.out.relax_local_msgs += step.local_msgs;
@@ -704,13 +792,17 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             begin_superstep(io.st);
             send(io)
         };
+        let scanning = self.clock();
         let sent = self.bufs.fan_out(0, begin_and_send, |a, b| a + b);
+        self.span(SubPhase::Scan, scanning);
         let step = self.exchange_relax();
         let apply = |io: RankIo<'_>| {
             kernels::apply_relax(io.st, &policy, io.inbox);
             after(io.st);
         };
+        let applying = self.clock();
         self.bufs.fan_out((), apply, |(), ()| ());
+        self.span(SubPhase::Apply, applying);
         self.end_superstep(&step);
         (sent, step)
     }
@@ -736,6 +828,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     /// receiver-side self/backward/forward classification for Fig 7.
     fn long_push(&mut self, window: &EpochWindow, record: &mut BucketRecord) -> PhaseKind {
         let (dg, ios, pi, policy) = (self.job.dg, self.job.cfg.ios, self.pi, self.policy);
+        let scanning = self.clock();
         let (outer, long) = self.bufs.fan_out(
             (0, 0),
             |io| {
@@ -745,8 +838,10 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             },
             |a, b| (a.0 + b.0, a.1 + b.1),
         );
+        self.span(SubPhase::Scan, scanning);
         // sssp-lint: protocol: long-push.exchange-relax
         let step = self.exchange_relax();
+        let applying = self.clock();
         (
             record.self_edges,
             record.backward_edges,
@@ -756,6 +851,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             |io| kernels::classify_apply_relax(io.st, window, &policy, io.inbox),
             |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
         );
+        self.span(SubPhase::Apply, applying);
         self.end_superstep(&step);
         let (relaxations, remote_msgs) = (outer + long, step.remote_msgs);
         self.end_phase(
@@ -796,6 +892,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         // long edge that could still improve it. Requests are never
         // coalesced — each one expects its own response — and do not
         // count as relax traffic.
+        let scanning = self.clock();
         let (requests, scanned) = self.bufs.fan_out(
             (0, 0),
             |io| {
@@ -805,6 +902,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             },
             |a, b| (a.0 + b.0, a.1.max(b.1)),
         );
+        self.span(SubPhase::Scan, scanning);
         self.rec.scan(TimeClass::Relax, scanned);
         // sssp-lint: protocol: long-pull.requests
         let step = self.exchange_into(true);
@@ -837,10 +935,11 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     /// vertex.
     fn bellman_ford_tail(&mut self, k_last: u64) {
         let (dg, pi) = (self.job.dg, self.pi);
-        let start = Instant::now();
+        let start = self.clock();
         for st in &mut self.bufs.st {
             st.collect_active_unsettled(k_last);
         }
+        self.span(SubPhase::Scan, start);
         // sssp-lint: protocol: bf-tail.active-any
         while self.any_active() {
             // sssp-lint: protocol: bf-tail.exchange-relax
@@ -851,7 +950,6 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             );
             self.end_phase(u64::MAX, PhaseKind::BellmanFord, sent, 0, step.remote_msgs);
         }
-        self.rec
-            .phase_nanos(PhaseKind::BellmanFord, elapsed_ns(start));
+        self.phase_span(PhaseKind::BellmanFord, start);
     }
 }

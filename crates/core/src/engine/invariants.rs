@@ -11,12 +11,21 @@
 //! * **Bucket monotonicity** — a vertex only ever moves to a lower bucket
 //!   (checked in [`RankState::relax`](crate::state::RankState::relax)) and
 //!   the run loop processes strictly increasing bucket indices.
+//! * **Maintained §III-C estimate** — the volumes `decide::rank_volumes`
+//!   assembles from the state's running totals equal a from-scratch scan of
+//!   every local vertex, every epoch.
 //!
 //! Message conservation — every message sent is delivered — is a property
 //! of all ranks together, so its debug check lives behind the transport
 //! (`Comm::assert_consistent`), which the driver calls at every epoch end.
 
-use crate::state::INF;
+use sssp_dist::LocalGraph;
+
+use crate::config::PullEstimator;
+use crate::policy::EpochWindow;
+use crate::state::{RankState, INF};
+
+use super::{decide, kernels};
 
 /// IOS inner-edge bound (§III-A). When `ios` is off the short phase
 /// legitimately relaxes edges that leave the bucket, so the check gates
@@ -56,5 +65,52 @@ pub(super) fn check_epoch_monotone(k: u64, k_prev: Option<u64>) {
     debug_assert!(
         k_prev.is_none_or(|kp| k > kp),
         "bucket epochs must strictly increase: k = {k} after k_prev = {k_prev:?}"
+    );
+}
+
+/// One rank's §III-C `(push, pull, scanned)` by its definition: a scan of
+/// every local vertex — settled, reached and unreached alike. This is the
+/// reference the maintained estimate of `decide::rank_volumes` is held to.
+pub(super) fn scan_rank_volumes(
+    lg: &LocalGraph,
+    st: &RankState,
+    window: &EpochWindow,
+    ios: bool,
+    estimator: PullEstimator,
+    w_max: u64,
+) -> (u64, u64, u64) {
+    let (kd, short_bound) = (window.start_dist, window.short_bound);
+    let (mut push, mut pull, mut scanned) = (0u64, 0u64, 0u64);
+    for vl in 0..st.n_local() {
+        let (b, dv) = (st.bucket_of[vl], st.dist[vl]);
+        if window.contains(b) {
+            let (_, ws) = lg.row(vl);
+            let start = kernels::push_range_start(ios, ws, dv, window.end_dist, short_bound);
+            push += (ws.len() - start) as u64;
+        } else if b > window.hi {
+            scanned += 1;
+            pull += decide::pull_term(lg, vl, dv, kd, short_bound, estimator, w_max);
+        }
+    }
+    (push, pull, scanned)
+}
+
+/// Maintained §III-C estimate: what `rank_volumes` assembled from the
+/// bucket members and the unreached totals equals the full scan.
+#[inline]
+pub(super) fn check_rank_volumes(
+    lg: &LocalGraph,
+    st: &RankState,
+    window: &EpochWindow,
+    ios: bool,
+    estimator: PullEstimator,
+    w_max: u64,
+    got: (u64, u64, u64),
+) {
+    debug_assert_eq!(
+        got,
+        scan_rank_volumes(lg, st, window, ios, estimator, w_max),
+        "maintained §III-C volumes drifted from the full scan on rank {} (window {window:?})",
+        st.rank
     );
 }

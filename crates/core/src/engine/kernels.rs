@@ -46,6 +46,35 @@ pub(super) fn push_range_start(
     }
 }
 
+/// Eq. 1's weight bound for an unsettled vertex at distance `dv` in an epoch
+/// whose window starts at distance `kd`: a pull can only improve `v` along
+/// an edge with `w < d(v) − kd`; anything can while `v` is unreached.
+#[inline]
+pub(super) fn pull_threshold(dv: u64, kd: u64) -> u64 {
+    debug_assert!(
+        dv >= kd,
+        "unsettled d(v) = {dv} below the window start {kd}"
+    );
+    if dv == INF {
+        u64::MAX
+    } else {
+        dv - kd
+    }
+}
+
+/// Eq. 1 (§III-B), the one definition: the slice of `v`'s weight-sorted row
+/// a pull request may travel along — long edges (`w ≥ short_bound`) that
+/// could still improve `v` (`w < d(v) − kd`, with `kd` the window's start
+/// distance; unbounded while `v` is unreached). Empty when no edge
+/// qualifies.
+#[inline]
+pub(super) fn pull_range(ws: &[u32], dv: u64, kd: u64, short_bound: u64) -> Range<usize> {
+    let threshold = pull_threshold(dv, kd);
+    let lo = ws.partition_point(|&w| (w as u64) < short_bound);
+    let hi = ws.partition_point(|&w| (w as u64) < threshold);
+    lo..hi.max(lo)
+}
+
 /// The shared body of the push-style send kernels: every active vertex `u`
 /// relaxes the slice `range(d(u), weights)` of its weight-sorted row,
 /// and the work is charged to `u`'s thread (spread over the rank's threads
@@ -227,15 +256,13 @@ pub(super) fn pull_request_send(
         }
         scanned += 1;
         let dv = st.dist[vl];
-        let threshold = if dv == INF { u64::MAX } else { dv - kd };
         let (ts, ws) = lg.row(vl);
-        let lo = ws.partition_point(|&w| (w as u64) < short_bound);
-        let hi = ws.partition_point(|&w| (w as u64) < threshold);
-        if hi <= lo {
+        let edges = pull_range(ws, dv, kd, short_bound);
+        if edges.is_empty() {
             continue;
         }
         let origin = part.to_global(st.rank, vl);
-        for i in lo..hi {
+        for i in edges.clone() {
             let u = ts[i];
             invariants::check_pull_request(ws[i], dv, kd, short_bound);
             let req = ReqMsg {
@@ -246,8 +273,8 @@ pub(super) fn pull_request_send(
             out.send(part.owner(u), req.to_wire());
         }
         let heavy = (lg.degree(vl) as u64) > pi;
-        st.loads.charge(vl, (hi - lo) as u64, heavy);
-        reqs += (hi - lo) as u64;
+        st.loads.charge(vl, edges.len() as u64, heavy);
+        reqs += edges.len() as u64;
     }
     (reqs, scanned)
 }

@@ -271,7 +271,9 @@ impl Transport for Lockstep {
 /// Returns the distances and transport counters plus those recorders in
 /// rank order ([`record::merged_trace`] folds them into the run's trace).
 ///
-/// Out-of-range seeds or targets panic; validate untrusted input first.
+/// Out-of-range seeds or targets panic, and so does a seed distance past
+/// [`max_seed_offset`] on a vertex that has edges; validate untrusted input
+/// first.
 ///
 /// # Examples
 ///
@@ -300,6 +302,15 @@ pub fn run<T: Transport, R: Recorder>(
     let graph: &DistGraph = dg.borrow();
     let n = graph.num_vertices();
     let seeds = canonical_seeds(&query.seeds, n);
+    // Only an isolated seed may start past the bound: nothing is ever added
+    // to its distance.
+    let bound = max_seed_offset(n);
+    for &(v, d) in &seeds {
+        assert!(
+            d <= bound || graph.degree(v) == 0,
+            "seed distance {d} of vertex {v} leaves no headroom below u64::MAX (n = {n})"
+        );
+    }
     if let Some(tv) = query.target {
         assert!((tv as usize) < n, "target {tv} out of range (n = {n})");
     }
@@ -349,6 +360,17 @@ pub fn run_sssp(
     let stats = RunStats::for_run(dg, Some(model));
     let (out, recorded) = run(dg, &Query::root(root), cfg, model, Lockstep, stats);
     SsspOutput::new(out, recorded)
+}
+
+/// Largest start distance a seed may carry on a graph of `n_total`
+/// vertices: `u64::MAX − n_total · u32::MAX`. A shortest path has fewer
+/// than `n_total` edges of at most `u32::MAX` each, so below this bound no
+/// `d(u) + w` of the run can wrap or collide with the [`INF`] sentinel.
+pub fn max_seed_offset(n_total: usize) -> u64 {
+    let span = u64::try_from(n_total)
+        .ok()
+        .and_then(|n| n.checked_mul(u64::from(u32::MAX)));
+    span.map_or(0, |span| u64::MAX - span)
 }
 
 /// The seed canonicalization every run performs: validate against

@@ -25,7 +25,10 @@
 use sssp_comm::cost::TimeClass;
 use sssp_comm::stats::StepStats;
 
-use crate::instrument::{BucketRecord, PhaseKind, PhaseRecord, RunStats, RunTrace};
+use crate::instrument::{
+    BucketRecord, PhaseKind, PhaseRecord, RunStats, RunTrace, SubPhase, SubPhaseNanos,
+    SubPhaseSpread,
+};
 
 /// Sink for one process's telemetry and cost-model events; every process
 /// of a run gets its own clone, moved onto its thread. All methods default
@@ -55,6 +58,10 @@ pub trait Recorder: Clone + Send + Sync + 'static {
     /// Wall-clock nanoseconds one phase of `kind` took on this process,
     /// including the wait inside its exchanges.
     fn phase_nanos(&mut self, _kind: PhaseKind, _ns: u64) {}
+    /// Wall-clock nanoseconds this process just spent in one stretch of
+    /// `_sub`. The driver reads the clock for it only when
+    /// [`Recorder::enabled`], so a disabled recorder costs no clock read.
+    fn span(&mut self, _sub: SubPhase, _ns: u64) {}
     /// One bucket epoch completed. The recorder fills the record's
     /// per-epoch traffic fields from the supersteps since the last bucket.
     fn bucket(&mut self, _rec: BucketRecord) {}
@@ -115,6 +122,10 @@ impl Recorder for RunStats {
         self.wall.add(kind, ns);
     }
 
+    fn span(&mut self, sub: SubPhase, ns: u64) {
+        self.spans.add(sub, ns);
+    }
+
     fn bucket(&mut self, mut rec: BucketRecord) {
         let (supersteps, local, remote, coalesced) = self.epoch_window();
         rec.supersteps = supersteps;
@@ -155,12 +166,16 @@ impl Recorder for RunStats {
 /// returns (one for the lockstep transport, one per rank for the threaded
 /// one), labelled `backend`.
 pub fn merged_trace(stats: &[RunStats], backend: &str) -> RunTrace {
-    merge_rank_traces(
+    let mut merged = merge_rank_traces(
         stats
             .iter()
             .map(|s| RunTrace::from_run_stats(s, backend))
             .collect(),
-    )
+    );
+    // A spread needs every process at once, so it cannot fold pairwise.
+    let spans: Vec<SubPhaseNanos> = stats.iter().map(|s| s.spans).collect();
+    merged.spans = SubPhaseSpread::over(&spans);
+    merged
 }
 
 /// Merge the per-process traces of one run into the run's global trace.
@@ -281,6 +296,7 @@ mod tests {
             max_step_recv_bytes: send_max / 2,
             hybrid_switch_at: None,
             timings: crate::instrument::PhaseTimings::default(),
+            spans: SubPhaseSpread::default(),
             phases: vec![PhaseRecord {
                 bucket: 1,
                 kind: PhaseKind::Short,

@@ -578,3 +578,251 @@ proptest::proptest! {
         proptest::prop_assert_eq!(ReqMsg::from_wire(wire), req);
     }
 }
+
+// -- the maintained §III-C estimate ---------------------------------------
+
+use crate::config::{PullEstimator, SteppingPolicyKind};
+use crate::policy::{PolicyDispatch, SteppingPolicy};
+use crate::state::{RankState, FLAT_LANES};
+
+const ESTIMATORS: [PullEstimator; 3] = [
+    PullEstimator::Exact,
+    PullEstimator::Histogram,
+    PullEstimator::Expectation,
+];
+
+/// The three stepping policies with the heuristic switched on (ρ and radius
+/// default to always-push, which never asks for an estimate). The weights
+/// of `estimate_graphs` and the staggered seeds of `estimate_queries` make
+/// Dial-granularity windows outrun the bucket ring, so ρ/radius epochs read
+/// members from the spill list too.
+fn estimate_policies() -> [SsspConfig; 3] {
+    let heuristic = |cfg: SsspConfig| cfg.with_direction(DirectionPolicy::Heuristic);
+    [
+        SsspConfig::prune(40),
+        heuristic(SsspConfig::rho(2)),
+        heuristic(SsspConfig::radius(3)),
+    ]
+}
+
+/// Two seed sets with start distances staggered by more than the ring
+/// width, each on one rank at every `p` tested (ρ-stepping bounds a window
+/// only where one rank holds more than its cap; a lone root would let it
+/// swallow the graph in one epoch), and their distances by definition: the
+/// best seed's Dijkstra.
+fn estimate_queries(g: &Csr) -> Vec<(Query, Vec<u64>)> {
+    [
+        [(0u32, 0u64), (1, 900), (2, 2600)],
+        [(77, 0), (78, 1400), (79, 1500)],
+    ]
+    .iter()
+    .map(|seeds| {
+        let mut expect = vec![INF; g.num_vertices()];
+        for &(s, offset) in seeds {
+            for (e, d) in expect.iter_mut().zip(crate::seq::dijkstra(g, s)) {
+                *e = (*e).min(d.saturating_add(offset));
+            }
+        }
+        (Query::seeded(seeds), expect)
+    })
+    .collect()
+}
+
+#[test]
+fn maintained_volumes_equal_the_full_scan_on_a_driven_state() {
+    // Drive one rank state by hand through epochs, relaxations and a
+    // `reset`, comparing `rank_volumes` with the definition at every step.
+    // Unlike the per-epoch debug invariant this compares in release too.
+    let n = 96usize;
+    let mut rng = sssp_graph::prng::SplitMix::new(17);
+    let rows = (0..n).map(|_| {
+        let deg = (rng.next_u64() % 9) as usize;
+        let mut ws: Vec<u32> = (0..deg)
+            .map(|_| 1 + (rng.next_u64() % 1500) as u32)
+            .collect();
+        ws.sort_unstable();
+        (vec![0u32; deg], ws)
+    });
+    let lg = sssp_dist::LocalGraph::from_rows(rows);
+    let w_max = 1500;
+    for cfg in estimate_policies() {
+        let policy = PolicyDispatch::from_config(&cfg, 1);
+        let dial = !matches!(cfg.policy, SteppingPolicyKind::Delta);
+        for estimator in ESTIMATORS {
+            let mut st = RankState::new(0, n, 1);
+            for round in 0..2 {
+                st.install_unreached_terms(|v| {
+                    decide::pull_term(&lg, v, INF, 0, policy.short_bound(), estimator, w_max)
+                });
+                st.begin_phase();
+                st.relax((rng.next_u64() % n as u64) as u32, 0, &policy);
+                let (mut k_prev, mut epochs) = (None, 0);
+                while let Some(k) = st.next_nonempty_after(k_prev) {
+                    st.advance_frontier(k);
+                    // Dial windows reach past the ring end every other epoch.
+                    let reach = if dial && epochs % 2 == 1 {
+                        FLAT_LANES + 90
+                    } else {
+                        60
+                    };
+                    let window = policy.window_for(k, k + reach);
+                    let got = decide::rank_volumes(&lg, &st, &window, cfg.ios, estimator, w_max);
+                    let want =
+                        invariants::scan_rank_volumes(&lg, &st, &window, cfg.ios, estimator, w_max);
+                    assert_eq!(
+                        got, want,
+                        "{cfg:?} {estimator:?} round {round} epoch {epochs}"
+                    );
+                    // The long phase: reach new vertices and improve reached
+                    // ones, near the window and far past the ring (in bucket
+                    // widths, so Δ-stepping spills too).
+                    for _ in 0..6 {
+                        let v = (rng.next_u64() % n as u64) as u32;
+                        let far = if rng.next_below(3) == 0 {
+                            4 * FLAT_LANES * if dial { 1 } else { 40 }
+                        } else {
+                            300
+                        };
+                        let nd = window.end_dist + 1 + rng.next_u64() % far;
+                        if policy.bucket_of(nd) <= st.bucket_of[v as usize] {
+                            st.relax(v, nd, &policy);
+                        }
+                    }
+                    k_prev = Some(window.hi);
+                    epochs += 1;
+                }
+                assert!(epochs > 3, "{cfg:?}: the drive ended after {epochs} epochs");
+                assert_eq!(st.count_unsettled_after(u64::MAX - 1), st.unreached());
+                st.reset();
+                assert_eq!(st.unreached(), n as u64);
+            }
+        }
+    }
+}
+
+/// A hub-heavy graph (split into proxies by the §III-E trigger at p > 1)
+/// and a graph with an unreachable component, both with weights wide enough
+/// for spill-crossing windows.
+fn estimate_graphs() -> [(Csr, bool); 2] {
+    let mut hub = gen::star(260, 1100);
+    for e in gen::path(260, 350).edges {
+        hub.push(e.u, e.v, e.w);
+    }
+    for e in gen::uniform(260, 500, 900, 5).edges {
+        hub.push(e.u, e.v, e.w);
+    }
+    let mut islands = gen::uniform(140, 260, 1200, 23);
+    islands.n = 170;
+    for v in 141..170 {
+        islands.push(v - 1, v, 9);
+    }
+    let build = |el| CsrBuilder::new().build(&el);
+    [(build(hub), true), (build(islands), false)]
+}
+
+#[test]
+fn maintained_estimate_is_transport_and_reuse_independent() {
+    // 3 estimators × 3 policies × both transports × p ∈ {1, 3, 8}, on a
+    // proxy-split graph and on one with an unreachable component, with the
+    // threaded scratch reused (through `reset`) for a second seed set. Every
+    // epoch of every run crosses the full-scan invariant in debug builds;
+    // what is compared here holds in release too: distances against
+    // Dijkstra, and the recorded estimates and modes across transports.
+    let model = model();
+    for (g, split) in estimate_graphs() {
+        for p in [1usize, 3, 8] {
+            let dg = if split {
+                let (dg, report) = DistGraph::build_auto_split(&g, p, 2);
+                assert_eq!(report.is_some(), p > 1, "p {p}: split trigger");
+                dg
+            } else {
+                DistGraph::build(&g, p, 2)
+            };
+            let dg = std::sync::Arc::new(dg);
+            for cfg in estimate_policies() {
+                for estimator in ESTIMATORS {
+                    let cfg = cfg.clone().with_pull_estimator(estimator);
+                    let mut scratch = threaded::EngineScratch::new(p);
+                    for (query, expect) in estimate_queries(&g) {
+                        let what = format!("p {p} {:?} {cfg:?}", query.seeds);
+                        let stats = RunStats::for_run(&dg, None);
+                        let (sim, sim_recs) =
+                            run(&*dg, &query, &cfg, &model, Lockstep, stats.clone());
+                        let (thr, thr_recs) =
+                            run(&dg, &query, &cfg, &model, Threaded(&mut scratch), stats);
+                        assert_eq!(&sim.distances[..expect.len()], &expect[..], "{what}");
+                        assert_eq!(thr.distances, sim.distances, "{what}");
+                        let sim_trace = record::merged_trace(&sim_recs, "simulated");
+                        let thr_trace = record::merged_trace(&thr_recs, "threaded");
+                        assert_eq!(sim_trace.diff(&thr_trace), Vec::<String>::new(), "{what}");
+                        assert!(
+                            sim_trace.buckets.len() > 2 && sim_trace.buckets[0].est_push > 0,
+                            "{what}: {} epochs, first estimate {}",
+                            sim_trace.buckets.len(),
+                            sim_trace.buckets[0].est_push
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+// -- seed offsets -----------------------------------------------------------
+
+#[test]
+fn the_largest_legal_seed_offset_runs_exactly_on_both_transports() {
+    let g = CsrBuilder::new().build(&gen::path(50, u32::MAX));
+    let dg = std::sync::Arc::new(DistGraph::build(&g, 2, 1));
+    let top = max_seed_offset(50);
+    assert_eq!(top, u64::MAX - 50 * u64::from(u32::MAX));
+    let query = Query::seeded(&[(0, top)]);
+    let expect: Vec<u64> = (0..50).map(|i| top + i * u64::from(u32::MAX)).collect();
+    for cfg in [SsspConfig::opt(25), SsspConfig::rho(8)] {
+        let (sim, _) = run(&*dg, &query, &cfg, &model(), Lockstep, NoopRecorder);
+        assert_eq!(sim.distances, expect);
+        let mut scratch = threaded::EngineScratch::new(2);
+        let (thr, _) = run(
+            &dg,
+            &query,
+            &cfg,
+            &model(),
+            Threaded(&mut scratch),
+            NoopRecorder,
+        );
+        assert_eq!(thr.distances, expect);
+    }
+}
+
+#[test]
+#[should_panic(expected = "leaves no headroom")]
+fn a_seed_offset_without_headroom_is_refused_by_the_lockstep_transport() {
+    // The historical repro: release builds returned `dist[1] == 0`.
+    let g = CsrBuilder::new().build(&gen::path(50, 30));
+    let dg = DistGraph::build(&g, 2, 1);
+    let query = Query::seeded(&[(0, u64::MAX - 20)]);
+    run(
+        &dg,
+        &query,
+        &SsspConfig::opt(25),
+        &model(),
+        Lockstep,
+        NoopRecorder,
+    );
+}
+
+#[test]
+#[should_panic(expected = "leaves no headroom")]
+fn a_seed_offset_without_headroom_is_refused_by_the_threaded_transport() {
+    let g = CsrBuilder::new().build(&gen::path(50, 30));
+    let dg = std::sync::Arc::new(DistGraph::build(&g, 2, 1));
+    let mut scratch = threaded::EngineScratch::new(2);
+    threaded::threaded_sssp_query(
+        &dg,
+        &[(0, u64::MAX - 20)],
+        None,
+        &SsspConfig::opt(25),
+        &model(),
+        &mut scratch,
+    );
+}

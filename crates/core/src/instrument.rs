@@ -135,6 +135,112 @@ impl PhaseTimings {
     }
 }
 
+/// Where inside an epoch a process's wall clock went — the attribution one
+/// level below [`PhaseKind`]. The five parts tile a superstep (scan, pack,
+/// exchange, apply) and the reductions between supersteps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubPhase {
+    /// Rank-local reads of the bucket structure and the frontier: sliding
+    /// the ring, collecting a window's active set, the send side of every
+    /// relaxation kernel, the §III-C volume pass and window proposals.
+    Scan,
+    /// Sender-side packing of the outbox lanes (coalescing included).
+    Pack,
+    /// Inside the transport's exchange: handing lanes over, waiting for the
+    /// peers, draining the inbox.
+    ExchangeWait,
+    /// The receive side: applying an inbox to the rank state.
+    Apply,
+    /// Inside a reduction (`allreduce_*` / `any`), i.e. mostly waiting for
+    /// the slowest peer to arrive.
+    CollectiveWait,
+}
+
+impl SubPhase {
+    /// Every sub-phase, in the order the per-process accumulators and the
+    /// trace JSON list them.
+    pub const ALL: [SubPhase; 5] = [
+        SubPhase::Scan,
+        SubPhase::Pack,
+        SubPhase::ExchangeWait,
+        SubPhase::Apply,
+        SubPhase::CollectiveWait,
+    ];
+
+    /// The sub-phase's key stem in the trace JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            SubPhase::Scan => "scan",
+            SubPhase::Pack => "pack",
+            SubPhase::ExchangeWait => "exchange_wait",
+            SubPhase::Apply => "apply",
+            SubPhase::CollectiveWait => "collective_wait",
+        }
+    }
+}
+
+/// Wall-clock nanoseconds one process spent in each [`SubPhase`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SubPhaseNanos([u64; SubPhase::ALL.len()]);
+
+impl SubPhaseNanos {
+    /// Fold `ns` into the accumulator of `sub`.
+    pub fn add(&mut self, sub: SubPhase, ns: u64) {
+        self.0[sub as usize] += ns;
+    }
+
+    /// Nanoseconds accumulated for `sub`.
+    pub fn get(&self, sub: SubPhase) -> u64 {
+        self.0[sub as usize]
+    }
+}
+
+/// How one sub-phase's time spread over the processes of a run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanSpread {
+    /// The process that spent least.
+    pub min_ns: u64,
+    /// The middle process (the upper one of the two when the count is even).
+    pub median_ns: u64,
+    /// The process that spent most.
+    pub max_ns: u64,
+}
+
+/// Per-[`SubPhase`] spread of wall-clock time over the processes of a run:
+/// one process per rank on the threaded transport (so min/median/max read
+/// as measured rank skew), a single process on the lockstep one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SubPhaseSpread([SpanSpread; SubPhase::ALL.len()]);
+
+impl SubPhaseSpread {
+    /// Summarise the per-process accumulators of one run.
+    pub fn over(processes: &[SubPhaseNanos]) -> SubPhaseSpread {
+        let mut spread = SubPhaseSpread::default();
+        for sub in SubPhase::ALL {
+            let mut ns: Vec<u64> = processes.iter().map(|p| p.get(sub)).collect();
+            ns.sort_unstable();
+            if let (Some(&min_ns), Some(&max_ns)) = (ns.first(), ns.last()) {
+                spread.0[sub as usize] = SpanSpread {
+                    min_ns,
+                    median_ns: ns[ns.len() / 2],
+                    max_ns,
+                };
+            }
+        }
+        spread
+    }
+
+    /// The spread of `sub`.
+    pub fn get(&self, sub: SubPhase) -> SpanSpread {
+        self.0[sub as usize]
+    }
+
+    /// True when no sub-phase recorded any time.
+    pub fn is_zero(&self) -> bool {
+        *self == SubPhaseSpread::default()
+    }
+}
+
 /// Aggregated statistics of one SSSP run.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
@@ -181,6 +287,8 @@ pub struct RunStats {
     pub cost_model: Option<MachineModel>,
     /// Wall-clock per-phase timings.
     pub wall: PhaseTimings,
+    /// Wall-clock per-sub-phase timings of this process.
+    pub spans: SubPhaseNanos,
 
     /// Ranks and threads the run was simulated with (for per-thread stats).
     pub num_ranks: usize,
@@ -342,6 +450,9 @@ pub struct RunTrace {
     /// Wall-clock per-phase timings. Like every other timing quantity,
     /// [`RunTrace::diff`] ignores them; they ride along for reporting.
     pub timings: PhaseTimings,
+    /// Wall-clock per-sub-phase timings as min/median/max over the run's
+    /// processes; ignored by [`RunTrace::diff`] like `timings`.
+    pub spans: SubPhaseSpread,
     /// One record per relaxation superstep-group, in execution order.
     pub phases: Vec<PhaseRecord>,
     /// One record per processed Δ-bucket, in execution order.
@@ -380,6 +491,7 @@ impl RunTrace {
                 .unwrap_or(0),
             hybrid_switch_at: stats.hybrid_switch_at,
             timings: stats.wall,
+            spans: SubPhaseSpread::over(&[stats.spans]),
             phases: stats.phase_records.clone(),
             buckets: stats.bucket_records.clone(),
             tail: stats.tail_record,
@@ -422,6 +534,14 @@ impl RunTrace {
                 self.timings.long_pull_ns
             ));
             s.push_str(&format!("  \"bf_ns\": {},\n", self.timings.bf_ns));
+        }
+        if !self.spans.is_zero() {
+            for sub in SubPhase::ALL {
+                let (name, spread) = (sub.name(), self.spans.get(sub));
+                s.push_str(&format!("  \"{name}_ns_min\": {},\n", spread.min_ns));
+                s.push_str(&format!("  \"{name}_ns_median\": {},\n", spread.median_ns));
+                s.push_str(&format!("  \"{name}_ns_max\": {},\n", spread.max_ns));
+            }
         }
         s.push_str("  \"phases\": [\n");
         let phase_lines: Vec<String> = self.phases.iter().map(phase_json).collect();
@@ -493,6 +613,15 @@ impl RunTrace {
             long_pull_ns: num_value_or_zero(head, "long_pull_ns")?,
             bf_ns: num_value_or_zero(head, "bf_ns")?,
         };
+        let mut spans = SubPhaseSpread::default();
+        for sub in SubPhase::ALL {
+            let name = sub.name();
+            spans.0[sub as usize] = SpanSpread {
+                min_ns: num_value_or_zero(head, &format!("{name}_ns_min"))?,
+                median_ns: num_value_or_zero(head, &format!("{name}_ns_median"))?,
+                max_ns: num_value_or_zero(head, &format!("{name}_ns_max"))?,
+            };
+        }
         Ok(RunTrace {
             backend: str_value(head, "backend")?.to_string(),
             ranks: parse_u64(raw_value(head, "ranks")?, "ranks")? as usize,
@@ -505,6 +634,7 @@ impl RunTrace {
             max_step_recv_bytes: num_value(head, "max_step_recv_bytes")?,
             hybrid_switch_at: hybrid,
             timings,
+            spans,
             phases,
             buckets,
             tail,
@@ -923,6 +1053,7 @@ mod tests {
             max_step_recv_bytes: 80,
             hybrid_switch_at: Some(3),
             timings: PhaseTimings::default(),
+            spans: SubPhaseSpread::default(),
             phases: vec![
                 PhaseRecord {
                     bucket: 0,
@@ -966,6 +1097,32 @@ mod tests {
         assert!(t.diff(&zeroed).is_empty());
         // All-zero timings are omitted from the serialized form entirely.
         assert!(!zeroed.to_json().contains("short_ns"));
+    }
+
+    #[test]
+    fn sub_phase_spread_is_min_median_max_over_processes() {
+        let rank = |scan, wait| {
+            let mut ns = SubPhaseNanos::default();
+            ns.add(SubPhase::Scan, scan);
+            ns.add(SubPhase::CollectiveWait, wait);
+            ns.add(SubPhase::CollectiveWait, 1);
+            ns
+        };
+        let spread = SubPhaseSpread::over(&[rank(30, 5), rank(10, 9), rank(20, 0), rank(40, 2)]);
+        let scan = spread.get(SubPhase::Scan);
+        assert_eq!((scan.min_ns, scan.median_ns, scan.max_ns), (10, 30, 40));
+        let wait = spread.get(SubPhase::CollectiveWait);
+        assert_eq!((wait.min_ns, wait.median_ns, wait.max_ns), (1, 6, 10));
+        assert_eq!(spread.get(SubPhase::Pack), SpanSpread::default());
+        assert!(SubPhaseSpread::over(&[]).is_zero());
+
+        // The spread rides through the JSON codec and is invisible to diff.
+        let mut t = sample_trace();
+        t.spans = spread;
+        let parsed = RunTrace::from_json(&t.to_json()).expect("roundtrip parse");
+        assert_eq!(parsed, t);
+        assert!(t.diff(&sample_trace()).is_empty());
+        assert!(!sample_trace().to_json().contains("scan_ns_min"));
     }
 
     #[test]

@@ -69,7 +69,8 @@ pub use engine::threaded::{
     ThreadedSsspOutput,
 };
 pub use engine::{
-    canonical_seeds, run, run_sssp, Lockstep, Query, RunOutput, SsspOutput, Threaded, Transport,
+    canonical_seeds, max_seed_offset, run, run_sssp, Lockstep, Query, RunOutput, SsspOutput,
+    Threaded, Transport,
 };
-pub use instrument::{RunStats, RunTrace};
+pub use instrument::{RunStats, RunTrace, SubPhase};
 pub use policy::{EpochWindow, PolicyDispatch, SteppingPolicy, WindowRule};

@@ -24,6 +24,12 @@
 //! The `changed` / `active` frontier sets are epoch-stamped bitsets
 //! ([`StampBitset`]): O(1) clear by stamp bump, duplicate-free insertion by
 //! construction, and word-level iteration in the kernels.
+//!
+//! The unreached vertices (the paper's B∞) sit in no container. What the
+//! engine needs of them every epoch — how many there are, and what they add
+//! to the §III-C pull estimate — is a per-run constant per vertex, so the
+//! state keeps both as running totals, decremented at the one place a
+//! vertex leaves B∞ ([`RankState::relax`]).
 
 use std::collections::BTreeMap;
 
@@ -458,6 +464,17 @@ pub struct RankState {
     pub active: StampBitset,
     /// Per-thread operation ledger for the current superstep.
     pub loads: ThreadLoads,
+    /// What each vertex adds to the §III-C pull estimate while it is
+    /// unreached (see [`RankState::install_unreached_terms`]); all zero
+    /// until a run installs its own.
+    unreached_term: Vec<u32>,
+    /// `Σ unreached_term` over every local vertex — what [`Self::reset`]
+    /// restores the running mass to.
+    total_pull_mass: u64,
+    /// Vertices still in [`INF_BUCKET`].
+    unreached: u64,
+    /// `Σ unreached_term` over the vertices still in [`INF_BUCKET`].
+    unreached_pull_mass: u64,
 }
 
 impl RankState {
@@ -471,6 +488,10 @@ impl RankState {
             changed: StampBitset::new(n_local),
             active: StampBitset::new(n_local),
             loads: ThreadLoads::new(threads),
+            unreached_term: vec![0; n_local],
+            total_pull_mass: 0,
+            unreached: n_local as u64,
+            unreached_pull_mass: 0,
         }
     }
 
@@ -480,7 +501,9 @@ impl RankState {
     /// bucket ring (including its base and the spill list — a stale base
     /// would answer the next query's bucket-0 pushes as empty), both
     /// frontier bitsets (stamp bump, so a stale stamp cannot leak a
-    /// previous query's frontier into the next run), and the thread loads.
+    /// previous query's frontier into the next run), the thread loads, and
+    /// the unreached totals (every vertex is back in B∞, so the running
+    /// mass is the installed total again).
     pub fn reset(&mut self) {
         self.dist.fill(INF);
         self.bucket_of.fill(INF_BUCKET);
@@ -488,6 +511,46 @@ impl RankState {
         self.changed.clear();
         self.active.clear();
         self.loads.reset();
+        self.unreached = self.n_local() as u64;
+        self.unreached_pull_mass = self.total_pull_mass;
+    }
+
+    /// Install the run's per-vertex pull terms: `term(v)` is what vertex
+    /// `v` contributes to the §III-C pull estimate for as long as it is
+    /// unreached — a constant of the run, since an unreached vertex's
+    /// eq. 1 threshold is unbounded. Call on an all-unreached state (right
+    /// after [`RankState::new`] / [`RankState::reset`]), once per run.
+    pub fn install_unreached_terms(&mut self, term: impl Fn(usize) -> u64) {
+        debug_assert_eq!(self.unreached, self.n_local() as u64);
+        let mut total = 0u64;
+        for (v, slot) in self.unreached_term.iter_mut().enumerate() {
+            // A term never exceeds the vertex's degree.
+            *slot = sssp_graph::checked_u32(term(v) as usize);
+            total += u64::from(*slot);
+        }
+        self.total_pull_mass = total;
+        self.unreached_pull_mass = total;
+    }
+
+    /// Vertices still unreached (in [`INF_BUCKET`]).
+    #[inline]
+    pub fn unreached(&self) -> u64 {
+        self.unreached
+    }
+
+    /// The unreached vertices' share of the §III-C pull estimate: the sum
+    /// of their installed terms.
+    #[inline]
+    pub fn unreached_pull_mass(&self) -> u64 {
+        self.unreached_pull_mass
+    }
+
+    /// Vertex `li` is leaving [`INF_BUCKET`] — the only transition that
+    /// touches the unreached totals.
+    #[inline]
+    fn leave_unreached(&mut self, li: usize) {
+        self.unreached -= 1;
+        self.unreached_pull_mass -= u64::from(self.unreached_term[li]);
     }
 
     /// Number of vertices this rank owns.
@@ -497,6 +560,9 @@ impl RankState {
 
     /// Place the root: distance 0, bucket 0.
     pub fn set_root(&mut self, local: u32) {
+        if self.bucket_of[local as usize] == INF_BUCKET {
+            self.leave_unreached(local as usize);
+        }
         self.dist[local as usize] = 0;
         self.bucket_of[local as usize] = 0;
         self.store.push(local, 0);
@@ -537,7 +603,9 @@ impl RankState {
         );
         self.dist[li] = nd;
         if new_b < old_b {
-            if old_b != INF_BUCKET {
+            if old_b == INF_BUCKET {
+                self.leave_unreached(li);
+            } else {
                 self.store.dec(old_b);
             }
             self.store.push(local, new_b);
@@ -622,12 +690,19 @@ impl RankState {
         self.store.next_nonempty_from(start)
     }
 
-    /// Number of unsettled vertices (bucket index > `k`), i.e. the scan
-    /// extent of a pull phase for current bucket `k`.
+    /// Live members of every finite bucket `> k`: the reached-but-unsettled
+    /// vertices of an epoch whose window ends at `k`. Each appears exactly
+    /// once (a vertex enters a bucket at most once and lazy deletion drops
+    /// the entries it left behind), in no particular order.
+    pub fn members_after(&self, k: u64) -> impl Iterator<Item = u32> + '_ {
+        self.window_members(k.saturating_add(1), INF_BUCKET - 1)
+    }
+
+    /// Number of unsettled vertices (bucket index > `k`, unreached ones
+    /// included), i.e. the scan extent of a pull phase for current bucket
+    /// `k`.
     pub fn count_unsettled_after(&self, k: u64) -> u64 {
-        let later = self.store.count_after(k);
-        let infinite = self.bucket_of.iter().filter(|&&b| b == INF_BUCKET).count() as u64;
-        later + infinite
+        self.store.count_after(k) + self.unreached
     }
 
     /// Collect the live members of bucket `k` into `active` (all
@@ -845,6 +920,31 @@ mod tests {
                                    // 4 INF vertices + 1 in bucket 5.
         assert_eq!(s.count_unsettled_after(0), 5);
         assert_eq!(s.count_unsettled_after(5), 4);
+    }
+
+    #[test]
+    fn unreached_totals_follow_the_single_inf_transition() {
+        let mut s = RankState::new(0, 6, 1);
+        assert_eq!((s.unreached(), s.unreached_pull_mass()), (6, 0));
+        s.install_unreached_terms(|v| 10 * (v as u64 + 1));
+        assert_eq!((s.unreached(), s.unreached_pull_mass()), (6, 210));
+        s.begin_phase();
+        s.relax(1, 26, &delta5()); // leaves B∞: −20
+        assert_eq!((s.unreached(), s.unreached_pull_mass()), (5, 190));
+        s.relax(1, 3, &delta5()); // already reached: totals untouched
+        assert!(!s.relax(1, 9, &delta5()));
+        assert_eq!((s.unreached(), s.unreached_pull_mass()), (5, 190));
+        s.set_root(5); // −60
+        assert_eq!((s.unreached(), s.unreached_pull_mass()), (4, 130));
+        assert_eq!(s.members_after(0).count(), 0);
+        s.relax(2, 7, &delta5());
+        s.relax(3, FLAT_LANES * 9, &delta5()); // a spill member
+        let mut later: Vec<u32> = s.members_after(0).collect();
+        later.sort_unstable();
+        assert_eq!(later, vec![2, 3]);
+        // `reset` puts every vertex back and keeps the installed terms.
+        s.reset();
+        assert_eq!((s.unreached(), s.unreached_pull_mass()), (6, 210));
     }
 
     #[test]

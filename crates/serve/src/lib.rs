@@ -127,7 +127,9 @@ impl QuerySpec {
     }
 
     /// Validate the spec against a graph of `n` vertices: every mentioned
-    /// vertex must be in range, and closeness needs at least one source.
+    /// vertex must be in range, a seed's start distance must leave the run
+    /// headroom below `u64::MAX` ([`sssp_core::max_seed_offset`] — past it
+    /// distances would wrap), and closeness needs at least one source.
     /// This is the sanitizer the serving layer runs **before** any lock is
     /// taken — a malformed spec is an error return, never a panic inside a
     /// critical section (the `panic-unvalidated-input` lint rule pins the
@@ -137,6 +139,14 @@ impl QuerySpec {
             if (v as usize) >= n {
                 return Err(QueryError::InvalidSpec(format!(
                     "query vertex {v} out of range (n = {n})"
+                )));
+            }
+        }
+        if let QuerySpec::MultiSeed { seeds } = self {
+            let bound = sssp_core::max_seed_offset(n);
+            if let Some(&(v, d)) = seeds.iter().find(|&&(_, d)| d > bound) {
+                return Err(QueryError::InvalidSpec(format!(
+                    "seed distance {d} of vertex {v} leaves no headroom below u64::MAX (n = {n})"
                 )));
             }
         }

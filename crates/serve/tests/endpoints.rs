@@ -353,3 +353,40 @@ fn panic_probe_fails_its_own_ticket_only() {
         after.output.distances().expect("distances").as_ref()
     );
 }
+
+#[test]
+fn seed_offset_without_headroom_is_rejected_before_it_can_wrap() {
+    // The historical repro: a 50-vertex path at 2 ranks answered this
+    // query `Ok` with wrapped distances (`dist[1] == 0`) in release builds
+    // and died on an arithmetic overflow in debug ones.
+    let g = CsrBuilder::new().build(&gen::path(50, 30));
+    let dg = Arc::new(DistGraph::build(&g, 2, 1));
+    let server = one_worker(&dg, SsspConfig::opt(25));
+    let err = server
+        .submit(QuerySpec::MultiSeed {
+            seeds: vec![(3, 7), (0, u64::MAX - 20)],
+        })
+        .expect_err("a seed offset next to u64::MAX must be rejected");
+    match &err {
+        QueryError::InvalidSpec(why) => assert!(why.contains("headroom"), "{why}"),
+        other => panic!("expected InvalidSpec, got {other:?}"),
+    }
+    assert_eq!(server.failure_stats(), (0, 0), "never reached a worker");
+
+    // The bound itself is legal and exact: nothing on the path wraps.
+    let top = sssp_core::max_seed_offset(50);
+    let res = run_ok(
+        &server,
+        QuerySpec::MultiSeed {
+            seeds: vec![(0, top)],
+        },
+    );
+    let dist = res.output.distances().expect("distances");
+    assert_eq!((dist[0], dist[1], dist[49]), (top, top + 30, top + 49 * 30));
+    let err = server
+        .submit(QuerySpec::MultiSeed {
+            seeds: vec![(0, top + 1)],
+        })
+        .expect_err("one past the bound must be rejected");
+    assert!(matches!(err, QueryError::InvalidSpec(_)));
+}
