@@ -216,8 +216,6 @@ pub struct TelemetryRecord {
     pub wall_long_push_ns: u64,
     /// Wall-clock nanoseconds in long pull phases.
     pub wall_long_pull_ns: u64,
-    /// Wall-clock nanoseconds in Bellman-Ford tail rounds.
-    pub wall_bf_ns: u64,
     /// End-to-end measured wall time of the traced threaded run (timed
     /// around the whole run, unlike the per-phase accumulators above,
     /// which only cover phase bodies). The `--check` gate cross-validates
@@ -231,7 +229,7 @@ impl TelemetryRecord {
     /// end-to-end wall time — that is [`TelemetryRecord::wall_measured_ns`];
     /// this sum excludes setup, collectives and inter-phase gaps).
     pub fn wall_total_ns(&self) -> u64 {
-        self.wall_short_ns + self.wall_long_push_ns + self.wall_long_pull_ns + self.wall_bf_ns
+        self.wall_short_ns + self.wall_long_push_ns + self.wall_long_pull_ns
     }
 
     /// Sanity problems in the wall-clock telemetry of *this* run: the
@@ -277,8 +275,7 @@ impl TelemetryRecord {
                 "\"supersteps\": {}, \"local_msgs\": {}, ",
                 "\"remote_msgs\": {}, \"coalesced_msgs\": {}, ",
                 "\"wall_short_ns\": {}, \"wall_long_push_ns\": {}, ",
-                "\"wall_long_pull_ns\": {}, \"wall_bf_ns\": {}, ",
-                "\"wall_measured_ns\": {}}}"
+                "\"wall_long_pull_ns\": {}, \"wall_measured_ns\": {}}}"
             ),
             self.backends_agree,
             self.buckets,
@@ -289,7 +286,6 @@ impl TelemetryRecord {
             self.wall_short_ns,
             self.wall_long_push_ns,
             self.wall_long_pull_ns,
-            self.wall_bf_ns,
             self.wall_measured_ns,
         )
     }
@@ -690,8 +686,7 @@ mod tests {
                 coalesced_msgs: 10000,
                 wall_short_ns: 1_500_000,
                 wall_long_push_ns: 400_000,
-                wall_long_pull_ns: 250_000,
-                wall_bf_ns: 100_000,
+                wall_long_pull_ns: 350_000,
                 wall_measured_ns: 3_000_000,
             },
         }
@@ -753,10 +748,6 @@ mod tests {
             Some(1_500_000.0)
         );
         assert_eq!(
-            extract_number(&json, "telemetry", "wall_bf_ns"),
-            Some(100_000.0)
-        );
-        assert_eq!(
             extract_number(&json, "telemetry", "wall_measured_ns"),
             Some(3_000_000.0)
         );
@@ -785,7 +776,6 @@ mod tests {
         t.wall_short_ns = 0;
         t.wall_long_push_ns = 0;
         t.wall_long_pull_ns = 0;
-        t.wall_bf_ns = 0;
         t.wall_measured_ns = 0;
         let p = t.wall_problems();
         assert_eq!(p.len(), 2, "{p:?}");

@@ -253,7 +253,6 @@ fn measure_telemetry(
         wall_short_ns: trace_thr.timings.short_ns,
         wall_long_push_ns: trace_thr.timings.long_push_ns,
         wall_long_pull_ns: trace_thr.timings.long_pull_ns,
-        wall_bf_ns: trace_thr.timings.bf_ns,
         wall_measured_ns,
     };
     (record, trace_thr.spans)
@@ -489,11 +488,10 @@ fn main() {
     let wall = &doc.telemetry;
     println!(
         "telemetry wall clock (threaded, slowest-rank critical path): \
-         {:.2} ms short, {:.2} ms long-push, {:.2} ms long-pull, {:.2} ms BF tail",
+         {:.2} ms short, {:.2} ms long-push, {:.2} ms long-pull",
         wall.wall_short_ns as f64 / 1e6,
         wall.wall_long_push_ns as f64 / 1e6,
         wall.wall_long_pull_ns as f64 / 1e6,
-        wall.wall_bf_ns as f64 / 1e6,
     );
 
     let ms = |ns: u64| ns as f64 / 1e6;

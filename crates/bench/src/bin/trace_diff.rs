@@ -10,7 +10,8 @@
 //!   cargo run -p sssp-bench --bin trace_diff -- --self-check
 //!       Run the simulated and threaded engines over the bench graph
 //!       across a config sweep (heuristic, both Always policies, a Forced
-//!       sequence, the hybrid tail), push each trace through the JSON
+//!       sequence, Δ = ∞) and over a grid long enough for the hybrid tail
+//!       to run many windowed epochs, push each trace through the JSON
 //!       exporter and back, and diff the pair. This is the CI smoke for
 //!       the unified telemetry layer.
 
@@ -22,6 +23,7 @@ use sssp_core::config::{DirectionPolicy, LongPhaseMode, SsspConfig};
 use sssp_core::engine::run_sssp;
 use sssp_core::{threaded_delta_stepping_traced, RunTrace};
 use sssp_dist::DistGraph;
+use sssp_graph::{gen, CsrBuilder};
 
 fn load(path: &str) -> RunTrace {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -40,33 +42,55 @@ fn self_check() -> i32 {
     let g = build_family(Family::Rmat2, scale, 1);
     let dg = Arc::new(DistGraph::build(&g, ranks, 4));
     let root = pick_roots(&g, 1, 23)[0];
+    let grid = Arc::new(DistGraph::build(
+        &CsrBuilder::new().build(&gen::grid(64, 255, 1)),
+        2,
+        2,
+    ));
     let model = MachineModel::bgq_like();
 
-    let sweep: Vec<(&str, SsspConfig)> = vec![
-        ("OPT-25 (heuristic)", SsspConfig::opt(25)),
+    let sweep: Vec<(&str, &Arc<DistGraph>, u32, SsspConfig)> = vec![
+        ("OPT-25 (heuristic)", &dg, root, SsspConfig::opt(25)),
         (
             "Del-15 push",
+            &dg,
+            root,
             SsspConfig::del(15).with_direction(DirectionPolicy::AlwaysPush),
         ),
         (
             "Prune-15 pull",
+            &dg,
+            root,
             SsspConfig::prune(15).with_direction(DirectionPolicy::AlwaysPull),
         ),
         (
             "Prune-20 forced",
+            &dg,
+            root,
             SsspConfig::prune(20).with_direction(DirectionPolicy::Forced(vec![
                 LongPhaseMode::Push,
                 LongPhaseMode::Pull,
                 LongPhaseMode::Push,
             ])),
         ),
-        ("Bellman-Ford tail", SsspConfig::bellman_ford()),
+        (
+            "Bellman-Ford (Δ = ∞)",
+            &dg,
+            root,
+            SsspConfig::bellman_ford(),
+        ),
+        (
+            "LB-OPT-25 grid (hybrid tail)",
+            &grid,
+            0,
+            SsspConfig::lb_opt(25),
+        ),
     ];
 
     let mut failures = 0;
-    for (name, cfg) in &sweep {
-        let simulated = run_sssp(&dg, root, cfg, &model);
-        let (threaded, trace_thr) = threaded_delta_stepping_traced(&dg, root, cfg, &model);
+    for (name, dg, root, cfg) in &sweep {
+        let simulated = run_sssp(dg, *root, cfg, &model);
+        let (threaded, trace_thr) = threaded_delta_stepping_traced(dg, *root, cfg, &model);
         if threaded.distances != simulated.distances {
             eprintln!("{name}: DISTANCES diverged between backends");
             failures += 1;

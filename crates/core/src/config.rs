@@ -131,8 +131,8 @@ pub struct SsspConfig {
     /// Imbalance-aware refinement of the decision heuristic (§III-C): also
     /// compare bottleneck-rank volumes, not just totals.
     pub imbalance_aware: bool,
-    /// Hybridization threshold τ (§III-D): switch to Bellman-Ford once this
-    /// fraction of vertices is settled. `None` disables hybridization.
+    /// Hybridization threshold τ (§III-D): once this fraction of vertices is
+    /// settled, epoch windows double. `None` disables hybridization.
     pub hybrid_tau: Option<f64>,
     /// Intra-node thread load balancing mode (π threshold).
     pub intra_balance: IntraBalance,
@@ -259,8 +259,8 @@ impl SsspConfig {
         self
     }
 
-    /// Set the Bellman-Ford switch threshold τ (fraction of vertices
-    /// settled, §III-D); `None` disables hybridization.
+    /// Set the hybrid switch threshold τ (fraction of vertices settled,
+    /// §III-D); `None` disables hybridization.
     pub fn with_hybrid(mut self, tau: Option<f64>) -> Self {
         if let Some(t) = tau {
             assert!((0.0..=1.0).contains(&t), "τ must lie in [0, 1]");

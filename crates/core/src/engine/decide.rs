@@ -56,11 +56,15 @@ pub(super) fn pull_term(
 /// volume, the pull request volume, and the number of unsettled vertices
 /// scanned (the pull model's scan extent). Read-only over the rank state,
 /// and proportional to the *reached* unsettled vertices only: the unreached
-/// ones enter through the totals the state maintains.
+/// ones enter through the totals the state maintains, installed at
+/// `unreached_bound` (the policy's short bound). A hybrid-tail window's
+/// wider short bound makes those totals over-count: every edge with
+/// `w ≥ window.short_bound` also has `w ≥ unreached_bound`.
 pub(super) fn rank_volumes(
     lg: &LocalGraph,
     st: &RankState,
     window: &EpochWindow,
+    unreached_bound: u64,
     ios: bool,
     estimator: PullEstimator,
     w_max: u64,
@@ -84,7 +88,16 @@ pub(super) fn rank_volumes(
         pull += pull_term(lg, vl, st.dist[vl], kd, short_bound, estimator, w_max);
     }
     let volumes = (push, pull, st.count_unsettled_after(window.hi));
-    invariants::check_rank_volumes(lg, st, window, ios, estimator, w_max, volumes);
+    invariants::check_rank_volumes(
+        lg,
+        st,
+        window,
+        unreached_bound,
+        ios,
+        estimator,
+        w_max,
+        volumes,
+    );
     volumes
 }
 

@@ -1,5 +1,5 @@
 //! The epoch loop — select bucket, short phases to a fixpoint, push-or-pull
-//! long phase, settle, τ-switch into Bellman-Ford — written once over a
+//! long phase, settle, τ-switch into doubling windows — written once over a
 //! [`Comm`] transport and a [`Recorder`].
 //!
 //! A process drives the slice of ranks its transport *owns* (one on a rank
@@ -254,10 +254,10 @@ struct Driver<'a, C, R> {
     policy: PolicyDispatch,
     /// Resolved intra-node balancing threshold π (`u64::MAX` = off).
     pi: u64,
-    /// Whether any short edge exists at all for the policy's short bound
-    /// (lets the Dijkstra configuration skip its necessarily-empty short
-    /// stage; an edgeless graph has none).
-    has_short_edges: bool,
+    /// Smallest edge weight in the graph (`u64::MAX` on an edgeless one): a
+    /// window whose short bound does not exceed it has an empty short stage
+    /// (the Dijkstra configuration's, say), which is skipped.
+    min_weight: u64,
     /// Largest edge weight in the graph (0 on an edgeless one).
     max_weight: u64,
     out: ProcessOut,
@@ -291,7 +291,11 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         // sssp-lint: protocol: setup.weight-extremes
         let min_weight = ctx.allreduce_min(w_lo);
         let max_weight = ctx.allreduce_max(w_hi);
-        let max_weight = if dg.m_directed > 0 { max_weight } else { 0 };
+        let (min_weight, max_weight) = if dg.m_directed > 0 {
+            (min_weight, max_weight)
+        } else {
+            (u64::MAX, 0)
+        };
         let policy = PolicyDispatch::from_config(job.cfg, dg.num_ranks());
         // What each vertex adds to the §III-C pull estimate while unreached
         // is fixed by the graph, the policy's short bound and the weight
@@ -323,7 +327,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 dg.m_directed,
                 dg.num_vertices() as u64,
             ),
-            has_short_edges: dg.m_directed > 0 && min_weight < short_bound,
+            min_weight,
             max_weight,
             out,
             epoch_hwm: 0,
@@ -357,6 +361,8 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         let mut k_prev: Option<u64> = None;
         let mut settled_total = 0u64;
         let mut buckets_done = 0usize;
+        // Epochs run since the hybrid switch fired (`None` before it).
+        let mut tail_epochs: Option<u32> = None;
         loop {
             // Epoch tag for the schedule fingerprint: advanced by the same
             // uniform counter on every rank (set-up ran as epoch 0).
@@ -429,13 +435,12 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 }
             }
 
-            // Hybrid switch (§III-D): merge the remaining buckets and
-            // finish with Bellman-Ford rounds.
-            if let (Some(tau), Some(kp)) = (job.cfg.hybrid_tau, k_prev) {
+            // Hybrid switch (§III-D): once τ of the vertices is settled,
+            // the remaining epochs take doubling windows (below).
+            if let (Some(tau), Some(kp), None) = (job.cfg.hybrid_tau, k_prev, tail_epochs) {
                 if decide::hybrid_should_switch(tau, settled_total, n_total) {
                     self.rec.hybrid_switch(kp);
-                    self.bellman_ford_tail(kp);
-                    break;
+                    tail_epochs = Some(0);
                 }
             }
 
@@ -443,19 +448,24 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             // per epoch min-reduce their per-rank window proposals through
             // the dedicated window collective; Δ-stepping's single-bucket
             // rule issues no collective at all.
-            let window = match self.policy.window_rule() {
-                WindowRule::SingleBucket => self.policy.window_for(k, k),
+            let hi = match self.policy.window_rule() {
+                WindowRule::SingleBucket => k,
                 WindowRule::RhoPrefix => {
                     // sssp-lint: protocol: epoch.window-rho
-                    let hi = self.window_collective(k);
-                    self.policy.window_for(k, hi)
+                    self.window_collective(k)
                 }
                 WindowRule::RadiusBall => {
                     // sssp-lint: protocol: epoch.window-radius
-                    let hi = self.window_collective(k);
-                    self.policy.window_for(k, hi)
+                    self.window_collective(k)
                 }
             };
+            // The j-th hybrid-tail epoch reaches at least 2^(j+1) buckets —
+            // a bounded step where the paper merges every remaining bucket
+            // into Bellman-Ford rounds (DESIGN.md §6g, "The hybrid tail").
+            let hi = tail_epochs.map_or(hi, |j| {
+                hi.max(k.saturating_add(2u64.saturating_pow(j + 1) - 1))
+            });
+            let window = self.policy.window_for(k, hi);
 
             // Collect the epoch's initial active set from the window.
             let metered = self.rec.enabled();
@@ -476,7 +486,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             self.rec.scan(TimeClass::Bucket, scanned);
 
             // Stage 1: short-edge phases, to a fixpoint.
-            if self.has_short_edges {
+            if self.min_weight < window.short_bound {
                 let start = self.clock();
                 // sssp-lint: protocol: short.active-any
                 while self.any_active() {
@@ -524,6 +534,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             // bucket — everything inside `[lo, hi]` is settled now.
             k_prev = Some(window.hi);
             buckets_done += 1;
+            tail_epochs = tail_epochs.map(|j| j + 1);
 
             // Epoch-boundary pool bound: release transport spares, lanes
             // and inboxes that ballooned past 4× this epoch's high-water
@@ -543,7 +554,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     /// inherits them, and hand back this process's share of the result.
     fn finish(mut self) -> ProcessOut {
         // Covers the epochs that exit early (empty-bucket break, the
-        // point-to-point cutoff, the deadline and the Bellman-Ford tail).
+        // point-to-point cutoff and the deadline).
         self.check_consistency();
         self.ctx.end_query();
         self.bufs.shrink(self.query_hwm.max(self.epoch_hwm));
@@ -638,7 +649,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         // into (Σpush, Σpull, max push, max pull, max scanned) over the
         // owned ranks, then reduced across processes.
         let locals = &self.job.dg.locals;
-        let w_max = self.max_weight;
+        let (w_max, unreached_bound) = (self.max_weight, self.policy.short_bound());
         let scanning = self.clock();
         let owned = self.bufs.fan_out(
             (0, 0, 0, 0, 0),
@@ -647,6 +658,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                     &locals[io.st.rank],
                     io.st,
                     window,
+                    unreached_bound,
                     cfg.ios,
                     cfg.pull_estimator,
                     w_max,
@@ -928,28 +940,5 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             remote_msgs,
         );
         PhaseKind::LongPull
-    }
-
-    /// The hybrid tail (§III-D): all remaining buckets merge and finish
-    /// with Bellman-Ford rounds that relax every edge of every active
-    /// vertex.
-    fn bellman_ford_tail(&mut self, k_last: u64) {
-        let (dg, pi) = (self.job.dg, self.pi);
-        let start = self.clock();
-        for st in &mut self.bufs.st {
-            st.collect_active_unsettled(k_last);
-        }
-        self.span(SubPhase::Scan, start);
-        // sssp-lint: protocol: bf-tail.active-any
-        while self.any_active() {
-            // sssp-lint: protocol: bf-tail.exchange-relax
-            let (sent, step) = self.relax_round(
-                |io| kernels::bf_send(&dg.locals[io.st.rank], &dg.part, io.st, pi, io.out),
-                // Next round's frontier: the vertices this round improved.
-                RankState::collect_active_changed,
-            );
-            self.end_phase(u64::MAX, PhaseKind::BellmanFord, sent, 0, step.remote_msgs);
-        }
-        self.phase_span(PhaseKind::BellmanFord, start);
     }
 }

@@ -71,10 +71,14 @@ pub(super) fn check_epoch_monotone(k: u64, k_prev: Option<u64>) {
 /// One rank's §III-C `(push, pull, scanned)` by its definition: a scan of
 /// every local vertex — settled, reached and unreached alike. This is the
 /// reference the maintained estimate of `decide::rank_volumes` is held to.
+/// Reached vertices count at the window's short bound and unreached ones
+/// at `unreached_bound`, the policy's, which their per-run terms were
+/// installed at (the two differ only in a hybrid-tail window).
 pub(super) fn scan_rank_volumes(
     lg: &LocalGraph,
     st: &RankState,
     window: &EpochWindow,
+    unreached_bound: u64,
     ios: bool,
     estimator: PullEstimator,
     w_max: u64,
@@ -89,7 +93,12 @@ pub(super) fn scan_rank_volumes(
             push += (ws.len() - start) as u64;
         } else if b > window.hi {
             scanned += 1;
-            pull += decide::pull_term(lg, vl, dv, kd, short_bound, estimator, w_max);
+            let bound = if dv == INF {
+                unreached_bound
+            } else {
+                short_bound
+            };
+            pull += decide::pull_term(lg, vl, dv, kd, bound, estimator, w_max);
         }
     }
     (push, pull, scanned)
@@ -98,10 +107,12 @@ pub(super) fn scan_rank_volumes(
 /// Maintained §III-C estimate: what `rank_volumes` assembled from the
 /// bucket members and the unreached totals equals the full scan.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub(super) fn check_rank_volumes(
     lg: &LocalGraph,
     st: &RankState,
     window: &EpochWindow,
+    unreached_bound: u64,
     ios: bool,
     estimator: PullEstimator,
     w_max: u64,
@@ -109,7 +120,7 @@ pub(super) fn check_rank_volumes(
 ) {
     debug_assert_eq!(
         got,
-        scan_rank_volumes(lg, st, window, ios, estimator, w_max),
+        scan_rank_volumes(lg, st, window, unreached_bound, ios, estimator, w_max),
         "maintained §III-C volumes drifted from the full scan on rank {} (window {window:?})",
         st.rank
     );

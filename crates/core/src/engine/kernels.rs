@@ -9,8 +9,9 @@
 //! the stepping policy resolves each epoch's window once, and everything
 //! the kernels need — the bucket range, the distance bounds, the
 //! short/long boundary — rides inside it. Under Δ-stepping the window
-//! degenerates to the classic single bucket `k`, so these are the same
-//! phases the paper describes. Only the receive side (bucket placement of
+//! degenerates to the classic single bucket `k` until the hybrid tail
+//! widens it, so these are the same phases the paper describes. Only the
+//! receive side (bucket placement of
 //! improved vertices) needs the policy itself.
 //!
 //! Thread-load accounting (`loads.charge` / `charge_recv`) lives inside
@@ -305,16 +306,4 @@ pub(super) fn pull_respond(
         }
     }
     responses
-}
-
-/// One rank's send side of a Bellman-Ford round (§III-D): relax every edge
-/// of every active vertex. Returns the number of relaxations produced.
-pub(super) fn bf_send(
-    lg: &LocalGraph,
-    part: &Partition,
-    st: &mut RankState,
-    pi: u64,
-    out: &mut Outbox<RelaxMsg>,
-) -> u64 {
-    relax_active_rows(lg, part, st, u64::MAX, pi, out, |_, ws| 0..ws.len()).0
 }

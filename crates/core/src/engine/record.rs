@@ -51,9 +51,9 @@ pub trait Recorder: Clone + Send + Sync + 'static {
     /// `_max_thread_ops` is the largest per-thread operation count on any
     /// owned rank (0 unless [`Recorder::enabled`]).
     fn superstep(&mut self, _step: &StepStats, _max_thread_ops: u64) {}
-    /// One relaxation phase (a short round, a long push, a whole pull
-    /// phase, or a Bellman-Ford round) completed; `_outer_short` of its
-    /// relaxations travelled along IOS outer-short edges.
+    /// One relaxation phase (a short round, a long push, or a whole pull
+    /// phase) completed; `_outer_short` of its relaxations travelled along
+    /// IOS outer-short edges.
     fn phase(&mut self, _rec: &PhaseRecord, _outer_short: u64) {}
     /// Wall-clock nanoseconds one phase of `kind` took on this process,
     /// including the wait inside its exchanges.
@@ -65,11 +65,12 @@ pub trait Recorder: Clone + Send + Sync + 'static {
     /// One bucket epoch completed. The recorder fills the record's
     /// per-epoch traffic fields from the supersteps since the last bucket.
     fn bucket(&mut self, _rec: BucketRecord) {}
-    /// The settled count of the bucket recorded last.
+    /// The settled count of the epoch recorded last.
     fn settled(&mut self, _settled: u64) {}
-    /// The hybrid τ switch fired after bucket `_bucket`.
+    /// The hybrid τ switch fired after bucket `_bucket`: every later epoch
+    /// belongs to the tail's one pseudo-bucket.
     fn hybrid_switch(&mut self, _bucket: u64) {}
-    /// The run is over: flush the hybrid tail's pseudo-bucket record.
+    /// The run is over: flush the hybrid tail's traffic fields.
     fn finish(&mut self) {}
 }
 
@@ -107,14 +108,18 @@ impl Recorder for RunStats {
 
     fn phase(&mut self, rec: &PhaseRecord, outer_short: u64) {
         self.phases += 1;
-        self.phase_records.push(*rec);
+        let bucket = if self.tail_record.is_some() {
+            u64::MAX
+        } else {
+            rec.bucket
+        };
+        self.phase_records.push(PhaseRecord { bucket, ..*rec });
         self.outer_short_relaxations += outer_short;
         match rec.kind {
             PhaseKind::Short => self.short_relaxations += rec.relaxations,
             PhaseKind::LongPush => self.long_push_relaxations += rec.relaxations - outer_short,
             // Requests and responses are counted off the bucket record.
             PhaseKind::LongPull => {}
-            PhaseKind::BellmanFord => self.bf_relaxations += rec.relaxations,
         }
     }
 
@@ -127,36 +132,52 @@ impl Recorder for RunStats {
     }
 
     fn bucket(&mut self, mut rec: BucketRecord) {
+        self.pull_requests += rec.requests;
+        self.pull_responses += rec.responses;
+        // A tail epoch folds its volumes into the pseudo-bucket; the
+        // tail's traffic fields are filled once, at `finish`.
+        if let Some(tail) = &mut self.tail_record {
+            tail.self_edges += rec.self_edges;
+            tail.backward_edges += rec.backward_edges;
+            tail.forward_edges += rec.forward_edges;
+            tail.requests += rec.requests;
+            tail.responses += rec.responses;
+            return;
+        }
         let (supersteps, local, remote, coalesced) = self.epoch_window();
         rec.supersteps = supersteps;
         rec.local_msgs = local;
         rec.remote_msgs = remote;
         rec.coalesced_msgs = coalesced;
         self.epochs += 1;
-        self.pull_requests += rec.requests;
-        self.pull_responses += rec.responses;
         self.bucket_records.push(rec);
     }
 
     fn settled(&mut self, settled: u64) {
-        if let Some(rec) = self.bucket_records.last_mut() {
+        if let Some(tail) = &mut self.tail_record {
+            tail.settled += settled;
+        } else if let Some(rec) = self.bucket_records.last_mut() {
             rec.settled = settled;
         }
     }
 
     fn hybrid_switch(&mut self, bucket: u64) {
         self.hybrid_switch_at = Some(bucket);
+        self.tail_record = Some(BucketRecord::new(
+            u64::MAX,
+            crate::config::LongPhaseMode::Push,
+        ));
     }
 
     fn finish(&mut self) {
-        if self.hybrid_switch_at.is_some() {
-            let (supersteps, local, remote, coalesced) = self.epoch_window();
+        if let Some(tail) = self.tail_record {
+            let (supersteps, local_msgs, remote_msgs, coalesced_msgs) = self.epoch_window();
             self.tail_record = Some(BucketRecord {
                 supersteps,
-                local_msgs: local,
-                remote_msgs: remote,
-                coalesced_msgs: coalesced,
-                ..BucketRecord::new(u64::MAX, crate::config::LongPhaseMode::Push)
+                local_msgs,
+                remote_msgs,
+                coalesced_msgs,
+                ..tail
             });
         }
     }
@@ -374,7 +395,9 @@ mod tests {
         assert_eq!(rec.coalesced_msgs, 1);
         assert_eq!(rec.settled, 9);
         assert_eq!(s.phases, 1);
-        // A hybrid tail flushes the remaining steps at finish().
+        // After the switch, epochs fold into the tail record, which
+        // flushes the remaining steps at finish().
+        s.hybrid_switch(0);
         s.superstep(
             &StepStats {
                 remote_msgs: 7,
@@ -382,12 +405,27 @@ mod tests {
             },
             0,
         );
-        s.hybrid_switch(0);
+        s.phase(
+            &PhaseRecord {
+                bucket: 4,
+                kind: PhaseKind::Short,
+                relaxations: 2,
+                remote_msgs: 7,
+            },
+            0,
+        );
+        for _ in 0..2 {
+            s.bucket(bucket(0));
+            s.settled(5);
+        }
         s.finish();
         let tail = s.tail_record.expect("tail record");
         assert_eq!(tail.bucket, u64::MAX);
-        assert_eq!(tail.supersteps, 1);
-        assert_eq!(tail.remote_msgs, 7);
+        assert_eq!((tail.supersteps, tail.remote_msgs), (1, 7));
+        assert_eq!((tail.settled, tail.self_edges), (10, 2));
+        assert_eq!((s.epochs, s.bucket_records.len()), (1, 1));
+        assert_eq!(s.phase_records[1].bucket, u64::MAX);
+        assert_eq!(s.short_relaxations, 7);
     }
 
     #[test]

@@ -665,10 +665,14 @@ fn maintained_volumes_equal_the_full_scan_on_a_driven_state() {
                     } else {
                         60
                     };
+                    // Δ-stepping's wide window is a hybrid-tail window.
                     let window = policy.window_for(k, k + reach);
-                    let got = decide::rank_volumes(&lg, &st, &window, cfg.ios, estimator, w_max);
-                    let want =
-                        invariants::scan_rank_volumes(&lg, &st, &window, cfg.ios, estimator, w_max);
+                    let bound = policy.short_bound();
+                    let got =
+                        decide::rank_volumes(&lg, &st, &window, bound, cfg.ios, estimator, w_max);
+                    let want = invariants::scan_rank_volumes(
+                        &lg, &st, &window, bound, cfg.ios, estimator, w_max,
+                    );
                     assert_eq!(
                         got, want,
                         "{cfg:?} {estimator:?} round {round} epoch {epochs}"
@@ -825,4 +829,71 @@ fn a_seed_offset_without_headroom_is_refused_by_the_threaded_transport() {
         &model(),
         &mut scratch,
     );
+}
+
+// -- the hybrid tail's windows ----------------------------------------------
+
+/// What the epoch loop tells a recorder about each epoch: its first bucket,
+/// whether it ran after the hybrid switch, and how many vertices it settled.
+#[derive(Debug, Clone, Default)]
+struct EpochLog {
+    switched_after: Option<u64>,
+    epochs: Vec<(u64, bool, u64)>,
+}
+
+impl Recorder for EpochLog {
+    fn bucket(&mut self, rec: crate::instrument::BucketRecord) {
+        let tail = self.switched_after.is_some();
+        self.epochs.push((rec.bucket, tail, 0));
+    }
+
+    fn settled(&mut self, settled: u64) {
+        if let Some(last) = self.epochs.last_mut() {
+            last.2 = settled;
+        }
+    }
+
+    fn hybrid_switch(&mut self, bucket: u64) {
+        self.switched_after = Some(bucket);
+    }
+}
+
+#[test]
+fn tail_windows_are_contiguous_doubling_and_start_at_the_smallest_bucket() {
+    // On a grid the tail runs many epochs. Read each window off the final
+    // distances: the j-th tail epoch must start at the smallest non-empty
+    // bucket past the previous window and settle exactly the vertices of
+    // its 2^(j+1) buckets — so no bucket is skipped and none is revisited.
+    let g = CsrBuilder::new().build(&gen::grid(24, 255, 3));
+    let expect = crate::seq::dijkstra(&g, 0);
+    let delta = 25u64;
+    for (p, tau) in [(1usize, 0.0), (3, 0.2), (4, 0.4)] {
+        let dg = DistGraph::build(&g, p, 2);
+        let cfg = SsspConfig::opt(delta as u32).with_hybrid(Some(tau));
+        let (out, logs) = run(
+            &dg,
+            &Query::root(0),
+            &cfg,
+            &model(),
+            Lockstep,
+            EpochLog::default(),
+        );
+        assert_eq!(out.distances, expect, "p {p} τ {tau}");
+        let log = &logs[0];
+        let mut prev_hi = log.switched_after.expect("the tail engaged");
+        let tail: Vec<_> = log.epochs.iter().filter(|e| e.1).collect();
+        assert!(tail.len() > 3, "p {p} τ {tau}: {} tail epochs", tail.len());
+        for (j, &&(lo, _, settled)) in tail.iter().enumerate() {
+            let buckets = expect.iter().filter(|&&d| d != INF).map(|&d| d / delta);
+            let smallest = buckets.clone().filter(|&b| b > prev_hi).min();
+            assert_eq!(Some(lo), smallest, "p {p} τ {tau} tail epoch {j}");
+            let hi = lo + (2u64 << j) - 1;
+            let inside = buckets.filter(|&b| lo <= b && b <= hi).count() as u64;
+            assert_eq!(settled, inside, "p {p} τ {tau} tail epoch {j} [{lo}, {hi}]");
+            prev_hi = hi;
+        }
+        // The last window reaches the farthest vertex.
+        let far = expect.iter().filter(|&&d| d != INF).max().unwrap() / delta;
+        assert!(prev_hi >= far, "p {p} τ {tau}");
+    }
 }

@@ -349,16 +349,17 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_tail_records_bellman_ford_time() {
+    fn hybrid_tail_records_its_windowed_epochs() {
         let g = CsrBuilder::new().build(&gen::uniform(150, 900, 30, 11));
         let model = MachineModel::bgq_like();
         let dg = Arc::new(DistGraph::build(&g, 2, 2));
         let (_, trace) = threaded_delta_stepping_traced(&dg, 0, &SsspConfig::opt(10), &model);
         assert!(trace.hybrid_switch_at.is_some(), "tail never engaged");
-        assert!(
-            trace.timings.bf_ns > 0,
-            "no Bellman-Ford wall time recorded"
-        );
+        let tail = trace.tail.expect("tail record");
+        assert!(tail.supersteps > 0 && tail.settled > 0, "{tail:?}");
+        // The tail's epochs are ordinary phases, timed as such.
+        assert!(trace.phases.iter().any(|r| r.bucket == u64::MAX));
+        assert!(trace.timings.short_ns > 0 && trace.timings.bf_ns == 0);
     }
 
     #[test]

@@ -15,14 +15,13 @@ pub enum PhaseKind {
     LongPush,
     /// A pull-mode long-edge phase (requests + responses).
     LongPull,
-    /// A Bellman-Ford phase of the hybrid tail.
-    BellmanFord,
 }
 
 /// One relaxation superstep (Fig. 4 plots these in sequence).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseRecord {
-    /// Bucket being processed (`u64::MAX` for the hybrid tail).
+    /// First bucket of the epoch's window (`u64::MAX` for a hybrid-tail
+    /// epoch).
     pub bucket: u64,
     /// Which kind of phase this record covers.
     pub kind: PhaseKind,
@@ -103,7 +102,9 @@ pub struct PhaseTimings {
     /// Long pull phases (requests + responses, plus the IOS outer-short
     /// round when enabled).
     pub long_pull_ns: u64,
-    /// Bellman-Ford tail rounds.
+    /// Always 0: the hybrid tail runs ordinary windowed epochs, whose time
+    /// lands in the three fields above. Kept because the frozen benchmark
+    /// (`benchmark/src/layers.rs`) still reads it.
     pub bf_ns: u64,
 }
 
@@ -114,7 +115,6 @@ impl PhaseTimings {
             PhaseKind::Short => self.short_ns += ns,
             PhaseKind::LongPush => self.long_push_ns += ns,
             PhaseKind::LongPull => self.long_pull_ns += ns,
-            PhaseKind::BellmanFord => self.bf_ns += ns,
         }
     }
 
@@ -244,12 +244,13 @@ impl SubPhaseSpread {
 /// Aggregated statistics of one SSSP run.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
-    /// Buckets processed by Δ-stepping epochs (the hybrid tail, if any,
-    /// counts as one more — see [`Self::buckets`]).
+    /// Buckets processed by epochs before the hybrid switch (the tail's
+    /// epochs, if any, count as one more — see [`Self::buckets`]).
     pub epochs: u64,
-    /// Total relaxation supersteps (short + long + Bellman-Ford phases).
+    /// Total relaxation phases (short + long).
     pub phases: u64,
-    /// Bucket index at which hybridization switched to Bellman-Ford.
+    /// Last bucket settled before the hybrid tail's doubling windows took
+    /// over.
     pub hybrid_switch_at: Option<u64>,
 
     /// Relaxations performed in short-edge phases.
@@ -262,19 +263,18 @@ pub struct RunStats {
     pub pull_requests: u64,
     /// Pull responses received.
     pub pull_responses: u64,
-    /// Relaxations performed in Bellman-Ford tail phases.
-    pub bf_relaxations: u64,
 
     /// Vertices with a finite final distance.
     pub reachable: u64,
 
     /// One record per phase, in execution order.
     pub phase_records: Vec<PhaseRecord>,
-    /// One record per processed bucket.
+    /// One record per epoch before the hybrid switch.
     pub bucket_records: Vec<BucketRecord>,
-    /// The hybrid Bellman-Ford tail's pseudo-bucket record (`bucket` =
-    /// `u64::MAX`), present iff the τ switch fired. Kept out of
-    /// [`Self::bucket_records`] so per-Δ-bucket consumers stay unchanged.
+    /// The hybrid tail's pseudo-bucket record (`bucket` = `u64::MAX`):
+    /// every epoch after the τ switch folded into one, present iff the
+    /// switch fired. Kept out of [`Self::bucket_records`] so per-Δ-bucket
+    /// consumers stay unchanged.
     pub tail_record: Option<BucketRecord>,
 
     /// Message traffic ledger.
@@ -317,7 +317,6 @@ impl RunStats {
             + self.long_push_relaxations
             + self.pull_requests
             + self.pull_responses
-            + self.bf_relaxations
     }
 
     /// Buckets including the hybrid tail's merged bucket (Fig 10d metric).
@@ -839,7 +838,6 @@ fn parse_phase_line(line: &str) -> Result<PhaseRecord, String> {
         "Short" => PhaseKind::Short,
         "LongPush" => PhaseKind::LongPush,
         "LongPull" => PhaseKind::LongPull,
-        "BellmanFord" => PhaseKind::BellmanFord,
         other => return Err(format!("unknown phase kind {other:?}")),
     };
     Ok(PhaseRecord {
@@ -886,10 +884,9 @@ mod tests {
             long_push_relaxations: 20,
             pull_requests: 7,
             pull_responses: 5,
-            bf_relaxations: 3,
             ..Default::default()
         };
-        assert_eq!(s.relaxations_total(), 49);
+        assert_eq!(s.relaxations_total(), 46);
     }
 
     #[test]
@@ -947,7 +944,7 @@ mod tests {
                 },
                 PhaseRecord {
                     bucket: u64::MAX,
-                    kind: PhaseKind::BellmanFord,
+                    kind: PhaseKind::LongPush,
                     relaxations: 9,
                     remote_msgs: 7,
                 },
@@ -1063,7 +1060,7 @@ mod tests {
                 },
                 PhaseRecord {
                     bucket: u64::MAX,
-                    kind: PhaseKind::BellmanFord,
+                    kind: PhaseKind::LongPull,
                     relaxations: 9,
                     remote_msgs: 7,
                 },
@@ -1130,15 +1127,15 @@ mod tests {
         let mut a = PhaseTimings::default();
         a.add(PhaseKind::Short, 10);
         a.add(PhaseKind::Short, 5);
-        a.add(PhaseKind::BellmanFord, 3);
+        a.add(PhaseKind::LongPush, 3);
         let mut b = PhaseTimings::default();
         b.add(PhaseKind::Short, 9);
         b.add(PhaseKind::LongPull, 2);
         let m = a.max(&b);
         assert_eq!(m.short_ns, 15);
         assert_eq!(m.long_pull_ns, 2);
-        assert_eq!(m.bf_ns, 3);
-        assert_eq!(m.long_push_ns, 0);
+        assert_eq!(m.long_push_ns, 3);
+        assert_eq!(m.bf_ns, 0);
         assert!(!m.is_zero());
         assert!(PhaseTimings::default().is_zero());
     }

@@ -1,7 +1,8 @@
 //! The paper's contribution: distributed Δ-stepping with edge
 //! classification, the IOS refinement, push/pull direction-optimized
-//! pruning, Bellman-Ford hybridization and two-tier load balancing —
-//! one epoch loop over the transports of `sssp-comm`.
+//! pruning, hybridization (a doubling-window tail where the paper uses
+//! Bellman-Ford) and two-tier load balancing — one epoch loop over the
+//! transports of `sssp-comm`.
 //!
 //! Entry point: [`engine::run`] with a [`Query`], a transport
 //! ([`Lockstep`] — the simulated machine — or [`Threaded`]) and a

@@ -107,8 +107,9 @@ pub trait SteppingPolicy {
     fn window_rule(&self) -> WindowRule;
 
     /// Build the epoch window from the selected bucket `k` and the
-    /// globally reduced window end `hi` (ignored under
-    /// [`WindowRule::SingleBucket`]).
+    /// globally reduced window end `hi` (`k` itself under
+    /// [`WindowRule::SingleBucket`], widened in the hybrid tail). An `hi`
+    /// below `k` clamps to `k`.
     fn window_for(&self, k: u64, hi: u64) -> EpochWindow;
 
     /// This rank's proposal for the window end, fed into
@@ -134,16 +135,25 @@ impl SteppingPolicy for DeltaParam {
         WindowRule::SingleBucket
     }
 
-    fn window_for(&self, k: u64, _hi: u64) -> EpochWindow {
+    /// `[k, hi]` in Δ-buckets; the driver asks for more than `[k, k]` only
+    /// in the hybrid tail. The short bound widens to the window's width in
+    /// distance, so the short-phase fixpoint still covers every edge that
+    /// can land inside the window.
+    fn window_for(&self, k: u64, hi: u64) -> EpochWindow {
+        let hi = hi.max(k).min(NO_PROPOSAL);
+        let (start_dist, short_bound) = match *self {
+            DeltaParam::Finite(delta) => (
+                k.saturating_mul(delta as u64),
+                (hi - k + 1).saturating_mul(delta as u64),
+            ),
+            DeltaParam::Infinite => (0, u64::MAX),
+        };
         EpochWindow {
             lo: k,
-            hi: k,
-            start_dist: match *self {
-                DeltaParam::Finite(delta) => k.saturating_mul(delta as u64),
-                DeltaParam::Infinite => 0,
-            },
-            end_dist: self.bucket_end(k),
-            short_bound: DeltaParam::short_bound(self),
+            hi,
+            start_dist,
+            end_dist: self.bucket_end(hi),
+            short_bound,
         }
     }
 
@@ -360,21 +370,29 @@ mod tests {
     #[test]
     fn delta_window_degenerates_to_the_classic_bucket() {
         let d = DeltaParam::Finite(5);
-        let w = d.window_for(3, 999);
+        let w = d.window_for(3, 3);
         assert_eq!((w.lo, w.hi), (3, 3));
         assert_eq!(w.start_dist, 15);
         assert_eq!(w.end_dist, 19);
         assert_eq!(w.short_bound, 5);
         assert!(w.contains(3) && !w.contains(2) && !w.contains(4));
         assert_eq!(d.window_rule(), WindowRule::SingleBucket);
-        // Near the bucket cap the distance bounds saturate, not overflow.
+        // A hybrid-tail window spans buckets 3..=6, and its short bound is
+        // the window's width in distance.
+        let tail = d.window_for(3, 6);
+        assert_eq!((tail.lo, tail.hi), (3, 6));
+        assert_eq!((tail.start_dist, tail.end_dist), (15, 34));
+        assert_eq!(tail.short_bound, 20);
+        // Near the bucket cap the distance bounds saturate, not overflow,
+        // and an end below `k` clamps to `k`.
         let top = d.window_for(u64::MAX - 1, 0);
-        assert_eq!(top.end_dist, u64::MAX - 1);
+        assert_eq!((top.hi, top.end_dist), (u64::MAX - 1, u64::MAX - 1));
+        assert_eq!(d.window_for(0, u64::MAX).short_bound, u64::MAX);
     }
 
     #[test]
     fn infinite_delta_window_spans_everything() {
-        let w = DeltaParam::Infinite.window_for(0, 7);
+        let w = DeltaParam::Infinite.window_for(0, 0);
         assert_eq!((w.lo, w.hi), (0, 0));
         assert_eq!(w.start_dist, 0);
         assert_eq!(w.end_dist, u64::MAX - 1);
@@ -410,9 +428,13 @@ mod tests {
         // Cap 1 stops at the first bucket.
         let tight = RhoPolicy::new(1, 2);
         assert_eq!(tight.window_proposal(&st, &empty_lg(8), 3), 3);
-        // A cap nothing exceeds imposes no bound.
+        // A cap nothing exceeds ends the window at the last reached bucket
+        // (Dong et al.: the largest tentative distance when fewer than ρ
+        // vertices are reached), never at an unbounded one.
         let loose = RhoPolicy::new(100, 1);
-        assert_eq!(loose.window_proposal(&st, &empty_lg(8), 3), NO_PROPOSAL);
+        assert_eq!(loose.window_proposal(&st, &empty_lg(8), 3), 9);
+        // Only a rank with no member at or above `k` imposes no bound.
+        assert_eq!(loose.window_proposal(&st, &empty_lg(8), 10), NO_PROPOSAL);
     }
 
     fn empty_lg(n: usize) -> LocalGraph {

@@ -138,20 +138,6 @@ impl StampBitset {
         }
     }
 
-    /// Overwrite word `wi` with `w`, adjusting the member count. Used for
-    /// whole-word copies between frontier sets.
-    #[inline]
-    pub fn set_word(&mut self, wi: usize, w: u64) {
-        let old = if self.word_stamp[wi] == self.stamp {
-            self.words[wi]
-        } else {
-            0
-        };
-        self.len = self.len - old.count_ones() as usize + w.count_ones() as usize;
-        self.words[wi] = w;
-        self.word_stamp[wi] = self.stamp;
-    }
-
     /// Members in ascending vertex-id order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.words.len()).flat_map(move |wi| {
@@ -375,7 +361,11 @@ impl FlatBuckets {
             }
             last = b;
         }
-        NO_PROPOSAL
+        if cum == 0 {
+            NO_PROPOSAL
+        } else {
+            last
+        }
     }
 
     fn count_after(&self, k: u64) -> u64 {
@@ -663,8 +653,9 @@ impl RankState {
     /// ρ-stepping's per-rank window proposal: the largest bucket `H ≥ k`
     /// such that at most `cap` local vertices sit in buckets `[k, H]` —
     /// but at least `k` itself, since the globally selected bucket must be
-    /// inside the window. Returns [`NO_PROPOSAL`] when even the whole
-    /// suffix stays within the cap.
+    /// inside the window. When the whole suffix fits under the cap that is
+    /// its last non-empty bucket; only a rank with no member at or above
+    /// `k` returns [`NO_PROPOSAL`].
     pub fn prefix_window_end(&self, k: u64, cap: u64) -> u64 {
         self.store.prefix_window_end(k, cap)
     }
@@ -723,20 +714,6 @@ impl RankState {
         self.active = active;
     }
 
-    /// Collect every unsettled finite vertex (the hybrid tail's initial
-    /// active set) into `active`.
-    pub fn collect_active_unsettled(&mut self, k: u64) {
-        let n = sssp_graph::checked_u32(self.n_local());
-        self.active.clear();
-        let (bucket_of, active) = (&self.bucket_of, &mut self.active);
-        for v in 0..n {
-            let b = bucket_of[v as usize];
-            if b > k && b != INF_BUCKET {
-                active.insert(v);
-            }
-        }
-    }
-
     /// Refill `active` with the changed vertices currently in bucket `k`
     /// (the next short phase's frontier).
     pub fn collect_active_changed_in_bucket(&mut self, k: u64) {
@@ -752,19 +729,6 @@ impl RankState {
             let b = bucket_of[v as usize];
             if lo <= b && b <= hi {
                 active.insert(v);
-            }
-        }
-    }
-
-    /// Refill `active` with every changed vertex (the Bellman-Ford tail's
-    /// next frontier) — a whole-word copy of the changed bitset.
-    pub fn collect_active_changed(&mut self) {
-        self.active.clear();
-        let (changed, active) = (&self.changed, &mut self.active);
-        for wi in 0..changed.num_words() {
-            let w = changed.word(wi);
-            if w != 0 {
-                active.set_word(wi, w);
             }
         }
     }
@@ -838,8 +802,11 @@ mod tests {
             assert_eq!(s.prefix_window_end(0, 1), 0);
             // cap 2: buckets 0..=1 fit, bucket 2 would exceed.
             assert_eq!(s.prefix_window_end(0, 2), 1);
-            // cap 4: everything fits — no bound.
-            assert_eq!(s.prefix_window_end(0, 4), NO_PROPOSAL);
+            // cap 4: everything fits — the window ends at the last
+            // reached bucket.
+            assert_eq!(s.prefix_window_end(0, 4), 2);
+            // No member at or above k: no bound.
+            assert_eq!(s.prefix_window_end(3, 4), NO_PROPOSAL);
             // Even a cap the selected bucket alone exceeds proposes k itself.
             assert_eq!(s.prefix_window_end(2, 1), 2);
         });
@@ -948,17 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_active_unsettled_excludes_inf_and_settled() {
-        let mut s = RankState::new(0, 6, 1);
-        s.begin_phase();
-        s.relax(0, 3, &delta5()); // settled after bucket 0
-        s.relax(1, 26, &delta5());
-        s.relax(2, 31, &delta5());
-        s.collect_active_unsettled(0);
-        assert_eq!(s.active.to_vec(), vec![1, 2]);
-    }
-
-    #[test]
     fn collect_active_refills_in_place() {
         // The bitset frontier never reallocates across refills: its word
         // array is sized once at construction and every collect is a
@@ -974,9 +930,6 @@ mod tests {
         s.begin_phase();
         s.relax(9, 2, &delta5());
         s.collect_active_changed_in_bucket(0);
-        assert_eq!(s.active.to_vec(), vec![9]);
-        assert_eq!(s.active.num_words(), words);
-        s.collect_active_changed();
         assert_eq!(s.active.to_vec(), vec![9]);
         assert_eq!(s.active.num_words(), words);
     }

@@ -141,7 +141,11 @@ impl OracleBuckets {
             }
             last = b;
         }
-        NO_PROPOSAL
+        if cum == 0 {
+            NO_PROPOSAL
+        } else {
+            last
+        }
     }
 
     fn window_members(&self, lo: u64, hi: u64) -> Vec<u32> {

@@ -11,17 +11,26 @@ use sssp_dist::DistGraph;
 use sssp_graph::{gen, CsrBuilder};
 
 /// `(config, ranks, total_s bits, bucket_s bits, relax_s bits, phases,
-/// epochs, [short, outer-short, long-push, requests, responses, BF])`.
-type Pin = (&'static str, usize, u64, u64, u64, u64, u64, [u64; 6]);
+/// epochs, [short, outer-short, long-push, requests, responses])`.
+///
+/// The `opt` and `lb_opt` rows were re-recorded when the hybrid tail became
+/// doubling Δ-windows (PR 26). The 2617 relaxations of the old Bellman-Ford
+/// rounds (and their counter column) are gone. The windowed epochs spend
+/// 358 short, 313 outer-short and 4431 long-push relaxations instead of
+/// 116 / 168 / 2763: 5102 in all against 5664. Phases go 32 → 37 and
+/// `total_s` 0.805 → 0.959 ms at p = 3, 1.403 → 1.687 ms at p = 8. Epochs
+/// count only the buckets before the switch and stay at 9. `prune_pull`
+/// has no τ and is byte-identical.
+type Pin = (&'static str, usize, u64, u64, u64, u64, u64, [u64; 5]);
 
 #[rustfmt::skip]
 const PINS: [Pin; 6] = [
-    ("opt", 3, 0x3f4a6396dbd7b543, 0x3f410a26d3062a76, 0x3f32b2e011a3159a, 32, 9, [116, 168, 2763, 0, 0, 2617]),
-    ("opt", 8, 0x3f56fbceb1c31ff0, 0x3f510a1d291f77e0, 0x3f37c6c6228ea041, 32, 9, [116, 168, 2763, 0, 0, 2617]),
-    ("lb_opt", 3, 0x3f4a59dbc7193744, 0x3f410a26d3062a76, 0x3f329f69e826199b, 32, 9, [116, 168, 2763, 0, 0, 2617]),
-    ("lb_opt", 8, 0x3f56f2a9efecd145, 0x3f510a1d291f77e0, 0x3f37a2331b356593, 32, 9, [116, 168, 2763, 0, 0, 2617]),
-    ("prune_pull", 3, 0x3f578e066879e701, 0x3f4b8692c583c71e, 0x3f43957a0b7006e4, 49, 17, [187, 251, 0, 27641, 1032, 0]),
-    ("prune_pull", 8, 0x3f61f9ec5973d382, 0x3f5b868084972070, 0x3f40dab05ca10d26, 49, 17, [187, 251, 0, 27641, 1032, 0]),
+    ("opt", 3, 0x3f4f6c1f15a2873c, 0x3f44510ded3123f6, 0x3f36362250e2c68b, 37, 9, [358, 313, 4431, 0, 0]),
+    ("opt", 8, 0x3f5ba591b93f4028, 0x3f5450fcbf253bce, 0x3f3d5253e868116a, 37, 9, [358, 313, 4431, 0, 0]),
+    ("lb_opt", 3, 0x3f4f626400e4093c, 0x3f44510ded3123f6, 0x3f3622ac2765ca8b, 37, 9, [358, 313, 4431, 0, 0]),
+    ("lb_opt", 8, 0x3f5b9c6cf768f17d, 0x3f5450fcbf253bce, 0x3f3d2dc0e10ed6bc, 37, 9, [358, 313, 4431, 0, 0]),
+    ("prune_pull", 3, 0x3f578e066879e701, 0x3f4b8692c583c71e, 0x3f43957a0b7006e4, 49, 17, [187, 251, 0, 27641, 1032]),
+    ("prune_pull", 8, 0x3f61f9ec5973d382, 0x3f5b868084972070, 0x3f40dab05ca10d26, 49, 17, [187, 251, 0, 27641, 1032]),
 ];
 
 #[test]
@@ -52,7 +61,6 @@ fn ledger_and_counters_match_the_pre_merge_engine() {
             s.long_push_relaxations,
             s.pull_requests,
             s.pull_responses,
-            s.bf_relaxations,
         ];
         assert_eq!(got, counters, "{name} p={p} relaxation counters");
     }

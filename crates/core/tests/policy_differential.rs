@@ -19,6 +19,7 @@ use sssp_core::{
     Query, RunOutput,
 };
 use sssp_dist::DistGraph;
+use sssp_graph::rmat::{RmatGenerator, RmatParams};
 use sssp_graph::{gen, Csr, CsrBuilder, EdgeList};
 
 /// A seeded run on the lockstep transport.
@@ -222,4 +223,76 @@ fn delta_one_with_maximal_weights_terminates_past_the_epoch_sentinel() {
             );
         }
     }
+}
+
+#[test]
+fn hybrid_tail_windows_match_dijkstra_radix_on_both_backends() {
+    // τ from "switch after the first epoch" to "never", on a grid, on
+    // RMAT-2 and on a graph whose every weight lies in [Δ, 2Δ): no edge is
+    // short at the policy's Δ, but every edge is short in a tail window of
+    // two or more buckets, so the tail must not skip its short stage.
+    const DELTA: u32 = 25;
+    let rmat = RmatGenerator::new(RmatParams::RMAT2, 10, 16)
+        .seed(1)
+        .generate_weighted(255);
+    let mut banded = gen::uniform(400, 1600, DELTA, 5);
+    for e in &mut banded.edges {
+        e.w += DELTA - 1;
+    }
+    let graphs = [
+        ("32² grid", gen::grid(32, 255, 1)),
+        ("RMAT-2", rmat),
+        ("weights in [Δ, 2Δ)", banded),
+    ];
+    let model = MachineModel::bgq_like();
+    for (name, el) in graphs {
+        let g = CsrBuilder::new().build(&el);
+        let root = g.vertices().find(|&v| g.degree(v) > 0).expect("an edge");
+        let expect = seq::dijkstra_radix(&g, root);
+        let dg = Arc::new(DistGraph::build(&g, 3, 2));
+        for tau in [0.0, 0.2, 0.4, 1.0] {
+            for cfg in [SsspConfig::lb_opt(DELTA), SsspConfig::rho(16)] {
+                let cfg = cfg.with_hybrid(Some(tau));
+                let what = format!("{name}, τ = {tau}, {:?}", cfg.policy);
+                let simulated = run_sssp(&dg, root, &cfg, &model);
+                assert_eq!(simulated.distances, expect, "simulated, {what}");
+                let switched = simulated.stats.hybrid_switch_at.is_some();
+                assert!(tau > 0.0 || switched, "tail never engaged, {what}");
+                assert!(tau < 1.0 || !switched, "τ = 1 engaged, {what}");
+                let threaded = threaded_delta_stepping(&dg, root, &cfg, &model);
+                assert_eq!(threaded.distances, expect, "threaded, {what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn rho_stepping_phases_move_with_rho_and_stay_below_bellman_ford() {
+    // RMAT-2 scale 14 on 2 ranks × 2 threads: before the window end was
+    // bounded by the last reached bucket, every ρ below ran as one
+    // unbounded epoch — Bellman-Ford's 24 phases and 2.6 M relaxations.
+    let el = RmatGenerator::new(RmatParams::RMAT2, 14, 16)
+        .seed(1)
+        .generate_weighted(255);
+    let g = CsrBuilder::new().build(&el);
+    let dg = DistGraph::build(&g, 2, 2);
+    let root = sssp_graph::pick_roots(&g, 1, 1)[0];
+    let model = MachineModel::bgq_like();
+    let runs: Vec<_> = [16, 256, 2048, 65536]
+        .into_iter()
+        .map(|rho| run_sssp(&dg, root, &SsspConfig::rho(rho), &model).stats)
+        .collect();
+    let phases: Vec<u64> = runs.iter().map(|s| s.phases).collect();
+    assert!(phases.windows(2).all(|w| w[0] >= w[1]), "{phases:?}");
+    assert!(
+        phases[0] > phases[3],
+        "phases do not move with ρ: {phases:?}"
+    );
+    let bf = run_sssp(&dg, root, &SsspConfig::bellman_ford(), &model).stats;
+    assert!(
+        runs[0].relaxations_total() < bf.relaxations_total(),
+        "ρ = 16: {} relaxations, Bellman-Ford {}",
+        runs[0].relaxations_total(),
+        bf.relaxations_total()
+    );
 }

@@ -19,6 +19,27 @@ pub fn uniform(n: usize, m: usize, w_max: u32, seed: u64) -> EdgeList {
     el
 }
 
+/// 4-neighbour `side × side` grid (vertex `r·side + c`) with independently
+/// uniform weights in `[1, w_max]`: the high-diameter, latency-bound shape
+/// of a road network.
+pub fn grid(side: usize, w_max: u32, seed: u64) -> EdgeList {
+    let mut el = EdgeList::new(side * side);
+    let mut rng = SplitMix::new(seed);
+    let mut weight = || 1 + rng.next_below(w_max.max(1) as u64) as Weight;
+    for r in 0..side {
+        for c in 0..side {
+            let v = (r * side + c) as VertexId;
+            if c + 1 < side {
+                el.push(v, v + 1, weight());
+            }
+            if r + 1 < side {
+                el.push(v, v + side as VertexId, weight());
+            }
+        }
+    }
+    el
+}
+
 /// Path 0 — 1 — 2 — … — (n−1) with the given per-hop weight.
 pub fn path(n: usize, w: Weight) -> EdgeList {
     let mut el = EdgeList::new(n);
@@ -131,6 +152,16 @@ mod tests {
         let g = CsrBuilder::new().build(&el);
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(5), 2);
+    }
+
+    #[test]
+    fn grid_is_a_weighted_four_neighbour_lattice() {
+        let el = grid(5, 9, 3);
+        assert_eq!((el.n, el.len()), (25, 2 * 5 * 4));
+        assert_eq!(el.edges, grid(5, 9, 3).edges);
+        assert!(el.edges.iter().all(|e| (1..=9).contains(&e.w)));
+        let g = CsrBuilder::new().build(&el);
+        assert_eq!((g.degree(0), g.degree(2), g.degree(12)), (2, 3, 4));
     }
 
     #[test]
