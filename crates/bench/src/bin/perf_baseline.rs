@@ -16,8 +16,8 @@
 //! the committed baseline's block for the same scale and exits nonzero
 //! when a message or superstep count differs at all, or when
 //! `threaded_over_seq` (this run's lower quartile against the committed
-//! upper one) or allocations per superstep regress by more than
-//! `SSSP_PERF_TOLERANCE` (default 0.25, i.e. 25%). Absolute wall times are
+//! upper one), allocations per superstep or allocated bytes regress by more
+//! than `SSSP_PERF_TOLERANCE` (default 0.25, i.e. 25%). Absolute wall times are
 //! recorded and never compared: they move with the machine, the ratio of
 //! two timings taken in one process far less.
 //!
@@ -54,6 +54,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -291,6 +297,11 @@ fn check_against(committed: &str, current: &PerfBaseline) -> Result<(), String> 
         "pooled.allocs_per_superstep",
         extract_number(committed, "pooled", "allocs_per_superstep"),
         current.pooled.allocs_per_superstep(),
+    );
+    gate(
+        "pooled.alloc_bytes",
+        extract_number(committed, "pooled", "alloc_bytes"),
+        current.pooled.alloc_bytes as f64,
     );
     // Counts are a pure function of (graph, roots, config): any difference
     // from the committed block — in either direction — means the algorithm

@@ -10,10 +10,11 @@
 //!   cargo run -p sssp-bench --bin trace_diff -- --self-check
 //!       Run the simulated and threaded engines over the bench graph
 //!       across a config sweep (heuristic, both Always policies, a Forced
-//!       sequence, Δ = ∞) and over a grid long enough for the hybrid tail
-//!       to run many windowed epochs, push each trace through the JSON
-//!       exporter and back, and diff the pair. This is the CI smoke for
-//!       the unified telemetry layer.
+//!       sequence, Δ = ∞, and p = 8, where lockstep ranks take turns on
+//!       shared coalescing tables) and over a grid long enough for the
+//!       hybrid tail to run many windowed epochs, push each trace through
+//!       the JSON exporter and back, and diff the pair. This is the CI
+//!       smoke for the unified telemetry layer.
 
 use std::sync::Arc;
 
@@ -42,6 +43,7 @@ fn self_check() -> i32 {
     let g = build_family(Family::Rmat2, scale, 1);
     let dg = Arc::new(DistGraph::build(&g, ranks, 4));
     let root = pick_roots(&g, 1, 23)[0];
+    let dg8 = Arc::new(DistGraph::build(&g, 8, 2));
     let grid = Arc::new(DistGraph::build(
         &CsrBuilder::new().build(&gen::grid(64, 255, 1)),
         2,
@@ -78,6 +80,12 @@ fn self_check() -> i32 {
             &dg,
             root,
             SsspConfig::bellman_ford(),
+        ),
+        (
+            "OPT-25 p = 8 (shared tables)",
+            &dg8,
+            root,
+            SsspConfig::opt(25),
         ),
         (
             "LB-OPT-25 grid (hybrid tail)",

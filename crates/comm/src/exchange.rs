@@ -193,78 +193,98 @@ where
     pack_sorted_run(lane, key, val, true)
 }
 
-/// Sort-free form of [`pack_sorted_run`] with `dedup` enabled, for lanes
-/// whose keys are dense indices below a known bound (a relax lane's targets
-/// are local indices on the destination rank). One pass over the lane folds
-/// `min(val)` per key into `best`, marking the key in a bitset; the lane is
-/// then re-emitted in ascending key order by walking the touched bitset
-/// words. The only sort is over the touched *word* indices (at most
-/// `n_keys / 64` of them), never over the messages.
+/// Sort-free form of [`pack_sorted_run`] with `dedup` enabled, for messages
+/// whose keys are dense indices below a known bound (a relaxation's target
+/// is a local index on the destination rank). Every [`MinTable::fold`]
+/// keeps `min(val)` per key and marks the key in a bitset;
+/// [`MinTable::emit`] then appends one message per marked key, in ascending
+/// key order, by walking the touched bitset words. The only sort is over
+/// the touched *word* indices (at most `n_keys / 64` of them), never over
+/// the messages, and no message is materialised before the emit.
 ///
-/// Reusable across lanes and runs: emitting zeroes every word it visits, so
-/// the bitset is all-zero between calls and `best` needs no clearing (a
-/// slot is written before it is read). The arrays only ever grow.
+/// Reusable across emits: emitting zeroes every word it visits, so the
+/// bitset is all-zero between emits and `best` needs no clearing (a slot is
+/// written before it is read). Both arrays are allocated zeroed, so pages
+/// no fold ever touches are never made resident.
 #[derive(Debug, Default)]
 pub struct MinTable {
     /// Smallest value seen per key; meaningful only where `present` is set.
     best: Vec<u64>,
     present: Vec<u64>,
-    /// Indices of the `present` words this lane set a bit in.
+    /// Indices of the `present` words a fold set a bit in since the last
+    /// emit.
     touched: Vec<u32>,
+    /// Folds since the last emit.
+    folded: u64,
 }
 
 impl MinTable {
-    /// Coalesce `lane` in place: for every distinct `key(m)` only
-    /// `make(key, min val)` survives, in ascending key order — byte for
-    /// byte what [`pack_sorted_run`] with `dedup` leaves behind when a
-    /// message is its `(key, val)` pair. Every key must be below `n_keys`.
+    /// Empty table for keys `0..n_keys`.
+    pub fn new(n_keys: usize) -> Self {
+        MinTable {
+            best: vec![0; n_keys],
+            present: vec![0; n_keys.div_ceil(64)],
+            touched: Vec::new(),
+            folded: 0,
+        }
+    }
+
+    /// Number of keys the table covers.
+    pub fn n_keys(&self) -> usize {
+        self.best.len()
+    }
+
+    /// Fold the message `(key, val)`: keep the smaller value per key. The
+    /// key must be below [`MinTable::n_keys`].
+    #[inline]
+    pub fn fold(&mut self, key: u32, val: u64) {
+        self.folded += 1;
+        let slot = &mut self.best[key as usize];
+        let (wi, bit) = (key >> 6, 1u64 << (key & 63));
+        let word = &mut self.present[wi as usize];
+        if *word == 0 {
+            self.touched.push(wi);
+        }
+        // A first fold and a duplicate interleave unpredictably, so pick
+        // the new value without a branch.
+        let seen = *word & bit != 0;
+        *word |= bit;
+        *slot = if seen { val.min(*slot) } else { val };
+    }
+
+    /// Append `make(key, min val)` to `lane` for every key folded since the
+    /// last emit, in ascending key order — byte for byte what
+    /// [`pack_sorted_run`] with `dedup` leaves of the folded messages when a
+    /// message is its `(key, val)` pair — and leave the table empty. A table
+    /// nothing was folded into costs one comparison.
     ///
-    /// Returns the number of messages removed.
-    pub fn coalesce<M>(
-        &mut self,
-        lane: &mut Vec<M>,
-        n_keys: usize,
-        key: impl Fn(&M) -> u32,
-        val: impl Fn(&M) -> u64,
-        make: impl Fn(u32, u64) -> M,
-    ) -> u64 {
-        if lane.len() < 2 {
+    /// Returns the number of folded messages that did not survive.
+    pub fn emit<M>(&mut self, lane: &mut Vec<M>, make: impl Fn(u32, u64) -> M) -> u64 {
+        if self.folded == 0 {
             return 0;
         }
-        if self.best.len() < n_keys {
-            let words = n_keys.div_ceil(64);
-            self.best.resize(n_keys, 0);
-            self.present.resize(words, 0);
-            self.touched.reserve(words);
-        }
-        let before = lane.len();
-        let (best, present) = (&mut self.best[..n_keys], &mut self.present);
-        for m in lane.iter() {
-            let (k, v) = (key(m), val(m));
-            let slot = &mut best[k as usize];
-            let (wi, bit) = (k >> 6, 1u64 << (k & 63));
-            let word = &mut present[wi as usize];
-            if *word & bit == 0 {
-                if *word == 0 {
-                    self.touched.push(wi);
-                }
-                *word |= bit;
-                *slot = v;
-            } else if v < *slot {
-                *slot = v;
-            }
-        }
+        let before = lane.len() as u64;
         self.touched.sort_unstable();
-        lane.clear();
         for wi in self.touched.drain(..) {
-            let mut word = std::mem::take(&mut present[wi as usize]);
+            let mut word = std::mem::take(&mut self.present[wi as usize]);
             while word != 0 {
                 let k = wi * 64 + word.trailing_zeros();
                 word &= word - 1;
-                lane.push(make(k, best[k as usize]));
+                lane.push(make(k, self.best[k as usize]));
             }
         }
-        (before - lane.len()) as u64
+        let removed = self.folded - (lane.len() as u64 - before);
+        self.folded = 0;
+        removed
+    }
+
+    /// Drop whatever was folded since the last emit, so a fold sequence an
+    /// unwinding panic cut short cannot leak into the next one.
+    pub fn discard(&mut self) {
+        for wi in self.touched.drain(..) {
+            self.present[wi as usize] = 0;
+        }
+        self.folded = 0;
     }
 }
 
@@ -293,10 +313,6 @@ pub struct ExchangeBuffers<M> {
     pub outboxes: Vec<Outbox<M>>,
     /// One inbox per destination rank, refilled by each exchange.
     pub inboxes: Vec<Vec<M>>,
-    /// Largest single-buffer fill observed since the last
-    /// [`ExchangeBuffers::shrink_to_watermark`] — the shrink policy's
-    /// high-water mark.
-    watermark: usize,
 }
 
 impl<M> ExchangeBuffers<M> {
@@ -305,7 +321,6 @@ impl<M> ExchangeBuffers<M> {
         ExchangeBuffers {
             outboxes: (0..p).map(|_| Outbox::new(p)).collect(),
             inboxes: (0..p).map(|_| Vec::new()).collect(),
-            watermark: 0,
         }
     }
 
@@ -321,37 +336,7 @@ impl<M> ExchangeBuffers<M> {
         msg_bytes: usize,
         packet: Option<&crate::packet::PacketConfig>,
     ) -> StepStats {
-        for ob in &self.outboxes {
-            for lane in &ob.out {
-                self.watermark = self.watermark.max(lane.len());
-            }
-        }
-        let stats = exchange_pooled(&mut self.outboxes, &mut self.inboxes, msg_bytes, packet);
-        for ib in &self.inboxes {
-            self.watermark = self.watermark.max(ib.len());
-        }
-        stats
-    }
-
-    /// Apply the [`shrink_oversized`] 4× policy to every lane and inbox,
-    /// using the high-water mark accumulated since the previous call, then
-    /// reset the mark. Callers invoke this at epoch boundaries so one
-    /// outsized superstep cannot pin its peak capacity for the whole run.
-    ///
-    /// Returns the number of buffers shrunk.
-    pub fn shrink_to_watermark(&mut self) -> usize {
-        let hwm = self.watermark;
-        let mut shrunk = 0;
-        for ob in &mut self.outboxes {
-            for lane in &mut ob.out {
-                shrunk += usize::from(shrink_oversized(lane, hwm));
-            }
-        }
-        for ib in &mut self.inboxes {
-            shrunk += usize::from(shrink_oversized(ib, hwm));
-        }
-        self.watermark = 0;
-        shrunk
+        exchange_pooled(&mut self.outboxes, &mut self.inboxes, msg_bytes, packet)
     }
 }
 
@@ -522,29 +507,6 @@ mod tests {
         let mut spike: Vec<u8> = Vec::with_capacity(64);
         assert!(shrink_oversized(&mut spike, 0));
         assert_eq!(spike.capacity(), 0);
-    }
-
-    #[test]
-    fn watermark_shrink_releases_only_outsized_buffers() {
-        let p = 2;
-        let mut bufs: ExchangeBuffers<u64> = ExchangeBuffers::new(p);
-        // Epoch 1: a giant superstep grows rank 0's lane to ~4096.
-        for i in 0..4096 {
-            bufs.outboxes[0].send(1, i);
-        }
-        bufs.exchange(8, None);
-        assert_eq!(bufs.shrink_to_watermark(), 0, "peak epoch keeps its pool");
-        // Epoch 2: steady-state traffic is tiny; the giant buffers now
-        // exceed 4× the epoch's high-water mark and must be released.
-        for i in 0..4u64 {
-            bufs.outboxes[0].send(1, i);
-        }
-        bufs.exchange(8, None);
-        assert!(bufs.outboxes[0].out[1].capacity() >= 4096);
-        assert!(bufs.inboxes[1].capacity() >= 4096);
-        assert!(bufs.shrink_to_watermark() >= 2);
-        assert!(bufs.outboxes[0].out[1].capacity() <= 16);
-        assert!(bufs.inboxes[1].capacity() <= 16);
     }
 
     #[test]

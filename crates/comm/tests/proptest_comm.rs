@@ -15,53 +15,95 @@ fn arb_traffic() -> impl Strategy<Value = (usize, Vec<(usize, usize, u32)>)> {
     })
 }
 
-/// Coalesce `lane` through `table` and through the comparison sort it
+/// Fold `lane` into `table`, emit it, and run the comparison sort the table
 /// replaces; the two must leave the same bytes and report the same savings.
-fn table_matches_sort(table: &mut MinTable, lane: &[(u32, u64)], n_keys: usize) {
-    let (mut by_table, mut by_sort) = (lane.to_vec(), lane.to_vec());
-    let saved = table.coalesce(&mut by_table, n_keys, |m| m.0, |m| m.1, |k, v| (k, v));
+fn table_matches_sort(table: &mut MinTable, lane: &[(u32, u64)]) {
+    for &(k, v) in lane {
+        table.fold(k, v);
+    }
+    let mut by_table = Vec::new();
+    let saved = table.emit(&mut by_table, |k, v| (k, v));
+    let mut by_sort = lane.to_vec();
     assert_eq!(saved, pack_sorted_run(&mut by_sort, |m| m.0, |m| m.1, true));
-    assert_eq!(by_table, by_sort, "n_keys {n_keys}");
+    assert_eq!(by_table, by_sort, "n_keys {}", table.n_keys());
 }
 
 #[test]
 fn min_table_edge_lanes_match_the_sort() {
-    let mut table = MinTable::default();
-    table_matches_sort(&mut table, &[], 8);
-    table_matches_sort(&mut table, &[(5, 40)], 8);
+    let mut table = MinTable::new(8);
+    table_matches_sort(&mut table, &[]);
+    table_matches_sort(&mut table, &[(5, 40)]);
     // Every message for one target, the minimum neither first nor last.
-    table_matches_sort(
-        &mut table,
-        &[(3, 9), (3, 2), (3, 2), (3, u64::MAX), (3, 7)],
-        4,
-    );
+    table_matches_sort(&mut table, &[(3, 9), (3, 2), (3, 2), (3, u64::MAX), (3, 7)]);
     // The largest local index, on a word boundary and just past one.
     for n_keys in [64usize, 65, 128, 1000] {
         let top = (n_keys - 1) as u32;
-        table_matches_sort(&mut table, &[(top, 4), (0, 1), (top, 3), (63, 0)], n_keys);
+        let mut table = MinTable::new(n_keys);
+        table_matches_sort(&mut table, &[(top, 4), (0, 1), (top, 3), (63, 0)]);
     }
-    // A large table followed by a small one: no word of the first survives.
-    table_matches_sort(&mut table, &[(900, 1), (899, 2), (900, 0)], 1000);
-    table_matches_sort(&mut table, &[(2, 5), (1, 5)], 3);
+    // A large lane followed by a small one: no word of the first survives.
+    let mut table = MinTable::new(1000);
+    table_matches_sort(&mut table, &[(900, 1), (899, 2), (900, 0)]);
+    table_matches_sort(&mut table, &[(2, 5), (1, 5)]);
+}
+
+#[test]
+fn min_table_discard_forgets_unemitted_folds() {
+    let mut table = MinTable::new(128);
+    table.fold(70, 3);
+    table.fold(2, 9);
+    table.discard();
+    table_matches_sort(&mut table, &[(5, 1), (5, 0)]);
 }
 
 proptest! {
     #[test]
     fn min_table_matches_sorted_dedup_byte_for_byte(
         lanes in proptest::collection::vec(
-            (1usize..300).prop_flat_map(|n_keys| {
-                let msgs = proptest::collection::vec((0..n_keys as u32, 0u64..50), 0..400);
-                (Just(n_keys), msgs)
-            }),
+            proptest::collection::vec((0u32..300, 0u64..50), 0..400),
             1..6,
         )
     ) {
-        // One table across lanes of different key ranges, as the engine
-        // reuses it across destinations: stale words would surface here.
-        let mut table = MinTable::default();
-        for (n_keys, lane) in &lanes {
-            table_matches_sort(&mut table, lane, *n_keys);
+        // One table across successive lanes, as the engine reuses it across
+        // supersteps: stale words would surface here.
+        let mut table = MinTable::new(300);
+        for lane in &lanes {
+            table_matches_sort(&mut table, lane);
         }
+    }
+
+    #[test]
+    fn min_tables_fold_interleaved_and_emit_in_destination_order(
+        n_keys in proptest::collection::vec(1usize..200, 1..6),
+        sends in proptest::collection::vec((0usize..6, 0u32..200, 0u64..50), 0..600),
+    ) {
+        // One table per destination, folded in whatever order the sends
+        // come, then emitted destination by destination into its own lane:
+        // each lane must equal its sorted, deduplicated share of the sends.
+        let p = n_keys.len();
+        let sends: Vec<(usize, u32, u64)> = sends
+            .into_iter()
+            .map(|(d, k, v)| (d % p, k % n_keys[d % p] as u32, v))
+            .collect();
+        let mut tables: Vec<MinTable> = n_keys.iter().map(|&n| MinTable::new(n)).collect();
+        for &(d, k, v) in &sends {
+            tables[d].fold(k, v);
+        }
+        let mut lanes: Vec<Vec<(u32, u64)>> = vec![Vec::new(); p];
+        let mut saved = 0;
+        for (table, lane) in tables.iter_mut().zip(&mut lanes) {
+            saved += table.emit(lane, |k, v| (k, v));
+        }
+        let mut by_sort: Vec<Vec<(u32, u64)>> = vec![Vec::new(); p];
+        for &(d, k, v) in &sends {
+            by_sort[d].push((k, v));
+        }
+        let sort_saved: u64 = by_sort
+            .iter_mut()
+            .map(|lane| pack_sorted_run(lane, |m| m.0, |m| m.1, true))
+            .sum();
+        prop_assert_eq!(saved, sort_saved);
+        prop_assert_eq!(lanes, by_sort);
     }
 
     #[test]

@@ -81,17 +81,22 @@ impl ProcessOut {
 
 /// The engine-side state of a process's owned ranks, one entry per rank in
 /// every vector: the [`RankState`] (distances, buckets, frontier bitsets),
-/// the outbox lanes, and the relax and request inboxes — plus the one
-/// coalescing table the process packs all its lanes through. Reusable
-/// across runs: [`ProcBufs::prepare`] resets the states in place and keeps
-/// every capacity warm.
+/// the outbox lanes, and the relax and request inboxes — plus the
+/// coalescing tables the relax kernels fold into. Reusable across runs:
+/// [`ProcBufs::prepare`] resets the states in place and keeps every
+/// capacity warm.
 #[derive(Debug, Default)]
 pub struct ProcBufs {
     st: Vec<RankState>,
     out: Vec<Outbox<RelaxMsg>>,
     inbox: Vec<Vec<RelaxMsg>>,
     req_inbox: Vec<Vec<RelaxMsg>>,
-    table: MinTable,
+    /// One table set per chunk of owned ranks that [`ProcBufs::fan_out`]
+    /// runs in sequence — `min(owned, workers)` sets, so the lockstep
+    /// simulator's table memory is bounded by its worker count, not by `p`.
+    /// A set holds one [`MinTable`] per destination rank, sized to that
+    /// rank's local vertex count; it is empty with coalescing off.
+    tables: Vec<Vec<MinTable>>,
 }
 
 /// One owned rank's slice of a [`ProcBufs`], as the kernels see it.
@@ -102,6 +107,47 @@ struct RankIo<'a> {
     req_inbox: &'a [RelaxMsg],
 }
 
+/// Pair up the per-rank slices of a [`ProcBufs`] (or of one chunk of it).
+fn rank_ios<'a>(
+    st: &'a mut [RankState],
+    out: &'a mut [Outbox<RelaxMsg>],
+    inbox: &'a [Vec<RelaxMsg>],
+    req_inbox: &'a [Vec<RelaxMsg>],
+) -> impl Iterator<Item = RankIo<'a>> {
+    st.iter_mut()
+        .zip(out)
+        .zip(inbox)
+        .zip(req_inbox)
+        .map(|(((st, out), inbox), req_inbox)| RankIo {
+            st,
+            out,
+            inbox,
+            req_inbox,
+        })
+}
+
+/// Run the relax kernel `$send` against one rank's sink and evaluate to
+/// `(its result, proposals coalesced away)`. With `$coalescing` on, `$sink`
+/// is a [`kernels::Fold`] over the chunk's `$tables`, emitted into the
+/// rank's lanes `$out` before the next rank of the chunk folds; otherwise
+/// it is `$out` itself. A macro rather than a function because the kernel
+/// is instantiated once per sink type.
+macro_rules! relax_into {
+    ($coalescing:expr, $out:expr, $tables:expr, |$sink:ident| $send:expr) => {
+        if $coalescing {
+            let mut fold = kernels::Fold($tables);
+            let sent = {
+                let $sink = &mut fold;
+                $send
+            };
+            (sent, fold.emit($out))
+        } else {
+            let $sink = $out;
+            ($send, 0)
+        }
+    };
+}
+
 impl ProcBufs {
     /// Make the buffers fit the `owned` ranks of `dg` for a fresh run.
     /// States whose shape still matches are reset in place (distances,
@@ -109,7 +155,7 @@ impl ProcBufs {
     /// the fresh-state contract without touching any allocation); any
     /// mismatch rebuilds them, so a stale buffer set is merely a cold
     /// start, never a wrong answer.
-    fn prepare(&mut self, dg: &DistGraph, owned: Range<usize>) {
+    fn prepare(&mut self, dg: &DistGraph, owned: Range<usize>, coalescing: bool) {
         let p = dg.num_ranks();
         let fits = self.st.len() == owned.len()
             && self
@@ -134,40 +180,76 @@ impl ProcBufs {
             inboxes.resize_with(owned.len(), Vec::new);
             inboxes.iter_mut().for_each(Vec::clear);
         }
+        // Allocated zeroed: a table's pages become resident only where a
+        // proposal lands.
+        let dsts = if coalescing { p } else { 0 };
+        let sets = owned.len().min(rayon::current_num_threads()).max(1);
+        self.tables.resize_with(sets, Vec::new);
+        for set in &mut self.tables {
+            let fits = set.len() == dsts
+                && (0..)
+                    .zip(&*set)
+                    .all(|(d, t)| t.n_keys() == dg.part.local_count(d));
+            if fits {
+                set.iter_mut().for_each(MinTable::discard);
+            } else {
+                *set = (0..dsts)
+                    .map(|d| MinTable::new(dg.part.local_count(d)))
+                    .collect();
+            }
+        }
     }
 
-    /// Run `f` once per owned rank and fold the results. A process that
-    /// owns one rank (a rank thread) runs it inline, allocation-free; one
-    /// that owns many (lockstep) fans the ranks out over rayon.
-    fn fan_out<T: Send>(
+    /// Run `f` once per owned rank and fold the results.
+    fn fan_out<T: Copy + Send + Sync>(
         &mut self,
         zero: T,
         f: impl Fn(RankIo<'_>) -> T + Sync,
         fold: impl Fn(T, T) -> T + Sync,
     ) -> T {
-        let owned = self.st.len();
-        let ranks = self
-            .st
-            .iter_mut()
-            .zip(&mut self.out)
-            .zip(&self.inbox)
-            .zip(&self.req_inbox)
-            .map(|(((st, out), inbox), req_inbox)| RankIo {
-                st,
-                out,
-                inbox,
-                req_inbox,
-            });
-        if owned == 1 {
-            ranks.map(f).fold(zero, fold)
-        } else {
-            let ranks: Vec<RankIo<'_>> = ranks.collect();
-            ranks
-                .into_par_iter()
-                .map(f)
-                .reduce_with(fold)
-                .unwrap_or(zero)
+        self.fan_out_tables(zero, |io, _| f(io), fold)
+    }
+
+    /// [`ProcBufs::fan_out`] for the relax kernels: `f` also gets the table
+    /// set of the rank's chunk. The owned ranks split into one contiguous
+    /// chunk per table set; a chunk runs its ranks in sequence, the chunks
+    /// run in parallel over rayon. A process with one set (a rank thread)
+    /// runs inline, allocation-free.
+    fn fan_out_tables<T: Copy + Send + Sync>(
+        &mut self,
+        zero: T,
+        f: impl Fn(RankIo<'_>, &mut [MinTable]) -> T + Sync,
+        fold: impl Fn(T, T) -> T + Sync,
+    ) -> T {
+        let ProcBufs {
+            st,
+            out,
+            inbox,
+            req_inbox,
+            tables,
+        } = self;
+        let (f, fold) = (&f, &fold);
+        let run_chunk = |st, out, inbox, req_inbox, set: &mut [MinTable]| {
+            rank_ios(st, out, inbox, req_inbox)
+                .map(|io| f(io, set))
+                .fold(zero, fold)
+        };
+        if let [set] = tables.as_mut_slice() {
+            return run_chunk(st, out, inbox, req_inbox, set);
         }
+        let per_set = st.len().div_ceil(tables.len());
+        let chunks: Vec<_> = st
+            .chunks_mut(per_set)
+            .zip(out.chunks_mut(per_set))
+            .zip(inbox.chunks(per_set))
+            .zip(req_inbox.chunks(per_set))
+            .zip(tables.iter_mut())
+            .collect();
+        chunks
+            .into_par_iter()
+            .map(|((((st, out), inbox), req_inbox), set)| run_chunk(st, out, inbox, req_inbox, set))
+            .reduce_with(fold)
+            .unwrap_or(zero)
     }
 
     /// Release every buffer whose capacity exceeds 4× `high_water`. The
@@ -233,7 +315,7 @@ pub(super) fn epoch_loop<C: Comm<RelaxMsg>, R: Recorder>(
     rec: &mut R,
     bufs: &mut ProcBufs,
 ) -> ProcessOut {
-    bufs.prepare(job.dg, ctx.owned());
+    bufs.prepare(job.dg, ctx.owned(), job.cfg.coalescing);
     let mut driver = Driver::new(job, ctx, rec, bufs);
     // An empty graph has nothing to select; the guard is uniform.
     if job.dg.num_vertices() > 0 {
@@ -725,36 +807,25 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         step
     }
 
-    /// Pack + exchange a relax superstep: each outbox lane becomes one
-    /// target-sorted run, so the receiver can apply it as a sequential
-    /// min-merge. With coalescing enabled the lane goes through the
-    /// process's [`MinTable`] — targets are dense local indices on the
-    /// destination, so one pass keeps the smallest tentative distance per
-    /// target and re-emits in target order with no comparison sort; without
-    /// it the lane is sorted by `(target, nd)` and ships whole. The
-    /// removed-message count rides on the returned step record.
-    fn exchange_relax(&mut self) -> StepStats {
-        let (coalescing, part) = (self.job.cfg.coalescing, &self.job.dg.part);
-        let packing = self.clock();
-        let ProcBufs { out, table, .. } = &mut *self.bufs;
-        let mut saved = 0u64;
-        for ob in out.iter_mut() {
-            for (dst, lane) in ob.out.iter_mut().enumerate() {
-                saved += if coalescing {
-                    let n_dst = part.local_count(dst);
-                    let relax = |target, nd| RelaxMsg { target, nd };
-                    table.coalesce(lane, n_dst, |m| m.target, |m| m.nd, relax)
-                } else {
-                    pack_sorted_run(lane, |m| m.target, |m| m.nd, false)
-                };
+    /// Exchange a relax superstep whose lanes each hold one target-sorted
+    /// run, so the receiver can apply it as a sequential min-merge. With
+    /// coalescing on, the send fan-out already emitted them from the
+    /// [`MinTable`]s and passes in the `coalesced` proposals it dropped;
+    /// without it each lane is sorted by `(target, nd)` here and ships
+    /// whole. The coalesced count rides on the returned step record.
+    fn exchange_relax(&mut self, coalesced: u64) -> StepStats {
+        if !self.job.cfg.coalescing {
+            let packing = self.clock();
+            for lane in self.bufs.out.iter_mut().flat_map(|ob| ob.out.iter_mut()) {
+                pack_sorted_run(lane, |m| m.target, |m| m.nd, false);
             }
+            self.span(SubPhase::Pack, packing);
         }
-        self.span(SubPhase::Pack, packing);
         let mut step = self.exchange_into(false);
-        step.coalesced_msgs = saved;
+        step.coalesced_msgs = coalesced;
         self.out.relax_local_msgs += step.local_msgs;
         self.out.relax_remote_msgs += step.remote_msgs;
-        self.out.coalesced_msgs += saved;
+        self.out.coalesced_msgs += coalesced;
         step
     }
 
@@ -792,22 +863,25 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     // -- phases ---------------------------------------------------------------
 
     /// One plain relax superstep: `send` fills each rank's lanes (returning
-    /// its relaxation count), the lanes travel, and each rank applies its
-    /// inbox and then runs `after`. Returns the relaxations sent.
+    /// its relaxation count and the proposals it coalesced away, see
+    /// [`relax_into`]), the lanes travel, and each rank applies its inbox
+    /// and then runs `after`. Returns the relaxations sent.
     fn relax_round(
         &mut self,
-        send: impl Fn(RankIo<'_>) -> u64 + Sync,
+        send: impl Fn(RankIo<'_>, &mut [MinTable]) -> (u64, u64) + Sync,
         after: impl Fn(&mut RankState) + Sync,
     ) -> (u64, StepStats) {
         let policy = self.policy;
-        let begin_and_send = |io: RankIo<'_>| {
+        let begin_and_send = |io: RankIo<'_>, tables: &mut [MinTable]| {
             begin_superstep(io.st);
-            send(io)
+            send(io, tables)
         };
         let scanning = self.clock();
-        let sent = self.bufs.fan_out(0, begin_and_send, |a, b| a + b);
+        let (sent, coalesced) = self
+            .bufs
+            .fan_out_tables((0, 0), begin_and_send, |a, b| (a.0 + b.0, a.1 + b.1));
         self.span(SubPhase::Scan, scanning);
-        let step = self.exchange_relax();
+        let step = self.exchange_relax(coalesced);
         let apply = |io: RankIo<'_>| {
             kernels::apply_relax(io.st, &policy, io.inbox);
             after(io.st);
@@ -822,11 +896,13 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     /// One short-edge phase (§II / §III-A): relax the (inner) short edges
     /// of the active vertices.
     fn short_phase(&mut self, window: &EpochWindow) {
-        let (dg, ios, pi) = (self.job.dg, self.job.cfg.ios, self.pi);
+        let (dg, cfg, pi) = (self.job.dg, self.job.cfg, self.pi);
         let (sent, step) = self.relax_round(
-            |io| {
+            |io, tables| {
                 let lg = &dg.locals[io.st.rank];
-                kernels::short_send(lg, &dg.part, io.st, window, ios, pi, io.out)
+                relax_into!(cfg.coalescing, io.out, tables, |sink| {
+                    kernels::short_send(lg, &dg.part, io.st, window, cfg.ios, pi, sink)
+                })
             },
             // Next phase's active set: changed vertices now inside the
             // window (the classic B_k under Δ-stepping).
@@ -839,20 +915,22 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     /// relaxes its long (and, under IOS, outer-short) edges outward, with
     /// receiver-side self/backward/forward classification for Fig 7.
     fn long_push(&mut self, window: &EpochWindow, record: &mut BucketRecord) -> PhaseKind {
-        let (dg, ios, pi, policy) = (self.job.dg, self.job.cfg.ios, self.pi, self.policy);
+        let (dg, cfg, pi, policy) = (self.job.dg, self.job.cfg, self.pi, self.policy);
         let scanning = self.clock();
-        let (outer, long) = self.bufs.fan_out(
-            (0, 0),
-            |io| {
+        let ((outer, long), coalesced) = self.bufs.fan_out_tables(
+            ((0, 0), 0),
+            |io, tables| {
                 begin_superstep(io.st);
                 let lg = &dg.locals[io.st.rank];
-                kernels::long_push_send(lg, &dg.part, io.st, window, ios, pi, io.out)
+                relax_into!(cfg.coalescing, io.out, tables, |sink| {
+                    kernels::long_push_send(lg, &dg.part, io.st, window, cfg.ios, pi, sink)
+                })
             },
-            |a, b| (a.0 + b.0, a.1 + b.1),
+            |a, b| ((a.0 .0 + b.0 .0, a.0 .1 + b.0 .1), a.1 + b.1),
         );
         self.span(SubPhase::Scan, scanning);
         // sssp-lint: protocol: long-push.exchange-relax
-        let step = self.exchange_relax();
+        let step = self.exchange_relax(coalesced);
         let applying = self.clock();
         (
             record.self_edges,
@@ -880,19 +958,21 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     /// long edges satisfying `w < d(v) − kΔ` (eq. 1); only sources settled
     /// in the window respond.
     fn long_pull(&mut self, window: &EpochWindow, record: &mut BucketRecord) -> PhaseKind {
-        let (dg, pi) = (self.job.dg, self.pi);
+        let (dg, cfg, pi) = (self.job.dg, self.job.cfg, self.pi);
         let (mut outer, mut remote_msgs) = (0, 0);
 
         // Sub-step 0 (IOS only): the outer short edges of the settled
         // window are not covered by the pull protocol (requests target
         // long edges), so push them directly. Without IOS, short phases
         // already relaxed every short edge.
-        if self.job.cfg.ios {
+        if cfg.ios {
             // sssp-lint: protocol: long-pull.ios-outer-short
             let (sent, step) = self.relax_round(
-                |io| {
+                |io, tables| {
                     let lg = &dg.locals[io.st.rank];
-                    kernels::outer_short_send(lg, &dg.part, io.st, window, pi, io.out)
+                    relax_into!(cfg.coalescing, io.out, tables, |sink| {
+                        kernels::outer_short_send(lg, &dg.part, io.st, window, pi, sink)
+                    })
                 },
                 |_| (),
             );
@@ -925,7 +1005,11 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         // answer; everything else is the redundancy being pruned away.
         // sssp-lint: protocol: long-pull.responses
         let (responses, step) = self.relax_round(
-            |io| kernels::pull_respond(&dg.part, io.st, window, io.req_inbox, io.out),
+            |io, tables| {
+                relax_into!(cfg.coalescing, io.out, tables, |sink| {
+                    kernels::pull_respond(&dg.part, io.st, window, io.req_inbox, sink)
+                })
+            },
             |_| (),
         );
         remote_msgs += step.remote_msgs;

@@ -11,6 +11,9 @@
 //! * **Bucket monotonicity** — a vertex only ever moves to a lower bucket
 //!   (checked in [`RankState::relax`](crate::state::RankState::relax)) and
 //!   the run loop processes strictly increasing bucket indices.
+//! * **Relaxation headroom** — every `d + w` a kernel forms starts from a
+//!   reached distance at most `u64::MAX − u32::MAX` (the bound stated at
+//!   [`max_seed_offset`](super::max_seed_offset)), so it cannot wrap.
 //! * **Maintained §III-C estimate** — the volumes `decide::rank_volumes`
 //!   assembles from the state's running totals equal a from-scratch scan of
 //!   every local vertex, every epoch.
@@ -40,6 +43,18 @@ pub(super) fn check_ios_inner_edge(ios: bool, w: u32, du: u64, short_bound: u64,
         !ios || du + w as u64 <= bucket_end,
         "IOS inner-edge bound violated: d(u) + w = {} leaves the bucket (end {bucket_end})",
         du + w as u64,
+    );
+}
+
+/// Relaxation headroom: `d` is a reached distance about to have one edge
+/// weight added. Seeds start at most at `max_seed_offset(n)` and a reached
+/// distance adds at most `n − 1` weights of `u32::MAX` to one, so `d ≤
+/// u64::MAX − u32::MAX` and `d + w` cannot wrap for any `u32` weight.
+#[inline]
+pub(super) fn check_relax_headroom(d: u64) {
+    debug_assert!(
+        d <= u64::MAX - u64::from(u32::MAX),
+        "reached distance {d} leaves no headroom for d + w"
     );
 }
 

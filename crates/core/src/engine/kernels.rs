@@ -1,9 +1,11 @@
 //! Rank-local bodies of the relaxation phases.
 //!
 //! The driver calls these once per owned rank. Every kernel reads and
-//! writes exactly one rank's [`RankState`] and queues its messages in that
-//! rank's [`Outbox`], so the relaxation logic exists once and knows
-//! nothing about how the queued messages travel.
+//! writes exactly one rank's [`RankState`] and hands each relaxation it
+//! generates to a [`RelaxSink`] — the rank's [`Outbox`] lanes, or with
+//! coalescing on a [`Fold`] into one [`MinTable`] per destination — so the
+//! relaxation logic exists once and knows nothing about how the proposals
+//! travel.
 //!
 //! The kernels cut edges against an [`EpochWindow`], not a raw bucket:
 //! the stepping policy resolves each epoch's window once, and everything
@@ -20,13 +22,52 @@
 
 use std::ops::Range;
 
-use sssp_comm::exchange::Outbox;
+use sssp_comm::exchange::{MinTable, Outbox};
+use sssp_comm::Rank;
 use sssp_dist::{LocalGraph, Partition};
 
 use crate::policy::{EpochWindow, SteppingPolicy};
 use crate::state::{RankState, INF};
 
 use super::{invariants, RelaxMsg, ReqMsg};
+
+/// Where a relax kernel puts the proposal `d(target) ← min(d(target), nd)`
+/// addressed to rank `dst`.
+pub(super) trait RelaxSink {
+    fn propose(&mut self, dst: Rank, target: u32, nd: u64);
+}
+
+/// The lane path: every proposal becomes one record in `dst`'s lane.
+impl RelaxSink for Outbox<RelaxMsg> {
+    #[inline]
+    fn propose(&mut self, dst: Rank, target: u32, nd: u64) {
+        self.send(dst, RelaxMsg { target, nd });
+    }
+}
+
+/// The coalescing path: proposals fold straight into the table of their
+/// destination rank (indexed by `dst`, with no test for the local lane),
+/// so a dominated proposal is never materialised. [`Fold::emit`] then
+/// turns each table into its lane.
+pub(super) struct Fold<'a>(pub(super) &'a mut [MinTable]);
+
+impl RelaxSink for Fold<'_> {
+    #[inline]
+    fn propose(&mut self, dst: Rank, target: u32, nd: u64) {
+        self.0[dst].fold(target, nd);
+    }
+}
+
+impl Fold<'_> {
+    /// Emit every table into the lane of the same destination, in ascending
+    /// target order — the lanes the sort-and-dedup of the folded proposals
+    /// would leave. Returns the proposals coalesced away.
+    pub(super) fn emit(self, out: &mut Outbox<RelaxMsg>) -> u64 {
+        let relax = |target, nd| RelaxMsg { target, nd };
+        let lanes = self.0.iter_mut().zip(&mut out.out);
+        lanes.map(|(table, lane)| table.emit(lane, relax)).sum()
+    }
+}
 
 /// Row index where the long-phase push range of `u` starts: with IOS the
 /// suffix of edges that could not have been relaxed as inner shorts
@@ -87,7 +128,7 @@ fn relax_active_rows(
     st: &mut RankState,
     short_bound: u64,
     pi: u64,
-    out: &mut Outbox<RelaxMsg>,
+    out: &mut impl RelaxSink,
     range: impl Fn(u64, &[u32]) -> Range<usize>,
 ) -> (u64, u64) {
     let (mut short, mut long) = (0u64, 0u64);
@@ -101,9 +142,12 @@ fn relax_active_rows(
             let (ts, ws) = lg.row(ul);
             let edges = range(du, ws);
             for j in edges.clone() {
-                let target = part.local_index(ts[j]);
-                let nd = du + ws[j] as u64;
-                out.send(part.owner(ts[j]), RelaxMsg { target, nd });
+                invariants::check_relax_headroom(du);
+                out.propose(
+                    part.owner(ts[j]),
+                    part.local_index(ts[j]),
+                    du + ws[j] as u64,
+                );
             }
             let shorts = ws[edges.clone()].partition_point(|&w| (w as u64) < short_bound);
             short += shorts as u64;
@@ -125,7 +169,7 @@ pub(super) fn short_send(
     window: &EpochWindow,
     ios: bool,
     pi: u64,
-    out: &mut Outbox<RelaxMsg>,
+    out: &mut impl RelaxSink,
 ) -> u64 {
     let (short_bound, end_dist) = (window.short_bound, window.end_dist);
     debug_assert!(st
@@ -204,7 +248,7 @@ pub(super) fn long_push_send(
     window: &EpochWindow,
     ios: bool,
     pi: u64,
-    out: &mut Outbox<RelaxMsg>,
+    out: &mut impl RelaxSink,
 ) -> (u64, u64) {
     let (short_bound, end_dist) = (window.short_bound, window.end_dist);
     st.collect_active_from_window(window.lo, window.hi);
@@ -224,7 +268,7 @@ pub(super) fn outer_short_send(
     st: &mut RankState,
     window: &EpochWindow,
     pi: u64,
-    out: &mut Outbox<RelaxMsg>,
+    out: &mut impl RelaxSink,
 ) -> u64 {
     let (short_bound, end_dist) = (window.short_bound, window.end_dist);
     st.collect_active_from_window(window.lo, window.hi);
@@ -288,20 +332,16 @@ pub(super) fn pull_respond(
     st: &mut RankState,
     window: &EpochWindow,
     reqs: &[RelaxMsg],
-    out: &mut Outbox<RelaxMsg>,
+    out: &mut impl RelaxSink,
 ) -> u64 {
     let mut responses = 0u64;
     for r in reqs.iter().copied().map(ReqMsg::from_wire) {
         st.charge_recv(r.u_local);
         if window.contains(st.bucket_of[r.u_local as usize]) {
-            let nd = st.dist[r.u_local as usize] + r.w as u64;
-            out.send(
-                part.owner(r.origin),
-                RelaxMsg {
-                    target: part.local_index(r.origin),
-                    nd,
-                },
-            );
+            let du = st.dist[r.u_local as usize];
+            invariants::check_relax_headroom(du);
+            let (owner, target) = (part.owner(r.origin), part.local_index(r.origin));
+            out.propose(owner, target, du + r.w as u64);
             responses += 1;
         }
     }

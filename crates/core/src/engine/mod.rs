@@ -366,6 +366,11 @@ pub fn run_sssp(
 /// vertices: `u64::MAX − n_total · u32::MAX`. A shortest path has fewer
 /// than `n_total` edges of at most `u32::MAX` each, so below this bound no
 /// `d(u) + w` of the run can wrap or collide with the [`INF`] sentinel.
+///
+/// The kernels rely on this at every sum they form (`d(u) + w` in the push
+/// kernels, `d(u) + w` in a pull response): a reached distance is at most
+/// seed offset + (n − 1)·`u32::MAX` ≤ `u64::MAX − u32::MAX`, so adding one
+/// more `u32` weight cannot wrap. Debug builds assert it at both sites.
 pub fn max_seed_offset(n_total: usize) -> u64 {
     let span = u64::try_from(n_total)
         .ok()

@@ -142,9 +142,12 @@ impl PhaseTimings {
 pub enum SubPhase {
     /// Rank-local reads of the bucket structure and the frontier: sliding
     /// the ring, collecting a window's active set, the send side of every
-    /// relaxation kernel, the §III-C volume pass and window proposals.
+    /// relaxation kernel (with coalescing on, the fold into the per-
+    /// destination tables and their emit into the lanes), the §III-C volume
+    /// pass and window proposals.
     Scan,
-    /// Sender-side packing of the outbox lanes (coalescing included).
+    /// Sender-side `(target, nd)` sort of the outbox lanes — the
+    /// `coalescing = false` path only; a coalescing run never enters it.
     Pack,
     /// Inside the transport's exchange: handing lanes over, waiting for the
     /// peers, draining the inbox.
@@ -450,7 +453,9 @@ pub struct RunTrace {
     /// [`RunTrace::diff`] ignores them; they ride along for reporting.
     pub timings: PhaseTimings,
     /// Wall-clock per-sub-phase timings as min/median/max over the run's
-    /// processes; ignored by [`RunTrace::diff`] like `timings`.
+    /// processes; ignored by [`RunTrace::diff`] like `timings`. A
+    /// coalescing run folds and emits its relaxations inside `scan`, so its
+    /// `pack` reads 0.
     pub spans: SubPhaseSpread,
     /// One record per relaxation superstep-group, in execution order.
     pub phases: Vec<PhaseRecord>,

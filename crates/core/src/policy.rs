@@ -226,8 +226,8 @@ impl SteppingPolicy for RhoPolicy {
 }
 
 /// Radius stepping (Blelloch et al.): per-vertex radii replace the global
-/// Δ — each epoch's window reaches to the frontier minimum of
-/// `d(v) + r(v)`.
+/// Δ — each epoch's window reaches to the minimum of `d(v) + r(v)` over
+/// every unsettled reached vertex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RadiusPolicy {
     /// `r(v)` is the weight of `v`'s ρ-th smallest incident edge.
@@ -281,13 +281,19 @@ impl SteppingPolicy for RadiusPolicy {
     }
 
     fn window_proposal(&self, st: &RankState, lg: &LocalGraph, k: u64) -> u64 {
-        // The frontier bucket holds the globally closest vertices; under
-        // Dial granularity d(v) = k for every live member, so the ball
-        // bound is min over the local members of d(v) + r(v).
+        // The ball bound is min d(v) + r(v) over the whole unsettled
+        // frontier — every reached vertex in bucket ≥ k, not bucket k
+        // alone: a later member with a light edge can bound it tighter.
+        // Under Dial granularity d(v) is the bucket index b, so walking
+        // the buckets in order may stop once b reaches the best ball: no
+        // member from there on can beat it.
         let mut best = NO_PROPOSAL;
-        for ul in st.bucket_members(k) {
-            let ball = k.saturating_add(self.radius(lg, ul));
-            best = best.min(ball);
+        let mut next = st.next_nonempty_after(k.checked_sub(1));
+        while let Some(b) = next.filter(|&b| b < best) {
+            for ul in st.bucket_members(b) {
+                best = best.min(b.saturating_add(self.radius(lg, ul)));
+            }
+            next = st.next_nonempty_after(Some(b));
         }
         best.min(NO_PROPOSAL)
     }
@@ -459,8 +465,59 @@ mod tests {
         // An isolated frontier vertex has radius 0 (window = its bucket).
         st.relax(2, 4, &p);
         assert_eq!(p.window_proposal(&st, &lg, 4), 4);
-        // No local members → no bound.
-        assert_eq!(p.window_proposal(&st, &lg, 7), NO_PROPOSAL);
+        // No member in bucket 7, but the frontier beyond it still bounds.
+        assert_eq!(p.window_proposal(&st, &lg, 7), 14);
+        // No local members at or above `k` → no bound.
+        assert_eq!(p.window_proposal(&st, &lg, 11), NO_PROPOSAL);
+    }
+
+    #[test]
+    fn radius_proposal_sees_past_the_selected_bucket() {
+        let p = RadiusPolicy::new(1);
+        // Vertex 0 (bucket 10): r = 6. Vertex 1 (bucket 11): r = 1.
+        let lg = LocalGraph::from_rows(vec![(vec![1], vec![6]), (vec![0], vec![1])]);
+        let mut st = RankState::new(0, 2, 1);
+        st.begin_phase();
+        st.relax(0, 10, &p);
+        st.relax(1, 11, &p);
+        // Bucket 10 alone would give 16; the member at d = 11 gives 12.
+        assert_eq!(p.window_proposal(&st, &lg, 10), 12);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn radius_proposal_is_the_brute_force_frontier_minimum(
+            rows in proptest::collection::vec(
+                proptest::collection::vec(1u32..300, 0..4),
+                1..40,
+            ),
+            // Distances ≥ 1500 stand for "never reached".
+            dists in proptest::collection::vec(0u64..2000, 1..40),
+            rho in 1u32..4,
+            k in 0u64..1500,
+        ) {
+            // Distances reach past the flat ring (FLAT_LANES), so spill
+            // buckets are covered too.
+            let n = rows.len().min(dists.len());
+            let lg = LocalGraph::from_rows(rows[..n].iter().map(|ws| {
+                let mut ws = ws.clone();
+                ws.sort_unstable();
+                (vec![0; ws.len()], ws)
+            }));
+            let p = RadiusPolicy::new(rho);
+            let mut st = RankState::new(0, n, 1);
+            st.begin_phase();
+            for (v, &d) in (0u32..).zip(&dists[..n]).filter(|(_, &d)| d < 1500) {
+                st.relax(v, d, &p);
+            }
+            let brute = (0..n as u32)
+                .filter(|&v| st.bucket_of[v as usize] != crate::state::INF_BUCKET)
+                .filter(|&v| st.bucket_of[v as usize] >= k)
+                .map(|v| st.dist[v as usize] + p.radius(&lg, v))
+                .min()
+                .unwrap_or(NO_PROPOSAL);
+            proptest::prop_assert_eq!(p.window_proposal(&st, &lg, k), brute);
+        }
     }
 
     #[test]

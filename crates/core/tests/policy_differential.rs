@@ -10,7 +10,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use sssp_comm::cost::MachineModel;
-use sssp_core::config::SsspConfig;
+use sssp_core::config::{DirectionPolicy, SsspConfig};
 use sssp_core::engine::run_sssp;
 use sssp_core::seq;
 use sssp_core::state::INF;
@@ -211,6 +211,43 @@ fn delta_one_with_maximal_weights_terminates_past_the_epoch_sentinel() {
             SsspConfig::rho(2),
             SsspConfig::radius(1),
         ] {
+            let simulated = run_sssp_seeded(&dg, seeds, &cfg, &model);
+            assert_eq!(
+                simulated.distances, expect,
+                "simulated, p = {p}, cfg = {cfg:?}"
+            );
+            let threaded = threaded_sssp_seeded(&dg, seeds, &cfg, &model);
+            assert_eq!(
+                threaded.distances, expect,
+                "threaded, p = {p}, cfg = {cfg:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn maximal_weights_from_the_largest_seed_offset_do_not_wrap() {
+    // The headroom `max_seed_offset` promises: a path of `u32::MAX` edges
+    // seeded at the bound reaches `u64::MAX − u32::MAX` at its far end, and
+    // every `d + w` along the way — pushed or answered to a pull — stays
+    // in range (debug builds assert it at both kernel sites).
+    let n = 6;
+    let g = CsrBuilder::new().build(&gen::path(n, u32::MAX));
+    let offset = sssp_core::max_seed_offset(n);
+    let expect: Vec<u64> = (0..n as u64)
+        .map(|i| offset + i * u64::from(u32::MAX))
+        .collect();
+    assert_eq!(expect[n - 1], u64::MAX - u64::from(u32::MAX));
+    let model = MachineModel::bgq_like();
+    for p in [1usize, 2, 3] {
+        let dg = Arc::new(DistGraph::build(&g, p, 1));
+        for cfg in [
+            SsspConfig::opt(25),
+            SsspConfig::prune(25).with_direction(DirectionPolicy::AlwaysPull),
+            SsspConfig::del(1),
+            SsspConfig::radius(1),
+        ] {
+            let seeds = &[(0, offset)];
             let simulated = run_sssp_seeded(&dg, seeds, &cfg, &model);
             assert_eq!(
                 simulated.distances, expect,

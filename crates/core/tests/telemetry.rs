@@ -295,21 +295,34 @@ fn empty_seeds_and_empty_graphs_trace_empty_on_both_transports() {
 fn sub_phase_spans_attribute_the_wall_clock_per_rank() {
     use sssp_core::SubPhase;
     let g = bench_graph();
-    let (sim, thr) = traces_for(&g, 4, &SsspConfig::opt(25));
-    for sub in SubPhase::ALL {
-        let s = thr.spans.get(sub);
-        assert!(
-            s.min_ns <= s.median_ns && s.median_ns <= s.max_ns,
-            "{sub:?}: {s:?}"
-        );
-        assert!(s.min_ns > 0, "{sub:?} never timed on some rank: {s:?}");
-        // One lockstep process drives every rank: nothing to spread over.
-        let one = sim.spans.get(sub);
-        assert!(
-            one.min_ns > 0 && one.min_ns == one.max_ns,
-            "{sub:?}: {one:?}"
-        );
+    // `pack` times the `(target, nd)` sort of the lane path only; with
+    // coalescing on, the tables emit inside the send fan-out (`scan`).
+    for coalescing in [true, false] {
+        let cfg = SsspConfig::opt(25).with_coalescing(coalescing);
+        let (sim, thr) = traces_for(&g, 4, &cfg);
+        for sub in SubPhase::ALL {
+            let (s, one) = (thr.spans.get(sub), sim.spans.get(sub));
+            if coalescing && sub == SubPhase::Pack {
+                assert_eq!(
+                    (s, one),
+                    Default::default(),
+                    "{sub:?} timed under coalescing"
+                );
+                continue;
+            }
+            assert!(
+                s.min_ns <= s.median_ns && s.median_ns <= s.max_ns,
+                "{sub:?}: {s:?}"
+            );
+            assert!(s.min_ns > 0, "{sub:?} never timed on some rank: {s:?}");
+            // One lockstep process drives every rank: nothing to spread over.
+            assert!(
+                one.min_ns > 0 && one.min_ns == one.max_ns,
+                "{sub:?}: {one:?}"
+            );
+        }
     }
+    let (_, thr) = traces_for(&g, 4, &SsspConfig::opt(25));
     let parsed = RunTrace::from_json(&thr.to_json()).expect("trace JSON parses");
     assert_eq!(parsed.spans, thr.spans);
 }

@@ -12,8 +12,12 @@ use proptest::prelude::*;
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::{DirectionPolicy, LongPhaseMode, SsspConfig};
 use sssp_core::engine::run_sssp;
-use sssp_core::threaded_delta_stepping;
+use sssp_core::{
+    run, seq, threaded_delta_stepping, EngineScratch, Lockstep, NoopRecorder, Query, RunOutput,
+    Threaded,
+};
 use sssp_dist::DistGraph;
+use sssp_graph::rmat::{RmatGenerator, RmatParams};
 use sssp_graph::{gen, Csr, CsrBuilder};
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
@@ -118,6 +122,80 @@ proptest! {
             prop_assert_eq!(b.relax_local_msgs, a.relax_local_msgs);
             prop_assert_eq!(b.relax_remote_msgs, a.relax_remote_msgs);
             prop_assert_eq!(b.coalesced_msgs, a.coalesced_msgs);
+        }
+    }
+}
+
+/// The three relax counters of a run.
+fn relax_counters(out: &RunOutput) -> [u64; 3] {
+    [
+        out.relax_local_msgs,
+        out.relax_remote_msgs,
+        out.coalesced_msgs,
+    ]
+}
+
+#[test]
+fn fold_and_lane_paths_agree_message_for_message() {
+    // Coalescing folds every proposal into a per-destination table at the
+    // send site; the lane path ships every proposal whole. At 64 lockstep
+    // ranks several ranks share one table set in turn.
+    let rmat = RmatGenerator::new(RmatParams::RMAT2, 10, 16)
+        .seed(1)
+        .generate_weighted(255);
+    let graphs = [
+        ("RMAT-2 scale 10", CsrBuilder::new().build(&rmat)),
+        ("32² grid", CsrBuilder::new().build(&gen::grid(32, 255, 7))),
+    ];
+    let configs = [
+        SsspConfig::opt(25),
+        SsspConfig::prune(25).with_direction(DirectionPolicy::AlwaysPull),
+        SsspConfig::del(25).with_direction(DirectionPolicy::AlwaysPush),
+    ];
+    let model = MachineModel::bgq_like();
+    for (name, g) in &graphs {
+        let expect = seq::dijkstra_radix(g, 0);
+        for p in [3usize, 8, 64] {
+            let dg = Arc::new(DistGraph::build(g, p, 2));
+            for cfg in &configs {
+                let at = format!("{name}, p {p}, cfg {cfg:?}");
+                let lockstep = |cfg: &SsspConfig| {
+                    run(
+                        dg.as_ref(),
+                        &Query::root(0),
+                        cfg,
+                        &model,
+                        Lockstep,
+                        NoopRecorder,
+                    )
+                    .0
+                };
+                let fold = lockstep(cfg);
+                let lanes = lockstep(&cfg.clone().with_coalescing(false));
+                assert_eq!(fold.distances, expect, "fold, {at}");
+                assert_eq!(lanes.distances, expect, "lanes, {at}");
+                assert_eq!(lanes.coalesced_msgs, 0, "{at}");
+                assert_eq!(
+                    relax_counters(&fold).iter().sum::<u64>(),
+                    lanes.relax_msgs_total(),
+                    "{at}"
+                );
+                if p == 3 {
+                    let mut scratch = EngineScratch::new(p);
+                    let query = Query::root(0);
+                    let threaded = run(
+                        &dg,
+                        &query,
+                        cfg,
+                        &model,
+                        Threaded(&mut scratch),
+                        NoopRecorder,
+                    )
+                    .0;
+                    assert_eq!(threaded.distances, expect, "threaded, {at}");
+                    assert_eq!(relax_counters(&threaded), relax_counters(&fold), "{at}");
+                }
+            }
         }
     }
 }
