@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use sssp_bench::{build_family, Family};
-use sssp_comm::exchange::{exchange, Outbox};
+use sssp_comm::exchange::{exchange_pooled, Outbox};
 use sssp_core::config::DeltaParam;
 use sssp_core::seq;
 use sssp_core::state::RankState;
@@ -86,7 +86,9 @@ fn bench_exchange(c: &mut Criterion) {
                     ob.send((src + i as usize) % p, (i, i as u64));
                 }
             }
-            black_box(exchange(obs, 16))
+            let mut inboxes: Vec<Vec<(u32, u64)>> = (0..p).map(|_| Vec::new()).collect();
+            black_box(exchange_pooled(&mut obs, &mut inboxes, 16, None));
+            black_box(inboxes)
         })
     });
     g.finish();

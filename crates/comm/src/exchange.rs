@@ -1,18 +1,13 @@
 //! Bulk-synchronous message exchange between ranks.
 //!
 //! A superstep produces, for every source rank, one outbox per destination
-//! rank (`outboxes[src][dst]`). [`exchange`] transposes these into one inbox
-//! per destination, concatenating in source-rank order so delivery is
-//! deterministic, and records the traffic in a [`StepStats`].
-//!
-//! Two delivery flavors exist: the consuming [`exchange`] /
-//! [`exchange_with`] (fresh inboxes every call, used by the lockstep
-//! analytics kernels) and the pooled [`exchange_pooled`] /
-//! [`ExchangeBuffers`] path, which recycles both outbox lanes and inboxes
-//! across supersteps so a steady-state superstep performs no heap
-//! allocation — the transpose the SSSP engine's lockstep transport
-//! ([`crate::transport::LockstepComm`]) runs. Both produce identical
-//! delivery order and identical [`StepStats`].
+//! rank (`outboxes[src][dst]`). [`exchange_pooled`] transposes these into
+//! one inbox per destination, concatenating in source-rank order so
+//! delivery is deterministic, and records the traffic in a [`StepStats`].
+//! It recycles both outbox lanes and inboxes across supersteps, so a
+//! steady-state superstep performs no heap allocation — the transpose the
+//! lockstep transport ([`crate::transport::LockstepComm`]) runs.
+//! [`ExchangeBuffers`] bundles one such recycled buffer set.
 
 use crate::stats::StepStats;
 use crate::Rank;
@@ -52,35 +47,16 @@ impl<M> Outbox<M> {
     }
 }
 
-/// Deliver all outboxes. Returns one inbox per rank (messages from source 0
-/// first, then source 1, …) plus the step's traffic statistics.
+/// Deliver all outboxes into the given inboxes: `inboxes[dst]` receives
+/// the messages from source 0 first, then source 1, … Inboxes are cleared
+/// first; after the call every outbox lane is empty *with its capacity
+/// retained*, so a caller that keeps both sides alive across supersteps
+/// reaches a steady state where the exchange allocates nothing. Returns the
+/// step's traffic statistics.
 ///
-/// `msg_bytes` is the on-wire size charged per message; pass
-/// `std::mem::size_of::<M>()` unless modelling a packed format.
-pub fn exchange<M>(outboxes: Vec<Outbox<M>>, msg_bytes: usize) -> (Vec<Vec<M>>, StepStats) {
-    exchange_with(outboxes, msg_bytes, None)
-}
-
-/// Like [`exchange`], but with packet-level wire accounting: each
-/// per-(src, dst) stream is framed into packets per the given
-/// [`PacketConfig`], and the byte statistics include header overhead.
-pub fn exchange_with<M>(
-    mut outboxes: Vec<Outbox<M>>,
-    msg_bytes: usize,
-    packet: Option<&crate::packet::PacketConfig>,
-) -> (Vec<Vec<M>>, StepStats) {
-    let p = outboxes.len();
-    let mut inboxes: Vec<Vec<M>> = (0..p).map(|_| Vec::new()).collect();
-    let stats = exchange_pooled(&mut outboxes, &mut inboxes, msg_bytes, packet);
-    (inboxes, stats)
-}
-
-/// Pooled variant of [`exchange_with`]: drains the outboxes into the given
-/// inboxes instead of allocating fresh ones. Inboxes are cleared first;
-/// after the call every outbox lane is empty *with its capacity retained*,
-/// so a caller that keeps both sides alive across supersteps reaches a
-/// steady state where the exchange allocates nothing. Delivery order and
-/// the returned [`StepStats`] are identical to [`exchange_with`].
+/// `msg_bytes` is the on-wire size charged per message; a
+/// [`PacketConfig`](crate::packet::PacketConfig) frames each per-(src, dst)
+/// stream into packets and adds the header overhead to the byte counts.
 pub fn exchange_pooled<M>(
     outboxes: &mut [Outbox<M>],
     inboxes: &mut [Vec<M>],
@@ -173,24 +149,6 @@ where
         lane.dedup_by(|a, b| key(a) == key(b));
     }
     (before - lane.len()) as u64
-}
-
-/// Sender-side coalescing of one outbox lane: keep, for every distinct
-/// `key(m)`, only the message with the smallest `val(m)`. Equivalent to
-/// [`pack_sorted_run`] with `dedup` enabled — the lane is left sorted by
-/// `(key, val)` as one run.
-///
-/// Returns the number of messages removed.
-pub fn coalesce_lane_min<M, K, V>(
-    lane: &mut Vec<M>,
-    key: impl Fn(&M) -> K,
-    val: impl Fn(&M) -> V,
-) -> u64
-where
-    K: Ord,
-    V: Ord,
-{
-    pack_sorted_run(lane, key, val, true)
 }
 
 /// Sort-free form of [`pack_sorted_run`] with `dedup` enabled, for messages
@@ -344,6 +302,13 @@ impl<M> ExchangeBuffers<M> {
 mod tests {
     use super::*;
 
+    /// One exchange into fresh inboxes.
+    fn exchange<M>(mut obs: Vec<Outbox<M>>, msg_bytes: usize) -> (Vec<Vec<M>>, StepStats) {
+        let mut inboxes: Vec<Vec<M>> = obs.iter().map(|_| Vec::new()).collect();
+        let stats = exchange_pooled(&mut obs, &mut inboxes, msg_bytes, None);
+        (inboxes, stats)
+    }
+
     #[test]
     fn delivery_is_transposed_and_ordered() {
         let p = 3;
@@ -460,7 +425,7 @@ mod tests {
     #[test]
     fn coalesce_keeps_min_per_key() {
         let mut lane: Vec<(u32, u64)> = vec![(3, 9), (1, 5), (3, 2), (2, 7), (1, 5), (3, 11)];
-        let saved = coalesce_lane_min(&mut lane, |m| m.0, |m| m.1);
+        let saved = pack_sorted_run(&mut lane, |m| m.0, |m| m.1, true);
         assert_eq!(saved, 3);
         assert_eq!(lane, vec![(1, 5), (2, 7), (3, 2)]);
     }
@@ -468,9 +433,9 @@ mod tests {
     #[test]
     fn coalesce_short_lanes_are_untouched() {
         let mut empty: Vec<(u32, u64)> = Vec::new();
-        assert_eq!(coalesce_lane_min(&mut empty, |m| m.0, |m| m.1), 0);
+        assert_eq!(pack_sorted_run(&mut empty, |m| m.0, |m| m.1, true), 0);
         let mut one = vec![(5u32, 40u64)];
-        assert_eq!(coalesce_lane_min(&mut one, |m| m.0, |m| m.1), 0);
+        assert_eq!(pack_sorted_run(&mut one, |m| m.0, |m| m.1, true), 0);
         assert_eq!(one, vec![(5, 40)]);
     }
 
@@ -484,11 +449,16 @@ mod tests {
 
     #[test]
     fn pack_with_dedup_matches_coalesce() {
+        // The sort-free coalescing table leaves what the sorted dedup does.
         let msgs: Vec<(u32, u64)> = vec![(3, 9), (1, 5), (3, 2), (2, 7), (1, 5), (3, 11)];
         let mut packed = msgs.clone();
-        let mut coalesced = msgs;
         let a = pack_sorted_run(&mut packed, |m| m.0, |m| m.1, true);
-        let b = coalesce_lane_min(&mut coalesced, |m| m.0, |m| m.1);
+        let mut table = MinTable::new(4);
+        for &(k, v) in &msgs {
+            table.fold(k, v);
+        }
+        let mut coalesced = Vec::new();
+        let b = table.emit(&mut coalesced, |k, v| (k, v));
         assert_eq!(a, b);
         assert_eq!(packed, coalesced);
         assert_eq!(packed, vec![(1, 5), (2, 7), (3, 2)]);

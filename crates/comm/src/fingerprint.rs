@@ -23,10 +23,6 @@ pub const FP_REDUCE_MAX: u64 = 0x13;
 pub const FP_REDUCE_SUM: u64 = 0x14;
 /// Logical-or reduction (the "any rank active?" check).
 pub const FP_REDUCE_ANY: u64 = 0x15;
-/// Floating-point reduction (cost-model estimates).
-pub const FP_REDUCE_F64: u64 = 0x16;
-/// Allgather of per-rank contributions.
-pub const FP_ALLGATHER: u64 = 0x17;
 /// Bulk-synchronous message exchange (one superstep).
 pub const FP_EXCHANGE: u64 = 0x18;
 /// Epoch-window min-reduction (stepping-policy window selection). Its own

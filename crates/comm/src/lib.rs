@@ -10,8 +10,10 @@
 //! * **Exchange** ([`exchange`]) — bulk-synchronous message delivery between
 //!   supersteps, with full accounting of message counts, bytes, and
 //!   per-rank maxima (the load-imbalance signal the paper's heuristics use).
-//! * **Collectives** ([`collective`]) — allreduce/allgather equivalents with
-//!   the `α·log₂P` latency charge of a tree implementation.
+//! * **Transports** ([`transport`]) — the [`transport::Comm`] contract every
+//!   SPMD kernel is written against (allreduces plus the exchange), driven
+//!   either in lockstep by one thread or by one OS thread per rank
+//!   ([`threaded`]).
 //! * **Cost model** ([`cost`]) — an α–β–γ machine model that converts the
 //!   recorded counts into simulated time and TEPS, standing in for the
 //!   Blue Gene/Q wall clock. Defaults are calibrated so that a scale-35 run
@@ -27,8 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Allreduce/allgather equivalents with tree-latency accounting.
-pub mod collective;
 /// The α–β–γ machine model converting traffic into simulated time.
 pub mod cost;
 /// Bulk-synchronous message exchange between simulated ranks.
@@ -43,7 +43,7 @@ pub mod packet;
 pub mod stats;
 /// Real-thread SPMD runtime (one OS thread per rank).
 pub mod threaded;
-/// The [`transport::Comm`] contract the SSSP epoch loop is written against,
+/// The [`transport::Comm`] contract every SPMD kernel is written against,
 /// and the lockstep transport that drives every rank from one thread.
 pub mod transport;
 

@@ -593,8 +593,7 @@ impl<M: Send> RankCtx<M> {
         self.reduce(FP_REDUCE_MIN, value, u64::MAX, u64::min)
     }
 
-    /// Minimum allreduce of per-rank epoch-window proposals. The threaded
-    /// twin of [`crate::collective::allreduce_min_window`]: a min-reduce
+    /// Minimum allreduce of per-rank epoch-window proposals: a min-reduce
     /// fingerprinted with its own kind, so policies that issue the window
     /// collective hold schedules distinct from those that do not.
     pub fn allreduce_min_window(&self, value: u64) -> u64 {

@@ -1,6 +1,7 @@
-//! The transport contract of the SSSP epoch loop.
+//! The transport contract of every SPMD kernel.
 //!
-//! The engine's driver is written once against [`Comm`]; what varies
+//! The SSSP epoch loop and the BFS, connected-components and PageRank
+//! kernels are each written once against [`Comm`]; what varies
 //! between executions is only how a collective reaches the other ranks and
 //! how an exchange moves lanes into inboxes. A *process* drives a
 //! contiguous slice of **owned** ranks ([`Comm::owned`]): a
@@ -20,7 +21,7 @@ use crate::packet::PacketConfig;
 use crate::stats::StepStats;
 use crate::Rank;
 
-/// What the epoch loop needs from a transport moving messages of type `M`.
+/// What an SPMD kernel needs from a transport moving messages of type `M`.
 /// Every process of a run must issue the same sequence of these calls (the
 /// SPMD contract); contributions are pre-folded over the owned ranks.
 pub trait Comm<M> {

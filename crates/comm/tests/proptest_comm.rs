@@ -2,10 +2,10 @@
 
 use proptest::prelude::*;
 
-use sssp_comm::collective::{allreduce_any, allreduce_max, allreduce_min, allreduce_sum};
-use sssp_comm::exchange::{exchange, exchange_with, pack_sorted_run, MinTable, Outbox};
+use sssp_comm::exchange::{exchange_pooled, pack_sorted_run, MinTable, Outbox};
 use sssp_comm::packet::PacketConfig;
-use sssp_comm::stats::CommStats;
+use sssp_comm::stats::StepStats;
+use sssp_comm::threaded::{run_threaded, RankCtx};
 
 /// Arbitrary traffic pattern: a list of (src, dst, payload) sends over p ranks.
 fn arb_traffic() -> impl Strategy<Value = (usize, Vec<(usize, usize, u32)>)> {
@@ -13,6 +13,17 @@ fn arb_traffic() -> impl Strategy<Value = (usize, Vec<(usize, usize, u32)>)> {
         let sends = proptest::collection::vec((0..p, 0..p, any::<u32>()), 0..200);
         (Just(p), sends)
     })
+}
+
+/// One exchange into fresh inboxes, framed per `packet`.
+fn exchange<M>(
+    mut obs: Vec<Outbox<M>>,
+    msg_bytes: usize,
+    packet: Option<&PacketConfig>,
+) -> (Vec<Vec<M>>, StepStats) {
+    let mut inboxes: Vec<Vec<M>> = obs.iter().map(|_| Vec::new()).collect();
+    let stats = exchange_pooled(&mut obs, &mut inboxes, msg_bytes, packet);
+    (inboxes, stats)
 }
 
 /// Fold `lane` into `table`, emit it, and run the comparison sort the table
@@ -112,7 +123,7 @@ proptest! {
         for &(s, d, x) in &sends {
             obs[s].send(d, (s, d, x));
         }
-        let (inboxes, stats) = exchange(obs, 12);
+        let (inboxes, stats) = exchange(obs, 12, None);
 
         // Every message arrives exactly once, at its destination.
         let mut received: Vec<(usize, usize, u32)> = Vec::new();
@@ -140,7 +151,7 @@ proptest! {
         for &(s, d, _) in &sends {
             obs[s].send(d, s);
         }
-        let (inboxes, _) = exchange(obs, 8);
+        let (inboxes, _) = exchange(obs, 8, None);
         for inbox in &inboxes {
             // Sources appear in non-decreasing order within each inbox.
             prop_assert!(inbox.windows(2).all(|w| w[0] <= w[1]));
@@ -156,8 +167,8 @@ proptest! {
             }
             obs
         };
-        let (_, raw) = exchange(build(), 16);
-        let (inboxes, framed) = exchange_with(build(), 16, Some(&PacketConfig::bgq()));
+        let (_, raw) = exchange(build(), 16, None);
+        let (inboxes, framed) = exchange(build(), 16, Some(&PacketConfig::bgq()));
         prop_assert_eq!(framed.remote_msgs, raw.remote_msgs);
         prop_assert!(framed.remote_bytes >= raw.remote_bytes);
         prop_assert!(framed.max_rank_send_bytes >= raw.max_rank_send_bytes);
@@ -176,13 +187,26 @@ proptest! {
     }
 
     #[test]
-    fn collectives_match_reference(vals in proptest::collection::vec(0u64..u32::MAX as u64, 0..50)) {
-        let mut st = CommStats::new();
-        prop_assert_eq!(allreduce_sum(&vals, &mut st), vals.iter().sum::<u64>());
-        prop_assert_eq!(allreduce_min(&vals, &mut st), vals.iter().copied().min().unwrap_or(u64::MAX));
-        prop_assert_eq!(allreduce_max(&vals, &mut st), vals.iter().copied().max().unwrap_or(0));
-        let flags: Vec<bool> = vals.iter().map(|&v| v % 2 == 0).collect();
-        prop_assert_eq!(allreduce_any(&flags, &mut st), flags.contains(&true));
-        prop_assert_eq!(st.collectives, 4);
+    fn collectives_match_reference(vals in proptest::collection::vec(0u64..u32::MAX as u64, 1..6)) {
+        // Rank r contributes vals[r]; every rank must see the reference.
+        let reference = (
+            vals.iter().sum::<u64>(),
+            vals.iter().copied().min(),
+            vals.iter().copied().max(),
+            vals.iter().any(|v| v % 2 == 0),
+        );
+        let shared = std::sync::Arc::new(vals.clone());
+        let per_rank = run_threaded(vals.len(), move |ctx: RankCtx<u64>| {
+            let v = shared[ctx.rank()];
+            (
+                ctx.allreduce_sum(v),
+                Some(ctx.allreduce_min(v)),
+                Some(ctx.allreduce_max(v)),
+                ctx.any(v % 2 == 0),
+            )
+        });
+        for got in per_rank {
+            prop_assert_eq!(got, reference);
+        }
     }
 }

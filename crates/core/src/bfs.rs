@@ -8,21 +8,27 @@
 //!
 //! * **top-down** — frontier owners push visit messages along all incident
 //!   edges, and
-//! * **bottom-up** — every rank receives the frontier bitmap (allgather)
-//!   and scans its own unvisited vertices for a frontier neighbor,
+//! * **bottom-up** — every rank receives the whole frontier (an exchange of
+//!   frontier ids, charged as the bitmap allgather it stands for) and scans
+//!   its own unvisited vertices for a frontier neighbor,
 //!
-//! using Beamer's edge-count heuristic. Traffic and simulated time are
-//! accounted with the same [`MachineModel`] as the SSSP engine, so
-//! BFS-vs-SSSP GTEPS ratios are directly comparable.
+//! using Beamer's edge-count heuristic. The level loop is one SPMD program
+//! over [`Comm`] that either transport runs ([`bfs_on`]; [`run_bfs`] is the
+//! lockstep shorthand). Traffic and simulated time are accounted with the
+//! same [`MachineModel`] as the SSSP engine, so BFS-vs-SSSP GTEPS ratios
+//! are directly comparable.
 
-use rayon::prelude::*;
+use std::borrow::Borrow;
+use std::time::Instant;
 
-use sssp_comm::collective::{allreduce_any, allreduce_sum};
 use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
-use sssp_comm::exchange::{exchange_with, Outbox};
 use sssp_comm::stats::CommStats;
+use sssp_comm::transport::Comm;
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
+
+use crate::engine::{Lockstep, Spmd, Transport};
+use crate::spmd::{self, Meter, Ranks, Share};
 
 /// Unvisited marker in the depth array.
 pub const UNVISITED: u32 = u32::MAX;
@@ -78,6 +84,9 @@ pub struct BfsOutput {
     pub depth: Vec<u32>,
     /// Full instrumentation record.
     pub stats: BfsStats,
+    /// True when the run stopped at its deadline: the levels it did not
+    /// expand are missing from `depth`.
+    pub timed_out: bool,
 }
 
 /// Beamer's switching parameters: go bottom-up when the frontier's edge
@@ -86,7 +95,7 @@ pub struct BfsOutput {
 const ALPHA: u64 = 14;
 const BETA: u64 = 24;
 
-/// Run a direction-optimizing BFS from `root`.
+/// Run a direction-optimizing BFS from `root` on the lockstep transport.
 ///
 /// # Examples
 ///
@@ -102,247 +111,265 @@ const BETA: u64 = 24;
 /// assert_eq!(out.depth, vec![0, 1, 1, 1, 1, 1]);
 /// ```
 pub fn run_bfs(dg: &DistGraph, root: VertexId, model: &MachineModel) -> BfsOutput {
-    let p = dg.num_ranks();
-    let n = dg.num_vertices();
-    let mut comm = CommStats::new();
-    let mut ledger = TimeLedger::new();
-    let mut stats = BfsStats::default();
-
-    let mut depth: Vec<Vec<u32>> = (0..p)
-        .map(|r| vec![UNVISITED; dg.part.local_count(r)])
-        .collect();
-    let mut frontier: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-
-    if n == 0 {
-        return finishup(dg, depth, stats, comm, ledger);
-    }
-    assert!((root as usize) < n, "root {root} out of range (n = {n})");
-    let ro = dg.part.owner(root);
-    let rl = dg.part.to_local(root) as u32;
-    depth[ro][rl as usize] = 0;
-    frontier[ro].push(rl);
-
-    let mut level = 0u32;
-    loop {
-        let any: Vec<bool> = frontier.iter().map(|f| !f.is_empty()).collect();
-        let cont = allreduce_any(&any, &mut comm);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
-        if !cont {
-            break;
-        }
-
-        // Direction decision: frontier edge volume vs thresholds.
-        let fe: Vec<u64> = frontier
-            .iter()
-            .enumerate()
-            .map(|(r, f)| {
-                f.iter()
-                    .map(|&v| dg.locals[r].degree(v as usize) as u64)
-                    .sum()
-            })
-            .collect();
-        let frontier_edges = allreduce_sum(&fe, &mut comm);
-        let fs: Vec<u64> = frontier.iter().map(|f| f.len() as u64).collect();
-        let frontier_size = allreduce_sum(&fs, &mut comm);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
-        let bottom_up = frontier_edges > dg.m_directed / ALPHA
-            || (level > 0 && frontier_size > n as u64 / BETA);
-
-        let (next, examined) = if bottom_up {
-            bottom_up_level(
-                dg,
-                &mut depth,
-                &frontier,
-                level,
-                model,
-                &mut comm,
-                &mut ledger,
-            )
-        } else {
-            top_down_level(
-                dg,
-                &mut depth,
-                &frontier,
-                level,
-                model,
-                &mut comm,
-                &mut ledger,
-            )
-        };
-        stats.levels.push(BfsLevelRecord {
-            level,
-            direction: if bottom_up {
-                BfsDirection::BottomUp
-            } else {
-                BfsDirection::TopDown
-            },
-            frontier_size,
-            edges_examined: examined,
-        });
-        stats.edges_examined_total += examined;
-        frontier = next;
-        level += 1;
-    }
-
-    finishup(dg, depth, stats, comm, ledger)
+    bfs_on(dg, root, model, None, Lockstep)
 }
 
-fn finishup(
-    dg: &DistGraph,
-    depth: Vec<Vec<u32>>,
-    mut stats: BfsStats,
-    comm: CommStats,
-    ledger: TimeLedger,
+/// Run a direction-optimizing BFS from `root` on `transport`, stopping at
+/// the first level boundary past `deadline` with [`BfsOutput::timed_out`]
+/// set. Depths and level records are identical on every transport; the
+/// traffic and time ledgers are the simulator's, kept only by a process
+/// that drives every rank.
+pub fn bfs_on<T: Transport>(
+    dg: &T::Graph,
+    root: VertexId,
+    model: &MachineModel,
+    deadline: Option<Instant>,
+    transport: T,
 ) -> BfsOutput {
-    let mut global = vec![UNVISITED; dg.num_vertices()];
-    for (r, d) in depth.iter().enumerate() {
-        for (l, &x) in d.iter().enumerate() {
-            global[dg.part.to_global(r, l) as usize] = x;
+    let graph: &DistGraph = dg.borrow();
+    let n = graph.num_vertices();
+    assert!(
+        n == 0 || (root as usize) < n,
+        "root {root} out of range (n = {n})"
+    );
+    let program = Bfs {
+        root,
+        model: *model,
+        deadline,
+    };
+    // Each process counted the edges its own ranks examined.
+    let shares = transport.drive(dg, program);
+    let merge = |levels: &mut Vec<BfsLevelRecord>, mine: Vec<BfsLevelRecord>| {
+        if levels.is_empty() {
+            *levels = mine;
+        } else {
+            for (level, other) in levels.iter_mut().zip(mine) {
+                level.edges_examined += other.edges_examined;
+            }
         }
-    }
-    stats.visited = global.iter().filter(|&&d| d != UNVISITED).count() as u64;
-    stats.comm = comm;
-    stats.ledger = ledger;
+    };
+    let (depth, levels, comm, ledger, timed_out) = spmd::gather(graph, shares, UNVISITED, merge);
+    let stats = BfsStats {
+        visited: depth.iter().filter(|&&d| d != UNVISITED).count() as u64,
+        edges_examined_total: levels.iter().map(|l| l.edges_examined).sum(),
+        levels,
+        comm,
+        ledger,
+    };
     BfsOutput {
-        depth: global,
+        depth,
         stats,
+        timed_out,
     }
 }
 
-/// Visit message: mark `target` (local on destination) at depth `level+1`.
-#[derive(Debug, Clone, Copy)]
-struct VisitMsg {
-    target: u32,
+/// The level loop as an SPMD program.
+struct Bfs {
+    root: VertexId,
+    model: MachineModel,
+    deadline: Option<Instant>,
 }
+
+/// One owned rank's BFS state: its depths, the frontier it expands (and
+/// refills with the next one), and the bottom-up frontier bitmap.
+struct RankBfs {
+    rank: usize,
+    depth: Vec<u32>,
+    frontier: Vec<u32>,
+    bitmap: Vec<u64>,
+}
+
+/// Wire size of a visit message: the target's local index.
 const VISIT_BYTES: usize = 8;
 
-fn top_down_level(
-    dg: &DistGraph,
-    depth: &mut [Vec<u32>],
-    frontier: &[Vec<u32>],
-    level: u32,
-    model: &MachineModel,
-    comm: &mut CommStats,
-    ledger: &mut TimeLedger,
-) -> (Vec<Vec<u32>>, u64) {
-    let p = dg.num_ranks();
-    let results: Vec<(Outbox<VisitMsg>, u64)> = (0..p)
-        .into_par_iter()
-        .map(|r| {
-            let lg = &dg.locals[r];
-            let mut ob = Outbox::new(p);
-            let mut examined = 0u64;
-            for &u in &frontier[r] {
-                let (ts, _) = lg.row(u as usize);
-                examined += ts.len() as u64;
-                for &v in ts {
-                    ob.send(
-                        dg.part.owner(v),
-                        VisitMsg {
-                            target: dg.part.to_local(v) as u32,
-                        },
-                    );
-                }
+impl Spmd for Bfs {
+    /// A visit's local target index; a bottom-up frontier entry's global id.
+    type Msg = u32;
+    type Out = Share<u32, Vec<BfsLevelRecord>>;
+
+    // sssp-lint: protocol-entry(bfs)
+    fn on_process<C: Comm<u32>>(&self, dg: &DistGraph, ctx: &mut C) -> Self::Out {
+        let n = dg.num_vertices();
+        let owned = ctx.owned();
+        let mut meter = Meter::new(dg, &owned, &self.model);
+        let mut ranks = Ranks::new(owned.clone(), dg.num_ranks(), |rank| RankBfs {
+            rank,
+            depth: vec![UNVISITED; dg.part.local_count(rank)],
+            frontier: Vec::new(),
+            bitmap: Vec::new(),
+        });
+        let (mut levels, mut timed_out) = (Vec::new(), false);
+        // An empty graph has no root and runs no level; the guard is uniform.
+        if n == 0 {
+            let local = ranks.state.into_iter().map(|rk| rk.depth).collect();
+            let (first, record) = (owned.start, levels);
+            return Share {
+                first,
+                local,
+                record,
+                meter,
+                timed_out,
+            };
+        }
+        let (owner, local) = (dg.part.owner(self.root), dg.part.to_local(self.root));
+        if let Some(rk) = ranks.state.iter_mut().find(|rk| rk.rank == owner) {
+            rk.depth[local] = 0;
+            rk.frontier.push(local as u32);
+        }
+        let mut level = 0u32;
+        loop {
+            let active = ranks.state.iter().any(|rk| !rk.frontier.is_empty());
+            // sssp-lint: protocol: bfs.level-active
+            let verdict = ctx.allreduce_sum(spmd::with_expiry(u64::from(active), self.deadline));
+            meter.reduced(TimeClass::Bucket);
+            let (active, expired) = spmd::split_expiry(verdict);
+            if active == 0 {
+                break;
             }
-            (ob, examined)
-        })
-        .collect();
-    let (obs, counts): (Vec<_>, Vec<u64>) = results.into_iter().unzip();
-    let examined: u64 = counts.iter().sum();
-    let (inboxes, step) = exchange_with(obs, VISIT_BYTES, model.packet.as_ref());
-
-    let next: Vec<Vec<u32>> = depth
-        .par_iter_mut()
-        .zip(inboxes.into_par_iter())
-        .map(|(d, inbox)| {
-            let mut nf = Vec::new();
-            for m in inbox {
-                let t = m.target as usize;
-                if d[t] == UNVISITED {
-                    d[t] = level + 1;
-                    nf.push(m.target);
-                }
+            if expired {
+                timed_out = true;
+                break;
             }
-            nf
-        })
-        .collect();
 
-    let threads = dg.threads_per_rank.max(1) as u64;
-    ledger.charge_superstep(
-        model,
-        TimeClass::Relax,
-        examined / (dg.num_ranks() as u64 * threads).max(1) + 1,
-        step.max_rank_send_bytes.max(step.max_rank_recv_bytes),
-    );
-    comm.record(step);
-    (next, examined)
-}
+            // Direction decision: frontier edge volume vs thresholds.
+            let degree = |rk: &RankBfs, v: u32| dg.locals[rk.rank].degree(v as usize) as u64;
+            let fe = ranks
+                .state
+                .iter()
+                .map(|rk| rk.frontier.iter().map(|&v| degree(rk, v)).sum::<u64>())
+                .sum();
+            let fs = ranks.state.iter().map(|rk| rk.frontier.len() as u64).sum();
+            // sssp-lint: protocol: bfs.frontier-volume
+            let frontier_edges = ctx.allreduce_sum(fe);
+            let frontier_size = ctx.allreduce_sum(fs);
+            meter.reduced(TimeClass::Bucket);
+            meter.reduced(TimeClass::Bucket);
+            let bottom_up = frontier_edges > dg.m_directed / ALPHA
+                || (level > 0 && frontier_size > n as u64 / BETA);
 
-fn bottom_up_level(
-    dg: &DistGraph,
-    depth: &mut [Vec<u32>],
-    frontier: &[Vec<u32>],
-    level: u32,
-    model: &MachineModel,
-    comm: &mut CommStats,
-    ledger: &mut TimeLedger,
-) -> (Vec<Vec<u32>>, u64) {
-    let p = dg.num_ranks();
-    let n = dg.num_vertices();
-
-    // Allgather the frontier as a global bitmap (n bits per rank on the
-    // wire — the bottom-up direction's communication cost).
-    let mut bitmap = vec![false; n];
-    for (r, f) in frontier.iter().enumerate() {
-        for &v in f {
-            bitmap[dg.part.to_global(r, v as usize) as usize] = true;
+            let examined = if bottom_up {
+                self.bottom_up(dg, ctx, &mut ranks, level, &mut meter)
+            } else {
+                self.top_down(dg, ctx, &mut ranks, level, &mut meter)
+            };
+            levels.push(BfsLevelRecord {
+                level,
+                direction: if bottom_up {
+                    BfsDirection::BottomUp
+                } else {
+                    BfsDirection::TopDown
+                },
+                frontier_size,
+                edges_examined: examined,
+            });
+            level += 1;
+        }
+        let local = ranks.state.into_iter().map(|rk| rk.depth).collect();
+        let (first, record) = (owned.start, levels);
+        Share {
+            first,
+            local,
+            record,
+            meter,
+            timed_out,
         }
     }
-    comm.collectives += 1;
-    ledger.charge_collective(model, TimeClass::Relax, p);
-    ledger.charge_superstep(model, TimeClass::Relax, 0, (n as u64 / 8 + 1) * p as u64);
+}
 
-    let bitmap = &bitmap;
-    let results: Vec<(Vec<u32>, u64)> = depth
-        .par_iter_mut()
-        .enumerate()
-        .map(|(r, d)| {
-            let lg = &dg.locals[r];
-            let mut nf = Vec::new();
+impl Bfs {
+    /// One top-down level: frontier owners send a visit along every
+    /// incident edge; receivers adopt unvisited targets into the next
+    /// frontier. Returns the edges this process examined.
+    fn top_down<C: Comm<u32>>(
+        &self,
+        dg: &DistGraph,
+        ctx: &mut C,
+        ranks: &mut Ranks<RankBfs, u32>,
+        level: u32,
+        meter: &mut Meter,
+    ) -> u64 {
+        let part = &dg.part;
+        let examined = ranks.fill_outboxes(|rk, ob| {
             let mut examined = 0u64;
-            for (v, dv) in d.iter_mut().enumerate() {
+            for &u in &rk.frontier {
+                let (ts, _) = dg.locals[rk.rank].row(u as usize);
+                examined += ts.len() as u64;
+                for &v in ts {
+                    ob.send(part.owner(v), part.to_local(v) as u32);
+                }
+            }
+            examined
+        });
+        let examined = examined.into_iter().sum();
+        // sssp-lint: protocol: bfs.top-down-visit
+        let step = ranks.exchange(ctx, VISIT_BYTES, self.model.packet.as_ref());
+        ranks.read_inboxes(|rk, visits| {
+            rk.frontier.clear();
+            for &t in visits {
+                let d = &mut rk.depth[t as usize];
+                if *d == UNVISITED {
+                    *d = level + 1;
+                    rk.frontier.push(t);
+                }
+            }
+        });
+        meter.exchanged(examined, step);
+        examined
+    }
+
+    /// One bottom-up level: every rank receives the whole frontier as
+    /// global ids and keeps it as an `n`-bit bitmap — the cost model
+    /// charges the bitmap allgather this stands for, one collective plus
+    /// `(n/8 + 1)·p` bytes — then scans its unvisited vertices for a
+    /// frontier neighbor. Returns the edges this process examined.
+    fn bottom_up<C: Comm<u32>>(
+        &self,
+        dg: &DistGraph,
+        ctx: &mut C,
+        ranks: &mut Ranks<RankBfs, u32>,
+        level: u32,
+        meter: &mut Meter,
+    ) -> u64 {
+        let n = dg.num_vertices();
+        ranks.fill_outboxes(|rk, ob| {
+            for &v in &rk.frontier {
+                let id = dg.part.to_global(rk.rank, v as usize);
+                ob.out.iter_mut().for_each(|lane| lane.push(id));
+            }
+        });
+        // sssp-lint: protocol: bfs.bottom-up-frontier
+        ranks.exchange(ctx, VISIT_BYTES, None);
+        meter.reduced(TimeClass::Relax);
+        meter.relax_step(0, (n as u64 / 8 + 1) * dg.num_ranks() as u64);
+        let examined = ranks.read_inboxes(|rk, frontier| {
+            rk.bitmap.clear();
+            rk.bitmap.resize(n.div_ceil(64), 0);
+            for &u in frontier {
+                rk.bitmap[u as usize / 64] |= 1 << (u % 64);
+            }
+            rk.frontier.clear();
+            let lg = &dg.locals[rk.rank];
+            let mut examined = 0u64;
+            for (v, dv) in rk.depth.iter_mut().enumerate() {
                 if *dv != UNVISITED {
                     continue;
                 }
                 let (ts, _) = lg.row(v);
                 for &u in ts {
                     examined += 1;
-                    if bitmap[u as usize] {
+                    if rk.bitmap[u as usize / 64] >> (u % 64) & 1 != 0 {
                         *dv = level + 1;
-                        nf.push(v as u32);
+                        rk.frontier.push(v as u32);
                         break; // early exit: one frontier parent suffices
                     }
                 }
             }
-            (nf, examined)
-        })
-        .collect();
-
-    let mut next = Vec::with_capacity(p);
-    let mut examined = 0u64;
-    for (nf, e) in results {
-        next.push(nf);
-        examined += e;
+            examined
+        });
+        let examined = examined.into_iter().sum();
+        meter.relax_step(meter.per_thread(examined), 0);
+        examined
     }
-    let threads = dg.threads_per_rank.max(1) as u64;
-    ledger.charge_superstep(
-        model,
-        TimeClass::Relax,
-        examined / (p as u64 * threads).max(1) + 1,
-        0,
-    );
-    (next, examined)
 }
 
 /// Sequential reference BFS (hop distances).

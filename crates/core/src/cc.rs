@@ -7,15 +7,21 @@
 //! of `+`, so it exercises the exact communication pattern of the SSSP
 //! engine's hybrid tail and serves as a second correctness anchor for the
 //! substrate (validated against the union-find reference in `sssp-graph`).
+//!
+//! The propagation loop is one SPMD program over [`Comm`] that either
+//! transport runs ([`cc_on`]; [`run_cc`] is the lockstep shorthand).
 
-use rayon::prelude::*;
+use std::borrow::Borrow;
+use std::time::Instant;
 
-use sssp_comm::collective::allreduce_any;
 use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
-use sssp_comm::exchange::{exchange_with, Outbox};
 use sssp_comm::stats::CommStats;
+use sssp_comm::transport::Comm;
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
+
+use crate::engine::{Lockstep, Spmd, Transport};
+use crate::spmd::{self, Meter, Ranks, Share};
 
 /// Connected-components output.
 #[derive(Debug, Clone)]
@@ -28,6 +34,9 @@ pub struct CcOutput {
     pub comm: CommStats,
     /// Simulated time ledger.
     pub ledger: TimeLedger,
+    /// True when the run stopped at its deadline: labels are then only
+    /// upper bounds on the component minima.
+    pub timed_out: bool,
 }
 
 impl CcOutput {
@@ -40,114 +49,139 @@ impl CcOutput {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LabelMsg {
-    target: u32,
-    label: VertexId,
-}
+/// Wire size of a label message: target local index and label.
 const LABEL_BYTES: usize = 8;
 
-/// Run min-label propagation until a global fixed point.
+/// Run min-label propagation until a global fixed point, on the lockstep
+/// transport.
 pub fn run_cc(dg: &DistGraph, model: &MachineModel) -> CcOutput {
-    let p = dg.num_ranks();
-    let n = dg.num_vertices();
-    let mut comm = CommStats::new();
-    let mut ledger = TimeLedger::new();
+    cc_on(dg, model, None, Lockstep)
+}
 
-    let mut labels: Vec<Vec<VertexId>> = (0..p)
-        .map(|r| {
-            (0..dg.part.local_count(r))
-                .map(|l| dg.part.to_global(r, l))
-                .collect()
-        })
-        .collect();
-    // Initially every vertex is "changed".
-    let mut active: Vec<Vec<u32>> = (0..p)
-        .map(|r| (0..dg.part.local_count(r) as u32).collect())
-        .collect();
-    let mut rounds = 0u64;
-
-    loop {
-        let flags: Vec<bool> = active.iter().map(|a| !a.is_empty()).collect();
-        let cont = allreduce_any(&flags, &mut comm);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
-        if !cont {
-            break;
-        }
-        rounds += 1;
-
-        let results: Vec<(Outbox<LabelMsg>, u64)> = (0..p)
-            .into_par_iter()
-            .map(|r| {
-                let lg = &dg.locals[r];
-                let lab = &labels[r];
-                let mut ob = Outbox::new(p);
-                let mut sent = 0u64;
-                for &v in &active[r] {
-                    let (ts, _) = lg.row(v as usize);
-                    for &t in ts {
-                        ob.send(
-                            dg.part.owner(t),
-                            LabelMsg {
-                                target: dg.part.to_local(t) as u32,
-                                label: lab[v as usize],
-                            },
-                        );
-                    }
-                    sent += ts.len() as u64;
-                }
-                (ob, sent)
-            })
-            .collect();
-        let (obs, sent): (Vec<_>, Vec<u64>) = results.into_iter().unzip();
-        let sent_total: u64 = sent.iter().sum();
-        let (inboxes, step) = exchange_with(obs, LABEL_BYTES, model.packet.as_ref());
-
-        active = labels
-            .par_iter_mut()
-            .zip(inboxes.into_par_iter())
-            .map(|(lab, inbox)| {
-                let mut changed = Vec::new();
-                let mut seen = vec![false; lab.len()];
-                for m in inbox {
-                    let t = m.target as usize;
-                    if m.label < lab[t] {
-                        lab[t] = m.label;
-                        if !seen[t] {
-                            seen[t] = true;
-                            changed.push(m.target);
-                        }
-                    }
-                }
-                changed
-            })
-            .collect();
-
-        let threads = dg.threads_per_rank.max(1) as u64;
-        ledger.charge_superstep(
-            model,
-            TimeClass::Relax,
-            sent_total / (p as u64 * threads).max(1) + 1,
-            step.max_rank_send_bytes.max(step.max_rank_recv_bytes),
-        );
-        comm.record(step);
-        assert!(
-            rounds <= n as u64 + 1,
-            "label propagation failed to converge"
-        );
-    }
-
-    let mut global = vec![0 as VertexId; n];
-    for (r, lab) in labels.iter().enumerate() {
-        for (l, &x) in lab.iter().enumerate() {
-            global[dg.part.to_global(r, l) as usize] = x;
-        }
-    }
+/// [`run_cc`] on `transport`, stopping at the first round boundary past
+/// `deadline` with [`CcOutput::timed_out`] set. Labels and the round count
+/// are identical on every transport; the ledgers are kept only by a
+/// process that drives every rank.
+pub fn cc_on<T: Transport>(
+    dg: &T::Graph,
+    model: &MachineModel,
+    deadline: Option<Instant>,
+    transport: T,
+) -> CcOutput {
+    let program = Cc {
+        model: *model,
+        deadline,
+    };
+    let shares = transport.drive(dg, program);
+    let (labels, rounds, comm, ledger, timed_out) =
+        spmd::gather(dg.borrow(), shares, 0, |rounds, mine| *rounds = mine);
     CcOutput {
-        labels: global,
+        labels,
         rounds,
         comm,
         ledger,
+        timed_out,
+    }
+}
+
+/// The propagation loop as an SPMD program.
+struct Cc {
+    model: MachineModel,
+    deadline: Option<Instant>,
+}
+
+/// One owned rank's labels, the vertices whose label changed last round,
+/// and the scratch flags that keep that list duplicate-free.
+struct RankCc {
+    rank: usize,
+    labels: Vec<VertexId>,
+    active: Vec<u32>,
+    seen: Vec<bool>,
+}
+
+impl Spmd for Cc {
+    /// `(target local index, label)`.
+    type Msg = (u32, VertexId);
+    type Out = Share<VertexId, u64>;
+
+    // sssp-lint: protocol-entry(cc)
+    fn on_process<C: Comm<(u32, VertexId)>>(&self, dg: &DistGraph, ctx: &mut C) -> Self::Out {
+        let n = dg.num_vertices();
+        let owned = ctx.owned();
+        let mut meter = Meter::new(dg, &owned, &self.model);
+        // Every vertex starts labeled with its own id, and "changed".
+        let mut ranks = Ranks::new(owned.clone(), dg.num_ranks(), |rank| {
+            let nl = dg.part.local_count(rank);
+            RankCc {
+                rank,
+                labels: (0..nl).map(|l| dg.part.to_global(rank, l)).collect(),
+                active: (0..nl as u32).collect(),
+                seen: vec![false; nl],
+            }
+        });
+        let (mut rounds, mut timed_out) = (0u64, false);
+        loop {
+            let active = ranks.state.iter().any(|rk| !rk.active.is_empty());
+            // sssp-lint: protocol: cc.round-active
+            let verdict = ctx.allreduce_sum(spmd::with_expiry(u64::from(active), self.deadline));
+            meter.reduced(TimeClass::Bucket);
+            let (active, expired) = spmd::split_expiry(verdict);
+            if active == 0 {
+                break;
+            }
+            if expired {
+                timed_out = true;
+                break;
+            }
+            rounds += 1;
+
+            let sent = ranks.fill_outboxes(|rk, ob| {
+                let lg = &dg.locals[rk.rank];
+                let mut sent = 0u64;
+                for &v in &rk.active {
+                    let (ts, _) = lg.row(v as usize);
+                    for &t in ts {
+                        let msg = (dg.part.to_local(t) as u32, rk.labels[v as usize]);
+                        ob.send(dg.part.owner(t), msg);
+                    }
+                    sent += ts.len() as u64;
+                }
+                sent
+            });
+            // sssp-lint: protocol: cc.exchange-labels
+            let step = ranks.exchange(ctx, LABEL_BYTES, self.model.packet.as_ref());
+            // Adopt smaller labels; a changed vertex is active next round.
+            ranks.read_inboxes(|rk, inbox| {
+                rk.active.clear();
+                for &(t, label) in inbox {
+                    let ti = t as usize;
+                    if label < rk.labels[ti] {
+                        rk.labels[ti] = label;
+                        if !rk.seen[ti] {
+                            rk.seen[ti] = true;
+                            rk.active.push(t);
+                        }
+                    }
+                }
+                for &t in &rk.active {
+                    rk.seen[t as usize] = false;
+                }
+            });
+            meter.exchanged(sent.into_iter().sum(), step);
+            assert!(
+                rounds <= n as u64 + 1,
+                "label propagation failed to converge"
+            );
+        }
+        let local = ranks.state.into_iter().map(|rk| rk.labels).collect();
+        let (first, record) = (owned.start, rounds);
+        Share {
+            first,
+            local,
+            record,
+            meter,
+            timed_out,
+        }
     }
 }
 

@@ -2,6 +2,8 @@
 //! network-analysis primitives the paper's introduction motivates, built on
 //! the multi-source engine entry points.
 
+use std::time::Instant;
+
 use sssp_comm::cost::MachineModel;
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
@@ -23,19 +25,37 @@ pub fn harmonic_closeness_sampled(
     cfg: &SsspConfig,
     model: &MachineModel,
 ) -> Vec<f64> {
+    harmonic_closeness_until(dg, sources, cfg, model, None).0
+}
+
+/// [`harmonic_closeness_sampled`] under a wall-clock deadline: every
+/// per-source run carries it ([`Query::deadline`]), and the estimate stops
+/// at the first run that misses it. Returns the scores and whether a run
+/// timed out — a timed-out estimate is partial and must not be served.
+pub fn harmonic_closeness_until(
+    dg: &DistGraph,
+    sources: &[VertexId],
+    cfg: &SsspConfig,
+    model: &MachineModel,
+    deadline: Option<Instant>,
+) -> (Vec<f64>, bool) {
     assert!(!sources.is_empty(), "need at least one source");
     let n = dg.num_vertices();
     let scale = n as f64 / sources.len() as f64;
     let mut closeness = vec![0.0f64; n];
     for &s in sources {
-        let out = run_sssp(dg, s, cfg, model);
+        let query = Query::root(s).with_deadline(deadline);
+        let (out, _) = run(dg, &query, cfg, model, Lockstep, NoopRecorder);
+        if out.timed_out {
+            return (closeness, true);
+        }
         for (c, &d) in closeness.iter_mut().zip(&out.distances) {
             if d != INF && d > 0 {
                 *c += scale / d as f64;
             }
         }
     }
-    closeness
+    (closeness, false)
 }
 
 /// Graph Voronoi partition: assign every vertex to its nearest site (ties

@@ -18,7 +18,9 @@
 //!
 //! That loop exists once (`driver.rs`), generic over two things:
 //!
-//! * the **transport** ([`Transport`] → [`sssp_comm::transport::Comm`]):
+//! * the **transport** ([`Transport`] → [`sssp_comm::transport::Comm`]),
+//!   which runs any SPMD program ([`Spmd`]) — this loop, and the BFS,
+//!   connected-components and PageRank kernels alike:
 //!   [`Lockstep`] drives all `p` ranks from the calling thread and
 //!   transposes their lanes in memory — the simulator, which models more
 //!   ranks than the machine has cores; [`Threaded`] runs one OS thread per
@@ -33,7 +35,8 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use sssp_comm::cost::MachineModel;
-use sssp_comm::transport::LockstepComm;
+use sssp_comm::threaded::RankCtx;
+use sssp_comm::transport::{Comm, LockstepComm};
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
 
@@ -41,8 +44,9 @@ use crate::config::{IntraBalance, SsspConfig};
 use crate::instrument::RunStats;
 use crate::state::INF;
 
-use driver::{epoch_loop, ProcBufs};
+use driver::{epoch_loop, Job, ProcBufs, ProcessOut};
 use record::Recorder;
+use threaded::RankScratch;
 
 /// The 16-byte wire record every lane carries. As a relaxation proposal it
 /// reads `d(target) ← min(d(target), nd)`; a pull request travels in the
@@ -224,25 +228,43 @@ impl SsspOutput {
     }
 }
 
-/// How a run's processes come to exist and reach each other. The epoch
-/// loop itself never knows: it is handed a [`Comm`] and the buffers of the
-/// ranks that `Comm` owns.
-///
-/// [`Comm`]: sssp_comm::transport::Comm
+/// An SPMD program: the body every process of a run executes over its
+/// transport's [`Comm`] — the SSSP epoch loop here, and the BFS,
+/// connected-components and PageRank kernels. A program is written once;
+/// the [`Transport`] decides how many processes run it and which ranks
+/// each owns.
+pub trait Spmd: Send + Sync + 'static {
+    /// The message type the program's exchanges move.
+    type Msg: Send + 'static;
+    /// One process's share of the result.
+    type Out: Send + 'static;
+
+    /// Run the program as one process of the world, over `ctx`.
+    fn on_process<C: Comm<Self::Msg>>(&self, dg: &DistGraph, ctx: &mut C) -> Self::Out;
+
+    /// Run the program on a rank thread that lends it its resident
+    /// scratch. Only the SSSP loop keeps state warm there; by default the
+    /// scratch is left alone.
+    fn on_rank_thread(
+        &self,
+        dg: &DistGraph,
+        ctx: &mut RankCtx<Self::Msg>,
+        _scratch: &mut RankScratch,
+    ) -> Self::Out {
+        self.on_process(dg, ctx)
+    }
+}
+
+/// How a run's processes come to exist and reach each other. A program
+/// never knows: it is handed a [`Comm`] that owns some of the ranks.
 pub trait Transport {
     /// How the transport holds the graph: [`Lockstep`] borrows it,
     /// [`Threaded`] shares it with its rank threads.
     type Graph: Borrow<DistGraph>;
 
-    /// Run the epoch loop on every process of the world, each with its own
-    /// clone of `recorder`, and return the per-process results in rank
-    /// order.
-    fn drive<R: Recorder>(
-        self,
-        dg: &Self::Graph,
-        job: &Job<'_>,
-        recorder: &R,
-    ) -> Vec<(ProcessOut, R)>;
+    /// Run `program` on every process of the world and return the
+    /// per-process results in rank order.
+    fn drive<P: Spmd>(self, dg: &Self::Graph, program: P) -> Vec<P::Out>;
 }
 
 /// The lockstep transport: the calling thread drives all `p` ranks (rank
@@ -253,16 +275,59 @@ pub struct Lockstep;
 impl Transport for Lockstep {
     type Graph = DistGraph;
 
-    fn drive<R: Recorder>(
-        self,
+    fn drive<P: Spmd>(self, dg: &DistGraph, program: P) -> Vec<P::Out> {
+        vec![program.on_process(dg, &mut LockstepComm::new(dg.num_ranks()))]
+    }
+}
+
+/// One SSSP query as an SPMD program: the canonical seeds, the uniform
+/// run parameters and the recorder every process clones.
+struct SsspJob<R> {
+    seeds: Vec<(VertexId, u64)>,
+    target: Option<VertexId>,
+    deadline: Option<Instant>,
+    cfg: SsspConfig,
+    model: MachineModel,
+    recorder: R,
+}
+
+impl<R> SsspJob<R> {
+    /// The view of the run the epoch loop reads.
+    fn job<'a>(&'a self, dg: &'a DistGraph) -> Job<'a> {
+        Job {
+            dg,
+            seeds: &self.seeds,
+            target: self.target,
+            deadline: self.deadline,
+            cfg: &self.cfg,
+            model: &self.model,
+        }
+    }
+}
+
+impl<R: Recorder> Spmd for SsspJob<R> {
+    type Msg = RelaxMsg;
+    type Out = (ProcessOut, R);
+
+    fn on_process<C: Comm<RelaxMsg>>(&self, dg: &DistGraph, ctx: &mut C) -> Self::Out {
+        let mut rec = self.recorder.clone();
+        let out = epoch_loop(&self.job(dg), ctx, &mut rec, &mut ProcBufs::default());
+        (out, rec)
+    }
+
+    /// Run on the rank's resident engine state, with its transport spares
+    /// adopted into the context for the query and handed back after.
+    fn on_rank_thread(
+        &self,
         dg: &DistGraph,
-        job: &Job<'_>,
-        recorder: &R,
-    ) -> Vec<(ProcessOut, R)> {
-        let mut rec = recorder.clone();
-        let mut ctx = LockstepComm::new(dg.num_ranks());
-        let out = epoch_loop(job, &mut ctx, &mut rec, &mut ProcBufs::default());
-        vec![(out, rec)]
+        ctx: &mut RankCtx<RelaxMsg>,
+        scratch: &mut RankScratch,
+    ) -> Self::Out {
+        let mut rec = self.recorder.clone();
+        ctx.adopt_spares(std::mem::take(&mut scratch.spares));
+        let out = epoch_loop(&self.job(dg), ctx, &mut rec, &mut scratch.bufs);
+        scratch.spares = ctx.release_spares();
+        (out, rec)
     }
 }
 
@@ -314,20 +379,20 @@ pub fn run<T: Transport, R: Recorder>(
     if let Some(tv) = query.target {
         assert!((tv as usize) < n, "target {tv} out of range (n = {n})");
     }
-    let job = Job {
-        dg: graph,
-        seeds: &seeds,
+    let program = SsspJob {
+        seeds,
         target: query.target,
         deadline: query.deadline,
-        cfg,
-        model,
+        cfg: cfg.clone(),
+        model: *model,
+        recorder,
     };
     let mut out = RunOutput {
         distances: vec![INF; n],
         ..RunOutput::default()
     };
     let mut recorders = Vec::new();
-    for (process, rec) in transport.drive(dg, &job, &recorder) {
+    for (process, rec) in transport.drive(dg, program) {
         process.fold_into(&mut out, &graph.part);
         recorders.push(rec);
     }
@@ -427,7 +492,6 @@ pub mod record;
 /// The real-thread transport: one OS thread per rank.
 pub mod threaded;
 
-pub use driver::{Job, ProcessOut};
 pub use threaded::Threaded;
 
 #[cfg(test)]

@@ -8,9 +8,10 @@
 //! sequence in the *identical* order as a lockstep run — final distances
 //! and telemetry are bit-identical, which the differential suites pin.
 //!
-//! What is transport-specific lives here: spawning the rank threads,
+//! What is transport-specific lives here: spawning the rank threads and
 //! moving each rank's resident [`EngineScratch`] share into its thread and
-//! back, and adopting / releasing the transport spare pool around the run.
+//! back. The same threads run the BFS, connected-components and PageRank
+//! kernels ([`Spmd`]), which leave the scratch alone.
 
 use std::sync::Arc;
 
@@ -22,9 +23,9 @@ use sssp_graph::VertexId;
 use crate::config::SsspConfig;
 use crate::instrument::{RunStats, RunTrace};
 
-use super::driver::{epoch_loop, Job, ProcBufs, ProcessOut};
-use super::record::{merged_trace, NoopRecorder, Recorder};
-use super::{run, Query, RelaxMsg, RunOutput, Transport};
+use super::driver::ProcBufs;
+use super::record::{merged_trace, NoopRecorder};
+use super::{run, Query, RelaxMsg, RunOutput, Spmd, Transport};
 
 /// Resident per-rank engine state a serving layer keeps warm between
 /// queries: each rank's [`ProcBufs`] (rank state, outbox lanes, inboxes)
@@ -40,11 +41,12 @@ pub struct EngineScratch {
     ranks: Vec<RankScratch>,
 }
 
-/// One rank's share of an [`EngineScratch`].
+/// One rank's share of an [`EngineScratch`], lent to whatever program
+/// runs on the rank's thread (see [`Spmd::on_rank_thread`]).
 #[derive(Default)]
-struct RankScratch {
-    bufs: ProcBufs,
-    spares: Vec<Vec<RelaxMsg>>,
+pub struct RankScratch {
+    pub(super) bufs: ProcBufs,
+    pub(super) spares: Vec<Vec<RelaxMsg>>,
 }
 
 impl EngineScratch {
@@ -83,12 +85,7 @@ pub struct Threaded<'a>(pub &'a mut EngineScratch);
 impl Transport for Threaded<'_> {
     type Graph = Arc<DistGraph>;
 
-    fn drive<R: Recorder>(
-        self,
-        dg: &Arc<DistGraph>,
-        job: &Job<'_>,
-        recorder: &R,
-    ) -> Vec<(ProcessOut, R)> {
+    fn drive<P: Spmd>(self, dg: &Arc<DistGraph>, program: P) -> Vec<P::Out> {
         let scratch = self.0;
         let p = dg.num_ranks();
         if scratch.ranks.len() != p {
@@ -97,33 +94,17 @@ impl Transport for Threaded<'_> {
         }
         let payloads = std::mem::take(&mut scratch.ranks);
         // Rank threads outlive no borrow: every thread gets its own handle
-        // on the graph and its own copy of the uniform run parameters.
-        let (dg, cfg, model) = (Arc::clone(dg), job.cfg.clone(), *job.model);
-        let (seeds, target, deadline) = (job.seeds.to_vec(), job.target, job.deadline);
-        let recorder = recorder.clone();
+        // on the graph and shares the program.
+        let dg = Arc::clone(dg);
         let per_rank = run_threaded_with(
             p,
             payloads,
-            move |mut ctx: RankCtx<RelaxMsg>, mut rs: RankScratch| {
-                let job = Job {
-                    dg: &dg,
-                    seeds: &seeds,
-                    target,
-                    deadline,
-                    cfg: &cfg,
-                    model: &model,
-                };
-                let mut rec = recorder.clone();
-                ctx.adopt_spares(std::mem::take(&mut rs.spares));
-                let out = epoch_loop(&job, &mut ctx, &mut rec, &mut rs.bufs);
-                rs.spares = ctx.release_spares();
-                (out, rec, rs)
+            move |mut ctx: RankCtx<P::Msg>, mut rs: RankScratch| {
+                let out = program.on_rank_thread(&dg, &mut ctx, &mut rs);
+                (out, rs)
             },
         );
-        let (results, ranks) = per_rank
-            .into_iter()
-            .map(|(out, rec, rs)| ((out, rec), rs))
-            .unzip();
+        let (results, ranks) = per_rank.into_iter().unzip();
         scratch.ranks = ranks;
         results
     }
@@ -197,6 +178,8 @@ pub fn threaded_delta_stepping_traced(
 
 #[cfg(test)]
 mod tests {
+    #[cfg(debug_assertions)]
+    use super::super::driver::{epoch_loop, Job};
     use super::*;
     use crate::seq;
     use crate::state::INF;

@@ -34,30 +34,30 @@
 
 /// Brandes betweenness centrality over repeated SSSP runs.
 pub mod betweenness;
-/// Distributed BFS baseline (the Graph 500 reference point of Fig. 1).
+/// Distributed direction-optimizing BFS (the Graph 500 reference point of
+/// Fig. 1), one SPMD loop over either transport.
 pub mod bfs;
-/// Connected components via distributed label propagation.
+/// Connected components via label propagation, one SPMD loop over either
+/// transport.
 pub mod cc;
 /// Closeness centrality from sampled SSSP runs.
 pub mod closeness;
 /// Algorithm presets and tuning knobs ([`SsspConfig`], Δ, τ, π).
 pub mod config;
-/// Crauser-criterion Dijkstra baseline for the comparison tables.
-pub mod crauser;
 /// The paper's engine: Δ-stepping with IOS, push/pull and hybridization.
 pub mod engine;
 /// Per-run instrumentation: phase counts, traffic, simulated time.
 pub mod instrument;
-/// Distributed PageRank (exercises the same exchange substrate).
+/// Distributed PageRank, one SPMD loop over either transport.
 pub mod pagerank;
 /// Pluggable stepping policies (Δ-, ρ- and radius stepping).
 pub mod policy;
 /// Sequential reference algorithms (Dijkstra, Bellman-Ford).
 pub mod seq;
+/// Plumbing shared by the SPMD analytics kernels.
+mod spmd;
 /// Per-rank bucket/distance state ([`state::RankState`]).
 pub mod state;
-/// Shared-memory (actually-threaded) kernels used for differential tests.
-pub mod threaded_kernels;
 /// Result checking against the sequential reference.
 pub mod validate;
 
@@ -70,7 +70,7 @@ pub use engine::threaded::{
     ThreadedSsspOutput,
 };
 pub use engine::{
-    canonical_seeds, max_seed_offset, run, run_sssp, Lockstep, Query, RunOutput, SsspOutput,
+    canonical_seeds, max_seed_offset, run, run_sssp, Lockstep, Query, RunOutput, Spmd, SsspOutput,
     Threaded, Transport,
 };
 pub use instrument::{RunStats, RunTrace, SubPhase};

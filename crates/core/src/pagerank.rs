@@ -6,14 +6,24 @@
 //! as the SSSP engine. Included both as a usefulness test of the substrate
 //! (a kernel with completely different traffic: dense, regular, every edge
 //! every iteration) and as a baseline for comparing communication profiles.
+//!
+//! The power iteration is one SPMD program over [`Comm`] that either
+//! transport runs ([`pagerank_on`]; [`run_pagerank`] is the lockstep
+//! shorthand), and its reductions are integer ones: the dangling mass is
+//! the global count of degree-0 vertices times their common score, and the
+//! residual maximum travels as `f64` bits, which order like the values for
+//! the non-negative residuals.
 
-use rayon::prelude::*;
+use std::borrow::Borrow;
+use std::time::Instant;
 
-use sssp_comm::collective::{allreduce_max_f64, allreduce_sum_f64};
 use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
-use sssp_comm::exchange::{exchange_with, Outbox};
 use sssp_comm::stats::CommStats;
+use sssp_comm::transport::Comm;
 use sssp_dist::DistGraph;
+
+use crate::engine::{Lockstep, Spmd, Transport};
+use crate::spmd::{self, Meter, Ranks, Share};
 
 /// PageRank parameters.
 #[derive(Debug, Clone, Copy)]
@@ -49,67 +59,114 @@ pub struct PageRankOutput {
     pub comm: CommStats,
     /// Simulated time ledger.
     pub ledger: TimeLedger,
+    /// True when the run stopped at its deadline before converging or
+    /// reaching the iteration cap.
+    pub timed_out: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct RankMsg {
-    target: u32,
-    contrib: f64,
-}
+/// Wire size of a contribution: target local index and an `f64`.
 const RANK_BYTES: usize = 12;
 
 /// Run PageRank over the undirected graph (each edge treated as two
-/// directed links, the standard convention for undirected PageRank).
+/// directed links, the standard convention for undirected PageRank) on the
+/// lockstep transport.
 pub fn run_pagerank(dg: &DistGraph, cfg: &PageRankConfig, model: &MachineModel) -> PageRankOutput {
-    let p = dg.num_ranks();
-    let n = dg.num_vertices();
-    let mut comm = CommStats::new();
-    let mut ledger = TimeLedger::new();
+    pagerank_on(dg, cfg, model, None, Lockstep)
+}
 
-    let mut scores: Vec<Vec<f64>> = (0..p)
-        .map(|r| vec![1.0 / n.max(1) as f64; dg.part.local_count(r)])
-        .collect();
-    if n == 0 {
-        return PageRankOutput {
-            scores: Vec::new(),
-            iterations: 0,
-            converged: true,
-            comm,
-            ledger,
-        };
+/// [`run_pagerank`] on `transport`, stopping at the first iteration
+/// boundary past `deadline` with [`PageRankOutput::timed_out`] set. Scores
+/// and the iteration count are identical on every transport; the ledgers
+/// are kept only by a process that drives every rank.
+pub fn pagerank_on<T: Transport>(
+    dg: &T::Graph,
+    cfg: &PageRankConfig,
+    model: &MachineModel,
+    deadline: Option<Instant>,
+    transport: T,
+) -> PageRankOutput {
+    let program = PageRank {
+        cfg: *cfg,
+        model: *model,
+        deadline,
+    };
+    let shares = transport.drive(dg, program);
+    let (scores, (iterations, converged), comm, ledger, timed_out) =
+        spmd::gather(dg.borrow(), shares, 0.0, |record, mine| *record = mine);
+    PageRankOutput {
+        scores,
+        iterations,
+        converged,
+        comm,
+        ledger,
+        timed_out,
     }
+}
 
-    let base = (1.0 - cfg.damping) / n as f64;
-    let mut iterations = 0;
-    let mut converged = false;
+/// The power iteration as an SPMD program.
+struct PageRank {
+    cfg: PageRankConfig,
+    model: MachineModel,
+    deadline: Option<Instant>,
+}
 
-    while iterations < cfg.max_iterations {
-        iterations += 1;
+/// One owned rank's scores and its incoming-contribution accumulator.
+struct RankPr {
+    rank: usize,
+    scores: Vec<f64>,
+    incoming: Vec<f64>,
+}
 
-        // Dangling mass (degree-0 vertices) is redistributed uniformly.
-        let dangling: Vec<f64> = scores
-            .par_iter()
-            .enumerate()
-            .map(|(r, sc)| {
-                sc.iter()
-                    .enumerate()
-                    .filter(|&(v, _)| dg.locals[r].degree(v) == 0)
-                    .map(|(_, &s)| s)
-                    .sum()
-            })
-            .collect();
-        let dangling_total = allreduce_sum_f64(&dangling, &mut comm);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
+impl Spmd for PageRank {
+    /// `(target local index, contribution)`.
+    type Msg = (u32, f64);
+    type Out = Share<f64, (usize, bool)>;
 
-        // Push contributions along every edge.
-        let results: Vec<(Outbox<RankMsg>, u64)> = (0..p)
-            .into_par_iter()
-            .map(|r| {
-                let lg = &dg.locals[r];
-                let sc = &scores[r];
-                let mut ob = Outbox::new(p);
+    // sssp-lint: protocol-entry(pagerank)
+    fn on_process<C: Comm<(u32, f64)>>(&self, dg: &DistGraph, ctx: &mut C) -> Self::Out {
+        let (n, cfg) = (dg.num_vertices(), &self.cfg);
+        let owned = ctx.owned();
+        let mut meter = Meter::new(dg, &owned, &self.model);
+        let mut ranks = Ranks::new(owned.clone(), dg.num_ranks(), |rank| {
+            let nl = dg.part.local_count(rank);
+            RankPr {
+                rank,
+                scores: vec![1.0 / n.max(1) as f64; nl],
+                incoming: vec![0.0; nl],
+            }
+        });
+        let is_dangling = |rk: &RankPr, v: usize| dg.locals[rk.rank].degree(v) == 0;
+        let dangling_owned: u64 = ranks
+            .state
+            .iter()
+            .map(|rk| (0..rk.scores.len()).filter(|&v| is_dangling(rk, v)).count() as u64)
+            .sum();
+        let base = (1.0 - cfg.damping) / n as f64;
+        // A degree-0 vertex receives no contribution, so all of them hold
+        // the same score at every iteration: every rank tracks that one.
+        let mut dangling_score = 1.0 / n.max(1) as f64;
+        // An empty graph has nothing to rank; the guard is uniform.
+        let (mut iterations, mut converged, mut timed_out) = (0, n == 0, false);
+        while n > 0 && iterations < cfg.max_iterations {
+            // The dangling mass, redistributed uniformly, is the global
+            // count of degree-0 vertices times that score: an integer
+            // reduce, which carries the deadline verdict too.
+            // sssp-lint: protocol: pagerank.dangling-count
+            let verdict = ctx.allreduce_sum(spmd::with_expiry(dangling_owned, self.deadline));
+            meter.reduced(TimeClass::Bucket);
+            let (dangling, expired) = spmd::split_expiry(verdict);
+            if expired {
+                timed_out = true;
+                break;
+            }
+            iterations += 1;
+            let spread = dangling as f64 * dangling_score / n as f64;
+
+            // Push contributions along every edge.
+            let sent = ranks.fill_outboxes(|rk, ob| {
+                let lg = &dg.locals[rk.rank];
                 let mut sent = 0u64;
-                for (v, &s) in sc.iter().enumerate() {
+                for (v, &s) in rk.scores.iter().enumerate() {
                     let deg = lg.degree(v);
                     if deg == 0 {
                         continue;
@@ -117,72 +174,51 @@ pub fn run_pagerank(dg: &DistGraph, cfg: &PageRankConfig, model: &MachineModel) 
                     let contrib = s / deg as f64;
                     let (ts, _) = lg.row(v);
                     for &t in ts {
-                        ob.send(
-                            dg.part.owner(t),
-                            RankMsg {
-                                target: dg.part.to_local(t) as u32,
-                                contrib,
-                            },
-                        );
+                        ob.send(dg.part.owner(t), (dg.part.to_local(t) as u32, contrib));
                     }
                     sent += deg as u64;
                 }
-                (ob, sent)
-            })
-            .collect();
-        let (obs, sent): (Vec<_>, Vec<u64>) = results.into_iter().unzip();
-        let sent_total: u64 = sent.iter().sum();
-        let (inboxes, step) = exchange_with(obs, RANK_BYTES, model.packet.as_ref());
+                sent
+            });
+            // sssp-lint: protocol: pagerank.exchange-scores
+            let step = ranks.exchange(ctx, RANK_BYTES, self.model.packet.as_ref());
 
-        // Accumulate and measure the residual.
-        let deltas: Vec<f64> = scores
-            .par_iter_mut()
-            .zip(inboxes.into_par_iter())
-            .map(|(sc, inbox)| {
-                let mut incoming = vec![0.0f64; sc.len()];
-                for m in inbox {
-                    incoming[m.target as usize] += m.contrib;
+            // Accumulate and measure the residual.
+            let residuals = ranks.read_inboxes(|rk, inbox| {
+                rk.incoming.fill(0.0);
+                for &(t, contrib) in inbox {
+                    rk.incoming[t as usize] += contrib;
                 }
                 let mut max_delta = 0.0f64;
-                for (v, s) in sc.iter_mut().enumerate() {
-                    let next = base + cfg.damping * (incoming[v] + dangling_total / n as f64);
+                for (s, &incoming) in rk.scores.iter_mut().zip(&rk.incoming) {
+                    let next = base + cfg.damping * (incoming + spread);
                     max_delta = max_delta.max((next - *s).abs());
                     *s = next;
                 }
                 max_delta
-            })
-            .collect();
+            });
+            dangling_score = base + cfg.damping * spread;
+            meter.exchanged(sent.into_iter().sum(), step);
 
-        let threads = dg.threads_per_rank.max(1) as u64;
-        ledger.charge_superstep(
-            model,
-            TimeClass::Relax,
-            sent_total / (p as u64 * threads).max(1) + 1,
-            step.max_rank_send_bytes.max(step.max_rank_recv_bytes),
-        );
-        comm.record(step);
-
-        // Convergence allreduce.
-        let global_delta = allreduce_max_f64(&deltas, &mut comm);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
-        if global_delta < cfg.tolerance {
-            converged = true;
-            break;
+            // Residuals are non-negative, where f64 bits order like values.
+            let residual = residuals.into_iter().fold(0.0f64, f64::max);
+            // sssp-lint: protocol: pagerank.residual
+            let residual = f64::from_bits(ctx.allreduce_max(residual.to_bits()));
+            meter.reduced(TimeClass::Bucket);
+            if residual < cfg.tolerance {
+                converged = true;
+                break;
+            }
         }
-    }
-
-    let mut global = vec![0.0; n];
-    for (r, sc) in scores.iter().enumerate() {
-        for (l, &s) in sc.iter().enumerate() {
-            global[dg.part.to_global(r, l) as usize] = s;
+        let local = ranks.state.into_iter().map(|rk| rk.scores).collect();
+        let (first, record) = (owned.start, (iterations, converged));
+        Share {
+            first,
+            local,
+            record,
+            meter,
+            timed_out,
         }
-    }
-    PageRankOutput {
-        scores: global,
-        iterations,
-        converged,
-        comm,
-        ledger,
     }
 }
 

@@ -6,9 +6,8 @@ use std::sync::Arc;
 
 use sssp_comm::cost::MachineModel;
 use sssp_core::seq;
-use sssp_core::threaded_kernels::threaded_bellman_ford;
 use sssp_core::validate::{check_against_dijkstra, Mismatch};
-use sssp_core::{run_sssp, SsspConfig};
+use sssp_core::{run_sssp, threaded_delta_stepping, SsspConfig};
 use sssp_dist::{split_heavy_vertices, DistGraph};
 use sssp_graph::{gen, CsrBuilder};
 
@@ -78,9 +77,9 @@ fn mismatches_on_split_graphs_carry_original_ids() {
 
 #[test]
 fn threaded_bellman_ford_matches_simulated_engine() {
-    // Differential test: the real-thread kernel and the simulated engine
-    // implement the same BSP program; their answers must be identical on
-    // random graphs, including ones with unreachable vertices.
+    // Differential test: Bellman-Ford on the rank-thread transport and on
+    // the simulated one runs the same BSP program; their answers must be
+    // identical on random graphs, including ones with unreachable vertices.
     for seed in [1u64, 2, 3, 11, 42] {
         let n = 60 + (seed as usize % 3) * 17;
         let m = n * 6;
@@ -88,9 +87,10 @@ fn threaded_bellman_ford_matches_simulated_engine() {
         let g = CsrBuilder::new().build(&el);
         let dg = Arc::new(DistGraph::build(&g, 4, 2));
 
-        let threaded = threaded_bellman_ford(&dg, 0);
-        let simulated = run_sssp(&dg, 0, &SsspConfig::bellman_ford(), &model());
-        assert_eq!(threaded, simulated.distances, "seed {seed}");
+        let cfg = SsspConfig::bellman_ford();
+        let threaded = threaded_delta_stepping(&dg, 0, &cfg, &model());
+        let simulated = run_sssp(&dg, 0, &cfg, &model());
+        assert_eq!(threaded.distances, simulated.distances, "seed {seed}");
 
         // Both must also agree with the sequential reference.
         assert!(

@@ -1,5 +1,5 @@
 // Seeded violations for the no-shared-state rule. Linted by the fixture
-// self-test under the path crates/core/src/threaded_kernels.rs (any
+// self-test under the path crates/core/src/bfs.rs (any
 // library path outside sssp-comm::threaded).
 
 use std::sync::atomic::AtomicU64; // line 5: Atomic

@@ -1,19 +1,22 @@
 //! The SPMD collective-protocol checker: the flow-aware half of the gate.
 //!
 //! The lexical rules in [`crate::rules`] look at single lines; this module
-//! parses function bodies in `crates/core/src/engine/` into a lightweight
-//! control-flow model and extracts the engine's *collective schedule* —
+//! parses function bodies in `crates/core/src/engine/` and in the SPMD
+//! kernels (`bfs.rs`, `cc.rs`, `pagerank.rs`) into a lightweight
+//! control-flow model and extracts each program's *collective schedule* —
 //! the ordered sequence of allreduce/exchange/barrier call sites, with
-//! their loop-nesting depth along the call path from the marked entry
-//! point. The engine has one epoch loop, run unchanged by every transport,
-//! so there is one schedule; the checker renders it as a golden table
-//! (`crates/lint/golden/protocol_table.txt`) that a schedule change must
+//! their loop-nesting depth along the call path from its marked entry
+//! point. Every program is one loop that every transport runs unchanged,
+//! so each entry has one schedule; the checker renders the engine's as a
+//! golden table and each kernel's as a labelled section after it
+//! (`crates/lint/golden/protocol_table.txt`), which a schedule change must
 //! regenerate deliberately.
 //!
 //! Source markers drive the model:
 //!
 //! ```text
-//! // sssp-lint: protocol-entry(<name>)         (directly above the entry fn)
+//! // sssp-lint: protocol-entry(<name>)         (directly above the entry fn;
+//!                                               one per program)
 //! // sssp-lint: protocol: <label>              (labels following collectives)
 //! // sssp-lint: protocol-implicit: <label> <op>  (synthetic event: a
 //!                                               collective a driver gets
@@ -25,10 +28,10 @@
 //! phase can label `self.exchange_relax()` once and every terminal
 //! `exchange` reached through it inherits the label.
 //!
-//! The comm primitives (`crates/comm/src/{collective,threaded}.rs`) are
-//! modeled as *terminal* operations — the walker never descends into them,
-//! so the rendezvous internals (publish → crossing → read episodes) do not
-//! leak into the protocol. They are still covered by the lexical
+//! The comm primitives (`crates/comm/src/threaded.rs`) are modeled as
+//! *terminal* operations — the walker never descends into them, so the
+//! rendezvous internals (publish → crossing → read episodes) do not leak
+//! into the protocol. They are still covered by the lexical
 //! `protocol-missing-barrier` rule in this module.
 
 use std::collections::BTreeSet;
@@ -40,17 +43,26 @@ use crate::source::SourceFile;
 // ---------------------------------------------------------------------------
 // scope
 
+/// The SPMD kernels outside the engine tree, each one `protocol-entry`.
+const KERNEL_FILES: &[&str] = &[
+    "crates/core/src/bfs.rs",
+    "crates/core/src/cc.rs",
+    "crates/core/src/pagerank.rs",
+];
+
+/// The entry of the SSSP engine's epoch loop, whose schedule heads the
+/// table.
+const ENGINE_ENTRY: &str = "engine";
+
 /// Files whose function bodies the flow-aware pass parses and traverses.
 pub fn traversable(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/core/src/engine/")
+    rel_path.starts_with("crates/core/src/engine/") || KERNEL_FILES.contains(&rel_path)
 }
 
-/// Files in scope for the protocol pass overall: the traversable engine
-/// tree plus the comm primitives (modeled as terminal operations).
+/// Files in scope for the protocol pass overall: the traversable files
+/// plus the comm primitives (modeled as terminal operations).
 pub fn in_scope(rel_path: &str) -> bool {
-    traversable(rel_path)
-        || rel_path == "crates/comm/src/collective.rs"
-        || rel_path == "crates/comm/src/threaded.rs"
+    traversable(rel_path) || rel_path == "crates/comm/src/threaded.rs"
 }
 
 // ---------------------------------------------------------------------------
@@ -166,6 +178,9 @@ pub struct Schedule {
     pub entry: String,
     /// Events in the order the walk reached them.
     pub events: Vec<Event>,
+    /// Functions carrying this entry's marker (exactly one on a healthy
+    /// tree).
+    pub functions: usize,
 }
 
 /// One normalized protocol-table row: consecutive events with the same
@@ -210,6 +225,13 @@ pub fn render_table(rows: &[(TableRow, usize)]) -> String {
         "{:<6} {:<9} {:<26} {:>5}\n",
         "depth", "op", "label", "calls"
     ));
+    push_rows(&mut s, rows);
+    render_policy_sections(&mut s, rows);
+    s
+}
+
+/// Append `rows` in the table's `depth op label calls` format.
+fn push_rows(s: &mut String, rows: &[(TableRow, usize)]) {
     for (row, calls) in rows {
         s.push_str(&format!(
             "{:<6} {:<9} {:<26} {:>5}\n",
@@ -219,8 +241,21 @@ pub fn render_table(rows: &[(TableRow, usize)]) -> String {
             calls
         ));
     }
-    render_policy_sections(&mut s, rows);
-    s
+}
+
+/// Append one labelled section per kernel entry — every entry but the
+/// engine's — in the table's row format.
+fn render_kernel_sections(s: &mut String, kernels: &[&Schedule]) {
+    if kernels.is_empty() {
+        return;
+    }
+    s.push_str("#\n");
+    s.push_str("# Kernel schedules: one section per further `protocol-entry`, each an\n");
+    s.push_str("# SPMD kernel that every transport runs.\n");
+    for kernel in kernels {
+        s.push_str(&format!("## entry: {}\n", kernel.entry));
+        push_rows(s, &normalize(&kernel.events));
+    }
 }
 
 /// Append one schedule section per stepping policy. A run executes the
@@ -642,10 +677,10 @@ impl Model {
     }
 
     /// Walk every marked entry point and collect the schedule reached from
-    /// it (entries sharing a name concatenate). Also reports findings for
-    /// collectives reached without a label.
+    /// it (entries sharing a name concatenate, and count). Also reports
+    /// findings for collectives reached without a label.
     pub fn schedules(&self) -> (Vec<Schedule>, Vec<Finding>) {
-        let mut by_entry: Vec<(String, Vec<Event>)> = Vec::new();
+        let mut by_entry: Vec<(String, Vec<Event>, usize)> = Vec::new();
         for (fi, f) in self.files.iter().enumerate() {
             for (ni, fd) in f.fns.iter().enumerate() {
                 let Some(entry) = &fd.entry else { continue };
@@ -658,14 +693,17 @@ impl Model {
                     stack: Vec::new(),
                 };
                 w.walk(fi, ni, None, 0);
-                match by_entry.iter_mut().find(|(e, _)| e == entry) {
-                    Some((_, ev)) => ev.extend(w.events),
-                    None => by_entry.push((entry.clone(), w.events)),
+                match by_entry.iter_mut().find(|(e, _, _)| e == entry) {
+                    Some((_, ev, functions)) => {
+                        ev.extend(w.events);
+                        *functions += 1;
+                    }
+                    None => by_entry.push((entry.clone(), w.events, 1)),
                 }
             }
         }
         let mut findings: Vec<Finding> = Vec::new();
-        for (entry, events) in &by_entry {
+        for (entry, events, _) in &by_entry {
             for e in events {
                 if e.label.is_none() {
                     findings.push(Finding {
@@ -685,7 +723,11 @@ impl Model {
         findings.dedup();
         let schedules = by_entry
             .into_iter()
-            .map(|(entry, events)| Schedule { entry, events })
+            .map(|(entry, events, functions)| Schedule {
+                entry,
+                events,
+                functions,
+            })
             .collect();
         (schedules, findings)
     }
@@ -790,10 +832,11 @@ impl Walk<'_> {
 /// Result of the whole-tree protocol pass.
 #[derive(Debug)]
 pub struct Analysis {
-    /// The rendered protocol table when exactly one entry was found.
+    /// The rendered protocol table when the engine's entry exists and
+    /// every entry marks exactly one function.
     pub table: Option<String>,
-    /// Everything the pass flagged (unlabeled sites, a missing or a second
-    /// entry). Empty on a healthy tree.
+    /// Everything the pass flagged (unlabeled sites, a missing engine
+    /// entry, an entry marked twice). Empty on a healthy tree.
     pub findings: Vec<Finding>,
     /// The raw schedule per entry name, for tests and tooling.
     pub schedules: Vec<Schedule>,
@@ -804,20 +847,39 @@ pub struct Analysis {
 pub fn analyze(files: &[(String, String)]) -> Analysis {
     let model = Model::build(files);
     let (schedules, mut findings) = model.schedules();
-    let table = match schedules.as_slice() {
-        [only] => Some(render_table(&normalize(&only.events))),
-        _ => {
-            findings.push(Finding {
-                file: "crates/core/src/engine/".to_string(),
-                line: 0,
-                message: format!(
-                    "expected exactly one `sssp-lint: protocol-entry(<name>)` schedule — the \
-                     engine's one epoch loop — found {}",
-                    schedules.len()
-                ),
-            });
-            None
+    let engine = schedules.iter().find(|s| s.entry == ENGINE_ENTRY);
+    if engine.is_none() {
+        findings.push(Finding {
+            file: "crates/core/src/engine/".to_string(),
+            line: 0,
+            message: format!(
+                "expected exactly one `sssp-lint: protocol-entry({ENGINE_ENTRY})` schedule — \
+                 the engine's one epoch loop — found 0"
+            ),
+        });
+    }
+    for s in schedules.iter().filter(|s| s.functions != 1) {
+        findings.push(Finding {
+            file: "crates/core/src/".to_string(),
+            line: 0,
+            message: format!(
+                "expected exactly one `sssp-lint: protocol-entry({})` function — one entry \
+                 per program — found {}",
+                s.entry, s.functions
+            ),
+        });
+    }
+    let table = match engine {
+        Some(engine) if schedules.iter().all(|s| s.functions == 1) => {
+            let mut table = render_table(&normalize(&engine.events));
+            let kernels: Vec<&Schedule> = schedules
+                .iter()
+                .filter(|s| s.entry != ENGINE_ENTRY)
+                .collect();
+            render_kernel_sections(&mut table, &kernels);
+            Some(table)
         }
+        _ => None,
     };
     Analysis {
         table,
@@ -1254,10 +1316,17 @@ fn body(&mut self) {
         assert!(none.findings[0].message.contains("found 0"));
         let (path, src) = entry_src();
         let second =
-            "// sssp-lint: protocol-entry(other)\nfn g(&mut self) {\n    self.body();\n}\n";
-        let two = analyze(&[(path, format!("{src}{second}"))]);
+            "// sssp-lint: protocol-entry(engine)\nfn g(&mut self) {\n    self.body();\n}\n";
+        let two = analyze(&[(path.clone(), format!("{src}{second}"))]);
         assert!(two.table.is_none());
         assert!(two.findings.iter().any(|f| f.message.contains("found 2")));
+        // A further program under its own entry renders its own section.
+        let kernel = "// sssp-lint: protocol-entry(kernel)\nfn k(&mut self) {\n    \
+                      // sssp-lint: protocol: kernel.sum\n    ctx.allreduce_sum(v);\n}\n";
+        let both = analyze(&[(path, format!("{src}{kernel}"))]);
+        assert!(both.findings.is_empty(), "{:?}", both.findings);
+        let table = both.table.expect("table");
+        assert!(table.contains("## entry: kernel\n0      reduce    kernel.sum"));
     }
 
     #[test]

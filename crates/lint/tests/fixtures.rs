@@ -52,7 +52,7 @@ fn no_panic_marker_and_strings_and_tests_are_exempt() {
 
 #[test]
 fn no_shared_state_catches_every_primitive() {
-    let diags = lint_fixture("no_shared_state.rs", "crates/core/src/threaded_kernels.rs");
+    let diags = lint_fixture("no_shared_state.rs", "crates/core/src/bfs.rs");
     assert_eq!(
         lines_for(&diags, "no-shared-state"),
         vec![5, 6, 9, 10, 11, 16]
@@ -246,7 +246,7 @@ fn every_rule_has_a_fixture_that_fires() {
     // produce at least one finding across the fixture corpus.
     let corpus = [
         ("no_panic.rs", "crates/core/src/engine/fixture.rs"),
-        ("no_shared_state.rs", "crates/core/src/threaded_kernels.rs"),
+        ("no_shared_state.rs", "crates/core/src/bfs.rs"),
         (
             "no_shared_state_engine.rs",
             "crates/core/src/engine/threaded.rs",

@@ -1,6 +1,6 @@
 //! The protocol gate: the flow-aware pass must report zero findings on
-//! the real engine, the one driver's schedule must render the golden
-//! table, and the rule list snapshot must stay in sync. Running plain
+//! the real tree, the engine's and every kernel's schedule must render the
+//! golden table, and the rule list snapshot must stay in sync. Running plain
 //! `cargo test` therefore enforces the collective protocol; CI also diffs
 //! the CLI output against the same goldens.
 
@@ -38,15 +38,18 @@ fn real_engine_protocol_is_clean() {
 }
 
 #[test]
-fn the_one_driver_is_the_only_entry() {
+fn every_program_is_one_entry() {
     let analysis = protocol::analyze(&workspace_inputs());
     let entries: Vec<&str> = analysis
         .schedules
         .iter()
         .map(|s| s.entry.as_str())
         .collect();
-    assert_eq!(entries, vec!["engine"]);
-    assert!(!analysis.schedules[0].events.is_empty());
+    assert_eq!(entries, vec!["bfs", "cc", "engine", "pagerank"]);
+    for s in &analysis.schedules {
+        assert_eq!(s.functions, 1, "{}", s.entry);
+        assert!(!s.events.is_empty(), "{}", s.entry);
+    }
 }
 
 #[test]

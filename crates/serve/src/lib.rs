@@ -13,10 +13,10 @@
 //!   as additional endpoints over the same resident graph.
 //! * [`SsspServer`] owns the graph and a pool of `max_inflight` worker
 //!   threads, each holding one [`sssp_core::EngineScratch`]. Submitted
-//!   queries queue FIFO; a worker claims one, runs it through the
-//!   threaded backend via [`sssp_core::threaded_sssp_query`] — no
-//!   re-partitioning, no pool re-allocation — and publishes the
-//!   [`QueryResult`].
+//!   queries queue FIFO; a worker claims one, runs it on the
+//!   rank-thread transport ([`sssp_core::Threaded`]; closeness runs its
+//!   per-source queries on the lockstep one) — no re-partitioning, no pool
+//!   re-allocation — and publishes the [`QueryResult`].
 //! * A landmark / repeat-root distance cache keyed by the canonicalized
 //!   seed set answers repeated roots (and point-to-point queries whose
 //!   root has a cached full distance field) without running the engine at
@@ -36,8 +36,9 @@
 //! panic inside a worker is caught at the ticket boundary and surfaces as
 //! [`QueryError::Panicked`] on that ticket alone, and every queue-lock
 //! acquisition recovers from poisoning instead of cascading it. An
-//! optional per-query deadline stops the epoch loop through a dedicated
-//! collective and reports [`QueryError::TimedOut`]. The static
+//! optional per-query deadline, honoured by every [`QuerySpec`] kind,
+//! stops the run at a round boundary through a collective verdict and
+//! reports [`QueryError::TimedOut`]. The static
 //! panic-reachability pass in `sssp-lint` (`--panics`) pins all of this
 //! at lint time; the crash-isolation proptests pin it at runtime.
 

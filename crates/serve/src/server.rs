@@ -28,10 +28,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sssp_comm::cost::MachineModel;
-use sssp_core::bfs::run_bfs;
-use sssp_core::cc::run_cc;
-use sssp_core::closeness::harmonic_closeness_sampled;
-use sssp_core::pagerank::run_pagerank;
+use sssp_core::bfs::bfs_on;
+use sssp_core::cc::cc_on;
+use sssp_core::closeness::harmonic_closeness_until;
+use sssp_core::pagerank::pagerank_on;
 use sssp_core::{canonical_seeds, run, EngineScratch, NoopRecorder, Query, SsspConfig, Threaded};
 use sssp_dist::DistGraph;
 
@@ -495,11 +495,15 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Execute one claimed query **outside the critical section**: re-validate
 /// the spec against the graph actually claimed (submit validated against a
-/// lock-free snapshot that a rebuild may have raced), check the deadline
-/// once up front, then run the endpoint. SSSP-family queries thread the
-/// deadline into the engine's `epoch.deadline` collective; the analytics
-/// kernels run to completion once admitted. Returns the output, the epoch
-/// count and an optional cache insert.
+/// lock-free snapshot that a rebuild may have raced), then run the endpoint
+/// under its deadline. Every kind honours it: the SSSP family through the
+/// engine's `epoch.deadline` collective, BFS, components and PageRank
+/// through the verdict their per-round reduce carries, and closeness
+/// through each per-source run. All but closeness run on the rank-thread
+/// transport.
+/// A query that misses it fails with [`QueryError::TimedOut`] and is never
+/// cached. Returns the output, the epoch (or round) count and an optional
+/// cache insert.
 #[allow(clippy::type_complexity)]
 fn run_spec(
     spec: &QuerySpec,
@@ -511,19 +515,20 @@ fn run_spec(
 ) -> Result<(QueryOutput, u64, Option<(SeedKey, Arc<Vec<u64>>)>), QueryError> {
     let n = graph.num_vertices();
     spec.validate(n)?;
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(QueryError::TimedOut);
-    }
+    // A partially computed answer is never served.
+    let finished = |timed_out: bool| {
+        if timed_out {
+            Err(QueryError::TimedOut)
+        } else {
+            Ok(())
+        }
+    };
     match spec {
         QuerySpec::SingleSource { .. } | QuerySpec::MultiSeed { .. } => {
             let seeds = spec.seeds().unwrap_or_default();
             let query = Query::seeded(&seeds).with_deadline(deadline);
             let (out, _) = run(graph, &query, cfg, model, Threaded(scratch), NoopRecorder);
-            if out.timed_out {
-                // A timed-out field is partially tentative: never served,
-                // never cached.
-                return Err(QueryError::TimedOut);
-            }
+            finished(out.timed_out)?;
             let dist = Arc::new(out.distances);
             let insert = Some((canonical_seeds(&seeds, n), Arc::clone(&dist)));
             Ok((QueryOutput::Distances(dist), out.epochs, insert))
@@ -533,9 +538,7 @@ fn run_spec(
                 .with_target(Some(*target))
                 .with_deadline(deadline);
             let (out, _) = run(graph, &query, cfg, model, Threaded(scratch), NoopRecorder);
-            if out.timed_out {
-                return Err(QueryError::TimedOut);
-            }
+            finished(out.timed_out)?;
             // The early-terminated field is partially tentative, so it
             // never enters the cache; only the target entry is final.
             let td = out.distances.get(*target as usize).copied();
@@ -545,28 +548,26 @@ fn run_spec(
             Ok((QueryOutput::TargetDistance(td), out.epochs, None))
         }
         QuerySpec::Bfs { root } => {
-            let out = run_bfs(graph, *root, model);
+            let out = bfs_on(graph, *root, model, deadline, Threaded(scratch));
+            finished(out.timed_out)?;
             let rounds = out.stats.levels.len() as u64;
             Ok((QueryOutput::BfsDepths(Arc::new(out.depth)), rounds, None))
         }
         QuerySpec::Components => {
-            let out = run_cc(graph, model);
-            Ok((
-                QueryOutput::ComponentLabels(Arc::new(out.labels)),
-                out.rounds,
-                None,
-            ))
+            let out = cc_on(graph, model, deadline, Threaded(scratch));
+            finished(out.timed_out)?;
+            let labels = QueryOutput::ComponentLabels(Arc::new(out.labels));
+            Ok((labels, out.rounds, None))
         }
         QuerySpec::PageRank { config } => {
-            let out = run_pagerank(graph, config, model);
-            Ok((
-                QueryOutput::PageRankScores(Arc::new(out.scores)),
-                out.iterations as u64,
-                None,
-            ))
+            let out = pagerank_on(graph, config, model, deadline, Threaded(scratch));
+            finished(out.timed_out)?;
+            let scores = QueryOutput::PageRankScores(Arc::new(out.scores));
+            Ok((scores, out.iterations as u64, None))
         }
         QuerySpec::Closeness { sources } => {
-            let c = harmonic_closeness_sampled(graph, sources, cfg, model);
+            let (c, timed_out) = harmonic_closeness_until(graph, sources, cfg, model, deadline);
+            finished(timed_out)?;
             Ok((QueryOutput::Closeness(Arc::new(c)), 0, None))
         }
     }

@@ -1,8 +1,8 @@
 //! Endpoint semantics of the serving layer: the landmark cache (hit
 //! behavior, rebuild invalidation, point-to-point answered from a cached
 //! field), the point-to-point epoch savings surfaced through
-//! [`sssp_serve::QueryResult::epochs`], and the analytics endpoints'
-//! agreement with their underlying kernels.
+//! [`sssp_serve::QueryResult::epochs`], the analytics endpoints'
+//! agreement with their underlying kernels, and every kind's deadline.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -328,6 +328,47 @@ fn deadline_in_the_past_times_out_without_running_the_engine() {
     // The same query without a deadline still succeeds afterwards.
     let res = run_ok(&server, QuerySpec::SingleSource { root: 0 });
     assert!(!res.cache_hit, "a timed-out run must not seed the cache");
+}
+
+/// Submit `spec` against a 20 000-vertex path — every analytics kind runs
+/// well past a few milliseconds on it — with a deadline 5 ms out, so the
+/// deadline passes inside the run (or, on a slow claim, before it), and
+/// expect the ticket to time out.
+fn times_out(spec: QuerySpec) {
+    let g = CsrBuilder::new().build(&gen::path(20_000, 3));
+    let server = one_worker(&Arc::new(DistGraph::build(&g, 2, 2)), SsspConfig::opt(20));
+    let t = server
+        .submit_with_deadline(spec, Some(Duration::from_millis(5)))
+        .expect("valid spec");
+    assert!(matches!(server.wait(t), Err(QueryError::TimedOut)));
+    assert_eq!(server.failure_stats(), (0, 1), "timeout must be counted");
+}
+
+#[test]
+fn bfs_honours_a_near_deadline() {
+    times_out(QuerySpec::Bfs { root: 0 });
+}
+
+#[test]
+fn components_honour_a_near_deadline() {
+    times_out(QuerySpec::Components);
+}
+
+#[test]
+fn pagerank_honours_a_near_deadline() {
+    let config = PageRankConfig {
+        tolerance: 0.0,
+        max_iterations: 1_000_000,
+        ..PageRankConfig::default()
+    };
+    times_out(QuerySpec::PageRank { config });
+}
+
+#[test]
+fn closeness_honours_a_near_deadline() {
+    times_out(QuerySpec::Closeness {
+        sources: (0..64).collect(),
+    });
 }
 
 #[test]
