@@ -5,7 +5,7 @@
 //! figure built on `stats.ledger` stays bit-identical.
 
 use sssp_comm::cost::MachineModel;
-use sssp_core::config::{DirectionPolicy, SsspConfig};
+use sssp_core::config::{DirectionPolicy, SsspConfig, SteppingPolicyKind};
 use sssp_core::engine::run_sssp;
 use sssp_dist::DistGraph;
 use sssp_graph::{gen, CsrBuilder};
@@ -21,16 +21,27 @@ use sssp_graph::{gen, CsrBuilder};
 /// `total_s` 0.805 → 0.959 ms at p = 3, 1.403 → 1.687 ms at p = 8. Epochs
 /// count only the buckets before the switch and stay at 9. `prune_pull`
 /// has no τ and is byte-identical.
+///
+/// The `rho`, `radius` and `opt_rho` rows pin the window rules before they
+/// were folded into one policy shape. `opt_rho` is the CLI's
+/// `--policy rho` path: OPT's τ tail running over the ρ rule's
+/// unit-width buckets.
 type Pin = (&'static str, usize, u64, u64, u64, u64, u64, [u64; 5]);
 
 #[rustfmt::skip]
-const PINS: [Pin; 6] = [
+const PINS: [Pin; 12] = [
     ("opt", 3, 0x3f4f6c1f15a2873c, 0x3f44510ded3123f6, 0x3f36362250e2c68b, 37, 9, [358, 313, 4431, 0, 0]),
     ("opt", 8, 0x3f5ba591b93f4028, 0x3f5450fcbf253bce, 0x3f3d5253e868116a, 37, 9, [358, 313, 4431, 0, 0]),
     ("lb_opt", 3, 0x3f4f626400e4093c, 0x3f44510ded3123f6, 0x3f3622ac2765ca8b, 37, 9, [358, 313, 4431, 0, 0]),
     ("lb_opt", 8, 0x3f5b9c6cf768f17d, 0x3f5450fcbf253bce, 0x3f3d2dc0e10ed6bc, 37, 9, [358, 313, 4431, 0, 0]),
     ("prune_pull", 3, 0x3f578e066879e701, 0x3f4b8692c583c71e, 0x3f43957a0b7006e4, 49, 17, [187, 251, 0, 27641, 1032]),
     ("prune_pull", 8, 0x3f61f9ec5973d382, 0x3f5b868084972070, 0x3f40dab05ca10d26, 49, 17, [187, 251, 0, 27641, 1032]),
+    ("rho", 3, 0x3f5132dda2dde601, 0x3f4a8ae1ac132a1e, 0x3f2f6b6666a28790, 41, 13, [271, 4833, 0, 0, 0]),
+    ("rho", 8, 0x3f68a921d5706804, 0x3f65f46aedd70002, 0x3f35a5b73ccb400e, 61, 24, [209, 4897, 0, 0, 0]),
+    ("radius", 3, 0x3f46050b3ddceb96, 0x3f40625f00fd9229, 0x3f268ab0f37d65b2, 28, 7, [426, 4678, 0, 0, 0]),
+    ("radius", 8, 0x3f5306f9aa8c973f, 0x3f5062555716df93, 0x3f2525229badbd5f, 28, 7, [426, 4678, 0, 0, 0]),
+    ("opt_rho", 3, 0x3f4fbc2a5f9c6a32, 0x3f45a094fa3c607d, 0x3f34372acac01369, 35, 4, [342, 4767, 0, 0, 0]),
+    ("opt_rho", 8, 0x3f61434c051136e5, 0x3f5a8ad3b6a97d7b, 0x3f3fef114de3c13c, 41, 7, [315, 4795, 0, 0, 0]),
 ];
 
 #[test]
@@ -47,6 +58,9 @@ fn ledger_and_counters_match_the_pre_merge_engine() {
         let cfg = match name {
             "opt" => SsspConfig::opt(10),
             "lb_opt" => SsspConfig::lb_opt(10),
+            "rho" => SsspConfig::rho(64),
+            "radius" => SsspConfig::radius(4),
+            "opt_rho" => SsspConfig::opt(10).with_policy(SteppingPolicyKind::Rho(64)),
             _ => SsspConfig::prune(10).with_direction(DirectionPolicy::AlwaysPull),
         };
         let dg = DistGraph::build(&g, p, 4);
