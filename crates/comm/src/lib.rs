@@ -4,9 +4,8 @@
 //! messages through the SPI layer, synchronizing each Δ-stepping phase with
 //! collectives. This crate reproduces that execution model in-process:
 //!
-//! * **Ranks** — `P` logical processors, each owning private state. Rank
-//!   closures run in parallel (rayon) but only touch rank-local data, so
-//!   every run is deterministic.
+//! * **Ranks** — `P` logical processors, each owning private state and
+//!   touching only rank-local data, so every run is deterministic.
 //! * **Exchange** ([`exchange`]) — bulk-synchronous message delivery between
 //!   supersteps, with full accounting of message counts, bytes, and
 //!   per-rank maxima (the load-imbalance signal the paper's heuristics use).
@@ -49,34 +48,3 @@ pub mod transport;
 
 /// Index of a logical processor (the paper's "node"/"rank").
 pub type Rank = usize;
-
-/// Run one superstep: execute `f(rank)` for every rank in parallel and
-/// collect the per-rank results in rank order.
-///
-/// The closure must only touch rank-private state (enforced by the `Sync`
-/// bound: shared state must be immutable or internally synchronized).
-pub fn run_ranks<R, F>(p: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Rank) -> R + Sync + Send,
-{
-    use rayon::prelude::*;
-    (0..p).into_par_iter().map(f).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn run_ranks_preserves_order() {
-        let out = run_ranks(8, |r| r * 10);
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-    }
-
-    #[test]
-    fn run_ranks_zero_ranks() {
-        let out: Vec<usize> = run_ranks(0, |r| r);
-        assert!(out.is_empty());
-    }
-}

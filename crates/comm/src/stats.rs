@@ -4,8 +4,6 @@
 //! runtime can record exactly: messages, bytes, per-rank maxima, collective
 //! invocations. The engine keeps one [`CommStats`] per run.
 
-use crate::fingerprint::{fp_mix, FP_EXCHANGE};
-
 /// Statistics of a single bulk-synchronous exchange.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StepStats {
@@ -32,14 +30,6 @@ pub struct CommStats {
     pub steps: Vec<StepStats>,
     /// Number of collective operations performed (allreduce/allgather).
     pub collectives: u64,
-    /// Rolling collective-schedule fingerprint (see [`crate::fingerprint`]).
-    /// Every recorded exchange and every collective folds its kind code and
-    /// the current epoch into this hash, so two runs with the same schedule
-    /// hold the same value.
-    pub fingerprint: u64,
-    /// Epoch tag mixed into the fingerprint; the engine advances it at each
-    /// bucket boundary via [`CommStats::set_epoch`].
-    pub epoch: u64,
 }
 
 impl CommStats {
@@ -48,21 +38,9 @@ impl CommStats {
         Self::default()
     }
 
-    /// Append one superstep record. Each exchange is also a rendezvous all
-    /// ranks must reach, so it folds into the schedule fingerprint.
+    /// Append one superstep record.
     pub fn record(&mut self, step: StepStats) {
-        self.fp_mix(FP_EXCHANGE);
         self.steps.push(step);
-    }
-
-    /// Fold one collective of `kind` into the schedule fingerprint.
-    pub fn fp_mix(&mut self, kind: u64) {
-        self.fingerprint = fp_mix(self.fingerprint, kind, self.epoch);
-    }
-
-    /// Set the epoch tag mixed into subsequent fingerprint updates.
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
     }
 
     /// Messages that crossed rank boundaries, summed over all supersteps.
@@ -142,36 +120,5 @@ mod tests {
         let s = CommStats::new();
         assert_eq!(s.total_msgs(), 0);
         assert_eq!(s.num_supersteps(), 0);
-        assert_eq!(s.fingerprint, 0);
-    }
-
-    #[test]
-    fn fingerprint_tracks_schedule_not_traffic() {
-        // Two ledgers with the same superstep/collective schedule agree on
-        // the fingerprint even when the traffic volumes differ ...
-        let mut a = CommStats::new();
-        let mut b = CommStats::new();
-        a.record(StepStats {
-            remote_msgs: 100,
-            ..Default::default()
-        });
-        b.record(StepStats::default());
-        a.fp_mix(crate::fingerprint::FP_REDUCE_SUM);
-        b.fp_mix(crate::fingerprint::FP_REDUCE_SUM);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        // ... and diverge as soon as the schedules differ.
-        a.fp_mix(crate::fingerprint::FP_REDUCE_MIN);
-        assert_ne!(a.fingerprint, b.fingerprint);
-    }
-
-    #[test]
-    fn epoch_tag_changes_the_mix() {
-        let mut a = CommStats::new();
-        let mut b = CommStats::new();
-        a.set_epoch(1);
-        b.set_epoch(2);
-        a.record(StepStats::default());
-        b.record(StepStats::default());
-        assert_ne!(a.fingerprint, b.fingerprint);
     }
 }

@@ -46,20 +46,20 @@ impl DeltaParam {
     }
 }
 
-/// Which stepping policy drives bucket assignment and epoch-window
-/// selection (see `crate::policy`). `Delta` is the paper's algorithm; the
-/// other two are the Dong et al. / Blelloch et al. instances of the same
-/// lazy-batched priority structure.
+/// The window rule of a stepping policy (see `crate::policy`): how far
+/// past the globally smallest non-empty bucket one epoch reaches. `Delta`
+/// is the paper's algorithm; the other two are the Dong et al. / Blelloch
+/// et al. instances of the same lazy-batched priority structure, and run
+/// at Δ = 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SteppingPolicyKind {
-    /// Classic Δ-stepping: buckets of width Δ, one bucket per epoch.
+    /// Classic Δ-stepping: one bucket per epoch.
     Delta,
-    /// ρ-stepping: Dial-granularity buckets, each epoch extracts (about)
-    /// the globally closest ρ vertices as one window.
+    /// ρ-stepping: each epoch extracts (about) the globally closest ρ
+    /// vertices as one window.
     Rho(u32),
-    /// Radius stepping: Dial-granularity buckets, each epoch's window end
-    /// is the frontier minimum of `d(v) + r(v)` with `r(v)` the ρ-th
-    /// smallest incident edge weight.
+    /// Radius stepping: each epoch's window end is the frontier minimum of
+    /// `d(v) + r(v)` with `r(v)` the ρ-th smallest incident edge weight.
     Radius(u32),
 }
 
@@ -116,11 +116,10 @@ pub enum IntraBalance {
 /// methods.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SsspConfig {
-    /// Bucket width Δ.
+    /// Bucket width Δ, under every window rule.
     pub delta: DeltaParam,
-    /// Which stepping policy the engine runs. `Delta` uses `delta` as the
-    /// bucket width; the other policies ignore `delta` and bucket at Dial
-    /// granularity (one distance value per bucket).
+    /// The window rule the engine runs ([`SsspConfig::with_policy`] puts
+    /// ρ and radius stepping at Δ = 1).
     pub policy: SteppingPolicyKind,
     /// Inner/outer short-edge refinement (IOS heuristic, §III-A).
     pub ios: bool,
@@ -203,9 +202,9 @@ impl SsspConfig {
     }
 
     /// ρ-stepping (Dong et al.): each epoch lazily extracts roughly the ρ
-    /// globally closest unsettled vertices as one window. Buckets run at
-    /// Dial granularity, so `delta` is inert; IOS keeps the in-window
-    /// fixpoint from chasing edges that leave the window.
+    /// globally closest unsettled vertices as one window, over Δ = 1
+    /// buckets. IOS keeps the in-window fixpoint from chasing edges that
+    /// leave the window.
     pub fn rho(rho: u32) -> Self {
         assert!(rho >= 1, "ρ must be at least 1");
         let mut cfg = Self::del(1);
@@ -216,8 +215,7 @@ impl SsspConfig {
 
     /// Radius stepping (Blelloch et al.): each epoch's window reaches to
     /// the frontier minimum of `d(v) + r(v)`, where `r(v)` is the ρ-th
-    /// smallest incident edge weight of `v`. Buckets run at Dial
-    /// granularity, so `delta` is inert.
+    /// smallest incident edge weight of `v`, over Δ = 1 buckets.
     pub fn radius(rho: u32) -> Self {
         assert!(rho >= 1, "ρ must be at least 1");
         let mut cfg = Self::del(1);
@@ -238,10 +236,12 @@ impl SsspConfig {
 
     // Builder-style tweaks -------------------------------------------------
 
-    /// Select the stepping policy (see [`SteppingPolicyKind`]).
+    /// Select the window rule (see [`SteppingPolicyKind`]). ρ and radius
+    /// stepping set Δ = 1.
     pub fn with_policy(mut self, p: SteppingPolicyKind) -> Self {
         if let SteppingPolicyKind::Rho(r) | SteppingPolicyKind::Radius(r) = p {
             assert!(r >= 1, "ρ must be at least 1");
+            self.delta = DeltaParam::Finite(1);
         }
         self.policy = p;
         self
@@ -346,6 +346,7 @@ mod tests {
         assert_eq!(rad.policy, SteppingPolicyKind::Radius(8));
         let cfg = SsspConfig::del(5).with_policy(SteppingPolicyKind::Rho(3));
         assert_eq!(cfg.policy, SteppingPolicyKind::Rho(3));
+        assert_eq!(cfg.delta, DeltaParam::Finite(1));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use sssp_graph::VertexId;
 
 use crate::config::{DirectionPolicy, LongPhaseMode, SsspConfig};
 use crate::instrument::{BucketRecord, PhaseKind, PhaseRecord, SubPhase};
-use crate::policy::{EpochWindow, PolicyDispatch, SteppingPolicy, WindowRule};
+use crate::policy::{EpochWindow, Policy};
 use crate::state::{RankState, INF};
 
 use super::record::Recorder;
@@ -331,9 +331,9 @@ struct Driver<'a, C, R> {
     ctx: &'a mut C,
     rec: &'a mut R,
     bufs: &'a mut ProcBufs,
-    /// The run's stepping policy (bucket assignment + window selection),
-    /// resolved once from the config.
-    policy: PolicyDispatch,
+    /// The run's stepping policy (bucket width + window rule), resolved
+    /// once from the config.
+    policy: Policy,
     /// Resolved intra-node balancing threshold π (`u64::MAX` = off).
     pi: u64,
     /// Smallest edge weight in the graph (`u64::MAX` on an edgeless one): a
@@ -378,7 +378,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         } else {
             (u64::MAX, 0)
         };
-        let policy = PolicyDispatch::from_config(job.cfg, dg.num_ranks());
+        let policy = Policy::new(job.cfg, dg.num_ranks());
         // What each vertex adds to the §III-C pull estimate while unreached
         // is fixed by the graph, the policy's short bound and the weight
         // range: install it once, and the per-epoch estimate never has to
@@ -432,7 +432,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 .checked_sub(first_rank)
                 .and_then(|i| self.bufs.st.get_mut(i))
             {
-                st.relax(part.local_index(v), d, &self.policy);
+                st.relax(part.local_index(v), d, &self.policy.delta);
             }
         }
     }
@@ -480,8 +480,8 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             // Point-to-point early termination (see `Query::target`): every
             // unsettled vertex now sits in bucket >= k, so nothing a future
             // epoch relaxes can land below the k-window's `start_dist` (kΔ
-            // for finite Δ, k for rho/radius, 0 — never early — for
-            // infinite Δ); at or below it the target is final.
+            // for finite Δ, 0 — never early — for infinite Δ); at or below
+            // it the target is final.
             if let Some(tv) = job.target {
                 let (owner, local) = (job.dg.part.owner(tv), job.dg.part.local_index(tv));
                 let td_owned = self
@@ -495,7 +495,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 let td = self.ctx.allreduce_min(td_owned);
                 self.span(SubPhase::CollectiveWait, waited);
                 self.rec.collective(TimeClass::Bucket);
-                if td <= self.policy.window_for(k, k).start_dist {
+                if td <= self.policy.window(k, k, None).start_dist {
                     break;
                 }
             }
@@ -526,28 +526,18 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 }
             }
 
-            // Window selection: policies that process more than one bucket
+            // Window selection: rules that process more than one bucket
             // per epoch min-reduce their per-rank window proposals through
-            // the dedicated window collective; Δ-stepping's single-bucket
-            // rule issues no collective at all.
-            let hi = match self.policy.window_rule() {
-                WindowRule::SingleBucket => k,
-                WindowRule::RhoPrefix => {
-                    // sssp-lint: protocol: epoch.window-rho
-                    self.window_collective(k)
-                }
-                WindowRule::RadiusBall => {
-                    // sssp-lint: protocol: epoch.window-radius
-                    self.window_collective(k)
-                }
+            // the window collective; Δ-stepping's single-bucket rule issues
+            // no collective at all. Hybrid-tail epochs also reach the
+            // tail's doubling floor (DESIGN.md §6g).
+            let hi = if self.policy.multi_bucket() {
+                // sssp-lint: protocol: epoch.window
+                self.window_collective(k)
+            } else {
+                k
             };
-            // The j-th hybrid-tail epoch reaches at least 2^(j+1) buckets —
-            // a bounded step where the paper merges every remaining bucket
-            // into Bellman-Ford rounds (DESIGN.md §6g, "The hybrid tail").
-            let hi = tail_epochs.map_or(hi, |j| {
-                hi.max(k.saturating_add(2u64.saturating_pow(j + 1) - 1))
-            });
-            let window = self.policy.window_for(k, hi);
+            let window = self.policy.window(k, hi, tail_epochs);
 
             // Collect the epoch's initial active set from the window.
             let metered = self.rec.enabled();
@@ -688,7 +678,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             .bufs
             .st
             .iter()
-            .map(|st| self.policy.window_proposal(st, &locals[st.rank], k))
+            .map(|st| self.policy.proposal(st, &locals[st.rank], k))
             .min()
             .unwrap_or(u64::MAX);
         self.span(SubPhase::Scan, scanning);
@@ -871,7 +861,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         send: impl Fn(RankIo<'_>, &mut [MinTable]) -> (u64, u64) + Sync,
         after: impl Fn(&mut RankState) + Sync,
     ) -> (u64, StepStats) {
-        let policy = self.policy;
+        let delta = self.policy.delta;
         let begin_and_send = |io: RankIo<'_>, tables: &mut [MinTable]| {
             begin_superstep(io.st);
             send(io, tables)
@@ -883,7 +873,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         self.span(SubPhase::Scan, scanning);
         let step = self.exchange_relax(coalesced);
         let apply = |io: RankIo<'_>| {
-            kernels::apply_relax(io.st, &policy, io.inbox);
+            kernels::apply_relax(io.st, &delta, io.inbox);
             after(io.st);
         };
         let applying = self.clock();
@@ -915,7 +905,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     /// relaxes its long (and, under IOS, outer-short) edges outward, with
     /// receiver-side self/backward/forward classification for Fig 7.
     fn long_push(&mut self, window: &EpochWindow, record: &mut BucketRecord) -> PhaseKind {
-        let (dg, cfg, pi, policy) = (self.job.dg, self.job.cfg, self.pi, self.policy);
+        let (dg, cfg, pi, delta) = (self.job.dg, self.job.cfg, self.pi, self.policy.delta);
         let scanning = self.clock();
         let ((outer, long), coalesced) = self.bufs.fan_out_tables(
             ((0, 0), 0),
@@ -938,7 +928,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             record.forward_edges,
         ) = self.bufs.fan_out(
             (0, 0, 0),
-            |io| kernels::classify_apply_relax(io.st, window, &policy, io.inbox),
+            |io| kernels::classify_apply_relax(io.st, window, &delta, io.inbox),
             |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
         );
         self.span(SubPhase::Apply, applying);

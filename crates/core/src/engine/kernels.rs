@@ -13,8 +13,7 @@
 //! short/long boundary — rides inside it. Under Δ-stepping the window
 //! degenerates to the classic single bucket `k` until the hybrid tail
 //! widens it, so these are the same phases the paper describes. Only the
-//! receive side (bucket placement of
-//! improved vertices) needs the policy itself.
+//! receive side (bucket placement of improved vertices) needs Δ itself.
 //!
 //! Thread-load accounting (`loads.charge` / `charge_recv`) lives inside
 //! the kernels too — it is part of the paper's per-phase work definition,
@@ -26,7 +25,8 @@ use sssp_comm::exchange::{MinTable, Outbox};
 use sssp_comm::Rank;
 use sssp_dist::{LocalGraph, Partition};
 
-use crate::policy::{EpochWindow, SteppingPolicy};
+use crate::config::DeltaParam;
+use crate::policy::EpochWindow;
 use crate::state::{RankState, INF};
 
 use super::{invariants, RelaxMsg, ReqMsg};
@@ -197,7 +197,7 @@ pub(super) fn short_send(
 /// target-sorted runs (one per sender lane), so a repeated target with a
 /// non-decreasing distance cannot improve — the min-merge skips the relax
 /// call outright. Observationally identical to relaxing every message.
-pub(super) fn apply_relax<P: SteppingPolicy>(st: &mut RankState, policy: &P, msgs: &[RelaxMsg]) {
+pub(super) fn apply_relax(st: &mut RankState, delta: &DeltaParam, msgs: &[RelaxMsg]) {
     let mut prev: Option<(u32, u64)> = None;
     for &m in msgs {
         st.charge_recv(m.target);
@@ -206,7 +206,7 @@ pub(super) fn apply_relax<P: SteppingPolicy>(st: &mut RankState, policy: &P, msg
                 continue;
             }
         }
-        st.relax(m.target, m.nd, policy);
+        st.relax(m.target, m.nd, delta);
         prev = Some((m.target, m.nd));
     }
 }
@@ -215,10 +215,10 @@ pub(super) fn apply_relax<P: SteppingPolicy>(st: &mut RankState, policy: &P, msg
 /// classification: each delivered edge is self, backward or forward,
 /// judged against the target's bucket *before* applying. Returns
 /// `(self, backward, forward)` counts.
-pub(super) fn classify_apply_relax<P: SteppingPolicy>(
+pub(super) fn classify_apply_relax(
     st: &mut RankState,
     window: &EpochWindow,
-    policy: &P,
+    delta: &DeltaParam,
     msgs: &[RelaxMsg],
 ) -> (u64, u64, u64) {
     let (mut se, mut be, mut fe) = (0u64, 0u64, 0u64);
@@ -232,7 +232,7 @@ pub(super) fn classify_apply_relax<P: SteppingPolicy>(
             fe += 1;
         }
         st.charge_recv(m.target);
-        st.relax(m.target, m.nd, policy);
+        st.relax(m.target, m.nd, delta);
     }
     (se, be, fe)
 }

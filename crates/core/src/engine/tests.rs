@@ -582,7 +582,7 @@ proptest::proptest! {
 // -- the maintained §III-C estimate ---------------------------------------
 
 use crate::config::{PullEstimator, SteppingPolicyKind};
-use crate::policy::{PolicyDispatch, SteppingPolicy};
+use crate::policy::Policy;
 use crate::state::{RankState, FLAT_LANES};
 
 const ESTIMATORS: [PullEstimator; 3] = [
@@ -646,7 +646,7 @@ fn maintained_volumes_equal_the_full_scan_on_a_driven_state() {
     let lg = sssp_dist::LocalGraph::from_rows(rows);
     let w_max = 1500;
     for cfg in estimate_policies() {
-        let policy = PolicyDispatch::from_config(&cfg, 1);
+        let policy = Policy::new(&cfg, 1);
         let dial = !matches!(cfg.policy, SteppingPolicyKind::Delta);
         for estimator in ESTIMATORS {
             let mut st = RankState::new(0, n, 1);
@@ -655,7 +655,7 @@ fn maintained_volumes_equal_the_full_scan_on_a_driven_state() {
                     decide::pull_term(&lg, v, INF, 0, policy.short_bound(), estimator, w_max)
                 });
                 st.begin_phase();
-                st.relax((rng.next_u64() % n as u64) as u32, 0, &policy);
+                st.relax((rng.next_u64() % n as u64) as u32, 0, &policy.delta);
                 let (mut k_prev, mut epochs) = (None, 0);
                 while let Some(k) = st.next_nonempty_after(k_prev) {
                     st.advance_frontier(k);
@@ -666,7 +666,7 @@ fn maintained_volumes_equal_the_full_scan_on_a_driven_state() {
                         60
                     };
                     // Δ-stepping's wide window is a hybrid-tail window.
-                    let window = policy.window_for(k, k + reach);
+                    let window = policy.window(k, k + reach, None);
                     let bound = policy.short_bound();
                     let got =
                         decide::rank_volumes(&lg, &st, &window, bound, cfg.ios, estimator, w_max);
@@ -688,8 +688,8 @@ fn maintained_volumes_equal_the_full_scan_on_a_driven_state() {
                             300
                         };
                         let nd = window.end_dist + 1 + rng.next_u64() % far;
-                        if policy.bucket_of(nd) <= st.bucket_of[v as usize] {
-                            st.relax(v, nd, &policy);
+                        if policy.delta.bucket_of(nd) <= st.bucket_of[v as usize] {
+                            st.relax(v, nd, &policy.delta);
                         }
                     }
                     k_prev = Some(window.hi);
@@ -895,5 +895,51 @@ fn tail_windows_are_contiguous_doubling_and_start_at_the_smallest_bucket() {
         // The last window reaches the farthest vertex.
         let far = expect.iter().filter(|&&d| d != INF).max().unwrap() / delta;
         assert!(prev_hi >= far, "p {p} τ {tau}");
+    }
+}
+
+#[test]
+fn rho_one_settles_in_dijkstra_order_on_both_transports() {
+    // ρ = 1 caps every rank at one vertex, and a rank holding the selected
+    // bucket k always proposes k itself, so every window is one Δ = 1
+    // bucket: epoch `lo`s strictly increase, and each epoch settles exactly
+    // the vertices whose final distance is its `lo` — Dijkstra order.
+    let mut el = gen::grid(12, 9, 5);
+    for e in gen::uniform(144, 300, 40, 8).edges {
+        el.push(e.u, e.v, e.w);
+    }
+    let g = CsrBuilder::new().build(&el);
+    let expect = crate::seq::dijkstra_radix(&g, 0);
+    let reached = expect.iter().filter(|&&d| d != INF).count() as u64;
+    let (cfg, query) = (SsspConfig::rho(1), Query::root(0));
+    for p in [1usize, 3] {
+        let dg = std::sync::Arc::new(DistGraph::build(&g, p, 2));
+        let mut scratch = threaded::EngineScratch::new(p);
+        let runs = [
+            run(&*dg, &query, &cfg, &model(), Lockstep, EpochLog::default()),
+            run(
+                &dg,
+                &query,
+                &cfg,
+                &model(),
+                Threaded(&mut scratch),
+                EpochLog::default(),
+            ),
+        ];
+        for (transport, (out, logs)) in ["lockstep", "threaded"].into_iter().zip(runs) {
+            let what = format!("{transport} p {p}");
+            assert_eq!(out.distances, expect, "{what}");
+            let epochs = &logs[0].epochs;
+            assert!(
+                epochs.windows(2).all(|e| e[0].0 < e[1].0),
+                "{what}: epoch starts do not strictly increase"
+            );
+            for &(lo, _, settled) in epochs {
+                let at_lo = expect.iter().filter(|&&d| d == lo).count() as u64;
+                assert_eq!(settled, at_lo, "{what}: the epoch at {lo}");
+            }
+            let settled: u64 = epochs.iter().map(|e| e.2).sum();
+            assert_eq!(settled, reached, "{what}");
+        }
     }
 }

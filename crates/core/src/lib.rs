@@ -50,7 +50,8 @@ pub mod engine;
 pub mod instrument;
 /// Distributed PageRank, one SPMD loop over either transport.
 pub mod pagerank;
-/// Pluggable stepping policies (Δ-, ρ- and radius stepping).
+/// Stepping policies: a bucket width Δ plus a window rule (Δ-, ρ- and
+/// radius stepping).
 pub mod policy;
 /// Sequential reference algorithms (Dijkstra, Bellman-Ford).
 pub mod seq;
@@ -74,4 +75,4 @@ pub use engine::{
     Threaded, Transport,
 };
 pub use instrument::{RunStats, RunTrace, SubPhase};
-pub use policy::{EpochWindow, PolicyDispatch, SteppingPolicy, WindowRule};
+pub use policy::{EpochWindow, Policy};

@@ -35,7 +35,8 @@ use std::collections::BTreeMap;
 
 use sssp_dist::ThreadLoads;
 
-use crate::policy::{SteppingPolicy, NO_PROPOSAL};
+use crate::config::DeltaParam;
+use crate::policy::NO_PROPOSAL;
 
 /// "Infinite" tentative distance.
 pub const INF: u64 = u64::MAX;
@@ -270,16 +271,6 @@ impl FlatBuckets {
         }
     }
 
-    fn count(&self, b: u64) -> u64 {
-        if b < self.base {
-            0
-        } else if b < self.ring_end() {
-            self.lane_counts[Self::slot(b)]
-        } else {
-            self.spill_counts.get(&b).copied().unwrap_or(0)
-        }
-    }
-
     fn window_count(&self, lo: u64, hi: u64) -> u64 {
         let mut sum = 0u64;
         let mut b = lo.max(self.base);
@@ -311,16 +302,6 @@ impl FlatBuckets {
             sum += self.spill.len();
         }
         sum
-    }
-
-    fn bucket_scan_len(&self, k: u64) -> usize {
-        if k < self.base {
-            0
-        } else if k < self.ring_end() {
-            self.lanes[Self::slot(k)].len()
-        } else {
-            self.spill.iter().filter(|&&(_, b)| b == k).count()
-        }
     }
 
     fn next_nonempty_from(&self, start: u64) -> Option<u64> {
@@ -548,16 +529,6 @@ impl RankState {
         self.dist.len()
     }
 
-    /// Place the root: distance 0, bucket 0.
-    pub fn set_root(&mut self, local: u32) {
-        if self.bucket_of[local as usize] == INF_BUCKET {
-            self.leave_unreached(local as usize);
-        }
-        self.dist[local as usize] = 0;
-        self.bucket_of[local as usize] = 0;
-        self.store.push(local, 0);
-    }
-
     /// Begin a new phase: clear the changed set (an O(1) stamp bump).
     pub fn begin_phase(&mut self) {
         self.changed.clear();
@@ -574,18 +545,15 @@ impl RankState {
 
     /// Apply `Relax`: `d(v) ← min(d(v), nd)`, moving buckets as required
     /// (Fig. 2 of the paper). Returns whether the distance decreased. The
-    /// bucket the vertex lands in is the policy's to decide ([`DeltaParam`]
-    /// for classic Δ-stepping).
-    ///
-    /// [`DeltaParam`]: crate::config::DeltaParam
+    /// vertex lands in bucket ⌊nd/Δ⌋ under every stepping policy.
     #[inline]
-    pub fn relax<P: SteppingPolicy>(&mut self, local: u32, nd: u64, policy: &P) -> bool {
+    pub fn relax(&mut self, local: u32, nd: u64, delta: &DeltaParam) -> bool {
         let li = local as usize;
         if nd >= self.dist[li] {
             return false;
         }
         let old_b = self.bucket_of[li];
-        let new_b = policy.bucket_of(nd);
+        let new_b = delta.bucket_of(nd);
         debug_assert!(
             new_b <= old_b,
             "bucket monotonicity violated: relax(local {local}, d = {nd}) would move \
@@ -660,17 +628,6 @@ impl RankState {
         self.store.prefix_window_end(k, cap)
     }
 
-    /// Raw (unfiltered) length of bucket `k`'s member container — the scan
-    /// cost of collecting the bucket's members.
-    pub fn bucket_scan_len(&self, k: u64) -> usize {
-        self.store.bucket_scan_len(k)
-    }
-
-    /// Exact number of vertices currently in bucket `k`.
-    pub fn bucket_count(&self, k: u64) -> u64 {
-        self.store.count(k)
-    }
-
     /// Smallest non-empty bucket index `> k`, if any. Pass `None` to search
     /// from the beginning.
     pub fn next_nonempty_after(&self, k: Option<u64>) -> Option<u64> {
@@ -696,15 +653,9 @@ impl RankState {
         self.store.count_after(k) + self.unreached
     }
 
-    /// Collect the live members of bucket `k` into `active` (all
-    /// `collect_active_*` methods refill the bitset in place — an O(1)
-    /// stamp-bump clear plus member insertion, no reallocation).
-    pub fn collect_active_from_bucket(&mut self, k: u64) {
-        self.collect_active_from_window(k, k);
-    }
-
     /// Collect the live members of every bucket in `[lo, hi]` into
-    /// `active`.
+    /// `active` (both `collect_active_*` methods refill the bitset in place
+    /// — an O(1) stamp-bump clear plus member insertion, no reallocation).
     pub fn collect_active_from_window(&mut self, lo: u64, hi: u64) {
         let mut active = std::mem::take(&mut self.active);
         active.clear();
@@ -712,12 +663,6 @@ impl RankState {
             active.insert(v);
         }
         self.active = active;
-    }
-
-    /// Refill `active` with the changed vertices currently in bucket `k`
-    /// (the next short phase's frontier).
-    pub fn collect_active_changed_in_bucket(&mut self, k: u64) {
-        self.collect_active_changed_in_window(k, k);
     }
 
     /// Refill `active` with the changed vertices currently in buckets
@@ -815,9 +760,9 @@ mod tests {
     #[test]
     fn root_goes_to_bucket_zero() {
         both_lifecycles(|mut s| {
-            s.set_root(3);
+            s.relax(3, 0, &delta5());
             assert_eq!(s.dist[3], 0);
-            assert_eq!(s.bucket_count(0), 1);
+            assert_eq!(s.window_count(0, 0), 1);
             assert_eq!(s.bucket_members(0).collect::<Vec<_>>(), vec![3]);
         });
     }
@@ -830,8 +775,8 @@ mod tests {
             assert_eq!(s.bucket_of[1], 2);
             assert!(s.relax(1, 3, &delta5())); // bucket 0
             assert_eq!(s.bucket_of[1], 0);
-            assert_eq!(s.bucket_count(2), 0);
-            assert_eq!(s.bucket_count(0), 1);
+            assert_eq!(s.window_count(2, 2), 0);
+            assert_eq!(s.window_count(0, 0), 1);
             assert!(!s.relax(1, 3, &delta5())); // equal: no change
             assert!(!s.relax(1, 7, &delta5())); // worse: no change
         });
@@ -861,8 +806,8 @@ mod tests {
             s.relax(1, 2, &delta5()); // moves to bucket 0; stale entry remains in 2
             let members: Vec<u32> = s.bucket_members(2).collect();
             assert_eq!(members, vec![2]);
-            assert_eq!(s.bucket_scan_len(2), 2); // stale entry still scanned
-            assert_eq!(s.bucket_count(2), 1);
+            assert_eq!(s.window_scan_len(2, 2), 2); // stale entry still scanned
+            assert_eq!(s.window_count(2, 2), 1);
         });
     }
 
@@ -901,7 +846,7 @@ mod tests {
         s.relax(1, 3, &delta5()); // already reached: totals untouched
         assert!(!s.relax(1, 9, &delta5()));
         assert_eq!((s.unreached(), s.unreached_pull_mass()), (5, 190));
-        s.set_root(5); // −60
+        s.relax(5, 0, &delta5()); // −60
         assert_eq!((s.unreached(), s.unreached_pull_mass()), (4, 130));
         assert_eq!(s.members_after(0).count(), 0);
         s.relax(2, 7, &delta5());
@@ -924,12 +869,12 @@ mod tests {
         for v in 0..8 {
             s.relax(v, 3, &delta5()); // all in bucket 0
         }
-        s.collect_active_from_bucket(0);
+        s.collect_active_from_window(0, 0);
         assert_eq!(s.active.len(), 8);
         let words = s.active.num_words();
         s.begin_phase();
         s.relax(9, 2, &delta5());
-        s.collect_active_changed_in_bucket(0);
+        s.collect_active_changed_in_window(0, 0);
         assert_eq!(s.active.to_vec(), vec![9]);
         assert_eq!(s.active.num_words(), words);
     }
@@ -940,7 +885,7 @@ mod tests {
         s.begin_phase();
         s.relax(1, 3, &delta5()); // bucket 0
         s.relax(2, 12, &delta5()); // bucket 2 — not in bucket 0
-        s.collect_active_changed_in_bucket(0);
+        s.collect_active_changed_in_window(0, 0);
         assert_eq!(s.active.to_vec(), vec![1]);
     }
 
@@ -963,7 +908,7 @@ mod tests {
         s.relax(1, 5, &DeltaParam::Infinite);
         assert_eq!(s.bucket_of[0], 0);
         assert_eq!(s.bucket_of[1], 0);
-        assert_eq!(s.bucket_count(0), 2);
+        assert_eq!(s.window_count(0, 0), 2);
     }
 
     #[test]
@@ -977,7 +922,7 @@ mod tests {
         s.relax(0, 2, &d1);
         s.relax(1, far, &d1);
         s.relax(2, far, &d1);
-        assert_eq!(s.bucket_count(far), 2);
+        assert_eq!(s.window_count(far, far), 2);
         assert_eq!(s.window_count(0, far), 3);
         assert_eq!(s.next_nonempty_after(Some(2)), Some(far));
         let mut members: Vec<u32> = s.bucket_members(far).collect();
@@ -985,11 +930,11 @@ mod tests {
         assert_eq!(members, vec![1, 2]);
         // A spill entry going stale before migration is dropped by it.
         s.relax(2, 3, &d1);
-        assert_eq!(s.bucket_count(far), 1);
+        assert_eq!(s.window_count(far, far), 1);
         // Advance past the small buckets: the far bucket enters the ring.
         s.advance_frontier(far - 10);
-        assert_eq!(s.bucket_count(far), 1);
-        assert_eq!(s.bucket_scan_len(far), 1, "stale spill entry migrated");
+        assert_eq!(s.window_count(far, far), 1);
+        assert_eq!(s.window_scan_len(far, far), 1, "stale spill entry migrated");
         assert_eq!(s.bucket_members(far).collect::<Vec<_>>(), vec![1]);
         assert_eq!(s.next_nonempty_after(None), Some(far));
     }
@@ -1003,11 +948,11 @@ mod tests {
         s.relax(1, 3, &d1);
         s.advance_frontier(3);
         // Settled bucket 0 was recycled; the epoch only queries ≥ 3.
-        assert_eq!(s.bucket_count(3), 1);
+        assert_eq!(s.window_count(3, 3), 1);
         assert_eq!(s.next_nonempty_after(Some(2)), Some(3));
         // The recycled lane serves its ring successor (bucket 0 + lanes).
         s.relax(2, FLAT_LANES, &d1);
-        assert_eq!(s.bucket_count(FLAT_LANES), 1);
+        assert_eq!(s.window_count(FLAT_LANES, FLAT_LANES), 1);
         assert_eq!(s.bucket_members(FLAT_LANES).collect::<Vec<_>>(), vec![2]);
         // A jump past the whole ring recycles every lane.
         let mut far = RankState::new(0, 8, 1);
@@ -1032,7 +977,10 @@ mod tests {
         s.relax(2, 3 * FLAT_LANES, &d1); // deep spill entry
         s.advance_frontier(FLAT_LANES + 9); // base well past 0
         s.charge_recv(0);
-        assert!(s.bucket_count(0) == 0, "bucket 0 recycled by the advance");
+        assert!(
+            s.window_count(0, 0) == 0,
+            "bucket 0 recycled by the advance"
+        );
         s.reset();
         assert!(s.dist.iter().all(|&d| d == INF));
         assert!(s.bucket_of.iter().all(|&b| b == INF_BUCKET));
@@ -1041,12 +989,12 @@ mod tests {
         assert_eq!(s.next_nonempty_after(None), None, "no survivors anywhere");
         assert_eq!(s.window_count(0, 10 * FLAT_LANES), 0);
         // Bucket 0 must accept pushes again (the base rewound).
-        s.set_root(5);
-        assert_eq!(s.bucket_count(0), 1);
+        s.relax(5, 0, &d1);
+        assert_eq!(s.window_count(0, 0), 1);
         assert_eq!(s.bucket_members(0).collect::<Vec<_>>(), vec![5]);
         // And the spill list must not resurrect the old entries.
-        assert_eq!(s.bucket_count(FLAT_LANES + 9), 0);
-        assert_eq!(s.bucket_count(3 * FLAT_LANES), 0);
+        assert_eq!(s.window_count(FLAT_LANES + 9, FLAT_LANES + 9), 0);
+        assert_eq!(s.window_count(3 * FLAT_LANES, 3 * FLAT_LANES), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Differential suite for the flat hot-path data layout: the lazy cyclic
 //! flat bucket queue and the stamp-bitset frontiers must be
 //! observationally identical to an eager `BTreeMap` bucket-queue oracle —
-//! same pop order, counts and window proposals per epoch under every
-//! stepping policy's bucket function — and end to end both transports must
+//! same pop order, counts and window proposals per epoch at the bucket
+//! widths the stepping policies use — and end to end both transports must
 //! match the sequential references, degenerate graphs included. The oracle
 //! is an in-test reference model of the retired `BTreeMap` layout.
 
@@ -14,9 +14,9 @@ use proptest::prelude::*;
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
 use sssp_core::engine::run_sssp;
-use sssp_core::policy::{RadiusPolicy, RhoPolicy, NO_PROPOSAL};
+use sssp_core::policy::NO_PROPOSAL;
 use sssp_core::state::{RankState, INF, INF_BUCKET};
-use sssp_core::{seq, threaded_delta_stepping_traced, DeltaParam, SteppingPolicy};
+use sssp_core::{seq, threaded_delta_stepping_traced, DeltaParam};
 use sssp_dist::DistGraph;
 use sssp_graph::{gen, Csr, CsrBuilder, EdgeList};
 
@@ -70,13 +70,13 @@ impl OracleBuckets {
         self.buckets.entry(0).or_default().push(v);
     }
 
-    fn relax<P: SteppingPolicy>(&mut self, v: u32, nd: u64, policy: &P) -> bool {
+    fn relax(&mut self, v: u32, nd: u64, delta: &DeltaParam) -> bool {
         let li = v as usize;
         if nd >= self.dist[li] {
             return false;
         }
         let old_b = self.bucket_of[li];
-        let new_b = policy.bucket_of(nd);
+        let new_b = delta.bucket_of(nd);
         self.dist[li] = nd;
         if new_b < old_b {
             if old_b != INF_BUCKET {
@@ -157,20 +157,20 @@ impl OracleBuckets {
 }
 
 /// Drive one relax/advance script through a flat [`RankState`] and the
-/// eager `BTreeMap` oracle in lockstep under `policy`, comparing every
+/// eager `BTreeMap` oracle in lockstep at bucket width `delta`, comparing every
 /// bucket-queue observation the engines make: epoch selection, live
 /// counts, window counts and proposals, member sets, and (for in-ring
 /// windows, where the flat layout guarantees bucket-then-push order)
 /// exact member order.
-fn drive_differential<P: SteppingPolicy>(
+fn drive_differential(
     n: usize,
-    policy: &P,
+    delta: &DeltaParam,
     script: &[(usize, u64)],
     order_exact: bool,
 ) -> Result<(), TestCaseError> {
     let mut flat = RankState::new(0, n, 1);
     let mut oracle = OracleBuckets::new(n);
-    flat.set_root(0);
+    flat.relax(0, 0, delta);
     oracle.set_root(0);
 
     let mut epoch = 0u64;
@@ -182,11 +182,11 @@ fn drive_differential<P: SteppingPolicy>(
             // never improve, and no relaxation lands below the epoch
             // bucket. The skip decision reads identical state on both
             // sides, so they stay in lockstep.
-            if policy.bucket_of(nd) < epoch || flat.bucket_of[v as usize] < epoch {
+            if delta.bucket_of(nd) < epoch || flat.bucket_of[v as usize] < epoch {
                 continue;
             }
-            let fr = flat.relax(v, nd, policy);
-            let or = oracle.relax(v, nd, policy);
+            let fr = flat.relax(v, nd, delta);
+            let or = oracle.relax(v, nd, delta);
             prop_assert_eq!(fr, or, "relax({}, {}) disagreed", v, nd);
         }
 
@@ -203,7 +203,7 @@ fn drive_differential<P: SteppingPolicy>(
         oracle.advance(k);
         epoch = k;
 
-        prop_assert_eq!(flat.bucket_count(k), oracle.bucket_count(k));
+        prop_assert_eq!(flat.window_count(k, k), oracle.bucket_count(k));
         prop_assert_eq!(flat.window_count(k, k + 7), oracle.window_count(k, k + 7));
         prop_assert_eq!(
             flat.count_unsettled_after(k),
@@ -248,8 +248,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
     // In-ring scripts (distances well inside one ring revolution): every
-    // observation including pop order must match under all three
-    // policies' bucket functions.
+    // observation including pop order must match at Δ-stepping's width
+    // and at the Δ = 1 the ρ and radius rules run at.
     #[test]
     fn flat_queue_matches_the_oracle_in_ring(
         n in 2usize..40,
@@ -258,8 +258,7 @@ proptest! {
         let script: Vec<(usize, u64)> =
             script.into_iter().map(|(v, d)| (v % n, d)).collect();
         drive_differential(n, &DeltaParam::Finite(7), &script, true)?;
-        drive_differential(n, &RhoPolicy::new(8, 2), &script, true)?;
-        drive_differential(n, &RadiusPolicy::new(2), &script, true)?;
+        drive_differential(n, &DeltaParam::Finite(1), &script, true)?;
     }
 
     // Far-bucket scripts (Dial-granularity distances many ring
@@ -274,7 +273,7 @@ proptest! {
     ) {
         let script: Vec<(usize, u64)> =
             script.into_iter().map(|(v, d)| (v % n, d)).collect();
-        drive_differential(n, &RhoPolicy::new(8, 2), &script, false)?;
+        drive_differential(n, &DeltaParam::Finite(1), &script, false)?;
         drive_differential(n, &DeltaParam::Finite(3), &script, false)?;
     }
 

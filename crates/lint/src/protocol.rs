@@ -226,7 +226,6 @@ pub fn render_table(rows: &[(TableRow, usize)]) -> String {
         "depth", "op", "label", "calls"
     ));
     push_rows(&mut s, rows);
-    render_policy_sections(&mut s, rows);
     s
 }
 
@@ -255,31 +254,6 @@ fn render_kernel_sections(s: &mut String, kernels: &[&Schedule]) {
     for kernel in kernels {
         s.push_str(&format!("## entry: {}\n", kernel.entry));
         push_rows(s, &normalize(&kernel.events));
-    }
-}
-
-/// Append one schedule section per stepping policy. A run executes the
-/// table's rows minus the *other* policies' window collectives (labels
-/// `epoch.window-*` are policy-specific; every other row is shared), so
-/// pinning each filtered section pins each policy's schedule distinctly.
-fn render_policy_sections(s: &mut String, rows: &[(TableRow, usize)]) {
-    type LabelFilter = fn(&str) -> bool;
-    let sections: &[(&str, LabelFilter)] = &[
-        ("delta", |l| !l.starts_with("epoch.window-")),
-        ("rho", |l| l != "epoch.window-radius"),
-        ("radius", |l| l != "epoch.window-rho"),
-    ];
-    s.push_str("#\n");
-    s.push_str("# Per-policy schedules: the rows one run actually executes under each\n");
-    s.push_str("# stepping policy (the `epoch.window-*` collectives are policy-specific;\n");
-    s.push_str("# all other rows are shared by every policy).\n");
-    for (name, keep) in sections {
-        s.push_str(&format!("## policy: {name}\n"));
-        for (row, _) in rows.iter().filter(|(r, _)| keep(&r.label)) {
-            let line = format!("{:<6} {:<9} {}", row.depth, row.op.to_string(), row.label);
-            s.push_str(line.trim_end());
-            s.push('\n');
-        }
     }
 }
 

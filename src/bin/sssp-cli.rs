@@ -166,7 +166,8 @@ OPTIONS:
   --delta <D>        Δ parameter for the Δ-stepping family (default 25)
   --policy <P>       stepping policy: delta | rho | radius (default delta);
                      rho extracts ≈ρ closest vertices per epoch, radius uses
-                     per-vertex radii (the ρ-th smallest incident weight)
+                     per-vertex radii (the ρ-th smallest incident weight);
+                     both run at Δ = 1, whatever --delta says
   --rho <N>          ρ parameter for the rho/radius policies (default 2048)
   --roots <K>        number of random roots to run (default 1)
   --seed <S>         generator seed (default 1)
