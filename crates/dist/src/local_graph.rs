@@ -78,7 +78,7 @@ impl LocalGraph {
         if bound == 0 {
             return 0;
         }
-        let row = &self.hist[local * self.hist_buckets..(local + 1) * self.hist_buckets];
+        let row = self.weight_histogram(local);
         let mut est = 0.0f64;
         for (b, &c) in row.iter().enumerate() {
             if c == 0 {
@@ -96,6 +96,12 @@ impl LocalGraph {
             }
         }
         est.round() as u64
+    }
+
+    /// The power-of-two weight histogram of `local`'s row: one counter per
+    /// [`weight_bucket`], as many buckets as the rank's heaviest edge needs.
+    pub fn weight_histogram(&self, local: usize) -> &[u32] {
+        &self.hist[local * self.hist_buckets..(local + 1) * self.hist_buckets]
     }
 
     #[inline]
