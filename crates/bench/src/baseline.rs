@@ -188,6 +188,58 @@ pub struct RatioSpread {
     pub q3: f64,
 }
 
+impl RatioSpread {
+    /// Quartiles of the per-round ratios (at least one round).
+    pub fn of(mut ratios: Vec<f64>) -> Self {
+        ratios.sort_by(f64::total_cmp);
+        let at = |num: usize| ratios[num * ratios.len() / 4];
+        RatioSpread {
+            q1: at(1),
+            median: at(2),
+            q3: at(3),
+        }
+    }
+}
+
+/// The construction pipeline at the block's scale — generation, CSR build
+/// and partition, the set-up a run pays before its first query — timed
+/// stage by stage and anchored on one sequential query of the built graph.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PipelineRecord {
+    /// Best-round milliseconds of R-MAT edge generation.
+    pub generate_ms: f64,
+    /// Best-round milliseconds of the CSR build.
+    pub csr_ms: f64,
+    /// Best-round milliseconds of `DistGraph::build`.
+    pub partition_ms: f64,
+    /// Best-round milliseconds of one `seq::dijkstra_radix` on the graph.
+    pub sequential_ms: f64,
+    /// (generate + CSR + partition) over the same round's sequential query:
+    /// the spread `--check` gates, like `threaded_over_seq`.
+    pub construct_over_seq: RatioSpread,
+}
+
+impl PipelineRecord {
+    /// Render as a JSON object literal.
+    pub fn to_json(&self) -> String {
+        format!(
+            concat!(
+                "{{\"generate_ms\": {:.3}, \"csr_ms\": {:.3}, ",
+                "\"partition_ms\": {:.3}, \"sequential_ms\": {:.3}, ",
+                "\"construct_over_seq\": {:.3}, \"construct_over_seq_q1\": {:.3}, ",
+                "\"construct_over_seq_q3\": {:.3}}}"
+            ),
+            self.generate_ms,
+            self.csr_ms,
+            self.partition_ms,
+            self.sequential_ms,
+            self.construct_over_seq.median,
+            self.construct_over_seq.q1,
+            self.construct_over_seq.q3,
+        )
+    }
+}
+
 /// The unified-telemetry block: a simulated and a threaded trace of the
 /// same workload compared bucket-by-bucket, plus the threaded trace's
 /// headline counters (which the `--check` gate watches for drift).
@@ -321,6 +373,8 @@ pub struct PerfBaseline {
     pub threaded_over_seq: RatioSpread,
     /// The unified-telemetry block (simulated vs threaded trace compare).
     pub telemetry: TelemetryRecord,
+    /// Construction stage times and their ratio to a sequential query.
+    pub pipeline: PipelineRecord,
 }
 
 impl PerfBaseline {
@@ -337,7 +391,8 @@ impl PerfBaseline {
                 "    \"threaded\": {},\n    \"sequential\": {},\n",
                 "    \"threaded_over_seq\": {:.3},\n",
                 "    \"threaded_over_seq_q1\": {:.3},\n",
-                "    \"threaded_over_seq_q3\": {:.3},\n    \"telemetry\": {}\n  }}"
+                "    \"threaded_over_seq_q3\": {:.3},\n    \"telemetry\": {},\n",
+                "    \"pipeline\": {}\n  }}"
             ),
             self.family,
             self.scale,
@@ -352,6 +407,7 @@ impl PerfBaseline {
             self.threaded_over_seq.q1,
             self.threaded_over_seq.q3,
             self.telemetry.to_json(),
+            self.pipeline.to_json(),
         )
     }
 }
@@ -689,6 +745,17 @@ mod tests {
                 wall_long_pull_ns: 350_000,
                 wall_measured_ns: 3_000_000,
             },
+            pipeline: PipelineRecord {
+                generate_ms: 2.5,
+                csr_ms: 3.0,
+                partition_ms: 0.5,
+                sequential_ms: 0.75,
+                construct_over_seq: RatioSpread {
+                    q1: 7.5,
+                    median: 8.0,
+                    q3: 8.5,
+                },
+            },
         }
     }
 
@@ -751,6 +818,23 @@ mod tests {
             extract_number(&json, "telemetry", "wall_measured_ns"),
             Some(3_000_000.0)
         );
+        assert_eq!(extract_number(&json, "pipeline", "csr_ms"), Some(3.0));
+        assert_eq!(
+            extract_number(&json, "pipeline", "construct_over_seq_q3"),
+            Some(8.5)
+        );
+        // The pipeline's keys shadow none of the gated ones.
+        assert_eq!(extract_number(&json, "sequential", "wall_ms"), Some(4.0));
+        assert_eq!(
+            extract_number(&json, "", "threaded_over_seq_q1"),
+            Some(1.125)
+        );
+    }
+
+    #[test]
+    fn ratio_spread_takes_quartiles() {
+        let r = RatioSpread::of(vec![4.0, 1.0, 3.0, 2.0, 5.0]);
+        assert_eq!((r.q1, r.median, r.q3), (2.0, 3.0, 4.0));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Per-rank CSR slices and the assembled distributed graph.
 
+use rayon::prelude::*;
 use sssp_graph::{Csr, VertexId, Weight};
 
 use crate::partition::Partition;
@@ -41,32 +42,47 @@ impl LocalGraph {
         I: IntoIterator<Item = (Vec<VertexId>, Vec<Weight>)>,
     {
         let rows: Vec<(Vec<VertexId>, Vec<Weight>)> = rows.into_iter().collect();
-        let total: usize = rows.iter().map(|(t, _)| t.len()).sum();
+        let edges = rows.iter().map(|(t, _)| t.len()).sum();
         let max_w = rows
             .iter()
             .flat_map(|(_, w)| w.iter().copied())
             .max()
             .unwrap_or(0);
+        let mut lg = Self::zeroed(rows.len(), edges, max_w);
+        lg.fill(rows.iter().map(|(t, w)| (t.as_slice(), w.as_slice())));
+        lg
+    }
+
+    /// Zeroed arrays for `rows` rows and `edges` edge slots, with histogram
+    /// buckets up to `max_w`. [`DistGraph`] sizes every rank's arrays this
+    /// way on the calling thread before any worker fills them.
+    fn zeroed(rows: usize, edges: usize, max_w: Weight) -> Self {
         let hist_buckets = weight_bucket(max_w) + 1;
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let mut targets = Vec::with_capacity(total);
-        let mut weights = Vec::with_capacity(total);
-        let mut hist = vec![0u32; rows.len() * hist_buckets];
-        offsets.push(0);
-        for (i, (t, w)) in rows.into_iter().enumerate() {
-            for &x in &w {
-                hist[i * hist_buckets + weight_bucket(x)] += 1;
-            }
-            targets.extend_from_slice(&t);
-            weights.extend_from_slice(&w);
-            offsets.push(targets.len());
-        }
         LocalGraph {
-            offsets,
-            targets,
-            weights,
-            hist,
+            offsets: vec![0; rows + 1],
+            targets: vec![0; edges],
+            weights: vec![0; edges],
+            hist: vec![0; rows * hist_buckets],
             hist_buckets,
+        }
+    }
+
+    /// Copy `rows` in order into the arrays [`Self::zeroed`] sized, then
+    /// count each row's weight histogram.
+    fn fill<'a>(&mut self, rows: impl Iterator<Item = (&'a [VertexId], &'a [Weight])>) {
+        let mut at = 0;
+        for (i, (t, w)) in rows.enumerate() {
+            let end = at + t.len();
+            self.targets[at..end].copy_from_slice(t);
+            self.weights[at..end].copy_from_slice(w);
+            self.offsets[i + 1] = end;
+            at = end;
+        }
+        let counts = self.hist.chunks_exact_mut(self.hist_buckets);
+        for (row, counts) in self.offsets.windows(2).zip(counts) {
+            for &w in &self.weights[row[0]..row[1]] {
+                counts[weight_bucket(w)] += 1;
+            }
         }
     }
 
@@ -233,19 +249,28 @@ impl DistGraph {
         }
     }
 
+    /// Cut `csr` into one [`LocalGraph`] per rank. Every rank's arrays are
+    /// sized and allocated here, on the calling thread, from the row
+    /// lengths and each row's last (heaviest) weight; the workers then only
+    /// copy rows into the arrays they are handed, one rank each.
     fn slice(csr: &Csr, part: &Partition) -> Vec<LocalGraph> {
-        (0..part.num_ranks())
+        let rank_rows = |rank| (0..part.local_count(rank)).map(move |l| part.to_global(rank, l));
+        let mut locals: Vec<LocalGraph> = (0..part.num_ranks())
             .map(|rank| {
-                let rows: Vec<(Vec<VertexId>, Vec<Weight>)> = (0..part.local_count(rank))
-                    .map(|local| {
-                        let v = part.to_global(rank, local);
-                        let (t, w) = csr.row_slices(v);
-                        (t.to_vec(), w.to_vec())
-                    })
-                    .collect();
-                LocalGraph::from_rows(rows)
+                let (mut edges, mut max_w) = (0, 0);
+                for v in rank_rows(rank) {
+                    let (_, w) = csr.row_slices(v);
+                    edges += w.len();
+                    max_w = max_w.max(w.last().copied().unwrap_or(0));
+                }
+                LocalGraph::zeroed(part.local_count(rank), edges, max_w)
             })
-            .collect()
+            .collect();
+        locals
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(rank, lg)| lg.fill(rank_rows(rank).map(|v| csr.row_slices(v))));
+        locals
     }
 
     #[inline]

@@ -6,7 +6,9 @@
 //! duplicates are either kept (the default, matching the benchmark) or
 //! deduplicated keeping the minimum weight.
 
-use crate::{Csr, EdgeList, VertexId, Weight};
+use rayon::prelude::*;
+
+use crate::{Csr, Edge, EdgeList, VertexId, Weight};
 
 /// Configurable CSR builder.
 #[derive(Debug, Clone)]
@@ -44,79 +46,112 @@ impl CsrBuilder {
 
     /// Build an undirected CSR: every retained edge `{u, v}` contributes a
     /// slot to both rows. Rows come out sorted by `(weight, target)`.
+    ///
+    /// The default path reads `el` in place; only `dedup_min_weight` works
+    /// on a (canonicalised, sorted) copy.
     pub fn build(&self, el: &EdgeList) -> Csr {
         let n = el.n;
-        let mut edges: Vec<(VertexId, VertexId, Weight)> = el
-            .edges
-            .iter()
-            .filter(|e| !(self.drop_self_loops && e.u == e.v))
-            .map(|e| (e.u, e.v, e.w))
-            .collect();
+        let deduped;
+        let edges: &[Edge] = if self.dedup_min_weight {
+            deduped = self.dedup(&el.edges);
+            &deduped
+        } else {
+            &el.edges
+        };
+        let kept = || {
+            edges
+                .iter()
+                .filter(move |e| !(self.drop_self_loops && e.u == e.v))
+        };
 
-        if self.dedup_min_weight {
-            // Canonicalize pairs, sort, then keep the min-weight representative.
-            for e in &mut edges {
-                if e.0 > e.1 {
-                    std::mem::swap(&mut e.0, &mut e.1);
-                }
-            }
-            edges.sort_unstable_by_key(|&(u, v, w)| (u, v, w));
-            edges.dedup_by_key(|&mut (u, v, _)| (u, v));
+        // Counting sort into rows. A kept self-loop occupies two slots of
+        // its row, the usual CSR convention for undirected graphs.
+        let mut offsets = vec![0usize; n + 1];
+        for e in kept() {
+            offsets[e.u as usize + 1] += 1;
+            offsets[e.v as usize + 1] += 1;
         }
-
-        // Counting sort into rows.
-        let mut degree = vec![0usize; n];
-        for &(u, v, _) in &edges {
-            degree[u as usize] += 1;
-            if u != v {
-                degree[v as usize] += 1;
-            } else {
-                // A kept self-loop still occupies two slots, matching the
-                // usual CSR convention for undirected graphs.
-                degree[u as usize] += 1;
-            }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-
-        let total = acc;
-        let mut cursor = offsets.clone();
+        let total = offsets[n];
+        let mut cursor = offsets[..n].to_vec();
         let mut targets = vec![0 as VertexId; total];
         let mut weights = vec![0 as Weight; total];
-        for &(u, v, w) in &edges {
-            let cu = cursor[u as usize];
-            targets[cu] = v;
-            weights[cu] = w;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize];
-            targets[cv] = u;
-            weights[cv] = w;
-            cursor[v as usize] += 1;
-        }
-
-        // Sort each row by (weight, target) for the binary-search queries.
-        for v in 0..n {
-            let lo = offsets[v];
-            let hi = offsets[v + 1];
-            let mut row: Vec<(Weight, VertexId)> = weights[lo..hi]
-                .iter()
-                .copied()
-                .zip(targets[lo..hi].iter().copied())
-                .collect();
-            row.sort_unstable();
-            for (i, (w, t)) in row.into_iter().enumerate() {
-                weights[lo + i] = w;
-                targets[lo + i] = t;
+        for e in kept() {
+            for (from, to) in [(e.u, e.v), (e.v, e.u)] {
+                let slot = &mut cursor[from as usize];
+                targets[*slot] = to;
+                weights[*slot] = e.w;
+                *slot += 1;
             }
         }
-
+        sort_rows(&offsets, &mut targets, &mut weights);
         Csr::from_parts(offsets, targets, weights)
     }
+
+    /// The retained edges canonicalised to `u <= v`, keeping the
+    /// minimum-weight representative of each vertex pair.
+    fn dedup(&self, edges: &[Edge]) -> Vec<Edge> {
+        let mut out: Vec<Edge> = edges
+            .iter()
+            .filter(|e| !(self.drop_self_loops && e.u == e.v))
+            .map(|e| Edge::new(e.u.min(e.v), e.u.max(e.v), e.w))
+            .collect();
+        out.sort_unstable_by_key(|e| (e.u, e.v, e.w));
+        out.dedup_by_key(|e| (e.u, e.v));
+        out
+    }
+}
+
+/// Sort every row by `(weight, target)`, in parallel: the rows are cut into
+/// one run of about equal edge count per worker, and each worker sorts its
+/// rows on packed `(w << 32) | t` keys in one reused buffer.
+fn sort_rows(offsets: &[usize], targets: &mut [VertexId], weights: &mut [Weight]) {
+    let n = offsets.len() - 1;
+    let runs = rayon::current_num_threads().clamp(1, n.max(1));
+    let per_run = offsets[n].div_ceil(runs).max(1);
+    let mut work = Vec::with_capacity(runs);
+    let (mut targets, mut weights) = (targets, weights);
+    let mut first = 0;
+    while first < n {
+        // The run ends at the first row boundary holding its share of edges.
+        let goal = offsets[first] + per_run;
+        let last = first + 1 + offsets[first + 1..n].partition_point(|&o| o < goal);
+        let len = offsets[last] - offsets[first];
+        let (t, t_rest) = std::mem::take(&mut targets).split_at_mut(len);
+        let (w, w_rest) = std::mem::take(&mut weights).split_at_mut(len);
+        (targets, weights) = (t_rest, w_rest);
+        work.push((&offsets[first..=last], t, w));
+        first = last;
+    }
+    work.into_par_iter()
+        .for_each(|(offsets, targets, weights)| {
+            let base = offsets[0];
+            let mut keys: Vec<u64> = Vec::new();
+            for row in offsets.windows(2) {
+                let (lo, hi) = (row[0] - base, row[1] - base);
+                if hi - lo < 2 {
+                    continue;
+                }
+                keys.clear();
+                keys.extend(
+                    weights[lo..hi]
+                        .iter()
+                        .zip(&targets[lo..hi])
+                        .map(|(&w, &t)| (u64::from(w) << 32) | u64::from(t)),
+                );
+                keys.sort_unstable();
+                for ((key, t), w) in keys
+                    .iter()
+                    .zip(&mut targets[lo..hi])
+                    .zip(&mut weights[lo..hi])
+                {
+                    *t = *key as VertexId;
+                    *w = (*key >> 32) as Weight;
+                }
+            }
+        });
 }
 
 #[cfg(test)]

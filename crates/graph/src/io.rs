@@ -82,13 +82,18 @@ pub fn write_dimacs<W: Write>(w: &mut W, el: &EdgeList) -> std::io::Result<()> {
 /// Read a DIMACS `.gr` file. With `dedup_reverse`, an `a v u w` line that
 /// mirrors an already-seen `a u v w` is dropped (for files that list both
 /// arc directions of an undirected graph).
-pub fn read_dimacs<R: BufRead>(r: R, dedup_reverse: bool) -> Result<EdgeList, IoError> {
+pub fn read_dimacs<R: BufRead>(mut r: R, dedup_reverse: bool) -> Result<EdgeList, IoError> {
     let mut el: Option<EdgeList> = None;
     let mut declared_edges = 0usize;
     let mut seen = std::collections::HashSet::new();
-    for (idx, line) in r.lines().enumerate() {
-        let line = line?;
-        let lineno = idx + 1;
+    let mut line = String::new();
+    let mut lineno = 0;
+    loop {
+        line.clear();
+        if r.read_line(&mut line)? == 0 {
+            break;
+        }
+        lineno += 1;
         let mut parts = line.split_ascii_whitespace();
         match parts.next() {
             None | Some("c") => continue,
@@ -216,7 +221,10 @@ pub fn read_binary<R: std::io::Read>(r: &mut R) -> Result<EdgeList, IoError> {
     r.read_exact(&mut u64buf)?;
     let n = check_vertex_count(u64::from_le_bytes(u64buf), 0)?;
     r.read_exact(&mut u64buf)?;
-    let m = u64::from_le_bytes(u64buf) as usize;
+    let m = usize::try_from(u64::from_le_bytes(u64buf)).map_err(|_| IoError::Parse {
+        line: 0,
+        msg: "edge count exceeds the address space".into(),
+    })?;
     let mut el = EdgeList::new(n);
     let mut u32buf = [0u8; 4];
     for _ in 0..m {
@@ -303,6 +311,106 @@ mod tests {
         buf[8..16].copy_from_slice(&((1u64 << 32) + 1).to_le_bytes());
         let err = read_binary(&mut &buf[..]).unwrap_err();
         assert!(matches!(err, IoError::Parse { .. }), "{err}");
+    }
+
+    /// An accepted graph must at least be well-formed.
+    fn assert_well_formed(el: &EdgeList) {
+        let n = el.n as u64;
+        assert!(el
+            .edges
+            .iter()
+            .all(|e| u64::from(e.u) < n && u64::from(e.v) < n));
+    }
+
+    fn both_formats(el: &EdgeList) -> (Vec<u8>, Vec<u8>) {
+        let (mut text, mut bin) = (Vec::new(), Vec::new());
+        write_dimacs(&mut text, el).unwrap();
+        write_binary(&mut bin, el).unwrap();
+        (text, bin)
+    }
+
+    #[test]
+    fn truncated_inputs_are_errors() {
+        let (text, bin) = both_formats(&gen::uniform(6, 12, 40, 4));
+        // Any cut up to the start of the last line loses at least one edge.
+        let last_line = text[..text.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        for cut in 0..=last_line {
+            let got = read_dimacs(BufReader::new(&text[..cut]), false);
+            assert!(got.is_err(), "DIMACS cut at byte {cut} accepted");
+        }
+        for cut in 0..bin.len() {
+            assert!(
+                matches!(read_binary(&mut &bin[..cut]), Err(IoError::Io(_))),
+                "binary cut at byte {cut} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_counts_are_errors() {
+        for text in [
+            "p sp 3 18446744073709551615\na 1 2 3\n",
+            "p sp 3 99999999999999999999999\na 1 2 3\n",
+            "p sp 99999999999999999999999 1\na 1 2 3\n",
+            "p sp 3 1\na 1 18446744073709551616 3\n",
+            "p sp 3 1\na 1 2 4294967296\n",
+        ] {
+            let got = read_dimacs(BufReader::new(text.as_bytes()), false);
+            assert!(
+                matches!(got, Err(IoError::Parse { .. })),
+                "accepted {text:?}"
+            );
+        }
+        let (_, mut bin) = both_formats(&gen::path(3, 1));
+        bin[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(read_binary(&mut &bin[..]), Err(IoError::Io(_))));
+    }
+
+    #[test]
+    fn non_utf8_inputs_are_errors() {
+        let text = b"p sp 2 1\nc \xff\xfe\na 1 2 3\n";
+        for dedup in [false, true] {
+            let got = read_dimacs(BufReader::new(&text[..]), dedup);
+            assert!(matches!(got, Err(IoError::Io(_))));
+        }
+        let junk = [0xffu8; 64];
+        assert!(read_dimacs(BufReader::new(&junk[..]), false).is_err());
+        assert!(matches!(
+            read_binary(&mut &junk[..]),
+            Err(IoError::Parse { .. })
+        ));
+    }
+
+    #[test]
+    fn byte_mutated_inputs_never_panic() {
+        let (text, bin) = both_formats(&gen::uniform(5, 8, 30, 2));
+        for i in 0..text.len() {
+            for b in [0u8, b'0', b'9', b' ', b'\n', b'-', b'a', b'p', 0xff] {
+                let mut t = text.clone();
+                t[i] = b;
+                for dedup in [false, true] {
+                    if let Ok(el) = read_dimacs(BufReader::new(&t[..]), dedup) {
+                        assert_well_formed(&el);
+                    }
+                }
+            }
+        }
+        for i in 0..bin.len() {
+            for b in [0u8, 1, 0x7f, 0x80, 0xff] {
+                let mut m = bin.clone();
+                m[i] = b;
+                if let Ok(el) = read_binary(&mut &m[..]) {
+                    assert_well_formed(&el);
+                }
+                if i < 8 && b != bin[i] {
+                    assert!(read_binary(&mut &m[..]).is_err(), "bad magic accepted");
+                }
+            }
+        }
     }
 
     #[test]

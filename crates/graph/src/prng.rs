@@ -6,6 +6,26 @@
 //! standard choice for this kind of counter-based generation — it passes
 //! BigCrush and costs a handful of arithmetic ops.
 
+use rayon::prelude::*;
+
+/// Items per work unit of [`par_for_each_indexed`]: a chunk handle is noise
+/// next to this much work, and a graph of a few thousand edges already
+/// spreads over every worker.
+const CHUNK: usize = 1 << 12;
+
+/// Run `f(i, &mut out[i])` for every index, in parallel over disjoint
+/// chunks of `out`. Each worker writes only the chunks it is handed, so with
+/// draws keyed by `(seed, i)` the result is independent of the worker count.
+pub(crate) fn par_for_each_indexed<T: Send>(out: &mut [T], f: impl Fn(u64, &mut T) + Sync) {
+    out.par_chunks_mut(CHUNK)
+        .enumerate()
+        .for_each(|(c, chunk)| {
+            for (i, slot) in ((c * CHUNK) as u64..).zip(chunk) {
+                f(i, slot);
+            }
+        });
+}
+
 /// One SplitMix64 scrambling round.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {

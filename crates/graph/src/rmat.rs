@@ -14,10 +14,9 @@
 //! Generation is counter-based (each edge hashes `(seed, edge_index)`), so it
 //! is deterministic, trivially parallel and independent of the rank count.
 
-use rayon::prelude::*;
-
-use crate::prng::SplitMix;
-use crate::{EdgeList, EdgeTuple, VertexId};
+use crate::prng::{par_for_each_indexed, SplitMix};
+use crate::weights::uniform_weight;
+use crate::{Edge, EdgeList, EdgeTuple, VertexId};
 
 /// R-MAT quadrant probabilities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,26 +145,17 @@ impl RmatGenerator {
     }
 
     /// Generate one endpoint pair for edge `index`.
-    fn edge(&self, index: u64) -> EdgeTuple {
+    fn edge(&self, q: &Quadrants, index: u64) -> EdgeTuple {
         let mut rng = SplitMix::derive(self.seed, index);
         let mut u: u64 = 0;
         let mut v: u64 = 0;
-        let RmatParams { a, b, c, .. } = self.params;
-        let ab = a + b;
         for _ in 0..self.scale {
-            u <<= 1;
-            v <<= 1;
-            let r = rng.next_f64();
-            if r < a {
-                // quadrant A: (0, 0)
-            } else if r < ab {
-                v |= 1; // B: (0, 1)
-            } else if r < ab + c {
-                u |= 1; // C: (1, 0)
-            } else {
-                u |= 1;
-                v |= 1; // D: (1, 1)
-            }
+            // Quadrants A (0, 0), B (0, 1), C (1, 0), D (1, 1): the row bit
+            // is set from C on, the column bit in B and D.
+            let k = rng.next_u64() >> 11;
+            let (past_a, past_ab, past_abc) = (k >= q.a, k >= q.ab, k >= q.abc);
+            u = (u << 1) | u64::from(past_ab);
+            v = (v << 1) | u64::from(past_a ^ past_ab ^ past_abc);
         }
         if self.permute {
             u = scramble(u, self.scale, self.seed);
@@ -179,23 +169,54 @@ impl RmatGenerator {
 
     /// Generate the full (unweighted) edge tuple list, in parallel.
     pub fn generate_tuples(&self) -> Vec<EdgeTuple> {
-        (0..self.num_edges() as u64)
-            .into_par_iter()
-            .map(|i| self.edge(i))
-            .collect()
+        let q = Quadrants::new(&self.params);
+        let mut tuples = vec![EdgeTuple { u: 0, v: 0 }; self.num_edges()];
+        par_for_each_indexed(&mut tuples, |i, t| *t = self.edge(&q, i));
+        tuples
     }
 
     /// Generate the edge list with uniform weights in `[1, w_max]`
     /// (the Graph 500 SSSP proposal's weight distribution; see
-    /// [`crate::weights`]).
+    /// [`crate::weights`]), in parallel. Edge `i`'s endpoints come from the
+    /// `(seed, i)` stream and its weight from an independent one, so the
+    /// endpoints equal [`Self::generate_tuples`]' and the list is the same
+    /// for every worker count.
     pub fn generate_weighted(&self, w_max: u32) -> EdgeList {
-        let tuples = self.generate_tuples();
-        crate::weights::weight_tuples(
-            self.num_vertices(),
-            &tuples,
-            w_max,
-            self.seed ^ WEIGHT_STREAM_TAG,
-        )
+        assert!(w_max >= 1, "w_max must be at least 1");
+        let q = Quadrants::new(&self.params);
+        let weight_seed = self.seed ^ WEIGHT_STREAM_TAG;
+        let mut edges = vec![Edge::new(0, 0, 0); self.num_edges()];
+        par_for_each_indexed(&mut edges, |i, e| {
+            let EdgeTuple { u, v } = self.edge(&q, i);
+            *e = Edge::new(u, v, uniform_weight(weight_seed, i, w_max));
+        });
+        EdgeList {
+            n: self.num_vertices(),
+            edges,
+        }
+    }
+}
+
+/// The quadrant boundaries `a`, `a + b`, `a + b + c` as thresholds on the
+/// raw 53-bit draw `k` behind [`SplitMix::next_f64`]. That draw is
+/// `r = k·2⁻⁵³` exactly, and scaling by a power of two is exact too, so
+/// `r < p` holds exactly when `k < ⌈p·2⁵³⌉`: the integer compares pick the
+/// same quadrant as comparing `r` with the f64 boundaries.
+struct Quadrants {
+    a: u64,
+    ab: u64,
+    abc: u64,
+}
+
+impl Quadrants {
+    fn new(params: &RmatParams) -> Self {
+        let scaled = |p: f64| (p * (1u64 << 53) as f64).ceil() as u64;
+        let ab = params.a + params.b;
+        Quadrants {
+            a: scaled(params.a),
+            ab: scaled(ab),
+            abc: scaled(ab + params.c),
+        }
     }
 }
 

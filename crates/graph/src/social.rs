@@ -8,9 +8,7 @@
 //! presets are scaled-down versions (default 1/64) of the published sizes,
 //! keeping the average degree of the original.
 
-use rayon::prelude::*;
-
-use crate::prng::SplitMix;
+use crate::prng::{par_for_each_indexed, SplitMix};
 use crate::{Edge, EdgeList, VertexId};
 
 /// Chung–Lu configuration: vertices draw expected degrees from a truncated
@@ -89,16 +87,14 @@ impl ChungLu {
             (idx.saturating_sub(1)).min(self.n - 1) as VertexId
         };
 
-        let edges: Vec<Edge> = (0..self.m as u64)
-            .into_par_iter()
-            .map(|i| {
-                let mut rng = SplitMix::derive(self.seed, i);
-                let u = sample(rng.next_f64());
-                let v = sample(rng.next_f64());
-                let w = 1 + rng.next_below(self.w_max.max(1) as u64) as u32;
-                Edge { u, v, w }
-            })
-            .collect();
+        let w_max = u64::from(self.w_max.max(1));
+        let mut edges = vec![Edge::new(0, 0, 0); self.m];
+        par_for_each_indexed(&mut edges, |i, e| {
+            let mut rng = SplitMix::derive(self.seed, i);
+            let u = sample(rng.next_f64());
+            let v = sample(rng.next_f64());
+            *e = Edge::new(u, v, 1 + rng.next_below(w_max) as u32);
+        });
         EdgeList { n: self.n, edges }
     }
 }

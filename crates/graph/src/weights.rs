@@ -8,57 +8,38 @@
 //! `Δ > 1`). Zero-weight edges remain fully supported by the engine because
 //! the vertex-splitting load balancer introduces them deliberately.
 
-use rayon::prelude::*;
+use crate::prng::{par_for_each_indexed, SplitMix};
+use crate::{EdgeList, Weight};
 
-use crate::prng::SplitMix;
-use crate::{Edge, EdgeList, EdgeTuple};
-
-/// Attach uniform weights in `[1, w_max]` to unweighted tuples. Weight `i`
-/// depends only on `(seed, i)`, so the assignment is deterministic and
+/// Weight of edge `index` under `seed`: uniform in `[1, w_max]` and a
+/// function of `(seed, index)` alone, so an assignment is deterministic and
 /// parallel.
-pub fn weight_tuples(n: usize, tuples: &[EdgeTuple], w_max: u32, seed: u64) -> EdgeList {
-    assert!(w_max >= 1, "w_max must be at least 1");
-    let edges: Vec<Edge> = tuples
-        .par_iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let mut rng = SplitMix::derive(seed, i as u64);
-            Edge {
-                u: t.u,
-                v: t.v,
-                w: 1 + rng.next_below(w_max as u64) as u32,
-            }
-        })
-        .collect();
-    EdgeList { n, edges }
+#[inline]
+pub(crate) fn uniform_weight(seed: u64, index: u64, w_max: u32) -> Weight {
+    1 + SplitMix::derive(seed, index).next_below(u64::from(w_max)) as Weight
 }
 
 /// Re-weight an existing edge list in place with uniform weights in
 /// `[1, w_max]`.
 pub fn assign_uniform_weights(el: &mut EdgeList, w_max: u32, seed: u64) {
     assert!(w_max >= 1, "w_max must be at least 1");
-    el.edges.par_iter_mut().enumerate().for_each(|(i, e)| {
-        let mut rng = SplitMix::derive(seed, i as u64);
-        e.w = 1 + rng.next_below(w_max as u64) as u32;
-    });
+    par_for_each_indexed(&mut el.edges, |i, e| e.w = uniform_weight(seed, i, w_max));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rmat::{RmatGenerator, RmatParams};
 
-    fn tuples(k: usize) -> Vec<EdgeTuple> {
-        (0..k)
-            .map(|i| EdgeTuple {
-                u: i as u32,
-                v: ((i + 1) % k) as u32,
-            })
-            .collect()
+    fn weighted(edges_log2: u32, w_max: u32, seed: u64) -> EdgeList {
+        RmatGenerator::new(RmatParams::RMAT2, edges_log2 - 3, 8)
+            .seed(seed)
+            .generate_weighted(w_max)
     }
 
     #[test]
     fn weights_in_range() {
-        let el = weight_tuples(100, &tuples(100), 255, 9);
+        let el = weighted(7, 255, 9);
         for e in &el.edges {
             assert!((1..=255).contains(&e.w));
         }
@@ -66,27 +47,27 @@ mod tests {
 
     #[test]
     fn weights_deterministic() {
-        let a = weight_tuples(50, &tuples(50), 255, 3);
-        let b = weight_tuples(50, &tuples(50), 255, 3);
+        let a = weighted(6, 255, 3);
+        let b = weighted(6, 255, 3);
         assert_eq!(a.edges, b.edges);
     }
 
     #[test]
     fn weights_roughly_uniform() {
-        let el = weight_tuples(20_000, &tuples(20_000), 4, 17);
+        let el = weighted(15, 4, 17);
         let mut counts = [0usize; 5];
         for e in &el.edges {
             counts[e.w as usize] += 1;
         }
         assert_eq!(counts[0], 0);
         for &c in &counts[1..=4] {
-            assert!(c > 4_000, "weight bucket too small: {c}");
+            assert!(c > 7_000, "weight bucket too small: {c}");
         }
     }
 
     #[test]
     fn reweight_in_place_changes_only_weights() {
-        let mut el = weight_tuples(10, &tuples(10), 255, 1);
+        let mut el = weighted(4, 255, 1);
         let before: Vec<_> = el.edges.iter().map(|e| (e.u, e.v)).collect();
         assign_uniform_weights(&mut el, 10, 2);
         let after: Vec<_> = el.edges.iter().map(|e| (e.u, e.v)).collect();
@@ -96,7 +77,7 @@ mod tests {
 
     #[test]
     fn w_max_one_gives_unit_weights() {
-        let el = weight_tuples(10, &tuples(10), 1, 5);
+        let el = weighted(4, 1, 5);
         assert!(el.edges.iter().all(|e| e.w == 1));
     }
 }
