@@ -183,7 +183,7 @@ struct RankBfs {
 const VISIT_BYTES: usize = 8;
 
 impl Spmd for Bfs {
-    /// A visit's local target index; a bottom-up frontier entry's global id.
+    /// A visit's local target index; a bottom-up frontier entry's internal id.
     type Msg = u32;
     type Out = Share<u32, Vec<BfsLevelRecord>>;
 
@@ -211,7 +211,7 @@ impl Spmd for Bfs {
                 timed_out,
             };
         }
-        let (owner, local) = (dg.part.owner(self.root), dg.part.to_local(self.root));
+        let (owner, local) = dg.locate(self.root);
         if let Some(rk) = ranks.state.iter_mut().find(|rk| rk.rank == owner) {
             rk.depth[local] = 0;
             rk.frontier.push(local as u32);
@@ -318,7 +318,7 @@ impl Bfs {
     }
 
     /// One bottom-up level: every rank receives the whole frontier as
-    /// global ids and keeps it as an `n`-bit bitmap — the cost model
+    /// internal ids and keeps it as an `n`-bit bitmap — the cost model
     /// charges the bitmap allgather this stands for, one collective plus
     /// `(n/8 + 1)·p` bytes — then scans its unvisited vertices for a
     /// frontier neighbor. Returns the edges this process examined.

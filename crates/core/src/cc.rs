@@ -109,12 +109,13 @@ impl Spmd for Cc {
         let n = dg.num_vertices();
         let owned = ctx.owned();
         let mut meter = Meter::new(dg, &owned, &self.model);
-        // Every vertex starts labeled with its own id, and "changed".
+        // Every vertex starts labeled with its own external id, and
+        // "changed".
         let mut ranks = Ranks::new(owned.clone(), dg.num_ranks(), |rank| {
             let nl = dg.part.local_count(rank);
             RankCc {
                 rank,
-                labels: (0..nl).map(|l| dg.part.to_global(rank, l)).collect(),
+                labels: (0..nl).map(|l| dg.vertex(rank, l)).collect(),
                 active: (0..nl as u32).collect(),
                 seen: vec![false; nl],
             }

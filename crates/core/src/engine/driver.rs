@@ -27,7 +27,7 @@ use sssp_comm::exchange::{pack_sorted_run, shrink_oversized, MinTable, Outbox};
 use sssp_comm::stats::StepStats;
 use sssp_comm::threaded::SPARE_CAPACITY_FLOOR;
 use sssp_comm::transport::Comm;
-use sssp_dist::{DistGraph, Partition};
+use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
 
 use crate::config::{DirectionPolicy, LongPhaseMode, SsspConfig};
@@ -64,11 +64,12 @@ pub struct ProcessOut {
 }
 
 impl ProcessOut {
-    /// Fold this process's share into the run's global output.
-    pub(super) fn fold_into(self, out: &mut RunOutput, part: &Partition) {
+    /// Fold this process's share into the run's global output, indexed
+    /// by external id.
+    pub(super) fn fold_into(self, out: &mut RunOutput, dg: &DistGraph) {
         for (rank, dist) in (self.first_rank..).zip(&self.dist) {
             for (l, &d) in dist.iter().enumerate() {
-                out.distances[part.to_global(rank, l) as usize] = d;
+                out.distances[dg.vertex(rank, l) as usize] = d;
             }
         }
         out.relax_local_msgs += self.relax_local_msgs;
@@ -421,18 +422,17 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
 
     /// Place the seeds on their owner ranks.
     fn seed(&mut self) {
-        let part = &self.job.dg.part;
         let first_rank = self.out.first_rank;
         for st in &mut self.bufs.st {
             st.begin_phase();
         }
         for &(v, d) in self.job.seeds {
-            if let Some(st) = part
-                .owner(v)
+            let (owner, local) = self.job.dg.locate(v);
+            if let Some(st) = owner
                 .checked_sub(first_rank)
                 .and_then(|i| self.bufs.st.get_mut(i))
             {
-                st.relax(part.local_index(v), d, &self.policy.delta);
+                st.relax(sssp_graph::checked_u32(local), d, &self.policy.delta);
             }
         }
     }
@@ -483,13 +483,13 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             // for finite Δ, 0 — never early — for infinite Δ); at or below
             // it the target is final.
             if let Some(tv) = job.target {
-                let (owner, local) = (job.dg.part.owner(tv), job.dg.part.local_index(tv));
+                let (owner, local) = job.dg.locate(tv);
                 let td_owned = self
                     .bufs
                     .st
                     .iter()
                     .find(|st| st.rank == owner)
-                    .map_or(INF, |st| st.dist[local as usize]);
+                    .map_or(INF, |st| st.dist[local]);
                 let waited = self.clock();
                 // sssp-lint: protocol: epoch.target-cutoff
                 let td = self.ctx.allreduce_min(td_owned);

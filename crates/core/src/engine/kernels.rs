@@ -93,6 +93,9 @@ pub(super) fn push_range_start(
 /// an edge with `w < d(v) − kd`; anything can while `v` is unreached.
 #[inline]
 pub(super) fn pull_threshold(dv: u64, kd: u64) -> u64 {
+    // Bound: an unsettled v sits in a bucket above `window.hi`, so d(v) >
+    // `start_dist` = kd and `dv − kd` cannot wrap; the subtraction still
+    // saturates so that a broken caller yields an empty range, not a wrap.
     debug_assert!(
         dv >= kd,
         "unsettled d(v) = {dv} below the window start {kd}"
@@ -100,7 +103,7 @@ pub(super) fn pull_threshold(dv: u64, kd: u64) -> u64 {
     if dv == INF {
         u64::MAX
     } else {
-        dv - kd
+        dv.saturating_sub(kd)
     }
 }
 

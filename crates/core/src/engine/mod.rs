@@ -393,7 +393,7 @@ pub fn run<T: Transport, R: Recorder>(
     };
     let mut recorders = Vec::new();
     for (process, rec) in transport.drive(dg, program) {
-        process.fold_into(&mut out, &graph.part);
+        process.fold_into(&mut out, graph);
         recorders.push(rec);
     }
     (out, recorders)

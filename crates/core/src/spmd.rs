@@ -132,7 +132,7 @@ pub(crate) struct Share<T, X> {
     pub(crate) timed_out: bool,
 }
 
-/// Fold a run's shares, in rank order, into `(values in global vertex
+/// Fold a run's shares, in rank order, into `(values in external vertex
 /// order, the records folded into X::default() with merge, traffic
 /// ledger, time ledger, timed out)`. Vertices no rank writes hold `fill`;
 /// at most one share carries ledgers.
@@ -147,7 +147,7 @@ pub(crate) fn gather<T: Copy, X: Default>(
     for share in shares {
         for (rank, local) in (share.first..).zip(share.local) {
             for (l, x) in local.into_iter().enumerate() {
-                values[dg.part.to_global(rank, l) as usize] = x;
+                values[dg.vertex(rank, l) as usize] = x;
             }
         }
         merge(&mut record, share.record);

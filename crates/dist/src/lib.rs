@@ -13,8 +13,10 @@
 //!   with zero-weight edges, their neighborhoods scattered across ranks.
 //!
 //! Proxies live in a dedicated id region `[n_base, n_base + n_proxy)` that is
-//! round-robin distributed (so the shards of one hub land on distinct ranks),
-//! while original vertices keep their ids — results never need re-mapping.
+//! round-robin distributed (so the shards of one hub land on distinct ranks).
+//! Within a rank, base vertices are stored hub-first; the ids callers see
+//! are the input's, translated only where they cross the API
+//! ([`DistGraph::locate`], [`DistGraph::vertex`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

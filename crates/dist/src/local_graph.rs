@@ -12,7 +12,7 @@ use crate::partition::Partition;
 #[derive(Debug, Clone)]
 pub struct LocalGraph {
     offsets: Vec<usize>,
-    targets: Vec<VertexId>, // global ids
+    targets: Vec<VertexId>, // internal ids (see `DistGraph`)
     weights: Vec<Weight>,
     /// Per-vertex power-of-two weight histograms (`hist_buckets` counters
     /// per row) — the approximate range-count structure §III-C suggests as
@@ -49,7 +49,8 @@ impl LocalGraph {
             .max()
             .unwrap_or(0);
         let mut lg = Self::zeroed(rows.len(), edges, max_w);
-        lg.fill(rows.iter().map(|(t, w)| (t.as_slice(), w.as_slice())));
+        let slotted = rows.iter().enumerate();
+        lg.fill(slotted.map(|(i, (t, w))| (i, &t[..], &w[..])), |t| t);
         lg
     }
 
@@ -67,16 +68,27 @@ impl LocalGraph {
         }
     }
 
-    /// Copy `rows` in order into the arrays [`Self::zeroed`] sized, then
-    /// count each row's weight histogram.
-    fn fill<'a>(&mut self, rows: impl Iterator<Item = (&'a [VertexId], &'a [Weight])>) {
-        let mut at = 0;
-        for (i, (t, w)) in rows.enumerate() {
-            let end = at + t.len();
-            self.targets[at..end].copy_from_slice(t);
-            self.weights[at..end].copy_from_slice(w);
-            self.offsets[i + 1] = end;
-            at = end;
+    /// Copy every `(slot, targets, weights)` of `rows` into row `slot` of
+    /// the arrays [`Self::zeroed`] sized, each target through `id`, then
+    /// count each row's weight histogram. `rows` names every slot once and
+    /// is walked twice: for the row lengths, then to copy.
+    fn fill<'a>(
+        &mut self,
+        rows: impl Iterator<Item = (usize, &'a [VertexId], &'a [Weight])> + Clone,
+        id: impl Fn(VertexId) -> VertexId,
+    ) {
+        for (slot, t, _) in rows.clone() {
+            self.offsets[slot + 1] = t.len();
+        }
+        for i in 1..self.offsets.len() {
+            self.offsets[i] += self.offsets[i - 1];
+        }
+        for (slot, t, w) in rows {
+            let at = self.offsets[slot];
+            for (dst, &v) in self.targets[at..at + t.len()].iter_mut().zip(t) {
+                *dst = id(v);
+            }
+            self.weights[at..at + w.len()].copy_from_slice(w);
         }
         let counts = self.hist.chunks_exact_mut(self.hist_buckets);
         for (row, counts) in self.offsets.windows(2).zip(counts) {
@@ -161,6 +173,14 @@ impl LocalGraph {
 }
 
 /// A graph distributed over `P` simulated ranks.
+///
+/// Vertices have two ids. The *external* id is the input CSR's; every API
+/// takes and returns external ids. Each rank stores its base vertices
+/// hub-first (see [`DistGraph::build_with_partition`]); a vertex's
+/// *internal* id is `part.to_global(owner, position)`, and [`LocalGraph`]
+/// targets and every message carry internal ids. The owner of both ids is
+/// the same rank, and [`DistGraph::locate`] / [`DistGraph::vertex`]
+/// translate between them.
 #[derive(Debug, Clone)]
 pub struct DistGraph {
     /// The vertex partition shared by all ranks.
@@ -174,6 +194,10 @@ pub struct DistGraph {
     /// Undirected edge count of the *input* graph (pre-splitting); this is
     /// the `m` in the benchmark's `TEPS = m / t`.
     pub m_input_undirected: u64,
+    /// Internal id of each external id.
+    internal: Vec<VertexId>,
+    /// External id of each internal id.
+    external: Vec<VertexId>,
 }
 
 impl DistGraph {
@@ -232,6 +256,13 @@ impl DistGraph {
 
     /// Distribute a split graph (see [`crate::split`]): `part` carries the
     /// proxy region, `m_input_undirected` should be the pre-split edge count.
+    ///
+    /// Each rank stores its base vertices hub-first: a stable sort by
+    /// descending degree within each residue class `local % threads_per_rank`,
+    /// so every vertex keeps its owner rank and its logical thread, and the
+    /// high-degree vertices most relaxations land on share a few cache
+    /// lines. Proxies keep their slots, and each row keeps the CSR's edge
+    /// order with its targets translated to internal ids.
     pub fn build_with_partition(
         csr: &Csr,
         part: Partition,
@@ -239,27 +270,48 @@ impl DistGraph {
         m_input_undirected: u64,
     ) -> Self {
         assert_eq!(csr.num_vertices(), part.num_vertices());
-        let locals = Self::slice(csr, &part);
+        let threads_per_rank = threads_per_rank.max(1);
+        let slots: Vec<Vec<u32>> = (0..part.num_ranks())
+            .map(|rank| hub_first(csr, &part, rank, threads_per_rank))
+            .collect();
+        let n = part.num_vertices();
+        let (mut internal, mut external) = (vec![0; n], vec![0; n]);
+        for (rank, slots) in slots.iter().enumerate() {
+            for (l, &at) in slots.iter().enumerate() {
+                let (x, i) = (part.to_global(rank, l), part.to_global(rank, at as usize));
+                internal[x as usize] = i;
+                external[i as usize] = x;
+            }
+        }
+        let locals = Self::slice(csr, &part, &slots, &internal);
         DistGraph {
             part,
             locals,
-            threads_per_rank: threads_per_rank.max(1),
+            threads_per_rank,
             m_directed: csr.num_directed_edges() as u64,
             m_input_undirected,
+            internal,
+            external,
         }
     }
 
-    /// Cut `csr` into one [`LocalGraph`] per rank. Every rank's arrays are
-    /// sized and allocated here, on the calling thread, from the row
-    /// lengths and each row's last (heaviest) weight; the workers then only
-    /// copy rows into the arrays they are handed, one rank each.
-    fn slice(csr: &Csr, part: &Partition) -> Vec<LocalGraph> {
-        let rank_rows = |rank| (0..part.local_count(rank)).map(move |l| part.to_global(rank, l));
+    /// Cut `csr` into one [`LocalGraph`] per rank, the row of rank `r`'s
+    /// local `l` in slot `slots[r][l]`, with targets mapped through
+    /// `internal`. Every rank's arrays are sized and allocated here, on the
+    /// calling thread, from the row lengths and each row's last (heaviest)
+    /// weight; the workers then only copy rows into the arrays they are
+    /// handed, one rank each, reading the CSR in order.
+    fn slice(
+        csr: &Csr,
+        part: &Partition,
+        slots: &[Vec<u32>],
+        internal: &[VertexId],
+    ) -> Vec<LocalGraph> {
         let mut locals: Vec<LocalGraph> = (0..part.num_ranks())
             .map(|rank| {
                 let (mut edges, mut max_w) = (0, 0);
-                for v in rank_rows(rank) {
-                    let (_, w) = csr.row_slices(v);
+                for l in 0..part.local_count(rank) {
+                    let (_, w) = csr.row_slices(part.to_global(rank, l));
                     edges += w.len();
                     max_w = max_w.max(w.last().copied().unwrap_or(0));
                 }
@@ -268,9 +320,29 @@ impl DistGraph {
             .collect();
         locals
             .par_iter_mut()
+            .zip(slots)
             .enumerate()
-            .for_each(|(rank, lg)| lg.fill(rank_rows(rank).map(|v| csr.row_slices(v))));
+            .for_each(|(rank, (lg, slots))| {
+                let rows = slots.iter().enumerate().map(|(l, &at)| {
+                    let (t, w) = csr.row_slices(part.to_global(rank, l));
+                    (at as usize, t, w)
+                });
+                lg.fill(rows, |t| internal[t as usize]);
+            });
         locals
+    }
+
+    /// Owner rank and local index of the external vertex `v`.
+    #[inline]
+    pub fn locate(&self, v: VertexId) -> (usize, usize) {
+        let i = self.internal[v as usize];
+        (self.part.owner(i), self.part.to_local(i))
+    }
+
+    /// External id of the vertex stored at `local` on `rank`.
+    #[inline]
+    pub fn vertex(&self, rank: usize, local: usize) -> VertexId {
+        self.external[self.part.to_global(rank, local) as usize]
     }
 
     #[inline]
@@ -285,10 +357,49 @@ impl DistGraph {
         self.part.num_vertices()
     }
 
-    /// Degree of a global vertex (routed through its owner's local graph).
+    /// Degree of the external vertex `v` (routed through its owner's local
+    /// graph).
     pub fn degree(&self, v: VertexId) -> usize {
-        self.locals[self.part.owner(v)].degree(self.part.to_local(v))
+        let (rank, local) = self.locate(v);
+        self.locals[rank].degree(local)
     }
+}
+
+/// `rank`'s hub-first slots: entry `l` is the position that stores the
+/// vertex at [`Partition::to_local`] index `l`. Base vertices are
+/// counting-sorted by descending degree, stably, then dealt in that order
+/// to the next free slot of their residue class `l % threads` — the
+/// class's slots fill hub-first and no vertex changes thread. Proxies keep
+/// their slots.
+fn hub_first(csr: &Csr, part: &Partition, rank: usize, threads: usize) -> Vec<u32> {
+    let base = part.base_count(rank);
+    let degree: Vec<usize> = (0..base)
+        .map(|l| csr.degree(part.to_global(rank, l)))
+        .collect();
+    let max = degree.iter().copied().max().unwrap_or(0);
+    // `start[max − d]`: the first sorted position of degree `d`.
+    let mut start = vec![0usize; max + 2];
+    for &d in &degree {
+        start[max - d + 1] += 1;
+    }
+    for k in 1..start.len() {
+        start[k] += start[k - 1];
+    }
+    let mut sorted = vec![0u32; base];
+    for (l, &d) in degree.iter().enumerate() {
+        sorted[start[max - d]] = sssp_graph::checked_u32(l);
+        start[max - d] += 1;
+    }
+    let mut next: Vec<usize> = (0..threads).collect();
+    let mut slots: Vec<u32> = (0..part.local_count(rank))
+        .map(sssp_graph::checked_u32)
+        .collect();
+    for l in sorted {
+        let slot = &mut next[l as usize % threads];
+        slots[l as usize] = sssp_graph::checked_u32(*slot);
+        *slot += threads;
+    }
+    slots
 }
 
 #[cfg(test)]
@@ -305,9 +416,13 @@ mod tests {
         let csr = small();
         let dg = DistGraph::build(&csr, 5, 2);
         for v in csr.vertices() {
-            let r = dg.part.owner(v);
-            let l = dg.part.to_local(v);
+            let (r, l) = dg.locate(v);
+            assert_eq!(r, dg.part.owner(v));
             let (t, w) = dg.locals[r].row(l);
+            let t: Vec<_> = t
+                .iter()
+                .map(|&i| dg.vertex(dg.part.owner(i), dg.part.to_local(i)))
+                .collect();
             let (gt, gw) = csr.row_slices(v);
             assert_eq!(t, gt);
             assert_eq!(w, gw);
@@ -329,8 +444,7 @@ mod tests {
         let csr = small();
         let dg = DistGraph::build(&csr, 3, 1);
         for v in csr.vertices() {
-            let r = dg.part.owner(v);
-            let l = dg.part.to_local(v);
+            let (r, l) = dg.locate(v);
             for bound in [0, 1, 10, 25, 51] {
                 assert_eq!(
                     dg.locals[r].count_weight_below(l, bound),

@@ -9,6 +9,10 @@
 //! balancer occupy the id range `[n_base, n_base + n_proxy)` and are
 //! always round-robin distributed, which is what scatters a split hub's
 //! shards across distinct ranks.
+//!
+//! Inside a `DistGraph` the ids this maps are *internal* ids: each rank
+//! stores its vertices hub-first, and `DistGraph::locate` /
+//! `DistGraph::vertex` translate the input's ids at the API boundary.
 
 use sssp_graph::VertexId;
 

@@ -6,6 +6,12 @@
 //! must never be edited to make a change pass: a moved fingerprint means a
 //! stage now builds a different graph. The pins must also hold for every
 //! worker count, so CI runs this file under several `RAYON_NUM_THREADS`.
+//!
+//! `DistGraph` stores each rank's vertices hub-first under internal ids.
+//! Its per-configuration pins read every rank's rows back in external
+//! order through `locate` / `vertex`, so they still fingerprint the layout
+//! an identity order would store: the hub-first layout is a pure
+//! permutation of it. One more pin covers the stored (internal) layout.
 
 use sssp_dist::{DistGraph, LocalGraph};
 use sssp_graph::rmat::{RmatGenerator, RmatParams};
@@ -76,21 +82,25 @@ fn csr(g: &Csr) -> u64 {
     h.0
 }
 
-fn local(h: &mut Fnv, lg: &LocalGraph) {
+/// Fingerprint `lg`'s rows in the order `at` lists their positions, each
+/// target through `id`.
+fn local(h: &mut Fnv, lg: &LocalGraph, at: impl Fn(usize) -> usize, id: impl Fn(u32) -> u32) {
     h.u64(lg.num_local() as u64);
     h.u64(lg.num_directed_edges() as u64);
     for l in 0..lg.num_local() {
-        let (t, w) = lg.row(l);
+        let (t, w) = lg.row(at(l));
         h.u64(t.len() as u64);
-        h.u32s(t);
+        t.iter().for_each(|&v| h.u32(id(v)));
         h.u32s(w);
-        let hist = lg.weight_histogram(l);
+        let hist = lg.weight_histogram(at(l));
         h.u64(hist.len() as u64);
         h.u32s(hist);
     }
 }
 
-fn dist(dg: &DistGraph) -> u64 {
+/// Fingerprint `dg`, its rows in external order (`external`) or as
+/// stored.
+fn dist_as(dg: &DistGraph, external: bool) -> u64 {
     let mut h = Fnv::new();
     h.u64(dg.num_ranks() as u64);
     h.u64(dg.part.num_base() as u64);
@@ -98,10 +108,26 @@ fn dist(dg: &DistGraph) -> u64 {
     h.u64(dg.threads_per_rank as u64);
     h.u64(dg.m_directed);
     h.u64(dg.m_input_undirected);
-    for lg in &dg.locals {
-        local(&mut h, lg);
+    let part = &dg.part;
+    for (rank, lg) in dg.locals.iter().enumerate() {
+        if external {
+            let at = |l| {
+                let (owner, at) = dg.locate(part.to_global(rank, l));
+                assert_eq!(owner, rank);
+                at
+            };
+            local(&mut h, lg, at, |i| {
+                dg.vertex(part.owner(i), part.to_local(i))
+            });
+        } else {
+            local(&mut h, lg, |l| l, |i| i);
+        }
     }
     h.0
+}
+
+fn dist(dg: &DistGraph) -> u64 {
+    dist_as(dg, true)
 }
 
 /// Compare against the pinned table; on a mismatch, print the fresh table
@@ -221,25 +247,25 @@ fn dist_slicing_is_pinned() {
             .generate_weighted(255),
     );
     let star = CsrBuilder::new().build(&gen::star(3000, 3));
-    let mut got = Vec::new();
+    let (mut got, mut stored) = (Vec::new(), Fnv::new());
     for (name, g) in [("rmat2", &rmat2), ("rmat1-ids", &rmat1), ("star", &star)] {
         for p in [1, 2, 3, 7] {
-            got.push((
-                format!("{name}/block/p{p}"),
-                dist(&DistGraph::build(g, p, 2)),
-            ));
-            got.push((
-                format!("{name}/cyclic/p{p}"),
-                dist(&DistGraph::build_cyclic(g, p, 3)),
-            ));
-            let (dg, report) = DistGraph::build_auto_split(g, p, 2);
+            let (split, report) = DistGraph::build_auto_split(g, p, 2);
             let proxies = report.map_or(0, |r| r.proxies_created);
-            got.push((
-                format!("{name}/auto_split/p{p}/proxies{proxies}"),
-                dist(&dg),
-            ));
+            for (label, dg) in [
+                (format!("{name}/block/p{p}"), DistGraph::build(g, p, 2)),
+                (
+                    format!("{name}/cyclic/p{p}"),
+                    DistGraph::build_cyclic(g, p, 3),
+                ),
+                (format!("{name}/auto_split/p{p}/proxies{proxies}"), split),
+            ] {
+                got.push((label, dist(&dg)));
+                stored.u64(dist_as(&dg, false));
+            }
         }
     }
+    got.push(("internal-layout/all".to_string(), stored.0));
     check(DIST, &got);
 }
 
@@ -401,4 +427,6 @@ const DIST: &[(&str, u64)] = &[
     ("star/block/p7", 0x9cc896d696fb09ca),
     ("star/cyclic/p7", 0x8a25af2ff4e61c9f),
     ("star/auto_split/p7/proxies15", 0x40f449a71ee3e567),
+    // Every configuration above as stored: hub-first rows, internal ids.
+    ("internal-layout/all", 0xf77e5e1ab40626f7),
 ];

@@ -3,7 +3,47 @@
 use proptest::prelude::*;
 
 use sssp_dist::{split_heavy_vertices, DistGraph, Partition};
-use sssp_graph::{gen, CsrBuilder};
+use sssp_graph::rmat::{RmatGenerator, RmatParams};
+use sssp_graph::{gen, Csr, CsrBuilder, VertexId};
+
+/// External id of the internal id `i`.
+fn external(dg: &DistGraph, i: VertexId) -> VertexId {
+    dg.vertex(dg.part.owner(i), dg.part.to_local(i))
+}
+
+/// Checks that `dg` stores `csr` as a hub-first permutation of each rank's
+/// vertices: the two maps are inverse bijections that keep every vertex's
+/// owner and thread residue, every stored row is the CSR row with its
+/// targets translated (same order), degrees never increase along a residue
+/// class of base vertices, and proxies stay where they are.
+fn check_layout(csr: &Csr, dg: &DistGraph) -> Result<(), TestCaseError> {
+    let (part, t) = (&dg.part, dg.threads_per_rank);
+    let mut seen = vec![false; csr.num_vertices()];
+    for v in csr.vertices() {
+        let (r, l) = dg.locate(v);
+        prop_assert_eq!(r, part.owner(v));
+        prop_assert!(l < part.local_count(r));
+        prop_assert_eq!(l % t, part.to_local(v) % t);
+        prop_assert_eq!(dg.vertex(r, l), v);
+        prop_assert!(!seen[part.to_global(r, l) as usize]);
+        seen[part.to_global(r, l) as usize] = true;
+        if part.is_proxy(v) {
+            prop_assert_eq!(l, part.to_local(v));
+        }
+        let (ts, ws) = dg.locals[r].row(l);
+        let ts: Vec<VertexId> = ts.iter().map(|&i| external(dg, i)).collect();
+        let (gt, gw) = csr.row_slices(v);
+        prop_assert_eq!(ts.as_slice(), gt);
+        prop_assert_eq!(ws, gw);
+        prop_assert_eq!(dg.degree(v), csr.degree(v));
+    }
+    for (r, lg) in dg.locals.iter().enumerate() {
+        for l in t..part.base_count(r) {
+            prop_assert!(lg.degree(l) <= lg.degree(l - t), "rank {} slot {}", r, l);
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #[test]
@@ -37,13 +77,41 @@ proptest! {
         let csr = CsrBuilder::new().build(&gen::uniform(n, m, 30, seed));
         let dg = DistGraph::build(&csr, p, 2);
         for v in csr.vertices() {
-            let r = dg.part.owner(v);
-            let l = dg.part.to_local(v);
+            let (r, l) = dg.locate(v);
             let (t, w) = dg.locals[r].row(l);
+            let t: Vec<VertexId> = t.iter().map(|&i| external(&dg, i)).collect();
             let (gt, gw) = csr.row_slices(v);
-            prop_assert_eq!(t, gt);
+            prop_assert_eq!(t.as_slice(), gt);
             prop_assert_eq!(w, gw);
         }
+    }
+
+    #[test]
+    fn hub_first_layout_is_a_residue_preserving_permutation(
+        kind in 0usize..3,
+        isolated in 0usize..6,
+        pi in 0usize..4,
+        t in 1usize..4,
+        thr in 4usize..24,
+        seed in 0u64..50,
+    ) {
+        let p = [1, 2, 3, 5][pi];
+        let mut el = match kind {
+            0 => gen::uniform(60, 240, 30, seed),
+            1 => RmatGenerator::new(RmatParams::RMAT2, 6, 8)
+                .seed(seed)
+                .generate_weighted(30),
+            _ => gen::grid(7, 30, seed),
+        };
+        el.n += isolated;
+        let csr = CsrBuilder::new().build(&el);
+        let m = csr.num_undirected_edges() as u64;
+        check_layout(&csr, &DistGraph::build(&csr, p, t))?;
+        check_layout(&csr, &DistGraph::build_cyclic(&csr, p, t))?;
+        // The split layout `build_auto_split` builds once its trigger fires,
+        // with a threshold low enough that proxies exist.
+        let (split, part, _) = split_heavy_vertices(&csr, p, thr);
+        check_layout(&split, &DistGraph::build_with_partition(&split, part, t, m))?;
     }
 
     #[test]
