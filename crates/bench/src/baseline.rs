@@ -1034,6 +1034,15 @@ mod tests {
     }
 
     #[test]
+    fn sample_records_render_the_pinned_bytes() {
+        // The sample records as the committed document lays them out:
+        // every decimal place and every line break is part of the format.
+        let doc = upsert_scale_block("", 10, &sample().to_json());
+        let doc = upsert_serving_block(&doc, &sample_serving().to_json());
+        assert_eq!(doc, include_str!("../tests/data/baseline_sample.json"));
+    }
+
+    #[test]
     fn allocs_per_superstep_handles_zero() {
         let mut r = sample().pooled;
         r.supersteps = 0;
