@@ -3,17 +3,16 @@
 //! `perf_baseline` measures the engine on both transports — lockstep
 //! (the `pooled` record, named for its pooled superstep buffers) and
 //! real threads — and records wall time, allocation counts, message
-//! traffic and simulated time here. The JSON is hand-rolled: the document is a
-//! shallow object tree, so rendering and extraction are a few lines
-//! each and the harness stays dependency-free.
+//! traffic and simulated time here. Every record renders to a
+//! [`json::Value`](crate::json::Value), and the `--check` gates read the
+//! committed document's fields by path, counts as exact `u64`s.
 //!
 //! The document holds one block per measured R-MAT scale, keyed
 //! `"scale_N"`, plus an optional `"serving"` block recorded by
 //! `serve_bench` (concurrent multi-root query throughput over a resident
 //! graph). Each binary regenerates only its own block and preserves the
-//! others verbatim ([`upsert_scale_block`], [`upsert_serving_block`]), so
-//! the per-scale baselines and the serving baseline coexist in one
-//! committed file.
+//! others ([`upsert`]), so the per-scale baselines and the serving
+//! baseline coexist in one committed file.
 //!
 //! GTEPS conventions: every GTEPS figure in a block divides the same
 //! traversed-edge count (`gteps_edges`, the undirected input edge count)
@@ -21,6 +20,8 @@
 //! `gteps_wall` (and the threaded backend's `gteps`) use measured wall
 //! time. Compare wall to wall and simulated to simulated — the two clocks
 //! measure different machines.
+
+use crate::json::Value;
 
 /// Metrics of the measured lockstep (simulated-machine) runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,30 +73,28 @@ impl PerfRecord {
         }
     }
 
-    /// Render as a JSON object literal.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"wall_ms\": {:.3}, \"allocs\": {}, \"alloc_bytes\": {}, ",
-                "\"supersteps\": {}, \"allocs_per_superstep\": {:.3}, ",
-                "\"msgs\": {}, \"remote_msgs\": {}, \"coalesced_msgs\": {}, ",
-                "\"coalesced_fraction\": {:.4}, ",
-                "\"simulated_s\": {:.6}, \"gteps\": {:.6}, ",
-                "\"gteps_wall\": {:.6}}}"
+    /// The record as a JSON object.
+    pub fn to_json(&self) -> Value {
+        Value::obj([
+            ("wall_ms", Value::fixed(self.wall_ms, 3)),
+            ("allocs", Value::int(self.allocs)),
+            ("alloc_bytes", Value::int(self.alloc_bytes)),
+            ("supersteps", Value::int(self.supersteps)),
+            (
+                "allocs_per_superstep",
+                Value::fixed(self.allocs_per_superstep(), 3),
             ),
-            self.wall_ms,
-            self.allocs,
-            self.alloc_bytes,
-            self.supersteps,
-            self.allocs_per_superstep(),
-            self.msgs,
-            self.remote_msgs,
-            self.coalesced_msgs,
-            self.coalesced_fraction(),
-            self.simulated_s,
-            self.gteps,
-            self.gteps_wall,
-        )
+            ("msgs", Value::int(self.msgs)),
+            ("remote_msgs", Value::int(self.remote_msgs)),
+            ("coalesced_msgs", Value::int(self.coalesced_msgs)),
+            (
+                "coalesced_fraction",
+                Value::fixed(self.coalesced_fraction(), 4),
+            ),
+            ("simulated_s", Value::fixed(self.simulated_s, 6)),
+            ("gteps", Value::fixed(self.gteps, 6)),
+            ("gteps_wall", Value::fixed(self.gteps_wall, 6)),
+        ])
     }
 }
 
@@ -137,23 +136,20 @@ impl ThreadedRecord {
         }
     }
 
-    /// Render as a JSON object literal.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"wall_ms\": {:.3}, \"gteps\": {:.6}, ",
-                "\"speedup_vs_pooled\": {:.3}, \"relax_local_msgs\": {}, ",
-                "\"relax_remote_msgs\": {}, ",
-                "\"coalesced_msgs\": {}, \"coalesced_fraction\": {:.4}}}"
+    /// The record as a JSON object.
+    pub fn to_json(&self) -> Value {
+        Value::obj([
+            ("wall_ms", Value::fixed(self.wall_ms, 3)),
+            ("gteps", Value::fixed(self.gteps, 6)),
+            ("speedup_vs_pooled", Value::fixed(self.speedup_vs_pooled, 3)),
+            ("relax_local_msgs", Value::int(self.relax_local_msgs)),
+            ("relax_remote_msgs", Value::int(self.relax_remote_msgs)),
+            ("coalesced_msgs", Value::int(self.coalesced_msgs)),
+            (
+                "coalesced_fraction",
+                Value::fixed(self.coalesced_fraction(), 4),
             ),
-            self.wall_ms,
-            self.gteps,
-            self.speedup_vs_pooled,
-            self.relax_local_msgs,
-            self.relax_remote_msgs,
-            self.coalesced_msgs,
-            self.coalesced_fraction(),
-        )
+        ])
     }
 }
 
@@ -168,12 +164,12 @@ pub struct SequentialRecord {
 }
 
 impl SequentialRecord {
-    /// Render as a JSON object literal.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"wall_ms\": {:.3}, \"gteps\": {:.6}}}",
-            self.wall_ms, self.gteps
-        )
+    /// The record as a JSON object.
+    pub fn to_json(&self) -> Value {
+        Value::obj([
+            ("wall_ms", Value::fixed(self.wall_ms, 3)),
+            ("gteps", Value::fixed(self.gteps, 6)),
+        ])
     }
 }
 
@@ -220,23 +216,18 @@ pub struct PipelineRecord {
 }
 
 impl PipelineRecord {
-    /// Render as a JSON object literal.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"generate_ms\": {:.3}, \"csr_ms\": {:.3}, ",
-                "\"partition_ms\": {:.3}, \"sequential_ms\": {:.3}, ",
-                "\"construct_over_seq\": {:.3}, \"construct_over_seq_q1\": {:.3}, ",
-                "\"construct_over_seq_q3\": {:.3}}}"
-            ),
-            self.generate_ms,
-            self.csr_ms,
-            self.partition_ms,
-            self.sequential_ms,
-            self.construct_over_seq.median,
-            self.construct_over_seq.q1,
-            self.construct_over_seq.q3,
-        )
+    /// The record as a JSON object.
+    pub fn to_json(&self) -> Value {
+        let spread = &self.construct_over_seq;
+        Value::obj([
+            ("generate_ms", Value::fixed(self.generate_ms, 3)),
+            ("csr_ms", Value::fixed(self.csr_ms, 3)),
+            ("partition_ms", Value::fixed(self.partition_ms, 3)),
+            ("sequential_ms", Value::fixed(self.sequential_ms, 3)),
+            ("construct_over_seq", Value::fixed(spread.median, 3)),
+            ("construct_over_seq_q1", Value::fixed(spread.q1, 3)),
+            ("construct_over_seq_q3", Value::fixed(spread.q3, 3)),
+        ])
     }
 }
 
@@ -245,8 +236,7 @@ impl PipelineRecord {
 /// headline counters (which the `--check` gate watches for drift).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryRecord {
-    /// 1 when the simulated and threaded traces diffed clean, else 0
-    /// (numeric so `extract_number` reads it like every other field).
+    /// 1 when the simulated and threaded traces diffed clean, else 0.
     pub backends_agree: u8,
     /// Buckets processed before the hybrid tail (per traced run).
     pub buckets: u64,
@@ -319,27 +309,20 @@ impl TelemetryRecord {
         problems
     }
 
-    /// Render as a JSON object literal.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"backends_agree\": {}, \"buckets\": {}, ",
-                "\"supersteps\": {}, \"local_msgs\": {}, ",
-                "\"remote_msgs\": {}, \"coalesced_msgs\": {}, ",
-                "\"wall_short_ns\": {}, \"wall_long_push_ns\": {}, ",
-                "\"wall_long_pull_ns\": {}, \"wall_measured_ns\": {}}}"
-            ),
-            self.backends_agree,
-            self.buckets,
-            self.supersteps,
-            self.local_msgs,
-            self.remote_msgs,
-            self.coalesced_msgs,
-            self.wall_short_ns,
-            self.wall_long_push_ns,
-            self.wall_long_pull_ns,
-            self.wall_measured_ns,
-        )
+    /// The record as a JSON object.
+    pub fn to_json(&self) -> Value {
+        Value::obj([
+            ("backends_agree", Value::int(self.backends_agree.into())),
+            ("buckets", Value::int(self.buckets)),
+            ("supersteps", Value::int(self.supersteps)),
+            ("local_msgs", Value::int(self.local_msgs)),
+            ("remote_msgs", Value::int(self.remote_msgs)),
+            ("coalesced_msgs", Value::int(self.coalesced_msgs)),
+            ("wall_short_ns", Value::int(self.wall_short_ns)),
+            ("wall_long_push_ns", Value::int(self.wall_long_push_ns)),
+            ("wall_long_pull_ns", Value::int(self.wall_long_pull_ns)),
+            ("wall_measured_ns", Value::int(self.wall_measured_ns)),
+        ])
     }
 }
 
@@ -378,37 +361,103 @@ pub struct PerfBaseline {
 }
 
 impl PerfBaseline {
-    /// Render this scale's block as pretty-enough JSON (an object literal;
-    /// the enclosing multi-scale document is assembled by
-    /// [`upsert_scale_block`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n    \"family\": \"{}\",\n",
-                "    \"scale\": {},\n    \"ranks\": {},\n    \"threads\": {},\n",
-                "    \"roots\": {},\n    \"gteps_edges\": {},\n",
-                "    \"pooled\": {},\n",
-                "    \"threaded\": {},\n    \"sequential\": {},\n",
-                "    \"threaded_over_seq\": {:.3},\n",
-                "    \"threaded_over_seq_q1\": {:.3},\n",
-                "    \"threaded_over_seq_q3\": {:.3},\n    \"telemetry\": {},\n",
-                "    \"pipeline\": {}\n  }}"
+    /// This scale's block as a JSON object (the document key is
+    /// `"scale_N"`, see [`upsert`]).
+    pub fn to_json(&self) -> Value {
+        let spread = &self.threaded_over_seq;
+        Value::obj([
+            ("family", Value::str(&self.family)),
+            ("scale", Value::int(self.scale.into())),
+            ("ranks", Value::int(self.ranks as u64)),
+            ("threads", Value::int(self.threads as u64)),
+            ("roots", Value::int(self.roots as u64)),
+            ("gteps_edges", Value::int(self.gteps_edges)),
+            ("pooled", self.pooled.to_json()),
+            ("threaded", self.threaded.to_json()),
+            ("sequential", self.sequential.to_json()),
+            ("threaded_over_seq", Value::fixed(spread.median, 3)),
+            ("threaded_over_seq_q1", Value::fixed(spread.q1, 3)),
+            ("threaded_over_seq_q3", Value::fixed(spread.q3, 3)),
+            ("telemetry", self.telemetry.to_json()),
+            ("pipeline", self.pipeline.to_json()),
+        ])
+    }
+
+    /// Gate this fresh block against the committed block of the same
+    /// scale; one line per problem. Any count that differs at all fails
+    /// (counts are a pure function of graph, roots and config). The ratios
+    /// and allocation figures fail when they regress by more than
+    /// `tolerance` (0.25 = 25 %); each ratio compares this run's lower
+    /// quartile with the committed upper one. Wall times are not compared.
+    pub fn check_against(&self, committed: &Value, tolerance: f64) -> Vec<String> {
+        let mut problems = Vec::new();
+        let (pooled, threaded, telemetry) = (&self.pooled, &self.threaded, &self.telemetry);
+        for (name, path, now) in [
+            (
+                "threaded_over_seq (this run's q1 vs the baseline's q3)",
+                &["threaded_over_seq_q3"][..],
+                self.threaded_over_seq.q1,
             ),
-            self.family,
-            self.scale,
-            self.ranks,
-            self.threads,
-            self.roots,
-            self.gteps_edges,
-            self.pooled.to_json(),
-            self.threaded.to_json(),
-            self.sequential.to_json(),
-            self.threaded_over_seq.median,
-            self.threaded_over_seq.q1,
-            self.threaded_over_seq.q3,
-            self.telemetry.to_json(),
-            self.pipeline.to_json(),
-        )
+            (
+                "pipeline.construct_over_seq (this run's q1 vs the baseline's q3)",
+                &["pipeline", "construct_over_seq_q3"],
+                self.pipeline.construct_over_seq.q1,
+            ),
+            (
+                "pooled.allocs_per_superstep",
+                &["pooled", "allocs_per_superstep"],
+                pooled.allocs_per_superstep(),
+            ),
+            (
+                "pooled.alloc_bytes",
+                &["pooled", "alloc_bytes"],
+                pooled.alloc_bytes as f64,
+            ),
+        ] {
+            match committed.at(path).and_then(Value::num::<f64>) {
+                Some(b) if b > 0.0 && now > b * (1.0 + tolerance) => problems.push(format!(
+                    "{name} regressed: {now:.3} vs baseline {b:.3} (+{:.0}% > {:.0}% tolerance)",
+                    100.0 * (now / b - 1.0),
+                    100.0 * tolerance
+                )),
+                Some(_) => {}
+                None => problems.push(format!("committed baseline is missing {name}")),
+            }
+        }
+        for (object, key, now) in [
+            ("pooled", "supersteps", pooled.supersteps),
+            ("pooled", "msgs", pooled.msgs),
+            ("pooled", "remote_msgs", pooled.remote_msgs),
+            ("pooled", "coalesced_msgs", pooled.coalesced_msgs),
+            ("threaded", "relax_local_msgs", threaded.relax_local_msgs),
+            ("threaded", "relax_remote_msgs", threaded.relax_remote_msgs),
+            ("threaded", "coalesced_msgs", threaded.coalesced_msgs),
+            ("telemetry", "buckets", telemetry.buckets),
+            ("telemetry", "supersteps", telemetry.supersteps),
+            ("telemetry", "local_msgs", telemetry.local_msgs),
+            ("telemetry", "remote_msgs", telemetry.remote_msgs),
+            ("telemetry", "coalesced_msgs", telemetry.coalesced_msgs),
+        ] {
+            match committed.at(&[object, key]).and_then(Value::num::<u64>) {
+                Some(b) if b == now => {}
+                Some(b) => problems.push(format!("{object}.{key} changed: {now} vs baseline {b}")),
+                None => problems.push(format!("committed baseline is missing {object}.{key}")),
+            }
+        }
+        if committed
+            .at(&["telemetry", "backends_agree"])
+            .and_then(Value::num::<u64>)
+            != Some(1)
+        {
+            problems.push("committed baseline does not record backends_agree = 1".to_string());
+        }
+        if telemetry.backends_agree != 1 {
+            problems.push("simulated and threaded traces diverged in this run".to_string());
+        }
+        // The committed wall numbers are machine-dependent, but a fresh
+        // run must be self-consistent.
+        problems.extend(telemetry.wall_problems());
+        problems
     }
 }
 
@@ -435,7 +484,7 @@ pub struct ServingRecord {
     /// serializes its workers is not serving concurrently.
     pub peak_inflight: usize,
     /// 1 when every served distance field was bit-identical to a fresh
-    /// one-shot engine run, else 0 (numeric for `extract_number`).
+    /// one-shot engine run, else 0.
     pub distances_match: u8,
     /// Distance-cache hits over the batch (repeat roots + landmarks).
     pub cache_hits: u64,
@@ -515,181 +564,137 @@ impl ServingRecord {
         problems
     }
 
-    /// Render as pretty-enough JSON (an object literal; the enclosing
-    /// document is assembled by [`upsert_serving_block`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n    \"family\": \"{}\",\n",
-                "    \"scale\": {},\n    \"ranks\": {},\n    \"threads\": {},\n",
-                "    \"max_inflight\": {},\n    \"queries\": {},\n",
-                "    \"peak_inflight\": {},\n    \"distances_match\": {},\n",
-                "    \"cache_hits\": {},\n    \"cache_misses\": {},\n",
-                "    \"p2p_epochs\": {},\n    \"full_epochs\": {},\n",
-                "    \"panicked\": {},\n    \"timed_out\": {},\n",
-                "    \"wall_ms\": {:.3},\n    \"queries_per_sec\": {:.3}\n  }}"
-            ),
-            self.family,
-            self.scale,
-            self.ranks,
-            self.threads,
-            self.max_inflight,
-            self.queries,
-            self.peak_inflight,
-            self.distances_match,
-            self.cache_hits,
-            self.cache_misses,
-            self.p2p_epochs,
-            self.full_epochs,
-            self.panicked,
-            self.timed_out,
-            self.wall_ms,
-            self.queries_per_sec,
-        )
+    /// Gate the committed serving block and this record: [`Self::problems`]
+    /// of this run, plus the committed block's own structural invariants
+    /// and its workload parameters, which must be this run's.
+    pub fn check_against(&self, committed: &Value) -> Vec<String> {
+        let mut problems = self.problems();
+        let mut missing = Vec::new();
+        let mut field = |name: &str| {
+            let v = committed.get(name).and_then(Value::num::<u64>);
+            if v.is_none() {
+                missing.push(format!("committed serving block is missing {name}"));
+            }
+            v
+        };
+        // A baseline recorded at other parameters gates nothing: fail
+        // loudly instead of comparing unlike runs.
+        for (name, now) in [
+            ("scale", self.scale.into()),
+            ("ranks", self.ranks as u64),
+            ("threads", self.threads as u64),
+            ("max_inflight", self.max_inflight as u64),
+            ("queries", self.queries as u64),
+        ] {
+            if let Some(base) = field(name).filter(|&base| base != now) {
+                problems.push(format!(
+                    "committed serving block was recorded with {name} = {base}, \
+                     this run uses {now} — re-record the baseline"
+                ));
+            }
+        }
+        if field("distances_match") == Some(0) {
+            problems.push("committed serving block records diverging distances".to_string());
+        }
+        if let (Some(peak), Some(bound)) = (field("peak_inflight"), field("max_inflight")) {
+            if peak < bound {
+                problems.push(format!(
+                    "committed serving block never saturated its admission bound \
+                     ({peak} < {bound})"
+                ));
+            }
+        }
+        if let (Some(p2p), Some(full)) = (field("p2p_epochs"), field("full_epochs")) {
+            if p2p >= full {
+                problems.push(format!(
+                    "committed serving block records no point-to-point epoch \
+                     savings ({p2p} vs {full})"
+                ));
+            }
+        }
+        // Crash-isolation gate: both failure counters must be present (a
+        // block without them predates the unwind-safety work) and zero.
+        for name in ["panicked", "timed_out"] {
+            if let Some(v) = field(name).filter(|&v| v != 0) {
+                problems.push(format!(
+                    "committed serving block records {name} = {v} — the clean \
+                     benchmark run must not trip the failure paths"
+                ));
+            }
+        }
+        problems.extend(missing);
+        problems
+    }
+
+    /// The serving block as a JSON object (document key `"serving"`).
+    pub fn to_json(&self) -> Value {
+        Value::obj([
+            ("family", Value::str(&self.family)),
+            ("scale", Value::int(self.scale.into())),
+            ("ranks", Value::int(self.ranks as u64)),
+            ("threads", Value::int(self.threads as u64)),
+            ("max_inflight", Value::int(self.max_inflight as u64)),
+            ("queries", Value::int(self.queries as u64)),
+            ("peak_inflight", Value::int(self.peak_inflight as u64)),
+            ("distances_match", Value::int(self.distances_match.into())),
+            ("cache_hits", Value::int(self.cache_hits)),
+            ("cache_misses", Value::int(self.cache_misses)),
+            ("p2p_epochs", Value::int(self.p2p_epochs)),
+            ("full_epochs", Value::int(self.full_epochs)),
+            ("panicked", Value::int(self.panicked)),
+            ("timed_out", Value::int(self.timed_out)),
+            ("wall_ms", Value::fixed(self.wall_ms, 3)),
+            ("queries_per_sec", Value::fixed(self.queries_per_sec, 3)),
+        ])
     }
 }
 
-/// Extract the number stored at `"key"` inside the object named `object`
-/// (pass `""` to search from the top of the document). Returns `None` when
-/// the object or key is absent or the value does not parse as a number.
-/// On a multi-scale document, slice out one scale's block with
-/// [`scale_block`] first — this function finds the *first* matching
-/// object name.
-pub fn extract_number(json: &str, object: &str, key: &str) -> Option<f64> {
-    let start = if object.is_empty() {
-        0
-    } else {
-        json.find(&format!("\"{object}\""))?
+/// Read the baseline document at `path` that a run re-records one block
+/// of. A missing file starts a fresh document; a file that cannot be read,
+/// or is not a JSON object, is an error: rewriting it would drop every
+/// block it holds.
+pub fn read_document(path: &str) -> Result<Value, String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Value::Obj(Vec::new())),
+        Err(e) => return Err(format!("cannot read {path}: {e}")),
     };
-    let tail = &json[start..];
-    let kpos = tail.find(&format!("\"{key}\""))?;
-    let after = &tail[kpos..];
-    let colon = after.find(':')?;
-    let rest = after[colon + 1..].trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// All `"scale_N"` blocks of a multi-scale baseline document, as
-/// `(scale, raw object text)` pairs in document order. Brace counting is
-/// exact for the documents this module renders (no string values contain
-/// braces). A legacy single-scale document (no `"scale_N"` keys) yields
-/// an empty list.
-pub fn extract_scale_blocks(json: &str) -> Vec<(u32, String)> {
-    let mut out = Vec::new();
-    let mut pos = 0;
-    while let Some(i) = json[pos..].find("\"scale_") {
-        let digits_at = pos + i + "\"scale_".len();
-        let digits: String = json[digits_at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        pos = digits_at + digits.len();
-        let Ok(scale) = digits.parse::<u32>() else {
-            continue;
-        };
-        let Some(open) = json[pos..].find('{') else {
-            break;
-        };
-        let start = pos + open;
-        let mut depth = 0usize;
-        let mut end = None;
-        for (j, c) in json[start..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = Some(start + j + 1);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(end) = end else {
-            break;
-        };
-        out.push((scale, json[start..end].to_string()));
-        pos = end;
+    match Value::parse(&text) {
+        Ok(doc @ Value::Obj(_)) => Ok(doc),
+        Ok(_) => Err(format!("{path} is not a baseline document: not an object")),
+        Err(e) => Err(format!("{path} is not a baseline document: {e}")),
     }
-    out
 }
 
-/// The raw `"scale_N"` block for one scale, if the document has one.
-/// `--check` slices the committed baseline with this before extracting
-/// gate values, so same-named objects in other scales' blocks cannot
-/// shadow the right ones.
-pub fn scale_block(json: &str, scale: u32) -> Option<String> {
-    extract_scale_blocks(json)
-        .into_iter()
-        .find(|(s, _)| *s == scale)
-        .map(|(_, b)| b)
+/// The block under `key` of the committed baseline document at `path`.
+pub fn committed_block(path: &str, key: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read committed baseline {path}: {e}"))?;
+    let doc = Value::parse(&text).map_err(|e| format!("committed baseline {path}: {e}"))?;
+    doc.get(key)
+        .cloned()
+        .ok_or_else(|| format!("committed baseline {path} has no {key} block"))
 }
 
-/// The raw `"serving"` block of a baseline document, if it has one.
-/// Exact brace counting, same conventions as [`extract_scale_blocks`];
-/// scans from the end of the last scale block so same-named keys inside
-/// scale blocks (there are none today) can never shadow it.
-pub fn serving_block(json: &str) -> Option<String> {
-    let after_scales = extract_scale_blocks(json)
-        .last()
-        .and_then(|(_, b)| json.rfind(b.as_str()).map(|i| i + b.len()))
-        .unwrap_or(0);
-    let tail = &json[after_scales..];
-    let kpos = tail.find("\"serving\"")?;
-    let open = after_scales + kpos + tail[kpos..].find('{')?;
-    let mut depth = 0usize;
-    for (j, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(json[open..open + j + 1].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Assemble the whole document from its blocks: scale blocks sorted by
-/// scale, then the serving block (when present) last.
-fn render_document(blocks: &[(u32, String)], serving: Option<&str>) -> String {
-    let mut body: Vec<String> = blocks
+/// `doc` with `block` under `key` (`"scale_N"` or `"serving"`): the
+/// `"bench"` tag first, the scale blocks sorted by scale, the serving
+/// block last. Every other block of `doc` is kept as it was; keys that name
+/// no block are dropped, so a legacy single-scale document is superseded.
+pub fn upsert(doc: &Value, key: &str, block: Value) -> Value {
+    let order = |k: &str| match k.strip_prefix("scale_") {
+        Some(n) => n.parse::<u32>().ok().map(|n| (0, n)),
+        None => (k == "serving").then_some((1, 0)),
+    };
+    let mut fields: Vec<(String, Value)> = doc
+        .fields()
         .iter()
-        .map(|(s, b)| format!("  \"scale_{s}\": {b}"))
+        .filter(|(k, _)| k != key && order(k).is_some())
+        .cloned()
         .collect();
-    if let Some(sv) = serving {
-        body.push(format!("  \"serving\": {sv}"));
-    }
-    format!(
-        "{{\n  \"bench\": \"perf_baseline\",\n{}\n}}\n",
-        body.join(",\n")
-    )
-}
-
-/// Replace (or insert) one scale's block in a baseline document and
-/// render the result, blocks sorted by scale. Blocks for other scales
-/// and the serving block in `existing` are preserved verbatim; a legacy
-/// single-scale document contributes nothing and is superseded.
-pub fn upsert_scale_block(existing: &str, scale: u32, block: &str) -> String {
-    let mut blocks = extract_scale_blocks(existing);
-    blocks.retain(|(s, _)| *s != scale);
-    blocks.push((scale, block.to_string()));
-    blocks.sort_by_key(|(s, _)| *s);
-    let serving = serving_block(existing);
-    render_document(&blocks, serving.as_deref())
-}
-
-/// Replace (or insert) the serving block in a baseline document and
-/// render the result. Every scale block in `existing` is preserved
-/// verbatim.
-pub fn upsert_serving_block(existing: &str, block: &str) -> String {
-    let blocks = extract_scale_blocks(existing);
-    render_document(&blocks, Some(block))
+    fields.push((key.to_string(), block));
+    fields.sort_by_key(|(k, _)| order(k));
+    fields.insert(0, ("bench".to_string(), Value::str("perf_baseline")));
+    Value::Obj(fields)
 }
 
 #[cfg(test)]
@@ -761,74 +766,36 @@ mod tests {
 
     #[test]
     fn json_roundtrips_through_extract() {
-        let json = sample().to_json();
-        assert_eq!(extract_number(&json, "", "scale"), Some(10.0));
-        assert_eq!(extract_number(&json, "", "ranks"), Some(4.0));
-        assert_eq!(extract_number(&json, "", "gteps_edges"), Some(16384.0));
-        assert_eq!(extract_number(&json, "pooled", "gteps_wall"), Some(0.004));
-        assert_eq!(extract_number(&json, "pooled", "wall_ms"), Some(12.5));
-        assert_eq!(extract_number(&json, "pooled", "allocs"), Some(480.0));
-        assert_eq!(extract_number(&json, "pooled", "msgs"), Some(30000.0));
-        assert_eq!(
-            extract_number(&json, "pooled", "allocs_per_superstep"),
-            Some(4.0)
-        );
-        assert_eq!(
-            extract_number(&json, "pooled", "remote_msgs"),
-            Some(22000.0)
-        );
-        assert_eq!(extract_number(&json, "threaded", "wall_ms"), Some(5.0));
-        assert_eq!(
-            extract_number(&json, "threaded", "speedup_vs_pooled"),
-            Some(2.5)
-        );
-        assert_eq!(
-            extract_number(&json, "threaded", "relax_local_msgs"),
-            Some(6000.0)
-        );
-        assert_eq!(
-            extract_number(&json, "threaded", "relax_remote_msgs"),
-            Some(22000.0)
-        );
-        assert_eq!(
-            extract_number(&json, "threaded", "coalesced_msgs"),
-            Some(10000.0)
-        );
-        assert_eq!(extract_number(&json, "sequential", "wall_ms"), Some(4.0));
-        assert_eq!(extract_number(&json, "", "threaded_over_seq"), Some(1.25));
-        assert_eq!(
-            extract_number(&json, "", "threaded_over_seq_q1"),
-            Some(1.125)
-        );
-        assert_eq!(extract_number(&json, "", "threaded_over_seq_q3"), Some(1.5));
-        assert_eq!(
-            extract_number(&json, "telemetry", "backends_agree"),
-            Some(1.0)
-        );
-        assert_eq!(extract_number(&json, "telemetry", "buckets"), Some(40.0));
-        assert_eq!(
-            extract_number(&json, "telemetry", "remote_msgs"),
-            Some(22000.0)
-        );
-        assert_eq!(
-            extract_number(&json, "telemetry", "wall_short_ns"),
-            Some(1_500_000.0)
-        );
-        assert_eq!(
-            extract_number(&json, "telemetry", "wall_measured_ns"),
-            Some(3_000_000.0)
-        );
-        assert_eq!(extract_number(&json, "pipeline", "csr_ms"), Some(3.0));
-        assert_eq!(
-            extract_number(&json, "pipeline", "construct_over_seq_q3"),
-            Some(8.5)
-        );
-        // The pipeline's keys shadow none of the gated ones.
-        assert_eq!(extract_number(&json, "sequential", "wall_ms"), Some(4.0));
-        assert_eq!(
-            extract_number(&json, "", "threaded_over_seq_q1"),
-            Some(1.125)
-        );
+        let json = Value::parse(&sample().to_json().render()).expect("block parses");
+        let num = |path: &[&str]| json.at(path).and_then(Value::num::<f64>);
+        let count = |path: &[&str]| json.at(path).and_then(Value::num::<u64>);
+        assert_eq!(count(&["scale"]), Some(10));
+        assert_eq!(count(&["ranks"]), Some(4));
+        assert_eq!(count(&["gteps_edges"]), Some(16384));
+        assert_eq!(num(&["pooled", "gteps_wall"]), Some(0.004));
+        assert_eq!(num(&["pooled", "wall_ms"]), Some(12.5));
+        assert_eq!(count(&["pooled", "allocs"]), Some(480));
+        assert_eq!(count(&["pooled", "msgs"]), Some(30000));
+        assert_eq!(num(&["pooled", "allocs_per_superstep"]), Some(4.0));
+        assert_eq!(count(&["pooled", "remote_msgs"]), Some(22000));
+        assert_eq!(num(&["threaded", "wall_ms"]), Some(5.0));
+        assert_eq!(num(&["threaded", "speedup_vs_pooled"]), Some(2.5));
+        assert_eq!(count(&["threaded", "relax_local_msgs"]), Some(6000));
+        assert_eq!(count(&["threaded", "relax_remote_msgs"]), Some(22000));
+        assert_eq!(count(&["threaded", "coalesced_msgs"]), Some(10000));
+        assert_eq!(num(&["sequential", "wall_ms"]), Some(4.0));
+        assert_eq!(num(&["threaded_over_seq"]), Some(1.25));
+        assert_eq!(num(&["threaded_over_seq_q1"]), Some(1.125));
+        assert_eq!(num(&["threaded_over_seq_q3"]), Some(1.5));
+        assert_eq!(count(&["telemetry", "backends_agree"]), Some(1));
+        assert_eq!(count(&["telemetry", "buckets"]), Some(40));
+        assert_eq!(count(&["telemetry", "remote_msgs"]), Some(22000));
+        assert_eq!(count(&["telemetry", "wall_short_ns"]), Some(1_500_000));
+        assert_eq!(count(&["telemetry", "wall_measured_ns"]), Some(3_000_000));
+        assert_eq!(num(&["pipeline", "csr_ms"]), Some(3.0));
+        assert_eq!(num(&["pipeline", "construct_over_seq_q3"]), Some(8.5));
+        // A fresh block gates clean against itself.
+        assert_eq!(sample().check_against(&json, 0.25), Vec::<String>::new());
     }
 
     #[test]
@@ -869,47 +836,57 @@ mod tests {
         assert!(t.wall_problems().is_empty());
     }
 
+    /// A fresh document holding `blocks`, upserted in order.
+    fn document(blocks: &[(&str, Value)]) -> Value {
+        blocks.iter().fold(Value::obj([]), |doc, (key, block)| {
+            upsert(&doc, key, block.clone())
+        })
+    }
+
+    fn keys(doc: &Value) -> Vec<&str> {
+        doc.fields().iter().map(|(k, _)| k.as_str()).collect()
+    }
+
+    fn wall_ms(doc: &Value, key: &str) -> Option<f64> {
+        doc.at(&[key, "pooled", "wall_ms"])
+            .and_then(Value::num::<f64>)
+    }
+
     #[test]
     fn multi_scale_document_roundtrips() {
-        let ten = sample();
         let mut twenty = sample();
         twenty.scale = 20;
         twenty.pooled.wall_ms = 400.0;
-
-        let doc = upsert_scale_block("", 10, &ten.to_json());
-        let doc = upsert_scale_block(&doc, 20, &twenty.to_json());
-
-        let blocks = extract_scale_blocks(&doc);
-        assert_eq!(
-            blocks.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![10, 20]
-        );
-        let b10 = scale_block(&doc, 10).expect("scale 10 block");
-        let b20 = scale_block(&doc, 20).expect("scale 20 block");
-        assert_eq!(extract_number(&b10, "pooled", "wall_ms"), Some(12.5));
-        assert_eq!(extract_number(&b20, "pooled", "wall_ms"), Some(400.0));
-        assert_eq!(scale_block(&doc, 15), None);
+        // Inserted out of order, rendered sorted by scale.
+        let doc = document(&[
+            ("scale_20", twenty.to_json()),
+            ("scale_10", sample().to_json()),
+        ]);
+        let doc = Value::parse(&doc.render()).expect("document parses");
+        assert_eq!(keys(&doc), ["bench", "scale_10", "scale_20"]);
+        assert_eq!(wall_ms(&doc, "scale_10"), Some(12.5));
+        assert_eq!(wall_ms(&doc, "scale_20"), Some(400.0));
+        assert_eq!(doc.get("scale_15"), None);
     }
 
     #[test]
     fn upsert_replaces_only_its_own_scale() {
-        let ten = sample();
         let mut twenty = sample();
         twenty.scale = 20;
         twenty.pooled.wall_ms = 400.0;
-        let doc = upsert_scale_block("", 10, &ten.to_json());
-        let doc = upsert_scale_block(&doc, 20, &twenty.to_json());
+        let doc = document(&[
+            ("scale_10", sample().to_json()),
+            ("scale_20", twenty.to_json()),
+        ]);
 
         // Re-record scale 10 with a different wall time: scale 20 must
-        // survive byte-for-byte.
-        let before_20 = scale_block(&doc, 20).expect("scale 20 block");
+        // survive unchanged.
         let mut ten2 = sample();
         ten2.pooled.wall_ms = 9.0;
-        let doc2 = upsert_scale_block(&doc, 10, &ten2.to_json());
-        let b10 = scale_block(&doc2, 10).expect("scale 10 block");
-        assert_eq!(extract_number(&b10, "pooled", "wall_ms"), Some(9.0));
-        assert_eq!(scale_block(&doc2, 20).expect("scale 20 block"), before_20);
-        assert_eq!(extract_scale_blocks(&doc2).len(), 2);
+        let doc2 = upsert(&doc, "scale_10", ten2.to_json());
+        assert_eq!(wall_ms(&doc2, "scale_10"), Some(9.0));
+        assert_eq!(doc2.get("scale_20"), doc.get("scale_20"));
+        assert_eq!(keys(&doc2), ["bench", "scale_10", "scale_20"]);
     }
 
     #[test]
@@ -918,10 +895,10 @@ mod tests {
         // preserve, the fresh block becomes the whole document.
         let legacy = "{\n  \"bench\": \"perf_baseline\",\n  \"scale\": 10,\n  \
                       \"pooled\": {\"wall_ms\": 26.897}\n}\n";
-        assert!(extract_scale_blocks(legacy).is_empty());
-        let doc = upsert_scale_block(legacy, 10, &sample().to_json());
-        let b10 = scale_block(&doc, 10).expect("scale 10 block");
-        assert_eq!(extract_number(&b10, "pooled", "wall_ms"), Some(12.5));
+        let legacy = Value::parse(legacy).expect("legacy document parses");
+        let doc = upsert(&legacy, "scale_10", sample().to_json());
+        assert_eq!(keys(&doc), ["bench", "scale_10"]);
+        assert_eq!(wall_ms(&doc, "scale_10"), Some(12.5));
     }
 
     fn sample_serving() -> ServingRecord {
@@ -947,17 +924,22 @@ mod tests {
 
     #[test]
     fn serving_json_roundtrips_through_extract() {
-        let json = sample_serving().to_json();
-        assert_eq!(extract_number(&json, "", "max_inflight"), Some(4.0));
-        assert_eq!(extract_number(&json, "", "queries"), Some(24.0));
-        assert_eq!(extract_number(&json, "", "peak_inflight"), Some(4.0));
-        assert_eq!(extract_number(&json, "", "distances_match"), Some(1.0));
-        assert_eq!(extract_number(&json, "", "cache_hits"), Some(6.0));
-        assert_eq!(extract_number(&json, "", "p2p_epochs"), Some(9.0));
-        assert_eq!(extract_number(&json, "", "full_epochs"), Some(31.0));
-        assert_eq!(extract_number(&json, "", "panicked"), Some(0.0));
-        assert_eq!(extract_number(&json, "", "timed_out"), Some(0.0));
-        assert_eq!(extract_number(&json, "", "queries_per_sec"), Some(133.3));
+        let json = Value::parse(&sample_serving().to_json().render()).expect("block parses");
+        let count = |key: &str| json.get(key).and_then(Value::num::<u64>);
+        assert_eq!(count("max_inflight"), Some(4));
+        assert_eq!(count("queries"), Some(24));
+        assert_eq!(count("peak_inflight"), Some(4));
+        assert_eq!(count("distances_match"), Some(1));
+        assert_eq!(count("cache_hits"), Some(6));
+        assert_eq!(count("p2p_epochs"), Some(9));
+        assert_eq!(count("full_epochs"), Some(31));
+        assert_eq!(count("panicked"), Some(0));
+        assert_eq!(count("timed_out"), Some(0));
+        assert_eq!(
+            json.get("queries_per_sec").and_then(Value::num::<f64>),
+            Some(133.3)
+        );
+        assert_eq!(sample_serving().check_against(&json), Vec::<String>::new());
     }
 
     #[test]
@@ -999,28 +981,29 @@ mod tests {
 
     #[test]
     fn serving_block_coexists_with_scale_blocks() {
-        let doc = upsert_scale_block("", 10, &sample().to_json());
-        let doc = upsert_serving_block(&doc, &sample_serving().to_json());
+        let doc = document(&[
+            ("serving", sample_serving().to_json()),
+            ("scale_10", sample().to_json()),
+        ]);
+        assert_eq!(keys(&doc), ["bench", "scale_10", "serving"]);
 
-        // Both block kinds survive each other's upserts verbatim.
-        let sv = serving_block(&doc).expect("serving block");
-        assert_eq!(extract_number(&sv, "", "queries"), Some(24.0));
+        // Both block kinds survive each other's upserts.
         let mut twenty = sample();
         twenty.scale = 20;
-        let doc2 = upsert_scale_block(&doc, 20, &twenty.to_json());
-        assert_eq!(serving_block(&doc2).expect("serving survives"), sv);
-        assert_eq!(extract_scale_blocks(&doc2).len(), 2);
+        let doc2 = upsert(&doc, "scale_20", twenty.to_json());
+        assert_eq!(doc2.get("serving"), doc.get("serving"));
+        assert_eq!(keys(&doc2), ["bench", "scale_10", "scale_20", "serving"]);
 
         let mut sv2 = sample_serving();
         sv2.queries = 48;
-        let doc3 = upsert_serving_block(&doc2, &sv2.to_json());
-        assert_eq!(extract_scale_blocks(&doc3).len(), 2);
-        let sv3 = serving_block(&doc3).expect("serving block");
-        assert_eq!(extract_number(&sv3, "", "queries"), Some(48.0));
-
-        // A document without a serving block yields None.
+        let doc3 = upsert(&doc2, "serving", sv2.to_json());
+        assert_eq!(doc3.get("scale_20"), doc2.get("scale_20"));
         assert_eq!(
-            serving_block(&upsert_scale_block("", 10, &sample().to_json())),
+            doc3.at(&["serving", "queries"]).and_then(Value::num::<u64>),
+            Some(48)
+        );
+        assert_eq!(
+            document(&[("scale_10", sample().to_json())]).get("serving"),
             None
         );
     }
@@ -1028,18 +1011,82 @@ mod tests {
     #[test]
     fn extract_missing_returns_none() {
         let json = sample().to_json();
-        assert_eq!(extract_number(&json, "pooled", "no_such_key"), None);
-        assert_eq!(extract_number(&json, "no_such_object", "wall_ms"), None);
-        assert_eq!(extract_number("not json at all", "", "wall_ms"), None);
+        assert_eq!(json.at(&["pooled", "no_such_key"]), None);
+        assert_eq!(json.at(&["no_such_object", "wall_ms"]), None);
+        assert!(Value::parse("not json at all").is_err());
+        // A gate on a field the committed block lacks is a problem, not a pass.
+        let p = sample().check_against(&Value::obj([]), 0.25);
+        assert!(p.iter().any(|l| l.contains("missing pooled.msgs")), "{p:?}");
+        let p = sample_serving().check_against(&Value::obj([]));
+        assert!(p.iter().any(|l| l.contains("missing panicked")), "{p:?}");
+    }
+
+    #[test]
+    fn counts_above_2_pow_53_gate_exactly() {
+        // 2^53 + 1 and 2^53 are the same f64, so only an integer compare
+        // sees this count change.
+        let mut committed = sample();
+        committed.pooled.msgs = (1 << 53) + 1;
+        let mut fresh = sample();
+        fresh.pooled.msgs = 1 << 53;
+        let committed = Value::parse(&committed.to_json().render()).expect("block parses");
+        assert_eq!(
+            fresh.check_against(&committed, 0.25),
+            ["pooled.msgs changed: 9007199254740992 vs baseline 9007199254740993"]
+        );
+    }
+
+    #[test]
+    fn check_flags_count_drift_ratio_regressions_and_config_drift() {
+        let committed = sample().to_json();
+        let mut fresh = sample();
+        fresh.threaded.relax_remote_msgs += 1;
+        fresh.threaded_over_seq.q1 = 2.0;
+        let p = fresh.check_against(&committed, 0.25);
+        assert_eq!(p.len(), 2, "{p:?}");
+        assert!(p[0].starts_with("threaded_over_seq"), "{p:?}");
+        assert!(
+            p[1].starts_with("threaded.relax_remote_msgs changed"),
+            "{p:?}"
+        );
+
+        let committed = sample_serving().to_json();
+        let mut fresh = sample_serving();
+        fresh.scale = 12;
+        let p = fresh.check_against(&committed);
+        assert_eq!(p.len(), 1, "{p:?}");
+        assert!(p[0].contains("scale = 10, this run uses 12"), "{p:?}");
+    }
+
+    #[test]
+    fn documents_that_are_not_json_objects_are_refused() {
+        let path = |name: &str| {
+            let file = format!("sssp-bench-{}-{name}", std::process::id());
+            std::env::temp_dir()
+                .join(file)
+                .to_string_lossy()
+                .into_owned()
+        };
+        assert_eq!(read_document(&path("missing.json")), Ok(Value::obj([])));
+        for (name, text) in [("array.json", "[]\n"), ("cut.json", "{\"scale_10\": {")] {
+            std::fs::write(path(name), text).expect("write fixture");
+            assert!(read_document(&path(name)).is_err(), "{name}");
+            std::fs::remove_file(path(name)).expect("remove fixture");
+        }
     }
 
     #[test]
     fn sample_records_render_the_pinned_bytes() {
         // The sample records as the committed document lays them out:
         // every decimal place and every line break is part of the format.
-        let doc = upsert_scale_block("", 10, &sample().to_json());
-        let doc = upsert_serving_block(&doc, &sample_serving().to_json());
-        assert_eq!(doc, include_str!("../tests/data/baseline_sample.json"));
+        let doc = document(&[
+            ("scale_10", sample().to_json()),
+            ("serving", sample_serving().to_json()),
+        ]);
+        assert_eq!(
+            doc.render(),
+            include_str!("../tests/data/baseline_sample.json")
+        );
     }
 
     #[test]

@@ -25,6 +25,10 @@
 //! they move with the machine, the ratio of two timings taken in one
 //! process far less.
 //!
+//! Exits 1 on a failed check, or before measuring when the `--out` file
+//! exists but is not a baseline document (it is left untouched); exits 2
+//! on a malformed flag or a zero count.
+//!
 //! The binary installs a counting global allocator, so its allocation
 //! numbers are exact (every heap allocation and reallocation on every
 //! thread), not sampled.
@@ -35,10 +39,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sssp_bench::baseline::{
-    extract_number, scale_block, upsert_scale_block, PerfBaseline, PerfRecord, PipelineRecord,
-    RatioSpread, SequentialRecord, TelemetryRecord, ThreadedRecord,
+    committed_block, read_document, upsert, PerfBaseline, PerfRecord, PipelineRecord, RatioSpread,
+    SequentialRecord, TelemetryRecord, ThreadedRecord,
 };
-use sssp_bench::{pick_roots, print_table, Family, EDGE_FACTOR, W_MAX};
+use sssp_bench::{pick_roots, print_table, Family, Flags, EDGE_FACTOR, W_MAX};
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
 use sssp_core::engine::run_sssp;
@@ -322,99 +326,6 @@ fn measure_telemetry(
     (record, trace_thr.spans)
 }
 
-/// Gate the freshly measured `current` document against one scale's block
-/// of the committed baseline (slice the committed document with
-/// [`scale_block`] first — the extractors here find first matches).
-fn check_against(committed: &str, current: &PerfBaseline) -> Result<(), String> {
-    let tol: f64 = std::env::var("SSSP_PERF_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25);
-    let mut problems = Vec::new();
-    let mut gate = |name: &str, base: Option<f64>, now: f64| match base {
-        Some(b) if b > 0.0 && now > b * (1.0 + tol) => {
-            problems.push(format!(
-                "{name} regressed: {now:.3} vs baseline {b:.3} (+{:.0}% > {:.0}% tolerance)",
-                100.0 * (now / b - 1.0),
-                100.0 * tol
-            ));
-        }
-        Some(_) => {}
-        None => problems.push(format!("committed baseline is missing {name}")),
-    };
-    // The ratio's tolerance starts from its recorded spread: this run's
-    // lower quartile against the committed upper one. Whole runs shift by
-    // ±15 % on a shared box; a regression worth catching moves the lower
-    // quartile past the old upper one.
-    gate(
-        "threaded_over_seq (this run's q1 vs the baseline's q3)",
-        extract_number(committed, "", "threaded_over_seq_q3"),
-        current.threaded_over_seq.q1,
-    );
-    gate(
-        "pipeline.construct_over_seq (this run's q1 vs the baseline's q3)",
-        extract_number(committed, "pipeline", "construct_over_seq_q3"),
-        current.pipeline.construct_over_seq.q1,
-    );
-    gate(
-        "pooled.allocs_per_superstep",
-        extract_number(committed, "pooled", "allocs_per_superstep"),
-        current.pooled.allocs_per_superstep(),
-    );
-    gate(
-        "pooled.alloc_bytes",
-        extract_number(committed, "pooled", "alloc_bytes"),
-        current.pooled.alloc_bytes as f64,
-    );
-    // Counts are a pure function of (graph, roots, config): any difference
-    // from the committed block — in either direction — means the algorithm
-    // or its accounting changed, and the block must be re-recorded on
-    // purpose.
-    let (pooled, threaded, telemetry) = (&current.pooled, &current.threaded, &current.telemetry);
-    for (object, key, now) in [
-        ("pooled", "supersteps", pooled.supersteps),
-        ("pooled", "msgs", pooled.msgs),
-        ("pooled", "remote_msgs", pooled.remote_msgs),
-        ("pooled", "coalesced_msgs", pooled.coalesced_msgs),
-        ("threaded", "relax_local_msgs", threaded.relax_local_msgs),
-        ("threaded", "relax_remote_msgs", threaded.relax_remote_msgs),
-        ("threaded", "coalesced_msgs", threaded.coalesced_msgs),
-        ("telemetry", "buckets", telemetry.buckets),
-        ("telemetry", "supersteps", telemetry.supersteps),
-        ("telemetry", "local_msgs", telemetry.local_msgs),
-        ("telemetry", "remote_msgs", telemetry.remote_msgs),
-        ("telemetry", "coalesced_msgs", telemetry.coalesced_msgs),
-    ] {
-        match extract_number(committed, object, key) {
-            Some(b) if b == now as f64 => {}
-            Some(b) => problems.push(format!("{object}.{key} changed: {now} vs baseline {b:.0}")),
-            None => problems.push(format!("committed baseline is missing {object}.{key}")),
-        }
-    }
-    match extract_number(committed, "telemetry", "backends_agree") {
-        Some(b) => {
-            if b != 1.0 {
-                problems.push(format!(
-                    "committed baseline records backends_agree = {b} (expected 1)"
-                ));
-            }
-        }
-        None => problems.push("committed baseline is missing telemetry.backends_agree".to_string()),
-    }
-    if current.telemetry.backends_agree != 1 {
-        problems.push("simulated and threaded traces diverged in this run".to_string());
-    }
-    // Wall-clock telemetry sanity: gates on the CURRENT run only (the
-    // committed baseline's wall numbers are machine-dependent and not
-    // comparable, but a freshly measured run must be self-consistent).
-    problems.extend(current.telemetry.wall_problems());
-    if problems.is_empty() {
-        Ok(())
-    } else {
-        Err(problems.join("\n"))
-    }
-}
-
 fn main() {
     // Pin the worker count unless the caller chose one: the allocation
     // numbers in a recorded baseline must not depend on the machine's
@@ -423,37 +334,27 @@ fn main() {
         std::env::set_var("RAYON_NUM_THREADS", "4");
     }
 
-    let mut scale = 10u32;
-    let mut ranks = 4usize;
-    let mut threads = 4usize;
-    let mut nroots = 3usize;
-    let mut out_path = "BENCH_sssp.json".to_string();
-    let mut check_path: Option<String> = None;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{what} needs a value");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match arg.as_str() {
-            "--scale" => scale = take("--scale").parse().unwrap_or(scale),
-            "--ranks" => ranks = take("--ranks").parse().unwrap_or(ranks),
-            "--threads" => threads = take("--threads").parse().unwrap_or(threads),
-            "--roots" => nroots = take("--roots").parse().unwrap_or(nroots),
-            "--out" => out_path = take("--out"),
-            "--check" => check_path = Some(take("--check")),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let flags = Flags::from_args(&[
+        "--scale",
+        "--ranks",
+        "--threads",
+        "--roots",
+        "--out",
+        "--check",
+    ]);
+    let scale: u32 = flags.get("--scale", 10);
+    let ranks = flags.positive("--ranks", 4);
+    let threads = flags.positive("--threads", 4);
+    let nroots = flags.positive("--roots", 3);
+    let out_path = flags.text("--out").unwrap_or("BENCH_sssp.json");
+    let key = format!("scale_{scale}");
+    // Read both documents before measuring: a file this run could not
+    // rewrite or gate against fails now, not minutes later.
+    let existing = read_document(out_path).unwrap_or_else(|e| fail(&e));
+    let committed = flags.text("--check").map(|path| {
+        let block = committed_block(path, &key).unwrap_or_else(|e| fail(&e));
+        (path, block)
+    });
 
     let family = Family::Rmat2;
     let model = MachineModel::bgq_like();
@@ -594,34 +495,31 @@ fn main() {
         );
     }
 
-    // Re-record only this scale's block; other scales' blocks in an
-    // existing document survive verbatim.
-    let existing = std::fs::read_to_string(&out_path).unwrap_or_default();
-    let json = upsert_scale_block(&existing, scale, &doc.to_json());
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
+    // Re-record only this scale's block; every other block of an existing
+    // document survives.
+    let json = upsert(&existing, &key, doc.to_json()).render();
+    if let Err(e) = std::fs::write(out_path, json) {
+        fail(&format!("cannot write {out_path}: {e}"));
     }
-    println!("wrote {out_path} (scale_{scale} block)");
+    println!("wrote {out_path} ({key} block)");
 
-    if let Some(path) = check_path {
-        let committed = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read committed baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let Some(block) = scale_block(&committed, scale) else {
-            eprintln!("committed baseline {path} has no scale_{scale} block");
-            std::process::exit(1);
-        };
-        match check_against(&block, &doc) {
-            Ok(()) => println!("perf check against {path} (scale_{scale}): OK"),
-            Err(msg) => {
-                eprintln!("perf check against {path} (scale_{scale}) FAILED:\n{msg}");
-                std::process::exit(1);
-            }
+    if let Some((path, block)) = committed {
+        let tolerance = std::env::var("SSSP_PERF_TOLERANCE")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0.25);
+        let problems = doc.check_against(&block, tolerance);
+        if !problems.is_empty() {
+            fail(&format!(
+                "perf check against {path} ({key}) FAILED:\n{}",
+                problems.join("\n")
+            ));
         }
+        println!("perf check against {path} ({key}): OK");
     }
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
 }

@@ -9,12 +9,14 @@
 //!       [--batch-roots N] [--out PATH] [--check PATH]
 //!
 //! Writes the `"serving"` block of `BENCH_sssp.json` (preserving every
-//! `"scale_N"` block verbatim — see `sssp_bench::baseline`). `--check
+//! `"scale_N"` block — see `sssp_bench::baseline`). `--check
 //! PATH` additionally gates the committed serving block's structural
 //! fields and this run's own record — including the crash-isolation
 //! counters: `panicked` and `timed_out` must be present and zero in a
 //! clean run. Wall-clock throughput is recorded but never gated, it
-//! varies with the machine.
+//! varies with the machine. Exit codes are `perf_baseline`'s: 1 on a
+//! failed check or an `--out` file that is not a baseline document (left
+//! untouched), 2 on a malformed flag or a zero count.
 //!
 //! The batch is three queries per root — a fresh single-source, a
 //! point-to-point to the root's nearest vertex, and a repeat of the
@@ -25,8 +27,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use sssp_bench::baseline::{extract_number, serving_block, upsert_serving_block, ServingRecord};
-use sssp_bench::{build_family, pick_roots, print_table, Family};
+use sssp_bench::baseline::{committed_block, read_document, upsert, ServingRecord};
+use sssp_bench::{build_family, pick_roots, print_table, Family, Flags};
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
 use sssp_core::threaded_delta_stepping;
@@ -77,77 +79,6 @@ fn measure_epoch_savings(
     (p2p.epochs, full.epochs)
 }
 
-/// Gate the committed serving block and the freshly measured record.
-fn check_against(committed_block: &str, current: &ServingRecord) -> Result<(), String> {
-    let mut problems = current.problems();
-    let mut missing: Vec<String> = Vec::new();
-    let mut field = |name: &str| -> f64 {
-        match extract_number(committed_block, "", name) {
-            Some(v) => v,
-            None => {
-                missing.push(format!("committed serving block is missing {name}"));
-                f64::NAN
-            }
-        }
-    };
-    // Config drift: a committed baseline recorded at other parameters
-    // gates nothing — fail loudly instead of comparing unlike runs.
-    for (name, now) in [
-        ("scale", current.scale as f64),
-        ("ranks", current.ranks as f64),
-        ("threads", current.threads as f64),
-        ("max_inflight", current.max_inflight as f64),
-        ("queries", current.queries as f64),
-    ] {
-        let base = field(name);
-        if !base.is_nan() && base != now {
-            problems.push(format!(
-                "committed serving block was recorded with {name} = {base}, \
-                 this run uses {now} — re-record the baseline"
-            ));
-        }
-    }
-    // Structural gates on the committed block itself: the committed
-    // baseline must describe a healthy serving layer.
-    let committed_match = field("distances_match");
-    if committed_match == 0.0 {
-        problems.push("committed serving block records diverging distances".to_string());
-    }
-    let (peak, bound) = (field("peak_inflight"), field("max_inflight"));
-    if peak < bound {
-        problems.push(format!(
-            "committed serving block never saturated its admission bound \
-             ({peak} < {bound})"
-        ));
-    }
-    let (p2p, full) = (field("p2p_epochs"), field("full_epochs"));
-    if p2p >= full {
-        problems.push(format!(
-            "committed serving block records no point-to-point epoch \
-             savings ({p2p} vs {full})"
-        ));
-    }
-    // Crash-isolation gate: the failure counters must be present in the
-    // committed block (a block without them predates the unwind-safety
-    // work) and must both be zero — a clean benchmark run neither
-    // panics nor times out.
-    for name in ["panicked", "timed_out"] {
-        let v = field(name);
-        if !v.is_nan() && v != 0.0 {
-            problems.push(format!(
-                "committed serving block records {name} = {v} — the clean \
-                 benchmark run must not trip the failure paths"
-            ));
-        }
-    }
-    problems.extend(missing);
-    if problems.is_empty() {
-        Ok(())
-    } else {
-        Err(problems.join("\n"))
-    }
-}
-
 fn main() {
     // Pin the worker count unless the caller chose one, matching
     // perf_baseline: recorded numbers must not depend on the machine.
@@ -155,39 +86,27 @@ fn main() {
         std::env::set_var("RAYON_NUM_THREADS", "4");
     }
 
-    let mut scale = 10u32;
-    let mut ranks = 4usize;
-    let mut threads = 4usize;
-    let mut max_inflight = 4usize;
-    let mut batch_roots = 8usize;
-    let mut out_path = "BENCH_sssp.json".to_string();
-    let mut check_path: Option<String> = None;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{what} needs a value");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match arg.as_str() {
-            "--scale" => scale = take("--scale").parse().unwrap_or(scale),
-            "--ranks" => ranks = take("--ranks").parse().unwrap_or(ranks),
-            "--threads" => threads = take("--threads").parse().unwrap_or(threads),
-            "--inflight" => max_inflight = take("--inflight").parse().unwrap_or(max_inflight),
-            "--batch-roots" => batch_roots = take("--batch-roots").parse().unwrap_or(batch_roots),
-            "--out" => out_path = take("--out"),
-            "--check" => check_path = Some(take("--check")),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let flags = Flags::from_args(&[
+        "--scale",
+        "--ranks",
+        "--threads",
+        "--inflight",
+        "--batch-roots",
+        "--out",
+        "--check",
+    ]);
+    let scale: u32 = flags.get("--scale", 10);
+    let ranks = flags.positive("--ranks", 4);
+    let threads = flags.positive("--threads", 4);
+    let max_inflight = flags.positive("--inflight", 4);
+    let batch_roots = flags.positive("--batch-roots", 8);
+    let out_path = flags.text("--out").unwrap_or("BENCH_sssp.json");
+    // Read both documents before measuring, as perf_baseline does.
+    let existing = read_document(out_path).unwrap_or_else(|e| fail(&e));
+    let committed = flags.text("--check").map(|path| {
+        let block = committed_block(path, "serving").unwrap_or_else(|e| fail(&e));
+        (path, block)
+    });
 
     let family = Family::Rmat2;
     let model = MachineModel::bgq_like();
@@ -319,33 +238,26 @@ fn main() {
     );
 
     // Re-record only the serving block; every scale block in an existing
-    // document survives verbatim.
-    let existing = std::fs::read_to_string(&out_path).unwrap_or_default();
-    let json = upsert_serving_block(&existing, &record.to_json());
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
+    // document survives.
+    let json = upsert(&existing, "serving", record.to_json()).render();
+    if let Err(e) = std::fs::write(out_path, json) {
+        fail(&format!("cannot write {out_path}: {e}"));
     }
     println!("wrote {out_path} (serving block)");
 
-    if let Some(path) = check_path {
-        let committed = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read committed baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let Some(block) = serving_block(&committed) else {
-            eprintln!("committed baseline {path} has no serving block");
-            std::process::exit(1);
-        };
-        match check_against(&block, &record) {
-            Ok(()) => println!("serving check against {path}: OK"),
-            Err(msg) => {
-                eprintln!("serving check against {path} FAILED:\n{msg}");
-                std::process::exit(1);
-            }
+    if let Some((path, block)) = committed {
+        let problems = record.check_against(&block);
+        if !problems.is_empty() {
+            fail(&format!(
+                "serving check against {path} FAILED:\n{}",
+                problems.join("\n")
+            ));
         }
+        println!("serving check against {path}: OK");
     }
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
 }

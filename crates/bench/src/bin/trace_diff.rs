@@ -3,9 +3,10 @@
 //!
 //! Usage:
 //!   cargo run -p sssp-bench --bin trace_diff -- A.json B.json
-//!       Diff two exported trace files (see `RunTrace::to_json`). Exits
-//!       nonzero and lists every differing field when the traces disagree
-//!       (timing fields and backend names are ignored by design).
+//!       Diff two exported trace files (see `sssp_bench::trace`; any JSON
+//!       layout of the schema reads). Exits nonzero and lists every
+//!       differing field when the traces disagree (timing fields and
+//!       backend names are ignored by design).
 //!
 //!   cargo run -p sssp-bench --bin trace_diff -- --self-check
 //!       Run the simulated and threaded engines over the bench graph
@@ -18,7 +19,7 @@
 
 use std::sync::Arc;
 
-use sssp_bench::{build_family, pick_roots, Family};
+use sssp_bench::{build_family, pick_roots, trace, Family};
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::{DirectionPolicy, LongPhaseMode, SsspConfig};
 use sssp_core::engine::run_sssp;
@@ -31,7 +32,7 @@ fn load(path: &str) -> RunTrace {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    RunTrace::from_json(&text).unwrap_or_else(|e| {
+    trace::from_json(&text).unwrap_or_else(|e| {
         eprintln!("{path} is not a run trace: {e}");
         std::process::exit(2);
     })
@@ -107,8 +108,10 @@ fn self_check() -> i32 {
         let trace_sim = RunTrace::from_run_stats(&simulated.stats, "simulated");
         // Round both traces through the JSON exporter so the smoke also
         // covers the export/import path CI consumers rely on.
-        let sim = RunTrace::from_json(&trace_sim.to_json()).expect("simulated trace JSON");
-        let thr = RunTrace::from_json(&trace_thr.to_json()).expect("threaded trace JSON");
+        let sim =
+            trace::from_json(&trace::to_json(&trace_sim).render()).expect("simulated trace JSON");
+        let thr =
+            trace::from_json(&trace::to_json(&trace_thr).render()).expect("threaded trace JSON");
         let diffs = sim.diff(&thr);
         if diffs.is_empty() {
             println!(

@@ -17,6 +17,8 @@
 
 pub mod baseline;
 pub mod graph500;
+pub mod json;
+pub mod trace;
 
 use std::sync::Arc;
 
@@ -119,26 +121,70 @@ impl Backend {
 }
 
 /// Parse `--backend simulated|threaded` from the process arguments
-/// (default: simulated). Unknown values abort with a usage message.
+/// (default: simulated). Any other argument exits 2 with a usage message.
 pub fn backend_from_args() -> Backend {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--backend" {
-            return match it.next().map(String::as_str) {
-                Some("simulated") => Backend::Simulated,
-                Some("threaded") => Backend::Threaded,
-                other => {
-                    eprintln!(
-                        "--backend takes 'simulated' or 'threaded', got {:?}",
-                        other.unwrap_or("nothing")
-                    );
-                    std::process::exit(2);
+    match Flags::from_args(&["--backend"]).text("--backend") {
+        None | Some("simulated") => Backend::Simulated,
+        Some("threaded") => Backend::Threaded,
+        Some(other) => usage_error(&format!(
+            "--backend takes 'simulated' or 'threaded', got {other:?}"
+        )),
+    }
+}
+
+/// The `--flag value` arguments of a binary. Bad input exits 2 with a
+/// message naming the flag, so a typo never runs, or records a baseline
+/// block, under the defaults.
+pub struct Flags(Vec<(String, String)>);
+
+impl Flags {
+    /// Read the process arguments: every flag takes one value and must be
+    /// one of `known`; a repeated flag keeps its last value.
+    pub fn from_args(known: &[&str]) -> Flags {
+        let mut pairs = Vec::new();
+        let mut args = std::env::args().skip(1);
+        while let Some(flag) = args.next() {
+            match args.next() {
+                _ if !known.contains(&flag.as_str()) => {
+                    usage_error(&format!("unknown argument: {flag}"))
                 }
-            };
+                None => usage_error(&format!("{flag} needs a value")),
+                Some(value) => pairs.push((flag, value)),
+            }
+        }
+        Flags(pairs)
+    }
+
+    /// The value given for `flag`, if any.
+    pub fn text(&self, flag: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// `flag` parsed as a `T`, or `default` when absent.
+    pub fn get<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        let Some(v) = self.text(flag) else {
+            return default;
+        };
+        v.parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag} takes a number, got {v:?}")))
+    }
+
+    /// [`Flags::get`] for a count that must be at least 1.
+    pub fn positive(&self, flag: &str, default: usize) -> usize {
+        match self.get(flag, default) {
+            0 => usage_error(&format!("{flag} must be at least 1")),
+            n => n,
         }
     }
-    Backend::Simulated
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 /// Run `cfg` from `root` on the chosen backend and return the distances

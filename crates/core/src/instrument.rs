@@ -238,6 +238,11 @@ impl SubPhaseSpread {
         self.0[sub as usize]
     }
 
+    /// Replace the spread of `sub`.
+    pub fn set(&mut self, sub: SubPhase, spread: SpanSpread) {
+        self.0[sub as usize] = spread;
+    }
+
     /// True when no sub-phase recorded any time.
     pub fn is_zero(&self) -> bool {
         *self == SubPhaseSpread::default()
@@ -423,9 +428,8 @@ impl RunStats {
 /// totals plus the per-phase and per-bucket records. The simulated ledger
 /// is excluded and [`RunTrace::diff`] ignores the wall-clock timings — so
 /// a lockstep and a threaded run of the same configuration produce traces
-/// that compare equal field-for-field. Exported and re-imported through a
-/// small hand-rolled JSON codec ([`RunTrace::to_json`] /
-/// [`RunTrace::from_json`]) consumed by the `trace_diff` tool.
+/// that compare equal field-for-field. The JSON export that `trace_diff`
+/// reads lives in `sssp-bench` (`sssp_bench::trace`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// Which backend produced the trace (`"simulated"` or `"threaded"`).
@@ -502,149 +506,6 @@ impl RunTrace {
         }
     }
 
-    /// Serialize the trace as JSON: scalars first, then one line per phase
-    /// and per bucket record (the line-oriented layout is what
-    /// [`RunTrace::from_json`] parses).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"trace\": \"sssp-run-trace\",\n");
-        s.push_str(&format!("  \"backend\": \"{}\",\n", self.backend));
-        s.push_str(&format!("  \"ranks\": {},\n", self.ranks));
-        s.push_str(&format!("  \"supersteps\": {},\n", self.supersteps));
-        s.push_str(&format!("  \"local_msgs\": {},\n", self.local_msgs));
-        s.push_str(&format!("  \"remote_msgs\": {},\n", self.remote_msgs));
-        s.push_str(&format!("  \"remote_bytes\": {},\n", self.remote_bytes));
-        s.push_str(&format!("  \"coalesced_msgs\": {},\n", self.coalesced_msgs));
-        s.push_str(&format!(
-            "  \"max_step_send_bytes\": {},\n",
-            self.max_step_send_bytes
-        ));
-        s.push_str(&format!(
-            "  \"max_step_recv_bytes\": {},\n",
-            self.max_step_recv_bytes
-        ));
-        match self.hybrid_switch_at {
-            Some(k) => s.push_str(&format!("  \"hybrid_switch_at\": {k},\n")),
-            None => s.push_str("  \"hybrid_switch_at\": null,\n"),
-        }
-        if !self.timings.is_zero() {
-            s.push_str(&format!("  \"short_ns\": {},\n", self.timings.short_ns));
-            s.push_str(&format!(
-                "  \"long_push_ns\": {},\n",
-                self.timings.long_push_ns
-            ));
-            s.push_str(&format!(
-                "  \"long_pull_ns\": {},\n",
-                self.timings.long_pull_ns
-            ));
-            s.push_str(&format!("  \"bf_ns\": {},\n", self.timings.bf_ns));
-        }
-        if !self.spans.is_zero() {
-            for sub in SubPhase::ALL {
-                let (name, spread) = (sub.name(), self.spans.get(sub));
-                s.push_str(&format!("  \"{name}_ns_min\": {},\n", spread.min_ns));
-                s.push_str(&format!("  \"{name}_ns_median\": {},\n", spread.median_ns));
-                s.push_str(&format!("  \"{name}_ns_max\": {},\n", spread.max_ns));
-            }
-        }
-        s.push_str("  \"phases\": [\n");
-        let phase_lines: Vec<String> = self.phases.iter().map(phase_json).collect();
-        s.push_str(&phase_lines.join(",\n"));
-        if !phase_lines.is_empty() {
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"buckets\": [\n");
-        let bucket_lines: Vec<String> = self.buckets.iter().map(bucket_json).collect();
-        s.push_str(&bucket_lines.join(",\n"));
-        if !bucket_lines.is_empty() {
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        match &self.tail {
-            Some(t) => s.push_str(&format!("  \"tail\":\n{}\n", bucket_json(t))),
-            None => s.push_str("  \"tail\": null\n"),
-        }
-        s.push_str("}\n");
-        s
-    }
-
-    /// Parse a trace produced by [`RunTrace::to_json`]. This is a codec
-    /// for our own line-oriented output, not a general JSON parser.
-    pub fn from_json(text: &str) -> Result<RunTrace, String> {
-        if !text.contains("\"trace\": \"sssp-run-trace\"") {
-            return Err("not an sssp run trace".to_string());
-        }
-        // Top-level scalars live strictly before the "phases" array, so
-        // key lookups cannot collide with the per-record keys below it.
-        let head_end = text
-            .find("\"phases\"")
-            .ok_or_else(|| "missing \"phases\" array".to_string())?;
-        let head = &text[..head_end];
-        let hybrid = {
-            let raw = raw_value(head, "hybrid_switch_at")?;
-            if raw == "null" {
-                None
-            } else {
-                Some(parse_u64(raw, "hybrid_switch_at")?)
-            }
-        };
-        let mut phases = Vec::new();
-        for line in array_lines(text, "\"phases\": [")? {
-            phases.push(parse_phase_line(line)?);
-        }
-        let mut buckets = Vec::new();
-        for line in array_lines(text, "\"buckets\": [")? {
-            buckets.push(parse_bucket_line(line)?);
-        }
-        let tail = {
-            let at = text
-                .find("\"tail\":")
-                .ok_or_else(|| "missing \"tail\" field".to_string())?;
-            let rest = text["\"tail\":".len() + at..].trim_start();
-            if rest.starts_with("null") {
-                None
-            } else {
-                let end = rest
-                    .find('}')
-                    .ok_or_else(|| "unterminated tail record".to_string())?;
-                Some(parse_bucket_line(&rest[..=end])?)
-            }
-        };
-        let timings = PhaseTimings {
-            short_ns: num_value_or_zero(head, "short_ns")?,
-            long_push_ns: num_value_or_zero(head, "long_push_ns")?,
-            long_pull_ns: num_value_or_zero(head, "long_pull_ns")?,
-            bf_ns: num_value_or_zero(head, "bf_ns")?,
-        };
-        let mut spans = SubPhaseSpread::default();
-        for sub in SubPhase::ALL {
-            let name = sub.name();
-            spans.0[sub as usize] = SpanSpread {
-                min_ns: num_value_or_zero(head, &format!("{name}_ns_min"))?,
-                median_ns: num_value_or_zero(head, &format!("{name}_ns_median"))?,
-                max_ns: num_value_or_zero(head, &format!("{name}_ns_max"))?,
-            };
-        }
-        Ok(RunTrace {
-            backend: str_value(head, "backend")?.to_string(),
-            ranks: parse_u64(raw_value(head, "ranks")?, "ranks")? as usize,
-            supersteps: num_value(head, "supersteps")?,
-            local_msgs: num_value(head, "local_msgs")?,
-            remote_msgs: num_value(head, "remote_msgs")?,
-            remote_bytes: num_value(head, "remote_bytes")?,
-            coalesced_msgs: num_value(head, "coalesced_msgs")?,
-            max_step_send_bytes: num_value(head, "max_step_send_bytes")?,
-            max_step_recv_bytes: num_value(head, "max_step_recv_bytes")?,
-            hybrid_switch_at: hybrid,
-            timings,
-            spans,
-            phases,
-            buckets,
-            tail,
-        })
-    }
-
     /// Compare two traces field-for-field, ignoring `backend` and the
     /// wall-clock `timings` (timing is exactly what may differ between
     /// backends and runs). Returns one
@@ -717,36 +578,6 @@ impl RunTrace {
     }
 }
 
-fn phase_json(p: &PhaseRecord) -> String {
-    format!(
-        "    {{\"bucket\": {}, \"kind\": \"{:?}\", \"relaxations\": {}, \"remote_msgs\": {}}}",
-        p.bucket, p.kind, p.relaxations, p.remote_msgs
-    )
-}
-
-fn bucket_json(b: &BucketRecord) -> String {
-    format!(
-        "    {{\"bucket\": {}, \"mode\": \"{:?}\", \"settled\": {}, \"est_push\": {}, \
-         \"est_pull\": {}, \"self_edges\": {}, \"backward_edges\": {}, \"forward_edges\": {}, \
-         \"requests\": {}, \"responses\": {}, \"supersteps\": {}, \"local_msgs\": {}, \
-         \"remote_msgs\": {}, \"coalesced_msgs\": {}}}",
-        b.bucket,
-        b.mode,
-        b.settled,
-        b.est_push,
-        b.est_pull,
-        b.self_edges,
-        b.backward_edges,
-        b.forward_edges,
-        b.requests,
-        b.responses,
-        b.supersteps,
-        b.local_msgs,
-        b.remote_msgs,
-        b.coalesced_msgs
-    )
-}
-
 /// Per-field comparison of two bucket records with `prefix`-qualified
 /// mismatch messages (so `trace_diff` output names the exact counter).
 fn diff_bucket(prefix: &str, a: &BucketRecord, b: &BucketRecord, out: &mut Vec<String>) {
@@ -778,103 +609,6 @@ fn diff_bucket(prefix: &str, a: &BucketRecord, b: &BucketRecord, out: &mut Vec<S
             out.push(format!("{prefix}.{name}: {x} vs {y}"));
         }
     }
-}
-
-// -- hand-rolled parsing helpers (for our own line-oriented output) --------
-
-fn raw_value<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let at = text
-        .find(&pat)
-        .ok_or_else(|| format!("missing \"{key}\""))?;
-    let rest = text[at + pat.len()..].trim_start();
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    Ok(rest[..end].trim())
-}
-
-fn parse_u64(raw: &str, key: &str) -> Result<u64, String> {
-    raw.parse::<u64>()
-        .map_err(|_| format!("\"{key}\": expected a number, got {raw:?}"))
-}
-
-fn num_value(text: &str, key: &str) -> Result<u64, String> {
-    parse_u64(raw_value(text, key)?, key)
-}
-
-/// Like [`num_value`], but an absent key parses as 0 — used for the
-/// timing fields, which [`RunTrace::to_json`] omits when all-zero.
-fn num_value_or_zero(text: &str, key: &str) -> Result<u64, String> {
-    match raw_value(text, key) {
-        Ok(raw) => parse_u64(raw, key),
-        Err(_) => Ok(0),
-    }
-}
-
-fn str_value<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-    let raw = raw_value(text, key)?;
-    raw.strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
-        .ok_or_else(|| format!("\"{key}\": expected a string, got {raw:?}"))
-}
-
-/// The record lines of the array opened by `opener` (each record occupies
-/// exactly one line in our output; the closing `]` sits on its own line).
-fn array_lines<'a>(text: &'a str, opener: &str) -> Result<Vec<&'a str>, String> {
-    let at = text
-        .find(opener)
-        .ok_or_else(|| format!("missing {opener}"))?;
-    let body = &text[at + opener.len()..];
-    let mut lines = Vec::new();
-    for line in body.lines() {
-        let t = line.trim().trim_end_matches(',');
-        if t.is_empty() {
-            continue;
-        }
-        if t == "]" {
-            return Ok(lines);
-        }
-        lines.push(line);
-    }
-    Err(format!("unterminated array {opener}"))
-}
-
-fn parse_phase_line(line: &str) -> Result<PhaseRecord, String> {
-    let kind = match str_value(line, "kind")? {
-        "Short" => PhaseKind::Short,
-        "LongPush" => PhaseKind::LongPush,
-        "LongPull" => PhaseKind::LongPull,
-        other => return Err(format!("unknown phase kind {other:?}")),
-    };
-    Ok(PhaseRecord {
-        bucket: num_value(line, "bucket")?,
-        kind,
-        relaxations: num_value(line, "relaxations")?,
-        remote_msgs: num_value(line, "remote_msgs")?,
-    })
-}
-
-fn parse_bucket_line(line: &str) -> Result<BucketRecord, String> {
-    let mode = match str_value(line, "mode")? {
-        "Push" => LongPhaseMode::Push,
-        "Pull" => LongPhaseMode::Pull,
-        other => return Err(format!("unknown long-phase mode {other:?}")),
-    };
-    Ok(BucketRecord {
-        bucket: num_value(line, "bucket")?,
-        settled: num_value(line, "settled")?,
-        mode,
-        est_push: num_value(line, "est_push")?,
-        est_pull: num_value(line, "est_pull")?,
-        self_edges: num_value(line, "self_edges")?,
-        backward_edges: num_value(line, "backward_edges")?,
-        forward_edges: num_value(line, "forward_edges")?,
-        requests: num_value(line, "requests")?,
-        responses: num_value(line, "responses")?,
-        supersteps: num_value(line, "supersteps")?,
-        local_msgs: num_value(line, "local_msgs")?,
-        remote_msgs: num_value(line, "remote_msgs")?,
-        coalesced_msgs: num_value(line, "coalesced_msgs")?,
-    })
 }
 
 #[cfg(test)]
@@ -1076,32 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_json_roundtrips() {
-        let t = sample_trace();
-        let parsed = RunTrace::from_json(&t.to_json()).expect("roundtrip parse");
-        assert_eq!(parsed, t);
-        assert!(t.diff(&parsed).is_empty());
-    }
-
-    #[test]
-    fn trace_json_roundtrips_timings_and_diff_ignores_them() {
-        let mut t = sample_trace();
-        t.timings = PhaseTimings {
-            short_ns: 120,
-            long_push_ns: 0,
-            long_pull_ns: 44,
-            bf_ns: 7,
-        };
-        let parsed = RunTrace::from_json(&t.to_json()).expect("roundtrip parse");
-        assert_eq!(parsed, t);
-        // Traces differing only in wall-clock timings still compare equal.
-        let zeroed = sample_trace();
-        assert!(t.diff(&zeroed).is_empty());
-        // All-zero timings are omitted from the serialized form entirely.
-        assert!(!zeroed.to_json().contains("short_ns"));
-    }
-
-    #[test]
     fn sub_phase_spread_is_min_median_max_over_processes() {
         let rank = |scan, wait| {
             let mut ns = SubPhaseNanos::default();
@@ -1118,13 +826,10 @@ mod tests {
         assert_eq!(spread.get(SubPhase::Pack), SpanSpread::default());
         assert!(SubPhaseSpread::over(&[]).is_zero());
 
-        // The spread rides through the JSON codec and is invisible to diff.
+        // The spread is invisible to diff.
         let mut t = sample_trace();
         t.spans = spread;
-        let parsed = RunTrace::from_json(&t.to_json()).expect("roundtrip parse");
-        assert_eq!(parsed, t);
         assert!(t.diff(&sample_trace()).is_empty());
-        assert!(!sample_trace().to_json().contains("scan_ns_min"));
     }
 
     #[test]
@@ -1146,17 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_json_roundtrips_without_optionals() {
-        let mut t = sample_trace();
-        t.hybrid_switch_at = None;
-        t.tail = None;
-        t.phases.clear();
-        t.buckets.clear();
-        let parsed = RunTrace::from_json(&t.to_json()).expect("roundtrip parse");
-        assert_eq!(parsed, t);
-    }
-
-    #[test]
     fn trace_diff_ignores_backend_but_flags_counters() {
         let a = sample_trace();
         let mut b = sample_trace();
@@ -1170,13 +864,5 @@ mod tests {
         assert!(d.iter().any(|l| l.starts_with("remote_msgs:")));
         assert!(d.iter().any(|l| l.starts_with("buckets[0].est_pull:")));
         assert!(d.iter().any(|l| l.starts_with("tail presence:")));
-    }
-
-    #[test]
-    fn malformed_trace_is_rejected() {
-        assert!(RunTrace::from_json("{}").is_err());
-        let t = sample_trace().to_json();
-        let broken = t.replace("\"supersteps\": 12", "\"supersteps\": twelve");
-        assert!(RunTrace::from_json(&broken).is_err());
     }
 }
