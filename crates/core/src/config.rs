@@ -127,9 +127,6 @@ pub struct SsspConfig {
     pub direction: DirectionPolicy,
     /// How pull-request volume is estimated for that decision.
     pub pull_estimator: PullEstimator,
-    /// Imbalance-aware refinement of the decision heuristic (§III-C): also
-    /// compare bottleneck-rank volumes, not just totals.
-    pub imbalance_aware: bool,
     /// Hybridization threshold τ (§III-D): once this fraction of vertices is
     /// settled, epoch windows double. `None` disables hybridization.
     pub hybrid_tau: Option<f64>,
@@ -155,7 +152,6 @@ impl SsspConfig {
             ios: false,
             direction: DirectionPolicy::AlwaysPush,
             pull_estimator: PullEstimator::Exact,
-            imbalance_aware: true,
             hybrid_tau: None,
             intra_balance: IntraBalance::Off,
             coalescing: true,

@@ -121,18 +121,12 @@ pub(super) fn decide_from_totals(
 
     // Convert volumes into estimated phase times, the quantity §III-C
     // actually minimizes ("estimating the communication volume and the
-    // processing time"). The bottleneck rank's volume dominates when
-    // the imbalance-aware refinement is on; otherwise the average is
-    // used (the paper's first-cut heuristic).
+    // processing time"). A bulk-synchronous phase lasts as long as its
+    // busiest rank, so the volume charged is the larger of the average and
+    // the bottleneck rank's.
     let per_edge = model.gamma_s_per_op / model.threads_per_rank.max(1) as f64
         + model.beta_s_per_byte * WIRE_BYTES as f64;
-    let bottleneck = |total: u64, maxr: u64| -> f64 {
-        if cfg.imbalance_aware {
-            (total as f64 / p as f64).max(maxr as f64)
-        } else {
-            total as f64 / p as f64
-        }
-    };
+    let bottleneck = |total: u64, maxr: u64| (total as f64 / p as f64).max(maxr as f64);
     let t_push = bottleneck(est_push, push_max) * per_edge;
     // Pull pays for requests + responses, the unsettled-vertex scan and
     // one to two extra superstep latencies (requests/responses, plus
