@@ -8,6 +8,10 @@
 //! steady-state superstep performs no heap allocation — the transpose the
 //! lockstep transport ([`crate::transport::LockstepComm`]) runs.
 //! [`ExchangeBuffers`] bundles one such recycled buffer set.
+//!
+//! [`ExchangeBuffers`]: crate::exchange::ExchangeBuffers
+//! [`StepStats`]: crate::stats::StepStats
+//! [`exchange_pooled`]: crate::exchange::exchange_pooled
 
 use crate::stats::StepStats;
 use crate::Rank;

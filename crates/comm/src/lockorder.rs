@@ -14,6 +14,10 @@
 //! [`STATIC_LOCKS`] and [`STATIC_EDGES`] mirror the committed golden; a
 //! lint test cross-checks they stay in sync. Release builds compile the
 //! recorder down to nothing.
+//!
+//! [`Recorder`]: crate::lockorder::Recorder
+//! [`STATIC_EDGES`]: crate::lockorder::STATIC_EDGES
+//! [`STATIC_LOCKS`]: crate::lockorder::STATIC_LOCKS
 
 #[cfg(debug_assertions)]
 use std::cell::RefCell;

@@ -3,6 +3,8 @@
 //! Every quantity the paper's heuristics and figures consume is a count the
 //! runtime can record exactly: messages, bytes, per-rank maxima, collective
 //! invocations. The engine keeps one [`CommStats`] per run.
+//!
+//! [`CommStats`]: crate::stats::CommStats
 
 /// Statistics of a single bulk-synchronous exchange.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

@@ -32,10 +32,13 @@
 //!   before the crossing and by `dst` after it, so never contended — and
 //!   drains its row in source-rank order.
 //!
-//! The barrier ([`Barrier`]) is sense-reversing over atomics; a waiter
-//! climbs a spin → `yield_now` → `Condvar` ladder (see [`Barrier::wait`]).
+//! The barrier (`Barrier`) is sense-reversing over atomics; a waiter
+//! climbs a spin → `yield_now` → `Condvar` ladder (see `Barrier::wait`).
 //! A rank that panics raises an abort flag every rung checks, so its peers
 //! panic out of the rendezvous instead of waiting for it forever.
+//!
+//! [`AtomicU64`]: std::sync::atomic::AtomicU64
+//! [`RankCtx`]: crate::threaded::RankCtx
 
 use std::cell::Cell;
 use std::ops::Range;

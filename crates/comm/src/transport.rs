@@ -13,6 +13,11 @@
 //! The caller folds every collective contribution over its owned ranks
 //! *before* calling, so a collective never sits inside a per-rank loop and
 //! the call sequence is the same on every process whatever it owns.
+//!
+//! [`Comm::owned`]: crate::transport::Comm::owned
+//! [`Comm`]: crate::transport::Comm
+//! [`LockstepComm`]: crate::transport::LockstepComm
+//! [`exchange_pooled`]: crate::exchange::exchange_pooled
 
 use std::ops::Range;
 

@@ -1,7 +1,7 @@
 //! Betweenness centrality on top of the SSSP engine.
 //!
 //! The paper motivates SSSP with complex-network analysis — Brandes'
-//! betweenness algorithm [1] and Freeman's centrality [2] are its first two
+//! betweenness algorithm \[1\] and Freeman's centrality \[2\] are its first two
 //! citations. This module provides that downstream application: Brandes'
 //! dependency accumulation driven by the distributed SSSP engine, with
 //! source sampling for the approximate variant used on large graphs.

@@ -17,6 +17,12 @@
 //! lockstep shorthand). Traffic and simulated time are accounted with the
 //! same [`MachineModel`] as the SSSP engine, so BFS-vs-SSSP GTEPS ratios
 //! are directly comparable.
+//!
+//! [`DistGraph`]: sssp_dist::DistGraph
+//! [`Comm`]: sssp_comm::transport::Comm
+//! [`bfs_on`]: crate::bfs::bfs_on
+//! [`run_bfs`]: crate::bfs::run_bfs
+//! [`MachineModel`]: sssp_comm::cost::MachineModel
 
 use std::borrow::Borrow;
 use std::time::Instant;

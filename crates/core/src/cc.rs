@@ -10,6 +10,10 @@
 //!
 //! The propagation loop is one SPMD program over [`Comm`] that either
 //! transport runs ([`cc_on`]; [`run_cc`] is the lockstep shorthand).
+//!
+//! [`Comm`]: sssp_comm::transport::Comm
+//! [`cc_on`]: crate::cc::cc_on
+//! [`run_cc`]: crate::cc::run_cc
 
 use std::borrow::Borrow;
 use std::time::Instant;

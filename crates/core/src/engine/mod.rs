@@ -29,6 +29,10 @@
 //! * the **recorder** ([`record::Recorder`]): [`record::NoopRecorder`]
 //!   compiles to nothing; a [`RunStats`] keeps the run telemetry and — given
 //!   a machine model — the α–β–γ simulated-time ledger.
+//!
+//! [`DistGraph`]: sssp_dist::DistGraph
+//! [`record::NoopRecorder`]: crate::engine::record::NoopRecorder
+//! [`record::Recorder`]: crate::engine::record::Recorder
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -217,7 +221,7 @@ impl SsspOutput {
     }
 
     #[inline]
-    /// Final distance of `v` ([`INF`](crate::state::INF) when unreached).
+    /// Final distance of `v` ([`INF`] when unreached).
     pub fn dist(&self, v: VertexId) -> u64 {
         self.distances[v as usize]
     }

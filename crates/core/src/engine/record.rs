@@ -21,6 +21,8 @@
 //! transport, which is what [`run_sssp`](super::run_sssp) uses.
 //!
 //! [`TimeLedger`]: sssp_comm::cost::TimeLedger
+//! [`NoopRecorder`]: crate::engine::record::NoopRecorder
+//! [`merged_trace`]: crate::engine::record::merged_trace
 
 use sssp_comm::cost::TimeClass;
 use sssp_comm::stats::StepStats;

@@ -12,6 +12,8 @@
 //! moving each rank's resident [`EngineScratch`] share into its thread and
 //! back. The same threads run the BFS, connected-components and PageRank
 //! kernels ([`Spmd`]), which leave the scratch alone.
+//!
+//! [`EngineScratch`]: crate::engine::threaded::EngineScratch
 
 use std::sync::Arc;
 
@@ -28,7 +30,7 @@ use super::record::{merged_trace, NoopRecorder};
 use super::{run, Query, RelaxMsg, RunOutput, Spmd, Transport};
 
 /// Resident per-rank engine state a serving layer keeps warm between
-/// queries: each rank's [`ProcBufs`] (rank state, outbox lanes, inboxes)
+/// queries: each rank's `ProcBufs` (rank state, outbox lanes, inboxes)
 /// and its transport spares. One scratch belongs to exactly one
 /// in-flight query at a time; running a query on it ([`Threaded`]) re-uses
 /// every pooled structure instead of re-allocating (the state is reset,

@@ -13,6 +13,11 @@
 //! the global count of degree-0 vertices times their common score, and the
 //! residual maximum travels as `f64` bits, which order like the values for
 //! the non-negative residuals.
+//!
+//! [`Comm`]: sssp_comm::transport::Comm
+//! [`DistGraph`]: sssp_dist::DistGraph
+//! [`pagerank_on`]: crate::pagerank::pagerank_on
+//! [`run_pagerank`]: crate::pagerank::run_pagerank
 
 use std::borrow::Borrow;
 use std::time::Instant;

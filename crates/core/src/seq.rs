@@ -8,6 +8,10 @@
 //! differential tests pit against the radix variant. [`delta_stepping`] is
 //! a single-threaded rendition of Fig. 2 used in tests to cross-check the
 //! distributed engine's bucket semantics.
+//!
+//! [`delta_stepping`]: crate::seq::delta_stepping
+//! [`dijkstra_radix`]: crate::seq::dijkstra_radix
+//! [`dijkstra`]: crate::seq::dijkstra
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -103,7 +107,7 @@ impl RadixHeap {
     }
 }
 
-/// Dijkstra over a [`RadixHeap`] instead of a binary heap. Same contract as
+/// Dijkstra over a `RadixHeap` instead of a binary heap. Same contract as
 /// [`dijkstra`]: returns the distance array with `u64::MAX` for unreachable
 /// vertices. This is the validation oracle; the binary-heap variant is kept
 /// as an independent cross-check.

@@ -8,7 +8,7 @@
 //! in any bucket container. Exact per-bucket counts are kept alongside for
 //! the next-bucket collective.
 //!
-//! The member layout is [`FlatBuckets`]: a lazy cyclic ring of
+//! The member layout is `FlatBuckets`: a lazy cyclic ring of
 //! [`FLAT_LANES`] flat `Vec<u32>` lanes indexed by `bucket % FLAT_LANES`,
 //! with an overflow spill list for buckets beyond the ring. The engine
 //! calls [`RankState::advance_frontier`] once per epoch; lanes the
@@ -30,6 +30,13 @@
 //! to the §III-C pull estimate — is a per-run constant per vertex, so the
 //! state keeps both as running totals, decremented at the one place a
 //! vertex leaves B∞ ([`RankState::relax`]).
+//!
+//! [`FLAT_LANES`]: crate::state::FLAT_LANES
+//! [`RankState::advance_frontier`]: crate::state::RankState::advance_frontier
+//! [`RankState::relax`]: crate::state::RankState::relax
+//! [`RankState::reset`]: crate::state::RankState::reset
+//! [`RankState`]: crate::state::RankState
+//! [`StampBitset`]: crate::state::StampBitset
 
 use std::collections::BTreeMap;
 

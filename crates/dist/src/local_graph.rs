@@ -35,7 +35,7 @@ pub fn weight_bucket(w: Weight) -> usize {
 impl LocalGraph {
     /// Assemble a local graph directly from per-vertex `(targets, weights)`
     /// rows (each row already weight-sorted). The distribution layer goes
-    /// through [`DistGraph`](crate::DistGraph); this constructor exists for
+    /// through [`DistGraph`]; this constructor exists for
     /// unit tests of row-consuming code.
     pub fn from_rows<I>(rows: I) -> Self
     where

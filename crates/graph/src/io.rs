@@ -1,7 +1,7 @@
 //! Graph I/O: the DIMACS shortest-path format and a compact binary format.
 //!
 //! The 9th DIMACS Implementation Challenge (which the paper's related work
-//! builds on — the PBGL SSSP evaluation [16] ran on it) fixed the `.gr`
+//! builds on — the PBGL SSSP evaluation \[16\] ran on it) fixed the `.gr`
 //! exchange format for weighted graphs:
 //!
 //! ```text

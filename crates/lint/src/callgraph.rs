@@ -1,7 +1,7 @@
 //! Intra-workspace call graph for the panic-reachability pass.
 //!
 //! Reuses the protocol walker's function scanner and call tokenizer
-//! ([`crate::protocol::scan_fns`] / `call_tokens`) but spans the *whole*
+//! (`protocol::scan_fns` / `call_tokens`) but spans the *whole*
 //! workspace instead of only the traversable engine files: a panic site
 //! in the comm primitives is reachable from a bench binary's `main`
 //! through every engine layer in between.

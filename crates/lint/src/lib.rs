@@ -105,7 +105,7 @@ pub fn lint_text(rel_path: &str, text: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// Collect every `.rs` file under `root`, skipping [`SKIP_DIRS`].
+/// Collect every `.rs` file under `root`, skipping `SKIP_DIRS`.
 /// Returned paths are workspace-relative with `/` separators, sorted.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     let mut out = Vec::new();

@@ -15,9 +15,11 @@
 //! `sssp-lint --panics`): specs are validated before the queue lock is
 //! ever taken, query execution runs behind `catch_unwind` so a panic
 //! fails only its own ticket ([`crate::QueryError::Panicked`]), and every
-//! lock acquisition goes through [`Shared::lock_queue`], which recovers a
+//! lock acquisition goes through `Shared::lock_queue`, which recovers a
 //! poisoned mutex instead of cascading the poison — one crashed thread
 //! can never wedge the condvar protocol for everyone else.
+//!
+//! [`EngineScratch`]: sssp_core::EngineScratch
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
