@@ -42,7 +42,7 @@ use sssp_bench::baseline::{
     committed_block, read_document, upsert, PerfBaseline, PerfRecord, PipelineRecord, RatioSpread,
     SequentialRecord, TelemetryRecord, ThreadedRecord,
 };
-use sssp_bench::{pick_roots, print_table, Family, Flags, EDGE_FACTOR, W_MAX};
+use sssp_bench::{exit_with, pick_roots, print_table, Family, Flags, EDGE_FACTOR, W_MAX};
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
 use sssp_core::engine::run_sssp;
@@ -350,9 +350,9 @@ fn main() {
     let key = format!("scale_{scale}");
     // Read both documents before measuring: a file this run could not
     // rewrite or gate against fails now, not minutes later.
-    let existing = read_document(out_path).unwrap_or_else(|e| fail(&e));
+    let existing = read_document(out_path).unwrap_or_else(|e| exit_with(1, &e));
     let committed = flags.text("--check").map(|path| {
-        let block = committed_block(path, &key).unwrap_or_else(|e| fail(&e));
+        let block = committed_block(path, &key).unwrap_or_else(|e| exit_with(1, &e));
         (path, block)
     });
 
@@ -499,7 +499,7 @@ fn main() {
     // document survives.
     let json = upsert(&existing, &key, doc.to_json()).render();
     if let Err(e) = std::fs::write(out_path, json) {
-        fail(&format!("cannot write {out_path}: {e}"));
+        exit_with(1, &format!("cannot write {out_path}: {e}"));
     }
     println!("wrote {out_path} ({key} block)");
 
@@ -510,16 +510,14 @@ fn main() {
             .unwrap_or(0.25);
         let problems = doc.check_against(&block, tolerance);
         if !problems.is_empty() {
-            fail(&format!(
-                "perf check against {path} ({key}) FAILED:\n{}",
-                problems.join("\n")
-            ));
+            exit_with(
+                1,
+                &format!(
+                    "perf check against {path} ({key}) FAILED:\n{}",
+                    problems.join("\n")
+                ),
+            );
         }
         println!("perf check against {path} ({key}): OK");
     }
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(1);
 }

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sssp_bench::baseline::{committed_block, read_document, upsert, ServingRecord};
-use sssp_bench::{build_family, pick_roots, print_table, Family, Flags};
+use sssp_bench::{build_family, exit_with, pick_roots, print_table, Family, Flags};
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
 use sssp_core::threaded_delta_stepping;
@@ -102,9 +102,9 @@ fn main() {
     let batch_roots = flags.positive("--batch-roots", 8);
     let out_path = flags.text("--out").unwrap_or("BENCH_sssp.json");
     // Read both documents before measuring, as perf_baseline does.
-    let existing = read_document(out_path).unwrap_or_else(|e| fail(&e));
+    let existing = read_document(out_path).unwrap_or_else(|e| exit_with(1, &e));
     let committed = flags.text("--check").map(|path| {
-        let block = committed_block(path, "serving").unwrap_or_else(|e| fail(&e));
+        let block = committed_block(path, "serving").unwrap_or_else(|e| exit_with(1, &e));
         (path, block)
     });
 
@@ -241,23 +241,21 @@ fn main() {
     // document survives.
     let json = upsert(&existing, "serving", record.to_json()).render();
     if let Err(e) = std::fs::write(out_path, json) {
-        fail(&format!("cannot write {out_path}: {e}"));
+        exit_with(1, &format!("cannot write {out_path}: {e}"));
     }
     println!("wrote {out_path} (serving block)");
 
     if let Some((path, block)) = committed {
         let problems = record.check_against(&block);
         if !problems.is_empty() {
-            fail(&format!(
-                "serving check against {path} FAILED:\n{}",
-                problems.join("\n")
-            ));
+            exit_with(
+                1,
+                &format!(
+                    "serving check against {path} FAILED:\n{}",
+                    problems.join("\n")
+                ),
+            );
         }
         println!("serving check against {path}: OK");
     }
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(1);
 }

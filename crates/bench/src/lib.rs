@@ -126,9 +126,10 @@ pub fn backend_from_args() -> Backend {
     match Flags::from_args(&["--backend"]).text("--backend") {
         None | Some("simulated") => Backend::Simulated,
         Some("threaded") => Backend::Threaded,
-        Some(other) => usage_error(&format!(
-            "--backend takes 'simulated' or 'threaded', got {other:?}"
-        )),
+        Some(other) => exit_with(
+            2,
+            &format!("--backend takes 'simulated' or 'threaded', got {other:?}"),
+        ),
     }
 }
 
@@ -146,9 +147,9 @@ impl Flags {
         while let Some(flag) = args.next() {
             match args.next() {
                 _ if !known.contains(&flag.as_str()) => {
-                    usage_error(&format!("unknown argument: {flag}"))
+                    exit_with(2, &format!("unknown argument: {flag}"))
                 }
-                None => usage_error(&format!("{flag} needs a value")),
+                None => exit_with(2, &format!("{flag} needs a value")),
                 Some(value) => pairs.push((flag, value)),
             }
         }
@@ -170,21 +171,22 @@ impl Flags {
             return default;
         };
         v.parse()
-            .unwrap_or_else(|_| usage_error(&format!("{flag} takes a number, got {v:?}")))
+            .unwrap_or_else(|_| exit_with(2, &format!("{flag} takes a number, got {v:?}")))
     }
 
     /// [`Flags::get`] for a count that must be at least 1.
     pub fn positive(&self, flag: &str, default: usize) -> usize {
         match self.get(flag, default) {
-            0 => usage_error(&format!("{flag} must be at least 1")),
+            0 => exit_with(2, &format!("{flag} must be at least 1")),
             n => n,
         }
     }
 }
 
-fn usage_error(msg: &str) -> ! {
+/// Print `msg` on stderr and exit the process with `code`.
+pub fn exit_with(code: i32, msg: &str) -> ! {
     eprintln!("{msg}");
-    std::process::exit(2);
+    std::process::exit(code);
 }
 
 /// Run `cfg` from `root` on the chosen backend and return the distances
