@@ -206,6 +206,10 @@ pub struct PipelineRecord {
     pub generate_ms: f64,
     /// Best-round milliseconds of the CSR build.
     pub csr_ms: f64,
+    /// Bytes requested from the allocator during one CSR build: the output
+    /// plus the build's transient arrays. Exact, and gated by `--check`
+    /// like `pooled.alloc_bytes`.
+    pub csr_alloc_bytes: u64,
     /// Best-round milliseconds of `DistGraph::build`.
     pub partition_ms: f64,
     /// Best-round milliseconds of one `seq::dijkstra_radix` on the graph.
@@ -222,6 +226,7 @@ impl PipelineRecord {
         Value::obj([
             ("generate_ms", Value::fixed(self.generate_ms, 3)),
             ("csr_ms", Value::fixed(self.csr_ms, 3)),
+            ("csr_alloc_bytes", Value::int(self.csr_alloc_bytes)),
             ("partition_ms", Value::fixed(self.partition_ms, 3)),
             ("sequential_ms", Value::fixed(self.sequential_ms, 3)),
             ("construct_over_seq", Value::fixed(spread.median, 3)),
@@ -412,6 +417,11 @@ impl PerfBaseline {
                 "pooled.alloc_bytes",
                 &["pooled", "alloc_bytes"],
                 pooled.alloc_bytes as f64,
+            ),
+            (
+                "pipeline.csr_alloc_bytes",
+                &["pipeline", "csr_alloc_bytes"],
+                self.pipeline.csr_alloc_bytes as f64,
             ),
         ] {
             match committed.at(path).and_then(Value::num::<f64>) {
@@ -753,6 +763,7 @@ mod tests {
             pipeline: PipelineRecord {
                 generate_ms: 2.5,
                 csr_ms: 3.0,
+                csr_alloc_bytes: 4_194_304,
                 partition_ms: 0.5,
                 sequential_ms: 0.75,
                 construct_over_seq: RatioSpread {
@@ -793,6 +804,7 @@ mod tests {
         assert_eq!(count(&["telemetry", "wall_short_ns"]), Some(1_500_000));
         assert_eq!(count(&["telemetry", "wall_measured_ns"]), Some(3_000_000));
         assert_eq!(num(&["pipeline", "csr_ms"]), Some(3.0));
+        assert_eq!(count(&["pipeline", "csr_alloc_bytes"]), Some(4_194_304));
         assert_eq!(num(&["pipeline", "construct_over_seq_q3"]), Some(8.5));
         // A fresh block gates clean against itself.
         assert_eq!(sample().check_against(&json, 0.25), Vec::<String>::new());
@@ -1056,6 +1068,19 @@ mod tests {
         let p = fresh.check_against(&committed);
         assert_eq!(p.len(), 1, "{p:?}");
         assert!(p[0].contains("scale = 10, this run uses 12"), "{p:?}");
+    }
+
+    #[test]
+    fn check_flags_a_larger_csr_transient() {
+        let committed = sample().to_json();
+        let mut fresh = sample();
+        fresh.pipeline.csr_alloc_bytes *= 2;
+        let p = fresh.check_against(&committed, 0.25);
+        assert_eq!(p.len(), 1, "{p:?}");
+        assert!(
+            p[0].starts_with("pipeline.csr_alloc_bytes regressed"),
+            "{p:?}"
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! same graph in the same process, with the `threaded_over_seq` ratio. The
 //! `pipeline` record times the construction that precedes them —
 //! generation, CSR build and partition — against one sequential query on
-//! the graph built (`construct_over_seq`).
+//! the graph built (`construct_over_seq`), and counts the bytes the CSR
+//! build allocates (`csr_alloc_bytes`).
 //!
 //! Usage:
 //!   cargo run -p sssp-bench --bin perf_baseline [--release] --
@@ -19,11 +20,11 @@
 //! the committed baseline's block for the same scale and exits nonzero
 //! when a message or superstep count differs at all, or when
 //! `threaded_over_seq` or `construct_over_seq` (this run's lower quartile
-//! against the committed upper one), allocations per superstep or
-//! allocated bytes regress by more than `SSSP_PERF_TOLERANCE` (default
-//! 0.25, i.e. 25%). Absolute wall times are recorded and never compared:
-//! they move with the machine, the ratio of two timings taken in one
-//! process far less.
+//! against the committed upper one), allocations per superstep, the pooled
+//! run's allocated bytes or the CSR build's regress by more than
+//! `SSSP_PERF_TOLERANCE` (default 0.25, i.e. 25%). Absolute wall times are
+//! recorded and never compared: they move with the machine, the ratio of
+//! two timings taken in one process far less.
 //!
 //! Exits 1 on a failed check, or before measuring when the `--out` file
 //! exists but is not a baseline document (it is left untouched); exits 2
@@ -233,7 +234,8 @@ fn measure_threaded_and_sequential(
 /// Build the benchmark graph from scratch, stage by stage, at least three
 /// times and as often as fits in `PIPELINE_BUDGET` (capped at
 /// `PIPELINE_ROUNDS`), each round followed by one sequential query on the
-/// graph it built. Each stage keeps its best round; `construct_over_seq` is
+/// graph it built. Each stage keeps its best round (the CSR build's
+/// allocated bytes are the same every round); `construct_over_seq` is
 /// the spread of the per-round ratios, for the reason given at
 /// [`measure_threaded_and_sequential`]. Returns the last round's graphs:
 /// each round drops the previous one first, so one graph is resident.
@@ -249,6 +251,7 @@ fn measure_pipeline(
     let mut best = [f64::INFINITY; 4];
     let mut ratios = Vec::new();
     let mut built = None;
+    let mut csr_alloc_bytes = 0;
     let started = Instant::now();
     while ratios.len() < 3
         || (ratios.len() < PIPELINE_ROUNDS && started.elapsed() < PIPELINE_BUDGET)
@@ -259,9 +262,10 @@ fn measure_pipeline(
             .seed(1)
             .generate_weighted(W_MAX);
         let generate_ms = ms(t);
-        let t = Instant::now();
+        let (t, b0) = (Instant::now(), ALLOC_BYTES.load(Ordering::Relaxed));
         let g = CsrBuilder::new().build(&el);
         let csr_ms = ms(t);
+        csr_alloc_bytes = ALLOC_BYTES.load(Ordering::Relaxed) - b0;
         drop(el);
         let t = Instant::now();
         let dg = DistGraph::build(&g, ranks, threads);
@@ -282,6 +286,7 @@ fn measure_pipeline(
     let record = PipelineRecord {
         generate_ms,
         csr_ms,
+        csr_alloc_bytes,
         partition_ms,
         sequential_ms,
         construct_over_seq: RatioSpread::of(ratios),
@@ -472,10 +477,11 @@ fn main() {
 
     let p = &doc.pipeline;
     println!(
-        "pipeline (best of rounds): generate {:.2} ms, CSR {:.2} ms, partition {:.2} ms; \
-         construct / sequential query: {:.2} (quartiles {:.2} – {:.2})",
+        "pipeline (best of rounds): generate {:.2} ms, CSR {:.2} ms ({:.1} MiB allocated), \
+         partition {:.2} ms; construct / sequential query: {:.2} (quartiles {:.2} – {:.2})",
         p.generate_ms,
         p.csr_ms,
+        p.csr_alloc_bytes as f64 / (1 << 20) as f64,
         p.partition_ms,
         p.construct_over_seq.median,
         p.construct_over_seq.q1,
