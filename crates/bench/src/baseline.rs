@@ -212,6 +212,10 @@ pub struct PipelineRecord {
     pub csr_alloc_bytes: u64,
     /// Best-round milliseconds of `DistGraph::build`.
     pub partition_ms: f64,
+    /// Bytes requested from the allocator during one `DistGraph::build`:
+    /// every rank's slice plus the id maps and transients. Exact, and
+    /// gated by `--check` like `csr_alloc_bytes`.
+    pub partition_alloc_bytes: u64,
     /// Best-round milliseconds of one `seq::dijkstra_radix` on the graph.
     pub sequential_ms: f64,
     /// (generate + CSR + partition) over the same round's sequential query:
@@ -228,6 +232,10 @@ impl PipelineRecord {
             ("csr_ms", Value::fixed(self.csr_ms, 3)),
             ("csr_alloc_bytes", Value::int(self.csr_alloc_bytes)),
             ("partition_ms", Value::fixed(self.partition_ms, 3)),
+            (
+                "partition_alloc_bytes",
+                Value::int(self.partition_alloc_bytes),
+            ),
             ("sequential_ms", Value::fixed(self.sequential_ms, 3)),
             ("construct_over_seq", Value::fixed(spread.median, 3)),
             ("construct_over_seq_q1", Value::fixed(spread.q1, 3)),
@@ -422,6 +430,11 @@ impl PerfBaseline {
                 "pipeline.csr_alloc_bytes",
                 &["pipeline", "csr_alloc_bytes"],
                 self.pipeline.csr_alloc_bytes as f64,
+            ),
+            (
+                "pipeline.partition_alloc_bytes",
+                &["pipeline", "partition_alloc_bytes"],
+                self.pipeline.partition_alloc_bytes as f64,
             ),
         ] {
             match committed.at(path).and_then(Value::num::<f64>) {
@@ -765,6 +778,7 @@ mod tests {
                 csr_ms: 3.0,
                 csr_alloc_bytes: 4_194_304,
                 partition_ms: 0.5,
+                partition_alloc_bytes: 1_048_576,
                 sequential_ms: 0.75,
                 construct_over_seq: RatioSpread {
                     q1: 7.5,
@@ -805,6 +819,10 @@ mod tests {
         assert_eq!(count(&["telemetry", "wall_measured_ns"]), Some(3_000_000));
         assert_eq!(num(&["pipeline", "csr_ms"]), Some(3.0));
         assert_eq!(count(&["pipeline", "csr_alloc_bytes"]), Some(4_194_304));
+        assert_eq!(
+            count(&["pipeline", "partition_alloc_bytes"]),
+            Some(1_048_576)
+        );
         assert_eq!(num(&["pipeline", "construct_over_seq_q3"]), Some(8.5));
         // A fresh block gates clean against itself.
         assert_eq!(sample().check_against(&json, 0.25), Vec::<String>::new());
@@ -1079,6 +1097,19 @@ mod tests {
         assert_eq!(p.len(), 1, "{p:?}");
         assert!(
             p[0].starts_with("pipeline.csr_alloc_bytes regressed"),
+            "{p:?}"
+        );
+    }
+
+    #[test]
+    fn check_flags_a_larger_partition() {
+        let committed = sample().to_json();
+        let mut fresh = sample();
+        fresh.pipeline.partition_alloc_bytes *= 2;
+        let p = fresh.check_against(&committed, 0.25);
+        assert_eq!(p.len(), 1, "{p:?}");
+        assert!(
+            p[0].starts_with("pipeline.partition_alloc_bytes regressed"),
             "{p:?}"
         );
     }

@@ -6,7 +6,8 @@
 //! `pipeline` record times the construction that precedes them —
 //! generation, CSR build and partition — against one sequential query on
 //! the graph built (`construct_over_seq`), and counts the bytes the CSR
-//! build allocates (`csr_alloc_bytes`).
+//! build and the partition allocate (`csr_alloc_bytes`,
+//! `partition_alloc_bytes`).
 //!
 //! Usage:
 //!   cargo run -p sssp-bench --bin perf_baseline [--release] --
@@ -20,11 +21,11 @@
 //! the committed baseline's block for the same scale and exits nonzero
 //! when a message or superstep count differs at all, or when
 //! `threaded_over_seq` or `construct_over_seq` (this run's lower quartile
-//! against the committed upper one), allocations per superstep, the pooled
-//! run's allocated bytes or the CSR build's regress by more than
-//! `SSSP_PERF_TOLERANCE` (default 0.25, i.e. 25%). Absolute wall times are
-//! recorded and never compared: they move with the machine, the ratio of
-//! two timings taken in one process far less.
+//! against the committed upper one), allocations per superstep, or the
+//! bytes the pooled run, the CSR build or the partition allocate regress
+//! by more than `SSSP_PERF_TOLERANCE` (default 0.25, i.e. 25%). Absolute
+//! wall times are recorded and never compared: they move with the
+//! machine, the ratio of two timings taken in one process far less.
 //!
 //! Exits 1 on a failed check, or before measuring when the `--out` file
 //! exists but is not a baseline document (it is left untouched); exits 2
@@ -251,7 +252,7 @@ fn measure_pipeline(
     let mut best = [f64::INFINITY; 4];
     let mut ratios = Vec::new();
     let mut built = None;
-    let mut csr_alloc_bytes = 0;
+    let (mut csr_alloc_bytes, mut partition_alloc_bytes) = (0, 0);
     let started = Instant::now();
     while ratios.len() < 3
         || (ratios.len() < PIPELINE_ROUNDS && started.elapsed() < PIPELINE_BUDGET)
@@ -267,9 +268,10 @@ fn measure_pipeline(
         let csr_ms = ms(t);
         csr_alloc_bytes = ALLOC_BYTES.load(Ordering::Relaxed) - b0;
         drop(el);
-        let t = Instant::now();
+        let (t, b0) = (Instant::now(), ALLOC_BYTES.load(Ordering::Relaxed));
         let dg = DistGraph::build(&g, ranks, threads);
         let partition_ms = ms(t);
+        partition_alloc_bytes = ALLOC_BYTES.load(Ordering::Relaxed) - b0;
         let root = pick_roots(&g, 1, 23)[0];
         let t = Instant::now();
         std::hint::black_box(sssp_core::seq::dijkstra_radix(&g, root));
@@ -288,6 +290,7 @@ fn measure_pipeline(
         csr_ms,
         csr_alloc_bytes,
         partition_ms,
+        partition_alloc_bytes,
         sequential_ms,
         construct_over_seq: RatioSpread::of(ratios),
     };
@@ -478,11 +481,13 @@ fn main() {
     let p = &doc.pipeline;
     println!(
         "pipeline (best of rounds): generate {:.2} ms, CSR {:.2} ms ({:.1} MiB allocated), \
-         partition {:.2} ms; construct / sequential query: {:.2} (quartiles {:.2} – {:.2})",
+         partition {:.2} ms ({:.1} MiB allocated); \
+         construct / sequential query: {:.2} (quartiles {:.2} – {:.2})",
         p.generate_ms,
         p.csr_ms,
         p.csr_alloc_bytes as f64 / (1 << 20) as f64,
         p.partition_ms,
+        p.partition_alloc_bytes as f64 / (1 << 20) as f64,
         p.construct_over_seq.median,
         p.construct_over_seq.q1,
         p.construct_over_seq.q3

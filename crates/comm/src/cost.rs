@@ -41,10 +41,6 @@ pub struct MachineModel {
     pub scan_s_per_op: f64,
     /// Logical threads per rank (Blue Gene/Q used 64).
     pub threads_per_rank: usize,
-    /// Optional packet framing applied to every exchange (per-packet header
-    /// overhead on the wire; see [`crate::packet`]). `None` charges raw
-    /// payload bytes.
-    pub packet: Option<crate::packet::PacketConfig>,
 }
 
 impl MachineModel {
@@ -56,17 +52,6 @@ impl MachineModel {
             gamma_s_per_op: 2e-8,
             scan_s_per_op: 1e-9,
             threads_per_rank: 64,
-            packet: None,
-        }
-    }
-
-    /// [`Self::bgq_like`] with the torus packet framing enabled — wire
-    /// bytes then include the 32-byte-per-512-byte header overhead the SPI
-    /// coalescing layer pays.
-    pub fn bgq_like_packetized() -> Self {
-        MachineModel {
-            packet: Some(crate::packet::PacketConfig::bgq()),
-            ..Self::bgq_like()
         }
     }
 
@@ -78,7 +63,6 @@ impl MachineModel {
             gamma_s_per_op: 1.0,
             scan_s_per_op: 1.0,
             threads_per_rank: 1,
-            packet: None,
         }
     }
 }

@@ -61,6 +61,9 @@ impl<M> Outbox<M> {
 /// `msg_bytes` is the on-wire size charged per message; a
 /// [`PacketConfig`](crate::packet::PacketConfig) frames each per-(src, dst)
 /// stream into packets and adds the header overhead to the byte counts.
+/// Every transport passes `None`; the framed path stays only for callers
+/// of this simulated exchange ([`ExchangeBuffers::exchange`] included)
+/// until it is folded into the transports' exchange.
 pub fn exchange_pooled<M>(
     outboxes: &mut [Outbox<M>],
     inboxes: &mut [Vec<M>],

@@ -18,12 +18,14 @@
 //!   Blue Gene/Q wall clock. Defaults are calibrated so that a scale-35 run
 //!   on 4096 simulated nodes lands near the paper's 650 GTEPS.
 //!
-//! Message coalescing into network packets (the SPI injection-FIFO framing)
-//! is modeled optionally by [`packet`]. What this substrate deliberately
-//! does **not** model: network topology (the 5D torus) and overlap of
-//! computation with communication. Those affect absolute constants, not the
-//! relative comparisons (push vs pull, hybrid vs not, balanced vs not) the
-//! paper's figures are built from.
+//! The transports charge every message its raw payload bytes. Framing into
+//! network packets (the SPI injection-FIFO framing, [`packet`]) is applied
+//! only by the standalone simulated exchange ([`exchange::exchange_pooled`]
+//! with a [`packet::PacketConfig`]), not by the engine's runs. What this
+//! substrate deliberately does **not** model: network topology (the 5D
+//! torus) and overlap of computation with communication. Those affect
+//! absolute constants, not the relative comparisons (push vs pull, hybrid
+//! vs not, balanced vs not) the paper's figures are built from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,9 +19,6 @@
 /// // 32 16-byte relaxations coalesce into one 512-byte packet, plus the
 /// // stream's 8-byte sorted-run descriptor.
 /// assert_eq!(bgq.wire_bytes(32, 16), 512 + 32 + 8);
-/// // Un-coalesced, each message pays its own header (and the degenerate
-/// // per-message framing carries no run descriptor).
-/// assert_eq!(PacketConfig::per_message(16).wire_bytes(32, 16), 32 * (16 + 32));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketConfig {
@@ -48,16 +45,6 @@ impl PacketConfig {
         }
     }
 
-    /// Degenerate configuration: one message per packet (no coalescing,
-    /// no run framing).
-    pub fn per_message(msg_bytes: usize) -> Self {
-        PacketConfig {
-            payload_bytes: msg_bytes.max(1),
-            header_bytes: 32,
-            run_header_bytes: 0,
-        }
-    }
-
     /// Wire bytes for `count` messages of `msg_bytes` each sent to one
     /// destination, assuming perfect coalescing into maximal packets. A
     /// non-empty stream also carries its sorted-run descriptor.
@@ -68,13 +55,6 @@ impl PacketConfig {
         let payload = count * msg_bytes as u64;
         let packets = payload.div_ceil(self.payload_bytes as u64);
         payload + packets * self.header_bytes as u64 + self.run_header_bytes as u64
-    }
-
-    /// Fractional overhead of the framing for a given message size at
-    /// full coalescing (`header / payload` amortized).
-    pub fn overhead_factor(&self, msg_bytes: usize) -> f64 {
-        let full = self.wire_bytes(10_000, msg_bytes) as f64;
-        full / (10_000.0 * msg_bytes as f64) - 1.0
     }
 }
 
@@ -112,23 +92,6 @@ mod tests {
         assert_eq!(two - one, 512 + 32);
         // And an empty stream carries nothing at all.
         assert_eq!(c.wire_bytes(0, 16), 0);
-    }
-
-    #[test]
-    fn per_message_framing_is_much_worse() {
-        let coalesced = PacketConfig::bgq();
-        let naive = PacketConfig::per_message(16);
-        let k = 1000;
-        assert!(naive.wire_bytes(k, 16) > 2 * coalesced.wire_bytes(k, 16));
-    }
-
-    #[test]
-    fn overhead_factor_shrinks_with_coalescing() {
-        let c = PacketConfig::bgq();
-        let amortized = c.overhead_factor(16);
-        assert!(amortized < 0.08, "amortized overhead {amortized}");
-        let naive = PacketConfig::per_message(16).overhead_factor(16);
-        assert!(naive > 1.9, "per-message overhead {naive}");
     }
 
     #[test]

@@ -52,7 +52,6 @@ use crate::fingerprint::{
     FP_REDUCE_SUM, FP_WINDOW,
 };
 use crate::lockorder;
-use crate::packet::PacketConfig;
 use crate::stats::StepStats;
 use crate::transport::Comm;
 use crate::Rank;
@@ -267,8 +266,8 @@ impl<M> Drop for AbortOnUnwind<M> {
 
 /// One rank's transport counts for a single pooled exchange, as seen from
 /// that rank: messages it sent to itself (`sent_local`), messages it put on
-/// the wire (`sent_remote`, with `sent_remote_bytes` of framed traffic) and
-/// the framed bytes it received from other ranks (`recv_remote_bytes`).
+/// the wire (`sent_remote`, with `sent_remote_bytes` of traffic) and the
+/// bytes it received from other ranks (`recv_remote_bytes`).
 /// Summing `sent_*` over all ranks reproduces the global per-superstep
 /// accounting of [`crate::exchange::exchange_pooled`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -277,7 +276,7 @@ pub struct ExchangeCounts {
     pub sent_local: u64,
     /// Messages this rank sent to other ranks.
     pub sent_remote: u64,
-    /// Wire bytes of this rank's remote sends (packet framing applied).
+    /// Wire bytes of this rank's remote sends.
     pub sent_remote_bytes: u64,
     /// Wire bytes this rank received from other ranks.
     pub recv_remote_bytes: u64,
@@ -418,29 +417,21 @@ impl<M: Send> RankCtx<M> {
     /// a warm-up superstep the steady state allocates nothing on either
     /// side of the mailbox.
     pub fn exchange_pooled(&mut self, out: &mut [Vec<M>], inbox: &mut Vec<M>) {
-        self.exchange_pooled_counted(out, inbox, 0, None);
+        self.exchange_pooled_counted(out, inbox, 0);
     }
 
     /// [`RankCtx::exchange_pooled`] plus per-rank transport accounting:
     /// returns how many messages this rank kept local vs. put on the wire,
-    /// and the framed byte volume it sent and received, under the same
-    /// `msg_bytes`/`packet` wire model the simulated
-    /// [`crate::exchange::exchange_pooled`] charges.
+    /// and the byte volume it sent and received at `msg_bytes` per message.
     pub fn exchange_pooled_counted(
         &mut self,
         out: &mut [Vec<M>],
         inbox: &mut Vec<M>,
         msg_bytes: usize,
-        packet: Option<&PacketConfig>,
     ) -> ExchangeCounts {
         assert_eq!(out.len(), self.p, "outbox fan-out mismatch");
         self.note_collective(FP_EXCHANGE);
-        let wire = |count: u64| -> u64 {
-            match packet {
-                Some(pk) => pk.wire_bytes(count, msg_bytes),
-                None => count * msg_bytes as u64,
-            }
-        };
+        let wire = |count: u64| count * msg_bytes as u64;
         let round = self.next_round();
         let mailbox = &self.shared.mailbox[(round & 1) as usize];
         let mut counts = ExchangeCounts::default();
@@ -678,13 +669,12 @@ impl<M: Send> Comm<M> for RankCtx<M> {
         out: &mut [Outbox<M>],
         inboxes: &mut [Vec<M>],
         msg_bytes: usize,
-        packet: Option<&PacketConfig>,
     ) -> StepStats {
         assert!(
             out.len() == 1 && inboxes.len() == 1,
             "a rank thread owns exactly one rank"
         );
-        let c = self.exchange_pooled_counted(&mut out[0].out, &mut inboxes[0], msg_bytes, packet);
+        let c = self.exchange_pooled_counted(&mut out[0].out, &mut inboxes[0], msg_bytes);
         StepStats {
             remote_msgs: c.sent_remote,
             local_msgs: c.sent_local,
@@ -1139,14 +1129,14 @@ mod tests {
     #[test]
     fn counted_exchange_splits_local_and_remote() {
         // Rank r sends r+1 messages to every rank (itself included); with
-        // 8-byte messages and no packet framing the byte counts are exact.
+        // 8-byte messages the byte counts are exact.
         let counts = run_threaded(3, |mut ctx: RankCtx<u64>| {
             let p = ctx.num_ranks();
             let mut out: Vec<Vec<u64>> = (0..p)
                 .map(|_| (0..ctx.rank() as u64 + 1).collect())
                 .collect();
             let mut inbox = Vec::new();
-            let c = ctx.exchange_pooled_counted(&mut out, &mut inbox, 8, None);
+            let c = ctx.exchange_pooled_counted(&mut out, &mut inbox, 8);
             (c, inbox.len())
         });
         for (rank, (c, received)) in counts.into_iter().enumerate() {
@@ -1158,29 +1148,6 @@ mod tests {
             let recv_remote: u64 = (0..3u64).filter(|&s| s != rank as u64).map(|s| s + 1).sum();
             assert_eq!(c.recv_remote_bytes, recv_remote * 8, "rank {rank}");
             assert_eq!(received as u64, recv_remote + own, "rank {rank}");
-        }
-    }
-
-    #[test]
-    fn counted_exchange_applies_packet_framing() {
-        let counts = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            // One message to each rank.
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| vec![7]).collect();
-            let mut inbox = Vec::new();
-            let pk = PacketConfig {
-                payload_bytes: 512,
-                header_bytes: 32,
-                run_header_bytes: 8,
-            };
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 16, Some(&pk))
-        });
-        for c in counts {
-            // One 16-byte message fits one packet: 16 payload + 32 header
-            // + the stream's 8-byte run descriptor.
-            assert_eq!(c.sent_remote, 1);
-            assert_eq!(c.sent_remote_bytes, 56);
-            assert_eq!(c.recv_remote_bytes, 56);
         }
     }
 

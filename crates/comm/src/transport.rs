@@ -22,7 +22,6 @@
 use std::ops::Range;
 
 use crate::exchange::{exchange_pooled, Outbox};
-use crate::packet::PacketConfig;
 use crate::stats::StepStats;
 use crate::Rank;
 
@@ -63,13 +62,13 @@ pub trait Comm<M> {
     /// (source-rank order), leave every lane empty with its capacity
     /// intact, and report the traffic of the owned ranks. Summed (maxima:
     /// maxed) over all processes the reports reproduce the global
-    /// [`StepStats`] of the superstep.
+    /// [`StepStats`] of the superstep. Every message is charged `msg_bytes`
+    /// on the wire.
     fn exchange(
         &mut self,
         out: &mut [Outbox<M>],
         inboxes: &mut [Vec<M>],
         msg_bytes: usize,
-        packet: Option<&PacketConfig>,
     ) -> StepStats;
 
     /// Epoch boundary: release transport-held buffers that ballooned past
@@ -137,9 +136,8 @@ impl<M> Comm<M> for LockstepComm {
         out: &mut [Outbox<M>],
         inboxes: &mut [Vec<M>],
         msg_bytes: usize,
-        packet: Option<&PacketConfig>,
     ) -> StepStats {
-        exchange_pooled(out, inboxes, msg_bytes, packet)
+        exchange_pooled(out, inboxes, msg_bytes, None)
     }
 
     fn assert_consistent(&self, sent: u64, delivered: u64) {
@@ -178,7 +176,7 @@ mod tests {
                 ob.send(dst, r as u64);
             }
         }
-        let step = ctx.exchange(&mut out, &mut inboxes, 8, None);
+        let step = ctx.exchange(&mut out, &mut inboxes, 8);
         let local: u64 = inboxes.iter().flatten().sum();
         let delivered: u64 = inboxes.iter().map(|b| b.len() as u64).sum();
         ctx.assert_consistent(step.local_msgs + step.remote_msgs, delivered);

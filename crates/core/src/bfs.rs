@@ -308,7 +308,7 @@ impl Bfs {
         });
         let examined = examined.into_iter().sum();
         // sssp-lint: protocol: bfs.top-down-visit
-        let step = ranks.exchange(ctx, VISIT_BYTES, self.model.packet.as_ref());
+        let step = ranks.exchange(ctx, VISIT_BYTES);
         ranks.read_inboxes(|rk, visits| {
             rk.frontier.clear();
             for &t in visits {
@@ -344,7 +344,7 @@ impl Bfs {
             }
         });
         // sssp-lint: protocol: bfs.bottom-up-frontier
-        ranks.exchange(ctx, VISIT_BYTES, None);
+        ranks.exchange(ctx, VISIT_BYTES);
         meter.reduced(TimeClass::Relax);
         meter.relax_step(0, (n as u64 / 8 + 1) * dg.num_ranks() as u64);
         let examined = ranks.read_inboxes(|rk, frontier| {

@@ -154,7 +154,7 @@ impl Spmd for Cc {
                 sent
             });
             // sssp-lint: protocol: cc.exchange-labels
-            let step = ranks.exchange(ctx, LABEL_BYTES, self.model.packet.as_ref());
+            let step = ranks.exchange(ctx, LABEL_BYTES);
             // Adopt smaller labels; a changed vertex is active next round.
             ranks.read_inboxes(|rk, inbox| {
                 rk.active.clear();

@@ -88,15 +88,13 @@ pub enum DirectionPolicy {
     Forced(Vec<LongPhaseMode>),
 }
 
-/// How the pull-volume estimate is computed. §III-C discusses all three:
-/// binary search on weight-sorted adjacency, histogram range counts, and a
-/// closed-form expectation for uniformly distributed weights.
+/// How the pull-volume estimate is computed: by binary search on the
+/// weight-sorted adjacency, or by the §III-C closed-form expectation for
+/// uniformly distributed weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PullEstimator {
     /// Exact count by binary search on the weight-sorted rows.
     Exact,
-    /// Approximate count from per-vertex power-of-two weight histograms.
-    Histogram,
     /// The paper's closed-form expectation for uniform weights.
     Expectation,
 }
@@ -218,16 +216,6 @@ impl SsspConfig {
         cfg.policy = SteppingPolicyKind::Radius(rho);
         cfg.ios = true;
         cfg
-    }
-
-    /// Meyer and Sanders' recommendation for random edge weights:
-    /// `Δ = Θ(w_max / d̄)` where `d̄` is the average degree — large enough
-    /// that a bucket's short-edge phases do real work, small enough that
-    /// Bellman-Ford-style re-relaxation stays bounded. With the Graph 500
-    /// parameters (w_max = 255, d̄ = 32) this lands at 16, inside the
-    /// paper's empirically best 10–50 band.
-    pub fn auto_delta(w_max: u32, avg_degree: f64) -> u32 {
-        ((2.0 * w_max as f64 / avg_degree.max(1.0)).round() as u32).max(2)
     }
 
     // Builder-style tweaks -------------------------------------------------
@@ -382,14 +370,5 @@ mod tests {
         assert!(SsspConfig::del(5).coalescing);
         assert!(SsspConfig::opt(5).coalescing);
         assert!(!SsspConfig::opt(5).with_coalescing(false).coalescing);
-    }
-
-    #[test]
-    fn auto_delta_lands_in_the_papers_band() {
-        // Graph 500 parameters: w_max = 255, average degree 32.
-        let d = SsspConfig::auto_delta(255, 32.0);
-        assert!((10..=50).contains(&d), "auto Δ = {d}");
-        // Degenerate inputs stay sane.
-        assert!(SsspConfig::auto_delta(1, 0.0) >= 2);
     }
 }

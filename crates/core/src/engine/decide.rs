@@ -1,6 +1,6 @@
 //! The push/pull decision heuristic (§III-C): estimate both mechanisms'
-//! volumes (exact, histogram, or closed-form expectation), convert to
-//! per-phase time with the machine model, and pick the cheaper — with the
+//! volumes (exact, or the closed-form expectation), convert to per-phase
+//! time with the machine model, and pick the cheaper — with the
 //! bottleneck-rank (imbalance-aware) refinement the paper describes.
 //!
 //! Split into a rank-local volume pass ([`rank_volumes`]) and a pure
@@ -18,10 +18,10 @@ use super::{invariants, kernels, WIRE_BYTES};
 
 /// What one unsettled vertex adds to its rank's §III-C pull-request volume:
 /// the number of edges eq. 1 ([`kernels::pull_range`]) admits — counted
-/// exactly, read off the weight histogram, or taken as the closed-form
-/// expectation under uniform weights on `[1, w_max]`. With `dv = INF` (and
-/// any `kd`) this is the vertex's per-run constant while unreached, which
-/// [`RankState::install_unreached_terms`] stores.
+/// exactly, or taken as the closed-form expectation under uniform weights
+/// on `[1, w_max]`; either is at most the vertex's degree. With
+/// `dv = INF` (and any `kd`) this is the vertex's per-run constant while
+/// unreached, which [`RankState::install_unreached_terms`] stores.
 pub(super) fn pull_term(
     lg: &LocalGraph,
     vl: usize,
@@ -33,12 +33,6 @@ pub(super) fn pull_term(
 ) -> u64 {
     match estimator {
         PullEstimator::Exact => kernels::pull_range(lg.row(vl).1, dv, kd, short_bound).len() as u64,
-        PullEstimator::Histogram => {
-            let threshold = kernels::pull_threshold(dv, kd);
-            let hi = lg.estimate_weight_below(vl, threshold);
-            let lo = lg.estimate_weight_below(vl, short_bound);
-            hi.saturating_sub(lo)
-        }
         PullEstimator::Expectation => {
             // Uniform weights on [1, w_max]: expected number of edges
             // with Δ ≤ w < T.

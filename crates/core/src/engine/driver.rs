@@ -782,10 +782,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         } else {
             &mut self.bufs.inbox
         };
-        let packet = self.job.model.packet.as_ref();
-        let step = self
-            .ctx
-            .exchange(&mut self.bufs.out, inboxes, WIRE_BYTES, packet);
+        let step = self.ctx.exchange(&mut self.bufs.out, inboxes, WIRE_BYTES);
         // Not `self.span`: `inboxes` still borrows the buffers.
         close_span(self.rec, SubPhase::ExchangeWait, waited);
         for inbox in inboxes.iter() {

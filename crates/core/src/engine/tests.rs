@@ -307,40 +307,6 @@ fn cyclic_partition_gives_identical_results() {
 }
 
 #[test]
-fn histogram_estimator_matches_results() {
-    let g = medium_graph();
-    let cfg = SsspConfig::opt(25).with_pull_estimator(crate::config::PullEstimator::Histogram);
-    let out = run_cfg(&g, 4, &cfg);
-    assert_matches_dijkstra(&g, 0, &out);
-    let exp = run_cfg(
-        &g,
-        4,
-        &SsspConfig::opt(25).with_pull_estimator(crate::config::PullEstimator::Expectation),
-    );
-    assert_eq!(out.distances, exp.distances);
-}
-
-#[test]
-fn packet_framing_adds_wire_overhead_not_results() {
-    let g = medium_graph();
-    let dg = DistGraph::build(&g, 4, 4);
-    let raw = run_sssp(&dg, 0, &SsspConfig::opt(25), &MachineModel::bgq_like());
-    let pkt = run_sssp(
-        &dg,
-        0,
-        &SsspConfig::opt(25),
-        &MachineModel::bgq_like_packetized(),
-    );
-    assert_eq!(raw.distances, pkt.distances);
-    assert_eq!(raw.stats.relaxations_total(), pkt.stats.relaxations_total());
-    assert!(
-        pkt.stats.comm.total_remote_bytes() > raw.stats.comm.total_remote_bytes(),
-        "packet headers must show up on the wire"
-    );
-    assert!(pkt.stats.ledger.total_s() >= raw.stats.ledger.total_s());
-}
-
-#[test]
 fn simulated_time_is_positive_and_split() {
     let g = medium_graph();
     let out = run_cfg(&g, 4, &SsspConfig::del(25));
@@ -585,11 +551,7 @@ use crate::config::{PullEstimator, SteppingPolicyKind};
 use crate::policy::Policy;
 use crate::state::{RankState, FLAT_LANES};
 
-const ESTIMATORS: [PullEstimator; 3] = [
-    PullEstimator::Exact,
-    PullEstimator::Histogram,
-    PullEstimator::Expectation,
-];
+const ESTIMATORS: [PullEstimator; 2] = [PullEstimator::Exact, PullEstimator::Expectation];
 
 /// The three stepping policies with the heuristic switched on (ρ and radius
 /// default to always-push, which never asks for an estimate). The weights

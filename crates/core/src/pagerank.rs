@@ -186,7 +186,7 @@ impl Spmd for PageRank {
                 sent
             });
             // sssp-lint: protocol: pagerank.exchange-scores
-            let step = ranks.exchange(ctx, RANK_BYTES, self.model.packet.as_ref());
+            let step = ranks.exchange(ctx, RANK_BYTES);
 
             // Accumulate and measure the residual.
             let residuals = ranks.read_inboxes(|rk, inbox| {

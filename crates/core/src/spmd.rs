@@ -10,7 +10,6 @@ use rayon::prelude::*;
 
 use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
 use sssp_comm::exchange::Outbox;
-use sssp_comm::packet::PacketConfig;
 use sssp_comm::stats::{CommStats, StepStats};
 use sssp_comm::transport::Comm;
 use sssp_dist::DistGraph;
@@ -50,13 +49,8 @@ impl<S: Send, M: Send + Sync> Ranks<S, M> {
     }
 
     /// One superstep: deliver every outbox and refill the inboxes.
-    pub(crate) fn exchange<C: Comm<M>>(
-        &mut self,
-        ctx: &mut C,
-        msg_bytes: usize,
-        packet: Option<&PacketConfig>,
-    ) -> StepStats {
-        ctx.exchange(&mut self.out, &mut self.inbox, msg_bytes, packet)
+    pub(crate) fn exchange<C: Comm<M>>(&mut self, ctx: &mut C, msg_bytes: usize) -> StepStats {
+        ctx.exchange(&mut self.out, &mut self.inbox, msg_bytes)
     }
 }
 

@@ -502,7 +502,10 @@ impl RankState {
         debug_assert_eq!(self.unreached, self.n_local() as u64);
         let mut total = 0u64;
         for (v, slot) in self.unreached_term.iter_mut().enumerate() {
-            // A term never exceeds the vertex's degree.
+            // Both estimators bound a term by the vertex's degree (`Exact`
+            // counts part of the row, `Expectation` scales the degree by a
+            // fraction ≤ 1), so this fails only on a row of more than
+            // `u32::MAX` edges.
             *slot = sssp_graph::checked_u32(term(v) as usize);
             total += u64::from(*slot);
         }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use sssp_comm::cost::MachineModel;
-use sssp_core::config::{DirectionPolicy, SsspConfig};
+use sssp_core::config::{DirectionPolicy, PullEstimator, SsspConfig};
 use sssp_core::engine::run_sssp;
 use sssp_core::seq;
 use sssp_core::state::INF;
@@ -195,8 +195,9 @@ fn delta_one_with_maximal_weights_terminates_past_the_epoch_sentinel() {
     // such a bucket index could collide with the sentinel and the run
     // would terminate early, leaving the vertex unsettled. Maximal
     // `u32::MAX` edge weights stress the same arithmetic on the reachable
-    // component. Vertex 3 is isolated so no `d + w` is ever computed from
-    // the near-maximal seed distance.
+    // component, and the prune/opt configurations run the §III-C push/pull
+    // heuristic on them with both pull estimators. Vertex 3 is isolated so
+    // no `d + w` is ever computed from the near-maximal seed distance.
     let mut el = EdgeList::new(4);
     el.push(0, 1, u32::MAX);
     el.push(1, 2, u32::MAX);
@@ -210,6 +211,9 @@ fn delta_one_with_maximal_weights_terminates_past_the_epoch_sentinel() {
             SsspConfig::del(1),
             SsspConfig::rho(2),
             SsspConfig::radius(1),
+            SsspConfig::prune(1),
+            SsspConfig::prune(1).with_pull_estimator(PullEstimator::Expectation),
+            SsspConfig::opt(1).with_pull_estimator(PullEstimator::Expectation),
         ] {
             let simulated = run_sssp_seeded(&dg, seeds, &cfg, &model);
             assert_eq!(

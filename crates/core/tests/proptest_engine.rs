@@ -152,16 +152,6 @@ proptest! {
     }
 
     #[test]
-    fn packet_framing_never_changes_results(g in arb_graph(), delta in 1u32..60, p in 1usize..6) {
-        let dg = DistGraph::build(&g, p, 2);
-        let raw = run_sssp(&dg, 0, &SsspConfig::opt(delta), &MachineModel::bgq_like());
-        let pkt = run_sssp(&dg, 0, &SsspConfig::opt(delta), &MachineModel::bgq_like_packetized());
-        prop_assert_eq!(raw.distances, pkt.distances);
-        prop_assert_eq!(raw.stats.relaxations_total(), pkt.stats.relaxations_total());
-        prop_assert!(pkt.stats.comm.total_remote_bytes() >= raw.stats.comm.total_remote_bytes());
-    }
-
-    #[test]
     fn coalescing_never_changes_results(g in arb_graph(), delta in 1u32..60, p in 1usize..6) {
         // Sender-side coalescing keeps only the minimum proposal per
         // (target, distance) key ahead of each exchange. Relaxation is an
@@ -180,14 +170,5 @@ proptest! {
             on.stats.comm.total_msgs() + on.stats.comm.total_coalesced_msgs(),
             off.stats.comm.total_msgs()
         );
-    }
-
-    #[test]
-    fn histogram_estimator_never_changes_results(g in arb_graph(), delta in 2u32..60, p in 1usize..6) {
-        use sssp_core::config::PullEstimator;
-        let dg = DistGraph::build(&g, p, 2);
-        let cfg = SsspConfig::prune(delta).with_pull_estimator(PullEstimator::Histogram);
-        let out = run_sssp(&dg, 0, &cfg, &MachineModel::bgq_like());
-        prop_assert_eq!(out.distances, seq::dijkstra(&g, 0));
     }
 }

@@ -14,22 +14,6 @@ pub struct LocalGraph {
     offsets: Vec<usize>,
     targets: Vec<VertexId>, // internal ids (see `DistGraph`)
     weights: Vec<Weight>,
-    /// Per-vertex power-of-two weight histograms (`hist_buckets` counters
-    /// per row) — the approximate range-count structure §III-C suggests as
-    /// an alternative to binary search on sorted rows.
-    hist: Vec<u32>,
-    hist_buckets: usize,
-}
-
-/// Histogram bucket of a weight: 0 for `w = 0`, otherwise `1 + ⌊log₂ w⌋`
-/// (bucket `b ≥ 1` covers `[2^{b−1}, 2^b)`).
-#[inline]
-pub fn weight_bucket(w: Weight) -> usize {
-    if w == 0 {
-        0
-    } else {
-        1 + (31 - w.leading_zeros()) as usize
-    }
 }
 
 impl LocalGraph {
@@ -43,35 +27,27 @@ impl LocalGraph {
     {
         let rows: Vec<(Vec<VertexId>, Vec<Weight>)> = rows.into_iter().collect();
         let edges = rows.iter().map(|(t, _)| t.len()).sum();
-        let max_w = rows
-            .iter()
-            .flat_map(|(_, w)| w.iter().copied())
-            .max()
-            .unwrap_or(0);
-        let mut lg = Self::zeroed(rows.len(), edges, max_w);
+        let mut lg = Self::zeroed(rows.len(), edges);
         let slotted = rows.iter().enumerate();
         lg.fill(slotted.map(|(i, (t, w))| (i, &t[..], &w[..])), |t| t);
         lg
     }
 
-    /// Zeroed arrays for `rows` rows and `edges` edge slots, with histogram
-    /// buckets up to `max_w`. [`DistGraph`] sizes every rank's arrays this
-    /// way on the calling thread before any worker fills them.
-    fn zeroed(rows: usize, edges: usize, max_w: Weight) -> Self {
-        let hist_buckets = weight_bucket(max_w) + 1;
+    /// Zeroed arrays for `rows` rows and `edges` edge slots. [`DistGraph`]
+    /// sizes every rank's arrays this way on the calling thread before any
+    /// worker fills them.
+    fn zeroed(rows: usize, edges: usize) -> Self {
         LocalGraph {
             offsets: vec![0; rows + 1],
             targets: vec![0; edges],
             weights: vec![0; edges],
-            hist: vec![0; rows * hist_buckets],
-            hist_buckets,
         }
     }
 
     /// Copy every `(slot, targets, weights)` of `rows` into row `slot` of
-    /// the arrays [`Self::zeroed`] sized, each target through `id`, then
-    /// count each row's weight histogram. `rows` names every slot once and
-    /// is walked twice: for the row lengths, then to copy.
+    /// the arrays [`Self::zeroed`] sized, each target through `id`. `rows`
+    /// names every slot once and is walked twice: for the row lengths, then
+    /// to copy.
     fn fill<'a>(
         &mut self,
         rows: impl Iterator<Item = (usize, &'a [VertexId], &'a [Weight])> + Clone,
@@ -90,46 +66,6 @@ impl LocalGraph {
             }
             self.weights[at..at + w.len()].copy_from_slice(w);
         }
-        let counts = self.hist.chunks_exact_mut(self.hist_buckets);
-        for (row, counts) in self.offsets.windows(2).zip(counts) {
-            for &w in &self.weights[row[0]..row[1]] {
-                counts[weight_bucket(w)] += 1;
-            }
-        }
-    }
-
-    /// Approximate number of edges of `local` with weight `< bound`, from
-    /// the power-of-two histogram: whole buckets below `bound` count fully,
-    /// the straddled bucket contributes linearly. `O(log w_max)` regardless
-    /// of degree, and within a factor of 2 of the exact count.
-    pub fn estimate_weight_below(&self, local: usize, bound: u64) -> u64 {
-        if bound == 0 {
-            return 0;
-        }
-        let row = self.weight_histogram(local);
-        let mut est = 0.0f64;
-        for (b, &c) in row.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let (lo, hi) = if b == 0 {
-                (0u64, 1u64)
-            } else {
-                (1u64 << (b - 1), 1u64 << b)
-            };
-            if bound >= hi {
-                est += c as f64;
-            } else if bound > lo {
-                est += c as f64 * (bound - lo) as f64 / (hi - lo) as f64;
-            }
-        }
-        est.round() as u64
-    }
-
-    /// The power-of-two weight histogram of `local`'s row: one counter per
-    /// [`weight_bucket`], as many buckets as the rank's heaviest edge needs.
-    pub fn weight_histogram(&self, local: usize) -> &[u32] {
-        &self.hist[local * self.hist_buckets..(local + 1) * self.hist_buckets]
     }
 
     #[inline]
@@ -150,20 +86,6 @@ impl LocalGraph {
         let lo = self.offsets[local];
         let hi = self.offsets[local + 1];
         (&self.targets[lo..hi], &self.weights[lo..hi])
-    }
-
-    /// Number of edges of `local` with weight `< bound` (binary search).
-    #[inline]
-    pub fn count_weight_below(&self, local: usize, bound: Weight) -> usize {
-        let (_, ws) = self.row(local);
-        ws.partition_point(|&w| w < bound)
-    }
-
-    /// First row position with weight `>= bound`; the suffix from here is
-    /// the "long edge" range for `bound = Δ`.
-    #[inline]
-    pub fn weight_lower_bound(&self, local: usize, bound: Weight) -> usize {
-        self.count_weight_below(local, bound)
     }
 
     /// Directed edge count of this rank’s slice.
@@ -298,9 +220,9 @@ impl DistGraph {
     /// Cut `csr` into one [`LocalGraph`] per rank, the row of rank `r`'s
     /// local `l` in slot `slots[r][l]`, with targets mapped through
     /// `internal`. Every rank's arrays are sized and allocated here, on the
-    /// calling thread, from the row lengths and each row's last (heaviest)
-    /// weight; the workers then only copy rows into the arrays they are
-    /// handed, one rank each, reading the CSR in order.
+    /// calling thread, from the row lengths; the workers then only copy rows
+    /// into the arrays they are handed, one rank each, reading the CSR in
+    /// order.
     fn slice(
         csr: &Csr,
         part: &Partition,
@@ -309,13 +231,9 @@ impl DistGraph {
     ) -> Vec<LocalGraph> {
         let mut locals: Vec<LocalGraph> = (0..part.num_ranks())
             .map(|rank| {
-                let (mut edges, mut max_w) = (0, 0);
-                for l in 0..part.local_count(rank) {
-                    let (_, w) = csr.row_slices(part.to_global(rank, l));
-                    edges += w.len();
-                    max_w = max_w.max(w.last().copied().unwrap_or(0));
-                }
-                LocalGraph::zeroed(part.local_count(rank), edges, max_w)
+                let rows = 0..part.local_count(rank);
+                let edges = rows.map(|l| csr.degree(part.to_global(rank, l))).sum();
+                LocalGraph::zeroed(part.local_count(rank), edges)
             })
             .collect();
         locals
@@ -440,21 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn count_weight_below_matches_global() {
-        let csr = small();
-        let dg = DistGraph::build(&csr, 3, 1);
-        for v in csr.vertices() {
-            let (r, l) = dg.locate(v);
-            for bound in [0, 1, 10, 25, 51] {
-                assert_eq!(
-                    dg.locals[r].count_weight_below(l, bound),
-                    csr.count_weight_below(v, bound)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn degree_route_matches() {
         let csr = small();
         let dg = DistGraph::build(&csr, 4, 1);
@@ -512,67 +415,5 @@ mod tests {
         let (dg, report) = DistGraph::build_auto_split(&csr, 1, 2);
         assert!(report.is_none());
         assert_eq!(dg.num_vertices(), csr.num_vertices());
-    }
-
-    #[test]
-    fn weight_bucket_boundaries() {
-        assert_eq!(weight_bucket(0), 0);
-        assert_eq!(weight_bucket(1), 1);
-        assert_eq!(weight_bucket(2), 2);
-        assert_eq!(weight_bucket(3), 2);
-        assert_eq!(weight_bucket(4), 3);
-        assert_eq!(weight_bucket(255), 8);
-        assert_eq!(weight_bucket(256), 9);
-    }
-
-    #[test]
-    fn histogram_estimate_brackets_exact_count() {
-        let csr = small();
-        let dg = DistGraph::build(&csr, 3, 1);
-        for r in 0..3 {
-            let lg = &dg.locals[r];
-            for v in 0..lg.num_local() {
-                let deg = lg.degree(v) as u64;
-                for bound in [1u64, 2, 5, 17, 33, 64, 100] {
-                    let exact = lg.count_weight_below(v, bound as u32) as u64;
-                    let est = lg.estimate_weight_below(v, bound);
-                    // Linear interpolation within a power-of-two bucket is
-                    // off by at most that bucket's population.
-                    assert!(est <= deg);
-                    let err = est.abs_diff(exact);
-                    assert!(
-                        err <= (exact / 2).max(4),
-                        "rank {r} v {v} bound {bound}: est {est} exact {exact}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn histogram_estimate_exact_at_bucket_edges() {
-        // At power-of-two boundaries the estimate equals the exact count.
-        let csr = small();
-        let dg = DistGraph::build(&csr, 1, 1);
-        let lg = &dg.locals[0];
-        for v in 0..lg.num_local() {
-            for bound in [1u64, 2, 4, 8, 16, 32, 64] {
-                assert_eq!(
-                    lg.estimate_weight_below(v, bound),
-                    lg.count_weight_below(v, bound as u32) as u64
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn histogram_estimate_full_range() {
-        let csr = small();
-        let dg = DistGraph::build(&csr, 1, 1);
-        let lg = &dg.locals[0];
-        for v in 0..lg.num_local() {
-            assert_eq!(lg.estimate_weight_below(v, u64::MAX), lg.degree(v) as u64);
-            assert_eq!(lg.estimate_weight_below(v, 0), 0);
-        }
     }
 }
