@@ -189,7 +189,7 @@ struct RankBfs {
 const VISIT_BYTES: usize = 8;
 
 impl Spmd for Bfs {
-    /// A visit's local target index; a bottom-up frontier entry's internal id.
+    /// A visit's local target index; a bottom-up frontier entry's rank address.
     type Msg = u32;
     type Out = Share<u32, Vec<BfsLevelRecord>>;
 
@@ -294,14 +294,14 @@ impl Bfs {
         level: u32,
         meter: &mut Meter,
     ) -> u64 {
-        let part = &dg.part;
+        let addr = dg.addr;
         let examined = ranks.fill_outboxes(|rk, ob| {
             let mut examined = 0u64;
             for &u in &rk.frontier {
                 let (ts, _) = dg.locals[rk.rank].row(u as usize);
                 examined += ts.len() as u64;
                 for &v in ts {
-                    ob.send(part.owner(v), part.to_local(v) as u32);
+                    ob.send(addr.owner(v), addr.local(v));
                 }
             }
             examined
@@ -323,11 +323,12 @@ impl Bfs {
         examined
     }
 
-    /// One bottom-up level: every rank receives the whole frontier as
-    /// internal ids and keeps it as an `n`-bit bitmap — the cost model
-    /// charges the bitmap allgather this stands for, one collective plus
-    /// `(n/8 + 1)·p` bytes — then scans its unvisited vertices for a
-    /// frontier neighbor. Returns the edges this process examined.
+    /// One bottom-up level: every rank receives the whole frontier as rank
+    /// addresses and keeps it as a bitmap indexed by address — the cost
+    /// model charges the `n`-bit bitmap allgather this stands for, one
+    /// collective plus `(n/8 + 1)·p` bytes — then scans its unvisited
+    /// vertices for a frontier neighbor. Returns the edges this process
+    /// examined.
     fn bottom_up<C: Comm<u32>>(
         &self,
         dg: &DistGraph,
@@ -336,11 +337,11 @@ impl Bfs {
         level: u32,
         meter: &mut Meter,
     ) -> u64 {
-        let n = dg.num_vertices();
+        let (n, addr) = (dg.num_vertices(), dg.addr);
         ranks.fill_outboxes(|rk, ob| {
             for &v in &rk.frontier {
-                let id = dg.part.to_global(rk.rank, v as usize);
-                ob.out.iter_mut().for_each(|lane| lane.push(id));
+                let a = addr.encode(rk.rank, v as usize);
+                ob.out.iter_mut().for_each(|lane| lane.push(a));
             }
         });
         // sssp-lint: protocol: bfs.bottom-up-frontier
@@ -349,7 +350,7 @@ impl Bfs {
         meter.relax_step(0, (n as u64 / 8 + 1) * dg.num_ranks() as u64);
         let examined = ranks.read_inboxes(|rk, frontier| {
             rk.bitmap.clear();
-            rk.bitmap.resize(n.div_ceil(64), 0);
+            rk.bitmap.resize(addr.end().div_ceil(64), 0);
             for &u in frontier {
                 rk.bitmap[u as usize / 64] |= 1 << (u % 64);
             }

@@ -141,13 +141,12 @@ impl Spmd for Cc {
             rounds += 1;
 
             let sent = ranks.fill_outboxes(|rk, ob| {
-                let lg = &dg.locals[rk.rank];
+                let (lg, addr) = (&dg.locals[rk.rank], dg.addr);
                 let mut sent = 0u64;
                 for &v in &rk.active {
                     let (ts, _) = lg.row(v as usize);
                     for &t in ts {
-                        let msg = (dg.part.to_local(t) as u32, rk.labels[v as usize]);
-                        ob.send(dg.part.owner(t), msg);
+                        ob.send(addr.owner(t), (addr.local(t), rk.labels[v as usize]));
                     }
                     sent += ts.len() as u64;
                 }

@@ -48,8 +48,11 @@ pub(super) fn pull_term(
 
 /// One rank's §III-C volume estimates for the epoch window: the push send
 /// volume, the pull request volume, and the number of unsettled vertices
-/// scanned (the pull model's scan extent). Read-only over the rank state,
-/// and proportional to the *reached* unsettled vertices only: the unreached
+/// scanned (the pull model's scan extent). Read-only over the rank state.
+/// The push volume walks the active set, which must hold the window's
+/// settled members (the driver collects them after the short fixpoint),
+/// in ascending local index. The pull volume is proportional to the
+/// *reached* unsettled vertices only: the unreached
 /// ones enter through the totals the state maintains, installed at
 /// `unreached_bound` (the policy's short bound). A hybrid-tail window's
 /// wider short bound makes those totals over-count: every edge with
@@ -69,7 +72,7 @@ pub(super) fn rank_volumes(
 
     // Push: the long-phase send volume of this rank.
     let mut push = 0u64;
-    for u in st.window_members(window.lo, window.hi) {
+    for u in st.active.iter() {
         let ul = u as usize;
         let (_, ws) = lg.row(ul);
         let start = kernels::push_range_start(ios, ws, st.dist[ul], end_dist, short_bound);

@@ -13,9 +13,8 @@
 //! Cost-model charges are recorder events placed at the schedule's charge
 //! sites: one `Bucket` collective per selection / cutoff / deadline /
 //! window / activity / settle reduction, **one** `Relax` collective for the
-//! decision's five reductions, none for the set-up reductions; a `Bucket`
-//! scan for the window collection, a `Relax` scan for the pull-request
-//! sweep; one superstep per exchange.
+//! decision's five reductions; a `Bucket` scan for the window collection,
+//! a `Relax` scan for the pull-request sweep; one superstep per exchange.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -335,8 +334,10 @@ struct Driver<'a, C, R> {
     /// The run's stepping policy (bucket width + window rule), resolved
     /// once from the config.
     policy: Policy,
-    /// Resolved intra-node balancing threshold π (`u64::MAX` = off).
-    pi: u64,
+    /// What the kernels' recorder-only bookkeeping needs: the resolved
+    /// intra-node balancing threshold π (`u64::MAX` = off) when the
+    /// recorder listens, `None` when nothing would read it.
+    meter: Option<u64>,
     /// Smallest edge weight in the graph (`u64::MAX` on an edgeless one): a
     /// window whose short bound does not exceed it has an empty short stage
     /// (the Dijkstra configuration's, say), which is skipped.
@@ -357,28 +358,10 @@ struct Driver<'a, C, R> {
 impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     fn new(job: &'a Job<'a>, ctx: &'a mut C, rec: &'a mut R, bufs: &'a mut ProcBufs) -> Self {
         let dg = job.dg;
-        // Global weight extremes: rows are weight-sorted, so first/last
-        // entries suffice. An edgeless graph has no extremes; its scan
-        // sentinels must not leak into the decision heuristic's eq. 1
-        // estimate or open a short stage.
-        let (mut w_lo, mut w_hi) = (u64::from(u32::MAX), 0u64);
-        for lg in &dg.locals[ctx.owned()] {
-            for v in 0..lg.num_local() {
-                let (_, ws) = lg.row(v);
-                if let (Some(&first), Some(&last)) = (ws.first(), ws.last()) {
-                    w_lo = w_lo.min(u64::from(first));
-                    w_hi = w_hi.max(u64::from(last));
-                }
-            }
-        }
-        // sssp-lint: protocol: setup.weight-extremes
-        let min_weight = ctx.allreduce_min(w_lo);
-        let max_weight = ctx.allreduce_max(w_hi);
-        let (min_weight, max_weight) = if dg.m_directed > 0 {
-            (min_weight, max_weight)
-        } else {
-            (u64::MAX, 0)
-        };
+        // The graph's weight extremes, recorded while it was sliced; an
+        // edgeless graph's sentinels (`u64::MAX`, 0) open no short stage
+        // and zero the decision heuristic's eq. 1 expectation.
+        let (min_weight, max_weight) = dg.weight_range();
         let policy = Policy::new(job.cfg, dg.num_ranks());
         // What each vertex adds to the §III-C pull estimate while unreached
         // is fixed by the graph, the policy's short bound and the weight
@@ -395,6 +378,10 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             },
             |(), ()| (),
         );
+        let meter = rec.enabled().then(|| {
+            let n = dg.num_vertices() as u64;
+            resolved_pi(job.cfg.intra_balance, dg.m_directed, n)
+        });
         let out = ProcessOut {
             first_rank: ctx.owned().start,
             ..ProcessOut::default()
@@ -405,11 +392,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             rec,
             bufs,
             policy,
-            pi: resolved_pi(
-                job.cfg.intra_balance,
-                dg.m_directed,
-                dg.num_vertices() as u64,
-            ),
+            meter,
             min_weight,
             max_weight,
             out,
@@ -557,7 +540,10 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             self.span(SubPhase::Scan, scanning);
             self.rec.scan(TimeClass::Bucket, scanned);
 
-            // Stage 1: short-edge phases, to a fixpoint.
+            // Stage 1: short-edge phases, to a fixpoint. The window's
+            // settled members are then collected into the active set once,
+            // in ascending local index: the decision's push volume and
+            // either long phase's send kernels all walk that set.
             if self.min_weight < window.short_bound {
                 let start = self.clock();
                 // sssp-lint: protocol: short.active-any
@@ -566,6 +552,11 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                     self.short_phase(&window);
                 }
                 self.phase_span(PhaseKind::Short, start);
+                let scanning = self.clock();
+                for st in &mut self.bufs.st {
+                    st.collect_active_from_window(window.lo, window.hi);
+                }
+                self.span(SubPhase::Scan, scanning);
             }
 
             // Stage 2: long-edge phase, push or pull.
@@ -858,7 +849,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         send: impl Fn(RankIo<'_>, &mut [MinTable]) -> (u64, u64) + Sync,
         after: impl Fn(&mut RankState) + Sync,
     ) -> (u64, StepStats) {
-        let delta = self.policy.delta;
+        let (delta, metered) = (self.policy.delta, self.meter.is_some());
         let begin_and_send = |io: RankIo<'_>, tables: &mut [MinTable]| {
             begin_superstep(io.st);
             send(io, tables)
@@ -870,7 +861,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         self.span(SubPhase::Scan, scanning);
         let step = self.exchange_relax(coalesced);
         let apply = |io: RankIo<'_>| {
-            kernels::apply_relax(io.st, &delta, io.inbox);
+            kernels::apply_relax(io.st, &delta, io.inbox, metered);
             after(io.st);
         };
         let applying = self.clock();
@@ -883,12 +874,12 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     /// One short-edge phase (§II / §III-A): relax the (inner) short edges
     /// of the active vertices.
     fn short_phase(&mut self, window: &EpochWindow) {
-        let (dg, cfg, pi) = (self.job.dg, self.job.cfg, self.pi);
+        let (dg, cfg, meter) = (self.job.dg, self.job.cfg, self.meter);
         let (sent, step) = self.relax_round(
             |io, tables| {
                 let lg = &dg.locals[io.st.rank];
                 relax_into!(cfg.coalescing, io.out, tables, |sink| {
-                    kernels::short_send(lg, &dg.part, io.st, window, cfg.ios, pi, sink)
+                    kernels::short_send(lg, dg.addr, io.st, window, cfg.ios, meter, sink)
                 })
             },
             // Next phase's active set: changed vertices now inside the
@@ -900,9 +891,11 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
 
     /// Push-mode long phase (§III-B): every vertex settled in the window
     /// relaxes its long (and, under IOS, outer-short) edges outward, with
-    /// receiver-side self/backward/forward classification for Fig 7.
+    /// receiver-side self/backward/forward classification for Fig 7 when a
+    /// recorder listens.
     fn long_push(&mut self, window: &EpochWindow, record: &mut BucketRecord) -> PhaseKind {
-        let (dg, cfg, pi, delta) = (self.job.dg, self.job.cfg, self.pi, self.policy.delta);
+        let (dg, cfg, meter, delta) = (self.job.dg, self.job.cfg, self.meter, self.policy.delta);
+        let metered = meter.is_some();
         let scanning = self.clock();
         let ((outer, long), coalesced) = self.bufs.fan_out_tables(
             ((0, 0), 0),
@@ -910,7 +903,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 begin_superstep(io.st);
                 let lg = &dg.locals[io.st.rank];
                 relax_into!(cfg.coalescing, io.out, tables, |sink| {
-                    kernels::long_push_send(lg, &dg.part, io.st, window, cfg.ios, pi, sink)
+                    kernels::long_push_send(lg, dg.addr, io.st, window, cfg.ios, meter, sink)
                 })
             },
             |a, b| ((a.0 .0 + b.0 .0, a.0 .1 + b.0 .1), a.1 + b.1),
@@ -925,7 +918,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             record.forward_edges,
         ) = self.bufs.fan_out(
             (0, 0, 0),
-            |io| kernels::classify_apply_relax(io.st, window, &delta, io.inbox),
+            |io| kernels::classify_apply_relax(io.st, window, &delta, io.inbox, metered),
             |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
         );
         self.span(SubPhase::Apply, applying);
@@ -945,7 +938,8 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     /// long edges satisfying `w < d(v) − kΔ` (eq. 1); only sources settled
     /// in the window respond.
     fn long_pull(&mut self, window: &EpochWindow, record: &mut BucketRecord) -> PhaseKind {
-        let (dg, cfg, pi) = (self.job.dg, self.job.cfg, self.pi);
+        let (dg, cfg, meter) = (self.job.dg, self.job.cfg, self.meter);
+        let metered = meter.is_some();
         let (mut outer, mut remote_msgs) = (0, 0);
 
         // Sub-step 0 (IOS only): the outer short edges of the settled
@@ -958,7 +952,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 |io, tables| {
                     let lg = &dg.locals[io.st.rank];
                     relax_into!(cfg.coalescing, io.out, tables, |sink| {
-                        kernels::outer_short_send(lg, &dg.part, io.st, window, pi, sink)
+                        kernels::outer_short_send(lg, dg.addr, io.st, window, meter, sink)
                     })
                 },
                 |_| (),
@@ -977,7 +971,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             |io| {
                 begin_superstep(io.st);
                 let lg = &dg.locals[io.st.rank];
-                kernels::pull_request_send(lg, &dg.part, io.st, window, pi, io.out)
+                kernels::pull_request_send(lg, dg.addr, io.st, window, meter, io.out)
             },
             |a, b| (a.0 + b.0, a.1.max(b.1)),
         );
@@ -994,7 +988,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         let (responses, step) = self.relax_round(
             |io, tables| {
                 relax_into!(cfg.coalescing, io.out, tables, |sink| {
-                    kernels::pull_respond(&dg.part, io.st, window, io.req_inbox, sink)
+                    kernels::pull_respond(dg.addr, io.st, window, io.req_inbox, metered, sink)
                 })
             },
             |_| (),

@@ -15,15 +15,22 @@
 //! widens it, so these are the same phases the paper describes. Only the
 //! receive side (bucket placement of improved vertices) needs Δ itself.
 //!
+//! Every target a kernel proposes to is a rank address ([`Addr`]): the
+//! owner rank and the slot there are one shift and one mask, resolved for
+//! every edge when the graph was built.
+//!
 //! Thread-load accounting (`loads.charge` / `charge_recv`) lives inside
 //! the kernels too — it is part of the paper's per-phase work definition,
-//! not a transport concern.
+//! not a transport concern — but only a recorder reads it, so it runs only
+//! when one listens: a kernel given `meter = None` skips it, together with
+//! the short/long split of its relaxation count and the receive-side
+//! edge classification.
 
 use std::ops::Range;
 
 use sssp_comm::exchange::{MinTable, Outbox};
 use sssp_comm::Rank;
-use sssp_dist::{LocalGraph, Partition};
+use sssp_dist::{Addr, LocalGraph};
 
 use crate::config::DeltaParam;
 use crate::policy::EpochWindow;
@@ -120,17 +127,19 @@ pub(super) fn pull_range(ws: &[u32], dv: u64, kd: u64, short_bound: u64) -> Rang
     lo..hi.max(lo)
 }
 
-/// The shared body of the push-style send kernels: every active vertex `u`
-/// relaxes the slice `range(d(u), weights)` of its weight-sorted row,
-/// and the work is charged to `u`'s thread (spread over the rank's threads
-/// when `u` is heavy). Returns the relaxations produced, split at the
-/// short/long boundary: `(w < short_bound, w ≥ short_bound)`.
+/// The shared body of the push-style send kernels: every active vertex `u`,
+/// in ascending local index, relaxes the slice `range(d(u), weights)` of
+/// its weight-sorted row. Returns the relaxations produced. Metered
+/// (`meter = Some(π)`), the work is also charged to `u`'s thread (spread
+/// over the rank's threads when `u` is heavy, degree > π) and the count is
+/// split at the short/long boundary, `(w < short_bound, w ≥ short_bound)`;
+/// unmetered, the whole count is reported as `(0, relaxations)`.
 fn relax_active_rows(
     lg: &LocalGraph,
-    part: &Partition,
+    addr: Addr,
     st: &mut RankState,
     short_bound: u64,
-    pi: u64,
+    meter: Option<u64>,
     out: &mut impl RelaxSink,
     range: impl Fn(u64, &[u32]) -> Range<usize>,
 ) -> (u64, u64) {
@@ -144,14 +153,14 @@ fn relax_active_rows(
             let du = st.dist[ul];
             let (ts, ws) = lg.row(ul);
             let edges = range(du, ws);
-            for j in edges.clone() {
+            for (&t, &w) in ts[edges.clone()].iter().zip(&ws[edges.clone()]) {
                 invariants::check_relax_headroom(du);
-                out.propose(
-                    part.owner(ts[j]),
-                    part.local_index(ts[j]),
-                    du + ws[j] as u64,
-                );
+                out.propose(addr.owner(t), addr.local(t), du + u64::from(w));
             }
+            let Some(pi) = meter else {
+                long += edges.len() as u64;
+                continue;
+            };
             let shorts = ws[edges.clone()].partition_point(|&w| (w as u64) < short_bound);
             short += shorts as u64;
             long += (edges.len() - shorts) as u64;
@@ -167,11 +176,11 @@ fn relax_active_rows(
 /// produced.
 pub(super) fn short_send(
     lg: &LocalGraph,
-    part: &Partition,
+    addr: Addr,
     st: &mut RankState,
     window: &EpochWindow,
     ios: bool,
-    pi: u64,
+    meter: Option<u64>,
     out: &mut impl RelaxSink,
 ) -> u64 {
     let (short_bound, end_dist) = (window.short_bound, window.end_dist);
@@ -191,7 +200,7 @@ pub(super) fn short_send(
         }
         0..hi
     };
-    let (short, long) = relax_active_rows(lg, part, st, short_bound, pi, out, inner_shorts);
+    let (short, long) = relax_active_rows(lg, addr, st, short_bound, meter, out, inner_shorts);
     short + long
 }
 
@@ -200,10 +209,18 @@ pub(super) fn short_send(
 /// target-sorted runs (one per sender lane), so a repeated target with a
 /// non-decreasing distance cannot improve — the min-merge skips the relax
 /// call outright. Observationally identical to relaxing every message.
-pub(super) fn apply_relax(st: &mut RankState, delta: &DeltaParam, msgs: &[RelaxMsg]) {
+/// `metered` charges each message to its target's thread.
+pub(super) fn apply_relax(
+    st: &mut RankState,
+    delta: &DeltaParam,
+    msgs: &[RelaxMsg],
+    metered: bool,
+) {
     let mut prev: Option<(u32, u64)> = None;
     for &m in msgs {
-        st.charge_recv(m.target);
+        if metered {
+            st.charge_recv(m.target);
+        }
         if let Some((pt, pn)) = prev {
             if pt == m.target && m.nd >= pn {
                 continue;
@@ -217,13 +234,21 @@ pub(super) fn apply_relax(st: &mut RankState, delta: &DeltaParam, msgs: &[RelaxM
 /// Receive side of a long push phase with the §III-B / Fig 7 receiver-side
 /// classification: each delivered edge is self, backward or forward,
 /// judged against the target's bucket *before* applying. Returns
-/// `(self, backward, forward)` counts.
+/// `(self, backward, forward)` counts. Only a recorder reads them (and the
+/// receive charges), so unmetered this only applies, returning zeros.
 pub(super) fn classify_apply_relax(
     st: &mut RankState,
     window: &EpochWindow,
     delta: &DeltaParam,
     msgs: &[RelaxMsg],
+    metered: bool,
 ) -> (u64, u64, u64) {
+    if !metered {
+        for &m in msgs {
+            st.relax(m.target, m.nd, delta);
+        }
+        return (0, 0, 0);
+    }
     let (mut se, mut be, mut fe) = (0u64, 0u64, 0u64);
     for &m in msgs {
         let b = st.bucket_of[m.target as usize];
@@ -241,45 +266,46 @@ pub(super) fn classify_apply_relax(
 }
 
 /// One rank's send side of a push-mode long phase (§III-B): every vertex
-/// settled in the current window relaxes its long (and, under IOS,
-/// outer-short) edges outward. Collects the window's active set itself.
-/// Returns `(outer_short, long)` relaxation counts.
+/// settled in the current window — the active set the driver collected
+/// after the short fixpoint — relaxes its long (and, under IOS,
+/// outer-short) edges outward. Returns `(outer_short, long)` relaxation
+/// counts (see [`relax_active_rows`] for the unmetered split).
 pub(super) fn long_push_send(
     lg: &LocalGraph,
-    part: &Partition,
+    addr: Addr,
     st: &mut RankState,
     window: &EpochWindow,
     ios: bool,
-    pi: u64,
+    meter: Option<u64>,
     out: &mut impl RelaxSink,
 ) -> (u64, u64) {
     let (short_bound, end_dist) = (window.short_bound, window.end_dist);
-    st.collect_active_from_window(window.lo, window.hi);
-    relax_active_rows(lg, part, st, short_bound, pi, out, |du, ws| {
+    relax_active_rows(lg, addr, st, short_bound, meter, out, |du, ws| {
         push_range_start(ios, ws, du, end_dist, short_bound)..ws.len()
     })
 }
 
 /// One rank's send side of a pull phase's IOS sub-step 0: the settled
 /// window's outer short edges are not covered by the pull protocol
-/// (requests target long edges), so push them directly. Collects the
-/// window's active set itself. Returns the number of outer-short
-/// relaxations produced.
+/// (requests target long edges), so push them directly, from the active
+/// set the driver collected after the short fixpoint. Returns the number
+/// of outer-short relaxations produced.
 pub(super) fn outer_short_send(
     lg: &LocalGraph,
-    part: &Partition,
+    addr: Addr,
     st: &mut RankState,
     window: &EpochWindow,
-    pi: u64,
+    meter: Option<u64>,
     out: &mut impl RelaxSink,
 ) -> u64 {
     let (short_bound, end_dist) = (window.short_bound, window.end_dist);
-    st.collect_active_from_window(window.lo, window.hi);
     let outer_shorts = |du, ws: &[u32]| {
         let long_start = ws.partition_point(|&w| (w as u64) < short_bound);
         push_range_start(true, ws, du, end_dist, short_bound)..long_start
     };
-    relax_active_rows(lg, part, st, short_bound, pi, out, outer_shorts).0
+    // Every edge of the range is short: the count needs no split.
+    let (short, long) = relax_active_rows(lg, addr, st, short_bound, meter, out, outer_shorts);
+    short + long
 }
 
 /// One rank's send side of a pull phase's request sub-step (§III-B):
@@ -288,10 +314,10 @@ pub(super) fn outer_short_send(
 /// distance as the `kΔ` base). Returns `(requests, vertices_scanned)`.
 pub(super) fn pull_request_send(
     lg: &LocalGraph,
-    part: &Partition,
+    addr: Addr,
     st: &mut RankState,
     window: &EpochWindow,
-    pi: u64,
+    meter: Option<u64>,
     out: &mut Outbox<RelaxMsg>,
 ) -> (u64, u64) {
     let short_bound = window.short_bound;
@@ -309,19 +335,20 @@ pub(super) fn pull_request_send(
         if edges.is_empty() {
             continue;
         }
-        let origin = part.to_global(st.rank, vl);
-        for i in edges.clone() {
-            let u = ts[i];
-            invariants::check_pull_request(ws[i], dv, kd, short_bound);
+        let origin = addr.encode(st.rank, vl);
+        for (&u, &w) in ts[edges.clone()].iter().zip(&ws[edges.clone()]) {
+            invariants::check_pull_request(w, dv, kd, short_bound);
             let req = ReqMsg {
-                u_local: part.local_index(u),
+                u_local: addr.local(u),
                 origin,
-                w: ws[i],
+                w,
             };
-            out.send(part.owner(u), req.to_wire());
+            out.send(addr.owner(u), req.to_wire());
         }
-        let heavy = (lg.degree(vl) as u64) > pi;
-        st.loads.charge(vl, edges.len() as u64, heavy);
+        if let Some(pi) = meter {
+            let heavy = (lg.degree(vl) as u64) > pi;
+            st.loads.charge(vl, edges.len() as u64, heavy);
+        }
         reqs += edges.len() as u64;
     }
     (reqs, scanned)
@@ -329,22 +356,26 @@ pub(super) fn pull_request_send(
 
 /// One rank's response side of a pull phase (§III-B): only sources settled
 /// in the current window answer; everything else is the redundancy being
-/// pruned away. Returns the number of responses produced.
+/// pruned away, and each answer goes straight back to the requester's
+/// rank address. `metered` charges each request to its source's thread.
+/// Returns the number of responses produced.
 pub(super) fn pull_respond(
-    part: &Partition,
+    addr: Addr,
     st: &mut RankState,
     window: &EpochWindow,
     reqs: &[RelaxMsg],
+    metered: bool,
     out: &mut impl RelaxSink,
 ) -> u64 {
     let mut responses = 0u64;
     for r in reqs.iter().copied().map(ReqMsg::from_wire) {
-        st.charge_recv(r.u_local);
+        if metered {
+            st.charge_recv(r.u_local);
+        }
         if window.contains(st.bucket_of[r.u_local as usize]) {
             let du = st.dist[r.u_local as usize];
             invariants::check_relax_headroom(du);
-            let (owner, target) = (part.owner(r.origin), part.local_index(r.origin));
-            out.propose(owner, target, du + r.w as u64);
+            out.propose(addr.owner(r.origin), addr.local(r.origin), du + r.w as u64);
             responses += 1;
         }
     }

@@ -67,7 +67,9 @@ pub(super) struct RelaxMsg {
 pub(super) struct ReqMsg {
     /// Local index of the requested source vertex on the destination rank.
     pub(super) u_local: u32,
-    /// Global id of the requesting vertex.
+    /// Rank address of the requesting vertex ([`sssp_dist::Addr`]): the
+    /// response goes to its owner and slot without consulting the
+    /// partition.
     pub(super) origin: VertexId,
     /// Weight of the edge the request travels along.
     pub(super) w: u32,

@@ -630,6 +630,8 @@ fn maintained_volumes_equal_the_full_scan_on_a_driven_state() {
                     // Δ-stepping's wide window is a hybrid-tail window.
                     let window = policy.window(k, k + reach, None);
                     let bound = policy.short_bound();
+                    // The driver's collection after the short fixpoint.
+                    st.collect_active_from_window(window.lo, window.hi);
                     let got =
                         decide::rank_volumes(&lg, &st, &window, bound, cfg.ios, estimator, w_max);
                     let want = invariants::scan_rank_volumes(

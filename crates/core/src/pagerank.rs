@@ -169,7 +169,7 @@ impl Spmd for PageRank {
 
             // Push contributions along every edge.
             let sent = ranks.fill_outboxes(|rk, ob| {
-                let lg = &dg.locals[rk.rank];
+                let (lg, addr) = (&dg.locals[rk.rank], dg.addr);
                 let mut sent = 0u64;
                 for (v, &s) in rk.scores.iter().enumerate() {
                     let deg = lg.degree(v);
@@ -179,7 +179,7 @@ impl Spmd for PageRank {
                     let contrib = s / deg as f64;
                     let (ts, _) = lg.row(v);
                     for &t in ts {
-                        ob.send(dg.part.owner(t), (dg.part.to_local(t) as u32, contrib));
+                        ob.send(addr.owner(t), (addr.local(t), contrib));
                     }
                     sent += deg as u64;
                 }

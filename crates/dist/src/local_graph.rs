@@ -3,6 +3,7 @@
 use rayon::prelude::*;
 use sssp_graph::{Csr, VertexId, Weight};
 
+use crate::addr::Addr;
 use crate::partition::Partition;
 
 /// The adjacency of one rank's vertices. Rows are indexed by *local* vertex
@@ -12,7 +13,7 @@ use crate::partition::Partition;
 #[derive(Debug, Clone)]
 pub struct LocalGraph {
     offsets: Vec<usize>,
-    targets: Vec<VertexId>, // internal ids (see `DistGraph`)
+    targets: Vec<VertexId>, // rank addresses (see `DistGraph`)
     weights: Vec<Weight>,
 }
 
@@ -99,14 +100,17 @@ impl LocalGraph {
 /// Vertices have two ids. The *external* id is the input CSR's; every API
 /// takes and returns external ids. Each rank stores its base vertices
 /// hub-first (see [`DistGraph::build_with_partition`]); a vertex's
-/// *internal* id is `part.to_global(owner, position)`, and [`LocalGraph`]
-/// targets and every message carry internal ids. The owner of both ids is
-/// the same rank, and [`DistGraph::locate`] / [`DistGraph::vertex`]
-/// translate between them.
+/// *internal* id is its rank address `addr.encode(owner, position)`
+/// ([`Addr`]), and [`LocalGraph`] targets and every message carry
+/// addresses. [`DistGraph::locate`] / [`DistGraph::vertex`] translate
+/// between the two; [`Partition`] decides ownership and is consulted only
+/// while building and at that boundary.
 #[derive(Debug, Clone)]
 pub struct DistGraph {
     /// The vertex partition shared by all ranks.
     pub part: Partition,
+    /// The rank-address encoding of the internal ids.
+    pub addr: Addr,
     /// Per-rank adjacency slices, indexed by rank.
     pub locals: Vec<LocalGraph>,
     /// Logical threads per rank (for the intra-node load model).
@@ -116,10 +120,13 @@ pub struct DistGraph {
     /// Undirected edge count of the *input* graph (pre-splitting); this is
     /// the `m` in the benchmark's `TEPS = m / t`.
     pub m_input_undirected: u64,
-    /// Internal id of each external id.
+    /// Rank address of each external id.
     internal: Vec<VertexId>,
-    /// External id of each internal id.
+    /// External id of the vertex stored at `local` on `rank`, at index
+    /// `part.to_global(rank, local)`.
     external: Vec<VertexId>,
+    /// Smallest and largest edge weight, `(u64::MAX, 0)` when edgeless.
+    weight_range: (u64, u64),
 }
 
 impl DistGraph {
@@ -184,7 +191,8 @@ impl DistGraph {
     /// so every vertex keeps its owner rank and its logical thread, and the
     /// high-degree vertices most relaxations land on share a few cache
     /// lines. Proxies keep their slots, and each row keeps the CSR's edge
-    /// order with its targets translated to internal ids.
+    /// order with its targets translated to rank addresses: the owner and
+    /// slot of every edge's target are resolved here, once.
     pub fn build_with_partition(
         csr: &Csr,
         part: Partition,
@@ -197,42 +205,56 @@ impl DistGraph {
             .map(|rank| hub_first(csr, &part, rank, threads_per_rank))
             .collect();
         let n = part.num_vertices();
+        let p = part.num_ranks();
+        let addr = Addr::new(p, (0..p).map(|r| part.local_count(r)).max().unwrap_or(0));
         let (mut internal, mut external) = (vec![0; n], vec![0; n]);
         for (rank, slots) in slots.iter().enumerate() {
             for (l, &at) in slots.iter().enumerate() {
-                let (x, i) = (part.to_global(rank, l), part.to_global(rank, at as usize));
-                internal[x as usize] = i;
-                external[i as usize] = x;
+                let x = part.to_global(rank, l);
+                internal[x as usize] = addr.encode(rank, at as usize);
+                external[part.to_global(rank, at as usize) as usize] = x;
             }
         }
-        let locals = Self::slice(csr, &part, &slots, &internal);
+        let (locals, weight_range) = Self::slice(csr, &part, &slots, &internal);
         DistGraph {
             part,
+            addr,
             locals,
             threads_per_rank,
             m_directed: csr.num_directed_edges() as u64,
             m_input_undirected,
             internal,
             external,
+            weight_range,
         }
     }
 
     /// Cut `csr` into one [`LocalGraph`] per rank, the row of rank `r`'s
     /// local `l` in slot `slots[r][l]`, with targets mapped through
-    /// `internal`. Every rank's arrays are sized and allocated here, on the
-    /// calling thread, from the row lengths; the workers then only copy rows
-    /// into the arrays they are handed, one rank each, reading the CSR in
-    /// order.
+    /// `internal` to their rank addresses, and return the graph's weight
+    /// range with them. Every rank's arrays are sized and allocated here, on
+    /// the calling thread, from the row lengths, which is also where the
+    /// weight range is read (rows are weight-sorted, so each row's first
+    /// and last weight suffice); the workers then only copy rows into the
+    /// arrays they are handed, one rank each, reading the CSR in order.
     fn slice(
         csr: &Csr,
         part: &Partition,
         slots: &[Vec<u32>],
         internal: &[VertexId],
-    ) -> Vec<LocalGraph> {
+    ) -> (Vec<LocalGraph>, (u64, u64)) {
+        let (mut lo, mut hi) = (u64::MAX, 0);
         let mut locals: Vec<LocalGraph> = (0..part.num_ranks())
             .map(|rank| {
-                let rows = 0..part.local_count(rank);
-                let edges = rows.map(|l| csr.degree(part.to_global(rank, l))).sum();
+                let mut edges = 0;
+                for l in 0..part.local_count(rank) {
+                    let (_, w) = csr.row_slices(part.to_global(rank, l));
+                    if let (Some(&first), Some(&last)) = (w.first(), w.last()) {
+                        lo = lo.min(u64::from(first));
+                        hi = hi.max(u64::from(last));
+                    }
+                    edges += w.len();
+                }
                 LocalGraph::zeroed(part.local_count(rank), edges)
             })
             .collect();
@@ -247,14 +269,14 @@ impl DistGraph {
                 });
                 lg.fill(rows, |t| internal[t as usize]);
             });
-        locals
+        (locals, (lo, hi))
     }
 
     /// Owner rank and local index of the external vertex `v`.
     #[inline]
     pub fn locate(&self, v: VertexId) -> (usize, usize) {
-        let i = self.internal[v as usize];
-        (self.part.owner(i), self.part.to_local(i))
+        let a = self.internal[v as usize];
+        (self.addr.owner(a), self.addr.local(a) as usize)
     }
 
     /// External id of the vertex stored at `local` on `rank`.
@@ -273,6 +295,13 @@ impl DistGraph {
     /// Total vertex count (base + proxies).
     pub fn num_vertices(&self) -> usize {
         self.part.num_vertices()
+    }
+
+    /// Smallest and largest edge weight of the graph, `(u64::MAX, 0)` when
+    /// it has no edge. Recorded while slicing.
+    #[inline]
+    pub fn weight_range(&self) -> (u64, u64) {
+        self.weight_range
     }
 
     /// Degree of the external vertex `v` (routed through its owner's local
@@ -339,12 +368,29 @@ mod tests {
             let (t, w) = dg.locals[r].row(l);
             let t: Vec<_> = t
                 .iter()
-                .map(|&i| dg.vertex(dg.part.owner(i), dg.part.to_local(i)))
+                .map(|&a| dg.vertex(dg.addr.owner(a), dg.addr.local(a) as usize))
                 .collect();
             let (gt, gw) = csr.row_slices(v);
             assert_eq!(t, gt);
             assert_eq!(w, gw);
         }
+    }
+
+    #[test]
+    fn weight_range_spans_every_row() {
+        let csr = small();
+        let ws = csr.vertices().flat_map(|v| csr.row_slices(v).1.to_vec());
+        let (lo, hi) = ws.fold((u64::MAX, 0), |(lo, hi), w| {
+            (lo.min(u64::from(w)), hi.max(u64::from(w)))
+        });
+        for p in [1, 3, 7] {
+            assert_eq!(DistGraph::build(&csr, p, 2).weight_range(), (lo, hi));
+        }
+        let edgeless = CsrBuilder::new().build(&gen::uniform(5, 0, 9, 1));
+        assert_eq!(
+            DistGraph::build(&edgeless, 2, 1).weight_range(),
+            (u64::MAX, 0)
+        );
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! always round-robin distributed, which is what scatters a split hub's
 //! shards across distinct ranks.
 //!
-//! Inside a `DistGraph` the ids this maps are *internal* ids: each rank
-//! stores its vertices hub-first, and `DistGraph::locate` /
-//! `DistGraph::vertex` translate the input's ids at the API boundary.
+//! A `DistGraph` consults its partition only while it is built and where
+//! the input's ids cross its API (`DistGraph::locate` /
+//! `DistGraph::vertex`): the partition decides each vertex's owner, the
+//! rank stores its vertices hub-first, and everything inside the graph
+//! names a vertex by its rank address (`sssp_dist::Addr`).
 
 use sssp_graph::VertexId;
 
@@ -162,15 +164,6 @@ impl Partition {
             let rank = pi % self.p;
             self.base_count(rank) + pi / self.p
         }
-    }
-
-    /// Local index of `v` on its owning rank, narrowed to the `u32` domain
-    /// of message fields via [`sssp_graph::checked_u32`]. The engine's
-    /// message builders use this instead of `to_local(v) as u32` so that
-    /// truncation can never pass silently (enforced by `sssp-lint`).
-    #[inline]
-    pub fn local_index(&self, v: VertexId) -> u32 {
-        sssp_graph::checked_u32(self.to_local(v))
     }
 
     /// Global id of `local` on `rank` (inverse of [`Self::to_local`]).

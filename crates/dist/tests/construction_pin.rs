@@ -108,7 +108,7 @@ fn dist_as(dg: &DistGraph, external: bool) -> u64 {
     h.u64(dg.threads_per_rank as u64);
     h.u64(dg.m_directed);
     h.u64(dg.m_input_undirected);
-    let part = &dg.part;
+    let (part, addr) = (&dg.part, dg.addr);
     for (rank, lg) in dg.locals.iter().enumerate() {
         if external {
             let at = |l| {
@@ -116,11 +116,18 @@ fn dist_as(dg: &DistGraph, external: bool) -> u64 {
                 assert_eq!(owner, rank);
                 at
             };
-            local(&mut h, lg, at, |i| {
-                dg.vertex(part.owner(i), part.to_local(i))
+            local(&mut h, lg, at, |a| {
+                dg.vertex(addr.owner(a), addr.local(a) as usize)
             });
         } else {
-            local(&mut h, lg, |l| l, |i| i);
+            // Targets are rank addresses; the pins hash each as its
+            // partition position, `part.to_global(owner, slot)`.
+            local(
+                &mut h,
+                lg,
+                |l| l,
+                |a| part.to_global(addr.owner(a), addr.local(a) as usize),
+            );
         }
     }
     h.0

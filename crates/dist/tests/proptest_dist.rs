@@ -6,9 +6,15 @@ use sssp_dist::{split_heavy_vertices, DistGraph, Partition};
 use sssp_graph::rmat::{RmatGenerator, RmatParams};
 use sssp_graph::{gen, Csr, CsrBuilder, VertexId};
 
-/// External id of the internal id `i`.
-fn external(dg: &DistGraph, i: VertexId) -> VertexId {
-    dg.vertex(dg.part.owner(i), dg.part.to_local(i))
+/// External id of the rank address `a`, decoded back through
+/// `part.to_global` (the partition position `vertex` reads).
+fn external(dg: &DistGraph, a: VertexId) -> VertexId {
+    let (owner, local) = (dg.addr.owner(a), dg.addr.local(a) as usize);
+    assert!(
+        local < dg.part.local_count(owner),
+        "address {a} names no stored slot"
+    );
+    dg.vertex(owner, local)
 }
 
 /// Checks that `dg` stores `csr` as a hub-first permutation of each rank's
@@ -112,6 +118,57 @@ proptest! {
         // with a threshold low enough that proxies exist.
         let (split, part, _) = split_heavy_vertices(&csr, p, thr);
         check_layout(&split, &DistGraph::build_with_partition(&split, part, t, m))?;
+    }
+
+    #[test]
+    fn every_target_is_the_rank_address_of_its_csr_neighbour(
+        kind in 0usize..3,
+        pi in 0usize..5,
+        t in 1usize..4,
+        thr in 4usize..24,
+        seed in 0u64..50,
+    ) {
+        let p = [1, 2, 3, 5, 8][pi];
+        let csr = match kind {
+            0 => CsrBuilder::new().build(&gen::uniform(70, 260, 30, seed)),
+            1 => CsrBuilder::new().build(
+                &RmatGenerator::new(RmatParams::RMAT2, 6, 8)
+                    .seed(seed)
+                    .generate_weighted(30),
+            ),
+            _ => CsrBuilder::new().build(&gen::grid(7, 30, seed)),
+        };
+        let m = csr.num_undirected_edges() as u64;
+        let (split, split_part, _) = split_heavy_vertices(&csr, p, thr);
+        let layouts = [
+            (&csr, DistGraph::build(&csr, p, t)),
+            (&csr, DistGraph::build_cyclic(&csr, p, t)),
+            (&split, DistGraph::build_with_partition(&split, split_part, t, m)),
+        ];
+        for (g, dg) in &layouts {
+            for (rank, lg) in dg.locals.iter().enumerate() {
+                for slot in 0..lg.num_local() {
+                    let (ts, ws) = lg.row(slot);
+                    let mut got = Vec::with_capacity(ts.len());
+                    for &a in ts {
+                        prop_assert!((a as usize) < dg.addr.end());
+                        let (owner, local) = (dg.addr.owner(a), dg.addr.local(a) as usize);
+                        prop_assert!(owner < p, "address {} names rank {}", a, owner);
+                        prop_assert!(local < dg.part.local_count(owner));
+                        let v = dg.vertex(owner, local);
+                        prop_assert_eq!(dg.locate(v), (owner, local));
+                        got.push(v);
+                    }
+                    let (gt, gw) = g.row_slices(dg.vertex(rank, slot));
+                    prop_assert_eq!(got.as_slice(), gt);
+                    prop_assert_eq!(ws, gw);
+                    let (mut got, mut want) = (got, gt.to_vec());
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 
     #[test]

@@ -445,7 +445,7 @@ fn check_no_lossy_cast(file: &SourceFile) -> Vec<(usize, String)> {
                     li,
                     format!(
                         "lossy `as {ty}` narrowing: use the checked helpers \
-                         (Partition::local_index / sssp_graph::checked_u32) \
+                         (Addr::local / sssp_graph::checked_u32) \
                          so truncation asserts instead of wrapping"
                     ),
                 ));
