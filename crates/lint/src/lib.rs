@@ -19,6 +19,12 @@
 //! The analyzer runs three ways: `cargo run -p sssp-lint -- --check`,
 //! a test in this crate that lints the whole workspace (making plain
 //! `cargo test` the gate), and a CI job.
+//!
+//! Three flow-aware passes sit on the same lexical model
+//! ([`source`]) and function model ([`callgraph`]), and each renders a
+//! golden table: `--protocol` (the collective schedule, [`protocol`]),
+//! `--concurrency` (the lock-order graph, [`concurrency`]) and `--panics`
+//! (panic reachability and unwind safety, [`panics`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,10 +40,10 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use rules::RULES;
+use rules::{Rule, RULES};
 use source::SourceFile;
 
-/// One finding: a rule violated at a file/line.
+/// One finding of any pass: a rule violated at a file/line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Workspace-relative, `/`-separated path.
@@ -76,33 +82,32 @@ pub(crate) fn is_test_file(rel_path: &str) -> bool {
         || rel_path.starts_with("tests/")
 }
 
+/// Run one rule over a parsed file: its findings outside test code and
+/// not allowed by a marker. Out-of-scope files yield nothing.
+pub(crate) fn check_rule(rule: &Rule, file: &SourceFile) -> Vec<Diagnostic> {
+    if !rule.scope.matches(&file.rel_path) || is_test_file(&file.rel_path) {
+        return Vec::new();
+    }
+    (rule.check)(file)
+        .into_iter()
+        .filter(|(li, _)| {
+            let line = &file.lines[*li];
+            !line.in_test && !line.allows.iter().any(|a| a == rule.name)
+        })
+        .map(|(li, message)| Diagnostic {
+            file: file.rel_path.clone(),
+            line: li + 1,
+            rule: rule.name,
+            message,
+        })
+        .collect()
+}
+
 /// Lint one file's text under its workspace-relative path. Pure; this is
 /// what fixture self-tests call.
 pub fn lint_text(rel_path: &str, text: &str) -> Vec<Diagnostic> {
     let file = SourceFile::parse(rel_path, text);
-    let whole_file_test = is_test_file(rel_path);
-    let mut out = Vec::new();
-    for rule in RULES {
-        if !rule.scope.matches(rel_path) {
-            continue;
-        }
-        for (li, message) in (rule.check)(&file) {
-            let line = &file.lines[li];
-            if whole_file_test || line.in_test {
-                continue;
-            }
-            if line.allows.iter().any(|a| a == rule.name) {
-                continue;
-            }
-            out.push(Diagnostic {
-                file: rel_path.to_string(),
-                line: li + 1,
-                rule: rule.name,
-                message,
-            });
-        }
-    }
-    out
+    RULES.iter().flat_map(|r| check_rule(r, &file)).collect()
 }
 
 /// Collect every `.rs` file under `root`, skipping `SKIP_DIRS`.
@@ -136,14 +141,27 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     Ok(out)
 }
 
+/// Read every workspace file under `root` that `in_scope` accepts, as
+/// `(rel_path, text)` pairs in path order.
+pub fn read_inputs(root: &Path, in_scope: fn(&str) -> bool) -> io::Result<Vec<(String, String)>> {
+    let mut out = Vec::new();
+    for (rel, path) in workspace_files(root)? {
+        if in_scope(&rel) {
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+            out.push((rel, text));
+        }
+    }
+    Ok(out)
+}
+
 /// Lint the whole workspace rooted at `root`. Diagnostics are sorted by
 /// (file, line, rule).
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    let mut out = Vec::new();
-    for (rel, path) in workspace_files(root)? {
-        let text = std::fs::read_to_string(&path)?;
-        out.extend(lint_text(&rel, &text));
-    }
+    let mut out: Vec<Diagnostic> = read_inputs(root, |_| true)?
+        .iter()
+        .flat_map(|(rel, text)| lint_text(rel, text))
+        .collect();
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(out)
 }

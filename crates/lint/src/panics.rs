@@ -22,10 +22,9 @@
 //! Sites are classified lexically per function: `panic!`-family macros,
 //! `.unwrap()`/`.expect(`, `assert!`-family (`debug_assert!` is exempt —
 //! it compiles out of release kernels), slice indexing, and `/`/`%` with
-//! a non-literal divisor. A lightweight per-function lock walk (guards
-//! bound by `let` from `.lock(` receivers or `lock_<name>(` helpers,
-//! released on `drop(g)` and scope exit) supplies the held set at each
-//! site. The committed golden `golden/panic_reachability.txt` records
+//! a non-literal divisor. The shared `source::Guards` walk supplies the held
+//! set at each site; only `let`-bound guards from `.lock(` receivers or
+//! `lock_<name>(` helpers count. The committed golden `golden/panic_reachability.txt` records
 //! the whole model; four engine rules (`panic-in-critical-section`,
 //! `panic-on-worker-boundary`, `panic-unvalidated-input`,
 //! `panic-silent-poison`) enforce the invariants file by file.
@@ -35,11 +34,11 @@
 //! allow is itself a finding.
 
 use std::collections::BTreeSet;
-use std::fmt;
 
-use crate::callgraph::{CallGraph, FnId};
-use crate::protocol::{scan_fns, FnDef};
-use crate::source::SourceFile;
+use crate::callgraph::{scan_fns, CallGraph, FnDef, FnId};
+use crate::rules::RULES;
+use crate::source::{ident_before, ident_char, token_positions, Guards, SourceFile};
+use crate::Diagnostic;
 
 // ---------------------------------------------------------------------------
 // site classification
@@ -76,46 +75,17 @@ pub(crate) struct Site {
 const EXPLICIT: &[&str] = &["panic!(", "unreachable!(", "todo!(", "unimplemented!("];
 const ASSERTS: &[&str] = &["assert!(", "assert_eq!(", "assert_ne!("];
 
-fn ident_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
+/// Char positions of indexing `[`s: those whose previous char closes a
+/// value expression.
+fn index_opens(cs: &[char]) -> impl Iterator<Item = usize> + '_ {
+    (1..cs.len()).filter(|&i| {
+        cs[i] == '[' && (ident_char(cs[i - 1]) || cs[i - 1] == ')' || cs[i - 1] == ']')
+    })
 }
 
-/// Occurrences of `what` in `code` whose preceding char is not part of a
-/// larger identifier (so `debug_assert!(` never matches `assert!(`).
-fn needle_positions(code: &str, what: &str) -> usize {
-    let bytes = code.as_bytes();
-    let mut n = 0;
-    let mut from = 0;
-    while let Some(p) = code[from..].find(what) {
-        let at = from + p;
-        let pre_ok = at == 0 || !ident_char(bytes[at - 1] as char);
-        if pre_ok {
-            n += 1;
-        }
-        from = at + what.len();
-    }
-    n
-}
-
-/// Count method-position needles (`.unwrap()`, `.expect(`): the literal
-/// already starts with `.`, so no boundary check is needed.
-fn method_positions(code: &str, what: &str) -> usize {
-    code.matches(what).count()
-}
-
-/// Indexing sites: `[` whose previous char closes a value expression.
+/// Indexing sites on one code line.
 fn index_sites(code: &str) -> usize {
-    let cs: Vec<char> = code.chars().collect();
-    let mut n = 0;
-    for (i, &c) in cs.iter().enumerate() {
-        if c == '[' && i > 0 {
-            let p = cs[i - 1];
-            if ident_char(p) || p == ')' || p == ']' {
-                n += 1;
-            }
-        }
-    }
-    n
+    index_opens(&code.chars().collect::<Vec<_>>()).count()
 }
 
 /// `/` or `%` whose divisor starts with an identifier (a literal divisor
@@ -146,161 +116,53 @@ fn arith_sites(code: &str) -> usize {
     n
 }
 
-/// Ident immediately before a byte offset (receiver of `.lock(`).
-fn ident_before(code: &str, end: usize) -> Option<String> {
-    let cs: Vec<char> = code[..end].chars().collect();
-    let mut i = cs.len();
-    while i > 0 && ident_char(cs[i - 1]) {
-        i -= 1;
-    }
-    if i == cs.len() {
-        None
-    } else {
-        Some(cs[i..].iter().collect())
-    }
-}
-
-/// Lock acquisitions on one code line: `.lock(` receivers plus
-/// `.lock_<name>(` helper methods (the serving layer's recovering
-/// `lock_queue` helper — method position only, so free functions that
-/// merely start with `lock_` never register).
-fn acquisitions(code: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(p) = code[from..].find(".lock(") {
-        let at = from + p;
-        out.push(ident_before(code, at).unwrap_or_else(|| "<lock>".into()));
-        from = at + ".lock(".len();
-    }
-    let mut from = 0;
-    while let Some(p) = code[from..].find(".lock_") {
-        let at = from + p;
-        let rest = &code[at + ".lock_".len()..];
-        let name: String = rest.chars().take_while(|&c| ident_char(c)).collect();
-        if !name.is_empty() && rest[name.len()..].starts_with('(') {
-            out.push(name);
-        }
-        from = at + ".lock_".len();
-    }
-    out
-}
-
-/// Name bound by a `let` statement opening on this line, if any.
-fn let_binding(code: &str) -> Option<String> {
-    let t = code.trim_start();
-    let rest = t.strip_prefix("let ")?;
-    let rest = rest.trim_start();
-    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
-    let name: String = rest.chars().take_while(|&c| ident_char(c)).collect();
-    if name.is_empty() {
-        None
-    } else {
-        Some(name)
-    }
-}
-
-/// Guards released by `drop(ident)` calls on this line.
-fn drops(code: &str) -> Vec<String> {
-    let bytes = code.as_bytes();
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(p) = code[from..].find("drop(") {
-        let at = from + p;
-        let pre_ok = at == 0 || {
-            let c = bytes[at - 1] as char;
-            !ident_char(c) && c != '.'
-        };
-        if pre_ok {
-            let inner = &code[at + "drop(".len()..];
-            let name: String = inner.chars().take_while(|&c| ident_char(c)).collect();
-            if !name.is_empty() {
-                out.push(name);
-            }
-        }
-        from = at + "drop(".len();
-    }
-    out
-}
-
-struct Guard {
-    name: Option<String>,
-    lock: String,
-    depth: usize,
-}
-
 /// Classify every potentially-panicking site in one function body,
 /// tracking the lexically held lock set. Test regions are skipped.
 pub(crate) fn scan_sites(sf: &SourceFile, fd: &FnDef) -> Vec<Site> {
+    let count = |code: &str, needles: &[&str]| -> usize {
+        needles
+            .iter()
+            .map(|n| token_positions(code, n, false).len())
+            .sum()
+    };
     let mut sites = Vec::new();
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 1usize; // inside the already-open body brace
-    let mut pending_let: Option<Option<String>> = None;
-    let last = sf.lines.len().saturating_sub(1);
-    for li in fd.open.0..=fd.end_line.min(last) {
-        let line = &sf.lines[li];
-        if line.in_test {
-            continue;
-        }
-        let code: String = if li == fd.open.0 {
-            line.code.chars().skip(fd.open.1).collect()
-        } else {
-            line.code.clone()
-        };
-        let held: Vec<String> = guards.iter().map(|g| g.lock.clone()).collect();
+    let mut guards = Guards::new();
+    for (li, line, code) in fd.body(sf) {
+        let held = guards.held();
         let guarded = code.contains("catch_unwind");
         let allowed = line
             .allows
             .iter()
             .any(|a| a.starts_with("panic-") || a == "no-panic-hot-path");
-        let mut push = |kind: Kind, n: usize| {
-            for _ in 0..n {
-                sites.push(Site {
-                    line: li,
-                    kind,
-                    held: held.clone(),
-                    guarded,
-                    allowed,
-                });
+        for (kind, n) in [
+            (Kind::Explicit, count(code, EXPLICIT)),
+            (Kind::UnwrapExpect, count(code, &[".unwrap()", ".expect("])),
+            (Kind::Assert, count(code, ASSERTS)),
+            (Kind::Index, index_sites(code)),
+            (Kind::Arith, arith_sites(code)),
+        ] {
+            sites.extend((0..n).map(|_| Site {
+                line: li,
+                kind,
+                held: held.clone(),
+                guarded,
+                allowed,
+            }));
+        }
+        // After the snapshot: a guard never covers its acquisition's own
+        // line. Only `let`-bound acquisitions are guards here.
+        guards.line(code, |g, at, method| {
+            if !g.in_let() {
+                return None;
             }
-        };
-        let explicit: usize = EXPLICIT.iter().map(|m| needle_positions(&code, m)).sum();
-        push(Kind::Explicit, explicit);
-        let ue = method_positions(&code, ".unwrap()") + method_positions(&code, ".expect(");
-        push(Kind::UnwrapExpect, ue);
-        let asserts: usize = ASSERTS.iter().map(|m| needle_positions(&code, m)).sum();
-        push(Kind::Assert, asserts);
-        push(Kind::Index, index_sites(&code));
-        push(Kind::Arith, arith_sites(&code));
-
-        // Lock-walk events, after the snapshot: a guard never covers the
-        // acquisition's own line.
-        if pending_let.is_none() {
-            if let Some(name) = let_binding(&code) {
-                pending_let = Some(Some(name));
+            match method {
+                "lock" => Some(ident_before(code, at - 1).unwrap_or("<lock>").to_string()),
+                _ => method
+                    .strip_prefix("lock_")
+                    .filter(|name| !name.is_empty())
+                    .map(str::to_string),
             }
-        }
-        for lock in acquisitions(&code) {
-            let name = pending_let.clone().flatten();
-            if name.is_some() {
-                guards.push(Guard { name, lock, depth });
-            }
-        }
-        for dropped in drops(&code) {
-            guards.retain(|g| g.name.as_deref() != Some(dropped.as_str()));
-        }
-        for c in code.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    guards.retain(|g| g.depth < depth);
-                    depth = depth.saturating_sub(1);
-                }
-                _ => {}
-            }
-        }
-        if code.trim_end().ends_with(';') {
-            pending_let = None;
-        }
+        });
     }
     sites
 }
@@ -361,6 +223,14 @@ pub(crate) fn parse_panic_root(raw: &str) -> Option<(String, bool)> {
     Some((label, forwarded))
 }
 
+/// The function a marker on line `li` attaches to: the first non-test
+/// definition opening at or after it.
+fn marked_fn(fns: &[FnDef], li: usize) -> Option<usize> {
+    (0..fns.len())
+        .filter(|&ni| fns[ni].open.0 >= li && !fns[ni].in_test)
+        .min_by_key(|&ni| fns[ni].open.0)
+}
+
 /// `panic-on-worker-boundary`: direct panic sites in a non-forwarded
 /// thread root must share their line with `catch_unwind` — otherwise the
 /// panic dies in `JoinHandle` limbo and the worker vanishes silently.
@@ -374,11 +244,7 @@ pub fn check_worker_boundary(sf: &SourceFile) -> Vec<(usize, String)> {
         let Some((label, forwarded)) = parse_panic_root(&line.raw) else {
             continue;
         };
-        let Some(fd) = fns
-            .iter()
-            .filter(|f| f.open.0 >= li && !f.in_test)
-            .min_by_key(|f| f.open.0)
-        else {
+        let Some(ni) = marked_fn(&fns, li) else {
             out.push((
                 li,
                 format!("panic-root(`{label}`) marker attaches to no function"),
@@ -388,7 +254,7 @@ pub fn check_worker_boundary(sf: &SourceFile) -> Vec<(usize, String)> {
         if forwarded {
             continue;
         }
-        for s in scan_sites(sf, fd) {
+        for s in scan_sites(sf, &fns[ni]) {
             let panics = matches!(s.kind, Kind::Explicit | Kind::UnwrapExpect | Kind::Assert);
             if panics && !s.guarded {
                 out.push((
@@ -442,37 +308,19 @@ fn query_spec_taints(code: &str) -> Vec<String> {
 /// `validate()` — requests are untrusted input.
 pub fn check_unvalidated_input(sf: &SourceFile) -> Vec<(usize, String)> {
     let mut out = Vec::new();
-    let last = sf.lines.len().saturating_sub(1);
-    for fd in scan_fns(sf) {
-        if fd.in_test {
-            continue;
-        }
+    for fd in scan_fns(sf).iter().filter(|f| !f.in_test) {
         let mut taints: BTreeSet<String> = BTreeSet::new();
         let mut sanitized = false;
-        for li in fd.open.0..=fd.end_line.min(last) {
-            let code = &sf.lines[li].code;
-            if code.contains("validate(") {
-                sanitized = true;
-            }
+        for (_, _, code) in fd.body(sf) {
+            sanitized |= code.contains("validate(");
             taints.extend(query_spec_taints(code));
         }
         if sanitized || taints.is_empty() {
             continue;
         }
-        for li in fd.open.0..=fd.end_line.min(last) {
-            let line = &sf.lines[li];
-            if line.in_test {
-                continue;
-            }
-            let cs: Vec<char> = line.code.chars().collect();
-            for (i, &c) in cs.iter().enumerate() {
-                if c != '[' || i == 0 {
-                    continue;
-                }
-                let p = cs[i - 1];
-                if !(ident_char(p) || p == ')' || p == ']') {
-                    continue;
-                }
+        for (li, _, code) in fd.body(sf) {
+            let cs: Vec<char> = code.chars().collect();
+            for i in index_opens(&cs) {
                 let mut nest = 1;
                 let mut j = i + 1;
                 while j < cs.len() && nest > 0 {
@@ -485,7 +333,7 @@ pub fn check_unvalidated_input(sf: &SourceFile) -> Vec<(usize, String)> {
                 }
                 let inner: String = cs[i + 1..j.saturating_sub(1).max(i + 1)].iter().collect();
                 for t in &taints {
-                    if needle_positions(&inner, t) > 0 {
+                    if !token_positions(&inner, t, true).is_empty() {
                         out.push((
                             li,
                             format!(
@@ -529,35 +377,12 @@ pub fn check_silent_poison(sf: &SourceFile) -> Vec<(usize, String)> {
 // ---------------------------------------------------------------------------
 // the workspace analysis and the golden table
 
-/// One analysis finding with file attribution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line number.
-    pub line: usize,
-    /// Rule name.
-    pub rule: &'static str,
-    /// Human-readable explanation.
-    pub message: String,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file, self.line, self.rule, self.message
-        )
-    }
-}
-
 /// The merged panic-reachability analysis.
 pub struct Analysis {
     /// Rendered reachability model (golden `panic_reachability.txt`).
     pub table: String,
     /// All findings, sorted by (file, line, rule).
-    pub findings: Vec<Finding>,
+    pub findings: Vec<Diagnostic>,
     /// Number of roots (process mains + marked thread entries).
     pub num_roots: usize,
     /// Number of classified sites in the table's functions.
@@ -607,7 +432,7 @@ fn bin_label(path: &str) -> String {
 }
 
 /// Discover process and thread roots in a built call graph.
-fn find_roots(g: &CallGraph) -> (Vec<Root>, Vec<Finding>) {
+fn find_roots(g: &CallGraph) -> (Vec<Root>, Vec<Diagnostic>) {
     let mut roots = Vec::new();
     let mut findings = Vec::new();
     for (fi, f) in g.files.iter().enumerate() {
@@ -627,19 +452,13 @@ fn find_roots(g: &CallGraph) -> (Vec<Root>, Vec<Finding>) {
             let Some((label, forwarded)) = parse_panic_root(&line.raw) else {
                 continue;
             };
-            let fd = f
-                .fns
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.open.0 >= li && !d.in_test)
-                .min_by_key(|(_, d)| d.open.0);
-            match fd {
-                Some((ni, _)) => {
+            match marked_fn(&f.fns, li) {
+                Some(ni) => {
                     if roots
                         .iter()
                         .any(|r| matches!(r.kind, RootKind::Thread { .. }) && r.label == label)
                     {
-                        findings.push(Finding {
+                        findings.push(Diagnostic {
                             file: f.path.clone(),
                             line: li + 1,
                             rule: "panic-on-worker-boundary",
@@ -652,7 +471,7 @@ fn find_roots(g: &CallGraph) -> (Vec<Root>, Vec<Finding>) {
                         id: (fi, ni),
                     });
                 }
-                None => findings.push(Finding {
+                None => findings.push(Diagnostic {
                     file: f.path.clone(),
                     line: li + 1,
                     rule: "panic-on-worker-boundary",
@@ -667,7 +486,7 @@ fn find_roots(g: &CallGraph) -> (Vec<Root>, Vec<Finding>) {
 
 /// Lines whose allow marker names a `panic-*` rule without a
 /// `: justification` tail.
-fn unjustified_allows(path: &str, sf: &SourceFile) -> Vec<Finding> {
+fn unjustified_allows(path: &str, sf: &SourceFile) -> Vec<Diagnostic> {
     let rule_name = |n: &str| {
         !n.is_empty()
             && n.chars()
@@ -694,7 +513,7 @@ fn unjustified_allows(path: &str, sf: &SourceFile) -> Vec<Finding> {
         let tail = inner[close + 1..].trim_start();
         let justified = tail.strip_prefix(':').is_some_and(|t| !t.trim().is_empty());
         if !justified {
-            out.push(Finding {
+            out.push(Diagnostic {
                 file: path.to_string(),
                 line: li + 1,
                 rule: "panic-unjustified-allow",
@@ -710,44 +529,15 @@ fn unjustified_allows(path: &str, sf: &SourceFile) -> Vec<Finding> {
 /// Build the full panic-reachability analysis from `(rel_path, text)`
 /// pairs spanning the whole workspace. Findings respect inline allow
 /// markers, like the engine-driven rules.
-/// A per-file panic rule: returns `(line, message)` findings.
-type RuleCheck = fn(&SourceFile) -> Vec<(usize, String)>;
-
-/// Build the full panic-reachability analysis from `(rel_path, text)`
-/// pairs spanning the whole workspace. Findings respect inline allow
-/// markers, like the engine-driven rules.
 pub fn analyze(files: &[(String, String)]) -> Analysis {
     let g = CallGraph::build(files);
     let (roots, mut findings) = find_roots(&g);
 
     // Per-file rule findings, scope- and allow-filtered exactly like the
     // engine, so `--panics` and `--check` agree.
-    let per_rule: [(&str, RuleCheck); 4] = [
-        ("panic-in-critical-section", check_critical_section),
-        ("panic-on-worker-boundary", check_worker_boundary),
-        ("panic-unvalidated-input", check_unvalidated_input),
-        ("panic-silent-poison", check_silent_poison),
-    ];
     for f in &g.files {
-        for (rule, check) in per_rule {
-            let Some(r) = crate::rules::RULES.iter().find(|r| r.name == rule) else {
-                continue;
-            };
-            if !r.scope.matches(&f.path) {
-                continue;
-            }
-            for (li, message) in check(&f.sf) {
-                let line = &f.sf.lines[li];
-                if line.in_test || line.allows.iter().any(|a| a == rule) {
-                    continue;
-                }
-                findings.push(Finding {
-                    file: f.path.clone(),
-                    line: li + 1,
-                    rule: r.name,
-                    message,
-                });
-            }
+        for rule in RULES.iter().filter(|r| r.name.starts_with("panic-")) {
+            findings.extend(crate::check_rule(rule, &f.sf));
         }
         findings.extend(unjustified_allows(&f.path, &f.sf));
     }
@@ -786,7 +576,7 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
                 if !panics || s.held.is_empty() || s.guarded || s.allowed {
                     continue;
                 }
-                let fnd = Finding {
+                let fnd = Diagnostic {
                     file: f.path.clone(),
                     line: s.line + 1,
                     rule: "panic-in-critical-section",
@@ -814,11 +604,11 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
         let (fi, ni) = roots[ri].id;
         let f = &g.files[fi];
         let fd = &f.fns[ni];
-        let last = f.sf.lines.len().saturating_sub(1);
-        let has_guard = (fd.open.0..=fd.end_line.min(last))
-            .any(|li| f.sf.lines[li].code.contains("catch_unwind"));
+        let has_guard = fd
+            .body(&f.sf)
+            .any(|(_, _, code)| code.contains("catch_unwind"));
         if !has_guard {
-            findings.push(Finding {
+            findings.push(Diagnostic {
                 file: f.path.clone(),
                 line: fd.open.0 + 1,
                 rule: "panic-on-worker-boundary",
@@ -929,11 +719,7 @@ fn render_table(
                 let allowed = sites.iter().filter(|s| s.kind == k && s.allowed).count();
                 format!("{total}/{allowed}")
             };
-            let name = match &fd.impl_type {
-                Some(t) => format!("{t}::{}", fd.name),
-                None => fd.name.clone(),
-            };
-            rows.push_str(&format!("    {name}\n"));
+            rows.push_str(&format!("    {}\n", fd.label()));
             rows.push_str(&format!(
                 "      roots: bins:{bins} threads:{threads}  held: {held}\n"
             ));

@@ -37,8 +37,9 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::rules::token_positions;
-use crate::source::SourceFile;
+use crate::callgraph::{call_tokens, scan_fns, CallGraph, CallTok, FnId};
+use crate::source::{ident_char, token_positions, SourceFile};
+use crate::Diagnostic;
 
 // ---------------------------------------------------------------------------
 // scope
@@ -150,27 +151,6 @@ pub struct Event {
     pub depth: usize,
 }
 
-/// A protocol violation found by the flow-aware pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based line (0 = whole-tree finding).
-    pub line: usize,
-    /// Human-readable explanation.
-    pub message: String,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [protocol] {}",
-            self.file, self.line, self.message
-        )
-    }
-}
-
 /// The full collective schedule reached from one entry, in program order.
 #[derive(Debug, Clone)]
 pub struct Schedule {
@@ -258,85 +238,7 @@ fn render_kernel_sections(s: &mut String, kernels: &[&Schedule]) {
 }
 
 // ---------------------------------------------------------------------------
-// lexical call model
-
-/// One `ident(`-shaped call site on a stripped code line.
-#[derive(Debug)]
-pub(crate) struct CallTok {
-    pub(crate) ident: String,
-    /// Identifier directly before a `.` (method receiver), if any.
-    pub(crate) recv: Option<String>,
-    /// Identifier directly before a `::`, if any.
-    pub(crate) qual: Option<String>,
-    /// True when the call is in method position (`.ident(`).
-    pub(crate) method: bool,
-    /// True when the token is a definition (`fn ident(`), not a call.
-    pub(crate) is_def: bool,
-}
-
-fn ident_before(cs: &[char], end: usize) -> Option<String> {
-    let mut j = end;
-    while j > 0 && (cs[j - 1].is_alphanumeric() || cs[j - 1] == '_') {
-        j -= 1;
-    }
-    (j < end).then(|| cs[j..end].iter().collect())
-}
-
-/// Scan a stripped code line for call-shaped tokens, left to right.
-/// Macros (`ident!(`) are excluded; numbers never start a token.
-pub(crate) fn call_tokens(code: &str) -> Vec<CallTok> {
-    let cs: Vec<char> = code.chars().collect();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < cs.len() {
-        let c = cs[i];
-        if c.is_alphabetic() || c == '_' {
-            let start = i;
-            while i < cs.len() && (cs[i].is_alphanumeric() || cs[i] == '_') {
-                i += 1;
-            }
-            if i < cs.len() && cs[i] == '(' {
-                let ident: String = cs[start..i].iter().collect();
-                let method = start > 0 && cs[start - 1] == '.';
-                let recv = if method {
-                    ident_before(&cs, start - 1)
-                } else {
-                    None
-                };
-                let qual = if !method && start >= 2 && cs[start - 1] == ':' && cs[start - 2] == ':'
-                {
-                    ident_before(&cs, start - 2)
-                } else {
-                    None
-                };
-                let is_def = {
-                    let mut j = start;
-                    while j > 0 && cs[j - 1].is_whitespace() {
-                        j -= 1;
-                    }
-                    j >= 2
-                        && cs[j - 2] == 'f'
-                        && cs[j - 1] == 'n'
-                        && (j < 3 || !(cs[j - 3].is_alphanumeric() || cs[j - 3] == '_'))
-                };
-                out.push(CallTok {
-                    ident,
-                    recv,
-                    qual,
-                    method,
-                    is_def,
-                });
-            }
-        } else if c.is_ascii_digit() {
-            while i < cs.len() && (cs[i].is_alphanumeric() || cs[i] == '_') {
-                i += 1;
-            }
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
+// terminal operations
 
 /// Idents that terminate the walk as a [`Op::Reduce`] in any call form.
 const REDUCE_IDENTS: &[&str] = &[
@@ -380,330 +282,66 @@ fn terminal_op(t: &CallTok) -> Option<Op> {
 }
 
 // ---------------------------------------------------------------------------
-// function scanning
+// the schedule walk
 
-/// One function definition with a resolvable body span.
-#[derive(Debug)]
-pub(crate) struct FnDef {
-    pub(crate) name: String,
-    /// Surrounding `impl`/`trait` target type, if any.
-    pub(crate) impl_type: Option<String>,
-    /// The trait a method belongs to: `A` inside `impl A for B`, and the
-    /// trait itself for default bodies inside `trait A`.
-    pub(crate) trait_name: Option<String>,
-    /// True when the signature mentions `self` (method).
-    pub(crate) has_self: bool,
-    /// Backend name from a `protocol-entry` marker directly above.
-    pub(crate) entry: Option<String>,
-    /// True when the definition sits in a test region.
-    pub(crate) in_test: bool,
-    /// `(line index, char column just after the opening brace)`.
-    pub(crate) open: (usize, usize),
-    /// Line index of the closing brace.
-    pub(crate) end_line: usize,
-}
-
-/// Extract `(target type, trait)` from an `impl`/`trait` header (text
-/// after the keyword, up to the opening brace): angle-bracket spans are
-/// stripped, `impl A for B` resolves to `(B, Some(A))`, `trait A` to
-/// `(A, Some(A))`, paths keep their last segment.
-fn impl_target(header: &str, is_trait: bool) -> Option<(String, Option<String>)> {
-    let mut flat = String::new();
-    let mut angle = 0i32;
-    for c in header.chars() {
-        match c {
-            '<' => angle += 1,
-            '>' => angle = (angle - 1).max(0),
-            c if angle == 0 => flat.push(c),
-            _ => {}
+/// Walk every marked entry point of `g` and collect the schedule reached
+/// from it (entries sharing a name concatenate, and count). Also reports
+/// findings for collectives reached without a label.
+fn schedules(g: &CallGraph) -> (Vec<Schedule>, Vec<Diagnostic>) {
+    let mut by_entry: Vec<Schedule> = Vec::new();
+    for (fi, f) in g.files.iter().enumerate() {
+        for (ni, fd) in f.fns.iter().enumerate() {
+            let Some(entry) = fd.entry.as_ref().filter(|_| !fd.in_test) else {
+                continue;
+            };
+            let mut w = Walk {
+                g,
+                events: Vec::new(),
+                stack: Vec::new(),
+            };
+            w.walk((fi, ni), None, 0);
+            match by_entry.iter_mut().find(|s| s.entry == *entry) {
+                Some(s) => {
+                    s.events.extend(w.events);
+                    s.functions += 1;
+                }
+                None => by_entry.push(Schedule {
+                    entry: entry.clone(),
+                    events: w.events,
+                    functions: 1,
+                }),
+            }
         }
     }
-    let toks: Vec<&str> = flat
-        .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
-        .filter(|s| !s.is_empty())
+    let mut findings: Vec<Diagnostic> = by_entry
+        .iter()
+        .flat_map(|s| s.events.iter().map(move |e| (&s.entry, e)))
+        .filter(|(_, e)| e.label.is_none())
+        .map(|(entry, e)| {
+            finding(
+                &e.file,
+                e.line,
+                format!(
+                    "{} reached from the `{entry}` entry without a \
+                     `sssp-lint: protocol:` label — label the call site \
+                     so the schedule diff can align it",
+                    e.op
+                ),
+            )
+        })
         .collect();
-    let last = |t: &str| t.rsplit("::").next().unwrap_or(t).to_string();
-    match toks.iter().position(|&t| t == "for") {
-        Some(i) => Some((last(toks.get(i + 1)?), toks.first().map(|t| last(t)))),
-        None => {
-            let target = last(toks.first()?);
-            let of_trait = is_trait.then(|| target.clone());
-            Some((target, of_trait))
-        }
-    }
+    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    findings.dedup();
+    (by_entry, findings)
 }
 
-/// Scan a parsed file for function definitions, tracking brace depth,
-/// `impl`/`trait` context and `protocol-entry` markers. Declarations
-/// without a body (trait methods ending in `;`) are dropped.
-pub(crate) fn scan_fns(sf: &SourceFile) -> Vec<FnDef> {
-    let mut fns: Vec<FnDef> = Vec::new();
-    let mut open_fns: Vec<(usize, usize)> = Vec::new(); // (fn index, depth at open)
-                                                        // (target, trait, depth at open)
-    let mut impls: Vec<(String, Option<String>, usize)> = Vec::new();
-    let mut pending_entry: Option<String> = None;
-    let mut depth = 0usize;
-    // In-flight signature: (fn index, paren depth, signature text).
-    let mut sig: Option<(usize, i32, String)> = None;
-    // In-flight impl/trait header: (text, is a `trait` block).
-    let mut impl_head: Option<(String, bool)> = None;
-
-    for (li, line) in sf.lines.iter().enumerate() {
-        if let Some(Marker::Entry(b)) = parse_marker(&line.raw) {
-            pending_entry = Some(b);
-        }
-        let cs: Vec<char> = line.code.chars().collect();
-        let mut i = 0;
-        while i < cs.len() {
-            if let Some((fx, parens, text)) = sig.as_mut() {
-                let c = cs[i];
-                match c {
-                    '(' => {
-                        *parens += 1;
-                        text.push(c);
-                    }
-                    ')' => {
-                        *parens -= 1;
-                        text.push(c);
-                    }
-                    '{' if *parens == 0 => {
-                        depth += 1;
-                        let fx = *fx;
-                        let has_self = !token_positions(text, "self", false).is_empty();
-                        fns[fx].has_self = has_self;
-                        fns[fx].open = (li, i + 1);
-                        open_fns.push((fx, depth));
-                        sig = None;
-                    }
-                    ';' if *parens == 0 => {
-                        // Bodyless declaration: drop the def.
-                        let fx = *fx;
-                        fns.remove(fx);
-                        sig = None;
-                    }
-                    _ => text.push(c),
-                }
-                i += 1;
-                continue;
-            }
-            if let Some((text, is_trait)) = impl_head.as_mut() {
-                let c = cs[i];
-                if c == '{' {
-                    depth += 1;
-                    if let Some((target, of_trait)) = impl_target(text, *is_trait) {
-                        impls.push((target, of_trait, depth));
-                    }
-                    impl_head = None;
-                } else {
-                    text.push(c);
-                }
-                i += 1;
-                continue;
-            }
-            let c = cs[i];
-            if c.is_alphabetic() || c == '_' {
-                let start = i;
-                while i < cs.len() && (cs[i].is_alphanumeric() || cs[i] == '_') {
-                    i += 1;
-                }
-                let boundary_ok = start == 0
-                    || !(cs[start - 1].is_alphanumeric()
-                        || cs[start - 1] == '_'
-                        || cs[start - 1] == '.');
-                if !boundary_ok {
-                    continue;
-                }
-                let tok: String = cs[start..i].iter().collect();
-                match tok.as_str() {
-                    "fn" => {
-                        let mut j = i;
-                        while j < cs.len() && cs[j].is_whitespace() {
-                            j += 1;
-                        }
-                        let ns = j;
-                        while j < cs.len() && (cs[j].is_alphanumeric() || cs[j] == '_') {
-                            j += 1;
-                        }
-                        if j > ns {
-                            let name: String = cs[ns..j].iter().collect();
-                            fns.push(FnDef {
-                                name,
-                                impl_type: impls.last().map(|(t, _, _)| t.clone()),
-                                trait_name: impls.last().and_then(|(_, tr, _)| tr.clone()),
-                                has_self: false,
-                                entry: pending_entry.take(),
-                                in_test: line.in_test,
-                                open: (0, 0),
-                                end_line: 0,
-                            });
-                            sig = Some((fns.len() - 1, 0, String::new()));
-                            i = j;
-                        }
-                    }
-                    "impl" | "trait" => {
-                        impl_head = Some((String::new(), tok == "trait"));
-                    }
-                    _ => {}
-                }
-            } else {
-                match c {
-                    '{' => depth += 1,
-                    '}' => {
-                        if open_fns.last().map(|&(_, d)| d) == Some(depth) {
-                            if let Some((fx, _)) = open_fns.pop() {
-                                fns[fx].end_line = li;
-                            }
-                        }
-                        if impls.last().map(|(_, _, d)| *d) == Some(depth) {
-                            impls.pop();
-                        }
-                        depth = depth.saturating_sub(1);
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-        }
-    }
-    // Unterminated bodies (malformed input): close at EOF.
-    let last = sf.lines.len().saturating_sub(1);
-    for (fx, _) in open_fns {
-        fns[fx].end_line = last;
-    }
-    fns.retain(|f| f.end_line >= f.open.0);
-    fns
-}
-
-// ---------------------------------------------------------------------------
-// the flow model and schedule walk
-
-struct ParsedFile {
-    path: String,
-    stem: String,
-    sf: SourceFile,
-    fns: Vec<FnDef>,
-}
-
-/// The parsed flow model over the traversable engine files.
-pub struct Model {
-    files: Vec<ParsedFile>,
-}
-
-impl Model {
-    /// Parse `(rel_path, text)` pairs. Only [`traversable`] files enter
-    /// the model; everything else (including the comm primitives) is
-    /// treated as terminal.
-    pub fn build(files: &[(String, String)]) -> Model {
-        let mut parsed: Vec<ParsedFile> = files
-            .iter()
-            .filter(|(p, _)| traversable(p))
-            .map(|(p, text)| {
-                let sf = SourceFile::parse(p, text);
-                let fns = scan_fns(&sf);
-                let stem = p
-                    .rsplit('/')
-                    .next()
-                    .unwrap_or(p)
-                    .trim_end_matches(".rs")
-                    .to_string();
-                ParsedFile {
-                    path: p.clone(),
-                    stem,
-                    sf,
-                    fns,
-                }
-            })
-            .collect();
-        parsed.sort_by(|a, b| a.path.cmp(&b.path));
-        Model { files: parsed }
-    }
-
-    /// Resolve a call token to a function in the model: qualified calls
-    /// match the impl type or (for free functions) the module stem, method
-    /// calls match `self` methods, bare calls match free functions.
-    /// Same-file definitions win over cross-file ones.
-    fn resolve(&self, from: usize, t: &CallTok) -> Option<(usize, usize)> {
-        let mut first: Option<(usize, usize)> = None;
-        for (fj, f) in self.files.iter().enumerate() {
-            for (nj, fd) in f.fns.iter().enumerate() {
-                if fd.in_test || fd.name != t.ident {
-                    continue;
-                }
-                let ok = if let Some(q) = &t.qual {
-                    fd.impl_type.as_deref() == Some(q.as_str()) || (!fd.has_self && f.stem == *q)
-                } else if t.method {
-                    fd.has_self
-                } else {
-                    !fd.has_self
-                };
-                if !ok {
-                    continue;
-                }
-                if fj == from {
-                    return Some((fj, nj));
-                }
-                if first.is_none() {
-                    first = Some((fj, nj));
-                }
-            }
-        }
-        first
-    }
-
-    /// Walk every marked entry point and collect the schedule reached from
-    /// it (entries sharing a name concatenate, and count). Also reports
-    /// findings for collectives reached without a label.
-    pub fn schedules(&self) -> (Vec<Schedule>, Vec<Finding>) {
-        let mut by_entry: Vec<(String, Vec<Event>, usize)> = Vec::new();
-        for (fi, f) in self.files.iter().enumerate() {
-            for (ni, fd) in f.fns.iter().enumerate() {
-                let Some(entry) = &fd.entry else { continue };
-                if fd.in_test {
-                    continue;
-                }
-                let mut w = Walk {
-                    model: self,
-                    events: Vec::new(),
-                    stack: Vec::new(),
-                };
-                w.walk(fi, ni, None, 0);
-                match by_entry.iter_mut().find(|(e, _, _)| e == entry) {
-                    Some((_, ev, functions)) => {
-                        ev.extend(w.events);
-                        *functions += 1;
-                    }
-                    None => by_entry.push((entry.clone(), w.events, 1)),
-                }
-            }
-        }
-        let mut findings: Vec<Finding> = Vec::new();
-        for (entry, events, _) in &by_entry {
-            for e in events {
-                if e.label.is_none() {
-                    findings.push(Finding {
-                        file: e.file.clone(),
-                        line: e.line,
-                        message: format!(
-                            "{} reached from the `{entry}` entry without a \
-                             `sssp-lint: protocol:` label — label the call site \
-                             so the schedule diff can align it",
-                            e.op
-                        ),
-                    });
-                }
-            }
-        }
-        findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-        findings.dedup();
-        let schedules = by_entry
-            .into_iter()
-            .map(|(entry, events, functions)| Schedule {
-                entry,
-                events,
-                functions,
-            })
-            .collect();
-        (schedules, findings)
+/// A protocol-pass finding.
+fn finding(file: &str, line: usize, message: String) -> Diagnostic {
+    Diagnostic {
+        file: file.to_string(),
+        line,
+        rule: "protocol",
+        message,
     }
 }
 
@@ -714,10 +352,10 @@ fn has_loop_header(code: &str) -> bool {
         .any(|k| !token_positions(code, k, false).is_empty())
 }
 
-struct Walk<'m> {
-    model: &'m Model,
+struct Walk<'g> {
+    g: &'g CallGraph,
     events: Vec<Event>,
-    stack: Vec<(usize, usize)>,
+    stack: Vec<FnId>,
 }
 
 impl Walk<'_> {
@@ -725,22 +363,17 @@ impl Walk<'_> {
     /// propagate the innermost label, recurse into resolvable calls.
     /// Closures are scanned at their definition site; recursion is cut by
     /// the call stack.
-    fn walk(&mut self, fi: usize, ni: usize, label: Option<String>, base: usize) {
-        if self.stack.contains(&(fi, ni)) || self.stack.len() > 64 {
+    fn walk(&mut self, id: FnId, label: Option<String>, base: usize) {
+        if self.stack.contains(&id) || self.stack.len() > 64 {
             return;
         }
-        self.stack.push((fi, ni));
-        let f = &self.model.files[fi];
-        let fd = &f.fns[ni];
+        self.stack.push(id);
+        let f = &self.g.files[id.0];
         let mut label = label;
         let mut loops: Vec<usize> = Vec::new();
         let mut depth = 0usize;
         let mut pending_loop = false;
-        for li in fd.open.0..=fd.end_line.min(f.sf.lines.len() - 1) {
-            let line = &f.sf.lines[li];
-            if line.in_test {
-                continue;
-            }
+        for (li, line, code) in f.fns[id.1].body(&f.sf) {
             match parse_marker(&line.raw) {
                 Some(Marker::Label(l)) => label = Some(l),
                 Some(Marker::Implicit(l, op)) => self.events.push(Event {
@@ -752,20 +385,12 @@ impl Walk<'_> {
                 }),
                 _ => {}
             }
-            let code: String = if li == fd.open.0 {
-                line.code.chars().skip(fd.open.1).collect()
-            } else {
-                line.code.clone()
-            };
-            if has_loop_header(&code) {
+            if has_loop_header(code) {
                 pending_loop = true;
             }
             let at = base + loops.len() + usize::from(pending_loop);
-            for t in call_tokens(&code) {
-                if t.is_def {
-                    continue;
-                }
-                if let Some(op) = terminal_op(&t) {
+            for t in call_tokens(code).iter().filter(|t| !t.is_def) {
+                if let Some(op) = terminal_op(t) {
                     self.events.push(Event {
                         file: f.path.clone(),
                         line: li + 1,
@@ -773,8 +398,8 @@ impl Walk<'_> {
                         op,
                         depth: at,
                     });
-                } else if let Some((cf, cn)) = self.model.resolve(fi, &t) {
-                    self.walk(cf, cn, label.clone(), at);
+                } else if let Some(callee) = self.g.resolve(id.0, t) {
+                    self.walk(callee, label.clone(), at);
                 }
             }
             for c in code.chars() {
@@ -811,7 +436,7 @@ pub struct Analysis {
     pub table: Option<String>,
     /// Everything the pass flagged (unlabeled sites, a missing engine
     /// entry, an entry marked twice). Empty on a healthy tree.
-    pub findings: Vec<Finding>,
+    pub findings: Vec<Diagnostic>,
     /// The raw schedule per entry name, for tests and tooling.
     pub schedules: Vec<Schedule>,
 }
@@ -819,29 +444,29 @@ pub struct Analysis {
 /// Run the full protocol pass over `(rel_path, text)` pairs (the caller
 /// collects the [`in_scope`] files; out-of-scope entries are ignored).
 pub fn analyze(files: &[(String, String)]) -> Analysis {
-    let model = Model::build(files);
-    let (schedules, mut findings) = model.schedules();
+    let g = CallGraph::build(files.iter().filter(|(p, _)| traversable(p)));
+    let (schedules, mut findings) = schedules(&g);
     let engine = schedules.iter().find(|s| s.entry == ENGINE_ENTRY);
     if engine.is_none() {
-        findings.push(Finding {
-            file: "crates/core/src/engine/".to_string(),
-            line: 0,
-            message: format!(
+        findings.push(finding(
+            "crates/core/src/engine/",
+            0,
+            format!(
                 "expected exactly one `sssp-lint: protocol-entry({ENGINE_ENTRY})` schedule — \
                  the engine's one epoch loop — found 0"
             ),
-        });
+        ));
     }
     for s in schedules.iter().filter(|s| s.functions != 1) {
-        findings.push(Finding {
-            file: "crates/core/src/".to_string(),
-            line: 0,
-            message: format!(
+        findings.push(finding(
+            "crates/core/src/",
+            0,
+            format!(
                 "expected exactly one `sssp-lint: protocol-entry({})` function — one entry \
                  per program — found {}",
                 s.entry, s.functions
             ),
-        });
+        ));
     }
     let table = match engine {
         Some(engine) if schedules.iter().all(|s| s.functions == 1) => {
@@ -869,20 +494,11 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
 /// the rank id and the per-rank message buffers / state.
 const TAINT_SEEDS: &[&str] = &["rank", "out", "inbox", "req_inbox", "st", "lg"];
 
-/// Tokens whose presence sanitizes a condition or right-hand side:
-/// collective results are identical on every rank, and the config / the
-/// decision heuristics are uniform by construction.
-const SANITIZERS: &[&str] = &[
-    "allreduce",
-    "allreduce_sum",
-    "allreduce_min",
-    "allreduce_min_window",
-    "allreduce_max",
-    "allreduce_fused",
-    "allreduce_any",
-    "allreduce_sum_f64",
-    "allreduce_max_f64",
-    "allgather",
+/// Tokens besides the [`REDUCE_IDENTS`] whose presence sanitizes a
+/// condition or right-hand side: collective results are identical on
+/// every rank, and the config / the decision heuristics are uniform by
+/// construction.
+const UNIFORM: &[&str] = &[
     "any",
     "any_active",
     "next_bucket",
@@ -895,16 +511,16 @@ const SANITIZERS: &[&str] = &[
     "num_ranks",
 ];
 
-fn has_any_token(text: &str, needles: &[&str]) -> bool {
-    needles
-        .iter()
-        .any(|n| !token_positions(text, n, false).is_empty())
+/// True when `text` holds a collective result or a uniform value.
+fn sanitized(text: &str) -> bool {
+    has_token(text, REDUCE_IDENTS.iter().chain(UNIFORM))
 }
 
-fn has_taint_token(text: &str, taint: &BTreeSet<String>) -> bool {
-    taint
-        .iter()
-        .any(|n| !token_positions(text, n, false).is_empty())
+/// True when any of `needles` occurs in `text` as a token.
+fn has_token<T: AsRef<str>>(text: &str, needles: impl IntoIterator<Item = T>) -> bool {
+    needles
+        .into_iter()
+        .any(|n| !token_positions(text, n.as_ref(), false).is_empty())
 }
 
 /// If the (trimmed) line starts a guard, return `(condition text, is_else)`.
@@ -960,21 +576,10 @@ fn assign_eq(text: &str) -> Option<usize> {
 }
 
 fn ident_names(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let cs: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    while i < cs.len() {
-        if cs[i].is_alphabetic() || cs[i] == '_' {
-            let start = i;
-            while i < cs.len() && (cs[i].is_alphanumeric() || cs[i] == '_') {
-                i += 1;
-            }
-            out.push(cs[start..i].iter().collect());
-        } else {
-            i += 1;
-        }
-    }
-    out
+    text.split(|c: char| !ident_char(c))
+        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+        .map(String::from)
+        .collect()
 }
 
 /// Apply one line's `let`/assignment effects to the taint set: a
@@ -1010,11 +615,11 @@ fn apply_assign(code: &str, taint: &mut BTreeSet<String>, in_tainted: bool) {
     if names.is_empty() {
         return;
     }
-    if has_any_token(&rhs, SANITIZERS) {
+    if sanitized(&rhs) {
         for n in &names {
             taint.remove(n);
         }
-    } else if in_tainted || has_taint_token(&rhs, taint) {
+    } else if in_tainted || has_token(&rhs, taint.iter()) {
         for n in names {
             taint.insert(n);
         }
@@ -1043,16 +648,11 @@ pub(crate) fn check_divergent_guard(sf: &SourceFile) -> Vec<(usize, String)> {
         // (depth of block, tainted, guard line index)
         let mut blocks: Vec<(usize, bool, usize)> = Vec::new();
         let mut pending: Option<(bool, usize)> = None;
-        for li in fd.open.0..=fd.end_line.min(sf.lines.len() - 1) {
-            let code: String = if li == fd.open.0 {
-                sf.lines[li].code.chars().skip(fd.open.1).collect()
-            } else {
-                sf.lines[li].code.clone()
-            };
-            let trimmed = code.trim_start().to_string();
+        for (li, _, code) in fd.body(sf) {
+            let trimmed = code.trim_start();
             // A line-leading `}` closes its block before the rest of the
             // line is interpreted (`} else {` / `} else if … {`).
-            let mut rest: &str = &code;
+            let mut rest = code;
             let mut popped_taint = false;
             if trimmed.starts_with('}') {
                 if blocks.last().map(|b| b.0) == Some(depth) {
@@ -1065,13 +665,13 @@ pub(crate) fn check_divergent_guard(sf: &SourceFile) -> Vec<(usize, String)> {
                     rest = &code[at + 1..];
                 }
             }
-            if let Some((cond, is_else)) = guard_condition(&trimmed) {
-                let tainted = has_taint_token(&cond, &taint) && !has_any_token(&cond, SANITIZERS);
+            if let Some((cond, is_else)) = guard_condition(trimmed) {
+                let tainted = has_token(&cond, &taint) && !sanitized(&cond);
                 pending = Some((tainted || (is_else && popped_taint), li));
             }
             // Events under any tainted block.
             if let Some(&(_, _, gl)) = blocks.iter().rev().find(|b| b.1) {
-                for t in call_tokens(&code) {
+                for t in call_tokens(code) {
                     if let Some(op) = terminal_op(&t) {
                         out.push((
                             li,
@@ -1087,7 +687,7 @@ pub(crate) fn check_divergent_guard(sf: &SourceFile) -> Vec<(usize, String)> {
                 }
             }
             let in_tainted = blocks.iter().any(|b| b.1);
-            apply_assign(&code, &mut taint, in_tainted);
+            apply_assign(code, &mut taint, in_tainted);
             for c in rest.chars() {
                 match c {
                     '{' => {
@@ -1125,17 +725,12 @@ pub(crate) fn check_missing_barrier(sf: &SourceFile) -> Vec<(usize, String)> {
             continue;
         }
         let mut pending_lock: Option<usize> = None;
-        for li in fd.open.0..=fd.end_line.min(sf.lines.len() - 1) {
-            let code: String = if li == fd.open.0 {
-                sf.lines[li].code.chars().skip(fd.open.1).collect()
-            } else {
-                sf.lines[li].code.clone()
-            };
+        for (li, _, code) in fd.body(sf) {
             let mut marks: Vec<(usize, bool)> = Vec::new(); // (col, is_lock)
-            for at in token_positions(&code, ".lock(", false) {
+            for at in token_positions(code, ".lock(", false) {
                 marks.push((at, true));
             }
-            for at in token_positions(&code, ".wait(", false) {
+            for at in token_positions(code, ".wait(", false) {
                 marks.push((at, false));
             }
             marks.sort_unstable();

@@ -5,7 +5,7 @@
 //! [`SourceFile`] to `(line_index, message)` findings. Test regions and
 //! allow-marked lines are filtered by the engine, not by the rules.
 
-use crate::source::SourceFile;
+use crate::source::{ident_char, token_positions, SourceFile};
 
 /// Path scope of a rule: `/`-separated paths relative to the workspace
 /// root. Entries ending in `/` are directory prefixes, others are exact
@@ -201,26 +201,6 @@ pub static RULES: &[Rule] = &[
         check: crate::concurrency::check_blocking_hold,
     },
     Rule {
-        name: "concurrency-endpoint-leak",
-        summary: "a cloned Sender in a spawning function must be dropped \
-                  before the join, or receivers never see disconnect",
-        scope: Scope {
-            include: &["crates/comm/src/"],
-            exclude: &[],
-        },
-        check: crate::concurrency::check_endpoint_leak,
-    },
-    Rule {
-        name: "concurrency-unterminated-recv",
-        summary: "a recv inside a bare `loop` needs a break/return \
-                  termination edge; otherwise a quiet peer hangs the rank",
-        scope: Scope {
-            include: &["crates/comm/src/"],
-            exclude: &[],
-        },
-        check: crate::concurrency::check_unterminated_recv,
-    },
-    Rule {
         name: "panic-in-critical-section",
         summary: "no unwrap/expect/panic/assert while a lock guard is held \
                   — a panic there poisons the lock for every other thread",
@@ -293,27 +273,6 @@ pub fn list_rules_text() -> String {
 /// Look up a rule by name.
 pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.name == name)
-}
-
-const IDENT: fn(char) -> bool = |c: char| c.is_alphanumeric() || c == '_';
-
-/// Find `needle` in `code` as a token: when the needle starts (ends) with
-/// an identifier character, the preceding (following) character must not
-/// be one. `prefix` relaxes the trailing boundary so `Atomic` matches
-/// `AtomicU64`.
-pub(crate) fn token_positions(code: &str, needle: &str, prefix: bool) -> Vec<usize> {
-    let first_ident = needle.chars().next().is_some_and(IDENT);
-    let last_ident = needle.chars().next_back().is_some_and(IDENT);
-    code.match_indices(needle)
-        .filter(|&(at, _)| {
-            let before_ok = !first_ident || !code[..at].chars().next_back().is_some_and(IDENT);
-            let after_ok = prefix
-                || !last_ident
-                || !code[at + needle.len()..].chars().next().is_some_and(IDENT);
-            before_ok && after_ok
-        })
-        .map(|(at, _)| at)
-        .collect()
 }
 
 fn token_hits(file: &SourceFile, patterns: &[(&str, bool, &str)]) -> Vec<(usize, String)> {
@@ -439,7 +398,7 @@ fn check_no_lossy_cast(file: &SourceFile) -> Vec<(usize, String)> {
             let rest = line.code[at + 2..].trim_start();
             if let Some(ty) = NARROW_TYPES.iter().find(|t| {
                 rest.strip_prefix(**t)
-                    .is_some_and(|tail| !tail.chars().next().is_some_and(IDENT))
+                    .is_some_and(|tail| !tail.chars().next().is_some_and(ident_char))
             }) {
                 out.push((
                     li,
@@ -464,8 +423,8 @@ fn check_no_float(file: &SourceFile) -> Vec<(usize, String)> {
                 let before = line.code[..at].chars().next_back();
                 let after = line.code[at + ty.len()..].chars().next();
                 let before_ok =
-                    !before.is_some_and(IDENT) || before.is_some_and(|c| c.is_ascii_digit());
-                before_ok && !after.is_some_and(IDENT)
+                    !before.is_some_and(ident_char) || before.is_some_and(|c| c.is_ascii_digit());
+                before_ok && !after.is_some_and(ident_char)
             });
             if hit {
                 out.push((

@@ -1,21 +1,14 @@
-//! The concurrency gate: the lock-order and channel-topology models must
-//! report zero findings on the real tree and must match the committed
-//! goldens. Running plain `cargo test` therefore enforces the concurrency
-//! models; CI also diffs the CLI output against the same goldens.
+//! The concurrency gate: the lock-order model must report zero findings on
+//! the real tree and must match the committed golden. Running plain
+//! `cargo test` therefore enforces the concurrency model; CI also diffs
+//! the CLI output against the same golden.
 
 use sssp_lint::concurrency;
 
 /// Collect the in-scope `(rel_path, text)` pairs from the real tree.
 fn workspace_inputs() -> Vec<(String, String)> {
-    let root = sssp_lint::default_root();
-    let files = sssp_lint::workspace_files(&root).expect("workspace walk");
-    let mut out = Vec::new();
-    for (rel, path) in files {
-        if concurrency::in_scope(&rel) {
-            let text = std::fs::read_to_string(&path).expect("readable source");
-            out.push((rel, text));
-        }
-    }
+    let out = sssp_lint::read_inputs(&sssp_lint::default_root(), concurrency::in_scope)
+        .expect("readable workspace");
     assert!(!out.is_empty(), "no in-scope files found");
     out
 }
@@ -43,33 +36,18 @@ fn lock_order_matches_golden() {
         analysis.lock_table, golden,
         "lock-order model drifted from crates/lint/golden/lock_order.txt — \
          if the locking change is intentional, regenerate with \
-         `cargo run -p sssp-lint -- --concurrency-locks > crates/lint/golden/lock_order.txt` \
+         `cargo run -p sssp-lint -- --concurrency > crates/lint/golden/lock_order.txt` \
          and update sssp_comm::lockorder::{{STATIC_LOCKS, STATIC_EDGES}} to match"
     );
 }
 
 #[test]
-fn channel_topology_matches_golden() {
-    let analysis = concurrency::analyze(&workspace_inputs());
-    let golden = include_str!("../golden/channel_topology.txt");
-    assert_eq!(
-        analysis.channel_table, golden,
-        "channel topology drifted from crates/lint/golden/channel_topology.txt — \
-         if the channel change is intentional, regenerate with \
-         `cargo run -p sssp-lint -- --concurrency-channels > crates/lint/golden/channel_topology.txt`"
-    );
-}
-
-#[test]
 fn models_cover_the_real_primitives() {
-    // Guard against the models silently going empty: the rank runtime's
+    // Guard against the model silently going empty: the rank runtime's
     // park lock, its condvar and the exchange mailbox must appear with
-    // their acquisition sites. The tree has no channel left since the
-    // exchange moved to the mailbox (the channel walk is pinned by its
-    // fixtures), and the table must say so rather than list a ghost.
+    // their acquisition sites.
     let analysis = concurrency::analyze(&workspace_inputs());
     assert!(analysis.num_locks >= 3, "comm locks not extracted");
-    assert_eq!(analysis.num_channels, 0);
     for name in [
         "park",
         "wake",
@@ -79,7 +57,6 @@ fn models_cover_the_real_primitives() {
     ] {
         assert!(analysis.lock_table.contains(name), "no `{name}`");
     }
-    assert!(analysis.channel_table.contains("(no channels)"));
 }
 
 #[test]

@@ -181,25 +181,6 @@ fn blocking_hold_flags_wait_and_recv_under_a_live_guard() {
 }
 
 #[test]
-fn endpoint_leak_flags_the_undropped_clone() {
-    let diags = lint_fixture("concurrency_endpoint_leak.rs", "crates/comm/src/fixture.rs");
-    // `bad` clones on line 7 and never drops `tx` before the join;
-    // `good` drops it and must stay clean.
-    assert_eq!(lines_for(&diags, "concurrency-endpoint-leak"), vec![7]);
-}
-
-#[test]
-fn unterminated_recv_flags_the_bare_loop_only() {
-    let diags = lint_fixture(
-        "concurrency_unterminated_recv.rs",
-        "crates/comm/src/fixture.rs",
-    );
-    // The bare loop's recv on line 13 has no termination edge; the
-    // breaking loop and the counted while loop must stay clean.
-    assert_eq!(lines_for(&diags, "concurrency-unterminated-recv"), vec![13]);
-}
-
-#[test]
 fn critical_section_flags_panics_under_a_live_guard_only() {
     let diags = lint_fixture(
         "panic_in_critical_section.rs",
@@ -264,11 +245,6 @@ fn every_rule_has_a_fixture_that_fires() {
         ("protocol_missing_barrier.rs", "crates/comm/src/fixture.rs"),
         ("concurrency_lock_cycle.rs", "crates/comm/src/fixture.rs"),
         ("concurrency_blocking_hold.rs", "crates/comm/src/fixture.rs"),
-        ("concurrency_endpoint_leak.rs", "crates/comm/src/fixture.rs"),
-        (
-            "concurrency_unterminated_recv.rs",
-            "crates/comm/src/fixture.rs",
-        ),
         (
             "panic_in_critical_section.rs",
             "crates/serve/src/fixture.rs",

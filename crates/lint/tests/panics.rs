@@ -1,20 +1,15 @@
 //! The panic-reachability gate: the audit must report zero findings on
 //! the real tree and its table must match the committed golden. Running
 //! plain `cargo test` therefore enforces unwind safety; CI also diffs
-//! the CLI output (`--panics-table`) against the same golden.
+//! the CLI output (`--panics`) against the same golden.
 
 use sssp_lint::panics;
 
 /// Collect every `(rel_path, text)` pair from the real tree — the panic
 /// audit spans the whole workspace, not one subsystem.
 fn workspace_inputs() -> Vec<(String, String)> {
-    let root = sssp_lint::default_root();
-    let files = sssp_lint::workspace_files(&root).expect("workspace walk");
-    let mut out = Vec::new();
-    for (rel, path) in files {
-        let text = std::fs::read_to_string(&path).expect("readable source");
-        out.push((rel, text));
-    }
+    let out =
+        sssp_lint::read_inputs(&sssp_lint::default_root(), |_| true).expect("readable workspace");
     assert!(!out.is_empty(), "no workspace files found");
     out
 }
@@ -43,7 +38,7 @@ fn reachability_matches_golden() {
         "panic-reachability model drifted from \
          crates/lint/golden/panic_reachability.txt — if the change is \
          intentional, regenerate with \
-         `cargo run -p sssp-lint -- --panics-table > crates/lint/golden/panic_reachability.txt`"
+         `cargo run -p sssp-lint -- --panics > crates/lint/golden/panic_reachability.txt`"
     );
 }
 

@@ -8,15 +8,8 @@ use sssp_lint::protocol;
 
 /// Collect the in-scope `(rel_path, text)` pairs from the real tree.
 fn workspace_inputs() -> Vec<(String, String)> {
-    let root = sssp_lint::default_root();
-    let files = sssp_lint::workspace_files(&root).expect("workspace walk");
-    let mut out = Vec::new();
-    for (rel, path) in files {
-        if protocol::in_scope(&rel) {
-            let text = std::fs::read_to_string(&path).expect("readable source");
-            out.push((rel, text));
-        }
-    }
+    let out = sssp_lint::read_inputs(&sssp_lint::default_root(), protocol::in_scope)
+        .expect("readable workspace");
     assert!(!out.is_empty(), "no in-scope files found");
     out
 }
