@@ -158,27 +158,116 @@ where
     (before - lane.len()) as u64
 }
 
+/// A two-level bitset over the ids `0..n`: one `u64` word per 64 ids, plus
+/// a summary with one bit per non-zero word. Insertion is idempotent and
+/// sets the summary bit; iteration walks the summary's set bits, then each
+/// live word, so members come out in ascending id and a walk costs
+/// O(live words + n / 4 096), never O(n / 64). [`SparseBitset::clear`]
+/// zeroes exactly the live words, found through the summary.
+#[derive(Debug, Default)]
+pub struct SparseBitset {
+    words: Vec<u64>,
+    /// Bit `wi` is set exactly when `words[wi]` is non-zero.
+    summary: Vec<u64>,
+}
+
+/// The set bits of `word`, ascending.
+#[inline]
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
+}
+
+impl SparseBitset {
+    /// Empty set over the ids `0..n`.
+    pub fn new(n: usize) -> Self {
+        let nw = n.div_ceil(64);
+        SparseBitset {
+            words: vec![0; nw],
+            summary: vec![0; nw.div_ceil(64)],
+        }
+    }
+
+    /// Insert `v`; returns whether it was newly inserted. The only branch
+    /// is on the word being empty, so first inserts and duplicates may
+    /// interleave unpredictably.
+    #[inline]
+    pub fn insert(&mut self, v: u32) -> bool {
+        let wi = (v >> 6) as usize;
+        let word = &mut self.words[wi];
+        let old = *word;
+        *word = old | 1u64 << (v & 63);
+        if old == 0 {
+            self.summary[wi >> 6] |= 1u64 << (wi & 63);
+        }
+        old != *word
+    }
+
+    /// Whether `v` is a member.
+    #[inline]
+    pub fn contains(&self, v: u32) -> bool {
+        self.words[(v >> 6) as usize] & (1u64 << (v & 63)) != 0
+    }
+
+    /// Number of members: a population count of the live words.
+    pub fn len(&self) -> usize {
+        self.live_words()
+            .map(|wi| self.words[wi].count_ones() as usize)
+            .sum()
+    }
+
+    /// Whether the set is empty: a look at the summary alone.
+    pub fn is_empty(&self) -> bool {
+        self.summary.iter().all(|&s| s == 0)
+    }
+
+    /// Indices of the non-zero words, ascending.
+    fn live_words(&self) -> impl Iterator<Item = usize> + '_ {
+        let live = self.summary.iter().enumerate();
+        live.flat_map(|(si, &s)| ones(s).map(move |b| si * 64 + b))
+    }
+
+    /// Members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.live_words().flat_map(|wi| {
+            let base = wi * 64;
+            // Bound: `n` ids fit a `u32` (every id was one when inserted).
+            ones(self.words[wi]).map(move |b| (base + b) as u32)
+        })
+    }
+
+    /// Remove every member, zeroing only the live words.
+    pub fn clear(&mut self) {
+        for (si, s) in self.summary.iter_mut().enumerate() {
+            for b in ones(std::mem::take(s)) {
+                self.words[si * 64 + b] = 0;
+            }
+        }
+    }
+}
+
 /// Sort-free form of [`pack_sorted_run`] with `dedup` enabled, for messages
 /// whose keys are dense indices below a known bound (a relaxation's target
 /// is a local index on the destination rank). Every [`MinTable::fold`]
-/// keeps `min(val)` per key and marks the key in a bitset;
-/// [`MinTable::emit`] then appends one message per marked key, in ascending
-/// key order, by walking the touched bitset words. The only sort is over
-/// the touched *word* indices (at most `n_keys / 64` of them), never over
-/// the messages, and no message is materialised before the emit.
+/// keeps `min(val)` per key and inserts the key into a [`SparseBitset`];
+/// [`MinTable::emit`] then appends one message per member, in the set's
+/// ascending order, and clears it. Nothing is sorted, and no message is
+/// materialised before the emit.
 ///
-/// Reusable across emits: emitting zeroes every word it visits, so the
-/// bitset is all-zero between emits and `best` needs no clearing (a slot is
-/// written before it is read). Both arrays are allocated zeroed, so pages
-/// no fold ever touches are never made resident.
+/// Reusable across emits: the set is empty between emits and `best` needs
+/// no clearing (a slot is written before it is read). `best` is allocated
+/// zeroed, so pages no fold ever touches are never made resident.
 #[derive(Debug, Default)]
 pub struct MinTable {
-    /// Smallest value seen per key; meaningful only where `present` is set.
+    /// Smallest value seen per key; meaningful only where `present` holds
+    /// the key.
     best: Vec<u64>,
-    present: Vec<u64>,
-    /// Indices of the `present` words a fold set a bit in since the last
-    /// emit.
-    touched: Vec<u32>,
+    present: SparseBitset,
     /// Folds since the last emit.
     folded: u64,
 }
@@ -188,8 +277,7 @@ impl MinTable {
     pub fn new(n_keys: usize) -> Self {
         MinTable {
             best: vec![0; n_keys],
-            present: vec![0; n_keys.div_ceil(64)],
-            touched: Vec::new(),
+            present: SparseBitset::new(n_keys),
             folded: 0,
         }
     }
@@ -205,15 +293,9 @@ impl MinTable {
     pub fn fold(&mut self, key: u32, val: u64) {
         self.folded += 1;
         let slot = &mut self.best[key as usize];
-        let (wi, bit) = (key >> 6, 1u64 << (key & 63));
-        let word = &mut self.present[wi as usize];
-        if *word == 0 {
-            self.touched.push(wi);
-        }
         // A first fold and a duplicate interleave unpredictably, so pick
         // the new value without a branch.
-        let seen = *word & bit != 0;
-        *word |= bit;
+        let seen = !self.present.insert(key);
         *slot = if seen { val.min(*slot) } else { val };
     }
 
@@ -229,15 +311,8 @@ impl MinTable {
             return 0;
         }
         let before = lane.len() as u64;
-        self.touched.sort_unstable();
-        for wi in self.touched.drain(..) {
-            let mut word = std::mem::take(&mut self.present[wi as usize]);
-            while word != 0 {
-                let k = wi * 64 + word.trailing_zeros();
-                word &= word - 1;
-                lane.push(make(k, self.best[k as usize]));
-            }
-        }
+        lane.extend(self.present.iter().map(|k| make(k, self.best[k as usize])));
+        self.present.clear();
         let removed = self.folded - (lane.len() as u64 - before);
         self.folded = 0;
         removed
@@ -246,9 +321,7 @@ impl MinTable {
     /// Drop whatever was folded since the last emit, so a fold sequence an
     /// unwinding panic cut short cannot leak into the next one.
     pub fn discard(&mut self) {
-        for wi in self.touched.drain(..) {
-            self.present[wi as usize] = 0;
-        }
+        self.present.clear();
         self.folded = 0;
     }
 }
@@ -469,6 +542,47 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(packed, coalesced);
         assert_eq!(packed, vec![(1, 5), (2, 7), (3, 2)]);
+    }
+
+    #[test]
+    fn sparse_bitset_matches_a_btreeset_model() {
+        // Universes on and around the word (64) and summary-word (4 096)
+        // boundaries; one set per universe, cleared between rounds, as the
+        // engine reuses its frontiers across supersteps.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |below: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % below
+        };
+        for n in [0usize, 1, 63, 64, 65, 4_095, 4_096, 4_097, 3 * 4_096 + 5] {
+            let mut set = SparseBitset::new(n);
+            let mut model = std::collections::BTreeSet::new();
+            for round in 0..4 {
+                assert!(set.is_empty() && set.iter().next().is_none());
+                // Sparse, then dense rounds; the top id every time.
+                let inserts = if n == 0 {
+                    0
+                } else {
+                    [3, n / 2, 2 * n, 40][round]
+                };
+                let ids = (0..inserts).map(|_| next(n as u64) as u32);
+                for v in ids.chain((n > 0).then(|| (n - 1) as u32)) {
+                    assert_eq!(set.insert(v), model.insert(v), "n {n}, insert {v}");
+                }
+                assert_eq!(set.len(), model.len(), "n {n}");
+                assert!(set.iter().eq(model.iter().copied()), "n {n}, round {round}");
+                for _ in 0..(n.min(200)) {
+                    let v = next(n as u64) as u32;
+                    assert_eq!(set.contains(v), model.contains(&v), "n {n}, contains {v}");
+                }
+                set.clear();
+                model.clear();
+                assert_eq!(set.len(), 0);
+                assert!((0..n as u32).step_by(61).all(|v| !set.contains(v)));
+            }
+        }
     }
 
     #[test]

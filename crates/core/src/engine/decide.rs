@@ -3,10 +3,12 @@
 //! time with the machine model, and pick the cheaper — with the
 //! bottleneck-rank (imbalance-aware) refinement the paper describes.
 //!
-//! Split into a rank-local volume pass ([`rank_volumes`]) and a pure
-//! totals→decision conversion ([`decide_from_totals`]); the driver folds
-//! the former over its owned ranks, reduces across processes and feeds the
-//! latter. This is the only engine file floating point may appear in.
+//! Split into two rank-local volume passes ([`rank_push_bound`], then
+//! [`rank_pull`] when the bound does not settle the decision) and
+//! a pure totals→decision conversion ([`decide_from_totals`]); the driver
+//! folds the passes over its owned ranks, reduces across processes and
+//! feeds the latter. This is the only engine file floating point may
+//! appear in.
 use sssp_comm::cost::MachineModel;
 use sssp_dist::LocalGraph;
 
@@ -46,18 +48,19 @@ pub(super) fn pull_term(
     }
 }
 
-/// One rank's §III-C volume estimates for the epoch window: the push send
-/// volume, the pull request volume, and the number of unsettled vertices
-/// scanned (the pull model's scan extent). Read-only over the rank state.
-/// The push volume walks the active set, which must hold the window's
-/// settled members (the driver collects them after the short fixpoint),
-/// in ascending local index. The pull volume is proportional to the
-/// *reached* unsettled vertices only: the unreached
-/// ones enter through the totals the state maintains, installed at
-/// `unreached_bound` (the policy's short bound). A hybrid-tail window's
-/// wider short bound makes those totals over-count: every edge with
-/// `w ≥ window.short_bound` also has `w ≥ unreached_bound`.
-pub(super) fn rank_volumes(
+/// One rank's §III-C push bound for the epoch window: the push send
+/// volume, the unreached vertices' share of the pull request volume, and
+/// the number of unsettled vertices (the pull model's scan extent). The
+/// push volume walks the active set, which must hold the window's settled
+/// members (the driver collects them after the short fixpoint). The
+/// unreached share is the running total the state maintains, installed at
+/// `unreached_bound` (the policy's short bound); a hybrid-tail window's
+/// wider short bound makes it over-count, since every edge with
+/// `w ≥ window.short_bound` also has `w ≥ unreached_bound`. The reached
+/// unsettled vertices only add to the pull side ([`rank_pull`]), so the
+/// middle value is a lower bound on the rank's pull volume. Read-only
+/// over the rank state.
+pub(super) fn rank_push_bound(
     lg: &LocalGraph,
     st: &RankState,
     window: &EpochWindow,
@@ -66,11 +69,7 @@ pub(super) fn rank_volumes(
     estimator: PullEstimator,
     w_max: u64,
 ) -> (u64, u64, u64) {
-    let short_bound = window.short_bound;
-    let end_dist = window.end_dist;
-    let kd = window.start_dist;
-
-    // Push: the long-phase send volume of this rank.
+    let (short_bound, end_dist) = (window.short_bound, window.end_dist);
     let mut push = 0u64;
     for u in st.active.iter() {
         let ul = u as usize;
@@ -78,13 +77,11 @@ pub(super) fn rank_volumes(
         let start = kernels::push_range_start(ios, ws, st.dist[ul], end_dist, short_bound);
         push += (ws.len() - start) as u64;
     }
-    // Pull: the request volume of this rank.
-    let mut pull = st.unreached_pull_mass();
-    for v in st.members_after(window.hi) {
-        let vl = v as usize;
-        pull += pull_term(lg, vl, st.dist[vl], kd, short_bound, estimator, w_max);
-    }
-    let volumes = (push, pull, st.count_unsettled_after(window.hi));
+    let bound = (
+        push,
+        st.unreached_pull_mass(),
+        st.count_unsettled_after(window.hi),
+    );
     invariants::check_rank_volumes(
         lg,
         st,
@@ -93,14 +90,43 @@ pub(super) fn rank_volumes(
         ios,
         estimator,
         w_max,
-        volumes,
+        bound,
     );
-    volumes
+    bound
+}
+
+/// One rank's whole §III-C pull request volume: the unreached share of
+/// [`rank_push_bound`] plus the terms of the reached unsettled vertices
+/// (the live members of the buckets past the window) — work proportional
+/// to the reached frontier, not to `n_local`.
+pub(super) fn rank_pull(
+    lg: &LocalGraph,
+    st: &RankState,
+    window: &EpochWindow,
+    unreached_bound: u64,
+    ios: bool,
+    estimator: PullEstimator,
+    w_max: u64,
+) -> u64 {
+    let (kd, short_bound) = (window.start_dist, window.short_bound);
+    let reached: u64 = st
+        .members_after(window.hi)
+        .map(|v| {
+            let vl = v as usize;
+            pull_term(lg, vl, st.dist[vl], kd, short_bound, estimator, w_max)
+        })
+        .sum();
+    let pull = st.unreached_pull_mass() + reached;
+    invariants::check_rank_pull(lg, st, window, unreached_bound, ios, estimator, w_max, pull);
+    pull
 }
 
 /// Convert globally reduced volumes into the push/pull decision plus the
 /// `(est_push, est_pull)` pair recorded per bucket. Pure arithmetic over
-/// the machine model.
+/// the machine model, and monotone in the pull side: `t_pull` never
+/// decreases as `pull_total` or `pull_max` grows (every step is a
+/// monotone IEEE operation), so a push chosen on lower bounds of both is
+/// the push the exact totals choose.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn decide_from_totals(
     cfg: &SsspConfig,

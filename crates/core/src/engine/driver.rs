@@ -12,8 +12,9 @@
 //!
 //! Cost-model charges are recorder events placed at the schedule's charge
 //! sites: one `Bucket` collective per selection / cutoff / deadline /
-//! window / activity / settle reduction, **one** `Relax` collective for the
-//! decision's five reductions; a `Bucket` scan for the window collection,
+//! window / activity / settle reduction, **one** `Relax` collective per
+//! decision (its push bound and, when that does not settle it, its pull
+//! estimate); a `Bucket` scan for the window collection,
 //! a `Relax` scan for the pull-request sweep; one superstep per exchange.
 
 use std::ops::Range;
@@ -695,8 +696,13 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     /// stays aligned); a `Forced` bucket skips them too — except when a
     /// recorder is listening, where the volume pass still runs so
     /// telemetry shows what the heuristic would have seen.
-    /// [`Recorder::enabled`] is uniform across the processes of a run, so
-    /// the collective sequence stays aligned either way.
+    /// Otherwise a first reduction bounds the pull side by the unreached
+    /// mass; only when that bound does not pick push, or a recorder wants
+    /// the exact `est_pull`, does a second pass over the reached unsettled
+    /// vertices and a second reduction follow. The bound's verdict is a
+    /// reduced value and [`Recorder::enabled`] is uniform across the
+    /// processes of a run, so the collective sequence stays aligned either
+    /// way.
     fn decide(&mut self, window: &EpochWindow, buckets_done: usize) -> (LongPhaseMode, u64, u64) {
         let cfg = self.job.cfg;
         let forced = match &cfg.direction {
@@ -708,16 +714,17 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         if let (Some(mode), false) = (forced, self.rec.enabled()) {
             return (mode, 0, 0);
         }
-        // Per-rank volume estimates (one read-only pass), folded straight
-        // into (Σpush, Σpull, max push, max pull, max scanned) over the
-        // owned ranks, then reduced across processes.
+        // First pass: per-rank push volume, unreached pull mass and scan
+        // extent, folded straight into (Σpush, Σmass, max push, max mass,
+        // max scanned) over the owned ranks, then reduced across processes
+        // as one collective.
         let locals = &self.job.dg.locals;
         let (w_max, unreached_bound) = (self.max_weight, self.policy.short_bound());
         let scanning = self.clock();
         let owned = self.bufs.fan_out(
             (0, 0, 0, 0, 0),
             |io| {
-                let (push, pull, scanned) = decide::rank_volumes(
+                let (push, mass, scanned) = decide::rank_push_bound(
                     &locals[io.st.rank],
                     io.st,
                     window,
@@ -726,7 +733,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                     cfg.pull_estimator,
                     w_max,
                 );
-                (push, pull, push, pull, scanned)
+                (push, mass, push, mass, scanned)
             },
             |a, b| {
                 (
@@ -739,23 +746,50 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             },
         );
         self.span(SubPhase::Scan, scanning);
-        // §III-C shares the per-rank sums once: one collective's latency.
         let waited = self.clock();
-        let ([push_total, pull_total], [push_max, pull_max, scan_max]) = self
+        let ([push_total, mass_total], [push_max, mass_max, scan_max]) = self
             .ctx
             .allreduce_fused([owned.0, owned.1], [owned.2, owned.3, owned.4]);
         self.span(SubPhase::CollectiveWait, waited);
+        // The ledger charges the decision one collective however many
+        // reductions it takes.
         self.rec.collective(TimeClass::Relax);
-        let (mode, est_push, est_pull) = decide::decide_from_totals(
-            cfg,
-            self.job.model,
-            self.job.dg.num_ranks(),
-            push_total,
-            pull_total,
-            push_max,
-            pull_max,
-            scan_max,
-        );
+        let (model, p) = (self.job.model, self.job.dg.num_ranks());
+        let decide = |pull_total, pull_max| {
+            decide::decide_from_totals(
+                cfg, model, p, push_total, pull_total, push_max, pull_max, scan_max,
+            )
+        };
+        // The reached unsettled vertices only add to the pull side, and
+        // `t_pull` never decreases as it grows: push on the unreached mass
+        // alone is push on the full estimate. Only a recorder needs the
+        // exact `est_pull` then.
+        let bound = decide(mass_total, mass_max);
+        if bound.0 == LongPhaseMode::Push && !self.rec.enabled() {
+            return bound;
+        }
+        // Second pass: each rank's whole pull volume, reduced to its sum
+        // and maximum.
+        let scanning = self.clock();
+        let (pull, pull_max) = self.bufs.st.iter().fold((0, 0), |(sum, max), st| {
+            let pull = decide::rank_pull(
+                &locals[st.rank],
+                st,
+                window,
+                unreached_bound,
+                cfg.ios,
+                cfg.pull_estimator,
+                w_max,
+            );
+            (sum + pull, max.max(pull))
+        });
+        self.span(SubPhase::Scan, scanning);
+        let waited = self.clock();
+        // sssp-lint: protocol: decide.pull-estimate
+        let ([pull_total, _], [pull_max, _, _]) =
+            self.ctx.allreduce_fused([pull, 0], [pull_max, 0, 0]);
+        self.span(SubPhase::CollectiveWait, waited);
+        let (mode, est_push, est_pull) = decide(pull_total, pull_max);
         (forced.unwrap_or(mode), est_push, est_pull)
     }
 

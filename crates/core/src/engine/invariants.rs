@@ -14,9 +14,11 @@
 //! * **Relaxation headroom** — every `d + w` a kernel forms starts from a
 //!   reached distance at most `u64::MAX − u32::MAX` (the bound stated at
 //!   [`max_seed_offset`](super::max_seed_offset)), so it cannot wrap.
-//! * **Maintained §III-C estimate** — the volumes `decide::rank_volumes`
-//!   assembles from the state's running totals equal a from-scratch scan of
-//!   every local vertex, every epoch.
+//! * **Maintained §III-C estimate** — the volumes `decide::rank_push_bound`
+//!   and `decide::rank_pull` assemble from the state's running totals agree
+//!   with a from-scratch scan of every local vertex, every epoch: push and
+//!   scan extent equal, the unreached mass at most the pull volume, and the
+//!   pull volume equal whenever it is computed.
 //!
 //! Message conservation — every message sent is delivered — is a property
 //! of all ranks together, so its debug check lives behind the transport
@@ -85,7 +87,7 @@ pub(super) fn check_epoch_monotone(k: u64, k_prev: Option<u64>) {
 
 /// One rank's §III-C `(push, pull, scanned)` by its definition: a scan of
 /// every local vertex — settled, reached and unreached alike. This is the
-/// reference the maintained estimate of `decide::rank_volumes` is held to.
+/// reference the maintained estimates of `decide` are held to.
 /// Reached vertices count at the window's short bound and unreached ones
 /// at `unreached_bound`, the policy's, which their per-run terms were
 /// installed at (the two differ only in a hybrid-tail window).
@@ -119,8 +121,10 @@ pub(super) fn scan_rank_volumes(
     (push, pull, scanned)
 }
 
-/// Maintained §III-C estimate: what `rank_volumes` assembled from the
-/// bucket members and the unreached totals equals the full scan.
+/// Maintained §III-C estimate, first pass: the push volume and scan extent
+/// `decide::rank_push_bound` assembled from the active set and the bucket
+/// counts equal the full scan, and the unreached mass it bounds the pull
+/// side with is at most the full pull volume.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(super) fn check_rank_volumes(
@@ -131,12 +135,39 @@ pub(super) fn check_rank_volumes(
     ios: bool,
     estimator: PullEstimator,
     w_max: u64,
-    got: (u64, u64, u64),
+    (push, pull_bound, scanned): (u64, u64, u64),
+) {
+    debug_assert!(
+        {
+            let (want_push, want_pull, want_scanned) =
+                scan_rank_volumes(lg, st, window, unreached_bound, ios, estimator, w_max);
+            (push, scanned) == (want_push, want_scanned) && pull_bound <= want_pull
+        },
+        "maintained §III-C bound (push {push}, unreached mass {pull_bound}, scanned {scanned}) \
+         drifted from the full scan on rank {} (window {window:?})",
+        st.rank
+    );
+}
+
+/// Maintained §III-C estimate, second pass: the pull volume
+/// `decide::rank_pull` assembled from the unreached total and the bucket
+/// members equals the full scan.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub(super) fn check_rank_pull(
+    lg: &LocalGraph,
+    st: &RankState,
+    window: &EpochWindow,
+    unreached_bound: u64,
+    ios: bool,
+    estimator: PullEstimator,
+    w_max: u64,
+    pull: u64,
 ) {
     debug_assert_eq!(
-        got,
-        scan_rank_volumes(lg, st, window, unreached_bound, ios, estimator, w_max),
-        "maintained §III-C volumes drifted from the full scan on rank {} (window {window:?})",
+        pull,
+        scan_rank_volumes(lg, st, window, unreached_bound, ios, estimator, w_max).1,
+        "maintained §III-C pull volume drifted from the full scan on rank {} (window {window:?})",
         st.rank
     );
 }

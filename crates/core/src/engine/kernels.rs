@@ -121,9 +121,12 @@ pub(super) fn pull_threshold(dv: u64, kd: u64) -> u64 {
 /// qualifies.
 #[inline]
 pub(super) fn pull_range(ws: &[u32], dv: u64, kd: u64, short_bound: u64) -> Range<usize> {
-    let threshold = pull_threshold(dv, kd);
     let lo = ws.partition_point(|&w| (w as u64) < short_bound);
-    let hi = ws.partition_point(|&w| (w as u64) < threshold);
+    if dv == INF {
+        // The threshold is unbounded: every `u32` weight lies below it.
+        return lo..ws.len();
+    }
+    let hi = ws.partition_point(|&w| (w as u64) < pull_threshold(dv, kd));
     lo..hi.max(lo)
 }
 
@@ -144,29 +147,24 @@ fn relax_active_rows(
     range: impl Fn(u64, &[u32]) -> Range<usize>,
 ) -> (u64, u64) {
     let (mut short, mut long) = (0u64, 0u64);
-    for wi in 0..st.active.num_words() {
-        let mut word = st.active.word(wi);
-        while word != 0 {
-            let u = sssp_graph::checked_u32(wi * 64) + word.trailing_zeros();
-            word &= word - 1;
-            let ul = u as usize;
-            let du = st.dist[ul];
-            let (ts, ws) = lg.row(ul);
-            let edges = range(du, ws);
-            for (&t, &w) in ts[edges.clone()].iter().zip(&ws[edges.clone()]) {
-                invariants::check_relax_headroom(du);
-                out.propose(addr.owner(t), addr.local(t), du + u64::from(w));
-            }
-            let Some(pi) = meter else {
-                long += edges.len() as u64;
-                continue;
-            };
-            let shorts = ws[edges.clone()].partition_point(|&w| (w as u64) < short_bound);
-            short += shorts as u64;
-            long += (edges.len() - shorts) as u64;
-            let heavy = (lg.degree(ul) as u64) > pi;
-            st.loads.charge(ul, edges.len() as u64, heavy);
+    for u in st.active.iter() {
+        let ul = u as usize;
+        let du = st.dist[ul];
+        let (ts, ws) = lg.row(ul);
+        let edges = range(du, ws);
+        for (&t, &w) in ts[edges.clone()].iter().zip(&ws[edges.clone()]) {
+            invariants::check_relax_headroom(du);
+            out.propose(addr.owner(t), addr.local(t), du + u64::from(w));
         }
+        let Some(pi) = meter else {
+            long += edges.len() as u64;
+            continue;
+        };
+        let shorts = ws[edges.clone()].partition_point(|&w| (w as u64) < short_bound);
+        short += shorts as u64;
+        long += (edges.len() - shorts) as u64;
+        let heavy = (lg.degree(ul) as u64) > pi;
+        st.loads.charge(ul, edges.len() as u64, heavy);
     }
     (short, long)
 }

@@ -44,8 +44,8 @@ pub trait Recorder: Clone + Send + Sync + 'static {
         false
     }
     /// One collective of cost class `_class` was issued (the §III-C
-    /// decision's five reductions travel as one charged collective; the
-    /// set-up reductions are not charged at all).
+    /// decision is charged one collective, whether it takes one fused
+    /// reduction or two; the set-up reductions are not charged at all).
     fn collective(&mut self, _class: TimeClass) {}
     /// A bookkeeping scan examined `_len` entries on the busiest owned rank.
     fn scan(&mut self, _class: TimeClass, _len: u64) {}

@@ -547,6 +547,42 @@ proptest::proptest! {
 
 // -- the maintained §III-C estimate ---------------------------------------
 
+proptest::proptest! {
+    #[test]
+    fn push_on_lower_pull_totals_is_push_on_the_full_ones(
+        ranks in proptest::collection::vec(
+            (0u64..400_000, 0u64..400_000, 0u64..400_000, 0u64..100_000),
+            1..9,
+        ),
+        ios in proptest::prelude::any::<bool>(),
+        exact in proptest::prelude::any::<bool>(),
+        unit_model in proptest::prelude::any::<bool>(),
+    ) {
+        // Per rank: push volume, unreached mass, the reached members' terms
+        // and the scan extent. The decision's early exit takes push on the
+        // unreached mass alone; the reached terms can only keep it push.
+        let estimator = if exact { PullEstimator::Exact } else { PullEstimator::Expectation };
+        let cfg = SsspConfig::opt(25).with_ios(ios).with_pull_estimator(estimator);
+        let model = if unit_model { MachineModel::unit() } else { model() };
+        let p = ranks.len();
+        let sum_max = |vals: Vec<u64>| (vals.iter().sum(), vals.into_iter().max().unwrap_or(0));
+        let (push_total, push_max) = sum_max(ranks.iter().map(|r| r.0).collect());
+        let (mass_total, mass_max) = sum_max(ranks.iter().map(|r| r.1).collect());
+        let (pull_total, pull_max) = sum_max(ranks.iter().map(|r| r.1 + r.2).collect());
+        let scan_max = ranks.iter().map(|r| r.3).max().unwrap_or(0);
+        let decide = |total, max| {
+            decide::decide_from_totals(
+                &cfg, &model, p, push_total, total, push_max, max, scan_max,
+            )
+        };
+        let (bound, full) = (decide(mass_total, mass_max), decide(pull_total, pull_max));
+        proptest::prop_assert_eq!(bound.1, full.1);
+        if bound.0 == crate::config::LongPhaseMode::Push {
+            proptest::prop_assert_eq!(full.0, crate::config::LongPhaseMode::Push, "{:?}", ranks);
+        }
+    }
+}
+
 use crate::config::{PullEstimator, SteppingPolicyKind};
 use crate::policy::Policy;
 use crate::state::{RankState, FLAT_LANES};
@@ -593,7 +629,8 @@ fn estimate_queries(g: &Csr) -> Vec<(Query, Vec<u64>)> {
 #[test]
 fn maintained_volumes_equal_the_full_scan_on_a_driven_state() {
     // Drive one rank state by hand through epochs, relaxations and a
-    // `reset`, comparing `rank_volumes` with the definition at every step.
+    // `reset`, comparing `rank_push_bound` and `rank_pull` with the
+    // definition at every step.
     // Unlike the per-epoch debug invariant this compares in release too.
     let n = 96usize;
     let mut rng = sssp_graph::prng::SplitMix::new(17);
@@ -632,8 +669,13 @@ fn maintained_volumes_equal_the_full_scan_on_a_driven_state() {
                     let bound = policy.short_bound();
                     // The driver's collection after the short fixpoint.
                     st.collect_active_from_window(window.lo, window.hi);
-                    let got =
-                        decide::rank_volumes(&lg, &st, &window, bound, cfg.ios, estimator, w_max);
+                    let (push, mass, scanned) = decide::rank_push_bound(
+                        &lg, &st, &window, bound, cfg.ios, estimator, w_max,
+                    );
+                    let pull =
+                        decide::rank_pull(&lg, &st, &window, bound, cfg.ios, estimator, w_max);
+                    assert!(mass <= pull);
+                    let got = (push, pull, scanned);
                     let want = invariants::scan_rank_volumes(
                         &lg, &st, &window, bound, cfg.ios, estimator, w_max,
                     );

@@ -21,9 +21,10 @@
 //! queries, which restores the all-unreached initial state while keeping
 //! every allocation (lanes, spill, bitsets, distance arrays) warm.
 //!
-//! The `changed` / `active` frontier sets are epoch-stamped bitsets
-//! ([`StampBitset`]): O(1) clear by stamp bump, duplicate-free insertion by
-//! construction, and word-level iteration in the kernels.
+//! The `changed` / `active` frontier sets are two-level bitsets
+//! ([`SparseBitset`]): duplicate-free insertion by construction, and
+//! iteration and clearing that visit only the live words (plus one summary
+//! bit per 64 words), so a superstep costs its frontier, not `n_local`.
 //!
 //! The unreached vertices (the paper's B∞) sit in no container. What the
 //! engine needs of them every epoch — how many there are, and what they add
@@ -36,10 +37,11 @@
 //! [`RankState::relax`]: crate::state::RankState::relax
 //! [`RankState::reset`]: crate::state::RankState::reset
 //! [`RankState`]: crate::state::RankState
-//! [`StampBitset`]: crate::state::StampBitset
+//! [`SparseBitset`]: sssp_comm::exchange::SparseBitset
 
 use std::collections::BTreeMap;
 
+use sssp_comm::exchange::SparseBitset;
 use sssp_dist::ThreadLoads;
 
 use crate::config::DeltaParam;
@@ -56,124 +58,6 @@ pub const INF_BUCKET: u64 = u64::MAX;
 /// Δ-stepping (small bucket indices) and Dial-granularity policies with
 /// Graph 500-scale weights (≤ 255) stay in the ring almost always.
 pub const FLAT_LANES: u64 = 512;
-
-/// An epoch-stamped bitset over local vertex ids: clearing is an O(1)
-/// stamp bump (a word is live only when its stamp matches the current
-/// one), insertion is idempotent, and the kernels iterate members a word
-/// at a time. Replaces the `Vec<u32>` + stamp-array frontier sets.
-#[derive(Debug)]
-pub struct StampBitset {
-    words: Vec<u64>,
-    word_stamp: Vec<u32>,
-    stamp: u32,
-    len: usize,
-}
-
-impl StampBitset {
-    /// Empty set over a universe of `n` vertex ids.
-    pub fn new(n: usize) -> Self {
-        let nw = n.div_ceil(64);
-        StampBitset {
-            words: vec![0; nw],
-            word_stamp: vec![0; nw],
-            stamp: 1,
-            len: 0,
-        }
-    }
-
-    /// Remove every member. O(1): bumps the epoch stamp instead of
-    /// touching the words (with a full reset on the rare stamp wrap).
-    pub fn clear(&mut self) {
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // Stamp wrapped: reset markers to keep correctness.
-            self.word_stamp.fill(0);
-            self.stamp = 1;
-        }
-        self.len = 0;
-    }
-
-    /// Insert `v`; returns whether it was newly inserted.
-    #[inline]
-    pub fn insert(&mut self, v: u32) -> bool {
-        let wi = (v >> 6) as usize;
-        let bit = 1u64 << (v & 63);
-        if self.word_stamp[wi] != self.stamp {
-            self.word_stamp[wi] = self.stamp;
-            self.words[wi] = 0;
-        }
-        let newly = self.words[wi] & bit == 0;
-        if newly {
-            self.words[wi] |= bit;
-            self.len += 1;
-        }
-        newly
-    }
-
-    /// Whether `v` is a member.
-    #[inline]
-    pub fn contains(&self, v: u32) -> bool {
-        let wi = (v >> 6) as usize;
-        self.word_stamp[wi] == self.stamp && self.words[wi] & (1u64 << (v & 63)) != 0
-    }
-
-    /// Number of members.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of 64-bit words covering the universe.
-    #[inline]
-    pub fn num_words(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Word `wi` of the member mask (0 when the word is not live in the
-    /// current epoch) — the kernels' word-level iteration primitive.
-    #[inline]
-    pub fn word(&self, wi: usize) -> u64 {
-        if self.word_stamp[wi] == self.stamp {
-            self.words[wi]
-        } else {
-            0
-        }
-    }
-
-    /// Members in ascending vertex-id order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.words.len()).flat_map(move |wi| {
-            let mut w = self.word(wi);
-            let base = sssp_graph::checked_u32(wi * 64);
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros();
-                    w &= w - 1;
-                    Some(base + b)
-                }
-            })
-        })
-    }
-
-    /// Members collected into a vector (ascending order) — test helper.
-    pub fn to_vec(&self) -> Vec<u32> {
-        self.iter().collect()
-    }
-}
-
-impl Default for StampBitset {
-    fn default() -> Self {
-        StampBitset::new(0)
-    }
-}
 
 /// The lazy cyclic flat bucket queue: a ring of [`FLAT_LANES`] member
 /// lanes covering buckets `[base, base + FLAT_LANES)`, exact live counts
@@ -437,9 +321,9 @@ pub struct RankState {
     pub bucket_of: Vec<u64>,
     store: FlatBuckets,
     /// Vertices whose distance changed in the current phase.
-    pub changed: StampBitset,
+    pub changed: SparseBitset,
     /// Active vertices for the next phase.
-    pub active: StampBitset,
+    pub active: SparseBitset,
     /// Per-thread operation ledger for the current superstep.
     pub loads: ThreadLoads,
     /// What each vertex adds to the §III-C pull estimate while it is
@@ -463,8 +347,8 @@ impl RankState {
             dist: vec![INF; n_local],
             bucket_of: vec![INF_BUCKET; n_local],
             store: FlatBuckets::new(),
-            changed: StampBitset::new(n_local),
-            active: StampBitset::new(n_local),
+            changed: SparseBitset::new(n_local),
+            active: SparseBitset::new(n_local),
             loads: ThreadLoads::new(threads),
             unreached_term: vec![0; n_local],
             total_pull_mass: 0,
@@ -478,8 +362,8 @@ impl RankState {
     /// must undo *all* per-run state: distances and `bucket_of`, the
     /// bucket ring (including its base and the spill list — a stale base
     /// would answer the next query's bucket-0 pushes as empty), both
-    /// frontier bitsets (stamp bump, so a stale stamp cannot leak a
-    /// previous query's frontier into the next run), the thread loads, and
+    /// frontier bitsets (so no previous query's frontier leaks into the
+    /// next run), the thread loads, and
     /// the unreached totals (every vertex is back in B∞, so the running
     /// mass is the installed total again).
     pub fn reset(&mut self) {
@@ -539,7 +423,7 @@ impl RankState {
         self.dist.len()
     }
 
-    /// Begin a new phase: clear the changed set (an O(1) stamp bump).
+    /// Begin a new phase: clear the changed set (its live words only).
     pub fn begin_phase(&mut self) {
         self.changed.clear();
     }
@@ -665,7 +549,7 @@ impl RankState {
 
     /// Collect the live members of every bucket in `[lo, hi]` into
     /// `active` (both `collect_active_*` methods refill the bitset in place
-    /// — an O(1) stamp-bump clear plus member insertion, no reallocation).
+    /// — a clear of its live words plus member insertion, no reallocation).
     pub fn collect_active_from_window(&mut self, lo: u64, hi: u64) {
         let mut active = std::mem::take(&mut self.active);
         active.clear();
@@ -734,9 +618,9 @@ mod tests {
             assert_eq!(s.window_count(1, 2), 3);
             assert_eq!(s.window_members(0, 2).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
             s.collect_active_from_window(1, 2);
-            assert_eq!(s.active.to_vec(), vec![1, 2, 3]);
+            assert_eq!(s.active.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
             s.collect_active_changed_in_window(2, 2);
-            assert_eq!(s.active.to_vec(), vec![2, 3]);
+            assert_eq!(s.active.iter().collect::<Vec<_>>(), vec![2, 3]);
             // A vertex that moved below the window drops out everywhere.
             s.relax(2, 1, &delta5());
             assert_eq!(s.window_members(2, 2).collect::<Vec<_>>(), vec![3]);
@@ -799,12 +683,12 @@ mod tests {
         s.relax(2, 100, &delta5());
         s.relax(2, 50, &delta5());
         s.relax(2, 20, &delta5());
-        assert_eq!(s.changed.to_vec(), vec![2]);
+        assert_eq!(s.changed.iter().collect::<Vec<_>>(), vec![2]);
         assert_eq!(s.changed.len(), 1);
         s.begin_phase();
         assert!(s.changed.is_empty());
         s.relax(2, 10, &delta5());
-        assert_eq!(s.changed.to_vec(), vec![2]);
+        assert_eq!(s.changed.iter().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
@@ -872,8 +756,8 @@ mod tests {
     #[test]
     fn collect_active_refills_in_place() {
         // The bitset frontier never reallocates across refills: its word
-        // array is sized once at construction and every collect is a
-        // stamp-bump clear plus insertions.
+        // arrays are sized once at construction and every collect is a
+        // clear of the live words plus insertions.
         let mut s = RankState::new(0, 16, 2);
         s.begin_phase();
         for v in 0..8 {
@@ -881,12 +765,10 @@ mod tests {
         }
         s.collect_active_from_window(0, 0);
         assert_eq!(s.active.len(), 8);
-        let words = s.active.num_words();
         s.begin_phase();
         s.relax(9, 2, &delta5());
         s.collect_active_changed_in_window(0, 0);
-        assert_eq!(s.active.to_vec(), vec![9]);
-        assert_eq!(s.active.num_words(), words);
+        assert_eq!(s.active.iter().collect::<Vec<_>>(), vec![9]);
     }
 
     #[test]
@@ -896,7 +778,7 @@ mod tests {
         s.relax(1, 3, &delta5()); // bucket 0
         s.relax(2, 12, &delta5()); // bucket 2 — not in bucket 0
         s.collect_active_changed_in_window(0, 0);
-        assert_eq!(s.active.to_vec(), vec![1]);
+        assert_eq!(s.active.iter().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
@@ -1005,37 +887,5 @@ mod tests {
         // And the spill list must not resurrect the old entries.
         assert_eq!(s.window_count(FLAT_LANES + 9, FLAT_LANES + 9), 0);
         assert_eq!(s.window_count(3 * FLAT_LANES, 3 * FLAT_LANES), 0);
-    }
-
-    #[test]
-    fn stamp_bitset_basics() {
-        let mut b = StampBitset::new(130);
-        assert!(b.is_empty());
-        assert!(b.insert(0));
-        assert!(b.insert(129));
-        assert!(!b.insert(0), "duplicate insert reports not-new");
-        assert_eq!(b.len(), 2);
-        assert!(b.contains(0) && b.contains(129) && !b.contains(64));
-        assert_eq!(b.to_vec(), vec![0, 129]);
-        b.clear();
-        assert!(b.is_empty() && !b.contains(0));
-        assert_eq!(b.to_vec(), Vec::<u32>::new());
-        assert!(b.insert(64));
-        assert_eq!(b.word(1), 1);
-        assert_eq!(b.word(0), 0, "stale word reads as empty");
-    }
-
-    #[test]
-    fn stamp_bitset_survives_stamp_wrap() {
-        let mut b = StampBitset::new(70);
-        b.insert(3);
-        // Force the wrap: the next clear must reset every word stamp, so
-        // no word from an ancient epoch can alias the fresh stamp.
-        b.stamp = u32::MAX;
-        b.clear();
-        assert_eq!(b.stamp, 1);
-        assert!(b.is_empty() && !b.contains(3));
-        b.insert(69);
-        assert_eq!(b.to_vec(), vec![69]);
     }
 }

@@ -11,10 +11,9 @@ use proptest::prelude::*;
 
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::{DirectionPolicy, LongPhaseMode, SsspConfig};
-use sssp_core::engine::run_sssp;
 use sssp_core::{
     run, seq, threaded_delta_stepping, EngineScratch, Lockstep, NoopRecorder, Query, RunOutput,
-    Threaded,
+    RunStats, Threaded,
 };
 use sssp_dist::DistGraph;
 use sssp_graph::rmat::{RmatGenerator, RmatParams};
@@ -69,15 +68,15 @@ proptest! {
         let dg = Arc::new(DistGraph::build(&g, p, 2));
         let model = MachineModel::bgq_like();
         for cfg in config_matrix() {
-            let simulated = run_sssp(&dg, root, &cfg, &model);
+            let (simulated, _) = traced_lockstep(&dg, root, &cfg, &model);
             let threaded = threaded_delta_stepping(&dg, root, &cfg, &model);
-            prop_assert_eq!(
-                &threaded.distances,
-                &simulated.distances,
-                "p = {}, cfg = {:?}",
-                p,
-                &cfg
-            );
+            let at = format!("p = {p}, cfg = {cfg:?}");
+            prop_assert_eq!(&threaded.distances, &simulated.distances, "{}", &at);
+            // The untraced decision may stop at its push bound; the traced
+            // one always reduces the exact estimate. Same choices, so the
+            // same epochs and the same messages.
+            prop_assert_eq!(threaded.epochs, simulated.epochs, "{}", &at);
+            prop_assert_eq!(relax_counters(&threaded), relax_counters(&simulated), "{}", &at);
         }
     }
 
@@ -124,6 +123,54 @@ proptest! {
             prop_assert_eq!(b.coalesced_msgs, a.coalesced_msgs);
         }
     }
+}
+
+/// A traced lockstep run, whose every §III-C decision reduces the exact
+/// estimate, and the long-phase mode of each of its recorded buckets.
+fn traced_lockstep(
+    dg: &DistGraph,
+    root: u32,
+    cfg: &SsspConfig,
+    model: &MachineModel,
+) -> (RunOutput, Vec<LongPhaseMode>) {
+    let stats = RunStats::for_run(dg, Some(model));
+    let (out, recorded) = run(dg, &Query::root(root), cfg, model, Lockstep, stats);
+    let modes = recorded[0].bucket_records.iter().map(|b| b.mode).collect();
+    (out, modes)
+}
+
+#[test]
+fn untraced_threaded_decisions_match_traced_lockstep_on_rmat() {
+    // Untraced, a decision whose unreached-mass bound already picks push
+    // skips the exact pull estimate. On RMAT-2 the heuristic picks pull in
+    // some buckets and push in others, so a bound that took push where the
+    // full estimate takes pull would move the epochs or the relax counters.
+    let rmat = RmatGenerator::new(RmatParams::RMAT2, 12, 16)
+        .seed(1)
+        .generate_weighted(255);
+    let g = CsrBuilder::new().build(&rmat);
+    let dg = Arc::new(DistGraph::build(&g, 2, 2));
+    let model = MachineModel::bgq_like();
+    let (mut pulls, mut pushes) = (0, 0);
+    for cfg in config_matrix() {
+        let (traced, modes) = traced_lockstep(&dg, 0, &cfg, &model);
+        let threaded = threaded_delta_stepping(&dg, 0, &cfg, &model);
+        assert_eq!(threaded.distances, traced.distances, "{cfg:?}");
+        assert_eq!(threaded.epochs, traced.epochs, "{cfg:?}");
+        assert_eq!(
+            relax_counters(&threaded),
+            relax_counters(&traced),
+            "{cfg:?}"
+        );
+        if cfg.direction == DirectionPolicy::Heuristic {
+            pulls += modes.iter().filter(|&&m| m == LongPhaseMode::Pull).count();
+            pushes += modes.iter().filter(|&&m| m == LongPhaseMode::Push).count();
+        }
+    }
+    assert!(
+        pulls > 0 && pushes > 0,
+        "pull buckets {pulls}, push buckets {pushes}"
+    );
 }
 
 /// The three relax counters of a run.
