@@ -179,9 +179,10 @@ fn main() {
         }
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (cache_hits, cache_misses) = server.cache_stats();
-    let peak_inflight = server.peak_inflight();
-    let (panicked, timed_out) = server.failure_stats();
+    let stats = server.stats();
+    let (cache_hits, cache_misses) = (stats.cache_hits, stats.cache_misses);
+    let peak_inflight = stats.peak_inflight;
+    let (panicked, timed_out) = (stats.panicked, stats.timed_out);
 
     let record = ServingRecord {
         family: family.name().to_string(),

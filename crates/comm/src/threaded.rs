@@ -25,12 +25,15 @@
 //! finished reading bank `r & 1` in episode `r`. So no slot is overwritten
 //! before its last reader is done, with no trailing barrier.
 //!
-//! * Reductions publish into per-rank [`AtomicU64`] lanes (one cache line
-//!   per rank and bank) and fold all ranks' lanes after the crossing.
+//! * An allreduce publishes its lanes ([`Lane`]) into per-rank
+//!   [`AtomicU64`] slots (five per rank and bank, one cache line) and folds
+//!   all ranks' slots lane by lane after the crossing.
 //! * An exchange posts each batch into a `p × p` mailbox of
 //!   `Mutex<Option<Vec<M>>>` cells — cell `(dst, src)` is locked by `src`
 //!   before the crossing and by `dst` after it, so never contended — and
-//!   drains its row in source-rank order.
+//!   drains its row in source-rank order. Drained batches become the next
+//!   superstep's send buffers; [`Comm::shrink`] bounds that spare pool
+//!   against the caller's high-water mark.
 //!
 //! The barrier (`Barrier`) is sense-reversing over atomics; a waiter
 //! climbs a spin → `yield_now` → `Condvar` ladder (see `Barrier::wait`).
@@ -38,6 +41,8 @@
 //! panic out of the rendezvous instead of waiting for it forever.
 //!
 //! [`AtomicU64`]: std::sync::atomic::AtomicU64
+//! [`Comm::shrink`]: crate::transport::Comm::shrink
+//! [`Lane`]: crate::transport::Lane
 //! [`RankCtx`]: crate::threaded::RankCtx
 
 use std::cell::Cell;
@@ -47,19 +52,16 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::exchange::Outbox;
-use crate::fingerprint::{
-    fp_mix, FP_EXCHANGE, FP_REDUCE_ANY, FP_REDUCE_FUSED, FP_REDUCE_MAX, FP_REDUCE_MIN,
-    FP_REDUCE_SUM, FP_WINDOW,
-};
+use crate::fingerprint::{fp_mix, fp_reduce, FP_EXCHANGE};
 use crate::lockorder;
 use crate::stats::StepStats;
-use crate::transport::Comm;
+use crate::transport::{Comm, Lane};
 use crate::Rank;
 
-/// Smallest buffer capacity [`RankCtx::trim_spares`] will ever release. A
-/// quiet epoch (empty buckets, pull-only phases) observes a zero high-water
-/// mark; without a floor that computed `limit = 0` and dumped the *entire*
-/// spare pool, forcing every lane to reallocate on the next busy epoch.
+/// Smallest buffer capacity [`Comm::shrink`] will ever release. A quiet
+/// epoch (empty buckets, pull-only phases) observes a zero high-water mark;
+/// without a floor that would dump the *entire* spare pool, forcing every
+/// lane to reallocate on the next busy epoch.
 pub const SPARE_CAPACITY_FLOOR: usize = 64;
 
 /// Checks of the barrier word a waiter makes back to back before it starts
@@ -85,8 +87,8 @@ const YIELD_WINDOW: Duration = Duration::from_millis(1);
 /// [`Barrier::aborted`] while every rank is healthy.
 const NO_RANK: usize = usize::MAX;
 
-/// Reduction lanes per rank: the fused decision collective carries five
-/// values, every other collective one or two.
+/// Reduction lanes per rank: the widest allreduce (the §III-C decision's)
+/// carries five values, every other collective one or two.
 const LANES: usize = 5;
 
 /// One rank's reduction lanes in one parity bank, on a cache line of its
@@ -264,24 +266,6 @@ impl<M> Drop for AbortOnUnwind<M> {
     }
 }
 
-/// One rank's transport counts for a single pooled exchange, as seen from
-/// that rank: messages it sent to itself (`sent_local`), messages it put on
-/// the wire (`sent_remote`, with `sent_remote_bytes` of traffic) and the
-/// bytes it received from other ranks (`recv_remote_bytes`).
-/// Summing `sent_*` over all ranks reproduces the global per-superstep
-/// accounting of [`crate::exchange::exchange_pooled`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExchangeCounts {
-    /// Messages this rank addressed to itself (never on the wire).
-    pub sent_local: u64,
-    /// Messages this rank sent to other ranks.
-    pub sent_remote: u64,
-    /// Wire bytes of this rank's remote sends.
-    pub sent_remote_bytes: u64,
-    /// Wire bytes this rank received from other ranks.
-    pub recv_remote_bytes: u64,
-}
-
 /// Per-rank context handed to the rank's thread. `M` is the message type
 /// of this world.
 pub struct RankCtx<M> {
@@ -294,20 +278,12 @@ pub struct RankCtx<M> {
     /// batches drained at superstep `s` become the send buffers of `s + 1`,
     /// so the pool never holds more than `p` vectors.
     spare: Vec<Vec<M>>,
-    /// Largest batch moved through [`RankCtx::exchange_pooled`] since the
-    /// last [`RankCtx::trim_spares`] — the spare pool's high-water mark.
-    watermark: usize,
-    /// Largest batch moved through [`RankCtx::exchange_pooled`] since the
-    /// last [`RankCtx::finish_query`] — the *query*-scoped high-water mark.
-    /// Unlike `watermark` it survives per-epoch trims, so the end-of-query
-    /// trim reflects the whole query's traffic, not just its last epoch.
-    query_watermark: usize,
     /// Rolling collective-schedule fingerprint (see [`crate::fingerprint`]).
     /// `Cell` because several collectives take `&self`; the value is strictly
     /// rank-private.
     fp: Cell<u64>,
     /// Epoch tag mixed into the fingerprint; advanced by the kernel through
-    /// [`RankCtx::set_epoch`] at bucket boundaries.
+    /// [`Comm::set_epoch`] at bucket boundaries.
     epoch: Cell<u64>,
     /// Runtime twin of the static lock-order model: records this thread's
     /// actual acquisition order and checks it against
@@ -334,19 +310,6 @@ impl<M: Send> RankCtx<M> {
         self.fp.set(fp_mix(self.fp.get(), kind, self.epoch.get()));
     }
 
-    /// Set the epoch tag mixed into subsequent fingerprint updates. Kernels
-    /// call this at bucket boundaries so a skipped epoch shows up as a
-    /// fingerprint divergence even when the collective kinds happen to line
-    /// up.
-    pub fn set_epoch(&self, epoch: u64) {
-        self.epoch.set(epoch);
-    }
-
-    /// This rank's rolling collective-schedule fingerprint.
-    pub fn schedule_fingerprint(&self) -> u64 {
-        self.fp.get()
-    }
-
     /// Debug-build cross-rank check that every rank has executed the same
     /// collective schedule: one episode max-reduces the fingerprint and its
     /// complement (the minimum in disguise) and asserts they agree. A no-op
@@ -370,13 +333,6 @@ impl<M: Send> RankCtx<M> {
                 self.epoch.get()
             );
         }
-    }
-
-    /// Test hook: xor `salt` into this rank's fingerprint so differential
-    /// tests can prove [`RankCtx::assert_schedule_uniform`] actually fires.
-    #[cfg(debug_assertions)]
-    pub fn perturb_fingerprint(&self, salt: u64) {
-        self.fp.set(self.fp.get() ^ salt);
     }
 
     /// Test hook: seed a held→acquired pair into the runtime lock-order
@@ -420,30 +376,30 @@ impl<M: Send> RankCtx<M> {
         self.exchange_pooled_counted(out, inbox, 0);
     }
 
-    /// [`RankCtx::exchange_pooled`] plus per-rank transport accounting:
-    /// returns how many messages this rank kept local vs. put on the wire,
-    /// and the byte volume it sent and received at `msg_bytes` per message.
-    pub fn exchange_pooled_counted(
+    /// [`RankCtx::exchange_pooled`] plus this rank's share of the step
+    /// record at `msg_bytes` per message: what it kept local, what it put
+    /// on the wire, and the bytes it sent and received. Summed (maxima:
+    /// maxed) over the ranks these reproduce the global accounting of
+    /// [`crate::exchange::exchange_pooled`].
+    fn exchange_pooled_counted(
         &mut self,
         out: &mut [Vec<M>],
         inbox: &mut Vec<M>,
         msg_bytes: usize,
-    ) -> ExchangeCounts {
+    ) -> StepStats {
         assert_eq!(out.len(), self.p, "outbox fan-out mismatch");
         self.note_collective(FP_EXCHANGE);
         let wire = |count: u64| count * msg_bytes as u64;
         let round = self.next_round();
         let mailbox = &self.shared.mailbox[(round & 1) as usize];
-        let mut counts = ExchangeCounts::default();
+        let mut step = StepStats::default();
         for (dst, msgs) in out.iter_mut().enumerate() {
-            self.watermark = self.watermark.max(msgs.len());
-            self.query_watermark = self.query_watermark.max(msgs.len());
             let k = msgs.len() as u64;
             if dst == self.rank {
-                counts.sent_local += k;
+                step.local_msgs += k;
             } else {
-                counts.sent_remote += k;
-                counts.sent_remote_bytes += wire(k);
+                step.remote_msgs += k;
+                step.remote_bytes += wire(k);
             }
             let mut buf = self.spare.pop().unwrap_or_default();
             buf.append(msgs);
@@ -481,54 +437,14 @@ impl<M: Send> RankCtx<M> {
             // barrier itself is broken, hence the allowed panic below.
             // sssp-lint: allow(no-panic-hot-path): barrier guarantees the batch; a hole is unrecoverable
             let mut batch = batch.expect("missing batch");
-            self.watermark = self.watermark.max(batch.len());
-            self.query_watermark = self.query_watermark.max(batch.len());
             if src != self.rank {
-                counts.recv_remote_bytes += wire(batch.len() as u64);
+                step.max_rank_recv_bytes += wire(batch.len() as u64);
             }
             inbox.append(&mut batch);
             self.spare.push(batch);
         }
-        counts
-    }
-
-    /// Release spare transport buffers whose capacity exceeds 4× the
-    /// high-water mark observed since the previous call (but never below
-    /// [`SPARE_CAPACITY_FLOOR`], so a quiet epoch keeps its warm pool),
-    /// then reset the mark. Purely rank-local (no rendezvous): each rank
-    /// bounds its own pool at epoch boundaries so one outsized superstep
-    /// cannot pin its peak allocation for the rest of the run.
-    ///
-    /// Returns the number of buffers released.
-    pub fn trim_spares(&mut self) -> usize {
-        let limit = self.watermark.saturating_mul(4).max(SPARE_CAPACITY_FLOOR);
-        let before = self.spare.len();
-        self.spare.retain(|b| b.capacity() <= limit);
-        self.watermark = 0;
-        before - self.spare.len()
-    }
-
-    /// Close out one query's pool accounting: release spare buffers whose
-    /// capacity exceeds 4× the *query* high-water mark (floored at
-    /// [`SPARE_CAPACITY_FLOOR`]), then reset both marks. Under back-to-back
-    /// queries over a resident context this is what keeps a small query
-    /// from inheriting a large query's flood-sized spares forever: the
-    /// per-epoch [`RankCtx::trim_spares`] bound is relative to the *current*
-    /// epoch's traffic, while this bound is relative to the query that just
-    /// ended, so the pool shrinks to each query's own footprint before the
-    /// buffers are handed to the next one.
-    ///
-    /// Returns the number of buffers released.
-    pub fn finish_query(&mut self) -> usize {
-        let limit = self
-            .query_watermark
-            .saturating_mul(4)
-            .max(SPARE_CAPACITY_FLOOR);
-        let before = self.spare.len();
-        self.spare.retain(|b| b.capacity() <= limit);
-        self.watermark = 0;
-        self.query_watermark = 0;
-        before - self.spare.len()
+        step.max_rank_send_bytes = step.remote_bytes;
+        step
     }
 
     /// Seed the transport pool with buffers recycled from a previous run
@@ -548,16 +464,10 @@ impl<M: Send> RankCtx<M> {
         std::mem::take(&mut self.spare)
     }
 
-    /// Capacity of the largest buffer currently in the spare pool (0 when
-    /// empty). Diagnostic for pool-bound tests and the serving benchmark.
-    pub fn max_spare_capacity(&self) -> usize {
-        self.spare.iter().map(Vec::capacity).max().unwrap_or(0)
-    }
-
     /// One reduction episode, without the fingerprint update: publish
     /// `mine` into this round's bank, cross once, and hand every rank's
-    /// lanes to `fold` in rank order. Shared by the public collectives
-    /// (which mix their own kind codes first) and by the debug self-checks,
+    /// lanes to `fold` in rank order. Shared by [`RankCtx::reduce`] (which
+    /// mixes the reduce's kind first) and by the debug self-checks,
     /// whose meta-collectives must not perturb the fingerprint they check.
     /// Lane accesses are `Relaxed`: the crossing orders them (see
     /// [`Barrier`]).
@@ -573,58 +483,26 @@ impl<M: Send> RankCtx<M> {
         }
     }
 
-    /// A single-value allreduce of `kind`: fold every rank's contribution
-    /// into `init` with `fold`, in rank order.
-    fn reduce(&self, kind: u64, value: u64, init: u64, fold: impl Fn(u64, u64) -> u64) -> u64 {
-        self.note_collective(kind);
-        let mut acc = init;
-        self.episode([value], |[v]| acc = fold(acc, v));
-        acc
-    }
-
-    /// Minimum allreduce: every rank receives the smallest contribution.
-    pub fn allreduce_min(&self, value: u64) -> u64 {
-        self.reduce(FP_REDUCE_MIN, value, u64::MAX, u64::min)
-    }
-
-    /// Minimum allreduce of per-rank epoch-window proposals: a min-reduce
-    /// fingerprinted with its own kind, so policies that issue the window
-    /// collective hold schedules distinct from those that do not.
-    pub fn allreduce_min_window(&self, value: u64) -> u64 {
-        self.reduce(FP_WINDOW, value, u64::MAX, u64::min)
-    }
-
-    /// Maximum allreduce: every rank receives the largest contribution.
-    pub fn allreduce_max(&self, value: u64) -> u64 {
-        self.reduce(FP_REDUCE_MAX, value, 0, u64::max)
+    /// One allreduce episode: every other rank's lanes merged into this
+    /// rank's, lane by lane with the lane's op. Takes `&self`, so a context
+    /// moved into a closure can still reduce (see
+    /// [`RankCtx::allreduce_sum`]).
+    fn reduce<const N: usize>(&self, mut lanes: [Lane; N]) -> [u64; N] {
+        self.note_collective(fp_reduce(lanes.iter().map(|lane| lane.code())));
+        let mut src = 0;
+        self.episode(lanes.map(Lane::value), |theirs| {
+            if src != self.rank {
+                lanes = std::array::from_fn(|i| lanes[i].merge(theirs[i]));
+            }
+            src += 1;
+        });
+        lanes.map(Lane::value)
     }
 
     /// Sum allreduce: every rank receives the total of all contributions.
     pub fn allreduce_sum(&self, value: u64) -> u64 {
-        self.reduce(FP_REDUCE_SUM, value, 0, |a, b| a + b)
-    }
-
-    /// Logical-or allreduce.
-    pub fn any(&self, flag: bool) -> bool {
-        self.reduce(FP_REDUCE_ANY, u64::from(flag), 0, u64::max) != 0
-    }
-
-    /// Fused allreduce: two sums and three maxima in one episode (the
-    /// threaded side of [`Comm::allreduce_fused`]).
-    pub fn allreduce_fused(&self, sums: [u64; 2], maxes: [u64; 3]) -> ([u64; 2], [u64; 3]) {
-        self.note_collective(FP_REDUCE_FUSED);
-        let (mut sum, mut max) = ([0u64; 2], [0u64; 3]);
-        self.episode(
-            [sums[0], sums[1], maxes[0], maxes[1], maxes[2]],
-            |[s0, s1, m0, m1, m2]| {
-                sum[0] += s0;
-                sum[1] += s1;
-                max[0] = max[0].max(m0);
-                max[1] = max[1].max(m1);
-                max[2] = max[2].max(m2);
-            },
-        );
-        (sum, max)
+        let [sum] = self.reduce([Lane::Sum(value)]);
+        sum
     }
 }
 
@@ -637,31 +515,11 @@ impl<M: Send> Comm<M> for RankCtx<M> {
     }
 
     fn set_epoch(&mut self, epoch: u64) {
-        RankCtx::set_epoch(self, epoch);
+        self.epoch.set(epoch);
     }
 
-    fn allreduce_min(&mut self, value: u64) -> u64 {
-        RankCtx::allreduce_min(self, value)
-    }
-
-    fn allreduce_max(&mut self, value: u64) -> u64 {
-        RankCtx::allreduce_max(self, value)
-    }
-
-    fn allreduce_sum(&mut self, value: u64) -> u64 {
-        RankCtx::allreduce_sum(self, value)
-    }
-
-    fn allreduce_min_window(&mut self, value: u64) -> u64 {
-        RankCtx::allreduce_min_window(self, value)
-    }
-
-    fn any(&mut self, flag: bool) -> bool {
-        RankCtx::any(self, flag)
-    }
-
-    fn allreduce_fused(&mut self, sums: [u64; 2], maxes: [u64; 3]) -> ([u64; 2], [u64; 3]) {
-        RankCtx::allreduce_fused(self, sums, maxes)
+    fn allreduce<const N: usize>(&mut self, lanes: [Lane; N]) -> [u64; N] {
+        self.reduce(lanes)
     }
 
     fn exchange(
@@ -674,23 +532,13 @@ impl<M: Send> Comm<M> for RankCtx<M> {
             out.len() == 1 && inboxes.len() == 1,
             "a rank thread owns exactly one rank"
         );
-        let c = self.exchange_pooled_counted(&mut out[0].out, &mut inboxes[0], msg_bytes);
-        StepStats {
-            remote_msgs: c.sent_remote,
-            local_msgs: c.sent_local,
-            remote_bytes: c.sent_remote_bytes,
-            max_rank_send_bytes: c.sent_remote_bytes,
-            max_rank_recv_bytes: c.recv_remote_bytes,
-            coalesced_msgs: 0,
-        }
+        self.exchange_pooled_counted(&mut out[0].out, &mut inboxes[0], msg_bytes)
     }
 
-    fn end_epoch(&mut self) {
-        self.trim_spares();
-    }
-
-    fn end_query(&mut self) {
-        self.finish_query();
+    /// Purely rank-local (no rendezvous): each rank bounds its own pool.
+    fn shrink(&mut self, high_water: usize) {
+        let limit = high_water.saturating_mul(4).max(SPARE_CAPACITY_FLOOR);
+        self.spare.retain(|b| b.capacity() <= limit);
     }
 
     fn assert_consistent(&self, _sent: u64, _delivered: u64) {
@@ -753,8 +601,6 @@ where
             shared: Arc::clone(&shared),
             round: Cell::new(0),
             spare: Vec::new(),
-            watermark: 0,
-            query_watermark: 0,
             fp: Cell::new(0),
             epoch: Cell::new(0),
             lock_rec: lockorder::Recorder::new(),
@@ -794,6 +640,26 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Probes of the rank-private state the tests check.
+    impl<M> RankCtx<M> {
+        /// This rank's rolling collective-schedule fingerprint.
+        fn schedule_fingerprint(&self) -> u64 {
+            self.fp.get()
+        }
+
+        /// Xor `salt` into this rank's fingerprint, so a test can prove
+        /// [`RankCtx::assert_schedule_uniform`] fires.
+        #[cfg(debug_assertions)]
+        fn perturb_fingerprint(&self, salt: u64) {
+            self.fp.set(self.fp.get() ^ salt);
+        }
+
+        /// Capacity of the largest buffer in the spare pool (0 when empty).
+        fn max_spare_capacity(&self) -> usize {
+            self.spare.iter().map(Vec::capacity).max().unwrap_or(0)
+        }
+    }
 
     /// One exchange of freshly built lanes, returning the inbox.
     fn exchange_once<M: Send>(ctx: &mut RankCtx<M>, mut out: Vec<Vec<M>>) -> Vec<M> {
@@ -841,29 +707,37 @@ mod tests {
             ctx.allreduce_sum(ctx.rank() as u64 + 1)
         });
         assert!(sums.iter().all(|&s| s == 15));
-        let mins = run_threaded(5, |ctx: RankCtx<()>| {
-            ctx.allreduce_min(10 - ctx.rank() as u64)
+        let mins = run_threaded(5, |mut ctx: RankCtx<()>| {
+            ctx.allreduce([Lane::Min(10 - ctx.rank() as u64)])
         });
-        assert!(mins.iter().all(|&m| m == 6));
+        assert!(mins.iter().all(|&m| m == [6]));
     }
 
     #[test]
     fn fused_allreduce_sums_and_maxes_lane_by_lane() {
-        let out = run_threaded(4, |ctx: RankCtx<()>| {
+        let out = run_threaded(4, |mut ctx: RankCtx<()>| {
             let r = ctx.rank() as u64;
-            ctx.allreduce_fused([r, 10 * r], [r, 7 - r, 3])
+            ctx.allreduce([
+                Lane::Sum(r),
+                Lane::Sum(10 * r),
+                Lane::Max(r),
+                Lane::Max(7 - r),
+                Lane::Max(3),
+            ])
         });
         for got in out {
-            assert_eq!(got, ([6, 60], [3, 7, 3]));
+            assert_eq!(got, [6, 60, 3, 7, 3]);
         }
     }
 
     #[test]
     fn any_detects_single_flag() {
-        let out = run_threaded(4, |ctx: RankCtx<()>| ctx.any(ctx.rank() == 2));
-        assert!(out.iter().all(|&b| b));
-        let out = run_threaded(4, |ctx: RankCtx<()>| ctx.any(false));
-        assert!(out.iter().all(|&b| !b));
+        let out = run_threaded(4, |mut ctx: RankCtx<()>| {
+            ctx.allreduce([Lane::Any(ctx.rank() == 2)])
+        });
+        assert!(out.iter().all(|&b| b == [1]));
+        let out = run_threaded(4, |mut ctx: RankCtx<()>| ctx.allreduce([Lane::Any(false)]));
+        assert!(out.iter().all(|&b| b == [0]));
     }
 
     #[test]
@@ -875,7 +749,7 @@ mod tests {
                 let out: Vec<Vec<u64>> = (0..p).map(|_| vec![x]).collect();
                 let inbox = exchange_once(&mut ctx, out);
                 x = *inbox.iter().max().unwrap();
-                if ctx.any(x >= 2) {
+                if ctx.allreduce([Lane::Any(x >= 2)]) == [1] {
                     break;
                 }
             }
@@ -937,154 +811,58 @@ mod tests {
 
     #[test]
     fn allreduce_wrappers_agree_with_the_generic_form() {
-        let results = run_threaded(4, |ctx: RankCtx<()>| {
+        let results = run_threaded(4, |mut ctx: RankCtx<()>| {
             let v = ctx.rank() as u64 + 3;
-            (
-                ctx.allreduce_min(v),
-                ctx.allreduce_max(v),
+            let one_by_one = [
+                ctx.allreduce([Lane::Min(v)])[0],
+                ctx.allreduce([Lane::Max(v)])[0],
                 ctx.allreduce_sum(v),
-            )
+                ctx.allreduce([Lane::Window(v)])[0],
+            ];
+            let lanes = ctx.allreduce([Lane::Min(v), Lane::Max(v), Lane::Sum(v), Lane::Window(v)]);
+            (one_by_one, lanes)
         });
-        for (mn, mx, sum) in results {
-            assert_eq!(mn, 3);
-            assert_eq!(mx, 6);
-            assert_eq!(sum, 3 + 4 + 5 + 6);
+        for (one_by_one, lanes) in results {
+            assert_eq!(one_by_one, [3, 6, 3 + 4 + 5 + 6, 3]);
+            assert_eq!(lanes, one_by_one);
         }
     }
 
     #[test]
-    fn trim_spares_releases_oversized_pool_buffers() {
-        let trims = run_threaded(2, |mut ctx: RankCtx<u64>| {
+    fn shrink_bounds_the_spare_pool_by_the_callers_mark() {
+        // The driver's pool policy on one rank: a flood epoch, quiet epochs,
+        // then a trickle query, each closed by `shrink` with the mark the
+        // caller observed. After every call no spare exceeds
+        // max(4 × mark, SPARE_CAPACITY_FLOOR).
+        let runs = run_threaded(2, |mut ctx: RankCtx<u64>| {
             let p = ctx.num_ranks();
             let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
             let mut inbox = Vec::new();
-            // Epoch 1: a flood superstep grows the recycled buffers.
-            for lane in out.iter_mut() {
-                lane.extend(0..5000);
-            }
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            let flood_trim = ctx.trim_spares();
-            // Epoch 2: steady trickle; the flood-sized spares now exceed
-            // 4× the epoch's high-water mark and must be released.
-            for lane in out.iter_mut() {
-                lane.push(1);
-            }
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            let steady_trim = ctx.trim_spares();
-            // Later supersteps keep working after the pool was emptied.
-            for lane in out.iter_mut() {
-                lane.push(2);
-            }
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            (flood_trim, steady_trim, inbox.len())
+            // One epoch moving `len` messages per lane, then the bound;
+            // returns (largest spare, spares held).
+            let mut epoch = |ctx: &mut RankCtx<u64>, len: u64| {
+                for lane in out.iter_mut() {
+                    lane.extend(0..len);
+                }
+                ctx.exchange_pooled(&mut out, &mut inbox);
+                assert_eq!(inbox.len() as u64, p as u64 * len);
+                ctx.shrink(len as usize);
+                let cap = ctx.max_spare_capacity();
+                let bound = (4 * len as usize).max(SPARE_CAPACITY_FLOOR);
+                assert!(cap <= bound, "mark {len}: spare of {cap} past {bound}");
+                (cap, ctx.spare.len())
+            };
+            let flood = epoch(&mut ctx, 5000);
+            let quiet = [epoch(&mut ctx, 0), epoch(&mut ctx, 0)];
+            let trickle = epoch(&mut ctx, 1);
+            let quiet_after = epoch(&mut ctx, 0);
+            (flood, quiet, trickle, quiet_after)
         });
-        for (flood_trim, steady_trim, len) in trims {
-            assert_eq!(flood_trim, 0, "peak epoch keeps its pool");
-            assert!(steady_trim > 0, "oversized spares must be released");
-            assert_eq!(len, 2);
-        }
-    }
-
-    #[test]
-    fn trim_spares_keeps_pool_through_quiet_epochs() {
-        // Regression: a quiet epoch (no traffic at all) observes a zero
-        // high-water mark. The trim limit used to collapse to 0 and release
-        // every spare buffer, forcing reallocation next epoch.
-        let trims = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            // Epoch 1: modest traffic seeds the spare pool with small
-            // buffers (capacity well under the floor).
-            for lane in out.iter_mut() {
-                lane.extend(0..8);
-            }
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            ctx.trim_spares();
-            // Epoch 2: completely quiet — empty lanes, zero watermark.
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            let quiet_trim = ctx.trim_spares();
-            // Epoch 3: traffic resumes; the pool must still be warm.
-            for lane in out.iter_mut() {
-                lane.push(9);
-            }
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            (quiet_trim, inbox.len())
-        });
-        for (quiet_trim, len) in trims {
-            assert_eq!(quiet_trim, 0, "quiet epoch must keep its warm pool");
-            assert_eq!(len, 2);
-        }
-    }
-
-    #[test]
-    fn finish_query_bounds_the_pool_for_mixed_size_query_sequences() {
-        // Regression for the serving layer: a flood query must not pin its
-        // flood-sized spares into the next (tiny) query. Per-epoch
-        // `trim_spares` cannot catch this — its bound is relative to the
-        // *current* epoch's watermark, and the flood query's own last epoch
-        // legitimately keeps the big buffers. The per-query trim releases
-        // them once the next small query ends.
-        let caps = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            // Query 1: flood.
-            for lane in out.iter_mut() {
-                lane.extend(0..5000);
-            }
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            ctx.trim_spares();
-            ctx.finish_query();
-            let after_flood = ctx.max_spare_capacity();
-            // Query 2: trickle. Epoch trim alone would keep the flood spares
-            // forever (they were within bound at the flood query's end).
-            for lane in out.iter_mut() {
-                lane.push(1);
-            }
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            ctx.trim_spares();
-            ctx.finish_query();
-            let after_trickle = ctx.max_spare_capacity();
-            // Query 3: pool still works after the release.
-            for lane in out.iter_mut() {
-                lane.push(2);
-            }
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            (after_flood, after_trickle, inbox.len())
-        });
-        for (after_flood, after_trickle, len) in caps {
-            assert!(after_flood >= 5000, "flood query keeps its own pool");
-            assert!(
-                after_trickle <= SPARE_CAPACITY_FLOOR,
-                "small query must shed the flood-sized spares \
-                 (max spare capacity {after_trickle})"
-            );
-            assert_eq!(len, 2);
-        }
-    }
-
-    #[test]
-    fn finish_query_uses_the_whole_query_watermark_not_the_last_epoch() {
-        // The query-level mark must survive the per-epoch mark reset: after
-        // a busy epoch plus `trim_spares` (which zeroes the epoch watermark),
-        // `finish_query` still knows the query moved 1000-message batches
-        // and keeps the warm pool instead of collapsing to the floor.
-        let caps = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            for lane in out.iter_mut() {
-                lane.extend(0..1000);
-            }
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            ctx.trim_spares();
-            let released = ctx.finish_query();
-            (released, ctx.max_spare_capacity())
-        });
-        for (released, cap) in caps {
-            assert_eq!(released, 0, "busy epoch is within the query bound");
-            assert!(cap >= 1000, "query-scoped mark must keep the warm pool");
+        for (flood, quiet, trickle, quiet_after) in runs {
+            assert!(flood.0 >= 5000, "the flood epoch keeps its own pool");
+            assert_eq!(quiet[0].1, 0, "a quiet epoch sheds flood-sized spares");
+            assert_eq!(trickle.1, 2, "the trickle query warms the pool again");
+            assert_eq!(quiet_after, trickle, "a quiet epoch keeps a warm pool");
         }
     }
 
@@ -1141,12 +919,13 @@ mod tests {
         });
         for (rank, (c, received)) in counts.into_iter().enumerate() {
             let own = rank as u64 + 1;
-            assert_eq!(c.sent_local, own, "rank {rank}");
-            assert_eq!(c.sent_remote, 2 * own, "rank {rank}");
-            assert_eq!(c.sent_remote_bytes, 2 * own * 8, "rank {rank}");
+            assert_eq!(c.local_msgs, own, "rank {rank}");
+            assert_eq!(c.remote_msgs, 2 * own, "rank {rank}");
+            assert_eq!(c.remote_bytes, 2 * own * 8, "rank {rank}");
+            assert_eq!(c.max_rank_send_bytes, c.remote_bytes, "rank {rank}");
             // Receives one batch of src+1 messages from each other rank.
             let recv_remote: u64 = (0..3u64).filter(|&s| s != rank as u64).map(|s| s + 1).sum();
-            assert_eq!(c.recv_remote_bytes, recv_remote * 8, "rank {rank}");
+            assert_eq!(c.max_rank_recv_bytes, recv_remote * 8, "rank {rank}");
             assert_eq!(received as u64, recv_remote + own, "rank {rank}");
         }
     }
@@ -1158,11 +937,11 @@ mod tests {
                 let p = ctx.num_ranks();
                 for epoch in 0..3 {
                     ctx.set_epoch(epoch);
-                    ctx.allreduce_min(ctx.rank() as u64);
+                    ctx.allreduce([Lane::Min(ctx.rank() as u64)]);
                     let mut out: Vec<Vec<u64>> = (0..p).map(|_| vec![1]).collect();
                     let mut inbox = Vec::new();
                     ctx.exchange_pooled(&mut out, &mut inbox);
-                    ctx.any(ctx.rank() == 0);
+                    ctx.allreduce([Lane::Any(ctx.rank() == 0), Lane::Sum(1)]);
                     ctx.assert_schedule_uniform();
                 }
                 ctx.schedule_fingerprint()
@@ -1177,15 +956,34 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_schedules() {
-        let a = run_threaded(2, |ctx: RankCtx<u64>| {
-            ctx.allreduce_min(0);
+        let a = run_threaded(2, |mut ctx: RankCtx<u64>| {
+            ctx.allreduce([Lane::Min(0)]);
             ctx.schedule_fingerprint()
         });
-        let b = run_threaded(2, |ctx: RankCtx<u64>| {
-            ctx.allreduce_max(0);
+        let b = run_threaded(2, |mut ctx: RankCtx<u64>| {
+            ctx.allreduce([Lane::Max(0)]);
             ctx.schedule_fingerprint()
         });
         assert_ne!(a[0], b[0]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "collective schedule diverged")]
+    fn an_extra_reduce_on_one_rank_trips_the_uniformity_assertion() {
+        // Rank 1 issues one reduce more than its peers. Their first check
+        // crosses with that reduce (its min of 0 passes the check's
+        // max-lanes unnoticed); their second crosses with rank 1's check,
+        // where the fingerprints disagree.
+        run_threaded(3, |mut ctx: RankCtx<u64>| {
+            ctx.allreduce([Lane::Sum(1)]);
+            if ctx.rank() == 1 {
+                ctx.allreduce([Lane::Min(0)]);
+            } else {
+                ctx.assert_schedule_uniform();
+            }
+            ctx.assert_schedule_uniform();
+        });
     }
 
     #[test]
@@ -1207,7 +1005,7 @@ mod tests {
         for p in [1, 3, 5] {
             let obs = run_threaded(p, move |mut ctx: RankCtx<u64>| {
                 ctx.allreduce_sum(ctx.rank() as u64);
-                ctx.any(false);
+                ctx.allreduce([Lane::Any(false)]);
                 exchange_once(&mut ctx, vec![vec![1]; p]);
                 (ctx.observed_locks(), ctx.observed_lock_pairs())
             });
@@ -1309,9 +1107,9 @@ mod tests {
     fn single_rank_world() {
         let out = run_threaded(1, |mut ctx: RankCtx<u32>| {
             let inbox = exchange_once(&mut ctx, vec![vec![7, 8]]);
-            (inbox, ctx.allreduce_max(9))
+            (inbox, ctx.allreduce([Lane::Max(9), Lane::Any(true)]))
         });
         assert_eq!(out[0].0, vec![7, 8]);
-        assert_eq!(out[0].1, 9);
+        assert_eq!(out[0].1, [9, 1]);
     }
 }

@@ -6,6 +6,7 @@ use sssp_comm::exchange::{exchange_pooled, pack_sorted_run, MinTable, Outbox};
 use sssp_comm::packet::PacketConfig;
 use sssp_comm::stats::StepStats;
 use sssp_comm::threaded::{run_threaded, RankCtx};
+use sssp_comm::transport::{Comm, Lane};
 
 /// Arbitrary traffic pattern: a list of (src, dst, payload) sends over p ranks.
 fn arb_traffic() -> impl Strategy<Value = (usize, Vec<(usize, usize, u32)>)> {
@@ -188,22 +189,26 @@ proptest! {
 
     #[test]
     fn collectives_match_reference(vals in proptest::collection::vec(0u64..u32::MAX as u64, 1..6)) {
-        // Rank r contributes vals[r]; every rank must see the reference.
-        let reference = (
+        // Rank r contributes vals[r]; every rank must see the reference,
+        // from the one-lane sum and from one five-lane reduce of every op.
+        let (sum, min, max) = (
             vals.iter().sum::<u64>(),
-            vals.iter().copied().min(),
-            vals.iter().copied().max(),
-            vals.iter().any(|v| v % 2 == 0),
+            *vals.iter().min().unwrap(),
+            *vals.iter().max().unwrap(),
         );
+        let even = u64::from(vals.iter().any(|v| v % 2 == 0));
+        let reference = (sum, [sum, min, max, even, min]);
         let shared = std::sync::Arc::new(vals.clone());
-        let per_rank = run_threaded(vals.len(), move |ctx: RankCtx<u64>| {
+        let per_rank = run_threaded(vals.len(), move |mut ctx: RankCtx<u64>| {
             let v = shared[ctx.rank()];
-            (
-                ctx.allreduce_sum(v),
-                Some(ctx.allreduce_min(v)),
-                Some(ctx.allreduce_max(v)),
-                ctx.any(v % 2 == 0),
-            )
+            let lanes = ctx.allreduce([
+                Lane::Sum(v),
+                Lane::Min(v),
+                Lane::Max(v),
+                Lane::Any(v % 2 == 0),
+                Lane::Window(v),
+            ]);
+            (ctx.allreduce_sum(v), lanes)
         });
         for got in per_rank {
             prop_assert_eq!(got, reference);

@@ -4,7 +4,7 @@
 //! and checks each result against the value computed sequentially from the
 //! seed — contributions are a pure function of `(seed, round, rank)`, so
 //! every rank knows what every other rank contributed. The program mixes
-//! all collective kinds, the fused reduce, the debug self-checks, and
+//! every lane op, the five-lane decision shape, the debug self-checks, and
 //! back-to-back exchanges with *no* collective between them (the long-pull
 //! request → response shape), which is the sequence only the mailbox's
 //! parity banks keep apart. Seeded per-rank jitter (`yield_now`, sleeps
@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use sssp_comm::fingerprint::fp_mix;
 use sssp_comm::threaded::{run_threaded, RankCtx};
-use sssp_comm::transport::Comm;
+use sssp_comm::transport::{Comm, Lane};
 
 const ROUNDS: u64 = 2_000;
 
@@ -104,32 +104,38 @@ fn program(seed: u64, mut ctx: RankCtx<u64>) -> u64 {
         let tag = format!("p {p} seed {seed} round {round} rank {me}");
         match draw(seed, round, 0, 0x400) % 9 {
             0 => assert_eq!(
-                ctx.allreduce_min(mine),
-                all(round, 0).min().unwrap(),
+                ctx.allreduce([Lane::Min(mine)]),
+                [all(round, 0).min().unwrap()],
                 "{tag}"
             ),
             1 => assert_eq!(
-                ctx.allreduce_max(mine),
-                all(round, 0).max().unwrap(),
+                ctx.allreduce([Lane::Max(mine)]),
+                [all(round, 0).max().unwrap()],
                 "{tag}"
             ),
             2 => assert_eq!(ctx.allreduce_sum(mine), all(round, 0).sum::<u64>(), "{tag}"),
             3 => assert_eq!(
-                ctx.allreduce_min_window(mine),
-                all(round, 0).min().unwrap(),
+                ctx.allreduce([Lane::Window(mine)]),
+                [all(round, 0).min().unwrap()],
                 "{tag}"
             ),
             4 => assert_eq!(
-                ctx.any(mine & 7 == 0),
-                all(round, 0).any(|v| v & 7 == 0),
+                ctx.allreduce([Lane::Any(mine & 7 == 0)]),
+                [u64::from(all(round, 0).any(|v| v & 7 == 0))],
                 "{tag}"
             ),
             5 => {
                 let lane = |l: u64| contribution(seed, round, me, l);
-                let got = ctx.allreduce_fused([lane(0), lane(1)], [lane(2), lane(3), lane(4)]);
+                let got = ctx.allreduce([
+                    Lane::Sum(lane(0)),
+                    Lane::Sum(lane(1)),
+                    Lane::Max(lane(2)),
+                    Lane::Max(lane(3)),
+                    Lane::Max(lane(4)),
+                ]);
                 let sum = |l| all(round, l).sum::<u64>();
                 let max = |l| all(round, l).max().unwrap();
-                assert_eq!(got, ([sum(0), sum(1)], [max(2), max(3), max(4)]), "{tag}");
+                assert_eq!(got, [sum(0), sum(1), max(2), max(3), max(4)], "{tag}");
             }
             6 => lanes.exchange(&mut ctx, |src, dst| batch(seed, round, src, dst)),
             7 => {

@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
 use sssp_comm::stats::CommStats;
-use sssp_comm::transport::Comm;
+use sssp_comm::transport::{Comm, Lane};
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
 
@@ -225,14 +225,13 @@ impl Spmd for Bfs {
         let mut level = 0u32;
         loop {
             let active = ranks.state.iter().any(|rk| !rk.frontier.is_empty());
+            let lanes = [Lane::Any(active), Lane::Any(spmd::past(self.deadline))];
             // sssp-lint: protocol: bfs.level-active
-            let verdict = ctx.allreduce_sum(spmd::with_expiry(u64::from(active), self.deadline));
-            meter.reduced(TimeClass::Bucket);
-            let (active, expired) = spmd::split_expiry(verdict);
+            let [active, expired] = meter.allreduce(ctx, lanes);
             if active == 0 {
                 break;
             }
-            if expired {
+            if expired != 0 {
                 timed_out = true;
                 break;
             }
@@ -246,10 +245,8 @@ impl Spmd for Bfs {
                 .sum();
             let fs = ranks.state.iter().map(|rk| rk.frontier.len() as u64).sum();
             // sssp-lint: protocol: bfs.frontier-volume
-            let frontier_edges = ctx.allreduce_sum(fe);
-            let frontier_size = ctx.allreduce_sum(fs);
-            meter.reduced(TimeClass::Bucket);
-            meter.reduced(TimeClass::Bucket);
+            let [frontier_edges] = meter.allreduce(ctx, [Lane::Sum(fe)]);
+            let [frontier_size] = meter.allreduce(ctx, [Lane::Sum(fs)]);
             let bottom_up = frontier_edges > dg.m_directed / ALPHA
                 || (level > 0 && frontier_size > n as u64 / BETA);
 

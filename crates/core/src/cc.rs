@@ -18,9 +18,9 @@
 use std::borrow::Borrow;
 use std::time::Instant;
 
-use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
+use sssp_comm::cost::{MachineModel, TimeLedger};
 use sssp_comm::stats::CommStats;
-use sssp_comm::transport::Comm;
+use sssp_comm::transport::{Comm, Lane};
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
 
@@ -127,14 +127,13 @@ impl Spmd for Cc {
         let (mut rounds, mut timed_out) = (0u64, false);
         loop {
             let active = ranks.state.iter().any(|rk| !rk.active.is_empty());
+            let lanes = [Lane::Any(active), Lane::Any(spmd::past(self.deadline))];
             // sssp-lint: protocol: cc.round-active
-            let verdict = ctx.allreduce_sum(spmd::with_expiry(u64::from(active), self.deadline));
-            meter.reduced(TimeClass::Bucket);
-            let (active, expired) = spmd::split_expiry(verdict);
+            let [active, expired] = meter.allreduce(ctx, lanes);
             if active == 0 {
                 break;
             }
-            if expired {
+            if expired != 0 {
                 timed_out = true;
                 break;
             }

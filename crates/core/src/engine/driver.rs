@@ -10,12 +10,13 @@
 //! collective sequence whatever it owns. That sequence is the protocol
 //! table `sssp-lint --protocol` extracts from this file.
 //!
-//! Cost-model charges are recorder events placed at the schedule's charge
-//! sites: one `Bucket` collective per selection / cutoff / deadline /
-//! window / activity / settle reduction, **one** `Relax` collective per
-//! decision (its push bound and, when that does not settle it, its pull
-//! estimate); a `Bucket` scan for the window collection,
-//! a `Relax` scan for the pull-request sweep; one superstep per exchange.
+//! Every reduce goes through one helper (`Driver::allreduce`) that also
+//! times its wait and raises its cost-model charge: one `Bucket` collective
+//! per selection / cutoff / deadline / window / activity / settle
+//! reduction, **one** `Relax` collective per decision (its push bound and,
+//! when that does not settle it, its pull estimate). The other charges are
+//! a `Bucket` scan for the window collection, a `Relax` scan for the
+//! pull-request sweep and one superstep per exchange.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -26,7 +27,7 @@ use sssp_comm::cost::{MachineModel, TimeClass};
 use sssp_comm::exchange::{pack_sorted_run, shrink_oversized, MinTable, Outbox};
 use sssp_comm::stats::StepStats;
 use sssp_comm::threaded::SPARE_CAPACITY_FLOOR;
-use sssp_comm::transport::Comm;
+use sssp_comm::transport::{Comm, Lane};
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
 
@@ -443,11 +444,8 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 .map(|st| st.next_nonempty_after(k_prev).unwrap_or(u64::MAX))
                 .min()
                 .unwrap_or(u64::MAX);
-            let waited = self.clock();
             // sssp-lint: protocol: epoch.select
-            let k = self.ctx.allreduce_min(k_owned);
-            self.span(SubPhase::CollectiveWait, waited);
-            self.rec.collective(TimeClass::Bucket);
+            let [k] = self.allreduce(Some(TimeClass::Bucket), [Lane::Min(k_owned)]);
             if k == u64::MAX {
                 break;
             }
@@ -474,11 +472,8 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                     .iter()
                     .find(|st| st.rank == owner)
                     .map_or(INF, |st| st.dist[local]);
-                let waited = self.clock();
                 // sssp-lint: protocol: epoch.target-cutoff
-                let td = self.ctx.allreduce_min(td_owned);
-                self.span(SubPhase::CollectiveWait, waited);
-                self.rec.collective(TimeClass::Bucket);
+                let [td] = self.allreduce(Some(TimeClass::Bucket), [Lane::Min(td_owned)]);
                 if td <= self.policy.window(k, k, None).start_dist {
                     break;
                 }
@@ -490,12 +485,9 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             // all ranks break together, none wedges a peer mid-rendezvous.
             if let Some(deadline) = job.deadline {
                 let expired = Instant::now() >= deadline;
-                let waited = self.clock();
                 // sssp-lint: protocol: epoch.deadline
-                let stop = self.ctx.any(expired);
-                self.span(SubPhase::CollectiveWait, waited);
-                self.rec.collective(TimeClass::Bucket);
-                if stop {
+                let [stop] = self.allreduce(Some(TimeClass::Bucket), [Lane::Any(expired)]);
+                if stop != 0 {
                     self.out.timed_out = true;
                     break;
                 }
@@ -587,11 +579,8 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                 .iter()
                 .map(|st| st.window_count(window.lo, window.hi))
                 .sum();
-            let waited = self.clock();
             // sssp-lint: protocol: epoch.settle
-            let settled_k = self.ctx.allreduce_sum(settled_owned);
-            self.span(SubPhase::CollectiveWait, waited);
-            self.rec.collective(TimeClass::Bucket);
+            let [settled_k] = self.allreduce(Some(TimeClass::Bucket), [Lane::Sum(settled_owned)]);
             settled_total += settled_k;
             self.rec.settled(settled_k);
             // The next epoch starts past the *window*, not the selected
@@ -604,7 +593,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             // and inboxes that ballooned past 4× this epoch's high-water
             // mark, so a one-off giant superstep cannot pin memory for the
             // rest of the run.
-            self.ctx.end_epoch();
+            self.ctx.shrink(self.epoch_hwm);
             self.bufs.shrink(self.epoch_hwm);
             self.query_hwm = self.query_hwm.max(self.epoch_hwm);
             self.epoch_hwm = 0;
@@ -620,8 +609,9 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         // Covers the epochs that exit early (empty-bucket break, the
         // point-to-point cutoff and the deadline).
         self.check_consistency();
-        self.ctx.end_query();
-        self.bufs.shrink(self.query_hwm.max(self.epoch_hwm));
+        let query_hwm = self.query_hwm.max(self.epoch_hwm);
+        self.ctx.shrink(query_hwm);
+        self.bufs.shrink(query_hwm);
         self.rec.finish();
         self.out.dist = self.bufs.st.iter().map(|st| st.dist.clone()).collect();
         self.out
@@ -661,6 +651,24 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
 
     // -- collectives -------------------------------------------------------
 
+    /// Every reduce of the epoch loop: one allreduce of `lanes` (each
+    /// already folded over the owned ranks), its wait attributed to
+    /// [`SubPhase::CollectiveWait`] and, given a `charge` class, one
+    /// collective charged to the cost model.
+    fn allreduce<const N: usize>(
+        &mut self,
+        charge: Option<TimeClass>,
+        lanes: [Lane; N],
+    ) -> [u64; N] {
+        let waited = self.clock();
+        let reduced = self.ctx.allreduce(lanes);
+        self.span(SubPhase::CollectiveWait, waited);
+        if let Some(class) = charge {
+            self.rec.collective(class);
+        }
+        reduced
+    }
+
     /// The window-selection collective: min-reduce the per-rank window
     /// proposals for the epoch starting at bucket `k`.
     fn window_collective(&mut self, k: u64) -> u64 {
@@ -674,20 +682,13 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             .min()
             .unwrap_or(u64::MAX);
         self.span(SubPhase::Scan, scanning);
-        let waited = self.clock();
-        let hi = self.ctx.allreduce_min_window(proposal);
-        self.span(SubPhase::CollectiveWait, waited);
-        self.rec.collective(TimeClass::Bucket);
+        let [hi] = self.allreduce(Some(TimeClass::Bucket), [Lane::Window(proposal)]);
         hi
     }
 
     fn any_active(&mut self) -> bool {
         let active = self.bufs.st.iter().any(|st| !st.active.is_empty());
-        let waited = self.clock();
-        let any = self.ctx.any(active);
-        self.span(SubPhase::CollectiveWait, waited);
-        self.rec.collective(TimeClass::Bucket);
-        any
+        self.allreduce(Some(TimeClass::Bucket), [Lane::Any(active)]) == [1]
     }
 
     /// The §III-C push/pull decision for the window's long phase:
@@ -721,8 +722,14 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         let locals = &self.job.dg.locals;
         let (w_max, unreached_bound) = (self.max_weight, self.policy.short_bound());
         let scanning = self.clock();
-        let owned = self.bufs.fan_out(
-            (0, 0, 0, 0, 0),
+        let lanes = self.bufs.fan_out(
+            [
+                Lane::Sum(0),
+                Lane::Sum(0),
+                Lane::Max(0),
+                Lane::Max(0),
+                Lane::Max(0),
+            ],
             |io| {
                 let (push, mass, scanned) = decide::rank_push_bound(
                     &locals[io.st.rank],
@@ -733,27 +740,21 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
                     cfg.pull_estimator,
                     w_max,
                 );
-                (push, mass, push, mass, scanned)
+                [
+                    Lane::Sum(push),
+                    Lane::Sum(mass),
+                    Lane::Max(push),
+                    Lane::Max(mass),
+                    Lane::Max(scanned),
+                ]
             },
-            |a, b| {
-                (
-                    a.0 + b.0,
-                    a.1 + b.1,
-                    a.2.max(b.2),
-                    a.3.max(b.3),
-                    a.4.max(b.4),
-                )
-            },
+            |a, b| std::array::from_fn(|i| a[i].merge(b[i].value())),
         );
         self.span(SubPhase::Scan, scanning);
-        let waited = self.clock();
-        let ([push_total, mass_total], [push_max, mass_max, scan_max]) = self
-            .ctx
-            .allreduce_fused([owned.0, owned.1], [owned.2, owned.3, owned.4]);
-        self.span(SubPhase::CollectiveWait, waited);
         // The ledger charges the decision one collective however many
         // reductions it takes.
-        self.rec.collective(TimeClass::Relax);
+        let [push_total, mass_total, push_max, mass_max, scan_max] =
+            self.allreduce(Some(TimeClass::Relax), lanes);
         let (model, p) = (self.job.model, self.job.dg.num_ranks());
         let decide = |pull_total, pull_max| {
             decide::decide_from_totals(
@@ -784,11 +785,8 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             (sum + pull, max.max(pull))
         });
         self.span(SubPhase::Scan, scanning);
-        let waited = self.clock();
         // sssp-lint: protocol: decide.pull-estimate
-        let ([pull_total, _], [pull_max, _, _]) =
-            self.ctx.allreduce_fused([pull, 0], [pull_max, 0, 0]);
-        self.span(SubPhase::CollectiveWait, waited);
+        let [pull_total, pull_max] = self.allreduce(None, [Lane::Sum(pull), Lane::Max(pull_max)]);
         let (mode, est_push, est_pull) = decide(pull_total, pull_max);
         (forced.unwrap_or(mode), est_push, est_pull)
     }

@@ -154,7 +154,7 @@ pub enum SubPhase {
     ExchangeWait,
     /// The receive side: applying an inbox to the rank state.
     Apply,
-    /// Inside a reduction (`allreduce_*` / `any`), i.e. mostly waiting for
+    /// Inside a reduction (`Comm::allreduce`), i.e. mostly waiting for
     /// the slowest peer to arrive.
     CollectiveWait,
 }

@@ -22,9 +22,9 @@
 use std::borrow::Borrow;
 use std::time::Instant;
 
-use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
+use sssp_comm::cost::{MachineModel, TimeLedger};
 use sssp_comm::stats::CommStats;
-use sssp_comm::transport::Comm;
+use sssp_comm::transport::{Comm, Lane};
 use sssp_dist::DistGraph;
 
 use crate::engine::{Lockstep, Spmd, Transport};
@@ -156,11 +156,13 @@ impl Spmd for PageRank {
             // The dangling mass, redistributed uniformly, is the global
             // count of degree-0 vertices times that score: an integer
             // reduce, which carries the deadline verdict too.
+            let lanes = [
+                Lane::Sum(dangling_owned),
+                Lane::Any(spmd::past(self.deadline)),
+            ];
             // sssp-lint: protocol: pagerank.dangling-count
-            let verdict = ctx.allreduce_sum(spmd::with_expiry(dangling_owned, self.deadline));
-            meter.reduced(TimeClass::Bucket);
-            let (dangling, expired) = spmd::split_expiry(verdict);
-            if expired {
+            let [dangling, expired] = meter.allreduce(ctx, lanes);
+            if expired != 0 {
                 timed_out = true;
                 break;
             }
@@ -208,9 +210,8 @@ impl Spmd for PageRank {
             // Residuals are non-negative, where f64 bits order like values.
             let residual = residuals.into_iter().fold(0.0f64, f64::max);
             // sssp-lint: protocol: pagerank.residual
-            let residual = f64::from_bits(ctx.allreduce_max(residual.to_bits()));
-            meter.reduced(TimeClass::Bucket);
-            if residual < cfg.tolerance {
+            let [residual] = meter.allreduce(ctx, [Lane::Max(residual.to_bits())]);
+            if f64::from_bits(residual) < cfg.tolerance {
                 converged = true;
                 break;
             }

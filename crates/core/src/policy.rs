@@ -23,10 +23,10 @@
 //!   no window collective.
 //! * `Rho(ρ)` — ρ-stepping at Δ = 1: each epoch extends the window until
 //!   ≈ρ vertices (cap ⌈ρ/p⌉ per rank) are inside, found with one
-//!   `allreduce_min` over per-rank prefix proposals.
+//!   min-reduce (the `Lane::Window` lane) over per-rank prefix proposals.
 //! * `Radius(ρ)` — radius stepping at Δ = 1: the window reaches to the
 //!   frontier minimum of `d(v) + r(v)`, where `r(v)` is the ρ-th smallest
-//!   incident edge weight, again via one `allreduce_min`.
+//!   incident edge weight, again via one window min-reduce.
 //!
 //! After the hybrid switch every rule's window also reaches at least the
 //! tail's doubling floor (DESIGN.md §6g).
@@ -137,7 +137,7 @@ impl Policy {
         }
     }
 
-    /// This rank's proposal for the window end, fed into `allreduce_min`.
+    /// This rank's proposal for the window end, fed into the window lane.
     /// Depends only on rank-local state that is itself a deterministic
     /// function of the (deterministic) message history — never on rank id
     /// or timing. [`NO_PROPOSAL`] when the local state imposes no bound.

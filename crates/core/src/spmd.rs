@@ -1,7 +1,7 @@
 //! The plumbing the SPMD analytics kernels — BFS, connected components and
 //! PageRank — share: the ranks a process owns with their lanes, the
-//! simulator's ledgers, the deadline verdict folded into a per-round
-//! reduce, and the gather of per-rank results into global vertex order.
+//! simulator's ledgers with the one reduce helper that charges them, and
+//! the gather of per-rank results into global vertex order.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -11,7 +11,7 @@ use rayon::prelude::*;
 use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
 use sssp_comm::exchange::Outbox;
 use sssp_comm::stats::{CommStats, StepStats};
-use sssp_comm::transport::Comm;
+use sssp_comm::transport::{Comm, Lane};
 use sssp_dist::DistGraph;
 
 /// The ranks one process owns: each rank's kernel state `S`, and its
@@ -82,7 +82,20 @@ impl Meter {
         }
     }
 
-    /// One allreduce, charged to `class`.
+    /// Every reduce of the kernels: one allreduce of `lanes` (each already
+    /// folded over the owned ranks) on `ctx`, charged as one `Bucket`
+    /// collective.
+    pub(crate) fn allreduce<M, C: Comm<M>, const N: usize>(
+        &mut self,
+        ctx: &mut C,
+        lanes: [Lane; N],
+    ) -> [u64; N] {
+        self.reduced(TimeClass::Bucket);
+        ctx.allreduce(lanes)
+    }
+
+    /// One collective charged to `class` (bottom-up BFS charges its
+    /// frontier exchange as one).
     pub(crate) fn reduced(&mut self, class: TimeClass) {
         if self.on {
             self.comm.collectives += 1;
@@ -153,17 +166,8 @@ pub(crate) fn gather<T: Copy, X: Default>(
     (values, record, comm, ledger, timed_out)
 }
 
-/// Fold this process's deadline verdict into its contribution `low` to a
-/// per-round sum: the reduced total carries the summed `low` (below 2³²
-/// world-wide) in its low half and the count of processes past `deadline`
-/// in its high half. See [`split_expiry`].
-pub(crate) fn with_expiry(low: u64, deadline: Option<Instant>) -> u64 {
-    let expired = deadline.is_some_and(|d| Instant::now() >= d);
-    low | u64::from(expired) << 32
-}
-
-/// Split a reduced [`with_expiry`] total into the summed contributions and
-/// whether any process was past its deadline.
-pub(crate) fn split_expiry(total: u64) -> (u64, bool) {
-    (total & u64::from(u32::MAX), total >> 32 != 0)
+/// Whether this process is past `deadline`: the kernels' contribution to
+/// the deadline lane of their per-round reduce.
+pub(crate) fn past(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
 }

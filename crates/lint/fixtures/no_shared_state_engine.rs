@@ -17,10 +17,10 @@ fn rolls_its_own_superstep(p: usize) {
 // The sanctioned surface: everything below goes through RankCtx and must
 // stay clean.
 fn sanctioned_rank_body(ctx: &mut sssp_comm::threaded::RankCtx<u64>) -> u64 {
-    let k = ctx.allreduce_min(7);
+    let [k] = ctx.allreduce([Lane::Min(7)]);
     let mut out = vec![Vec::new(); ctx.num_ranks()];
     let mut inbox = Vec::new();
     ctx.exchange_pooled(&mut out, &mut inbox);
-    ctx.trim_spares();
+    ctx.shrink(inbox.len());
     k + ctx.allreduce_sum(inbox.len() as u64)
 }

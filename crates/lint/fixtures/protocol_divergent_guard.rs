@@ -15,6 +15,6 @@ fn divergent_reduce(ctx: &mut RankCtx, inbox: &[u64]) {
 fn clean_reduce(ctx: &mut RankCtx, st: &RankState) {
     let total = ctx.allreduce_sum(st.len());
     if total > 0 {
-        ctx.allreduce_max(total);
+        ctx.allreduce([Lane::Max(total)]);
     }
 }

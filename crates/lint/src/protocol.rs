@@ -72,8 +72,8 @@ pub fn in_scope(rel_path: &str) -> bool {
 /// The kind of a collective call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Op {
-    /// An allreduce/allgather rendezvous (every rank contributes, every
-    /// rank observes the combined value).
+    /// An allreduce rendezvous (every rank contributes, every rank
+    /// observes the combined value).
     Reduce,
     /// An all-to-all message exchange (one superstep boundary).
     Exchange,
@@ -240,19 +240,10 @@ fn render_kernel_sections(s: &mut String, kernels: &[&Schedule]) {
 // ---------------------------------------------------------------------------
 // terminal operations
 
-/// Idents that terminate the walk as a [`Op::Reduce`] in any call form.
-const REDUCE_IDENTS: &[&str] = &[
-    "allreduce",
-    "allreduce_sum",
-    "allreduce_min",
-    "allreduce_min_window",
-    "allreduce_max",
-    "allreduce_fused",
-    "allreduce_any",
-    "allreduce_sum_f64",
-    "allreduce_max_f64",
-    "allgather",
-];
+/// Idents that terminate the walk as a [`Op::Reduce`] in any call form:
+/// `Comm::allreduce` (and the helpers of the same name that wrap it), and
+/// `RankCtx::allreduce_sum`, kept for the benchmark.
+const REDUCE_IDENTS: &[&str] = &["allreduce", "allreduce_sum"];
 
 /// Idents that terminate the walk as an [`Op::Exchange`] in method position.
 const EXCHANGE_IDENTS: &[&str] = &["exchange", "exchange_pooled", "exchange_pooled_counted"];
@@ -266,9 +257,6 @@ fn terminal_op(t: &CallTok) -> Option<Op> {
         return None;
     }
     if REDUCE_IDENTS.contains(&t.ident.as_str()) {
-        return Some(Op::Reduce);
-    }
-    if t.ident == "any" && t.recv.as_deref() == Some("ctx") {
         return Some(Op::Reduce);
     }
     if t.method && EXCHANGE_IDENTS.contains(&t.ident.as_str()) {
@@ -499,7 +487,6 @@ const TAINT_SEEDS: &[&str] = &["rank", "out", "inbox", "req_inbox", "st", "lg"];
 /// every rank, and the config / the decision heuristics are uniform by
 /// construction.
 const UNIFORM: &[&str] = &[
-    "any",
     "any_active",
     "next_bucket",
     "enabled",
@@ -784,8 +771,8 @@ mod tests {
 
     #[test]
     fn call_tokens_classify_receivers_and_macros() {
-        let toks = call_tokens("ctx.allreduce_min(st.next_nonempty_after(k).unwrap_or(MAX));");
-        assert_eq!(toks[0].ident, "allreduce_min");
+        let toks = call_tokens("ctx.allreduce(st.next_nonempty_after(k).unwrap_or(MAX));");
+        assert_eq!(toks[0].ident, "allreduce");
         assert_eq!(toks[0].recv.as_deref(), Some("ctx"));
         assert!(toks[0].method);
         let toks = call_tokens("decide::rank_volumes(lg, st)");
@@ -799,7 +786,7 @@ mod tests {
     fn terminal_ops_are_token_exact() {
         let t = &call_tokens("self.episode(v, f)")[0];
         assert_eq!(terminal_op(t), None);
-        let t = &call_tokens("allgather(&vals, &mut comm)")[0];
+        let t = &call_tokens("Comm::allreduce(&mut ctx, lanes)")[0];
         assert_eq!(terminal_op(t), Some(Op::Reduce));
         let t = &call_tokens("bufs.exchange(BYTES, packet)")[0];
         assert_eq!(terminal_op(t), Some(Op::Exchange));
@@ -807,7 +794,7 @@ mod tests {
         assert_eq!(t.ident, "any");
         assert_eq!(terminal_op(t), None);
         let t = &call_tokens("ctx.any(flag)")[0];
-        assert_eq!(terminal_op(t), Some(Op::Reduce));
+        assert_eq!(terminal_op(t), None);
         let t = &call_tokens("barrier.wait()")[0];
         assert_eq!(terminal_op(t), Some(Op::Barrier));
     }
@@ -848,7 +835,7 @@ trait Rec {
 fn epoch_loop(&mut self) {
     loop {
         // sssp-lint: protocol: epoch.select
-        let k = self.ctx.allreduce_min(v);
+        let [k] = self.ctx.allreduce([Lane::Min(v)]);
         // sssp-lint: protocol: epoch.body
         self.body();
     }
@@ -903,7 +890,7 @@ fn body(&mut self) {
         let src = "\
 // sssp-lint: protocol-entry(engine)
 fn run(&mut self) {
-    let k = self.ctx.allreduce_min(v);
+    let [k] = self.ctx.allreduce([Lane::Min(v)]);
 }
 ";
         let a = analyze(&[("crates/core/src/engine/x.rs".to_string(), src.to_string())]);
@@ -940,9 +927,9 @@ fn f(ctx: &mut RankCtx) {
     }
     let total = ctx.allreduce_sum(v);
     if total > 0 {
-        ctx.allreduce_max(total);
+        ctx.allreduce([Lane::Max(total)]);
     }
-    while ctx.any(!st.active.is_empty()) {
+    while ctx.allreduce([Lane::Any(!st.active.is_empty())]) == [1] {
         ctx.exchange_pooled(out, inbox);
     }
 }
@@ -983,7 +970,7 @@ fn f(ctx: &mut RankCtx, target: Option<u32>) {
         noop(a, b);
     }
     if let Some(tv) = target {
-        ctx.allreduce_min(tv);
+        ctx.allreduce([Lane::Min(tv)]);
     }
 }
 ";

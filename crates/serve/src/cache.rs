@@ -31,8 +31,10 @@ pub struct DistanceCache {
     entries: BTreeMap<SeedKey, Arc<Vec<u64>>>,
     /// LRU order: front = coldest, back = hottest.
     order: VecDeque<SeedKey>,
-    hits: u64,
-    misses: u64,
+    /// Lookups answered from the cache since creation (survives `clear`).
+    pub(crate) hits: u64,
+    /// Lookups that missed since creation (survives `clear`).
+    pub(crate) misses: u64,
 }
 
 impl DistanceCache {
@@ -53,11 +55,6 @@ impl DistanceCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// `(hits, misses)` since creation (survives `clear`).
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// Look up a canonical seed set, counting a hit or miss and touching
@@ -125,7 +122,7 @@ mod tests {
         assert!(c.get(&key(1)).is_none());
         c.insert(key(1), field(10));
         assert_eq!(c.get(&key(1)).as_deref(), Some(&vec![10; 4]));
-        assert_eq!(c.stats(), (1, 1));
+        assert_eq!((c.hits, c.misses), (1, 1));
         assert_eq!(c.len(), 1);
     }
 
@@ -170,6 +167,6 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert!(c.get(&key(1)).is_none());
-        assert_eq!(c.stats(), (1, 1));
+        assert_eq!((c.hits, c.misses), (1, 1));
     }
 }

@@ -53,7 +53,7 @@ pub mod cache;
 pub mod server;
 
 pub use cache::DistanceCache;
-pub use server::{ServeConfig, SsspServer, Ticket};
+pub use server::{ServeConfig, ServeStats, SsspServer, Ticket};
 
 use std::sync::Arc;
 

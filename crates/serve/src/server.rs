@@ -337,34 +337,40 @@ impl SsspServer {
         self.shared.num_vertices.store(n, Ordering::Release);
     }
 
-    /// The current graph generation (0 until the first [`rebuild`]).
-    ///
-    /// [`rebuild`]: SsspServer::rebuild
-    pub fn generation(&self) -> u64 {
+    /// One consistent snapshot of the server's counters.
+    pub fn stats(&self) -> ServeStats {
         let q = self.shared.lock_queue();
-        q.generation
+        ServeStats {
+            generation: q.generation,
+            cache_hits: q.cache.hits,
+            cache_misses: q.cache.misses,
+            peak_inflight: q.peak_running,
+            panicked: q.panicked,
+            timed_out: q.timed_out,
+        }
     }
+}
 
-    /// Distance-cache `(hits, misses)` over the server's lifetime.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        let q = self.shared.lock_queue();
-        q.cache.stats()
-    }
-
-    /// The most queries ever observed running at the same instant —
-    /// the serving benchmark's concurrency gate.
-    pub fn peak_inflight(&self) -> usize {
-        let q = self.shared.lock_queue();
-        q.peak_running
-    }
-
-    /// `(panicked, timed_out)` ticket counts over the server's lifetime —
-    /// the serving telemetry block records both, and the benchmark gate
+/// The server's counters over its lifetime, read under one lock by
+/// [`SsspServer::stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeStats {
+    /// The current graph generation (0 until the first
+    /// [`SsspServer::rebuild`]).
+    pub generation: u64,
+    /// Lookups the distance cache answered.
+    pub cache_hits: u64,
+    /// Lookups the distance cache missed.
+    pub cache_misses: u64,
+    /// The most queries ever observed running at the same instant — the
+    /// serving benchmark's concurrency gate.
+    pub peak_inflight: usize,
+    /// Tickets that failed with [`QueryError::Panicked`].
+    pub panicked: u64,
+    /// Tickets that failed with [`QueryError::TimedOut`]. The serving
+    /// telemetry block records both failure counts, and the benchmark gate
     /// requires them to be zero on a clean run.
-    pub fn failure_stats(&self) -> (u64, u64) {
-        let q = self.shared.lock_queue();
-        (q.panicked, q.timed_out)
-    }
+    pub timed_out: u64,
 }
 
 impl Drop for SsspServer {

@@ -129,8 +129,9 @@ proptest! {
 
         // The counters account for exactly the probes, nothing timed out,
         // and the worker invariants survived the unwinding.
-        prop_assert_eq!(server.failure_stats(), (probes_seen, 0));
-        let peak = server.peak_inflight();
+        let stats = server.stats();
+        prop_assert_eq!((stats.panicked, stats.timed_out), (probes_seen, 0));
+        let peak = stats.peak_inflight;
         prop_assert!(
             (1..=3).contains(&peak),
             "peak inflight {} out of bounds after panics",

@@ -44,6 +44,12 @@ fn one_worker(dg: &Arc<DistGraph>, cfg: SsspConfig) -> SsspServer {
     )
 }
 
+/// `(panicked, timed_out)` ticket counts from one stats snapshot.
+fn failures(server: &SsspServer) -> (u64, u64) {
+    let stats = server.stats();
+    (stats.panicked, stats.timed_out)
+}
+
 /// Submit-and-wait for specs the test knows are valid.
 fn run_ok(server: &SsspServer, spec: QuerySpec) -> sssp_serve::QueryResult {
     server.run(spec).expect("valid query must succeed")
@@ -79,7 +85,8 @@ fn repeat_root_hits_the_cache_with_identical_distances() {
     assert!(p2p.cache_hit);
     assert_eq!(p2p.output.target_distance(), Some(d1[299]));
 
-    let (hits, misses) = server.cache_stats();
+    let stats = server.stats();
+    let (hits, misses) = (stats.cache_hits, stats.cache_misses);
     assert_eq!((hits, misses), (2, 1));
 }
 
@@ -124,7 +131,7 @@ fn rebuild_invalidates_the_cache_and_serves_the_new_graph() {
     assert_eq!(before.output.distances().expect("distances")[49], 49 * 3);
 
     server.rebuild(Arc::clone(&dg_heavy));
-    assert_eq!(server.generation(), 1);
+    assert_eq!(server.stats().generation, 1);
 
     let after = run_ok(&server, QuerySpec::SingleSource { root: 0 });
     assert!(!after.cache_hit, "rebuild must clear the cache");
@@ -245,7 +252,7 @@ fn concurrent_workers_stay_within_the_inflight_bound() {
             "root {root}"
         );
     }
-    let peak = server.peak_inflight();
+    let peak = server.stats().peak_inflight;
     assert!(
         (1..=4).contains(&peak),
         "peak inflight {peak} out of bounds"
@@ -302,7 +309,7 @@ fn out_of_range_submit_is_rejected_and_leaves_the_server_serviceable() {
     let res = run_ok(&server, QuerySpec::SingleSource { root: 0 });
     assert_eq!(res.output.distances().expect("distances")[9], 18);
     assert_eq!(
-        server.failure_stats(),
+        failures(&server),
         (0, 0),
         "rejected submits never reach a worker"
     );
@@ -323,7 +330,7 @@ fn deadline_in_the_past_times_out_without_running_the_engine() {
         )
         .expect("valid root");
     assert!(matches!(server.wait(t), Err(QueryError::TimedOut)));
-    assert_eq!(server.failure_stats(), (0, 1), "timeout must be counted");
+    assert_eq!(failures(&server), (0, 1), "timeout must be counted");
 
     // The same query without a deadline still succeeds afterwards.
     let res = run_ok(&server, QuerySpec::SingleSource { root: 0 });
@@ -341,7 +348,7 @@ fn times_out(spec: QuerySpec) {
         .submit_with_deadline(spec, Some(Duration::from_millis(5)))
         .expect("valid spec");
     assert!(matches!(server.wait(t), Err(QueryError::TimedOut)));
-    assert_eq!(server.failure_stats(), (0, 1), "timeout must be counted");
+    assert_eq!(failures(&server), (0, 1), "timeout must be counted");
 }
 
 #[test]
@@ -385,7 +392,7 @@ fn panic_probe_fails_its_own_ticket_only() {
         }
         other => panic!("expected Panicked, got {other:?}"),
     }
-    assert_eq!(server.failure_stats(), (1, 0), "panic must be counted");
+    assert_eq!(failures(&server), (1, 0), "panic must be counted");
 
     // The worker that caught the unwind keeps serving, bit-identically.
     let after = run_ok(&server, QuerySpec::SingleSource { root: 1 });
@@ -412,7 +419,7 @@ fn seed_offset_without_headroom_is_rejected_before_it_can_wrap() {
         QueryError::InvalidSpec(why) => assert!(why.contains("headroom"), "{why}"),
         other => panic!("expected InvalidSpec, got {other:?}"),
     }
-    assert_eq!(server.failure_stats(), (0, 0), "never reached a worker");
+    assert_eq!(failures(&server), (0, 0), "never reached a worker");
 
     // The bound itself is legal and exact: nothing on the path wraps.
     let top = sssp_core::max_seed_offset(50);
