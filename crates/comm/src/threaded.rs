@@ -828,41 +828,147 @@ mod tests {
         }
     }
 
+    /// One pooled exchange moving `len` messages on every lane.
+    fn pool_epoch(ctx: &mut RankCtx<u64>, out: &mut [Vec<u64>], inbox: &mut Vec<u64>, len: u64) {
+        for lane in out.iter_mut() {
+            lane.extend(0..len);
+        }
+        ctx.exchange_pooled(out, inbox);
+        assert_eq!(inbox.len() as u64, out.len() as u64 * len);
+    }
+
+    /// `Comm::shrink(mark)` and the number of spares it released.
+    fn shrink_released(ctx: &mut RankCtx<u64>, high_water: usize) -> usize {
+        let before = ctx.spare.len();
+        ctx.shrink(high_water);
+        let cap = ctx.max_spare_capacity();
+        let bound = (4 * high_water).max(SPARE_CAPACITY_FLOOR);
+        assert!(
+            cap <= bound,
+            "mark {high_water}: spare of {cap} past {bound}"
+        );
+        before - ctx.spare.len()
+    }
+
     #[test]
-    fn shrink_bounds_the_spare_pool_by_the_callers_mark() {
-        // The driver's pool policy on one rank: a flood epoch, quiet epochs,
-        // then a trickle query, each closed by `shrink` with the mark the
-        // caller observed. After every call no spare exceeds
-        // max(4 × mark, SPARE_CAPACITY_FLOOR).
-        let runs = run_threaded(2, |mut ctx: RankCtx<u64>| {
+    fn trim_spares_releases_oversized_pool_buffers() {
+        // The driver closes each epoch with `shrink(epoch mark)`.
+        let trims = run_threaded(2, |mut ctx: RankCtx<u64>| {
             let p = ctx.num_ranks();
             let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
             let mut inbox = Vec::new();
-            // One epoch moving `len` messages per lane, then the bound;
-            // returns (largest spare, spares held).
-            let mut epoch = |ctx: &mut RankCtx<u64>, len: u64| {
-                for lane in out.iter_mut() {
-                    lane.extend(0..len);
-                }
-                ctx.exchange_pooled(&mut out, &mut inbox);
-                assert_eq!(inbox.len() as u64, p as u64 * len);
-                ctx.shrink(len as usize);
-                let cap = ctx.max_spare_capacity();
-                let bound = (4 * len as usize).max(SPARE_CAPACITY_FLOOR);
-                assert!(cap <= bound, "mark {len}: spare of {cap} past {bound}");
-                (cap, ctx.spare.len())
-            };
-            let flood = epoch(&mut ctx, 5000);
-            let quiet = [epoch(&mut ctx, 0), epoch(&mut ctx, 0)];
-            let trickle = epoch(&mut ctx, 1);
-            let quiet_after = epoch(&mut ctx, 0);
-            (flood, quiet, trickle, quiet_after)
+            // Epoch 1: a flood superstep grows the recycled buffers.
+            pool_epoch(&mut ctx, &mut out, &mut inbox, 5000);
+            let flood_trim = shrink_released(&mut ctx, 5000);
+            // Epoch 2: steady trickle; the flood-sized spares now exceed
+            // 4× the epoch's high-water mark and must be released.
+            pool_epoch(&mut ctx, &mut out, &mut inbox, 1);
+            let steady_trim = shrink_released(&mut ctx, 1);
+            // Later supersteps keep working after the pool was emptied.
+            pool_epoch(&mut ctx, &mut out, &mut inbox, 1);
+            (flood_trim, steady_trim, inbox.len())
         });
-        for (flood, quiet, trickle, quiet_after) in runs {
-            assert!(flood.0 >= 5000, "the flood epoch keeps its own pool");
-            assert_eq!(quiet[0].1, 0, "a quiet epoch sheds flood-sized spares");
-            assert_eq!(trickle.1, 2, "the trickle query warms the pool again");
-            assert_eq!(quiet_after, trickle, "a quiet epoch keeps a warm pool");
+        for (flood_trim, steady_trim, len) in trims {
+            assert_eq!(flood_trim, 0, "peak epoch keeps its pool");
+            assert!(steady_trim > 0, "oversized spares must be released");
+            assert_eq!(len, 2);
+        }
+    }
+
+    #[test]
+    fn trim_spares_keeps_pool_through_quiet_epochs() {
+        // Regression: a quiet epoch (no traffic at all) has a zero mark.
+        // The bound used to collapse to 0 and release every spare buffer,
+        // forcing reallocation next epoch.
+        let trims = run_threaded(2, |mut ctx: RankCtx<u64>| {
+            let p = ctx.num_ranks();
+            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
+            let mut inbox = Vec::new();
+            // Epoch 1: modest traffic seeds the spare pool with small
+            // buffers (capacity well under the floor).
+            pool_epoch(&mut ctx, &mut out, &mut inbox, 8);
+            shrink_released(&mut ctx, 8);
+            let warm = ctx.spare.len();
+            // Epoch 2: completely quiet — empty lanes, zero mark.
+            pool_epoch(&mut ctx, &mut out, &mut inbox, 0);
+            let quiet_trim = shrink_released(&mut ctx, 0);
+            let kept = ctx.spare.len();
+            // Epoch 3: traffic resumes; the pool must still be warm.
+            pool_epoch(&mut ctx, &mut out, &mut inbox, 1);
+            (warm, quiet_trim, kept, inbox.len())
+        });
+        for (warm, quiet_trim, kept, len) in trims {
+            assert!(warm > 0, "a busy epoch leaves spares behind");
+            assert_eq!(quiet_trim, 0, "quiet epoch must keep its warm pool");
+            assert_eq!(kept, warm);
+            assert_eq!(len, 2);
+        }
+    }
+
+    #[test]
+    fn finish_query_bounds_the_pool_for_mixed_size_query_sequences() {
+        // Regression for the serving layer: a flood query must not pin its
+        // flood-sized spares into the next (tiny) query. The driver closes
+        // each epoch with `shrink(epoch mark)` and each query with
+        // `shrink(query mark)`; the flood query's own last epoch rightly
+        // keeps the big buffers, and the trickle query's close sheds them.
+        let caps = run_threaded(2, |mut ctx: RankCtx<u64>| {
+            let p = ctx.num_ranks();
+            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
+            let mut inbox = Vec::new();
+            // Query 1: flood.
+            pool_epoch(&mut ctx, &mut out, &mut inbox, 5000);
+            shrink_released(&mut ctx, 5000);
+            shrink_released(&mut ctx, 5000);
+            let after_flood = ctx.max_spare_capacity();
+            // Query 2: trickle.
+            pool_epoch(&mut ctx, &mut out, &mut inbox, 1);
+            shrink_released(&mut ctx, 1);
+            shrink_released(&mut ctx, 1);
+            let after_trickle = ctx.max_spare_capacity();
+            // Query 3: pool still works after the release.
+            pool_epoch(&mut ctx, &mut out, &mut inbox, 1);
+            (after_flood, after_trickle, inbox.len())
+        });
+        for (after_flood, after_trickle, len) in caps {
+            assert!(after_flood >= 5000, "flood query keeps its own pool");
+            assert!(
+                after_trickle <= SPARE_CAPACITY_FLOOR,
+                "small query must shed the flood-sized spares \
+                 (max spare capacity {after_trickle})"
+            );
+            assert_eq!(len, 2);
+        }
+    }
+
+    #[test]
+    fn finish_query_uses_the_whole_query_watermark_not_the_last_epoch() {
+        // The query mark is the maximum over the query's epoch marks, as
+        // the driver folds them: after a busy epoch the epoch mark resets
+        // to 0, and closing the query with the whole query's mark keeps the
+        // warm pool where the last epoch's mark would collapse it.
+        let caps = run_threaded(2, |mut ctx: RankCtx<u64>| {
+            let p = ctx.num_ranks();
+            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
+            let mut inbox = Vec::new();
+            let mut query_mark = 0;
+            pool_epoch(&mut ctx, &mut out, &mut inbox, 1000);
+            let mut epoch_mark = 1000;
+            shrink_released(&mut ctx, epoch_mark);
+            query_mark = query_mark.max(epoch_mark);
+            epoch_mark = 0;
+            let released = shrink_released(&mut ctx, query_mark.max(epoch_mark));
+            let cap = ctx.max_spare_capacity();
+            shrink_released(&mut ctx, epoch_mark);
+            (released, cap, ctx.max_spare_capacity())
+        });
+        for (released, cap, last_epoch_cap) in caps {
+            assert_eq!(released, 0, "busy epoch is within the query bound");
+            assert!(cap >= 1000, "query-scoped mark must keep the warm pool");
+            assert!(
+                last_epoch_cap <= SPARE_CAPACITY_FLOOR,
+                "the last epoch's mark alone sheds the pool"
+            );
         }
     }
 
