@@ -28,12 +28,13 @@
 //! * An allreduce publishes its lanes ([`Lane`]) into per-rank
 //!   [`AtomicU64`] slots (five per rank and bank, one cache line) and folds
 //!   all ranks' slots lane by lane after the crossing.
-//! * An exchange posts each batch into a `p × p` mailbox of
-//!   `Mutex<Option<Vec<M>>>` cells — cell `(dst, src)` is locked by `src`
-//!   before the crossing and by `dst` after it, so never contended — and
-//!   drains its row in source-rank order. Drained batches become the next
-//!   superstep's send buffers; [`Comm::shrink`] bounds that spare pool
-//!   against the caller's high-water mark.
+//! * An exchange posts each outbox lane, as it is, into a `p × p` mailbox
+//!   of `Mutex<Option<Vec<M>>>` cells — cell `(dst, src)` is locked by
+//!   `src` before the crossing and by `dst` after it, so never contended —
+//!   and drains its row in source-rank order. Each drained batch goes back,
+//!   empty with its capacity, as the caller's lane to that source: a rank
+//!   gets back as many buffers as it sent, so the transport holds none
+//!   between calls and, once the lanes are warm, allocates none.
 //!
 //! The barrier (`Barrier`) is sense-reversing over atomics; a waiter
 //! climbs a spin → `yield_now` → `Condvar` ladder (see `Barrier::wait`).
@@ -41,7 +42,6 @@
 //! panic out of the rendezvous instead of waiting for it forever.
 //!
 //! [`AtomicU64`]: std::sync::atomic::AtomicU64
-//! [`Comm::shrink`]: crate::transport::Comm::shrink
 //! [`Lane`]: crate::transport::Lane
 //! [`RankCtx`]: crate::threaded::RankCtx
 
@@ -57,12 +57,6 @@ use crate::lockorder;
 use crate::stats::StepStats;
 use crate::transport::{Comm, Lane};
 use crate::Rank;
-
-/// Smallest buffer capacity [`Comm::shrink`] will ever release. A quiet
-/// epoch (empty buckets, pull-only phases) observes a zero high-water mark;
-/// without a floor that would dump the *entire* spare pool, forcing every
-/// lane to reallocate on the next busy epoch.
-pub const SPARE_CAPACITY_FLOOR: usize = 64;
 
 /// Checks of the barrier word a waiter makes back to back before it starts
 /// giving up its time slice. Sized to cover the skew between ranks that are
@@ -274,10 +268,6 @@ pub struct RankCtx<M> {
     shared: Arc<Shared<M>>,
     /// Crossings this rank has completed; selects the parity bank.
     round: Cell<u64>,
-    /// Recycled transport buffers for [`RankCtx::exchange_pooled`]: the `p`
-    /// batches drained at superstep `s` become the send buffers of `s + 1`,
-    /// so the pool never holds more than `p` vectors.
-    spare: Vec<Vec<M>>,
     /// Rolling collective-schedule fingerprint (see [`crate::fingerprint`]).
     /// `Cell` because several collectives take `&self`; the value is strictly
     /// rank-private.
@@ -366,12 +356,12 @@ impl<M: Send> RankCtx<M> {
         round
     }
 
-    /// Pooled bulk-synchronous exchange: drains `out[dst]` into recycled
-    /// transport buffers, delivers the concatenated batches (source-rank
-    /// order) into `inbox`, and keeps every emptied buffer for the next
-    /// superstep. `out` lanes are left empty with capacity intact, so after
-    /// a warm-up superstep the steady state allocates nothing on either
-    /// side of the mailbox.
+    /// Bulk-synchronous exchange: posts each lane `out[dst]` to `dst` as it
+    /// is, delivers the batches addressed to this rank into `inbox` in
+    /// source-rank order, and hands each drained batch back as the lane
+    /// `out[src]`. Every lane is left empty with the capacity of the batch
+    /// it replaced, so once the lanes are warm the exchange allocates
+    /// nothing and moves each message once.
     pub fn exchange_pooled(&mut self, out: &mut [Vec<M>], inbox: &mut Vec<M>) {
         self.exchange_pooled_counted(out, inbox, 0);
     }
@@ -401,8 +391,7 @@ impl<M: Send> RankCtx<M> {
                 step.remote_msgs += k;
                 step.remote_bytes += wire(k);
             }
-            let mut buf = self.spare.pop().unwrap_or_default();
-            buf.append(msgs);
+            let batch = std::mem::take(msgs);
             let stale = {
                 let mut cell = self.lock_rec.track(
                     "mailbox",
@@ -412,7 +401,7 @@ impl<M: Send> RankCtx<M> {
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner),
                 );
-                cell.replace(buf)
+                cell.replace(batch)
             };
             debug_assert!(
                 stale.is_none(),
@@ -423,7 +412,7 @@ impl<M: Send> RankCtx<M> {
         // parity banks make a trailing barrier unnecessary (module docs).
         self.shared.barrier.wait(round);
         inbox.clear();
-        for src in 0..self.p {
+        for (src, lane) in out.iter_mut().enumerate() {
             let batch = {
                 let mut cell = self.lock_rec.track(
                     "mailbox",
@@ -441,27 +430,10 @@ impl<M: Send> RankCtx<M> {
                 step.max_rank_recv_bytes += wire(batch.len() as u64);
             }
             inbox.append(&mut batch);
-            self.spare.push(batch);
+            *lane = batch;
         }
         step.max_rank_send_bytes = step.remote_bytes;
         step
-    }
-
-    /// Seed the transport pool with buffers recycled from a previous run
-    /// on the same rank (cleared, capacity kept). Lets a serving layer keep
-    /// pools warm across queries even though each query spawns fresh rank
-    /// threads.
-    pub fn adopt_spares(&mut self, mut spares: Vec<Vec<M>>) {
-        for b in &mut spares {
-            b.clear();
-        }
-        self.spare.append(&mut spares);
-    }
-
-    /// Take the spare transport buffers out of this context (for example to
-    /// stash them in an engine scratch that outlives the rank thread).
-    pub fn release_spares(&mut self) -> Vec<Vec<M>> {
-        std::mem::take(&mut self.spare)
     }
 
     /// One reduction episode, without the fingerprint update: publish
@@ -508,7 +480,7 @@ impl<M: Send> RankCtx<M> {
 
 /// The rank-thread transport: the process owns its own rank, collectives
 /// are the rendezvous episodes above, and an exchange goes through the
-/// pooled mailbox path.
+/// mailbox, handing the drained batches back as the rank's lanes.
 impl<M: Send> Comm<M> for RankCtx<M> {
     fn owned(&self) -> Range<Rank> {
         self.rank..self.rank + 1
@@ -533,12 +505,6 @@ impl<M: Send> Comm<M> for RankCtx<M> {
             "a rank thread owns exactly one rank"
         );
         self.exchange_pooled_counted(&mut out[0].out, &mut inboxes[0], msg_bytes)
-    }
-
-    /// Purely rank-local (no rendezvous): each rank bounds its own pool.
-    fn shrink(&mut self, high_water: usize) {
-        let limit = high_water.saturating_mul(4).max(SPARE_CAPACITY_FLOOR);
-        self.spare.retain(|b| b.capacity() <= limit);
     }
 
     fn assert_consistent(&self, _sent: u64, _delivered: u64) {
@@ -600,7 +566,6 @@ where
             p,
             shared: Arc::clone(&shared),
             round: Cell::new(0),
-            spare: Vec::new(),
             fp: Cell::new(0),
             epoch: Cell::new(0),
             lock_rec: lockorder::Recorder::new(),
@@ -653,11 +618,6 @@ mod tests {
         #[cfg(debug_assertions)]
         fn perturb_fingerprint(&self, salt: u64) {
             self.fp.set(self.fp.get() ^ salt);
-        }
-
-        /// Capacity of the largest buffer in the spare pool (0 when empty).
-        fn max_spare_capacity(&self) -> usize {
-            self.spare.iter().map(Vec::capacity).max().unwrap_or(0)
         }
     }
 
@@ -825,180 +785,6 @@ mod tests {
         for (one_by_one, lanes) in results {
             assert_eq!(one_by_one, [3, 6, 3 + 4 + 5 + 6, 3]);
             assert_eq!(lanes, one_by_one);
-        }
-    }
-
-    /// One pooled exchange moving `len` messages on every lane.
-    fn pool_epoch(ctx: &mut RankCtx<u64>, out: &mut [Vec<u64>], inbox: &mut Vec<u64>, len: u64) {
-        for lane in out.iter_mut() {
-            lane.extend(0..len);
-        }
-        ctx.exchange_pooled(out, inbox);
-        assert_eq!(inbox.len() as u64, out.len() as u64 * len);
-    }
-
-    /// `Comm::shrink(mark)` and the number of spares it released.
-    fn shrink_released(ctx: &mut RankCtx<u64>, high_water: usize) -> usize {
-        let before = ctx.spare.len();
-        ctx.shrink(high_water);
-        let cap = ctx.max_spare_capacity();
-        let bound = (4 * high_water).max(SPARE_CAPACITY_FLOOR);
-        assert!(
-            cap <= bound,
-            "mark {high_water}: spare of {cap} past {bound}"
-        );
-        before - ctx.spare.len()
-    }
-
-    #[test]
-    fn trim_spares_releases_oversized_pool_buffers() {
-        // The driver closes each epoch with `shrink(epoch mark)`.
-        let trims = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            // Epoch 1: a flood superstep grows the recycled buffers.
-            pool_epoch(&mut ctx, &mut out, &mut inbox, 5000);
-            let flood_trim = shrink_released(&mut ctx, 5000);
-            // Epoch 2: steady trickle; the flood-sized spares now exceed
-            // 4× the epoch's high-water mark and must be released.
-            pool_epoch(&mut ctx, &mut out, &mut inbox, 1);
-            let steady_trim = shrink_released(&mut ctx, 1);
-            // Later supersteps keep working after the pool was emptied.
-            pool_epoch(&mut ctx, &mut out, &mut inbox, 1);
-            (flood_trim, steady_trim, inbox.len())
-        });
-        for (flood_trim, steady_trim, len) in trims {
-            assert_eq!(flood_trim, 0, "peak epoch keeps its pool");
-            assert!(steady_trim > 0, "oversized spares must be released");
-            assert_eq!(len, 2);
-        }
-    }
-
-    #[test]
-    fn trim_spares_keeps_pool_through_quiet_epochs() {
-        // Regression: a quiet epoch (no traffic at all) has a zero mark.
-        // The bound used to collapse to 0 and release every spare buffer,
-        // forcing reallocation next epoch.
-        let trims = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            // Epoch 1: modest traffic seeds the spare pool with small
-            // buffers (capacity well under the floor).
-            pool_epoch(&mut ctx, &mut out, &mut inbox, 8);
-            shrink_released(&mut ctx, 8);
-            let warm = ctx.spare.len();
-            // Epoch 2: completely quiet — empty lanes, zero mark.
-            pool_epoch(&mut ctx, &mut out, &mut inbox, 0);
-            let quiet_trim = shrink_released(&mut ctx, 0);
-            let kept = ctx.spare.len();
-            // Epoch 3: traffic resumes; the pool must still be warm.
-            pool_epoch(&mut ctx, &mut out, &mut inbox, 1);
-            (warm, quiet_trim, kept, inbox.len())
-        });
-        for (warm, quiet_trim, kept, len) in trims {
-            assert!(warm > 0, "a busy epoch leaves spares behind");
-            assert_eq!(quiet_trim, 0, "quiet epoch must keep its warm pool");
-            assert_eq!(kept, warm);
-            assert_eq!(len, 2);
-        }
-    }
-
-    #[test]
-    fn finish_query_bounds_the_pool_for_mixed_size_query_sequences() {
-        // Regression for the serving layer: a flood query must not pin its
-        // flood-sized spares into the next (tiny) query. The driver closes
-        // each epoch with `shrink(epoch mark)` and each query with
-        // `shrink(query mark)`; the flood query's own last epoch rightly
-        // keeps the big buffers, and the trickle query's close sheds them.
-        let caps = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            // Query 1: flood.
-            pool_epoch(&mut ctx, &mut out, &mut inbox, 5000);
-            shrink_released(&mut ctx, 5000);
-            shrink_released(&mut ctx, 5000);
-            let after_flood = ctx.max_spare_capacity();
-            // Query 2: trickle.
-            pool_epoch(&mut ctx, &mut out, &mut inbox, 1);
-            shrink_released(&mut ctx, 1);
-            shrink_released(&mut ctx, 1);
-            let after_trickle = ctx.max_spare_capacity();
-            // Query 3: pool still works after the release.
-            pool_epoch(&mut ctx, &mut out, &mut inbox, 1);
-            (after_flood, after_trickle, inbox.len())
-        });
-        for (after_flood, after_trickle, len) in caps {
-            assert!(after_flood >= 5000, "flood query keeps its own pool");
-            assert!(
-                after_trickle <= SPARE_CAPACITY_FLOOR,
-                "small query must shed the flood-sized spares \
-                 (max spare capacity {after_trickle})"
-            );
-            assert_eq!(len, 2);
-        }
-    }
-
-    #[test]
-    fn finish_query_uses_the_whole_query_watermark_not_the_last_epoch() {
-        // The query mark is the maximum over the query's epoch marks, as
-        // the driver folds them: after a busy epoch the epoch mark resets
-        // to 0, and closing the query with the whole query's mark keeps the
-        // warm pool where the last epoch's mark would collapse it.
-        let caps = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            let mut query_mark = 0;
-            pool_epoch(&mut ctx, &mut out, &mut inbox, 1000);
-            let mut epoch_mark = 1000;
-            shrink_released(&mut ctx, epoch_mark);
-            query_mark = query_mark.max(epoch_mark);
-            epoch_mark = 0;
-            let released = shrink_released(&mut ctx, query_mark.max(epoch_mark));
-            let cap = ctx.max_spare_capacity();
-            shrink_released(&mut ctx, epoch_mark);
-            (released, cap, ctx.max_spare_capacity())
-        });
-        for (released, cap, last_epoch_cap) in caps {
-            assert_eq!(released, 0, "busy epoch is within the query bound");
-            assert!(cap >= 1000, "query-scoped mark must keep the warm pool");
-            assert!(
-                last_epoch_cap <= SPARE_CAPACITY_FLOOR,
-                "the last epoch's mark alone sheds the pool"
-            );
-        }
-    }
-
-    #[test]
-    fn spares_adopted_from_a_previous_run_are_reused_clean() {
-        // First run floods, releases its spares; second run adopts them and
-        // must see only its own messages, with the adopted capacity warm.
-        let spares = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            for lane in out.iter_mut() {
-                lane.extend(0..256);
-            }
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            ctx.release_spares()
-        });
-        let payloads: Vec<Vec<Vec<u64>>> = spares;
-        let results = run_threaded_with(2, payloads, |mut ctx: RankCtx<u64>, sp| {
-            ctx.adopt_spares(sp);
-            let warm = ctx.max_spare_capacity();
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| vec![7]).collect();
-            let mut inbox = Vec::new();
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            (warm, inbox)
-        });
-        for (warm, inbox) in results {
-            assert!(warm >= 256, "adopted spares keep their capacity");
-            assert_eq!(inbox, vec![7, 7], "adopted buffers must arrive clean");
         }
     }
 

@@ -10,6 +10,11 @@
 //! ([`exchange_pooled`]) — the simulator, which exists to model more ranks
 //! than the machine has cores.
 //!
+//! Neither transport holds a message buffer between calls: an exchange
+//! works in the caller's lanes and inboxes, as MPI's all-to-all works in
+//! the caller's send and receive buffers, and hands every lane back empty
+//! with capacity. Bounding those buffers is the caller's business.
+//!
 //! Every reduction is one [`Comm::allreduce`] over up to five [`Lane`]s,
 //! each with its own op, and costs one crossing however many lanes it
 //! carries. The caller folds every contribution over its owned ranks
@@ -100,24 +105,19 @@ pub trait Comm<M> {
 
     /// One superstep: deliver `out[i].out[dst]` of every owned rank `i` to
     /// rank `dst`, fill `inboxes[i]` with what owned rank `i` receives
-    /// (source-rank order), leave every lane empty with its capacity
-    /// intact, and report the traffic of the owned ranks. Summed (maxima:
-    /// maxed) over all processes the reports reproduce the global
-    /// [`StepStats`] of the superstep. Every message is charged `msg_bytes`
-    /// on the wire.
+    /// (source-rank order), leave every lane empty, and report the traffic
+    /// of the owned ranks. Summed (maxima: maxed) over all processes the
+    /// reports reproduce the global [`StepStats`] of the superstep. Every
+    /// message is charged `msg_bytes` on the wire. The transport keeps no
+    /// buffer: the lanes come back with capacity (their own, or that of a
+    /// batch they received), so the caller's buffers are the only pool and
+    /// the caller bounds them.
     fn exchange(
         &mut self,
         out: &mut [Outbox<M>],
         inboxes: &mut [Vec<M>],
         msg_bytes: usize,
     ) -> StepStats;
-
-    /// Release transport-held buffers whose capacity exceeds 4× the
-    /// caller's `high_water` mark (in messages), never below
-    /// [`crate::threaded::SPARE_CAPACITY_FLOOR`]. The driver calls it at
-    /// every epoch end with the epoch's mark and at query end with the
-    /// query's, next to the same bound on its own lanes and inboxes.
-    fn shrink(&mut self, _high_water: usize) {}
 
     /// Debug-build cross-rank self-check (a no-op in release builds):
     /// every rank has executed the same collective schedule, and the
@@ -210,6 +210,103 @@ mod tests {
             Lane::Max(7),
         ]);
         (inboxes, (one, two, five), step)
+    }
+
+    /// Supersteps of [`hand_back_program`]; the first [`WARM_UP`] may
+    /// allocate.
+    const STEPS: usize = 8;
+    const WARM_UP: usize = 4;
+
+    /// The batch `src` sends `dst` in superstep `step` of a run with
+    /// `seed`: none, a few or a few hundred messages (the count is fixed
+    /// for the run), each naming its superstep, source, destination and
+    /// position.
+    fn batch(seed: u64, step: usize, src: usize, dst: usize) -> impl Iterator<Item = u64> {
+        let mut x =
+            (seed << 16 | (src as u64) << 8 | dst as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^= x >> 29;
+        let len = match x % 3 {
+            0 => 0,
+            1 => 1 + x % 4,
+            _ => 200 + x % 200,
+        };
+        let tag = ((step * 8 + src) * 8 + dst) as u64;
+        (0..len).map(move |i| tag << 16 | i)
+    }
+
+    /// Every lane and inbox with capacity, as `(address, capacity)`.
+    fn buffers(out: &[Outbox<u64>], inboxes: &[Vec<u64>]) -> Vec<(usize, usize)> {
+        let bufs = out.iter().flat_map(|ob| &ob.out).chain(inboxes);
+        let held = bufs.filter(|b| b.capacity() > 0);
+        held.map(|b| (b.as_ptr() as usize, b.capacity())).collect()
+    }
+
+    /// One superstep of [`hand_back_program`] as a process saw it: its
+    /// owned ranks' inboxes, and its buffers after filling the lanes and
+    /// after the exchange.
+    type Step = (Vec<Vec<u64>>, [Vec<(usize, usize)>; 2]);
+
+    /// [`STEPS`] exchanges of the seeded traffic pattern ([`batch`]).
+    fn hand_back_program<C: Comm<u64>>(ctx: &mut C, p: usize, seed: u64) -> Vec<Step> {
+        let owned = ctx.owned();
+        let mut out: Vec<Outbox<u64>> = owned.clone().map(|_| Outbox::new(p)).collect();
+        let mut inboxes: Vec<Vec<u64>> = owned.clone().map(|_| Vec::new()).collect();
+        (0..STEPS)
+            .map(|step| {
+                for (ob, src) in out.iter_mut().zip(owned.clone()) {
+                    for (dst, lane) in ob.out.iter_mut().enumerate() {
+                        lane.extend(batch(seed, step, src, dst));
+                    }
+                }
+                let filled = buffers(&out, &inboxes);
+                ctx.exchange(&mut out, &mut inboxes, 8);
+                let mut lanes = out.iter().flat_map(|ob| &ob.out);
+                assert!(lanes.all(Vec::is_empty), "p {p}: a lane came back full");
+                (inboxes.clone(), [filled, buffers(&out, &inboxes)])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exchanges_hand_buffers_back_and_allocate_nothing_once_warm() {
+        for p in [1, 2, 3, 5] {
+            for seed in 0..4 {
+                let what = format!("p {p} seed {seed}");
+                let lockstep = vec![hand_back_program(&mut LockstepComm::new(p), p, seed)];
+                let threaded = run_threaded(p, move |mut ctx: RankCtx<u64>| {
+                    hand_back_program(&mut ctx, p, seed)
+                });
+                for step in 0..STEPS {
+                    let expect: Vec<Vec<u64>> = (0..p)
+                        .map(|dst| (0..p).flat_map(|src| batch(seed, step, src, dst)).collect())
+                        .collect();
+                    assert_eq!(lockstep[0][step].0, expect, "{what} step {step}: lockstep");
+                    let per_rank: Vec<Vec<u64>> =
+                        threaded.iter().map(|t| t[step].0.concat()).collect();
+                    assert_eq!(per_rank, expect, "{what} step {step}: rank threads");
+                }
+                // The world's buffers, by identity, after each fill and each
+                // exchange: the same set from the end of warm-up on.
+                for (name, world) in [("lockstep", &lockstep), ("rank threads", &threaded)] {
+                    let held = |step: usize, at: usize| {
+                        let mut all: Vec<_> =
+                            world.iter().flat_map(|t| t[step].1[at].clone()).collect();
+                        all.sort_unstable();
+                        all
+                    };
+                    let warm = held(WARM_UP - 1, 1);
+                    for step in WARM_UP..STEPS {
+                        for (at, when) in ["filling", "exchanging"].into_iter().enumerate() {
+                            assert_eq!(
+                                held(step, at),
+                                warm,
+                                "{what}: {name} allocated {when} in superstep {step}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,6 @@ use rayon::prelude::*;
 use sssp_comm::cost::{MachineModel, TimeClass};
 use sssp_comm::exchange::{pack_sorted_run, shrink_oversized, MinTable, Outbox};
 use sssp_comm::stats::StepStats;
-use sssp_comm::threaded::SPARE_CAPACITY_FLOOR;
 use sssp_comm::transport::{Comm, Lane};
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
@@ -80,6 +79,12 @@ impl ProcessOut {
         out.timed_out |= self.timed_out;
     }
 }
+
+/// Smallest buffer capacity [`ProcBufs::shrink`] ever releases. A quiet
+/// epoch (empty buckets, pull-only phases) observes a zero high-water mark;
+/// without a floor that would free *every* lane and inbox, forcing each to
+/// reallocate on the next busy epoch.
+pub(super) const SPARE_CAPACITY_FLOOR: usize = 64;
 
 /// The engine-side state of a process's owned ranks, one entry per rank in
 /// every vector: the [`RankState`] (distances, buckets, frontier bitsets),
@@ -254,10 +259,11 @@ impl ProcBufs {
             .unwrap_or(zero)
     }
 
-    /// Release every buffer whose capacity exceeds 4× `high_water`. The
-    /// same capacity floor as the transport spare pool keeps a quiet epoch
-    /// (mark 0) from freeing every lane.
-    fn shrink(&mut self, high_water: usize) {
+    /// Release every buffer whose capacity exceeds 4× `high_water`, never
+    /// below [`SPARE_CAPACITY_FLOOR`], so a quiet epoch (mark 0) keeps its
+    /// lanes warm. The transports hold no buffers of their own, so this is
+    /// the one bound on every message buffer of a run.
+    pub(super) fn shrink(&mut self, high_water: usize) {
         let floor = high_water.max(SPARE_CAPACITY_FLOOR / 4);
         let lanes = self.out.iter_mut().flat_map(|ob| ob.out.iter_mut());
         for buf in lanes.chain(&mut self.inbox).chain(&mut self.req_inbox) {
@@ -275,6 +281,39 @@ impl ProcBufs {
             .map(Vec::capacity)
             .max()
             .unwrap_or(0)
+    }
+}
+
+/// Test hooks: bare supersteps on a [`ProcBufs`], without an epoch loop
+/// around them, so the pool bound can be pinned on its own.
+#[cfg(test)]
+impl ProcBufs {
+    /// The buffers of the `owned` ranks of `dg`, prepared as a run
+    /// prepares them (coalescing off).
+    pub(super) fn prepared(dg: &DistGraph, owned: Range<usize>) -> ProcBufs {
+        let mut bufs = ProcBufs::default();
+        bufs.prepare(dg, owned, false);
+        bufs
+    }
+
+    /// One superstep with `len` messages on every lane of every owned
+    /// rank. Returns its high-water mark as the epoch loop takes it: the
+    /// fullest lane before the exchange or inbox after it.
+    pub(super) fn superstep<C: Comm<RelaxMsg>>(&mut self, ctx: &mut C, len: usize) -> usize {
+        let p = self.out.first().map_or(0, |ob| ob.out.len());
+        for lane in self.out.iter_mut().flat_map(|ob| ob.out.iter_mut()) {
+            lane.extend((0..len as u64).map(|nd| RelaxMsg { target: 0, nd }));
+        }
+        ctx.exchange(&mut self.out, &mut self.inbox, WIRE_BYTES);
+        assert!(self.inbox.iter().all(|inbox| inbox.len() == p * len));
+        self.inbox.iter().map(Vec::len).max().unwrap_or(0).max(len)
+    }
+
+    /// The capacity of every lane and inbox, in a fixed order.
+    pub(super) fn capacities(&self) -> Vec<usize> {
+        let lanes = self.out.iter().flat_map(|ob| ob.out.iter());
+        let inboxes = self.inbox.iter().chain(&self.req_inbox);
+        lanes.chain(inboxes).map(Vec::capacity).collect()
     }
 }
 
@@ -589,11 +628,9 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             buckets_done += 1;
             tail_epochs = tail_epochs.map(|j| j + 1);
 
-            // Epoch-boundary pool bound: release transport spares, lanes
-            // and inboxes that ballooned past 4× this epoch's high-water
-            // mark, so a one-off giant superstep cannot pin memory for the
-            // rest of the run.
-            self.ctx.shrink(self.epoch_hwm);
+            // Epoch-boundary pool bound: release lanes and inboxes that
+            // ballooned past 4× this epoch's high-water mark, so a one-off
+            // giant superstep cannot pin memory for the rest of the run.
             self.bufs.shrink(self.epoch_hwm);
             self.query_hwm = self.query_hwm.max(self.epoch_hwm);
             self.epoch_hwm = 0;
@@ -609,9 +646,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         // Covers the epochs that exit early (empty-bucket break, the
         // point-to-point cutoff and the deadline).
         self.check_consistency();
-        let query_hwm = self.query_hwm.max(self.epoch_hwm);
-        self.ctx.shrink(query_hwm);
-        self.bufs.shrink(query_hwm);
+        self.bufs.shrink(self.query_hwm.max(self.epoch_hwm));
         self.rec.finish();
         self.out.dist = self.bufs.st.iter().map(|st| st.dist.clone()).collect();
         self.out

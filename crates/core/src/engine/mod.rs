@@ -50,7 +50,6 @@ use crate::state::INF;
 
 use driver::{epoch_loop, Job, ProcBufs, ProcessOut};
 use record::Recorder;
-use threaded::RankScratch;
 
 /// The 16-byte wire record every lane carries. As a relaxation proposal it
 /// reads `d(target) ← min(d(target), nd)`; a pull request travels in the
@@ -255,7 +254,7 @@ pub trait Spmd: Send + Sync + 'static {
         &self,
         dg: &DistGraph,
         ctx: &mut RankCtx<Self::Msg>,
-        _scratch: &mut RankScratch,
+        _scratch: &mut ProcBufs,
     ) -> Self::Out {
         self.on_process(dg, ctx)
     }
@@ -321,18 +320,15 @@ impl<R: Recorder> Spmd for SsspJob<R> {
         (out, rec)
     }
 
-    /// Run on the rank's resident engine state, with its transport spares
-    /// adopted into the context for the query and handed back after.
+    /// Run on the rank's resident engine state.
     fn on_rank_thread(
         &self,
         dg: &DistGraph,
         ctx: &mut RankCtx<RelaxMsg>,
-        scratch: &mut RankScratch,
+        scratch: &mut ProcBufs,
     ) -> Self::Out {
         let mut rec = self.recorder.clone();
-        ctx.adopt_spares(std::mem::take(&mut scratch.spares));
-        let out = epoch_loop(&self.job(dg), ctx, &mut rec, &mut scratch.bufs);
-        scratch.spares = ctx.release_spares();
+        let out = epoch_loop(&self.job(dg), ctx, &mut rec, scratch);
         (out, rec)
     }
 }

@@ -1,10 +1,12 @@
 //! Engine correctness and behavior tests (exercised through the public
 //! `run` / `run_sssp` API on the lockstep transport).
 
+use super::driver::SPARE_CAPACITY_FLOOR;
 use super::record::NoopRecorder;
 use super::*;
 use crate::config::DirectionPolicy;
 use crate::validate::assert_matches_dijkstra;
+use sssp_comm::threaded::run_threaded;
 use sssp_graph::{gen, Csr, CsrBuilder};
 
 fn model() -> MachineModel {
@@ -947,5 +949,180 @@ fn rho_one_settles_in_dijkstra_order_on_both_transports() {
             let settled: u64 = epochs.iter().map(|e| e.2).sum();
             assert_eq!(settled, reached, "{what}");
         }
+    }
+}
+
+// -- the buffer pool bound ---------------------------------------------------
+//
+// The rank-thread exchange hands every drained batch back as a lane, so a
+// process's `ProcBufs` hold every message buffer of its run, and
+// `ProcBufs::shrink` at the epoch loop's epoch and query marks is the one
+// bound on them. These run bare supersteps on two rank threads.
+
+/// The epoch loop's two high-water marks, folded and applied as it folds
+/// and applies them.
+#[derive(Default)]
+struct Marks {
+    epoch: usize,
+    query: usize,
+}
+
+impl Marks {
+    /// A superstep's mark joins the current epoch's.
+    fn step(&mut self, mark: usize) {
+        self.epoch = self.epoch.max(mark);
+    }
+
+    /// Close an epoch: shrink to its mark and fold that into the query's.
+    /// Returns the buffers released.
+    fn end_epoch(&mut self, bufs: &mut ProcBufs) -> usize {
+        let released = shrink_released(bufs, self.epoch);
+        self.query = self.query.max(self.epoch);
+        self.epoch = 0;
+        released
+    }
+
+    /// Close the query: shrink to the whole query's mark.
+    fn end_query(&mut self, bufs: &mut ProcBufs) -> usize {
+        shrink_released(bufs, self.query.max(self.epoch))
+    }
+}
+
+/// `ProcBufs::shrink(high_water)`, checked against the 4× bound; returns
+/// how many buffers it released.
+fn shrink_released(bufs: &mut ProcBufs, high_water: usize) -> usize {
+    let before = bufs.capacities();
+    bufs.shrink(high_water);
+    let cap = bufs.max_buffer_capacity();
+    let bound = (4 * high_water).max(SPARE_CAPACITY_FLOOR);
+    assert!(
+        cap <= bound,
+        "mark {high_water}: buffer of {cap} past {bound}"
+    );
+    let after = bufs.capacities();
+    before.iter().zip(&after).filter(|(b, a)| a < b).count()
+}
+
+/// Run `body` on both rank threads of a two-rank world, each with its own
+/// rank's buffers.
+fn on_two_rank_threads<T: Send + 'static>(
+    body: fn(&mut RankCtx<RelaxMsg>, &mut ProcBufs) -> T,
+) -> Vec<T> {
+    run_threaded(2, move |mut ctx: RankCtx<RelaxMsg>| {
+        let dg = DistGraph::build(&CsrBuilder::new().build(&gen::path(8, 1)), 2, 1);
+        let mut bufs = ProcBufs::prepared(&dg, ctx.owned());
+        body(&mut ctx, &mut bufs)
+    })
+}
+
+#[test]
+fn trim_spares_releases_oversized_pool_buffers() {
+    let trims = on_two_rank_threads(|ctx, bufs| {
+        let mut marks = Marks::default();
+        // Epoch 1: a flood superstep grows the lanes and the inbox.
+        marks.step(bufs.superstep(ctx, 5000));
+        let flood_trim = marks.end_epoch(bufs);
+        // Epoch 2: steady trickle; the flood-sized buffers now exceed 4×
+        // the epoch's high-water mark and must be released.
+        marks.step(bufs.superstep(ctx, 1));
+        let steady_trim = marks.end_epoch(bufs);
+        // Later supersteps keep working after the release.
+        (flood_trim, steady_trim, bufs.superstep(ctx, 1))
+    });
+    for (flood_trim, steady_trim, mark) in trims {
+        assert_eq!(flood_trim, 0, "peak epoch keeps its buffers");
+        assert!(steady_trim > 0, "oversized buffers must be released");
+        assert_eq!(mark, 2);
+    }
+}
+
+#[test]
+fn trim_spares_keeps_pool_through_quiet_epochs() {
+    // Regression: a quiet epoch (no traffic at all) has a zero mark. The
+    // bound used to collapse to 0 and release every buffer, forcing
+    // reallocation next epoch.
+    let trims = on_two_rank_threads(|ctx, bufs| {
+        let mut marks = Marks::default();
+        // Epoch 1: modest traffic warms small buffers (capacity well under
+        // the floor).
+        marks.step(bufs.superstep(ctx, 8));
+        marks.end_epoch(bufs);
+        let warm = bufs.capacities();
+        // Epoch 2: completely quiet — empty lanes, zero mark.
+        marks.step(bufs.superstep(ctx, 0));
+        let quiet_trim = marks.end_epoch(bufs);
+        let kept = bufs.capacities();
+        // Epoch 3: traffic resumes on the warm buffers.
+        (warm, quiet_trim, kept, bufs.superstep(ctx, 1))
+    });
+    for (warm, quiet_trim, kept, mark) in trims {
+        assert!(
+            warm.iter().any(|&c| c > 0),
+            "a busy epoch leaves warm buffers"
+        );
+        assert_eq!(quiet_trim, 0, "quiet epoch must keep its warm buffers");
+        assert_eq!(kept, warm);
+        assert_eq!(mark, 2);
+    }
+}
+
+#[test]
+fn finish_query_bounds_the_pool_for_mixed_size_query_sequences() {
+    // Regression for the serving layer: a flood query must not pin its
+    // flood-sized buffers into the next (tiny) query. The flood query's own
+    // last epoch rightly keeps the big buffers; the trickle query's close
+    // sheds them.
+    let caps = on_two_rank_threads(|ctx, bufs| {
+        // Query 1: flood.
+        let mut marks = Marks::default();
+        marks.step(bufs.superstep(ctx, 5000));
+        marks.end_epoch(bufs);
+        marks.end_query(bufs);
+        let after_flood = bufs.max_buffer_capacity();
+        // Query 2: trickle.
+        let mut marks = Marks::default();
+        marks.step(bufs.superstep(ctx, 1));
+        marks.end_epoch(bufs);
+        marks.end_query(bufs);
+        let after_trickle = bufs.max_buffer_capacity();
+        // Query 3: the buffers still work after the release.
+        (after_flood, after_trickle, bufs.superstep(ctx, 1))
+    });
+    for (after_flood, after_trickle, mark) in caps {
+        assert!(after_flood >= 5000, "flood query keeps its own buffers");
+        assert!(
+            after_trickle <= SPARE_CAPACITY_FLOOR,
+            "small query must shed the flood-sized buffers \
+             (max capacity {after_trickle})"
+        );
+        assert_eq!(mark, 2);
+    }
+}
+
+#[test]
+fn finish_query_uses_the_whole_query_watermark_not_the_last_epoch() {
+    // The query mark is the maximum over the query's epoch marks: after a
+    // busy epoch the epoch mark resets to 0, and closing the query with the
+    // whole query's mark keeps the warm buffers where the last epoch's mark
+    // would collapse them.
+    let caps = on_two_rank_threads(|ctx, bufs| {
+        let mut marks = Marks::default();
+        marks.step(bufs.superstep(ctx, 1000));
+        let at_epoch = marks.end_epoch(bufs);
+        // The last epoch is quiet and leaves before its close, as one whose
+        // bucket turns out empty does.
+        marks.step(bufs.superstep(ctx, 0));
+        let at_query = marks.end_query(bufs);
+        let cap = bufs.max_buffer_capacity();
+        shrink_released(bufs, marks.epoch);
+        (at_epoch + at_query, cap, bufs.max_buffer_capacity())
+    });
+    for (released, cap, last_epoch_cap) in caps {
+        assert_eq!(released, 0, "busy epoch is within the query bound");
+        assert!(cap >= 1000, "query-scoped mark must keep the warm buffers");
+        assert!(
+            last_epoch_cap <= SPARE_CAPACITY_FLOOR,
+            "the last epoch's mark alone sheds the buffers"
+        );
     }
 }

@@ -27,11 +27,12 @@ use crate::instrument::{RunStats, RunTrace};
 
 use super::driver::ProcBufs;
 use super::record::{merged_trace, NoopRecorder};
-use super::{run, Query, RelaxMsg, RunOutput, Spmd, Transport};
+use super::{run, Query, RunOutput, Spmd, Transport};
 
 /// Resident per-rank engine state a serving layer keeps warm between
-/// queries: each rank's `ProcBufs` (rank state, outbox lanes, inboxes)
-/// and its transport spares. One scratch belongs to exactly one
+/// queries: each rank's `ProcBufs` (rank state, outbox lanes, inboxes,
+/// coalescing tables) — every buffer of a run, since the rank-thread
+/// exchange keeps none of its own. One scratch belongs to exactly one
 /// in-flight query at a time; running a query on it ([`Threaded`]) re-uses
 /// every pooled structure instead of re-allocating (the state is reset,
 /// not rebuilt). A scratch is graph-shape-specific only through per-rank
@@ -40,15 +41,9 @@ use super::{run, Query, RelaxMsg, RunOutput, Spmd, Transport};
 /// scratches on graph rebuild so stale pool sizes do not linger.
 #[derive(Default)]
 pub struct EngineScratch {
-    ranks: Vec<RankScratch>,
-}
-
-/// One rank's share of an [`EngineScratch`], lent to whatever program
-/// runs on the rank's thread (see [`Spmd::on_rank_thread`]).
-#[derive(Default)]
-pub struct RankScratch {
-    pub(super) bufs: ProcBufs,
-    pub(super) spares: Vec<Vec<RelaxMsg>>,
+    /// One rank's share, lent to whatever program runs on the rank's
+    /// thread (see [`Spmd::on_rank_thread`]).
+    ranks: Vec<ProcBufs>,
 }
 
 impl EngineScratch {
@@ -56,20 +51,19 @@ impl EngineScratch {
     /// is created lazily by the first query that runs on it.
     pub fn new(num_ranks: usize) -> Self {
         EngineScratch {
-            ranks: (0..num_ranks).map(|_| RankScratch::default()).collect(),
+            ranks: (0..num_ranks).map(|_| ProcBufs::default()).collect(),
         }
     }
 
     /// Capacity (in messages) of the largest buffer held anywhere in the
-    /// scratch — outbox lanes, inboxes and transport spares across all
-    /// ranks. Diagnostic for the pool-bound regression tests: after a
-    /// query finishes, this is bounded by that query's own high-water mark
-    /// (floored at the warm-pool minimum), not by the largest query ever
-    /// run on the scratch.
+    /// scratch — outbox lanes and inboxes across all ranks. Diagnostic for
+    /// the pool-bound regression tests: after a query finishes, this is
+    /// bounded by that query's own high-water mark (floored at the
+    /// warm-pool minimum), not by the largest query ever run on the
+    /// scratch.
     pub fn max_buffer_capacity(&self) -> usize {
-        let spares = self.ranks.iter().flat_map(|r| &r.spares).map(Vec::capacity);
-        let bufs = self.ranks.iter().map(|r| r.bufs.max_buffer_capacity());
-        spares.chain(bufs).max().unwrap_or(0)
+        let caps = self.ranks.iter().map(ProcBufs::max_buffer_capacity);
+        caps.max().unwrap_or(0)
     }
 }
 
@@ -101,7 +95,7 @@ impl Transport for Threaded<'_> {
         let per_rank = run_threaded_with(
             p,
             payloads,
-            move |mut ctx: RankCtx<P::Msg>, mut rs: RankScratch| {
+            move |mut ctx: RankCtx<P::Msg>, mut rs: ProcBufs| {
                 let out = program.on_rank_thread(&dg, &mut ctx, &mut rs);
                 (out, rs)
             },
@@ -180,14 +174,17 @@ pub fn threaded_delta_stepping_traced(
 
 #[cfg(test)]
 mod tests {
+    use super::super::driver::SPARE_CAPACITY_FLOOR;
     #[cfg(debug_assertions)]
-    use super::super::driver::{epoch_loop, Job};
+    use super::super::{
+        driver::{epoch_loop, Job},
+        RelaxMsg,
+    };
     use super::*;
     use crate::seq;
     use crate::state::INF;
     #[cfg(debug_assertions)]
     use sssp_comm::threaded::run_threaded;
-    use sssp_comm::threaded::SPARE_CAPACITY_FLOOR;
     use sssp_graph::{gen, CsrBuilder};
 
     /// One rank's share of a root-0 run on a caller-held context, so the

@@ -21,6 +21,6 @@ fn sanctioned_rank_body(ctx: &mut sssp_comm::threaded::RankCtx<u64>) -> u64 {
     let mut out = vec![Vec::new(); ctx.num_ranks()];
     let mut inbox = Vec::new();
     ctx.exchange_pooled(&mut out, &mut inbox);
-    ctx.shrink(inbox.len());
+    ctx.assert_schedule_uniform();
     k + ctx.allreduce_sum(inbox.len() as u64)
 }

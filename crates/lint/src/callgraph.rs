@@ -16,7 +16,10 @@
 //! additionally reaches every same-named method of a *workspace trait*
 //! (`impl Comm for …`, a default body in `trait …`): the engine
 //! dispatches statically through such traits, so any implementation may
-//! be the callee. Unresolvable calls (std, vendored deps, closures) are
+//! be the callee. As in Rust, a trait's methods are callable only where
+//! the trait is in scope — in a file that names it (a `use`, a bound,
+//! `impl Trait`, `dyn Trait`) or has a glob import — so elsewhere a call
+//! neither resolves nor dispatches to them. Unresolvable calls (std, vendored deps, closures) are
 //! terminal. The graph over-approximates on same-named methods across
 //! types — fine for an auditor that must not under-report reachability.
 
@@ -316,6 +319,9 @@ pub(crate) struct GraphFile {
     pub(crate) sf: SourceFile,
     /// Function definitions in file order.
     pub(crate) fns: Vec<FnDef>,
+    /// The workspace traits whose methods calls in this file may dispatch
+    /// to: those it names, or all of them under a glob import.
+    traits_in_scope: BTreeSet<String>,
 }
 
 /// `(file index, fn index)` — one node of the graph.
@@ -350,6 +356,7 @@ impl CallGraph {
                     stem,
                     sf,
                     fns,
+                    traits_in_scope: BTreeSet::new(),
                 }
             })
             .collect();
@@ -365,6 +372,16 @@ impl CallGraph {
                 traits.insert(ident_at(name, 0).to_string());
             }
         }
+        for f in &mut parsed {
+            let code = || f.sf.lines.iter().filter(|l| !l.in_test).map(|l| &l.code);
+            // `::*` only ever spells a glob import.
+            let glob = code().any(|c| c.contains("::*"));
+            f.traits_in_scope = traits
+                .iter()
+                .filter(|tr| glob || code().any(|c| !token_positions(c, tr, false).is_empty()))
+                .cloned()
+                .collect();
+        }
         CallGraph {
             files: parsed,
             traits,
@@ -377,7 +394,7 @@ impl CallGraph {
         let mut first: Option<FnId> = None;
         for (fj, f) in self.files.iter().enumerate() {
             for (nj, fd) in f.fns.iter().enumerate() {
-                if fd.in_test || fd.name != t.ident {
+                if fd.in_test || fd.name != t.ident || !self.callable_from(from, fd) {
                     continue;
                 }
                 let ok = if let Some(q) = &t.qual {
@@ -401,14 +418,24 @@ impl CallGraph {
         first
     }
 
-    /// Every implementation a method call may dispatch to through a trait
-    /// defined in the workspace (std traits — `fmt`, `next`, `clone` —
-    /// are deliberately left out: their callers are everywhere).
-    fn trait_methods(&self, t: &CallTok) -> Vec<FnId> {
+    /// Whether a call in file `from` can reach `fd`: a method of a
+    /// workspace trait only where that trait is in scope.
+    fn callable_from(&self, from: usize, fd: &FnDef) -> bool {
+        fd.trait_name.as_ref().is_none_or(|tr| {
+            !self.traits.contains(tr) || self.files[from].traits_in_scope.contains(tr)
+        })
+    }
+
+    /// Every implementation a method call in file `from` may dispatch to
+    /// through a workspace trait in scope there (std traits — `fmt`,
+    /// `next`, `clone` — are deliberately left out: their callers are
+    /// everywhere).
+    fn trait_methods(&self, from: usize, t: &CallTok) -> Vec<FnId> {
         let mut out = Vec::new();
         if !t.method {
             return out;
         }
+        let in_scope = &self.files[from].traits_in_scope;
         for (fj, f) in self.files.iter().enumerate() {
             for (nj, fd) in f.fns.iter().enumerate() {
                 if fd.in_test || !fd.has_self || fd.name != t.ident {
@@ -417,7 +444,7 @@ impl CallGraph {
                 if fd
                     .trait_name
                     .as_ref()
-                    .is_some_and(|tr| self.traits.contains(tr))
+                    .is_some_and(|tr| in_scope.contains(tr))
                 {
                     out.push((fj, nj));
                 }
@@ -434,7 +461,7 @@ impl CallGraph {
         let mut out = Vec::new();
         for (_, _, code) in fd.body(&f.sf) {
             for t in call_tokens(code).iter().filter(|t| !t.is_def) {
-                let dispatched = self.trait_methods(t);
+                let dispatched = self.trait_methods(fi, t);
                 for id in self.resolve(fi, t).into_iter().chain(dispatched) {
                     if !out.contains(&id) {
                         out.push(id);
@@ -539,7 +566,45 @@ mod tests {
         assert!(reach.contains(&node(&g, "crates/x/src/a.rs", "a_only")));
         assert!(reach.contains(&node(&g, "crates/x/src/b.rs", "b_only")));
         // Std traits are not dispatch candidates.
-        assert!(g.trait_methods(&call_tokens("it.next()")[0]).is_empty());
+        assert!(g.trait_methods(1, &call_tokens("it.next()")[0]).is_empty());
+    }
+
+    #[test]
+    fn trait_methods_are_callable_only_where_their_trait_is_in_scope() {
+        let g = graph(&[
+            (
+                "crates/x/src/a.rs",
+                "pub trait Comm {\n    fn any(&mut self) -> bool;\n}\npub struct A;\nimpl Comm for A {\n    fn any(&mut self) -> bool { a_only() }\n}\nfn a_only() -> bool { true }\n",
+            ),
+            (
+                "crates/x/src/bound.rs",
+                "use crate::a::Comm;\nfn poll<C: Comm>(c: &mut C) -> bool { c.any() }\n",
+            ),
+            (
+                "crates/x/src/dynamic.rs",
+                "fn poll_dyn(c: &mut dyn crate::a::Comm) -> bool { c.any() }\n",
+            ),
+            (
+                "crates/x/src/glob.rs",
+                "use crate::a::*;\nfn poll_all(c: &mut A) -> bool { c.any() }\n",
+            ),
+            (
+                "crates/x/src/iter.rs",
+                "fn scan(v: &[u8]) -> bool { v.iter().any(|x| *x > 0) }\n",
+            ),
+        ]);
+        let a_only = node(&g, "crates/x/src/a.rs", "a_only");
+        for (file, caller) in [
+            ("bound.rs", "poll"),
+            ("dynamic.rs", "poll_dyn"),
+            ("glob.rs", "poll_all"),
+        ] {
+            let reach = g.reachable(node(&g, &format!("crates/x/src/{file}"), caller));
+            assert!(reach.contains(&a_only), "{caller} must reach the impl");
+        }
+        // The trait is not in scope: an iterator's `.any(` is not `Comm::any`.
+        let reach = g.reachable(node(&g, "crates/x/src/iter.rs", "scan"));
+        assert_eq!(reach.len(), 1, "scan reached {reach:?}");
     }
 
     #[test]

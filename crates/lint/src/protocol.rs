@@ -482,25 +482,26 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
 /// the rank id and the per-rank message buffers / state.
 const TAINT_SEEDS: &[&str] = &["rank", "out", "inbox", "req_inbox", "st", "lg"];
 
-/// Tokens besides the [`REDUCE_IDENTS`] whose presence sanitizes a
+/// Functions besides the [`REDUCE_IDENTS`] whose presence sanitizes a
 /// condition or right-hand side: collective results are identical on
-/// every rank, and the config / the decision heuristics are uniform by
-/// construction.
+/// every rank, and the decision heuristics are uniform by construction.
+/// Each must name a `fn` of the pass's files: a name nothing defines would
+/// clear the taint of whatever function later takes it.
 const UNIFORM: &[&str] = &[
     "any_active",
-    "next_bucket",
     "enabled",
-    "cfg",
     "decide",
-    "decide_threaded",
-    "heuristic_decide",
     "hybrid_should_switch",
     "num_ranks",
 ];
 
+/// The run's configuration binding, uniform by construction: a value
+/// sanitizes like a [`UNIFORM`] call.
+const CONFIG: &str = "cfg";
+
 /// True when `text` holds a collective result or a uniform value.
 fn sanitized(text: &str) -> bool {
-    has_token(text, REDUCE_IDENTS.iter().chain(UNIFORM))
+    has_token(text, REDUCE_IDENTS.iter().chain(UNIFORM).chain([&CONFIG]))
 }
 
 /// True when any of `needles` occurs in `text` as a token.
@@ -977,6 +978,23 @@ fn f(ctx: &mut RankCtx, target: Option<u32>) {
         let sf = SourceFile::parse("crates/core/src/engine/x.rs", src);
         let hits = check_divergent_guard(&sf);
         assert!(hits.is_empty(), "{hits:?}");
+    }
+
+    #[test]
+    fn every_sanitizer_names_a_defined_fn() {
+        let inputs = crate::read_inputs(&crate::default_root(), in_scope).expect("workspace");
+        let files: Vec<SourceFile> = inputs
+            .iter()
+            .map(|(path, text)| SourceFile::parse(path, text))
+            .collect();
+        let lines = || files.iter().flat_map(|sf| &sf.lines).filter(|l| !l.in_test);
+        for name in REDUCE_IDENTS.iter().chain(UNIFORM) {
+            let def = format!("fn {name}");
+            assert!(
+                lines().any(|l| !token_positions(&l.code, &def, false).is_empty()),
+                "no `{def}` in the protocol pass's files"
+            );
+        }
     }
 
     #[test]
