@@ -20,11 +20,13 @@
 //! a test in this crate that lints the whole workspace (making plain
 //! `cargo test` the gate), and a CI job.
 //!
-//! Three flow-aware passes sit on the same lexical model
-//! ([`source`]) and function model ([`callgraph`]), and each renders a
-//! golden table: `--protocol` (the collective schedule, [`protocol`]),
+//! Every mode reads one [`Workspace`]: the tree's files read, sorted and
+//! parsed once by the one lexer in [`source`]. Three flow-aware passes
+//! sit on it and on one function model ([`callgraph`]), and each renders
+//! a golden table: `--protocol` (the collective schedule, [`protocol`]),
 //! `--concurrency` (the lock-order graph, [`concurrency`]) and `--panics`
-//! (panic reachability and unwind safety, [`panics`]).
+//! (panic reachability and unwind safety, [`panics`]). Which files a rule
+//! or a pass reads is a named [`rules::Scope`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +42,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use rules::{Rule, RULES};
+use rules::{Rule, Scope, RULES};
 use source::SourceFile;
 
 /// One finding of any pass: a rule violated at a file/line.
@@ -106,64 +108,87 @@ pub(crate) fn check_rule(rule: &Rule, file: &SourceFile) -> Vec<Diagnostic> {
 /// Lint one file's text under its workspace-relative path. Pure; this is
 /// what fixture self-tests call.
 pub fn lint_text(rel_path: &str, text: &str) -> Vec<Diagnostic> {
-    let file = SourceFile::parse(rel_path, text);
-    RULES.iter().flat_map(|r| check_rule(r, &file)).collect()
+    Workspace::parse(&[(rel_path.to_string(), text.to_string())]).lint()
 }
 
-/// Collect every `.rs` file under `root`, skipping `SKIP_DIRS`.
-/// Returned paths are workspace-relative with `/` separators, sorted.
-pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
-    let mut out = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if entry.file_type()?.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
-                    stack.push(path);
+/// Append one section of a golden table: its title line, then its rows
+/// (each ending in a newline), or `  (none)` when there are none.
+pub(crate) fn section(out: &mut String, title: &str, rows: impl IntoIterator<Item = String>) {
+    out.push_str(title);
+    out.push('\n');
+    let empty = out.len();
+    out.extend(rows);
+    if out.len() == empty {
+        out.push_str("  (none)\n");
+    }
+}
+
+/// The `.rs` files of a tree, read and parsed once: what the rule engine
+/// and the three passes run on.
+pub struct Workspace {
+    /// The parsed files in path order.
+    pub files: Vec<SourceFile>,
+}
+
+impl Workspace {
+    /// Read and parse every `.rs` file under `root`, skipping `SKIP_DIRS`.
+    pub fn load(root: &Path) -> io::Result<Workspace> {
+        let mut texts = Vec::new();
+        let mut stack = vec![root.to_path_buf()];
+        while let Some(dir) = stack.pop() {
+            for entry in std::fs::read_dir(&dir)? {
+                let entry = entry?;
+                let path = entry.path();
+                let name = entry.file_name();
+                let name = name.to_string_lossy();
+                if entry.file_type()?.is_dir() {
+                    if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
+                        stack.push(path);
+                    }
+                } else if name.ends_with(".rs") {
+                    let rel = path
+                        .strip_prefix(root)
+                        .map_err(io::Error::other)?
+                        .components()
+                        .map(|c| c.as_os_str().to_string_lossy().into_owned())
+                        .collect::<Vec<_>>()
+                        .join("/");
+                    let text = std::fs::read_to_string(&path).map_err(|e| {
+                        io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+                    })?;
+                    texts.push((rel, text));
                 }
-            } else if name.ends_with(".rs") {
-                let rel = path
-                    .strip_prefix(root)
-                    .map_err(io::Error::other)?
-                    .components()
-                    .map(|c| c.as_os_str().to_string_lossy().into_owned())
-                    .collect::<Vec<_>>()
-                    .join("/");
-                out.push((rel, path));
             }
         }
+        Ok(Workspace::parse(&texts))
     }
-    out.sort();
-    Ok(out)
-}
 
-/// Read every workspace file under `root` that `in_scope` accepts, as
-/// `(rel_path, text)` pairs in path order.
-pub fn read_inputs(root: &Path, in_scope: fn(&str) -> bool) -> io::Result<Vec<(String, String)>> {
-    let mut out = Vec::new();
-    for (rel, path) in workspace_files(root)? {
-        if in_scope(&rel) {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-            out.push((rel, text));
-        }
+    /// Parse `(rel_path, text)` pairs into a workspace in path order.
+    pub fn parse(texts: &[(String, String)]) -> Workspace {
+        let mut files: Vec<SourceFile> = texts
+            .iter()
+            .map(|(path, text)| SourceFile::parse(path, text))
+            .collect();
+        files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
+        Workspace { files }
     }
-    Ok(out)
-}
 
-/// Lint the whole workspace rooted at `root`. Diagnostics are sorted by
-/// (file, line, rule).
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    let mut out: Vec<Diagnostic> = read_inputs(root, |_| true)?
-        .iter()
-        .flat_map(|(rel, text)| lint_text(rel, text))
-        .collect();
-    out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(out)
+    /// The files `scope` admits, in path order.
+    pub fn scoped<'a>(&'a self, scope: &'a Scope) -> impl Iterator<Item = &'a SourceFile> + 'a {
+        self.files.iter().filter(|f| scope.matches(&f.rel_path))
+    }
+
+    /// Run every rule over every file. Diagnostics are sorted by (file,
+    /// line, rule).
+    pub fn lint(&self) -> Vec<Diagnostic> {
+        let mut out: Vec<Diagnostic> = self
+            .files
+            .iter()
+            .flat_map(|f| RULES.iter().flat_map(move |r| check_rule(r, f)))
+            .collect();
+        out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+        out
+    }
 }
 
 /// Locate the workspace root from this crate's manifest dir (the gate

@@ -18,10 +18,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sssp_lint::{concurrency, panics, protocol, Diagnostic};
+use sssp_lint::{concurrency, panics, protocol, Workspace};
 
 /// What one invocation runs.
 enum Mode {
@@ -70,108 +70,67 @@ fn main() -> ExitCode {
         }
     }
     let root = root.unwrap_or_else(sssp_lint::default_root);
-
-    match mode {
-        Mode::ListRules => {
-            print!("{}", sssp_lint::rules::list_rules_text());
-            ExitCode::SUCCESS
-        }
-        Mode::Check => check(&root),
-        Mode::Protocol => {
-            let a = match read_inputs(&root, protocol::in_scope) {
-                Ok(inputs) => protocol::analyze(&inputs),
-                Err(code) => return code,
-            };
-            let events: usize = a.schedules.iter().map(|s| s.events.len()).sum();
-            report(
-                a.table.as_deref().unwrap_or(""),
-                &a.findings,
-                "protocol",
-                format!("protocol clean ({events} collective call sites)"),
-            )
-        }
-        Mode::Concurrency => {
-            let a = match read_inputs(&root, concurrency::in_scope) {
-                Ok(inputs) => concurrency::analyze(&inputs),
-                Err(code) => return code,
-            };
-            report(
-                &a.lock_table,
-                &a.findings,
-                "concurrency",
-                format!("concurrency clean ({} locks)", a.num_locks),
-            )
-        }
-        Mode::Panics => {
-            let a = match read_inputs(&root, |_| true) {
-                Ok(inputs) => panics::analyze(&inputs),
-                Err(code) => return code,
-            };
-            report(
-                &a.table,
-                &a.findings,
-                "panic",
-                format!(
-                    "panic audit clean ({} roots, {} sites)",
-                    a.num_roots, a.num_sites
-                ),
-            )
-        }
+    if let Mode::ListRules = mode {
+        print!("{}", sssp_lint::rules::list_rules_text());
+        return ExitCode::SUCCESS;
     }
-}
-
-/// Lint the workspace against the rule set.
-fn check(root: &Path) -> ExitCode {
-    let n_files = match sssp_lint::workspace_files(root) {
-        Ok(files) => files.len(),
+    let ws = match Workspace::load(&root) {
+        Ok(ws) => ws,
         Err(e) => {
-            eprintln!("sssp-lint: cannot walk {}: {e}", root.display());
+            eprintln!("sssp-lint: cannot read {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    match sssp_lint::lint_workspace(root) {
-        Ok(diags) if diags.is_empty() => {
-            println!("sssp-lint: clean ({n_files} files checked)");
-            ExitCode::SUCCESS
+    let (table, findings, pass, clean) = match mode {
+        Mode::Protocol => {
+            let a = protocol::analyze(&ws);
+            let events: usize = a.schedules.iter().map(|s| s.events.len()).sum();
+            let clean = format!("protocol clean ({events} collective call sites)");
+            (a.table.unwrap_or_default(), a.findings, "protocol", clean)
         }
-        Ok(diags) => {
-            for d in &diags {
-                println!("{d}");
-            }
-            println!(
-                "sssp-lint: {} issue(s) in {n_files} files checked",
-                diags.len()
+        Mode::Concurrency => {
+            let a = concurrency::analyze(&ws);
+            let clean = format!("concurrency clean ({} locks)", a.num_locks);
+            (a.lock_table, a.findings, "concurrency", clean)
+        }
+        Mode::Panics => {
+            let a = panics::analyze(&ws);
+            let clean = format!(
+                "panic audit clean ({} roots, {} sites)",
+                a.num_roots, a.num_sites
             );
-            ExitCode::FAILURE
+            (a.table, a.findings, "panic", clean)
         }
-        Err(e) => {
-            eprintln!("sssp-lint: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// The in-scope workspace files of one pass; an I/O error is reported
-/// and becomes exit code 2.
-fn read_inputs(root: &Path, in_scope: fn(&str) -> bool) -> Result<Vec<(String, String)>, ExitCode> {
-    sssp_lint::read_inputs(root, in_scope).map_err(|e| {
-        eprintln!("sssp-lint: cannot read {}: {e}", root.display());
-        ExitCode::from(2)
-    })
-}
-
-/// Print a pass's table on stdout and its findings on stderr; exit 1 on
-/// findings.
-fn report(table: &str, findings: &[Diagnostic], pass: &str, clean: String) -> ExitCode {
+        Mode::Check | Mode::ListRules => return check(&ws),
+    };
     print!("{table}");
     if findings.is_empty() {
         eprintln!("sssp-lint: {clean}");
         return ExitCode::SUCCESS;
     }
-    for f in findings {
+    for f in &findings {
         eprintln!("{f}");
     }
     eprintln!("sssp-lint: {} {pass} finding(s)", findings.len());
+    ExitCode::FAILURE
+}
+
+/// Lint the workspace against the rule set: findings and the summary on
+/// stdout.
+fn check(ws: &Workspace) -> ExitCode {
+    let n_files = ws.files.len();
+    let diags = ws.lint();
+    for d in &diags {
+        println!("{d}");
+    }
+    if diags.is_empty() {
+        println!("sssp-lint: clean ({n_files} files checked)");
+        return ExitCode::SUCCESS;
+    }
+    println!(
+        "sssp-lint: {} issue(s) in {n_files} files checked",
+        diags.len()
+    );
     ExitCode::FAILURE
 }
 

@@ -38,7 +38,7 @@ use std::collections::BTreeSet;
 use crate::callgraph::{scan_fns, CallGraph, FnDef, FnId};
 use crate::rules::RULES;
 use crate::source::{ident_before, ident_char, token_positions, Guards, SourceFile};
-use crate::Diagnostic;
+use crate::{section, Diagnostic, Workspace};
 
 // ---------------------------------------------------------------------------
 // site classification
@@ -75,45 +75,30 @@ pub(crate) struct Site {
 const EXPLICIT: &[&str] = &["panic!(", "unreachable!(", "todo!(", "unimplemented!("];
 const ASSERTS: &[&str] = &["assert!(", "assert_eq!(", "assert_ne!("];
 
-/// Char positions of indexing `[`s: those whose previous char closes a
+/// Byte offsets of indexing `[`s: those whose previous char closes a
 /// value expression.
-fn index_opens(cs: &[char]) -> impl Iterator<Item = usize> + '_ {
-    (1..cs.len()).filter(|&i| {
-        cs[i] == '[' && (ident_char(cs[i - 1]) || cs[i - 1] == ')' || cs[i - 1] == ']')
+fn index_opens(code: &str) -> impl Iterator<Item = usize> + '_ {
+    code.match_indices('[').map(|(at, _)| at).filter(|&at| {
+        code[..at]
+            .chars()
+            .next_back()
+            .is_some_and(|p| ident_char(p) || p == ')' || p == ']')
     })
-}
-
-/// Indexing sites on one code line.
-fn index_sites(code: &str) -> usize {
-    index_opens(&code.chars().collect::<Vec<_>>()).count()
 }
 
 /// `/` or `%` whose divisor starts with an identifier (a literal divisor
 /// cannot be zero; an identifier can).
 fn arith_sites(code: &str) -> usize {
-    let cs: Vec<char> = code.chars().collect();
-    let mut n = 0;
-    for (i, &c) in cs.iter().enumerate() {
-        if c != '/' && c != '%' {
-            continue;
-        }
-        let prev = cs[..i].iter().rev().find(|ch| !ch.is_whitespace());
-        let prev_ok = prev.is_some_and(|&p| ident_char(p) || p == ')' || p == ']');
-        if !prev_ok {
-            continue;
-        }
-        let mut j = i + 1;
-        if cs.get(j) == Some(&'=') {
-            j += 1; // compound `/=` / `%=`
-        }
-        while j < cs.len() && cs[j].is_whitespace() {
-            j += 1;
-        }
-        if cs.get(j).is_some_and(|&d| d.is_alphabetic() || d == '_') {
-            n += 1;
-        }
-    }
-    n
+    let value_end = |p: char| ident_char(p) || p == ')' || p == ']';
+    code.match_indices(['/', '%'])
+        .filter(|&(at, _)| {
+            let rest = &code[at + 1..];
+            // A compound `/=` / `%=` divides too.
+            let divisor = rest.strip_prefix('=').unwrap_or(rest).trim_start();
+            code[..at].trim_end().ends_with(value_end)
+                && divisor.starts_with(|d: char| d.is_alphabetic() || d == '_')
+        })
+        .count()
 }
 
 /// Classify every potentially-panicking site in one function body,
@@ -126,8 +111,8 @@ pub(crate) fn scan_sites(sf: &SourceFile, fd: &FnDef) -> Vec<Site> {
             .sum()
     };
     let mut sites = Vec::new();
-    let mut guards = Guards::new();
-    for (li, line, code) in fd.body(sf) {
+    let mut guards = Guards::default();
+    for (li, line, code, depth) in fd.body(sf) {
         let held = guards.held();
         let guarded = code.contains("catch_unwind");
         let allowed = line
@@ -138,7 +123,7 @@ pub(crate) fn scan_sites(sf: &SourceFile, fd: &FnDef) -> Vec<Site> {
             (Kind::Explicit, count(code, EXPLICIT)),
             (Kind::UnwrapExpect, count(code, &[".unwrap()", ".expect("])),
             (Kind::Assert, count(code, ASSERTS)),
-            (Kind::Index, index_sites(code)),
+            (Kind::Index, index_opens(code).count()),
             (Kind::Arith, arith_sites(code)),
         ] {
             sites.extend((0..n).map(|_| Site {
@@ -151,7 +136,7 @@ pub(crate) fn scan_sites(sf: &SourceFile, fd: &FnDef) -> Vec<Site> {
         }
         // After the snapshot: a guard never covers its acquisition's own
         // line. Only `let`-bound acquisitions are guards here.
-        guards.line(code, |g, at, method| {
+        guards.line(code, depth, |g, at, method| {
             if !g.in_let() {
                 return None;
             }
@@ -175,9 +160,6 @@ pub(crate) fn scan_sites(sf: &SourceFile, fd: &FnDef) -> Vec<Site> {
 pub fn check_critical_section(sf: &SourceFile) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     for fd in scan_fns(sf) {
-        if fd.in_test {
-            continue;
-        }
         for s in scan_sites(sf, &fd) {
             let panics = matches!(s.kind, Kind::Explicit | Kind::UnwrapExpect | Kind::Assert);
             if panics && !s.held.is_empty() && !s.guarded {
@@ -227,7 +209,7 @@ pub(crate) fn parse_panic_root(raw: &str) -> Option<(String, bool)> {
 /// definition opening at or after it.
 fn marked_fn(fns: &[FnDef], li: usize) -> Option<usize> {
     (0..fns.len())
-        .filter(|&ni| fns[ni].open.0 >= li && !fns[ni].in_test)
+        .filter(|&ni| fns[ni].open.0 >= li)
         .min_by_key(|&ni| fns[ni].open.0)
 }
 
@@ -275,30 +257,18 @@ pub fn check_worker_boundary(sf: &SourceFile) -> Vec<(usize, String)> {
 /// on one code line.
 fn query_spec_taints(code: &str) -> Vec<String> {
     let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(p) = code[from..].find("QuerySpec::") {
-        let at = from + p;
+    for (at, _) in code.match_indices("QuerySpec::") {
         let rest = &code[at..];
-        if let Some(ob) = rest.find('{') {
-            if let Some(cb) = rest[ob..].find('}') {
-                for part in rest[ob + 1..ob + cb].split(',') {
-                    // `root`, `root: r`, `..` — the binding is the last ident.
-                    let name: String = part
-                        .chars()
-                        .rev()
-                        .skip_while(|c| c.is_whitespace())
-                        .take_while(|&c| ident_char(c))
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .rev()
-                        .collect();
-                    if !name.is_empty() && name != "_" {
-                        out.push(name);
-                    }
-                }
-            }
+        let Some(ob) = rest.find('{') else { continue };
+        let Some(cb) = rest[ob..].find('}') else {
+            continue;
+        };
+        for part in rest[ob + 1..ob + cb].split(',') {
+            // `root`, `root: r`, `..` — the binding is the last ident.
+            let part = part.trim_end();
+            let name = ident_before(part, part.len()).filter(|n| *n != "_");
+            out.extend(name.map(str::to_string));
         }
-        from = at + "QuerySpec::".len();
     }
     out
 }
@@ -308,42 +278,34 @@ fn query_spec_taints(code: &str) -> Vec<String> {
 /// `validate()` — requests are untrusted input.
 pub fn check_unvalidated_input(sf: &SourceFile) -> Vec<(usize, String)> {
     let mut out = Vec::new();
-    for fd in scan_fns(sf).iter().filter(|f| !f.in_test) {
+    for fd in scan_fns(sf) {
         let mut taints: BTreeSet<String> = BTreeSet::new();
         let mut sanitized = false;
-        for (_, _, code) in fd.body(sf) {
+        for (_, _, code, _) in fd.body(sf) {
             sanitized |= code.contains("validate(");
             taints.extend(query_spec_taints(code));
         }
         if sanitized || taints.is_empty() {
             continue;
         }
-        for (li, _, code) in fd.body(sf) {
-            let cs: Vec<char> = code.chars().collect();
-            for i in index_opens(&cs) {
-                let mut nest = 1;
-                let mut j = i + 1;
-                while j < cs.len() && nest > 0 {
-                    match cs[j] {
-                        '[' => nest += 1,
-                        ']' => nest -= 1,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                let inner: String = cs[i + 1..j.saturating_sub(1).max(i + 1)].iter().collect();
-                for t in &taints {
-                    if !token_positions(&inner, t, true).is_empty() {
-                        out.push((
-                            li,
-                            format!(
-                                "`{t}` comes from a QuerySpec and indexes a \
-                                 buffer without validate() — an out-of-range \
-                                 request would panic the worker"
-                            ),
-                        ));
-                        break;
-                    }
+        for (li, _, code, depth) in fd.body(sf) {
+            for at in index_opens(code) {
+                // The index expression: up to the matching `]`, or to the
+                // end of the line.
+                let end = (at + 1..code.len()).find(|&j| depth[j] <= depth[at]);
+                let inner = &code[at + 1..end.unwrap_or(code.len())];
+                if let Some(t) = taints
+                    .iter()
+                    .find(|t| !token_positions(inner, t, true).is_empty())
+                {
+                    out.push((
+                        li,
+                        format!(
+                            "`{t}` comes from a QuerySpec and indexes a \
+                             buffer without validate() — an out-of-range \
+                             request would panic the worker"
+                        ),
+                    ));
                 }
             }
         }
@@ -401,83 +363,66 @@ struct Root {
 }
 
 fn is_bin_main(path: &str, fd: &FnDef) -> bool {
-    if fd.name != "main" || fd.in_test {
-        return false;
-    }
-    path.starts_with("src/bin/")
-        || path == "src/main.rs"
-        || path.contains("/src/bin/")
-        || path.ends_with("/src/main.rs")
+    fd.name == "main"
+        && (path.starts_with("src/bin/")
+            || path == "src/main.rs"
+            || path.contains("/src/bin/")
+            || path.ends_with("/src/main.rs"))
 }
 
 fn bin_label(path: &str) -> String {
-    let stem = path
-        .rsplit('/')
-        .next()
-        .unwrap_or(path)
-        .trim_end_matches(".rs");
-    if stem == "main" {
+    let stem = path.rsplit('/').next().unwrap_or(path);
+    let name = match stem.trim_end_matches(".rs") {
         // `crates/<crate>/src/main.rs` → the crate dir names the binary.
-        let crate_dir = path
+        "main" => path
             .split("/src/")
             .next()
-            .unwrap_or(path)
-            .rsplit('/')
-            .next()
-            .unwrap_or(path);
-        format!("bin:{crate_dir}")
-    } else {
-        format!("bin:{stem}")
-    }
+            .and_then(|d| d.rsplit('/').next()),
+        stem => Some(stem),
+    };
+    format!("bin:{}", name.unwrap_or(path))
 }
 
 /// Discover process and thread roots in a built call graph.
 fn find_roots(g: &CallGraph) -> (Vec<Root>, Vec<Diagnostic>) {
-    let mut roots = Vec::new();
+    let mut roots: Vec<Root> = g
+        .defs()
+        .filter(|(_, f, fd)| is_bin_main(&f.sf.rel_path, fd))
+        .map(|(id, f, _)| Root {
+            label: bin_label(&f.sf.rel_path),
+            kind: RootKind::Bin,
+            id,
+        })
+        .collect();
     let mut findings = Vec::new();
     for (fi, f) in g.files.iter().enumerate() {
-        for (ni, fd) in f.fns.iter().enumerate() {
-            if is_bin_main(&f.path, fd) {
-                roots.push(Root {
-                    label: bin_label(&f.path),
-                    kind: RootKind::Bin,
-                    id: (fi, ni),
-                });
-            }
-        }
-        for (li, line) in f.sf.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
+        for (li, line) in f.sf.lines.iter().enumerate().filter(|(_, l)| !l.in_test) {
             let Some((label, forwarded)) = parse_panic_root(&line.raw) else {
                 continue;
             };
-            match marked_fn(&f.fns, li) {
-                Some(ni) => {
-                    if roots
-                        .iter()
-                        .any(|r| matches!(r.kind, RootKind::Thread { .. }) && r.label == label)
-                    {
-                        findings.push(Diagnostic {
-                            file: f.path.clone(),
-                            line: li + 1,
-                            rule: "panic-on-worker-boundary",
-                            message: format!("duplicate panic-root label `{label}`"),
-                        });
-                    }
-                    roots.push(Root {
-                        label,
-                        kind: RootKind::Thread { forwarded },
-                        id: (fi, ni),
-                    });
-                }
-                None => findings.push(Diagnostic {
-                    file: f.path.clone(),
-                    line: li + 1,
-                    rule: "panic-on-worker-boundary",
-                    message: format!("panic-root(`{label}`) marker attaches to no function"),
-                }),
+            let finding = |message| Diagnostic {
+                file: f.sf.rel_path.clone(),
+                line: li + 1,
+                rule: "panic-on-worker-boundary",
+                message,
+            };
+            let Some(ni) = marked_fn(&f.fns, li) else {
+                findings.push(finding(format!(
+                    "panic-root(`{label}`) marker attaches to no function"
+                )));
+                continue;
+            };
+            if roots
+                .iter()
+                .any(|r| matches!(r.kind, RootKind::Thread { .. }) && r.label == label)
+            {
+                findings.push(finding(format!("duplicate panic-root label `{label}`")));
             }
+            roots.push(Root {
+                label,
+                kind: RootKind::Thread { forwarded },
+                id: (fi, ni),
+            });
         }
     }
     roots.sort_by(|a, b| a.label.cmp(&b.label));
@@ -486,7 +431,7 @@ fn find_roots(g: &CallGraph) -> (Vec<Root>, Vec<Diagnostic>) {
 
 /// Lines whose allow marker names a `panic-*` rule without a
 /// `: justification` tail.
-fn unjustified_allows(path: &str, sf: &SourceFile) -> Vec<Diagnostic> {
+fn unjustified_allows(sf: &SourceFile) -> Vec<Diagnostic> {
     let rule_name = |n: &str| {
         !n.is_empty()
             && n.chars()
@@ -514,7 +459,7 @@ fn unjustified_allows(path: &str, sf: &SourceFile) -> Vec<Diagnostic> {
         let justified = tail.strip_prefix(':').is_some_and(|t| !t.trim().is_empty());
         if !justified {
             out.push(Diagnostic {
-                file: path.to_string(),
+                file: sf.rel_path.clone(),
                 line: li + 1,
                 rule: "panic-unjustified-allow",
                 message: "allowing a panic-* rule needs `): <justification>` \
@@ -526,20 +471,19 @@ fn unjustified_allows(path: &str, sf: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-/// Build the full panic-reachability analysis from `(rel_path, text)`
-/// pairs spanning the whole workspace. Findings respect inline allow
-/// markers, like the engine-driven rules.
-pub fn analyze(files: &[(String, String)]) -> Analysis {
-    let g = CallGraph::build(files);
+/// Build the full panic-reachability analysis over the whole workspace.
+/// Findings respect inline allow markers, like the engine-driven rules.
+pub fn analyze(ws: &Workspace) -> Analysis {
+    let g = CallGraph::build(&ws.files);
     let (roots, mut findings) = find_roots(&g);
 
     // Per-file rule findings, scope- and allow-filtered exactly like the
     // engine, so `--panics` and `--check` agree.
     for f in &g.files {
         for rule in RULES.iter().filter(|r| r.name.starts_with("panic-")) {
-            findings.extend(crate::check_rule(rule, &f.sf));
+            findings.extend(crate::check_rule(rule, f.sf));
         }
-        findings.extend(unjustified_allows(&f.path, &f.sf));
+        findings.extend(unjustified_allows(f.sf));
     }
 
     // Reachability: which roots reach each function.
@@ -558,42 +502,37 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
         .filter(|(_, r)| matches!(r.kind, RootKind::Thread { forwarded: false }))
         .map(|(ri, _)| ri)
         .collect();
-    for (fi, f) in g.files.iter().enumerate() {
-        for (ni, fd) in f.fns.iter().enumerate() {
-            if fd.in_test {
+    for (id, f, fd) in g.defs() {
+        let reaching: Vec<&str> = live_threads
+            .iter()
+            .filter(|&&ri| reach[ri].1.contains(&id))
+            .map(|&ri| roots[ri].label.as_str())
+            .collect();
+        if reaching.is_empty() {
+            continue;
+        }
+        for s in scan_sites(f.sf, fd) {
+            let panics = matches!(s.kind, Kind::Explicit | Kind::UnwrapExpect);
+            if !panics || s.held.is_empty() || s.guarded || s.allowed {
                 continue;
             }
-            let reaching: Vec<&str> = live_threads
-                .iter()
-                .filter(|&&ri| reach[ri].1.contains(&(fi, ni)))
-                .map(|&ri| roots[ri].label.as_str())
-                .collect();
-            if reaching.is_empty() {
-                continue;
-            }
-            for s in scan_sites(&f.sf, fd) {
-                let panics = matches!(s.kind, Kind::Explicit | Kind::UnwrapExpect);
-                if !panics || s.held.is_empty() || s.guarded || s.allowed {
-                    continue;
-                }
-                let fnd = Diagnostic {
-                    file: f.path.clone(),
-                    line: s.line + 1,
-                    rule: "panic-in-critical-section",
-                    message: format!(
-                        "panic site holding `{}` is reachable from thread \
+            let fnd = Diagnostic {
+                file: f.sf.rel_path.clone(),
+                line: s.line + 1,
+                rule: "panic-in-critical-section",
+                message: format!(
+                    "panic site holding `{}` is reachable from thread \
                          root(s) {} — a crash here poisons the lock for \
                          every sibling worker",
-                        s.held.join(", "),
-                        reaching.join(", ")
-                    ),
-                };
-                if !findings
-                    .iter()
-                    .any(|x| x.file == fnd.file && x.line == fnd.line && x.rule == fnd.rule)
-                {
-                    findings.push(fnd);
-                }
+                    s.held.join(", "),
+                    reaching.join(", ")
+                ),
+            };
+            if !findings
+                .iter()
+                .any(|x| x.file == fnd.file && x.line == fnd.line && x.rule == fnd.rule)
+            {
+                findings.push(fnd);
             }
         }
     }
@@ -605,11 +544,11 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
         let f = &g.files[fi];
         let fd = &f.fns[ni];
         let has_guard = fd
-            .body(&f.sf)
-            .any(|(_, _, code)| code.contains("catch_unwind"));
+            .body(f.sf)
+            .any(|(_, _, code, _)| code.contains("catch_unwind"));
         if !has_guard {
             findings.push(Diagnostic {
-                file: f.path.clone(),
+                file: f.sf.rel_path.clone(),
                 line: fd.open.0 + 1,
                 rule: "panic-on-worker-boundary",
                 message: format!(
@@ -643,47 +582,49 @@ fn render_table(
     roots: &[Root],
     reach: &[(usize, BTreeSet<FnId>)],
 ) -> (String, usize) {
-    let mut out = String::new();
-    out.push_str("panic-reachability model\n");
-    out.push_str("========================\n");
-    out.push_str("scope: whole workspace (tests and fixtures excluded)\n");
-    out.push_str("counts: total/allowed per kind; a fn is listed when a root\n");
-    out.push_str("reaches it and it has an explicit, unwrap/expect or assert\n");
-    out.push_str("site. `held:` is the union of lock guards live at its sites.\n\n");
-
-    out.push_str("roots\n");
-    for r in roots {
+    let mut out = String::from(
+        "panic-reachability model\n\
+         ========================\n\
+         scope: whole workspace (tests and fixtures excluded)\n\
+         counts: total/allowed per kind; a fn is listed when a root\n\
+         reaches it and it has an explicit, unwrap/expect or assert\n\
+         site. `held:` is the union of lock guards live at its sites.\n",
+    );
+    let rows = roots.iter().map(|r| {
         let tag = match r.kind {
             RootKind::Bin => r.label.clone(),
             RootKind::Thread { forwarded: false } => format!("thread:{}", r.label),
             RootKind::Thread { forwarded: true } => format!("thread:{} (forwarded)", r.label),
         };
-        let mut line = format!("  {tag:<34} {}\n", g.qualified(r.id));
+        let line = format!("  {tag:<34} {}\n", g.qualified(r.id));
         if line.len() > 100 {
-            line = format!("  {tag}\n    {}\n", g.qualified(r.id));
+            format!("  {tag}\n    {}\n", g.qualified(r.id))
+        } else {
+            line
         }
-        out.push_str(&line);
-    }
-    out.push('\n');
+    });
+    section(&mut out, "\nroots", rows);
 
-    out.push_str("reachable panic sites\n");
+    let or_dash = |names: Vec<&str>| {
+        if names.is_empty() {
+            "-".to_string()
+        } else {
+            names.join(",")
+        }
+    };
     let mut num_sites = 0usize;
-    let mut any = false;
-    for (fi, f) in g.files.iter().enumerate() {
+    let files = g.files.iter().enumerate().filter_map(|(fi, f)| {
         let mut rows = String::new();
         for (ni, fd) in f.fns.iter().enumerate() {
-            if fd.in_test {
-                continue;
-            }
-            let reaching: Vec<usize> = reach
+            let reaching: Vec<&Root> = reach
                 .iter()
                 .filter(|(_, set)| set.contains(&(fi, ni)))
-                .map(|(ri, _)| *ri)
+                .map(|&(ri, _)| &roots[ri])
                 .collect();
             if reaching.is_empty() {
                 continue;
             }
-            let sites = scan_sites(&f.sf, fd);
+            let sites = scan_sites(f.sf, fd);
             let hard = sites
                 .iter()
                 .any(|s| matches!(s.kind, Kind::Explicit | Kind::UnwrapExpect | Kind::Assert));
@@ -693,54 +634,38 @@ fn render_table(
             num_sites += sites.len();
             let bins = reaching
                 .iter()
-                .filter(|&&ri| matches!(roots[ri].kind, RootKind::Bin))
+                .filter(|r| matches!(r.kind, RootKind::Bin))
                 .count();
-            let threads: Vec<&str> = reaching
+            let threads = reaching
                 .iter()
-                .filter(|&&ri| matches!(roots[ri].kind, RootKind::Thread { .. }))
-                .map(|&ri| roots[ri].label.as_str())
+                .filter(|r| matches!(r.kind, RootKind::Thread { .. }))
+                .map(|r| r.label.as_str())
                 .collect();
-            let threads = if threads.is_empty() {
-                "-".to_string()
-            } else {
-                threads.join(",")
-            };
-            let mut held: BTreeSet<String> = BTreeSet::new();
-            for s in &sites {
-                held.extend(s.held.iter().cloned());
-            }
-            let held = if held.is_empty() {
-                "-".to_string()
-            } else {
-                held.into_iter().collect::<Vec<_>>().join(",")
-            };
+            let held: BTreeSet<&str> = sites
+                .iter()
+                .flat_map(|s| s.held.iter().map(String::as_str))
+                .collect();
             let count = |k: Kind| {
                 let total = sites.iter().filter(|s| s.kind == k).count();
                 let allowed = sites.iter().filter(|s| s.kind == k && s.allowed).count();
                 format!("{total}/{allowed}")
             };
-            rows.push_str(&format!("    {}\n", fd.label()));
-            rows.push_str(&format!(
-                "      roots: bins:{bins} threads:{threads}  held: {held}\n"
-            ));
-            rows.push_str(&format!(
-                "      explicit {}  unwrap-expect {}  assert {}  index {}  arith {}\n",
+            rows += &format!(
+                "    {}\n      roots: bins:{bins} threads:{}  held: {}\n      \
+                 explicit {}  unwrap-expect {}  assert {}  index {}  arith {}\n",
+                fd.label(),
+                or_dash(threads),
+                or_dash(held.into_iter().collect()),
                 count(Kind::Explicit),
                 count(Kind::UnwrapExpect),
                 count(Kind::Assert),
                 count(Kind::Index),
                 count(Kind::Arith),
-            ));
+            );
         }
-        if !rows.is_empty() {
-            any = true;
-            out.push_str(&format!("  {}\n", f.path));
-            out.push_str(&rows);
-        }
-    }
-    if !any {
-        out.push_str("  (none)\n");
-    }
+        (!rows.is_empty()).then(|| format!("  {}\n{rows}", f.sf.rel_path))
+    });
+    section(&mut out, "\nreachable panic sites", files);
     (out, num_sites)
 }
 
@@ -851,7 +776,7 @@ mod tests {
                     .to_string(),
             ),
         ];
-        let a = analyze(&files);
+        let a = analyze(&Workspace::parse(&files));
         assert_eq!(a.num_roots, 1);
         assert!(a.table.contains("bin:tool"));
         assert!(a.table.contains("crates/x/src/helper.rs"));
@@ -868,7 +793,7 @@ mod tests {
              }\n"
             .to_string(),
         )];
-        let a = analyze(&files);
+        let a = analyze(&Workspace::parse(&files));
         assert!(a
             .findings
             .iter()

@@ -18,6 +18,14 @@ pub struct Scope {
 }
 
 impl Scope {
+    /// The scope of `include`, with nothing carved out.
+    pub const fn of(include: &'static [&'static str]) -> Scope {
+        Scope {
+            include,
+            exclude: &[],
+        }
+    }
+
     /// Does `rel_path` fall under this scope?
     pub fn matches(&self, rel_path: &str) -> bool {
         let hit = |pat: &str| {
@@ -30,6 +38,24 @@ impl Scope {
         self.include.iter().any(|p| hit(p)) && !self.exclude.iter().any(|p| hit(p))
     }
 }
+
+/// The SPMD programs: the engine and the kernels outside it. The protocol
+/// pass walks these files.
+pub const PROTOCOL: Scope = Scope::of(&[
+    "crates/core/src/engine/",
+    "crates/core/src/bfs.rs",
+    "crates/core/src/cc.rs",
+    "crates/core/src/pagerank.rs",
+]);
+
+/// The code that runs on OS threads: the comm runtime, the engine and the
+/// serving layer. The concurrency pass models these files; the lock and
+/// panic rules check them.
+pub const THREADED: Scope = Scope::of(&[
+    "crates/comm/src/",
+    "crates/core/src/engine/",
+    "crates/serve/src/",
+]);
 
 /// One named, scoped check.
 pub struct Rule {
@@ -49,15 +75,12 @@ pub static RULES: &[Rule] = &[
         name: "no-panic-hot-path",
         summary: "no unwrap/expect/panic in engine and comm hot paths; \
                   propagate errors or justify with an allow marker",
-        scope: Scope {
-            include: &[
-                "crates/core/src/engine/",
-                "crates/core/src/state.rs",
-                "crates/comm/src/",
-                "crates/dist/src/",
-            ],
-            exclude: &[],
-        },
+        scope: Scope::of(&[
+            "crates/core/src/engine/",
+            "crates/core/src/state.rs",
+            "crates/comm/src/",
+            "crates/dist/src/",
+        ]),
         check: check_no_panic,
     },
     Rule {
@@ -87,14 +110,11 @@ pub static RULES: &[Rule] = &[
         name: "no-lossy-cast",
         summary: "no `as` narrowing of vertex ids / distances in the engine \
                   and dist layers; use the checked helpers",
-        scope: Scope {
-            include: &[
-                "crates/core/src/engine/",
-                "crates/core/src/state.rs",
-                "crates/dist/src/",
-            ],
-            exclude: &[],
-        },
+        scope: Scope::of(&[
+            "crates/core/src/engine/",
+            "crates/core/src/state.rs",
+            "crates/dist/src/",
+        ]),
         check: check_no_lossy_cast,
     },
     Rule {
@@ -111,131 +131,85 @@ pub static RULES: &[Rule] = &[
         name: "missing-docs-pub",
         summary: "public items in sssp-core, sssp-comm and sssp-serve need \
                   a doc comment",
-        scope: Scope {
-            include: &["crates/core/src/", "crates/comm/src/", "crates/serve/src/"],
-            exclude: &[],
-        },
+        scope: Scope::of(&["crates/core/src/", "crates/comm/src/", "crates/serve/src/"]),
         check: check_missing_docs,
     },
     Rule {
         name: "crate-hygiene",
         summary: "every crate root must carry #![forbid(unsafe_code)] and \
                   #![warn(missing_docs)]",
-        scope: Scope {
-            include: &[
-                "crates/graph/src/lib.rs",
-                "crates/comm/src/lib.rs",
-                "crates/dist/src/lib.rs",
-                "crates/core/src/lib.rs",
-                "crates/serve/src/lib.rs",
-                "crates/bench/src/lib.rs",
-                "crates/lint/src/lib.rs",
-                "src/lib.rs",
-            ],
-            exclude: &[],
-        },
+        scope: Scope::of(&[
+            "crates/graph/src/lib.rs",
+            "crates/comm/src/lib.rs",
+            "crates/dist/src/lib.rs",
+            "crates/core/src/lib.rs",
+            "crates/serve/src/lib.rs",
+            "crates/bench/src/lib.rs",
+            "crates/lint/src/lib.rs",
+            "src/lib.rs",
+        ]),
         check: check_crate_hygiene,
     },
     Rule {
         name: "no-print-debug",
         summary: "no println!/eprintln!/dbg! in library crates; reporting \
                   lives in sssp-bench and the binaries",
-        scope: Scope {
-            include: &[
-                "crates/graph/src/",
-                "crates/comm/src/",
-                "crates/dist/src/",
-                "crates/core/src/",
-                "crates/serve/src/",
-            ],
-            exclude: &[],
-        },
+        scope: Scope::of(&[
+            "crates/graph/src/",
+            "crates/comm/src/",
+            "crates/dist/src/",
+            "crates/core/src/",
+            "crates/serve/src/",
+        ]),
         check: check_no_print,
     },
     Rule {
         name: "protocol-divergent-guard",
         summary: "no collective call site under a rank-local condition; \
                   every rank must reach every collective uniformly",
-        scope: Scope {
-            include: &["crates/core/src/engine/"],
-            exclude: &[],
-        },
+        scope: Scope::of(&["crates/core/src/engine/"]),
         check: crate::protocol::check_divergent_guard,
     },
     Rule {
         name: "protocol-missing-barrier",
         summary: "no two `.lock(` phases in one comm function without a \
                   barrier `.wait(` between them",
-        scope: Scope {
-            include: &["crates/comm/src/"],
-            exclude: &[],
-        },
+        scope: Scope::of(&["crates/comm/src/"]),
         check: crate::protocol::check_missing_barrier,
     },
     Rule {
         name: "concurrency-lock-cycle",
         summary: "lock acquisitions must follow one global order; an \
                   acquisition that closes an order cycle can deadlock",
-        scope: Scope {
-            include: &[
-                "crates/comm/src/",
-                "crates/core/src/engine/",
-                "crates/serve/src/",
-            ],
-            exclude: &[],
-        },
+        scope: THREADED,
         check: crate::concurrency::check_lock_cycle,
     },
     Rule {
         name: "concurrency-blocking-hold",
         summary: "no blocking `.recv(`/`.wait(` while holding a lock — a \
                   peer blocked on the same lock deadlocks the rendezvous",
-        scope: Scope {
-            include: &[
-                "crates/comm/src/",
-                "crates/core/src/engine/",
-                "crates/serve/src/",
-            ],
-            exclude: &[],
-        },
+        scope: THREADED,
         check: crate::concurrency::check_blocking_hold,
     },
     Rule {
         name: "panic-in-critical-section",
         summary: "no unwrap/expect/panic/assert while a lock guard is held \
                   — a panic there poisons the lock for every other thread",
-        scope: Scope {
-            include: &[
-                "crates/comm/src/",
-                "crates/core/src/engine/",
-                "crates/serve/src/",
-            ],
-            exclude: &[],
-        },
+        scope: THREADED,
         check: crate::panics::check_critical_section,
     },
     Rule {
         name: "panic-on-worker-boundary",
         summary: "a fn marked `panic-root(label)` is a thread entry: direct \
                   panic sites must sit under catch_unwind or be forwarded",
-        scope: Scope {
-            include: &[
-                "crates/comm/src/",
-                "crates/core/src/engine/",
-                "crates/serve/src/",
-            ],
-            exclude: &[],
-        },
+        scope: THREADED,
         check: crate::panics::check_worker_boundary,
     },
     Rule {
         name: "panic-unvalidated-input",
         summary: "vertices destructured from a QuerySpec must pass validate() \
                   before indexing a buffer — requests are untrusted input",
-        scope: Scope {
-            include: &["crates/serve/src/"],
-            exclude: &[],
-        },
+        scope: Scope::of(&["crates/serve/src/"]),
         check: crate::panics::check_unvalidated_input,
     },
     Rule {
@@ -243,14 +217,7 @@ pub static RULES: &[Rule] = &[
         summary: "`.lock()`/`.wait()` followed by unwrap/expect dies on a \
                   poisoned primitive — recover with PoisonError::into_inner \
                   or justify die-on-poison",
-        scope: Scope {
-            include: &[
-                "crates/comm/src/",
-                "crates/core/src/engine/",
-                "crates/serve/src/",
-            ],
-            exclude: &[],
-        },
+        scope: THREADED,
         check: crate::panics::check_silent_poison,
     },
 ];
@@ -275,44 +242,48 @@ pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.name == name)
 }
 
-fn token_hits(file: &SourceFile, patterns: &[(&str, bool, &str)]) -> Vec<(usize, String)> {
+/// One pattern group of a token rule: the needles, whether a needle may
+/// be the prefix of a longer identifier (`Atomic` in `AtomicU64`), and why
+/// a hit is a finding.
+type Pattern = (&'static [&'static str], bool, &'static str);
+
+fn token_hits(file: &SourceFile, patterns: &[Pattern]) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     for (li, line) in file.lines.iter().enumerate() {
-        for &(needle, prefix, why) in patterns {
-            if !token_positions(&line.code, needle, prefix).is_empty() {
-                out.push((li, format!("`{needle}` {why}")));
+        for &(needles, prefix, why) in patterns {
+            for needle in needles {
+                if !token_positions(&line.code, needle, prefix).is_empty() {
+                    out.push((li, format!("`{needle}` {why}")));
+                }
             }
         }
     }
     out
 }
 
+const HOT_PATH: &str = "in a hot path: propagate the error or justify with a marker";
+const SEQUENTIAL: &str =
+    "outside sssp-comm::threaded: ranks are simulated sequentially everywhere else";
+const NO_SHARED_MEMORY: &str = "outside sssp-comm::threaded: the BSP model has no shared memory";
+const GLOBAL_STATE: &str = "is global state; thread configuration through explicitly";
+const REPORTING: &str = "in a library crate: reporting belongs to sssp-bench or a binary";
+
 fn check_no_panic(file: &SourceFile) -> Vec<(usize, String)> {
     token_hits(
         file,
         &[
+            (&[".unwrap()", ".expect("], false, HOT_PATH),
             (
-                ".unwrap()",
-                false,
-                "in a hot path: propagate the error or justify with a marker",
-            ),
-            (
-                ".expect(",
-                false,
-                "in a hot path: propagate the error or justify with a marker",
-            ),
-            (
-                "panic!",
+                &["panic!"],
                 false,
                 "in a hot path: hot paths must not abort mid-superstep",
             ),
             (
-                "unreachable!",
+                &["unreachable!"],
                 false,
                 "in a hot path: encode the invariant as a type instead",
             ),
-            ("todo!", false, "left in a hot path"),
-            ("unimplemented!", false, "left in a hot path"),
+            (&["todo!", "unimplemented!"], false, "left in a hot path"),
         ],
     )
 }
@@ -321,67 +292,36 @@ fn check_no_shared_state(file: &SourceFile) -> Vec<(usize, String)> {
     token_hits(
         file,
         &[
+            (&["thread::spawn", "thread::scope"], false, SEQUENTIAL),
             (
-                "thread::spawn",
-                false,
-                "outside sssp-comm::threaded: ranks are simulated sequentially everywhere else",
-            ),
-            (
-                "thread::scope",
-                false,
-                "outside sssp-comm::threaded: ranks are simulated sequentially everywhere else",
-            ),
-            (
-                "thread::Builder",
+                &["thread::Builder"],
                 false,
                 "outside sssp-comm::threaded: rank threads are spawned only by run_threaded",
             ),
             (
-                "Barrier",
+                &["Barrier"],
                 false,
                 "outside sssp-comm::threaded: supersteps synchronize through RankCtx collectives",
             ),
+            (&["Mutex", "RwLock"], false, NO_SHARED_MEMORY),
             (
-                "Mutex",
-                false,
-                "outside sssp-comm::threaded: the BSP model has no shared memory",
-            ),
-            (
-                "RwLock",
-                false,
-                "outside sssp-comm::threaded: the BSP model has no shared memory",
-            ),
-            (
-                "Condvar",
+                &["Condvar"],
                 false,
                 "outside sssp-comm::threaded: use the superstep barrier",
             ),
+            (&["Atomic"], true, NO_SHARED_MEMORY),
             (
-                "Atomic",
-                true,
-                "outside sssp-comm::threaded: the BSP model has no shared memory",
-            ),
-            (
-                "mpsc::",
+                &["mpsc::"],
                 false,
                 "outside sssp-comm::threaded: message passing goes through comm::exchange",
             ),
             (
-                "static mut",
+                &["static mut"],
                 false,
                 "is shared mutable state; thread it through explicitly",
             ),
-            (
-                "OnceLock",
-                false,
-                "is global state; thread configuration through explicitly",
-            ),
-            (
-                "LazyLock",
-                false,
-                "is global state; thread configuration through explicitly",
-            ),
-            ("UnsafeCell", false, "outside sssp-comm::threaded"),
+            (&["OnceLock", "LazyLock"], false, GLOBAL_STATE),
+            (&["UnsafeCell"], false, "outside sssp-comm::threaded"),
         ],
     )
 }
@@ -523,26 +463,11 @@ fn check_no_print(file: &SourceFile) -> Vec<(usize, String)> {
         file,
         &[
             (
-                "println!",
+                &["println!", "eprintln!", "print!", "eprint!"],
                 false,
-                "in a library crate: reporting belongs to sssp-bench or a binary",
+                REPORTING,
             ),
-            (
-                "eprintln!",
-                false,
-                "in a library crate: reporting belongs to sssp-bench or a binary",
-            ),
-            (
-                "print!",
-                false,
-                "in a library crate: reporting belongs to sssp-bench or a binary",
-            ),
-            (
-                "eprint!",
-                false,
-                "in a library crate: reporting belongs to sssp-bench or a binary",
-            ),
-            ("dbg!", false, "left in a library crate"),
+            (&["dbg!"], false, "left in a library crate"),
         ],
     )
 }

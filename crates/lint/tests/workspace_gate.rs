@@ -5,8 +5,9 @@
 #[test]
 fn workspace_is_lint_clean() {
     let root = sssp_lint::default_root();
-    let diags = sssp_lint::lint_workspace(&root)
-        .unwrap_or_else(|e| panic!("cannot lint workspace at {}: {e}", root.display()));
+    let diags = sssp_lint::Workspace::load(&root)
+        .unwrap_or_else(|e| panic!("cannot lint workspace at {}: {e}", root.display()))
+        .lint();
     if !diags.is_empty() {
         let listing: String = diags.iter().map(|d| format!("  {d}\n")).collect();
         panic!(
@@ -21,8 +22,8 @@ fn workspace_is_lint_clean() {
 #[test]
 fn workspace_walk_sees_the_real_tree() {
     let root = sssp_lint::default_root();
-    let files = sssp_lint::workspace_files(&root).expect("walk failed");
-    let rels: Vec<&str> = files.iter().map(|(r, _)| r.as_str()).collect();
+    let ws = sssp_lint::Workspace::load(&root).expect("walk failed");
+    let rels: Vec<&str> = ws.files.iter().map(|f| f.rel_path.as_str()).collect();
     // Sanity anchors: the walk must include the engine and exclude the
     // vendored shims and this crate's seeded-violation fixtures.
     assert!(rels.contains(&"crates/core/src/engine/mod.rs"));
