@@ -1,6 +1,6 @@
 //! The epoch loop — select bucket, short phases to a fixpoint, push-or-pull
-//! long phase, settle, τ-switch into doubling windows — written once over a
-//! [`Comm`] transport and a [`Recorder`].
+//! long phase, settle, τ-switch into the hybrid tail's bounded windows —
+//! written once over a [`Comm`] transport and a [`Recorder`].
 //!
 //! A process drives the slice of ranks its transport *owns* (one on a rank
 //! thread, all `p` in lockstep). Rank-local work — the kernels of
@@ -403,7 +403,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         // edgeless graph's sentinels (`u64::MAX`, 0) open no short stage
         // and zero the decision heuristic's eq. 1 expectation.
         let (min_weight, max_weight) = dg.weight_range();
-        let policy = Policy::new(job.cfg, dg.num_ranks());
+        let policy = Policy::new(job.cfg, dg.num_ranks(), max_weight);
         // What each vertex adds to the §III-C pull estimate while unreached
         // is fixed by the graph, the policy's short bound and the weight
         // range: install it once, and the per-epoch estimate never has to
@@ -533,7 +533,8 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             }
 
             // Hybrid switch (§III-D): once τ of the vertices is settled,
-            // the remaining epochs take doubling windows (below).
+            // the remaining epochs take windows of min(2^(j+1), H) buckets,
+            // H the one-hop horizon (below).
             if let (Some(tau), Some(kp), None) = (job.cfg.hybrid_tau, k_prev, tail_epochs) {
                 if decide::hybrid_should_switch(tau, settled_total, n_total) {
                     self.rec.hybrid_switch(kp);
@@ -545,7 +546,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             // per epoch min-reduce their per-rank window proposals through
             // the window collective; Δ-stepping's single-bucket rule issues
             // no collective at all. Hybrid-tail epochs also reach the
-            // tail's doubling floor (DESIGN.md §6g).
+            // tail's floor (DESIGN.md §6g).
             let hi = if self.policy.multi_bucket() {
                 // sssp-lint: protocol: epoch.window
                 self.window_collective(k)

@@ -12,8 +12,9 @@
 //!                            w < d(v) − kΔ; B_k owners respond), chosen per
 //!                            bucket by the §III-C decision heuristic;
 //! hybrid switch            — once the settled fraction exceeds τ, the
-//!                            j-th later epoch takes a window of 2^(j+1)
-//!                            buckets (§III-D; the paper: Bellman-Ford).
+//!                            j-th later epoch takes a window of
+//!                            min(2^(j+1), ⌊w_max/Δ⌋ + 1) buckets (§III-D;
+//!                            the paper: Bellman-Ford).
 //! ```
 //!
 //! That loop exists once (`driver.rs`), generic over two things:

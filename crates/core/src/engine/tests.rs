@@ -647,7 +647,7 @@ fn maintained_volumes_equal_the_full_scan_on_a_driven_state() {
     let lg = sssp_dist::LocalGraph::from_rows(rows);
     let w_max = 1500;
     for cfg in estimate_policies() {
-        let policy = Policy::new(&cfg, 1);
+        let policy = Policy::new(&cfg, 1, w_max);
         let dial = !matches!(cfg.policy, SteppingPolicyKind::Delta);
         for estimator in ESTIMATORS {
             let mut st = RankState::new(0, n, 1);
@@ -871,12 +871,15 @@ fn tail_windows_are_contiguous_doubling_and_start_at_the_smallest_bucket() {
     // On a grid the tail runs many epochs. Read each window off the final
     // distances: the j-th tail epoch must start at the smallest non-empty
     // bucket past the previous window and settle exactly the vertices of
-    // its 2^(j+1) buckets — so no bucket is skipped and none is revisited.
+    // its min(2^(j+1), H) buckets, H = ⌊w_max/Δ⌋ + 1 the one-hop horizon —
+    // so no bucket is skipped and none is revisited.
     let g = CsrBuilder::new().build(&gen::grid(24, 255, 3));
     let expect = crate::seq::dijkstra(&g, 0);
     let delta = 25u64;
     for (p, tau) in [(1usize, 0.0), (3, 0.2), (4, 0.4)] {
         let dg = DistGraph::build(&g, p, 2);
+        let horizon = dg.weight_range().1 / delta + 1;
+        assert_eq!(horizon, 11, "the fourth tail epoch hits the cap");
         let cfg = SsspConfig::opt(delta as u32).with_hybrid(Some(tau));
         let (out, logs) = run(
             &dg,
@@ -895,7 +898,7 @@ fn tail_windows_are_contiguous_doubling_and_start_at_the_smallest_bucket() {
             let buckets = expect.iter().filter(|&&d| d != INF).map(|&d| d / delta);
             let smallest = buckets.clone().filter(|&b| b > prev_hi).min();
             assert_eq!(Some(lo), smallest, "p {p} τ {tau} tail epoch {j}");
-            let hi = lo + (2u64 << j) - 1;
+            let hi = lo + (2u64 << j).min(horizon) - 1;
             let inside = buckets.filter(|&b| lo <= b && b <= hi).count() as u64;
             assert_eq!(settled, inside, "p {p} τ {tau} tail epoch {j} [{lo}, {hi}]");
             prev_hi = hi;

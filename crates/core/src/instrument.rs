@@ -257,8 +257,7 @@ pub struct RunStats {
     pub epochs: u64,
     /// Total relaxation phases (short + long).
     pub phases: u64,
-    /// Last bucket settled before the hybrid tail's doubling windows took
-    /// over.
+    /// Last bucket settled before the hybrid tail's windows took over.
     pub hybrid_switch_at: Option<u64>,
 
     /// Relaxations performed in short-edge phases.

@@ -1,6 +1,6 @@
 //! The paper's contribution: distributed Δ-stepping with edge
 //! classification, the IOS refinement, push/pull direction-optimized
-//! pruning, hybridization (a doubling-window tail where the paper uses
+//! pruning, hybridization (a bounded-window tail where the paper uses
 //! Bellman-Ford) and two-tier load balancing — one epoch loop over the
 //! transports of `sssp-comm`.
 //!

@@ -29,7 +29,8 @@
 //!   incident edge weight, again via one window min-reduce.
 //!
 //! After the hybrid switch every rule's window also reaches at least the
-//! tail's doubling floor (DESIGN.md §6g).
+//! tail's floor: 2, 4, 8, … buckets, capped at the one-hop horizon
+//! ⌊w_max/Δ⌋ + 1 (DESIGN.md §6g).
 
 use sssp_dist::LocalGraph;
 
@@ -82,15 +83,25 @@ pub struct Policy {
     pub rule: SteppingPolicyKind,
     /// Ranks sharing the ρ rule's vertex budget.
     ranks: u64,
+    /// The one-hop horizon ⌊w_max/Δ⌋ + 1: how many buckets one edge can
+    /// span from the bucket its tail sits in, and so the widest hybrid-tail
+    /// floor. `u64::MAX` at Δ = ∞.
+    horizon: u64,
 }
 
 impl Policy {
-    /// The run's policy for `cfg` on `ranks` ranks.
-    pub fn new(cfg: &SsspConfig, ranks: usize) -> Policy {
+    /// The run's policy for `cfg` on `ranks` ranks over a graph whose
+    /// largest edge weight is `max_weight` (0 when it has no edge).
+    pub fn new(cfg: &SsspConfig, ranks: usize, max_weight: u64) -> Policy {
+        let horizon = match cfg.delta {
+            DeltaParam::Finite(delta) => (max_weight / u64::from(delta.max(1))).saturating_add(1),
+            DeltaParam::Infinite => u64::MAX,
+        };
         Policy {
             delta: cfg.delta,
             rule: cfg.policy,
             ranks: ranks.max(1) as u64,
+            horizon,
         }
     }
 
@@ -109,11 +120,16 @@ impl Policy {
     /// The epoch window from the selected bucket `k` and the globally
     /// reduced window end `hi` (`k` itself under the `Delta` rule; an `hi`
     /// below `k` clamps to `k`). `tail` is the number of epochs since the
-    /// hybrid switch: the j-th tail epoch reaches at least 2^(j+1) buckets
-    /// — a bounded step where the paper merges every remaining bucket into
-    /// Bellman-Ford rounds.
+    /// hybrid switch: the j-th tail epoch reaches at least
+    /// min(2^(j+1), H) buckets, H the one-hop horizon — a bounded step where
+    /// the paper merges every remaining bucket into Bellman-Ford rounds.
+    /// Every vertex reached when the epoch opens lies within H buckets of
+    /// `k`; a wider floor only adds buckets its own fixpoint must discover.
     pub fn window(&self, k: u64, hi: u64, tail: Option<u32>) -> EpochWindow {
-        let floor = tail.map_or(k, |j| k.saturating_add(2u64.saturating_pow(j + 1) - 1));
+        let floor = tail.map_or(k, |j| {
+            let width = 2u64.saturating_pow(j + 1).min(self.horizon);
+            k.saturating_add(width - 1)
+        });
         let hi = hi.max(floor).min(NO_PROPOSAL);
         let start_dist = match self.delta {
             DeltaParam::Finite(delta) => k.saturating_mul(delta as u64),
@@ -188,8 +204,10 @@ mod tests {
     use super::*;
     use crate::state::{FLAT_LANES, INF_BUCKET};
 
+    /// A policy over a graph holding the largest possible weight, so the
+    /// horizon does not cap the tests' tail floors.
     fn policy(cfg: SsspConfig, ranks: usize) -> Policy {
-        Policy::new(&cfg, ranks)
+        Policy::new(&cfg, ranks, u64::from(u32::MAX))
     }
 
     #[test]
@@ -216,6 +234,24 @@ mod tests {
         let top = d.window(u64::MAX - 1, 0, Some(40));
         assert_eq!((top.hi, top.end_dist), (u64::MAX - 1, u64::MAX - 1));
         assert_eq!(d.window(0, u64::MAX, None).short_bound, u64::MAX);
+    }
+
+    #[test]
+    fn tail_floor_stops_at_the_one_hop_horizon() {
+        // Δ = 25, w_max = 255: H = ⌊255/25⌋ + 1 = 11 buckets.
+        let floors = |p: Policy| -> Vec<u64> {
+            (0..5).map(|j| p.window(7, 7, Some(j)).hi - 7 + 1).collect()
+        };
+        let grid = Policy::new(&SsspConfig::opt(25), 2, 255);
+        assert_eq!(floors(grid), [2, 4, 8, 11, 11]);
+        // One bucket when no edge spans one (Δ > w_max) or there is no edge
+        // at all (`weight_range` reads 0 as the largest weight).
+        assert_eq!(floors(Policy::new(&SsspConfig::opt(300), 2, 255)), [1; 5]);
+        assert_eq!(floors(Policy::new(&SsspConfig::opt(25), 2, 0)), [1; 5]);
+        // A wider reduced end is still honoured, and Δ = ∞ has no cap.
+        assert_eq!(grid.window(7, 40, Some(4)).hi, 40);
+        let bf = Policy::new(&SsspConfig::bellman_ford(), 2, 255);
+        assert_eq!(bf.window(0, 0, Some(9)).hi, 1023);
     }
 
     #[test]
