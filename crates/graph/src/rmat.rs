@@ -144,8 +144,9 @@ impl RmatGenerator {
         self.edge_factor << self.scale
     }
 
-    /// Generate one endpoint pair for edge `index`.
-    fn edge(&self, q: &Quadrants, index: u64) -> EdgeTuple {
+    /// Generate one endpoint pair for edge `index`, each endpoint looked up
+    /// in `ids` (see [`Self::scrambled_ids`]) unless that is empty.
+    fn edge(&self, q: &Quadrants, ids: &[VertexId], index: u64) -> EdgeTuple {
         let mut rng = SplitMix::derive(self.seed, index);
         let mut u: u64 = 0;
         let mut v: u64 = 0;
@@ -157,21 +158,37 @@ impl RmatGenerator {
             u = (u << 1) | u64::from(past_ab);
             v = (v << 1) | u64::from(past_a ^ past_ab ^ past_abc);
         }
-        if self.permute {
-            u = scramble(u, self.scale, self.seed);
-            v = scramble(v, self.scale, self.seed);
+        match ids {
+            [] => EdgeTuple {
+                u: u as VertexId,
+                v: v as VertexId,
+            },
+            _ => EdgeTuple {
+                u: ids[u as usize],
+                v: ids[v as usize],
+            },
         }
-        EdgeTuple {
-            u: u as VertexId,
-            v: v as VertexId,
+    }
+
+    /// The scrambled id of every vertex, `ids[x] = scramble(x)`, built in
+    /// parallel once per call so each endpoint costs one lookup instead of
+    /// six dependent hashes. Empty under `permute(false)`.
+    fn scrambled_ids(&self) -> Vec<VertexId> {
+        if !self.permute {
+            return Vec::new();
         }
+        let mut ids = vec![0; self.num_vertices()];
+        par_for_each_indexed(&mut ids, |x, id| {
+            *id = scramble(x, self.scale, self.seed) as VertexId;
+        });
+        ids
     }
 
     /// Generate the full (unweighted) edge tuple list, in parallel.
     pub fn generate_tuples(&self) -> Vec<EdgeTuple> {
-        let q = Quadrants::new(&self.params);
+        let (q, ids) = (Quadrants::new(&self.params), self.scrambled_ids());
         let mut tuples = vec![EdgeTuple { u: 0, v: 0 }; self.num_edges()];
-        par_for_each_indexed(&mut tuples, |i, t| *t = self.edge(&q, i));
+        par_for_each_indexed(&mut tuples, |i, t| *t = self.edge(&q, &ids, i));
         tuples
     }
 
@@ -183,11 +200,11 @@ impl RmatGenerator {
     /// for every worker count.
     pub fn generate_weighted(&self, w_max: u32) -> EdgeList {
         assert!(w_max >= 1, "w_max must be at least 1");
-        let q = Quadrants::new(&self.params);
+        let (q, ids) = (Quadrants::new(&self.params), self.scrambled_ids());
         let weight_seed = self.seed ^ WEIGHT_STREAM_TAG;
         let mut edges = vec![Edge::new(0, 0, 0); self.num_edges()];
         par_for_each_indexed(&mut edges, |i, e| {
-            let EdgeTuple { u, v } = self.edge(&q, i);
+            let EdgeTuple { u, v } = self.edge(&q, &ids, i);
             *e = Edge::new(u, v, uniform_weight(weight_seed, i, w_max));
         });
         EdgeList {
@@ -325,6 +342,27 @@ mod tests {
             assert!(!seen[y as usize], "collision in scramble");
             seen[y as usize] = true;
         }
+    }
+
+    #[test]
+    fn id_table_applies_the_scramble_to_each_endpoint() {
+        let gen = RmatGenerator::new(RmatParams::RMAT2, 9, 4).seed(5);
+        let ids = gen.scrambled_ids();
+        assert_eq!(ids.len(), gen.num_vertices());
+        assert!(ids
+            .iter()
+            .enumerate()
+            .all(|(x, &id)| id as u64 == scramble(x as u64, 9, 5)));
+        assert!(gen.clone().permute(false).scrambled_ids().is_empty());
+        let plain = gen.clone().permute(false).generate_tuples();
+        let scrambled: Vec<_> = plain
+            .iter()
+            .map(|t| EdgeTuple {
+                u: scramble(t.u as u64, 9, 5) as VertexId,
+                v: scramble(t.v as u64, 9, 5) as VertexId,
+            })
+            .collect();
+        assert_eq!(gen.generate_tuples(), scrambled);
     }
 
     #[test]
