@@ -274,7 +274,10 @@ pub fn cycle_edges(edges: &[EdgeSite]) -> Vec<usize> {
 /// `concurrency-lock-cycle`: a lock acquired while another is held must
 /// never complete an order cycle with the file's other acquisition paths.
 pub(crate) fn check_lock_cycle(sf: &SourceFile) -> Vec<(usize, String)> {
-    let m = FileModel::build(sf);
+    lock_cycles(&FileModel::build(sf))
+}
+
+fn lock_cycles(m: &FileModel) -> Vec<(usize, String)> {
     cycle_edges(&m.edges)
         .into_iter()
         .map(|i| {
@@ -294,7 +297,10 @@ pub(crate) fn check_lock_cycle(sf: &SourceFile) -> Vec<(usize, String)> {
 /// `concurrency-blocking-hold`: no blocking `recv`/`wait` while a lock is
 /// held — a peer blocked on the same lock deadlocks the rendezvous.
 pub(crate) fn check_blocking_hold(sf: &SourceFile) -> Vec<(usize, String)> {
-    let m = FileModel::build(sf);
+    blocking_holds(&FileModel::build(sf))
+}
+
+fn blocking_holds(m: &FileModel) -> Vec<(usize, String)> {
     m.blocking
         .iter()
         .map(|(line, op, held)| {
@@ -341,6 +347,15 @@ pub fn analyze(ws: &Workspace) -> Analysis {
     for sf in ws.scoped(&THREADED) {
         let path = &sf.rel_path;
         let m = FileModel::build(sf);
+        // The per-file rules, read off the model just built.
+        for rule in RULES {
+            let from_model = match rule.name {
+                "concurrency-lock-cycle" => lock_cycles,
+                "concurrency-blocking-hold" => blocking_holds,
+                _ => continue,
+            };
+            findings.extend(crate::rule_findings(rule, sf, || from_model(&m)));
+        }
         for l in m.locks {
             if !merged.locks.iter().any(|(d, _)| d.name == l.name) {
                 merged.locks.push((l, path.clone()));
@@ -352,9 +367,6 @@ pub fn analyze(ws: &Workspace) -> Analysis {
         merged
             .edges
             .extend(m.edges.into_iter().map(|e| (path.clone(), e)));
-        for rule in RULES.iter().filter(|r| r.name.starts_with("concurrency-")) {
-            findings.extend(crate::check_rule(rule, sf));
-        }
     }
     // Cross-file cycles the per-file rules cannot see.
     let rule = "concurrency-lock-cycle";

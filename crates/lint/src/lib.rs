@@ -87,10 +87,21 @@ pub(crate) fn is_test_file(rel_path: &str) -> bool {
 /// Run one rule over a parsed file: its findings outside test code and
 /// not allowed by a marker. Out-of-scope files yield nothing.
 pub(crate) fn check_rule(rule: &Rule, file: &SourceFile) -> Vec<Diagnostic> {
+    rule_findings(rule, file, || (rule.check)(file))
+}
+
+/// [`check_rule`] with the rule's raw findings computed by `check`, which
+/// runs only when the rule applies to the file: for a pass that already
+/// holds what the rule's check would rebuild.
+pub(crate) fn rule_findings(
+    rule: &Rule,
+    file: &SourceFile,
+    check: impl FnOnce() -> Vec<(usize, String)>,
+) -> Vec<Diagnostic> {
     if !rule.scope.matches(&file.rel_path) || is_test_file(&file.rel_path) {
         return Vec::new();
     }
-    (rule.check)(file)
+    check()
         .into_iter()
         .filter(|(li, _)| {
             let line = &file.lines[*li];

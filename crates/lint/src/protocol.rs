@@ -547,7 +547,9 @@ pub(crate) fn check_divergent_guard(sf: &SourceFile) -> Vec<(usize, String)> {
         let mut taint: BTreeSet<String> = TAINT_SEEDS.iter().map(|s| s.to_string()).collect();
         // (depth of the block's braces, tainted, guard line index)
         let mut blocks: Vec<(u32, bool, usize)> = Vec::new();
-        let mut pending: Option<(bool, usize)> = None;
+        // A guard awaiting its block, which opens at the first `{` at the
+        // guard keyword's depth (not a closure's inside the condition).
+        let mut pending: Option<(u32, bool, usize)> = None;
         for (li, _, code, depth) in fd.body(sf) {
             let trimmed = code.trim_start();
             // A line-leading `}` closes its block before the rest of the
@@ -559,7 +561,7 @@ pub(crate) fn check_divergent_guard(sf: &SourceFile) -> Vec<(usize, String)> {
             }
             if let Some((cond, is_else)) = guard_condition(trimmed) {
                 let tainted = has_token(&cond, &taint) && !sanitized(&cond);
-                pending = Some((tainted || (is_else && popped_taint), li));
+                pending = Some((depth[lead], tainted || (is_else && popped_taint), li));
             }
             // Events under any tainted block.
             if let Some(&(_, _, gl)) = blocks.iter().rev().find(|b| b.1) {
@@ -584,8 +586,8 @@ pub(crate) fn check_divergent_guard(sf: &SourceFile) -> Vec<(usize, String)> {
             for (at, c) in code.bytes().enumerate().skip(skip) {
                 if c == b'}' && blocks.last().map(|b| b.0) == Some(depth[at]) {
                     blocks.pop();
-                } else if c == b'{' {
-                    blocks.extend(pending.take().map(|(t, gl)| (depth[at], t, gl)));
+                } else if c == b'{' && pending.is_some_and(|p| p.0 == depth[at]) {
+                    blocks.extend(pending.take());
                 }
             }
         }

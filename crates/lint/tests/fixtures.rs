@@ -168,6 +168,15 @@ fn protocol_divergent_guard_sees_array_returning_fns() {
 }
 
 #[test]
+fn protocol_divergent_guard_skips_closure_braces_in_the_condition() {
+    let diags = lint_fixture(
+        "protocol_divergent_guard_closure.rs",
+        "crates/core/src/engine/fixture.rs",
+    );
+    assert_eq!(lines_for(&diags, "protocol-divergent-guard"), vec![7]);
+}
+
+#[test]
 fn protocol_missing_barrier_flags_back_to_back_locks() {
     let diags = lint_fixture("protocol_missing_barrier.rs", "crates/comm/src/fixture.rs");
     assert_eq!(lines_for(&diags, "protocol-missing-barrier"), vec![10]);
