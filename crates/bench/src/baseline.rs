@@ -703,7 +703,15 @@ pub fn committed_block(path: &str, key: &str) -> Result<Value, String> {
 /// `"bench"` tag first, the scale blocks sorted by scale, the serving
 /// block last. Every other block of `doc` is kept as it was; keys that name
 /// no block are dropped, so a legacy single-scale document is superseded.
+/// A block that replaces one keeps the replaced block's wall-ratio gates,
+/// `threaded_over_seq` and `pipeline.construct_over_seq` with their
+/// quartiles: re-recording counts never moves a timing gate, and deleting
+/// a block is how it is re-timed.
 pub fn upsert(doc: &Value, key: &str, block: Value) -> Value {
+    let block = match doc.get(key) {
+        Some(prior) => keep_gates(prior, block),
+        None => block,
+    };
     let order = |k: &str| match k.strip_prefix("scale_") {
         Some(n) => n.parse::<u32>().ok().map(|n| (0, n)),
         None => (k == "serving").then_some((1, 0)),
@@ -718,6 +726,29 @@ pub fn upsert(doc: &Value, key: &str, block: Value) -> Value {
     fields.sort_by_key(|(k, _)| order(k));
     fields.insert(0, ("bench".to_string(), Value::str("perf_baseline")));
     Value::Obj(fields)
+}
+
+/// `block` with every wall-ratio gate (`*_over_seq`, `*_over_seq_q1`,
+/// `*_over_seq_q3`, at any depth) that `prior` records taken from `prior`,
+/// so one run's timing noise cannot move a gate.
+fn keep_gates(prior: &Value, block: Value) -> Value {
+    let Value::Obj(fields) = block else {
+        return block;
+    };
+    let is_gate = |k: &str| {
+        ["_over_seq", "_over_seq_q1", "_over_seq_q3"]
+            .iter()
+            .any(|s| k.ends_with(s))
+    };
+    let fields = fields.into_iter().map(|(k, v)| {
+        let v = match prior.get(&k) {
+            Some(old) if is_gate(&k) => old.clone(),
+            Some(old) => keep_gates(old, v),
+            None => v,
+        };
+        (k, v)
+    });
+    Value::Obj(fields.collect())
 }
 
 #[cfg(test)]
@@ -917,6 +948,45 @@ mod tests {
         assert_eq!(wall_ms(&doc2, "scale_10"), Some(9.0));
         assert_eq!(doc2.get("scale_20"), doc.get("scale_20"));
         assert_eq!(keys(&doc2), ["bench", "scale_10", "scale_20"]);
+    }
+
+    #[test]
+    fn re_recording_a_scale_keeps_its_wall_ratio_gates() {
+        let gates = |doc: &Value, key: &str| -> Vec<Option<f64>> {
+            let mut at = Vec::new();
+            for suffix in ["", "_q1", "_q3"] {
+                let threaded = format!("threaded_over_seq{suffix}");
+                let construct = format!("construct_over_seq{suffix}");
+                at.push(doc.at(&[key, &threaded]).and_then(Value::num));
+                at.push(doc.at(&[key, "pipeline", &construct]).and_then(Value::num));
+            }
+            at
+        };
+        let doc = document(&[("scale_10", sample().to_json())]);
+        let mut fresh = sample();
+        fresh.pooled.supersteps = 121;
+        fresh.threaded_over_seq = RatioSpread {
+            q1: 0.5,
+            median: 0.6,
+            q3: 0.7,
+        };
+        fresh.pipeline.construct_over_seq = RatioSpread {
+            q1: 2.5,
+            median: 2.7,
+            q3: 2.9,
+        };
+
+        // The block it replaces keeps its gates; the counts are new.
+        let doc2 = upsert(&doc, "scale_10", fresh.to_json());
+        assert_eq!(gates(&doc2, "scale_10"), gates(&doc, "scale_10"));
+        let supersteps = doc2.at(&["scale_10", "pooled", "supersteps"]);
+        assert_eq!(supersteps.and_then(Value::num::<u64>), Some(121));
+
+        // A scale with no block yet records the run's own gates.
+        fresh.scale = 20;
+        let doc3 = upsert(&doc, "scale_20", fresh.to_json());
+        let own = [0.6, 2.7, 0.5, 2.5, 0.7, 2.9].map(Some);
+        assert_eq!(gates(&doc3, "scale_20"), own);
     }
 
     #[test]

@@ -17,8 +17,15 @@
 //! Writes a `BENCH_sssp.json` document (see `sssp_bench::baseline`) with
 //! one `"scale_N"` block per measured scale, each holding one record per
 //! transport; a run re-records only its own scale's block and preserves
-//! the others. `--check PATH` additionally compares the fresh run against
-//! the committed baseline's block for the same scale and exits nonzero
+//! the others. Re-recording a scale whose block the `--out` document
+//! already holds keeps that block's wall-ratio gates
+//! (`threaded_over_seq{,_q1,_q3}` and `construct_over_seq{,_q1,_q3}`) and
+//! re-records everything else, so a count-only re-record leaves the
+//! timing gates where they were; a scale with no block records them
+//! fresh, and deleting the block is how a scale is re-timed.
+//!
+//! `--check PATH` additionally compares the fresh run against the
+//! committed baseline's block for the same scale and exits nonzero
 //! when a message or superstep count differs at all, or when
 //! `threaded_over_seq` or `construct_over_seq` (this run's lower quartile
 //! against the committed upper one), allocations per superstep, or the
@@ -506,13 +513,17 @@ fn main() {
         );
     }
 
-    // Re-record only this scale's block; every other block of an existing
-    // document survives.
+    // Re-record only this scale's block, keeping its wall-ratio gates;
+    // every other block of an existing document survives.
     let json = upsert(&existing, &key, doc.to_json()).render();
     if let Err(e) = std::fs::write(out_path, json) {
         exit_with(1, &format!("cannot write {out_path}: {e}"));
     }
-    println!("wrote {out_path} ({key} block)");
+    let kept = match existing.get(&key) {
+        Some(_) => "; ratio gates kept from the block it replaced",
+        None => "",
+    };
+    println!("wrote {out_path} ({key} block{kept})");
 
     if let Some((path, block)) = committed {
         let tolerance = std::env::var("SSSP_PERF_TOLERANCE")

@@ -36,8 +36,6 @@ pub mod cost;
 pub mod exchange;
 /// Rolling collective-schedule fingerprints.
 pub mod fingerprint;
-/// Debug-gated runtime twin of the static lock-order model.
-pub mod lockorder;
 /// Optional SPI-style packet coalescing model.
 pub mod packet;
 /// Per-superstep traffic ledgers ([`stats::CommStats`]).

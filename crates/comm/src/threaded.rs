@@ -53,7 +53,6 @@ use std::time::{Duration, Instant};
 
 use crate::exchange::Outbox;
 use crate::fingerprint::{fp_mix, fp_reduce, FP_EXCHANGE};
-use crate::lockorder;
 use crate::stats::StepStats;
 use crate::transport::{Comm, Lane};
 use crate::Rank;
@@ -275,10 +274,6 @@ pub struct RankCtx<M> {
     /// Epoch tag mixed into the fingerprint; advanced by the kernel through
     /// [`Comm::set_epoch`] at bucket boundaries.
     epoch: Cell<u64>,
-    /// Runtime twin of the static lock-order model: records this thread's
-    /// actual acquisition order and checks it against
-    /// [`lockorder::STATIC_EDGES`] when the context is dropped.
-    lock_rec: lockorder::Recorder,
 }
 
 impl<M: Send> RankCtx<M> {
@@ -323,29 +318,6 @@ impl<M: Send> RankCtx<M> {
                 self.epoch.get()
             );
         }
-    }
-
-    /// Test hook: seed a held→acquired pair into the runtime lock-order
-    /// twin, as if this rank had nested the two acquisitions, so
-    /// differential tests can prove the drop-time consistency check fires.
-    #[cfg(debug_assertions)]
-    pub fn perturb_lock_order(&self, from: &'static str, to: &'static str) {
-        self.lock_rec.inject_pair(from, to);
-    }
-
-    /// Every held→acquired pair the runtime twin has observed on this rank
-    /// thread so far (sorted). Empty in a correct run: the rendezvous
-    /// runtime never nests lock acquisitions.
-    #[cfg(debug_assertions)]
-    pub fn observed_lock_pairs(&self) -> Vec<(&'static str, &'static str)> {
-        self.lock_rec.observed_pairs()
-    }
-
-    /// Every lock name the runtime twin has observed this rank thread
-    /// acquire so far (sorted).
-    #[cfg(debug_assertions)]
-    pub fn observed_locks(&self) -> Vec<&'static str> {
-        self.lock_rec.observed_locks()
     }
 
     /// Start the next episode: its crossing number, whose parity selects
@@ -393,14 +365,11 @@ impl<M: Send> RankCtx<M> {
             }
             let batch = std::mem::take(msgs);
             let stale = {
-                let mut cell = self.lock_rec.track(
-                    "mailbox",
-                    // A cell is only ever replaced or taken under its lock,
-                    // so a poisoned one still holds a whole value.
-                    mailbox[dst * self.p + self.rank]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner),
-                );
+                // A cell is only ever replaced or taken under its lock,
+                // so a poisoned one still holds a whole value.
+                let mut cell = mailbox[dst * self.p + self.rank]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 cell.replace(batch)
             };
             debug_assert!(
@@ -414,12 +383,9 @@ impl<M: Send> RankCtx<M> {
         inbox.clear();
         for (src, lane) in out.iter_mut().enumerate() {
             let batch = {
-                let mut cell = self.lock_rec.track(
-                    "mailbox",
-                    mailbox[self.rank * self.p + src]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner),
-                );
+                let mut cell = mailbox[self.rank * self.p + src]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 cell.take()
             };
             // Every rank posted before the crossing; a hole means the
@@ -568,7 +534,6 @@ where
             round: Cell::new(0),
             fp: Cell::new(0),
             epoch: Cell::new(0),
-            lock_rec: lockorder::Recorder::new(),
         };
         let body = Arc::clone(&body);
         let guard = AbortOnUnwind {
@@ -579,8 +544,8 @@ where
             std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
                 .spawn(move || {
-                    // Declared before the call so it drops after `ctx`,
-                    // whose lock-order check may itself be what panics.
+                    // Bound here so the guard moves onto the rank thread
+                    // and drops after the body, unwinding or not.
                     let _guard = guard;
                     body(ctx, payload)
                 })
@@ -888,40 +853,6 @@ mod tests {
                 ctx.perturb_fingerprint(0xDEAD_BEEF);
             }
             ctx.assert_schedule_uniform();
-        });
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn lock_order_twin_records_the_collective_mutex_and_no_nesting() {
-        for p in [1, 3, 5] {
-            let obs = run_threaded(p, move |mut ctx: RankCtx<u64>| {
-                ctx.allreduce_sum(ctx.rank() as u64);
-                ctx.allreduce([Lane::Any(false)]);
-                exchange_once(&mut ctx, vec![vec![1]; p]);
-                (ctx.observed_locks(), ctx.observed_lock_pairs())
-            });
-            for (locks, pairs) in obs {
-                // Reductions are lock-free; the only lock a rank context
-                // takes is its mailbox cells'.
-                assert_eq!(locks, vec!["mailbox"], "p={p}");
-                assert!(
-                    pairs.is_empty(),
-                    "p={p}: rendezvous runtime must never nest locks: {pairs:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock acquisition order")]
-    fn seeded_lock_inversion_trips_the_twin_at_the_join() {
-        run_threaded(3, |ctx: RankCtx<u64>| {
-            ctx.allreduce_sum(1);
-            if ctx.rank() == 2 {
-                ctx.perturb_lock_order("mailbox", "mailbox");
-            }
         });
     }
 

@@ -175,37 +175,10 @@ pub fn threaded_delta_stepping_traced(
 #[cfg(test)]
 mod tests {
     use super::super::driver::SPARE_CAPACITY_FLOOR;
-    #[cfg(debug_assertions)]
-    use super::super::{
-        driver::{epoch_loop, Job},
-        RelaxMsg,
-    };
     use super::*;
     use crate::seq;
     use crate::state::INF;
-    #[cfg(debug_assertions)]
-    use sssp_comm::threaded::run_threaded;
     use sssp_graph::{gen, CsrBuilder};
-
-    /// One rank's share of a root-0 run on a caller-held context, so the
-    /// lock-order tests can inspect the context afterwards.
-    #[cfg(debug_assertions)]
-    fn rank_run(
-        dg: &DistGraph,
-        cfg: &SsspConfig,
-        model: &MachineModel,
-        ctx: &mut RankCtx<RelaxMsg>,
-    ) {
-        let job = Job {
-            dg,
-            seeds: &[(0, 0)],
-            target: None,
-            deadline: None,
-            cfg,
-            model,
-        };
-        epoch_loop(&job, ctx, &mut NoopRecorder, &mut ProcBufs::default());
-    }
 
     #[test]
     fn threaded_matches_sequential_dijkstra() {
@@ -342,69 +315,6 @@ mod tests {
         // The tail's epochs are ordinary phases, timed as such.
         assert!(trace.phases.iter().any(|r| r.bucket == u64::MAX));
         assert!(trace.timings.short_ns > 0 && trace.timings.bf_ns == 0);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn runtime_lock_order_embeds_into_the_static_graph() {
-        // The runtime lock-order twin must observe only locks and nestings
-        // that exist in the static model (crates/lint/golden/lock_order.txt,
-        // mirrored by sssp_comm::lockorder). Full engine runs across three
-        // rank counts, with proxies (auto-split hub graph) and without; the
-        // twin's own drop-time check also runs implicitly at every join.
-        let mut el = gen::star(300, 5);
-        for e in gen::uniform(300, 900, 30, 11).edges {
-            el.push(e.u, e.v, e.w);
-        }
-        let hub = CsrBuilder::new().build(&el);
-        let plain = CsrBuilder::new().build(&gen::uniform(150, 900, 30, 5));
-        let model = MachineModel::bgq_like();
-        for p in [2usize, 4, 6] {
-            let (split, report) = DistGraph::build_auto_split(&hub, p, 2);
-            let report = report.expect("hub graph should trigger splitting");
-            assert!(report.proxies_created > 0, "p {p}");
-            for dg in [Arc::new(split), Arc::new(DistGraph::build(&plain, p, 2))] {
-                let cfg = SsspConfig::opt(20);
-                let obs = run_threaded(p, {
-                    let dg = Arc::clone(&dg);
-                    let cfg = cfg.clone();
-                    move |mut ctx: RankCtx<RelaxMsg>| {
-                        rank_run(&dg, &cfg, &model, &mut ctx);
-                        (ctx.observed_locks(), ctx.observed_lock_pairs())
-                    }
-                });
-                for (locks, pairs) in obs {
-                    assert!(locks.contains(&"mailbox"), "p {p}: no exchange lock");
-                    for lock in &locks {
-                        assert!(
-                            sssp_comm::lockorder::STATIC_LOCKS.contains(lock),
-                            "p {p}: lock `{lock}` outside the static model"
-                        );
-                    }
-                    for pair in &pairs {
-                        assert!(
-                            sssp_comm::lockorder::STATIC_EDGES.contains(pair),
-                            "p {p}: order {pair:?} outside the static graph"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock acquisition order")]
-    fn seeded_inversion_in_an_engine_run_trips_the_twin() {
-        let g = CsrBuilder::new().build(&gen::uniform(80, 400, 20, 3));
-        let dg = Arc::new(DistGraph::build(&g, 2, 2));
-        let model = MachineModel::bgq_like();
-        run_threaded(2, move |mut ctx: RankCtx<RelaxMsg>| {
-            rank_run(&dg, &SsspConfig::opt(15), &model, &mut ctx);
-            if ctx.rank() == 1 {
-                ctx.perturb_lock_order("mailbox", "mailbox");
-            }
-        });
     }
 
     #[test]

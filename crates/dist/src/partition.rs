@@ -1,14 +1,17 @@
 //! Vertex → rank ownership.
 //!
-//! Original ("base") vertices use the paper's **block** distribution by
-//! default: `owner(v) = v / ⌈n/P⌉`. A **cyclic** distribution
-//! (`owner(v) = v mod P`) is also provided — the standard Graph 500
-//! counter-measure when vertex ids correlate with degree (un-scrambled
-//! R-MAT generators place all hubs at low ids, which block distribution
-//! would pile onto rank 0). Proxy vertices created by the splitting load
-//! balancer occupy the id range `[n_base, n_base + n_proxy)` and are
-//! always round-robin distributed, which is what scatters a split hub's
-//! shards across distinct ranks.
+//! Every vertex range is laid out **block-cyclically**: blocks of `b`
+//! consecutive ids are dealt to the ranks in turn, so
+//! `owner(v) = (v / b) mod P` and `v` sits at local index
+//! `(v / (b·P))·b + v mod b` on its owner. The two layouts in use are the
+//! ends of that formula. **Block** (`b = ⌈n/P⌉`, the default) is the
+//! paper's contiguous layout. **Cyclic** (`b = 1`) is the standard
+//! Graph 500 counter-measure when vertex ids correlate with degree
+//! (un-scrambled R-MAT generators place all hubs at low ids, which block
+//! distribution would pile onto rank 0). Proxy vertices created by the
+//! splitting load balancer occupy the id range `[n_base, n_base + n_proxy)`
+//! and are laid out cyclically over that range, which is what scatters a
+//! split hub's shards across distinct ranks.
 //!
 //! A `DistGraph` consults its partition only while it is built and where
 //! the input's ids cross its API (`DistGraph::locate` /
@@ -18,23 +21,14 @@
 
 use sssp_graph::VertexId;
 
-/// How base vertices map to ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionKind {
-    /// Contiguous blocks of `⌈n/P⌉` vertices per rank (the paper's layout).
-    Block,
-    /// Round-robin: vertex `v` on rank `v mod P`.
-    Cyclic,
-}
-
-/// Block-or-cyclic + proxy-region partition of `n_base + n_proxy` vertices
-/// over `p` ranks.
+/// Block-cyclic partition of `n_base` base vertices plus a cyclic proxy
+/// region of `n_proxy` vertices over `p` ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Partition {
-    kind: PartitionKind,
     n_base: usize,
     n_proxy: usize,
     p: usize,
+    /// Base vertices per block: `⌈n_base/p⌉` (block) or 1 (cyclic).
     block: usize,
 }
 
@@ -46,30 +40,23 @@ impl Partition {
 
     /// Block partition with an additional proxy region.
     pub fn with_proxies(n_base: usize, n_proxy: usize, p: usize) -> Self {
-        Self::with_kind(PartitionKind::Block, n_base, n_proxy, p)
+        Self::with_layout(n_base, n_proxy, p, false)
     }
 
     /// Cyclic-partition `n_base` vertices (no proxies) over `p` ranks.
     pub fn cyclic(n_base: usize, p: usize) -> Self {
-        Self::with_kind(PartitionKind::Cyclic, n_base, 0, p)
+        Self::with_layout(n_base, 0, p, true)
     }
 
-    /// Fully general constructor.
-    pub fn with_kind(kind: PartitionKind, n_base: usize, n_proxy: usize, p: usize) -> Self {
+    fn with_layout(n_base: usize, n_proxy: usize, p: usize, cyclic: bool) -> Self {
         assert!(p > 0, "at least one rank required");
-        let block = n_base.div_ceil(p).max(1);
+        let block = if cyclic { 1 } else { n_base.div_ceil(p).max(1) };
         Partition {
-            kind,
             n_base,
             n_proxy,
             p,
             block,
         }
-    }
-
-    /// Which distribution scheme this partition uses.
-    pub fn kind(&self) -> PartitionKind {
-        self.kind
     }
 
     #[inline]
@@ -102,46 +89,33 @@ impl Partition {
         (v as usize) >= self.n_base
     }
 
-    /// Owning rank of global vertex `v`.
+    /// Owning rank of global vertex `v`. Here and below, the `i`-th proxy
+    /// is placed by the module's formula at `b = 1`.
     #[inline]
     pub fn owner(&self, v: VertexId) -> usize {
         let v = v as usize;
         debug_assert!(v < self.num_vertices());
-        if v < self.n_base {
-            match self.kind {
-                PartitionKind::Block => (v / self.block).min(self.p - 1),
-                PartitionKind::Cyclic => v % self.p,
-            }
-        } else {
-            (v - self.n_base) % self.p
+        match v.checked_sub(self.n_base) {
+            None => v / self.block % self.p,
+            Some(i) => i % self.p,
         }
+    }
+
+    /// Number of ids of a block-cyclic range of `n` (blocks of `b`) that
+    /// `rank` owns: the full rounds, plus its share of the last one.
+    fn count_in(&self, n: usize, b: usize, rank: usize) -> usize {
+        let round = b * self.p;
+        n / round * b + (n % round).saturating_sub(rank * b).min(b)
     }
 
     /// Number of base vertices owned by `rank`.
     pub fn base_count(&self, rank: usize) -> usize {
-        match self.kind {
-            PartitionKind::Block => {
-                let lo = (rank * self.block).min(self.n_base);
-                let hi = ((rank + 1) * self.block).min(self.n_base);
-                hi - lo
-            }
-            PartitionKind::Cyclic => {
-                if self.n_base == 0 {
-                    0
-                } else {
-                    (self.n_base + self.p - 1 - rank) / self.p
-                }
-            }
-        }
+        self.count_in(self.n_base, self.block, rank)
     }
 
     /// Number of proxy vertices owned by `rank`.
     pub fn proxy_count(&self, rank: usize) -> usize {
-        if self.n_proxy == 0 {
-            return 0;
-        }
-        // Count of i in [0, n_proxy) with i % p == rank.
-        (self.n_proxy + self.p - 1 - rank) / self.p
+        self.count_in(self.n_proxy, 1, rank)
     }
 
     /// Total vertices owned by `rank`.
@@ -154,30 +128,22 @@ impl Partition {
     #[inline]
     pub fn to_local(&self, v: VertexId) -> usize {
         let v = v as usize;
-        if v < self.n_base {
-            match self.kind {
-                PartitionKind::Block => v - self.owner(sssp_graph::checked_u32(v)) * self.block,
-                PartitionKind::Cyclic => v / self.p,
-            }
-        } else {
-            let pi = v - self.n_base;
-            let rank = pi % self.p;
-            self.base_count(rank) + pi / self.p
+        let b = self.block;
+        match v.checked_sub(self.n_base) {
+            None => v / (b * self.p) * b + v % b,
+            Some(i) => self.base_count(i % self.p) + i / self.p,
         }
     }
 
     /// Global id of `local` on `rank` (inverse of [`Self::to_local`]).
     #[inline]
     pub fn to_global(&self, rank: usize, local: usize) -> VertexId {
-        let base = self.base_count(rank);
-        if local < base {
-            match self.kind {
-                PartitionKind::Block => sssp_graph::checked_u32(rank * self.block + local),
-                PartitionKind::Cyclic => sssp_graph::checked_u32(local * self.p + rank),
-            }
-        } else {
-            sssp_graph::checked_u32(self.n_base + (local - base) * self.p + rank)
-        }
+        let b = self.block;
+        let v = match local.checked_sub(self.base_count(rank)) {
+            None => local / b * b * self.p + rank * b + local % b,
+            Some(i) => self.n_base + i * self.p + rank,
+        };
+        sssp_graph::checked_u32(v)
     }
 }
 
@@ -273,16 +239,6 @@ mod tests {
         }
         let total: usize = (0..7).map(|r| part.local_count(r)).sum();
         assert_eq!(total, 101);
-    }
-
-    #[test]
-    fn cyclic_with_proxies_roundtrip() {
-        let part = Partition::with_kind(PartitionKind::Cyclic, 20, 9, 4);
-        for v in 0..29u32 {
-            let r = part.owner(v);
-            let l = part.to_local(v);
-            assert_eq!(part.to_global(r, l), v, "v={v}");
-        }
     }
 
     #[test]

@@ -58,18 +58,19 @@ proptest! {
         n_proxy in 0usize..100,
         p in 1usize..17,
     ) {
-        let part = Partition::with_proxies(n, n_proxy, p);
-        let mut per_rank = vec![0usize; p];
-        for v in 0..(n + n_proxy) as u32 {
-            let r = part.owner(v);
-            prop_assert!(r < p);
-            let l = part.to_local(v);
-            prop_assert!(l < part.local_count(r));
-            prop_assert_eq!(part.to_global(r, l), v);
-            per_rank[r] += 1;
-        }
-        for (r, &cnt) in per_rank.iter().enumerate() {
-            prop_assert_eq!(cnt, part.local_count(r));
+        for part in [Partition::with_proxies(n, n_proxy, p), Partition::cyclic(n, p)] {
+            let mut per_rank = vec![0usize; p];
+            for v in 0..part.num_vertices() as u32 {
+                let r = part.owner(v);
+                prop_assert!(r < p);
+                let l = part.to_local(v);
+                prop_assert!(l < part.local_count(r));
+                prop_assert_eq!(part.to_global(r, l), v);
+                per_rank[r] += 1;
+            }
+            for (r, &cnt) in per_rank.iter().enumerate() {
+                prop_assert_eq!(cnt, part.local_count(r));
+            }
         }
     }
 

@@ -11,10 +11,8 @@
 //!
 //! The model is rendered as a table, committed as a golden artifact
 //! (`crates/lint/golden/lock_order.txt`) and diffed in tests and CI — the
-//! same workflow as the protocol table. The runtime twin
-//! (`sssp_comm::lockorder`) records actual acquisition orders per rank
-//! thread and asserts at the threaded join that they embed into the
-//! static graph committed here.
+//! same workflow as the protocol table. It is the only lock-order check:
+//! a new lock or nesting shows up as a golden diff before it can run.
 //!
 //! The analysis is lexical, like the rest of this crate: locks are
 //! recognized by their type tokens (`name: Mutex<..>`,

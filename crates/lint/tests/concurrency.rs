@@ -35,8 +35,7 @@ fn lock_order_matches_golden() {
         analysis.lock_table, golden,
         "lock-order model drifted from crates/lint/golden/lock_order.txt — \
          if the locking change is intentional, regenerate with \
-         `cargo run -p sssp-lint -- --concurrency > crates/lint/golden/lock_order.txt` \
-         and update sssp_comm::lockorder::{{STATIC_LOCKS, STATIC_EDGES}} to match"
+         `cargo run -p sssp-lint -- --concurrency > crates/lint/golden/lock_order.txt`"
     );
 }
 
@@ -55,30 +54,5 @@ fn models_cover_the_real_primitives() {
         "exchange_pooled_counted",
     ] {
         assert!(analysis.lock_table.contains(name), "no `{name}`");
-    }
-}
-
-#[test]
-fn runtime_twin_constants_agree_with_the_static_model() {
-    // The debug runtime twin (sssp_comm::lockorder) carries its own copy
-    // of the static graph; every lock it knows must be in the golden, and
-    // every lock in the model must be known to the twin.
-    let analysis = concurrency::analyze(&workspace());
-    for lock in sssp_comm::lockorder::STATIC_LOCKS {
-        assert!(
-            analysis.lock_table.contains(lock),
-            "twin lock `{lock}` missing from the static model"
-        );
-    }
-    assert_eq!(
-        analysis.num_locks,
-        sssp_comm::lockorder::STATIC_LOCKS.len(),
-        "twin STATIC_LOCKS out of sync with the static model"
-    );
-    for (a, b) in sssp_comm::lockorder::STATIC_EDGES {
-        assert!(
-            analysis.lock_table.contains(&format!("{a} -> {b}")),
-            "twin edge `{a} -> {b}` missing from the static model"
-        );
     }
 }
