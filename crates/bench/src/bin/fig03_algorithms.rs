@@ -14,18 +14,7 @@ use std::sync::Arc;
 use sssp_bench::*;
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
-use sssp_core::RunTrace;
 use sssp_dist::DistGraph;
-
-/// The figure's three series, read off one run's telemetry trace:
-/// relaxation supersteps, processed buckets (hybrid tail included), and
-/// total relaxation messages.
-fn series(trace: &RunTrace) -> (u64, u64, u64) {
-    let phases = trace.phases.len() as u64;
-    let buckets = trace.buckets.len() as u64 + u64::from(trace.tail.is_some());
-    let relaxations = trace.phases.iter().map(|r| r.relaxations).sum();
-    (phases, buckets, relaxations)
-}
 
 fn main() {
     let backend = backend_from_args();
@@ -56,7 +45,7 @@ fn main() {
             let (mut phases, mut buckets, mut relaxations) = (0.0f64, 0.0f64, 0u64);
             for &root in &roots {
                 let (_, trace) = run_trace(&dg, root, cfg, &model, backend);
-                let (p, b, r) = series(&trace);
+                let (p, b, r) = trace_series(&trace);
                 phases += p as f64;
                 buckets += b as f64;
                 relaxations += r;

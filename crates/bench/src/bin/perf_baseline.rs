@@ -315,7 +315,7 @@ fn measure_telemetry(
     model: &MachineModel,
 ) -> (TelemetryRecord, SubPhaseSpread) {
     let simulated = run_sssp(dg, root, cfg, model);
-    let trace_sim = RunTrace::from_run_stats(&simulated.stats, "simulated");
+    let trace_sim = RunTrace::from_run_stats(&simulated.stats);
     let t0 = Instant::now();
     let (_, trace_thr) = threaded_delta_stepping_traced(dg, root, cfg, model);
     let wall_measured_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);

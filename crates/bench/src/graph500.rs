@@ -36,11 +36,6 @@ impl KernelResult {
         }
         self.times_s.len() as f64 / inv_sum
     }
-
-    /// Mean wall-clock-model seconds per root.
-    pub fn mean_time_s(&self) -> f64 {
-        self.times_s.iter().sum::<f64>() / self.times_s.len().max(1) as f64
-    }
 }
 
 /// Run the SSSP kernel over `roots`, optionally validating each run against

@@ -1,6 +1,6 @@
 //! The workspace's JSON codec: one small [`Value`] with a strict parser and
 //! a renderer. It reads and writes the `BENCH_sssp.json` baseline document
-//! ([`crate::baseline`]) and exported run traces ([`crate::trace`]).
+//! ([`crate::baseline`]).
 //!
 //! Numbers keep their source text, so a parse → render round trip changes
 //! no byte of a recorded figure: fixed decimals stay fixed, and a count
@@ -9,7 +9,7 @@
 //! Layout: the top-level container and the containers directly inside it
 //! put one entry per line (two-space indent); containers nested two or more
 //! levels deep render on one line. That is the committed baseline's layout,
-//! one field per line in a block and one record per line in a trace.
+//! one field per line in a block.
 
 /// Deepest nesting [`Value::parse`] accepts: deeper input is an error, not
 /// a stack overflow.
@@ -77,27 +77,11 @@ impl Value {
         path.iter().try_fold(self, |v, key| v.get(key))
     }
 
-    /// An array's items.
-    pub fn items(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// A number's text parsed as a `T`: `num::<u64>()` takes only a plain
     /// non-negative integer in range, `num::<f64>()` any number.
     pub fn num<T: std::str::FromStr>(&self) -> Option<T> {
         match self {
             Value::Num(text) => text.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// A string's contents.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -365,7 +349,7 @@ mod tests {
     #[test]
     fn strings_round_trip_their_escapes() {
         let v = Value::parse(r#""a\"b\\c\/d\n\u00e9\ud83d\ude00\u0001""#).expect("escapes");
-        assert_eq!(v.as_str(), Some("a\"b\\c/d\né😀\u{1}"));
+        assert_eq!(v, Value::str("a\"b\\c/d\né😀\u{1}"));
         assert_eq!(v.render(), "\"a\\\"b\\\\c/d\\u000aé😀\\u0001\"\n");
         assert_eq!(Value::parse(&v.render()), Ok(v));
     }
@@ -426,6 +410,5 @@ mod tests {
         assert_eq!(v.at(&["a", "c"]), None);
         assert_eq!(v.at(&["s", "b"]), None);
         assert_eq!(v.at(&[]), Some(&v));
-        assert_eq!(v.get("s").and_then(Value::items), None);
     }
 }

@@ -18,7 +18,6 @@
 pub mod baseline;
 pub mod graph500;
 pub mod json;
-pub mod trace;
 
 use std::sync::Arc;
 
@@ -207,7 +206,7 @@ pub fn run_trace(
             run(dg, &query, cfg, model, Threaded(&mut scratch), stats)
         }
     };
-    (out.distances, merged_trace(&recorded, backend.name()))
+    (out.distances, merged_trace(&recorded))
 }
 
 /// Aggregate of several runs (different roots) of one configuration.

@@ -187,14 +187,9 @@ impl Recorder for RunStats {
 
 /// The run's global trace from the per-process recorders [`run`](super::run)
 /// returns (one for the lockstep transport, one per rank for the threaded
-/// one), labelled `backend`.
-pub fn merged_trace(stats: &[RunStats], backend: &str) -> RunTrace {
-    let mut merged = merge_rank_traces(
-        stats
-            .iter()
-            .map(|s| RunTrace::from_run_stats(s, backend))
-            .collect(),
-    );
+/// one).
+pub fn merged_trace(stats: &[RunStats]) -> RunTrace {
+    let mut merged = merge_rank_traces(stats.iter().map(RunTrace::from_run_stats).collect());
     // A spread needs every process at once, so it cannot fold pairwise.
     let spans: Vec<SubPhaseNanos> = stats.iter().map(|s| s.spans).collect();
     merged.spans = SubPhaseSpread::over(&spans);
@@ -308,7 +303,6 @@ mod tests {
 
     fn rank_trace(remote: u64, send_max: u64) -> RunTrace {
         RunTrace {
-            backend: "threaded".to_string(),
             ranks: 2,
             supersteps: 2,
             local_msgs: 1,

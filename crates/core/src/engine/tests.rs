@@ -764,8 +764,8 @@ fn maintained_estimate_is_transport_and_reuse_independent() {
                             run(&dg, &query, &cfg, &model, Threaded(&mut scratch), stats);
                         assert_eq!(&sim.distances[..expect.len()], &expect[..], "{what}");
                         assert_eq!(thr.distances, sim.distances, "{what}");
-                        let sim_trace = record::merged_trace(&sim_recs, "simulated");
-                        let thr_trace = record::merged_trace(&thr_recs, "threaded");
+                        let sim_trace = record::merged_trace(&sim_recs);
+                        let thr_trace = record::merged_trace(&thr_recs);
                         assert_eq!(sim_trace.diff(&thr_trace), Vec::<String>::new(), "{what}");
                         assert!(
                             sim_trace.buckets.len() > 2 && sim_trace.buckets[0].est_push > 0,

@@ -169,7 +169,7 @@ pub fn threaded_delta_stepping_traced(
     let transport = Threaded(&mut scratch);
     let stats = RunStats::for_run(dg, None);
     let (out, recorded) = run(dg, &Query::root(root), cfg, model, transport, stats);
-    (out, merged_trace(&recorded, "threaded"))
+    (out, merged_trace(&recorded))
 }
 
 #[cfg(test)]
@@ -296,7 +296,7 @@ mod tests {
         // Wall-clock timings differ run to run; the differential
         // comparison must not see them.
         let sim = super::super::run_sssp(&dg, 0, &SsspConfig::opt(20), &model);
-        let sim_trace = RunTrace::from_run_stats(&sim.stats, "simulated");
+        let sim_trace = RunTrace::from_run_stats(&sim.stats);
         assert!(
             sim_trace.diff(&trace).is_empty(),
             "timings leaked into diff"

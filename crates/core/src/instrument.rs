@@ -348,58 +348,6 @@ impl RunStats {
         sssp_comm::cost::teps(m_edges, self.ledger.total_s()) / 1e9
     }
 
-    /// Dump the per-phase series (the data behind Fig. 4) as CSV.
-    pub fn phases_csv(&self) -> String {
-        let mut out = String::from("phase,bucket,kind,relaxations,remote_msgs\n");
-        for (i, r) in self.phase_records.iter().enumerate() {
-            let bucket = if r.bucket == u64::MAX {
-                "hybrid".to_string()
-            } else {
-                r.bucket.to_string()
-            };
-            out.push_str(&format!(
-                "{},{},{:?},{},{}\n",
-                i, bucket, r.kind, r.relaxations, r.remote_msgs
-            ));
-        }
-        out
-    }
-
-    /// Dump the per-bucket series (the data behind Fig. 7) as CSV. The
-    /// hybrid tail's pseudo-bucket, when present, is the last row
-    /// (`bucket` column reads `hybrid`).
-    pub fn buckets_csv(&self) -> String {
-        let mut out = String::from(
-            "bucket,settled,mode,est_push,est_pull,self,backward,forward,requests,responses,\
-             supersteps,local_msgs,remote_msgs,coalesced_msgs\n",
-        );
-        for r in self.bucket_records.iter().chain(self.tail_record.iter()) {
-            let bucket = if r.bucket == u64::MAX {
-                "hybrid".to_string()
-            } else {
-                r.bucket.to_string()
-            };
-            out.push_str(&format!(
-                "{},{},{:?},{},{},{},{},{},{},{},{},{},{},{}\n",
-                bucket,
-                r.settled,
-                r.mode,
-                r.est_push,
-                r.est_pull,
-                r.self_edges,
-                r.backward_edges,
-                r.forward_edges,
-                r.requests,
-                r.responses,
-                r.supersteps,
-                r.local_msgs,
-                r.remote_msgs,
-                r.coalesced_msgs
-            ));
-        }
-        out
-    }
-
     /// Totals of the comm-ledger steps not yet attributed to a bucket
     /// record: `(supersteps, local_msgs, remote_msgs, coalesced_msgs)`.
     /// The recorder calls this when closing an epoch (or the hybrid tail)
@@ -427,13 +375,11 @@ impl RunStats {
 /// totals plus the per-phase and per-bucket records. The simulated ledger
 /// is excluded and [`RunTrace::diff`] ignores the wall-clock timings — so
 /// a lockstep and a threaded run of the same configuration produce traces
-/// that compare equal field-for-field. The JSON export that `trace_diff`
-/// reads lives in `sssp-bench` (`sssp_bench::trace`).
+/// that compare equal field-for-field. It lives in memory only: the
+/// figure harnesses, the differential tests, `perf_baseline` and
+/// `trace_diff --self-check` read it where the run returns it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
-    /// Which backend produced the trace (`"simulated"` or `"threaded"`).
-    /// Informational only — [`RunTrace::diff`] ignores it.
-    pub backend: String,
     /// Ranks the run executed with.
     pub ranks: usize,
     /// Total data-exchange supersteps.
@@ -473,9 +419,8 @@ impl RunTrace {
     /// per-process traces merge (sums for volumes, maxima for maxima,
     /// equality-checked for globally reduced quantities) through
     /// [`merged_trace`](crate::engine::record::merged_trace).
-    pub fn from_run_stats(stats: &RunStats, backend: &str) -> RunTrace {
+    pub fn from_run_stats(stats: &RunStats) -> RunTrace {
         RunTrace {
-            backend: backend.to_string(),
             ranks: stats.num_ranks,
             supersteps: stats.comm.num_supersteps() as u64,
             local_msgs: stats.comm.total_local_msgs(),
@@ -505,9 +450,9 @@ impl RunTrace {
         }
     }
 
-    /// Compare two traces field-for-field, ignoring `backend` and the
-    /// wall-clock `timings` (timing is exactly what may differ between
-    /// backends and runs). Returns one
+    /// Compare two traces field-for-field, ignoring the wall-clock
+    /// `timings` and `spans` (timing is exactly what may differ between
+    /// transports and runs). Returns one
     /// human-readable line per mismatch; an empty vector means the traces
     /// agree. This is the equality the differential tests and the
     /// `trace_diff` tool gate on.
@@ -670,32 +615,6 @@ mod tests {
         assert_eq!(s.supersteps(), 2);
     }
 
-    #[test]
-    fn phases_csv_has_header_and_rows() {
-        let s = RunStats {
-            phase_records: vec![
-                PhaseRecord {
-                    bucket: 0,
-                    kind: PhaseKind::Short,
-                    relaxations: 5,
-                    remote_msgs: 3,
-                },
-                PhaseRecord {
-                    bucket: u64::MAX,
-                    kind: PhaseKind::LongPush,
-                    relaxations: 9,
-                    remote_msgs: 7,
-                },
-            ],
-            ..Default::default()
-        };
-        let csv = s.phases_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[1].starts_with("0,0,Short,5,3"));
-        assert!(lines[2].contains("hybrid"));
-    }
-
     fn sample_bucket() -> BucketRecord {
         BucketRecord {
             bucket: 2,
@@ -713,31 +632,6 @@ mod tests {
             remote_msgs: 31,
             coalesced_msgs: 6,
         }
-    }
-
-    #[test]
-    fn buckets_csv_round_numbers() {
-        let s = RunStats {
-            bucket_records: vec![sample_bucket()],
-            ..Default::default()
-        };
-        let csv = s.buckets_csv();
-        assert!(csv.contains("2,10,Pull,100,40,0,0,0,20,15,4,9,31,6"));
-    }
-
-    #[test]
-    fn buckets_csv_appends_hybrid_tail_row() {
-        let mut tail = sample_bucket();
-        tail.bucket = u64::MAX;
-        let s = RunStats {
-            bucket_records: vec![sample_bucket()],
-            tail_record: Some(tail),
-            ..Default::default()
-        };
-        let csv = s.buckets_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[2].starts_with("hybrid,"));
     }
 
     #[test]
@@ -777,7 +671,6 @@ mod tests {
         tail.bucket = u64::MAX;
         tail.mode = LongPhaseMode::Push;
         RunTrace {
-            backend: "simulated".to_string(),
             ranks: 4,
             supersteps: 12,
             local_msgs: 30,
@@ -850,11 +743,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_diff_ignores_backend_but_flags_counters() {
+    fn trace_diff_ignores_timings_but_flags_counters() {
         let a = sample_trace();
         let mut b = sample_trace();
-        b.backend = "threaded".to_string();
-        assert!(a.diff(&b).is_empty(), "backend label must not diff");
+        b.timings.short_ns = 120;
+        assert!(a.diff(&b).is_empty(), "wall-clock timings must not diff");
         b.remote_msgs += 1;
         b.buckets[0].est_pull = 41;
         b.tail = None;

@@ -22,11 +22,6 @@ impl ThreadLoads {
         }
     }
 
-    /// Number of logical threads.
-    pub fn num_threads(&self) -> usize {
-        self.ops.len()
-    }
-
     #[inline]
     /// Owning thread of local vertex `local` (cyclic by default).
     pub fn thread_of(&self, local: usize) -> usize {

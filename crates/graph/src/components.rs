@@ -74,12 +74,6 @@ impl UnionFind {
     pub fn num_components(&self) -> usize {
         self.components
     }
-
-    /// Size of `x`'s component.
-    pub fn component_size(&mut self, x: u32) -> usize {
-        let r = self.find(x);
-        self.size[r as usize] as usize
-    }
 }
 
 /// Component label per vertex from the edge list (labels are the union-find
@@ -165,8 +159,6 @@ mod tests {
         assert_eq!(uf.num_components(), 3);
         assert!(uf.same(0, 2));
         assert!(!uf.same(0, 3));
-        assert_eq!(uf.component_size(1), 3);
-        assert_eq!(uf.component_size(4), 1);
     }
 
     #[test]

@@ -66,36 +66,6 @@ pub fn degree_stats(g: &Csr) -> DegreeStats {
     }
 }
 
-/// Degree histogram in powers of two: `hist[k]` counts vertices with degree
-/// in `[2^k, 2^{k+1})`; `hist[0]` also includes degree-1, and degree-0
-/// vertices are reported separately.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegreeHistogram {
-    /// Number of isolated (degree-0) vertices.
-    pub zero: usize,
-    /// Power-of-two degree buckets: `buckets[i]` counts degrees in `[2^i, 2^(i+1))`.
-    pub buckets: Vec<usize>,
-}
-
-/// Degree histogram of `g` (the Fig. 8 measurement).
-pub fn degree_histogram(g: &Csr) -> DegreeHistogram {
-    let mut zero = 0usize;
-    let mut buckets: Vec<usize> = Vec::new();
-    for v in 0..g.num_vertices() {
-        let d = g.degree(v as VertexId);
-        if d == 0 {
-            zero += 1;
-            continue;
-        }
-        let k = (usize::BITS - 1 - d.leading_zeros()) as usize;
-        if buckets.len() <= k {
-            buckets.resize(k + 1, 0);
-        }
-        buckets[k] += 1;
-    }
-    DegreeHistogram { zero, buckets }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,24 +105,6 @@ mod tests {
         assert!(pick_roots(&edgeless, 1, 7).is_empty());
         let empty = CsrBuilder::new().build(&crate::EdgeList::new(0));
         assert!(pick_roots(&empty, 1, 7).is_empty());
-    }
-
-    #[test]
-    fn histogram_total_matches_n() {
-        let g = CsrBuilder::new().build(&gen::uniform(200, 900, 10, 5));
-        let h = degree_histogram(&g);
-        let total: usize = h.zero + h.buckets.iter().sum::<usize>();
-        assert_eq!(total, 200);
-    }
-
-    #[test]
-    fn histogram_of_path() {
-        // Path of 4: two endpoints (deg 1 → bucket 0), two middles (deg 2 → bucket 1).
-        let g = CsrBuilder::new().build(&gen::path(4, 1));
-        let h = degree_histogram(&g);
-        assert_eq!(h.zero, 0);
-        assert_eq!(h.buckets[0], 2);
-        assert_eq!(h.buckets[1], 2);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! Resolution is lexical: qualified calls (`Type::f`) match the `impl`
 //! target or a free function in the module whose file stem equals the
-//! qualifier, method calls (`.f(`) match `self` methods, bare calls match
+//! qualifier (`Self::f` qualifies by the caller's own `impl` target),
+//! method calls (`.f(`) match `self` methods, bare calls match
 //! free functions. Same-file definitions win over cross-file ones; the
 //! first match wins otherwise. For reachability a method call
 //! additionally reaches every same-named method of a *workspace trait*
@@ -351,16 +352,20 @@ impl<'a> CallGraph<'a> {
         ids.map(|&(fi, ni)| ((fi, ni), &self.files[fi], &self.files[fi].fns[ni]))
     }
 
-    /// Resolve a call token to one definition: same-file wins, else the
-    /// first match in path order.
-    pub(crate) fn resolve(&self, from: usize, t: &CallTok) -> Option<FnId> {
+    /// Resolve a call token in the body of `caller` to one definition:
+    /// same-file wins, else the first match in path order.
+    pub(crate) fn resolve(&self, (from, caller): FnId, t: &CallTok) -> Option<FnId> {
+        let qual = match (t.qual.as_deref(), &self.files[from].fns[caller].impl_type) {
+            (Some("Self"), Some(own)) => Some(own.as_str()),
+            (q, _) => q,
+        };
         let mut first: Option<FnId> = None;
         for (id, f, fd) in self.named(&t.ident) {
             if !self.callable_from(from, fd) {
                 continue;
             }
-            let ok = if let Some(q) = &t.qual {
-                fd.impl_type.as_deref() == Some(q.as_str()) || (!fd.has_self && f.stem == *q)
+            let ok = if let Some(q) = qual {
+                fd.impl_type.as_deref() == Some(q) || (!fd.has_self && f.stem == q)
             } else {
                 fd.has_self == t.method
             };
@@ -408,7 +413,7 @@ impl<'a> CallGraph<'a> {
         for (_, _, code, _) in fd.body(f.sf) {
             for t in call_tokens(code).iter().filter(|t| !t.is_def) {
                 let dispatched = self.trait_methods(fi, t);
-                for id in self.resolve(fi, t).into_iter().chain(dispatched) {
+                for id in self.resolve((fi, ni), t).into_iter().chain(dispatched) {
                     if !out.contains(&id) {
                         out.push(id);
                     }
@@ -494,6 +499,23 @@ mod tests {
         let reach = g.reachable(go);
         assert!(reach.contains(&node(&g, "crates/x/src/a.rs", "free")));
         assert_eq!(reach.len(), 2);
+    }
+
+    #[test]
+    fn self_qualified_calls_resolve_to_the_callers_impl() {
+        let g = graph(&[
+            (
+                "crates/x/src/a.rs",
+                "struct A;\nimpl A {\n    pub fn build() { Self::helper(); }\n    fn helper() {}\n}\n",
+            ),
+            (
+                "crates/x/src/b.rs",
+                "struct B;\nimpl B {\n    fn helper() {}\n}\n",
+            ),
+        ]);
+        let reach = g.reachable(node(&g, "crates/x/src/a.rs", "build"));
+        assert!(reach.contains(&node(&g, "crates/x/src/a.rs", "helper")));
+        assert!(!reach.contains(&node(&g, "crates/x/src/b.rs", "helper")));
     }
 
     #[test]

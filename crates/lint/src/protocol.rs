@@ -325,7 +325,7 @@ impl Walk<'_> {
                         op,
                         depth: at,
                     });
-                } else if let Some(callee) = self.g.resolve(id.0, t) {
+                } else if let Some(callee) = self.g.resolve(id, t) {
                     self.walk(callee, label.clone(), at);
                 }
             }

@@ -222,28 +222,37 @@ fn config_for(args: &Args) -> SsspConfig {
     }
 }
 
-fn load_edge_list(path: &str) -> EdgeList {
-    let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("cannot open {path}: {e}"));
-    if path.ends_with(".bin") {
-        let mut reader = std::io::BufReader::new(file);
-        io::read_binary(&mut reader).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
+fn load_edge_list(path: &str) -> Result<EdgeList, String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let mut reader = std::io::BufReader::new(file);
+    let el = if path.ends_with(".bin") {
+        io::read_binary(&mut reader)
     } else {
-        io::read_dimacs(std::io::BufReader::new(file), false)
-            .unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
-    }
+        io::read_dimacs(reader, false)
+    };
+    el.map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn store_edge_list(path: &str, el: &EdgeList) {
-    let file = std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
+fn store_edge_list(path: &str, el: &EdgeList) -> Result<(), String> {
+    use std::io::Write;
+    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
     let mut w = std::io::BufWriter::new(file);
     if path.ends_with(".bin") {
-        io::write_binary(&mut w, el).expect("write failed");
+        io::write_binary(&mut w, el)
     } else {
-        io::write_dimacs(&mut w, el).expect("write failed");
+        io::write_dimacs(&mut w, el)
     }
+    .and_then(|()| w.flush())
+    .map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-fn source_edge_list(args: &Args) -> EdgeList {
+/// The path given for `flag` (`--in` / `--out`), which `cmd` requires.
+fn required<'a>(path: &'a Option<String>, cmd: &str, flag: &str) -> Result<&'a str, String> {
+    path.as_deref()
+        .ok_or_else(|| format!("{cmd} requires {flag}"))
+}
+
+fn source_edge_list(args: &Args) -> Result<EdgeList, String> {
     match &args.input {
         Some(path) => load_edge_list(path),
         None => {
@@ -254,33 +263,35 @@ fn source_edge_list(args: &Args) -> EdgeList {
             for (u, v, w) in csr.undirected_edges() {
                 el.push(u, v, w);
             }
-            el
+            Ok(el)
         }
     }
 }
 
-fn cmd_generate(args: &Args) {
-    let el = source_edge_list(args);
-    let out = args.output.as_deref().expect("generate requires --out");
-    store_edge_list(out, &el);
+fn cmd_generate(args: &Args) -> Result<(), String> {
+    let out = required(&args.output, "generate", "--out")?;
+    let el = source_edge_list(args)?;
+    store_edge_list(out, &el)?;
     println!("wrote {} vertices, {} edges to {out}", el.n, el.len());
+    Ok(())
 }
 
-fn cmd_convert(args: &Args) {
-    let input = args.input.as_deref().expect("convert requires --in");
-    let out = args.output.as_deref().expect("convert requires --out");
-    let el = load_edge_list(input);
-    store_edge_list(out, &el);
+fn cmd_convert(args: &Args) -> Result<(), String> {
+    let input = required(&args.input, "convert", "--in")?;
+    let out = required(&args.output, "convert", "--out")?;
+    let el = load_edge_list(input)?;
+    store_edge_list(out, &el)?;
     println!(
         "converted {input} → {out} ({} vertices, {} edges)",
         el.n,
         el.len()
     );
+    Ok(())
 }
 
-fn cmd_inspect(args: &Args) {
-    let input = args.input.as_deref().expect("inspect requires --in");
-    let el = load_edge_list(input);
+fn cmd_inspect(args: &Args) -> Result<(), String> {
+    let input = required(&args.input, "inspect", "--in")?;
+    let el = load_edge_list(input)?;
     let csr = CsrBuilder::new().build(&el);
     let st = stats::degree_stats(&csr);
     let labels = sssp_mps::graph::components::components_bfs(&csr);
@@ -293,6 +304,7 @@ fn cmd_inspect(args: &Args) {
     println!("isolated vertices : {}", st.isolated);
     println!("top-1% edge share : {:.2}", st.top1pct_edge_share);
     println!("components        : {ncomp} (largest {largest})");
+    Ok(())
 }
 
 fn main() {
@@ -309,16 +321,22 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match sub.as_str() {
-        "generate" => return cmd_generate(&args),
-        "convert" => return cmd_convert(&args),
-        "inspect" => return cmd_inspect(&args),
-        _ => {}
+    let done = match sub.as_str() {
+        "generate" => cmd_generate(&args),
+        "convert" => cmd_convert(&args),
+        "inspect" => cmd_inspect(&args),
+        _ => cmd_run(&args),
+    };
+    if let Err(e) = done {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     }
+}
 
+fn cmd_run(args: &Args) -> Result<(), String> {
     let csr = match &args.input {
-        Some(path) => CsrBuilder::new().build(&load_edge_list(path)),
-        None => build_graph(&args),
+        Some(path) => CsrBuilder::new().build(&load_edge_list(path)?),
+        None => build_graph(args),
     };
     let m = csr.num_undirected_edges() as u64;
     let source = args.input.clone().unwrap_or_else(|| args.family.clone());
@@ -355,12 +373,11 @@ fn main() {
     // Deterministic root selection over non-isolated vertices.
     let roots = sssp_mps::graph::pick_roots(&csr, args.roots, args.seed);
     if roots.len() < args.roots {
-        eprintln!(
-            "error: --roots {} requested but only {} distinct non-isolated vertices were found",
+        return Err(format!(
+            "--roots {} requested but only {} distinct non-isolated vertices were found",
             args.roots,
             roots.len()
-        );
-        std::process::exit(2);
+        ));
     }
 
     let model = MachineModel::bgq_like();
@@ -381,7 +398,7 @@ fn main() {
             );
             continue;
         }
-        let cfg = config_for(&args);
+        let cfg = config_for(args);
         let out = run_sssp(&dg, root, &cfg, &model);
         if args.validate {
             sssp_mps::core::validate::assert_matches_dijkstra(&csr, root, &out);
@@ -397,4 +414,5 @@ fn main() {
             out.stats.gteps(m)
         );
     }
+    Ok(())
 }

@@ -1,5 +1,6 @@
-//! `sssp-cli` must answer every bad flag value with `error: …` and exit
-//! code 2 — never a panic backtrace, never a hang.
+//! `sssp-cli` must answer every bad flag value and every unreadable or
+//! unwritable graph file with `error: …` and exit code 2 — never a panic
+//! backtrace, never a hang.
 
 use std::process::{Command, Output};
 
@@ -8,6 +9,14 @@ fn cli(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("sssp-cli must start")
+}
+
+fn assert_error(args: &[&str]) {
+    let out = cli(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
 }
 
 #[test]
@@ -29,11 +38,39 @@ fn bad_flag_values_are_errors_not_panics_or_hangs() {
         &["--family", "nope"],
     ];
     for case in cases {
-        let out = cli(&[&small[..], case].concat());
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{case:?}: {stderr}");
-        assert!(stderr.starts_with("error: "), "{case:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{case:?}: {stderr}");
+        assert_error(&[&small[..], case].concat());
+    }
+}
+
+#[test]
+fn bad_graph_files_and_missing_paths_are_errors_not_panics() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_graph_files");
+    std::fs::create_dir_all(&dir).expect("temporary directory");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (good, bad, bin, cut) = (
+        path("good.gr"),
+        path("bad.gr"),
+        path("good.bin"),
+        path("truncated.bin"),
+    );
+    std::fs::write(&good, "p sp 3 2\na 1 2 5\na 2 3 4\n").expect("write good.gr");
+    std::fs::write(&bad, "p sp 3 1\na 1 2 x\n").expect("write bad.gr");
+    let out = cli(&["convert", "--in", &good, "--out", &bin]);
+    assert!(out.status.success(), "{out:?}");
+    // A valid binary file cut short inside its last edge record.
+    let bytes = std::fs::read(&bin).expect("read good.bin");
+    std::fs::write(&cut, &bytes[..bytes.len() - 5]).expect("write truncated.bin");
+    let (missing, nowhere) = (path("missing.gr"), path("no/such/dir/g.bin"));
+    let cases: [&[&str]; 6] = [
+        &["run", "--in", &missing],
+        &["run", "--in", &bad],
+        &["run", "--in", &cut],
+        &["convert", "--in", &bad],
+        &["convert", "--in", &good, "--out", &nowhere],
+        &["inspect"],
+    ];
+    for case in cases {
+        assert_error(case);
     }
 }
 
