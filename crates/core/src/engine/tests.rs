@@ -17,6 +17,19 @@ fn medium_graph() -> Csr {
     CsrBuilder::new().build(&gen::uniform(300, 2400, 60, 7))
 }
 
+/// Five hubs of 600 neighbours each over a sparse uniform background: every
+/// hub is heavy at π = 128 and split at π′ = 256, no other vertex is.
+fn hub_graph() -> Csr {
+    let n = 2048u32;
+    let mut el = gen::uniform(n as usize, 4 * n as usize, 255, 5);
+    for h in 0..5 {
+        for i in 0..600 {
+            el.push(h, (h + 5 + i * 3) % n, 1 + (h + i) % 255);
+        }
+    }
+    CsrBuilder::new().build(&el)
+}
+
 fn run_cfg(g: &Csr, p: usize, cfg: &SsspConfig) -> SsspOutput {
     let dg = DistGraph::build(g, p, 4);
     run_sssp(&dg, 0, cfg, &model())
@@ -159,6 +172,14 @@ fn split_graph_preserves_distances() {
         "test graph should trigger splitting"
     );
     let dg = DistGraph::build_with_partition(&split_csr, part, 4, g.num_undirected_edges() as u64);
+    let out = run_sssp(&dg, 0, &SsspConfig::lb_opt(25), &model());
+    assert_matches_dijkstra(&g, 0, &out);
+
+    // The hubs split at π′ = 256 over 8 ranks of 64 threads.
+    let g = hub_graph();
+    let (split_csr, part, rep) = sssp_dist::split_heavy_vertices(&g, 8, 256);
+    assert!(rep.proxies_created > 0, "hubs should be split");
+    let dg = DistGraph::build_with_partition(&split_csr, part, 64, g.num_undirected_edges() as u64);
     let out = run_sssp(&dg, 0, &SsspConfig::lb_opt(25), &model());
     assert_matches_dijkstra(&g, 0, &out);
 }
@@ -357,6 +378,13 @@ fn intra_balance_threshold_zero_is_correct() {
     let g = medium_graph();
     let cfg = SsspConfig::opt(25).with_intra_balance(IntraBalance::Threshold(0));
     let out = run_cfg(&g, 4, &cfg);
+    assert_matches_dijkstra(&g, 0, &out);
+
+    // π = 128 at 64 threads per rank marks only the hubs heavy.
+    let g = hub_graph();
+    let dg = DistGraph::build(&g, 8, 64);
+    let cfg = SsspConfig::opt(25).with_intra_balance(IntraBalance::Threshold(128));
+    let out = run_sssp(&dg, 0, &cfg, &model());
     assert_matches_dijkstra(&g, 0, &out);
 }
 

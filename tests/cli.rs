@@ -17,6 +17,8 @@ fn assert_error(args: &[&str]) {
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    // A whole-file error belongs to no line.
+    assert!(!stderr.contains("line 0"), "{args:?}: {stderr}");
 }
 
 #[test]
@@ -60,11 +62,16 @@ fn bad_graph_files_and_missing_paths_are_errors_not_panics() {
     // A valid binary file cut short inside its last edge record.
     let bytes = std::fs::read(&bin).expect("read good.bin");
     std::fs::write(&cut, &bytes[..bytes.len() - 5]).expect("write truncated.bin");
+    let (zeros, headless) = (path("zeros.bin"), path("headless.gr"));
+    std::fs::write(&zeros, [0u8; 20]).expect("write zeros.bin");
+    std::fs::write(&headless, "c comments only, no problem line\n").expect("write headless.gr");
     let (missing, nowhere) = (path("missing.gr"), path("no/such/dir/g.bin"));
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 8] = [
         &["run", "--in", &missing],
         &["run", "--in", &bad],
         &["run", "--in", &cut],
+        &["run", "--in", &zeros],
+        &["run", "--in", &headless],
         &["convert", "--in", &bad],
         &["convert", "--in", &good, "--out", &nowhere],
         &["inspect"],
