@@ -8,7 +8,8 @@
 //! committed document's fields by path, counts as exact `u64`s.
 //!
 //! The document holds one block per measured R-MAT scale, keyed
-//! `"scale_N"`, plus an optional `"serving"` block recorded by
+//! `"scale_N"`, an optional grid block, keyed `"grid_256"`
+//! ([`GridBaseline`]), and an optional `"serving"` block recorded by
 //! `serve_bench` (concurrent multi-root query throughput over a resident
 //! graph). Each binary regenerates only its own block and preserves the
 //! others ([`upsert`]), so the per-scale baselines and the serving
@@ -405,7 +406,7 @@ impl PerfBaseline {
     pub fn check_against(&self, committed: &Value, tolerance: f64) -> Vec<String> {
         let mut problems = Vec::new();
         let (pooled, threaded, telemetry) = (&self.pooled, &self.threaded, &self.telemetry);
-        for (name, path, now) in [
+        let gates = [
             (
                 "threaded_over_seq (this run's q1 vs the baseline's q3)",
                 &["threaded_over_seq_q3"][..],
@@ -436,18 +437,9 @@ impl PerfBaseline {
                 &["pipeline", "partition_alloc_bytes"],
                 self.pipeline.partition_alloc_bytes as f64,
             ),
-        ] {
-            match committed.at(path).and_then(Value::num::<f64>) {
-                Some(b) if b > 0.0 && now > b * (1.0 + tolerance) => problems.push(format!(
-                    "{name} regressed: {now:.3} vs baseline {b:.3} (+{:.0}% > {:.0}% tolerance)",
-                    100.0 * (now / b - 1.0),
-                    100.0 * tolerance
-                )),
-                Some(_) => {}
-                None => problems.push(format!("committed baseline is missing {name}")),
-            }
-        }
-        for (object, key, now) in [
+        ];
+        gate_regressions(&mut problems, committed, tolerance, gates);
+        let counts = [
             ("pooled", "supersteps", pooled.supersteps),
             ("pooled", "msgs", pooled.msgs),
             ("pooled", "remote_msgs", pooled.remote_msgs),
@@ -460,13 +452,8 @@ impl PerfBaseline {
             ("telemetry", "local_msgs", telemetry.local_msgs),
             ("telemetry", "remote_msgs", telemetry.remote_msgs),
             ("telemetry", "coalesced_msgs", telemetry.coalesced_msgs),
-        ] {
-            match committed.at(&[object, key]).and_then(Value::num::<u64>) {
-                Some(b) if b == now => {}
-                Some(b) => problems.push(format!("{object}.{key} changed: {now} vs baseline {b}")),
-                None => problems.push(format!("committed baseline is missing {object}.{key}")),
-            }
-        }
+        ];
+        gate_counts(&mut problems, committed, counts);
         if committed
             .at(&["telemetry", "backends_agree"])
             .and_then(Value::num::<u64>)
@@ -480,6 +467,138 @@ impl PerfBaseline {
         // The committed wall numbers are machine-dependent, but a fresh
         // run must be self-consistent.
         problems.extend(telemetry.wall_problems());
+        problems
+    }
+}
+
+/// Push a problem for every `(name, path, now)` that regresses by more than
+/// `tolerance` against the committed figure at `path`, or that the
+/// committed block lacks.
+fn gate_regressions<'a, const N: usize>(
+    problems: &mut Vec<String>,
+    committed: &Value,
+    tolerance: f64,
+    gates: [(&str, &'a [&'a str], f64); N],
+) {
+    for (name, path, now) in gates {
+        match committed.at(path).and_then(Value::num::<f64>) {
+            Some(b) if b > 0.0 && now > b * (1.0 + tolerance) => problems.push(format!(
+                "{name} regressed: {now:.3} vs baseline {b:.3} (+{:.0}% > {:.0}% tolerance)",
+                100.0 * (now / b - 1.0),
+                100.0 * tolerance
+            )),
+            Some(_) => {}
+            None => problems.push(format!("committed baseline is missing {name}")),
+        }
+    }
+}
+
+/// Push a problem for every `(object, key, now)` count that differs at all
+/// from the committed `object.key`, or that the committed block lacks.
+fn gate_counts<const N: usize>(
+    problems: &mut Vec<String>,
+    committed: &Value,
+    counts: [(&str, &str, u64); N],
+) {
+    for (object, key, now) in counts {
+        match committed.at(&[object, key]).and_then(Value::num::<u64>) {
+            Some(b) if b == now => {}
+            Some(b) => problems.push(format!("{object}.{key} changed: {now} vs baseline {b}")),
+            None => problems.push(format!("committed baseline is missing {object}.{key}")),
+        }
+    }
+}
+
+/// Side of the grid block's grid: the repo benchmark's `grid_latency` shape.
+pub const GRID_SIDE: usize = 256;
+
+/// Key of the grid block in the document.
+pub const GRID_KEY: &str = "grid_256";
+
+/// The grid block ([`GRID_KEY`]): the shape of the repo benchmark's
+/// `grid_latency` workload — a [`GRID_SIDE`]² 4-neighbour grid of weights in
+/// `[1, W_MAX]`, LB-OPT-25 on two ranks — where a root takes thousands of
+/// small supersteps and the threaded engine is furthest behind one
+/// sequential radix Dijkstra. Counts come from the threaded transport,
+/// summed over the roots; walls and `threaded_over_seq` are measured as
+/// for a scale block.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GridBaseline {
+    /// Rank count.
+    pub ranks: usize,
+    /// Logical threads per rank.
+    pub threads: usize,
+    /// Number of measured roots.
+    pub roots: usize,
+    /// Epoch-select rounds over the roots.
+    pub epochs: u64,
+    /// Data-exchange supersteps over the roots (from traced runs).
+    pub supersteps: u64,
+    /// Relax messages kept on the sender's rank (post-coalescing).
+    pub relax_local_msgs: u64,
+    /// Relax messages that crossed ranks (post-coalescing).
+    pub relax_remote_msgs: u64,
+    /// Relax messages removed by sender-side coalescing.
+    pub coalesced_msgs: u64,
+    /// Best-round wall milliseconds of the threaded engine over the roots.
+    pub threaded_wall_ms: f64,
+    /// Best-round wall milliseconds of `seq::dijkstra_radix` over the roots.
+    pub sequential_wall_ms: f64,
+    /// Threaded over sequential wall time, per back-to-back round.
+    pub threaded_over_seq: RatioSpread,
+}
+
+impl GridBaseline {
+    /// The block as a JSON object.
+    pub fn to_json(&self) -> Value {
+        let spread = &self.threaded_over_seq;
+        Value::obj([
+            ("family", Value::str("grid")),
+            ("side", Value::int(GRID_SIDE as u64)),
+            ("ranks", Value::int(self.ranks as u64)),
+            ("threads", Value::int(self.threads as u64)),
+            ("roots", Value::int(self.roots as u64)),
+            (
+                "counts",
+                Value::obj([
+                    ("epochs", Value::int(self.epochs)),
+                    ("supersteps", Value::int(self.supersteps)),
+                    ("relax_local_msgs", Value::int(self.relax_local_msgs)),
+                    ("relax_remote_msgs", Value::int(self.relax_remote_msgs)),
+                    ("coalesced_msgs", Value::int(self.coalesced_msgs)),
+                ]),
+            ),
+            ("threaded_wall_ms", Value::fixed(self.threaded_wall_ms, 3)),
+            (
+                "sequential_wall_ms",
+                Value::fixed(self.sequential_wall_ms, 3),
+            ),
+            ("threaded_over_seq", Value::fixed(spread.median, 3)),
+            ("threaded_over_seq_q1", Value::fixed(spread.q1, 3)),
+            ("threaded_over_seq_q3", Value::fixed(spread.q3, 3)),
+        ])
+    }
+
+    /// Gate this fresh block against the committed grid block,
+    /// as [`PerfBaseline::check_against`] gates a scale: every count
+    /// exactly, `threaded_over_seq` as this run's lower quartile against
+    /// the committed upper one within `tolerance`.
+    pub fn check_against(&self, committed: &Value, tolerance: f64) -> Vec<String> {
+        let mut problems = Vec::new();
+        let ratio = (
+            "threaded_over_seq (this run's q1 vs the baseline's q3)",
+            &["threaded_over_seq_q3"][..],
+            self.threaded_over_seq.q1,
+        );
+        gate_regressions(&mut problems, committed, tolerance, [ratio]);
+        let counts = [
+            ("counts", "epochs", self.epochs),
+            ("counts", "supersteps", self.supersteps),
+            ("counts", "relax_local_msgs", self.relax_local_msgs),
+            ("counts", "relax_remote_msgs", self.relax_remote_msgs),
+            ("counts", "coalesced_msgs", self.coalesced_msgs),
+        ];
+        gate_counts(&mut problems, committed, counts);
         problems
     }
 }
@@ -699,9 +818,10 @@ pub fn committed_block(path: &str, key: &str) -> Result<Value, String> {
         .ok_or_else(|| format!("committed baseline {path} has no {key} block"))
 }
 
-/// `doc` with `block` under `key` (`"scale_N"` or `"serving"`): the
-/// `"bench"` tag first, the scale blocks sorted by scale, the serving
-/// block last. Every other block of `doc` is kept as it was; keys that name
+/// `doc` with `block` under `key` (`"scale_N"`, [`GRID_KEY`] or
+/// `"serving"`): the `"bench"` tag first, the scale blocks sorted by scale,
+/// then the grid block, the serving block last. Every other block of `doc`
+/// is kept as it was; keys that name
 /// no block are dropped, so a legacy single-scale document is superseded.
 /// A block that replaces one keeps the replaced block's wall-ratio gates,
 /// `threaded_over_seq` and `pipeline.construct_over_seq` with their
@@ -712,9 +832,12 @@ pub fn upsert(doc: &Value, key: &str, block: Value) -> Value {
         Some(prior) => keep_gates(prior, block),
         None => block,
     };
-    let order = |k: &str| match k.strip_prefix("scale_") {
-        Some(n) => n.parse::<u32>().ok().map(|n| (0, n)),
-        None => (k == "serving").then_some((1, 0)),
+    let order = |k: &str| {
+        let scale = k.strip_prefix("scale_").and_then(|s| s.parse::<u32>().ok());
+        scale
+            .map(|s| (0, s))
+            .or_else(|| (k == GRID_KEY).then_some((1, 0)))
+            .or_else(|| (k == "serving").then_some((2, 0)))
     };
     let mut fields: Vec<(String, Value)> = doc
         .fields()
@@ -999,6 +1122,69 @@ mod tests {
         let doc = upsert(&legacy, "scale_10", sample().to_json());
         assert_eq!(keys(&doc), ["bench", "scale_10"]);
         assert_eq!(wall_ms(&doc, "scale_10"), Some(12.5));
+    }
+
+    fn sample_grid() -> GridBaseline {
+        GridBaseline {
+            ranks: 2,
+            threads: 2,
+            roots: 3,
+            epochs: 1_500,
+            supersteps: 5_400,
+            relax_local_msgs: 660_000,
+            relax_remote_msgs: 1_600,
+            coalesced_msgs: 2_000,
+            threaded_wall_ms: 60.0,
+            sequential_wall_ms: 40.0,
+            threaded_over_seq: RatioSpread {
+                q1: 1.4,
+                median: 1.5,
+                q3: 1.6,
+            },
+        }
+    }
+
+    #[test]
+    fn grid_blocks_sit_between_the_scales_and_serving_and_gate_counts_and_the_ratio() {
+        let doc = document(&[
+            ("scale_10", sample().to_json()),
+            ("serving", sample_serving().to_json()),
+        ]);
+        let doc = upsert(&doc, GRID_KEY, sample_grid().to_json());
+        let doc = upsert(&doc, "scale_20", sample().to_json());
+        assert_eq!(
+            keys(&doc),
+            ["bench", "scale_10", "scale_20", "grid_256", "serving"]
+        );
+        let block = Value::parse(&doc.render())
+            .expect("document parses")
+            .get("grid_256")
+            .cloned()
+            .expect("grid block kept");
+        assert_eq!(
+            sample_grid().check_against(&block, 0.25),
+            Vec::<String>::new()
+        );
+
+        // Any count moving fails; so does the ratio's lower quartile past
+        // the committed upper one plus the tolerance, and nothing else.
+        let mut moved = sample_grid();
+        moved.supersteps += 1;
+        moved.threaded_over_seq.q1 = 1.6 * 1.3;
+        moved.threaded_wall_ms *= 3.0;
+        let problems = moved.check_against(&block, 0.25);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].starts_with("threaded_over_seq"), "{problems:?}");
+        assert!(
+            problems[1].starts_with("counts.supersteps changed"),
+            "{problems:?}"
+        );
+
+        // Re-recording the grid keeps its ratio gates.
+        let mut fresh = sample_grid();
+        fresh.threaded_over_seq.q3 = 9.0;
+        let doc2 = upsert(&doc, GRID_KEY, fresh.to_json());
+        assert_eq!(doc2.get("grid_256"), doc.get("grid_256"));
     }
 
     fn sample_serving() -> ServingRecord {

@@ -11,13 +11,17 @@
 //!
 //! Usage:
 //!   cargo run -p sssp-bench --bin perf_baseline [--release] --
-//!       [--scale N] [--ranks N] [--threads N] [--roots N]
+//!       [--scale N | --grid] [--ranks N] [--threads N] [--roots N]
 //!       [--out PATH] [--check PATH]
 //!
 //! Writes a `BENCH_sssp.json` document (see `sssp_bench::baseline`) with
 //! one `"scale_N"` block per measured scale, each holding one record per
 //! transport; a run re-records only its own scale's block and preserves
-//! the others. Re-recording a scale whose block the `--out` document
+//! the others. `--grid` measures the `"grid_256"` block instead: the
+//! repo benchmark's `grid_latency` shape (a 256² grid, LB-OPT-25, two ranks of two
+//! threads unless `--ranks` / `--threads` say otherwise), its counts, the
+//! threaded and sequential walls and `threaded_over_seq`, gated by
+//! `--check` like a scale block's. Re-recording a scale whose block the `--out` document
 //! already holds keeps that block's wall-ratio gates
 //! (`threaded_over_seq{,_q1,_q3}` and `construct_over_seq{,_q1,_q3}`) and
 //! re-records everything else, so a count-only re-record leaves the
@@ -45,12 +49,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering}; // sssp-lint: allow(no-shared-state): the counting allocator must observe every thread's allocations; the engine itself stays rank-sequential.
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sssp_bench::baseline::{
-    committed_block, read_document, upsert, PerfBaseline, PerfRecord, PipelineRecord, RatioSpread,
-    SequentialRecord, TelemetryRecord, ThreadedRecord,
+    committed_block, read_document, upsert, GridBaseline, PerfBaseline, PerfRecord, PipelineRecord,
+    RatioSpread, SequentialRecord, TelemetryRecord, ThreadedRecord, GRID_KEY, GRID_SIDE,
 };
+use sssp_bench::json::Value;
 use sssp_bench::{exit_with, pick_roots, print_table, Family, Flags, EDGE_FACTOR, W_MAX};
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
@@ -58,7 +63,7 @@ use sssp_core::engine::run_sssp;
 use sssp_core::instrument::SubPhaseSpread;
 use sssp_core::{threaded_delta_stepping, threaded_delta_stepping_traced, RunTrace, SubPhase};
 use sssp_dist::DistGraph;
-use sssp_graph::{Csr, CsrBuilder, RmatGenerator, VertexId};
+use sssp_graph::{gen, Csr, CsrBuilder, RmatGenerator, VertexId};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0); // sssp-lint: allow(no-shared-state): allocator counter, written from any thread by design.
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0); // sssp-lint: allow(no-shared-state): allocator counter, written from any thread by design.
@@ -157,7 +162,7 @@ fn measure(
 /// Time the real-thread backend and the sequential oracle
 /// (`seq::dijkstra_radix`) on the same roots, in alternating rounds: one
 /// sequential pass, one threaded pass, repeated at least three times and as
-/// often as fits in `PAIRED_BUDGET` (capped at `PAIRED_ROUNDS`). Each record
+/// often as fits in 600 ms ([`paired_rounds`]). Each record
 /// keeps its best round. The gated `threaded_over_seq` is the spread of
 /// the *per-round ratios*: a round's two passes run within milliseconds of
 /// each other, so whatever the machine was doing then scales both, and the
@@ -178,21 +183,9 @@ fn measure_threaded_and_sequential(
     model: &MachineModel,
     pooled_wall_ms: f64,
 ) -> (ThreadedRecord, SequentialRecord, RatioSpread) {
-    const PAIRED_BUDGET: std::time::Duration = std::time::Duration::from_millis(600);
-    const PAIRED_ROUNDS: usize = 200;
-    let timed_ms = |pass: &mut dyn FnMut()| {
-        let t = Instant::now();
-        pass();
-        t.elapsed().as_secs_f64() * 1e3
-    };
-    let mut sequential = || {
-        for &root in roots {
-            std::hint::black_box(sssp_core::seq::dijkstra_radix(g, root));
-        }
-    };
     // Warm-up passes; the threaded one also yields the counts, which repeat
     // exactly on every later pass.
-    sequential();
+    sequential_pass(g, roots);
     let mut relax_local_msgs = 0u64;
     let mut relax_remote_msgs = 0u64;
     let mut coalesced_msgs = 0u64;
@@ -202,23 +195,8 @@ fn measure_threaded_and_sequential(
         relax_remote_msgs += out.relax_remote_msgs;
         coalesced_msgs += out.coalesced_msgs;
     }
-    let mut threaded = || {
-        for &root in roots {
-            std::hint::black_box(threaded_delta_stepping(dg, root, cfg, model));
-        }
-    };
-
-    let started = Instant::now();
-    let (mut seq_ms, mut thr_ms) = (f64::INFINITY, f64::INFINITY);
-    let mut ratios = Vec::new();
-    while ratios.len() < 3 || (ratios.len() < PAIRED_ROUNDS && started.elapsed() < PAIRED_BUDGET) {
-        let (s, t) = (timed_ms(&mut sequential), timed_ms(&mut threaded));
-        seq_ms = seq_ms.min(s);
-        thr_ms = thr_ms.min(t);
-        ratios.push(t / s.max(f64::MIN_POSITIVE));
-    }
-    let threaded_over_seq = RatioSpread::of(ratios);
-
+    let budget = Duration::from_millis(600);
+    let (seq_ms, thr_ms, threaded_over_seq) = paired_rounds(g, dg, roots, cfg, model, budget);
     let k = roots.len() as f64;
     let gteps =
         |wall_ms: f64| sssp_comm::cost::teps(dg.m_input_undirected, wall_ms / 1e3 / k) / 1e9;
@@ -237,6 +215,155 @@ fn measure_threaded_and_sequential(
         },
         threaded_over_seq,
     )
+}
+
+/// One sequential pass: `seq::dijkstra_radix` from every root.
+fn sequential_pass(g: &Csr, roots: &[VertexId]) {
+    for &root in roots {
+        std::hint::black_box(sssp_core::seq::dijkstra_radix(g, root));
+    }
+}
+
+/// The alternating rounds of [`measure_threaded_and_sequential`]: one
+/// sequential pass, one threaded pass, at least three times and as often
+/// as fits in `budget` (capped at `PAIRED_ROUNDS`). Returns the best
+/// sequential and threaded rounds and the spread of the per-round ratios.
+fn paired_rounds(
+    g: &Csr,
+    dg: &Arc<DistGraph>,
+    roots: &[VertexId],
+    cfg: &SsspConfig,
+    model: &MachineModel,
+    budget: Duration,
+) -> (f64, f64, RatioSpread) {
+    const PAIRED_ROUNDS: usize = 200;
+    let timed_ms = |pass: &mut dyn FnMut()| {
+        let t = Instant::now();
+        pass();
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    let mut threaded = || {
+        for &root in roots {
+            std::hint::black_box(threaded_delta_stepping(dg, root, cfg, model));
+        }
+    };
+    let started = Instant::now();
+    let (mut seq_ms, mut thr_ms) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::new();
+    while ratios.len() < 3 || (ratios.len() < PAIRED_ROUNDS && started.elapsed() < budget) {
+        let (s, t) = (
+            timed_ms(&mut || sequential_pass(g, roots)),
+            timed_ms(&mut threaded),
+        );
+        seq_ms = seq_ms.min(s);
+        thr_ms = thr_ms.min(t);
+        ratios.push(t / s.max(f64::MIN_POSITIVE));
+    }
+    (seq_ms, thr_ms, RatioSpread::of(ratios))
+}
+
+/// The `"grid_256"` block: a [`GRID_SIDE`]² 4-neighbour grid of weights in
+/// `[1, W_MAX]` under LB-OPT-25. The counts come from one traced threaded
+/// run per root (the same counts an untraced run has, supersteps
+/// included), which also warms the threaded path; the walls and the ratio
+/// from [`paired_rounds`], over a budget that fits some thirty rounds of
+/// three roots. Also returns the first root's traced sub-phase spans.
+fn measure_grid(ranks: usize, threads: usize, nroots: usize) -> (GridBaseline, SubPhaseSpread) {
+    let g = CsrBuilder::new().build(&gen::grid(GRID_SIDE, W_MAX, 1));
+    let dg = Arc::new(DistGraph::build(&g, ranks, threads));
+    let roots = pick_roots(&g, nroots, 23);
+    let (cfg, model) = (SsspConfig::lb_opt(25), MachineModel::bgq_like());
+    sequential_pass(&g, &roots);
+    let (mut counts, mut spans) = ([0u64; 5], None);
+    for &root in &roots {
+        let (out, trace) = threaded_delta_stepping_traced(&dg, root, &cfg, &model);
+        spans.get_or_insert(trace.spans);
+        let root_counts = [
+            out.epochs,
+            trace.supersteps,
+            out.relax_local_msgs,
+            out.relax_remote_msgs,
+            out.coalesced_msgs,
+        ];
+        for (sum, c) in counts.iter_mut().zip(root_counts) {
+            *sum += c;
+        }
+    }
+    let budget = Duration::from_secs(3);
+    let (sequential_wall_ms, threaded_wall_ms, threaded_over_seq) =
+        paired_rounds(&g, &dg, &roots, &cfg, &model, budget);
+    let [epochs, supersteps, relax_local_msgs, relax_remote_msgs, coalesced_msgs] = counts;
+    let block = GridBaseline {
+        ranks,
+        threads,
+        roots: roots.len(),
+        epochs,
+        supersteps,
+        relax_local_msgs,
+        relax_remote_msgs,
+        coalesced_msgs,
+        threaded_wall_ms,
+        sequential_wall_ms,
+        threaded_over_seq,
+    };
+    (block, spans.expect("at least one root"))
+}
+
+/// Print a traced run's sub-phase spans, per-rank min / median / max.
+fn print_spans(spans: &SubPhaseSpread) {
+    let ms = |ns: u64| ns as f64 / 1e6;
+    println!("telemetry sub-phases (threaded, per-rank min / median / max ms):");
+    for sub in SubPhase::ALL {
+        let s = spans.get(sub);
+        println!(
+            "  {:<16} {:>8.2} {:>8.2} {:>8.2}",
+            sub.name(),
+            ms(s.min_ns),
+            ms(s.median_ns),
+            ms(s.max_ns)
+        );
+    }
+}
+
+/// Write `block` under `key` into the document `existing` was read from
+/// (keeping the wall-ratio gates of a block it replaces), then, given a
+/// committed block, gate the run against it with `check` (at the
+/// `SSSP_PERF_TOLERANCE`, default 0.25) and exit 1 on any problem.
+fn write_and_check(
+    existing: &Value,
+    out_path: &str,
+    key: &str,
+    block: Value,
+    committed: Option<(&str, Value)>,
+    check: impl Fn(&Value, f64) -> Vec<String>,
+) {
+    let json = upsert(existing, key, block).render();
+    if let Err(e) = std::fs::write(out_path, json) {
+        exit_with(1, &format!("cannot write {out_path}: {e}"));
+    }
+    let kept = match existing.get(key) {
+        Some(_) => "; ratio gates kept from the block it replaced",
+        None => "",
+    };
+    println!("wrote {out_path} ({key} block{kept})");
+
+    if let Some((path, block)) = committed {
+        let tolerance = std::env::var("SSSP_PERF_TOLERANCE")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0.25);
+        let problems = check(&block, tolerance);
+        if !problems.is_empty() {
+            exit_with(
+                1,
+                &format!(
+                    "perf check against {path} ({key}) FAILED:\n{}",
+                    problems.join("\n")
+                ),
+            );
+        }
+        println!("perf check against {path} ({key}): OK");
+    }
 }
 
 /// Build the benchmark graph from scratch, stage by stage, at least three
@@ -349,20 +476,29 @@ fn main() {
         std::env::set_var("RAYON_NUM_THREADS", "4");
     }
 
-    let flags = Flags::from_args(&[
-        "--scale",
-        "--ranks",
-        "--threads",
-        "--roots",
-        "--out",
-        "--check",
-    ]);
+    let flags = Flags::with_switches(
+        &[
+            "--scale",
+            "--ranks",
+            "--threads",
+            "--roots",
+            "--out",
+            "--check",
+        ],
+        &["--grid"],
+    );
     let scale: u32 = flags.get("--scale", 10);
-    let ranks = flags.positive("--ranks", 4);
-    let threads = flags.positive("--threads", 4);
+    let grid = flags.switch("--grid");
+    let (ranks, threads) = match grid {
+        true => (flags.positive("--ranks", 2), flags.positive("--threads", 2)),
+        false => (flags.positive("--ranks", 4), flags.positive("--threads", 4)),
+    };
     let nroots = flags.positive("--roots", 3);
     let out_path = flags.text("--out").unwrap_or("BENCH_sssp.json");
-    let key = format!("scale_{scale}");
+    let key = match grid {
+        true => GRID_KEY.to_string(),
+        false => format!("scale_{scale}"),
+    };
     // Read both documents before measuring: a file this run could not
     // rewrite or gate against fails now, not minutes later.
     let existing = read_document(out_path).unwrap_or_else(|e| exit_with(1, &e));
@@ -370,6 +506,34 @@ fn main() {
         let block = committed_block(path, &key).unwrap_or_else(|e| exit_with(1, &e));
         (path, block)
     });
+
+    if grid {
+        let (block, spans) = measure_grid(ranks, threads, nroots);
+        let spread = &block.threaded_over_seq;
+        println!(
+            "perf baseline — grid {GRID_SIDE}², LB-OPT-25, p={ranks}×{threads}, {} roots: \
+             threaded {:.2} ms, sequential {:.2} ms; threaded / sequential: {:.2} \
+             (quartiles {:.2} – {:.2})",
+            block.roots,
+            block.threaded_wall_ms,
+            block.sequential_wall_ms,
+            spread.median,
+            spread.q1,
+            spread.q3
+        );
+        println!(
+            "counts: {} epochs, {} supersteps, {} local + {} remote relax msgs, {} coalesced",
+            block.epochs,
+            block.supersteps,
+            block.relax_local_msgs,
+            block.relax_remote_msgs,
+            block.coalesced_msgs
+        );
+        print_spans(&spans);
+        let check = |committed: &Value, tolerance| block.check_against(committed, tolerance);
+        write_and_check(&existing, out_path, &key, block.to_json(), committed, check);
+        return;
+    }
 
     let family = Family::Rmat2;
     let model = MachineModel::bgq_like();
@@ -500,46 +664,10 @@ fn main() {
         p.construct_over_seq.q3
     );
 
-    let ms = |ns: u64| ns as f64 / 1e6;
-    println!("telemetry sub-phases (threaded, per-rank min / median / max ms):");
-    for sub in SubPhase::ALL {
-        let s = spans.get(sub);
-        println!(
-            "  {:<16} {:>8.2} {:>8.2} {:>8.2}",
-            sub.name(),
-            ms(s.min_ns),
-            ms(s.median_ns),
-            ms(s.max_ns)
-        );
-    }
+    print_spans(&spans);
 
     // Re-record only this scale's block, keeping its wall-ratio gates;
     // every other block of an existing document survives.
-    let json = upsert(&existing, &key, doc.to_json()).render();
-    if let Err(e) = std::fs::write(out_path, json) {
-        exit_with(1, &format!("cannot write {out_path}: {e}"));
-    }
-    let kept = match existing.get(&key) {
-        Some(_) => "; ratio gates kept from the block it replaced",
-        None => "",
-    };
-    println!("wrote {out_path} ({key} block{kept})");
-
-    if let Some((path, block)) = committed {
-        let tolerance = std::env::var("SSSP_PERF_TOLERANCE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.25);
-        let problems = doc.check_against(&block, tolerance);
-        if !problems.is_empty() {
-            exit_with(
-                1,
-                &format!(
-                    "perf check against {path} ({key}) FAILED:\n{}",
-                    problems.join("\n")
-                ),
-            );
-        }
-        println!("perf check against {path} ({key}): OK");
-    }
+    let check = |committed: &Value, tolerance| doc.check_against(committed, tolerance);
+    write_and_check(&existing, out_path, &key, doc.to_json(), committed, check);
 }

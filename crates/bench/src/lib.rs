@@ -132,18 +132,28 @@ pub fn backend_from_args() -> Backend {
     }
 }
 
-/// The `--flag value` arguments of a binary. Bad input exits 2 with a
-/// message naming the flag, so a typo never runs, or records a baseline
-/// block, under the defaults.
+/// The `--flag value` arguments of a binary, and its value-less switches.
+/// Bad input exits 2 with a message naming the flag, so a typo never runs,
+/// or records a baseline block, under the defaults.
 pub struct Flags(Vec<(String, String)>);
 
 impl Flags {
     /// Read the process arguments: every flag takes one value and must be
     /// one of `known`; a repeated flag keeps its last value.
     pub fn from_args(known: &[&str]) -> Flags {
+        Flags::with_switches(known, &[])
+    }
+
+    /// [`Flags::from_args`], where the flags in `switches` take no value
+    /// (see [`Flags::switch`]).
+    pub fn with_switches(known: &[&str], switches: &[&str]) -> Flags {
         let mut pairs = Vec::new();
         let mut args = std::env::args().skip(1);
         while let Some(flag) = args.next() {
+            if switches.contains(&flag.as_str()) {
+                pairs.push((flag, String::new()));
+                continue;
+            }
             match args.next() {
                 _ if !known.contains(&flag.as_str()) => {
                     exit_with(2, &format!("unknown argument: {flag}"))
@@ -153,6 +163,11 @@ impl Flags {
             }
         }
         Flags(pairs)
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| f == flag)
     }
 
     /// The value given for `flag`, if any.

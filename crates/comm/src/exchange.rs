@@ -22,6 +22,9 @@ use crate::Rank;
 pub struct Outbox<M> {
     /// One message lane per destination rank.
     pub out: Vec<Vec<M>>,
+    /// Set by every exchange: where this rank's own lane begins in its
+    /// inbox, i.e. how many messages the lower ranks delivered to it.
+    pub own_at: usize,
 }
 
 impl<M> Outbox<M> {
@@ -29,6 +32,7 @@ impl<M> Outbox<M> {
     pub fn new(p: usize) -> Self {
         Outbox {
             out: (0..p).map(|_| Vec::new()).collect(),
+            own_at: 0,
         }
     }
 
@@ -52,7 +56,8 @@ impl<M> Outbox<M> {
 }
 
 /// Deliver all outboxes into the given inboxes: `inboxes[dst]` receives
-/// the messages from source 0 first, then source 1, … Inboxes are cleared
+/// the messages from source 0 first, then source 1, …, and
+/// `outboxes[dst].own_at` says where its own lane begins. Inboxes are cleared
 /// first; after the call every outbox lane is empty *with its capacity
 /// retained*, so a caller that keeps both sides alive across supersteps
 /// reaches a steady state where the exchange allocates nothing. Returns the
@@ -115,7 +120,9 @@ pub fn exchange_pooled<M>(
     for ib in inboxes.iter_mut() {
         ib.clear();
     }
-    for ob in outboxes.iter_mut() {
+    for (src, ob) in outboxes.iter_mut().enumerate() {
+        // Sources arrive in order: the lower ones are in the inbox already.
+        ob.own_at = inboxes[src].len();
         for (dst, lane) in ob.out.iter_mut().enumerate() {
             inboxes[dst].append(lane);
         }
@@ -316,6 +323,26 @@ impl MinTable {
         let removed = self.folded - (lane.len() as u64 - before);
         self.folded = 0;
         removed
+    }
+
+    /// Hand `f` every key folded since the last emit with its smallest
+    /// value, in ascending key order, and leave the table empty: what
+    /// [`MinTable::emit`] would append, without a lane.
+    pub fn drain(&mut self, mut f: impl FnMut(u32, u64)) {
+        if self.folded == 0 {
+            return;
+        }
+        for k in self.present.iter() {
+            f(k, self.best[k as usize]);
+        }
+        self.present.clear();
+        self.folded = 0;
+    }
+
+    /// Folds since the last emit, and the distinct keys they left: what
+    /// an emit now would return as removed is their difference.
+    pub fn pending(&self) -> (u64, u64) {
+        (self.folded, self.present.len() as u64)
     }
 
     /// Drop whatever was folded since the last emit, so a fold sequence an
@@ -542,6 +569,16 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(packed, coalesced);
         assert_eq!(packed, vec![(1, 5), (2, 7), (3, 2)]);
+        // Drained instead of emitted, the table hands over the same run.
+        for &(k, v) in &msgs {
+            table.fold(k, v);
+        }
+        assert_eq!(table.pending(), (msgs.len() as u64, 3));
+        let mut drained = Vec::new();
+        table.drain(|k, v| drained.push((k, v)));
+        assert_eq!(drained, coalesced);
+        assert_eq!(table.pending(), (0, 0));
+        table.drain(|_, _| panic!("a drained table is empty"));
     }
 
     #[test]

@@ -34,7 +34,11 @@
 //!   and drains its row in source-rank order. Each drained batch goes back,
 //!   empty with its capacity, as the caller's lane to that source: a rank
 //!   gets back as many buffers as it sent, so the transport holds none
-//!   between calls and, once the lanes are warm, allocates none.
+//!   between calls and, once the lanes are warm, allocates none. An
+//!   exchange that carries reduction lanes publishes them in its own
+//!   parity bank's slots and folds them after the same crossing, through
+//!   the publish and merge an allreduce uses: the lanes ride on the
+//!   superstep for free.
 //!
 //! The barrier (`Barrier`) is sense-reversing over atomics; a waiter
 //! climbs a spin → `yield_now` → `Condvar` ladder (see `Barrier::wait`).
@@ -305,11 +309,7 @@ impl<M: Send> RankCtx<M> {
         #[cfg(debug_assertions)]
         {
             let fp = self.fp.get();
-            let (mut hi, mut not_lo) = (0u64, 0u64);
-            self.episode([fp, !fp], |[a, b]| {
-                hi = hi.max(a);
-                not_lo = not_lo.max(b);
-            });
+            let [hi, not_lo] = self.reduce_episode([Lane::Max(fp), Lane::Max(!fp)]);
             assert_eq!(
                 !not_lo,
                 hi,
@@ -335,25 +335,31 @@ impl<M: Send> RankCtx<M> {
     /// it replaced, so once the lanes are warm the exchange allocates
     /// nothing and moves each message once.
     pub fn exchange_pooled(&mut self, out: &mut [Vec<M>], inbox: &mut Vec<M>) {
-        self.exchange_pooled_counted(out, inbox, 0);
+        self.exchange_episode(out, inbox, 0, []);
     }
 
-    /// [`RankCtx::exchange_pooled`] plus this rank's share of the step
-    /// record at `msg_bytes` per message: what it kept local, what it put
-    /// on the wire, and the bytes it sent and received. Summed (maxima:
-    /// maxed) over the ranks these reproduce the global accounting of
-    /// [`crate::exchange::exchange_pooled`].
-    fn exchange_pooled_counted(
+    /// One exchange episode: [`RankCtx::exchange_pooled`], plus this rank's
+    /// share of the step record at `msg_bytes` per message (what it kept
+    /// local, what it put on the wire, and the bytes it sent and received:
+    /// summed, maxima maxed, over the ranks these reproduce the global
+    /// accounting of [`crate::exchange::exchange_pooled`]), where its own
+    /// lane begins in `inbox`, and `lanes` reduced over all ranks. The lanes
+    /// are published in the episode's parity bank beside the mailbox, so
+    /// they cost no crossing of their own.
+    fn exchange_episode<const N: usize>(
         &mut self,
         out: &mut [Vec<M>],
         inbox: &mut Vec<M>,
         msg_bytes: usize,
-    ) -> StepStats {
+        lanes: [Lane; N],
+    ) -> (StepStats, usize, [u64; N]) {
         assert_eq!(out.len(), self.p, "outbox fan-out mismatch");
-        self.note_collective(FP_EXCHANGE);
+        self.note_collective(fp_reduce(lanes.iter().map(|lane| lane.code())) << 8 | FP_EXCHANGE);
         let wire = |count: u64| count * msg_bytes as u64;
         let round = self.next_round();
-        let mailbox = &self.shared.mailbox[(round & 1) as usize];
+        let parity = (round & 1) as usize;
+        let (mailbox, bank) = (&self.shared.mailbox[parity], &self.shared.banks[parity]);
+        self.publish(bank, lanes.map(Lane::value));
         let mut step = StepStats::default();
         for (dst, msgs) in out.iter_mut().enumerate() {
             let k = msgs.len() as u64;
@@ -377,10 +383,12 @@ impl<M: Send> RankCtx<M> {
                 "mailbox cell overwritten before its reader"
             );
         }
-        // Every batch is posted before the crossing and taken after it; the
-        // parity banks make a trailing barrier unnecessary (module docs).
+        // Every batch and lane is posted before the crossing and read after
+        // it; the parity banks make a trailing barrier unnecessary (module
+        // docs).
         self.shared.barrier.wait(round);
         inbox.clear();
+        let mut own_at = 0;
         for (src, lane) in out.iter_mut().enumerate() {
             let batch = {
                 let mut cell = mailbox[self.rank * self.p + src]
@@ -392,49 +400,59 @@ impl<M: Send> RankCtx<M> {
             // barrier itself is broken, hence the allowed panic below.
             // sssp-lint: allow(no-panic-hot-path): barrier guarantees the batch; a hole is unrecoverable
             let mut batch = batch.expect("missing batch");
-            if src != self.rank {
+            if src == self.rank {
+                own_at = inbox.len();
+            } else {
                 step.max_rank_recv_bytes += wire(batch.len() as u64);
             }
             inbox.append(&mut batch);
             *lane = batch;
         }
         step.max_rank_send_bytes = step.remote_bytes;
-        step
+        (step, own_at, self.merge_bank(bank, lanes))
     }
 
-    /// One reduction episode, without the fingerprint update: publish
-    /// `mine` into this round's bank, cross once, and hand every rank's
-    /// lanes to `fold` in rank order. Shared by [`RankCtx::reduce`] (which
-    /// mixes the reduce's kind first) and by the debug self-checks,
-    /// whose meta-collectives must not perturb the fingerprint they check.
-    /// Lane accesses are `Relaxed`: the crossing orders them (see
-    /// [`Barrier`]).
-    fn episode<const N: usize>(&self, mine: [u64; N], mut fold: impl FnMut([u64; N])) {
-        let round = self.next_round();
-        let bank = &self.shared.banks[(round & 1) as usize];
+    /// Publish this rank's lane values in its slot of an episode's `bank`,
+    /// before the crossing. Lane accesses are `Relaxed`: the crossing
+    /// orders them (see [`Barrier`]).
+    fn publish<const N: usize>(&self, bank: &[Slot], mine: [u64; N]) {
         for (lane, v) in bank[self.rank].0.iter().zip(mine) {
             lane.store(v, Ordering::Relaxed);
         }
-        self.shared.barrier.wait(round);
-        for slot in bank {
-            fold(std::array::from_fn(|i| slot.0[i].load(Ordering::Relaxed)));
+    }
+
+    /// Every other rank's slot of an episode's `bank` merged into `lanes`,
+    /// lane by lane with the lane's op, after the crossing.
+    fn merge_bank<const N: usize>(&self, bank: &[Slot], mut lanes: [Lane; N]) -> [u64; N] {
+        for (src, slot) in bank.iter().enumerate() {
+            if src != self.rank {
+                let theirs = |i: usize| slot.0[i].load(Ordering::Relaxed);
+                lanes = std::array::from_fn(|i| lanes[i].merge(theirs(i)));
+            }
         }
+        lanes.map(Lane::value)
+    }
+
+    /// One reduction episode, without the fingerprint update: publish
+    /// `lanes` into this round's bank, cross once, and merge every other
+    /// rank's. Shared by [`RankCtx::reduce`] (which mixes the reduce's kind
+    /// first) and by the debug self-checks, whose meta-collectives must not
+    /// perturb the fingerprint they check.
+    fn reduce_episode<const N: usize>(&self, lanes: [Lane; N]) -> [u64; N] {
+        let round = self.next_round();
+        let bank = &self.shared.banks[(round & 1) as usize];
+        self.publish(bank, lanes.map(Lane::value));
+        self.shared.barrier.wait(round);
+        self.merge_bank(bank, lanes)
     }
 
     /// One allreduce episode: every other rank's lanes merged into this
     /// rank's, lane by lane with the lane's op. Takes `&self`, so a context
     /// moved into a closure can still reduce (see
     /// [`RankCtx::allreduce_sum`]).
-    fn reduce<const N: usize>(&self, mut lanes: [Lane; N]) -> [u64; N] {
+    fn reduce<const N: usize>(&self, lanes: [Lane; N]) -> [u64; N] {
         self.note_collective(fp_reduce(lanes.iter().map(|lane| lane.code())));
-        let mut src = 0;
-        self.episode(lanes.map(Lane::value), |theirs| {
-            if src != self.rank {
-                lanes = std::array::from_fn(|i| lanes[i].merge(theirs[i]));
-            }
-            src += 1;
-        });
-        lanes.map(Lane::value)
+        self.reduce_episode(lanes)
     }
 
     /// Sum allreduce: every rank receives the total of all contributions.
@@ -460,28 +478,28 @@ impl<M: Send> Comm<M> for RankCtx<M> {
         self.reduce(lanes)
     }
 
-    fn exchange(
+    fn exchange<const N: usize>(
         &mut self,
         out: &mut [Outbox<M>],
         inboxes: &mut [Vec<M>],
         msg_bytes: usize,
-    ) -> StepStats {
+        lanes: [Lane; N],
+    ) -> (StepStats, [u64; N]) {
         assert!(
             out.len() == 1 && inboxes.len() == 1,
             "a rank thread owns exactly one rank"
         );
-        self.exchange_pooled_counted(&mut out[0].out, &mut inboxes[0], msg_bytes)
+        let (step, own_at, reduced) =
+            self.exchange_episode(&mut out[0].out, &mut inboxes[0], msg_bytes, lanes);
+        out[0].own_at = own_at;
+        (step, reduced)
     }
 
     fn assert_consistent(&self, _sent: u64, _delivered: u64) {
         self.assert_schedule_uniform();
         #[cfg(debug_assertions)]
         {
-            let (mut delivered, mut sent) = (0u64, 0u64);
-            self.episode([_delivered, _sent], |[d, s]| {
-                delivered += d;
-                sent += s;
-            });
+            let [delivered, sent] = self.reduce_episode([Lane::Sum(_delivered), Lane::Sum(_sent)]);
             assert_eq!(
                 delivered, sent,
                 "message conservation violated: delivered != sent"
@@ -771,11 +789,17 @@ mod tests {
                 .map(|_| (0..ctx.rank() as u64 + 1).collect())
                 .collect();
             let mut inbox = Vec::new();
-            let c = ctx.exchange_pooled_counted(&mut out, &mut inbox, 8);
-            (c, inbox.len())
+            let (c, own_at, []) = ctx.exchange_episode(&mut out, &mut inbox, 8, []);
+            (c, own_at, inbox.len())
         });
-        for (rank, (c, received)) in counts.into_iter().enumerate() {
+        for (rank, (c, own_at, received)) in counts.into_iter().enumerate() {
             let own = rank as u64 + 1;
+            // The lower ranks' batches come first: src + 1 messages each.
+            assert_eq!(
+                own_at as u64,
+                (0..rank as u64).map(|s| s + 1).sum(),
+                "rank {rank}"
+            );
             assert_eq!(c.local_msgs, own, "rank {rank}");
             assert_eq!(c.remote_msgs, 2 * own, "rank {rank}");
             assert_eq!(c.remote_bytes, 2 * own * 8, "rank {rank}");

@@ -17,12 +17,14 @@
 //!
 //! Every reduction is one [`Comm::allreduce`] over up to five [`Lane`]s,
 //! each with its own op, and costs one crossing however many lanes it
-//! carries. The caller folds every contribution over its owned ranks
+//! carries; a [`Comm::exchange`] carries lanes the same way, in the
+//! superstep's own crossing. The caller folds every contribution over its owned ranks
 //! *before* calling, so a collective never sits inside a per-rank loop and
 //! the call sequence is the same on every process whatever it owns.
 //!
 //! [`Comm::owned`]: crate::transport::Comm::owned
 //! [`Comm::allreduce`]: crate::transport::Comm::allreduce
+//! [`Comm::exchange`]: crate::transport::Comm::exchange
 //! [`Comm`]: crate::transport::Comm
 //! [`Lane`]: crate::transport::Lane
 //! [`LockstepComm`]: crate::transport::LockstepComm
@@ -105,19 +107,26 @@ pub trait Comm<M> {
 
     /// One superstep: deliver `out[i].out[dst]` of every owned rank `i` to
     /// rank `dst`, fill `inboxes[i]` with what owned rank `i` receives
-    /// (source-rank order), leave every lane empty, and report the traffic
+    /// (source-rank order), set `out[i].own_at` to where rank `i`'s own
+    /// lane begins in it, leave every lane empty, and report the traffic
     /// of the owned ranks. Summed (maxima: maxed) over all processes the
     /// reports reproduce the global [`StepStats`] of the superstep. Every
     /// message is charged `msg_bytes` on the wire. The transport keeps no
     /// buffer: the lanes come back with capacity (their own, or that of a
     /// batch they received), so the caller's buffers are the only pool and
     /// the caller bounds them.
-    fn exchange(
+    ///
+    /// The same episode reduces `lanes` (pre-folded, as for
+    /// [`Comm::allreduce`]) over all ranks and returns them: a value the
+    /// next step needs from every rank rides on the superstep instead of a
+    /// crossing of its own. Pass `[]` when there is none.
+    fn exchange<const N: usize>(
         &mut self,
         out: &mut [Outbox<M>],
         inboxes: &mut [Vec<M>],
         msg_bytes: usize,
-    ) -> StepStats;
+        lanes: [Lane; N],
+    ) -> (StepStats, [u64; N]);
 
     /// Debug-build cross-rank self-check (a no-op in release builds):
     /// every rank has executed the same collective schedule, and the
@@ -152,13 +161,15 @@ impl<M> Comm<M> for LockstepComm {
         lanes.map(Lane::value)
     }
 
-    fn exchange(
+    fn exchange<const N: usize>(
         &mut self,
         out: &mut [Outbox<M>],
         inboxes: &mut [Vec<M>],
         msg_bytes: usize,
-    ) -> StepStats {
-        exchange_pooled(out, inboxes, msg_bytes, None)
+        lanes: [Lane; N],
+    ) -> (StepStats, [u64; N]) {
+        let step = exchange_pooled(out, inboxes, msg_bytes, None);
+        (step, lanes.map(Lane::value))
     }
 
     fn assert_consistent(&self, sent: u64, delivered: u64) {
@@ -174,14 +185,21 @@ mod tests {
     use super::*;
     use crate::threaded::{run_threaded, RankCtx};
 
-    /// What [`program`] hands back: the inboxes, three reduces of mixed
-    /// lanes (N = 1, 2 and 5), and the step record.
-    type Outcome = (Vec<Vec<u64>>, ([u64; 1], [u64; 2], [u64; 5]), StepStats);
+    /// What [`program`] hands back: the inboxes with each owned rank's
+    /// own-lane offset, four reduces of mixed lanes (N = 1, 2 and 5, then
+    /// two lanes carried by a second exchange), and the first step record.
+    type Outcome = (
+        Vec<(Vec<u64>, usize)>,
+        ([u64; 1], [u64; 2], [u64; 5], [u64; 2]),
+        StepStats,
+    );
 
     /// Drive the same tiny SPMD program through a transport: every rank
-    /// sends its id to every rank, then the world reduces the inbox sums
-    /// and the owned ranks through one-, two- and five-lane allreduces
-    /// that mix every lane op.
+    /// sends its id to every rank, with the ranks' sum and their smallest
+    /// id reduced on the exchange itself; then the world reduces the inbox
+    /// sums and the owned ranks through one-, two- and five-lane
+    /// allreduces that mix every lane op, and a second, empty exchange
+    /// carries an `Any` and a `Max` lane.
     fn program<C: Comm<u64>>(ctx: &mut C, p: usize) -> Outcome {
         let owned = ctx.owned();
         let mut out: Vec<Outbox<u64>> = owned.clone().map(|_| Outbox::new(p)).collect();
@@ -191,12 +209,15 @@ mod tests {
                 ob.send(dst, r as u64);
             }
         }
-        let step = ctx.exchange(&mut out, &mut inboxes, 8);
+        // Contributions pre-folded over the owned ranks, as the driver does.
+        let ranks = || owned.clone().map(|r| r as u64);
+        let carried = [Lane::Sum(ranks().sum()), Lane::Min(owned.start as u64)];
+        let (step, on_exchange) = ctx.exchange(&mut out, &mut inboxes, 8, carried);
+        let n = p as u64;
+        assert_eq!(on_exchange, [n * (n - 1) / 2, 0], "p {p}");
         let local: u64 = inboxes.iter().flatten().sum();
         let delivered: u64 = inboxes.iter().map(|b| b.len() as u64).sum();
         ctx.assert_consistent(step.local_msgs + step.remote_msgs, delivered);
-        // Contributions pre-folded over the owned ranks, as the driver does.
-        let ranks = || owned.clone().map(|r| r as u64);
         let one = ctx.allreduce([Lane::Sum(local)]);
         let two = ctx.allreduce([
             Lane::Min(owned.start as u64),
@@ -209,7 +230,18 @@ mod tests {
             Lane::Any(false),
             Lane::Max(7),
         ]);
-        (inboxes, (one, two, five), step)
+        let received: Vec<(Vec<u64>, usize)> = inboxes
+            .iter()
+            .cloned()
+            .zip(out.iter().map(|ob| ob.own_at))
+            .collect();
+        let flags = [
+            Lane::Any(owned.contains(&0)),
+            Lane::Max(ranks().max().unwrap()),
+        ];
+        let (empty, last) = ctx.exchange(&mut out, &mut inboxes, 8, flags);
+        assert_eq!(empty, StepStats::default(), "p {p}");
+        (received, (one, two, five, last), step)
     }
 
     /// Supersteps of [`hand_back_program`]; the first [`WARM_UP`] may
@@ -259,7 +291,7 @@ mod tests {
                     }
                 }
                 let filled = buffers(&out, &inboxes);
-                ctx.exchange(&mut out, &mut inboxes, 8);
+                ctx.exchange(&mut out, &mut inboxes, 8, []);
                 let mut lanes = out.iter().flat_map(|ob| &ob.out);
                 assert!(lanes.all(Vec::is_empty), "p {p}: a lane came back full");
                 (inboxes.clone(), [filled, buffers(&out, &inboxes)])
@@ -314,16 +346,23 @@ mod tests {
         for p in 1..=3 {
             let (inboxes, reduced, step) = program(&mut LockstepComm::new(p), p);
             let ids: Vec<u64> = (0..p as u64).collect();
-            assert_eq!(inboxes, vec![ids.clone(); p], "p {p}");
+            // Rank r's own lane follows the r messages of the lower ranks.
+            let received = |r: usize| (ids.clone(), r);
+            assert_eq!(inboxes, (0..p).map(received).collect::<Vec<_>>(), "p {p}");
             let (n, sum_sq) = (p as u64, (0..p as u64).map(|r| r * r).sum());
-            let expect = ([n * ids.iter().sum::<u64>()], [0, 1], [sum_sq, n, 10, 0, 7]);
+            let expect = (
+                [n * ids.iter().sum::<u64>()],
+                [0, 1],
+                [sum_sq, n, 10, 0, 7],
+                [1, n - 1],
+            );
             assert_eq!(reduced, expect, "p {p}");
             assert_eq!((step.local_msgs, step.remote_msgs), (n, n * n - n));
 
             let per_rank = run_threaded(p, move |mut ctx: RankCtx<u64>| program(&mut ctx, p));
             let mut merged = StepStats::default();
             for (rank, (inbox, r, s)) in per_rank.into_iter().enumerate() {
-                assert_eq!(inbox, vec![ids.clone()], "p {p} rank {rank}");
+                assert_eq!(inbox, vec![received(rank)], "p {p} rank {rank}");
                 assert_eq!(r, reduced, "p {p} rank {rank}");
                 merged.local_msgs += s.local_msgs;
                 merged.remote_msgs += s.remote_msgs;

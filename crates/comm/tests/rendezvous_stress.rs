@@ -4,10 +4,11 @@
 //! and checks each result against the value computed sequentially from the
 //! seed — contributions are a pure function of `(seed, round, rank)`, so
 //! every rank knows what every other rank contributed. The program mixes
-//! every lane op, the five-lane decision shape, the debug self-checks, and
-//! back-to-back exchanges with *no* collective between them (the long-pull
-//! request → response shape), which is the sequence only the mailbox's
-//! parity banks keep apart. Seeded per-rank jitter (`yield_now`, sleeps
+//! every lane op, the five-lane decision shape, the debug self-checks,
+//! exchanges that carry reduction lanes (checked like any reduce, and
+//! followed straight away by one), and back-to-back exchanges with *no*
+//! collective between them (the long-pull request → response shape),
+//! which is the sequence only the mailbox's parity banks keep apart. Seeded per-rank jitter (`yield_now`, sleeps
 //! shorter and longer than the ladder's yield window) skews the arrivals so
 //! the spin, yield and park rungs of the wait ladder are all taken; rank
 //! counts above `available_parallelism` cover oversubscription. A mismatch panics the rank (which aborts its peers); a
@@ -15,6 +16,7 @@
 
 use std::time::{Duration, Instant};
 
+use sssp_comm::exchange::Outbox;
 use sssp_comm::fingerprint::fp_mix;
 use sssp_comm::threaded::{run_threaded, RankCtx};
 use sssp_comm::transport::{Comm, Lane};
@@ -60,29 +62,42 @@ fn jitter(seed: u64, round: u64, rank: usize) {
 
 /// One rank's exchange buffers and its message-conservation tally.
 struct Lanes {
-    out: Vec<Vec<u64>>,
-    inbox: Vec<u64>,
+    out: Vec<Outbox<u64>>,
+    inbox: Vec<Vec<u64>>,
     sent: u64,
     delivered: u64,
 }
 
 impl Lanes {
-    /// Post `batches(me, dst)` to every `dst`, receive, and compare with the
-    /// source-ordered concatenation of what every rank sent this one.
-    fn exchange(&mut self, ctx: &mut RankCtx<u64>, batches: impl Fn(usize, usize) -> Vec<u64>) {
+    /// Post `batches(me, dst)` to every `dst` with `lanes` riding on the
+    /// exchange, receive, and compare with the source-ordered concatenation
+    /// of what every rank sent this one (its own lane after the lower
+    /// ranks' batches). Returns the reduced lanes.
+    fn exchange<const N: usize>(
+        &mut self,
+        ctx: &mut RankCtx<u64>,
+        batches: impl Fn(usize, usize) -> Vec<u64>,
+        lanes: [Lane; N],
+    ) -> [u64; N] {
         let (p, me) = (ctx.num_ranks(), ctx.rank());
-        for (dst, lane) in self.out.iter_mut().enumerate() {
+        for (dst, lane) in self.out[0].out.iter_mut().enumerate() {
             *lane = batches(me, dst);
             self.sent += lane.len() as u64;
         }
-        ctx.exchange_pooled(&mut self.out, &mut self.inbox);
+        let (_, reduced) = ctx.exchange(&mut self.out, &mut self.inbox, 8, lanes);
         let expect: Vec<u64> = (0..p).flat_map(|src| batches(src, me)).collect();
         assert_eq!(
-            self.inbox, expect,
+            self.inbox[0], expect,
             "rank {me}: inbox is not the source-ordered merge"
         );
-        assert!(self.out.iter().all(Vec::is_empty), "lanes must be drained");
-        self.delivered += self.inbox.len() as u64;
+        let lower: usize = (0..me).map(|src| batches(src, me).len()).sum();
+        assert_eq!(self.out[0].own_at, lower, "rank {me}: own lane misplaced");
+        assert!(
+            self.out[0].out.iter().all(Vec::is_empty),
+            "lanes must be drained"
+        );
+        self.delivered += self.inbox[0].len() as u64;
+        reduced
     }
 }
 
@@ -92,17 +107,23 @@ fn program(seed: u64, mut ctx: RankCtx<u64>) -> u64 {
     let me = ctx.rank();
     let all = |round: u64, lane: u64| (0..p).map(move |r| contribution(seed, round, r, lane));
     let mut lanes = Lanes {
-        out: vec![Vec::new(); p],
-        inbox: Vec::new(),
+        out: vec![Outbox::new(p)],
+        inbox: vec![Vec::new()],
         sent: 0,
         delivered: 0,
+    };
+    // The five-lane decision shape's reduced values: two sums, three maxima.
+    let decision = |round: u64| {
+        let sum = |l| all(round, l).sum::<u64>();
+        let max = |l| all(round, l).max().unwrap();
+        [sum(0), sum(1), max(2), max(3), max(4)]
     };
     for round in 0..ROUNDS {
         ctx.set_epoch(round / 16);
         jitter(seed, round, me);
         let mine = contribution(seed, round, me, 0);
         let tag = format!("p {p} seed {seed} round {round} rank {me}");
-        match draw(seed, round, 0, 0x400) % 9 {
+        match draw(seed, round, 0, 0x400) % 10 {
             0 => assert_eq!(
                 ctx.allreduce([Lane::Min(mine)]),
                 [all(round, 0).min().unwrap()],
@@ -133,22 +154,55 @@ fn program(seed: u64, mut ctx: RankCtx<u64>) -> u64 {
                     Lane::Max(lane(3)),
                     Lane::Max(lane(4)),
                 ]);
-                let sum = |l| all(round, l).sum::<u64>();
-                let max = |l| all(round, l).max().unwrap();
-                assert_eq!(got, [sum(0), sum(1), max(2), max(3), max(4)], "{tag}");
+                assert_eq!(got, decision(round), "{tag}");
             }
-            6 => lanes.exchange(&mut ctx, |src, dst| batch(seed, round, src, dst)),
+            6 => {
+                lanes.exchange(&mut ctx, |src, dst| batch(seed, round, src, dst), []);
+            }
             7 => {
                 // Request → response with nothing in between: each rank
                 // answers every request with its value plus one, so the
-                // response lanes are the transposed request lanes.
-                lanes.exchange(&mut ctx, |src, dst| batch(seed, round, src, dst));
-                lanes.exchange(&mut ctx, |src, dst| {
-                    batch(seed, round, dst, src)
-                        .iter()
-                        .map(|m| m.wrapping_add(1))
-                        .collect()
-                });
+                // response lanes are the transposed request lanes. The
+                // request carries the short loop's activity flag.
+                let any = lanes.exchange(
+                    &mut ctx,
+                    |src, dst| batch(seed, round, src, dst),
+                    [Lane::Any(mine & 7 == 0)],
+                );
+                assert_eq!(any, [u64::from(all(round, 0).any(|v| v & 7 == 0))], "{tag}");
+                lanes.exchange(
+                    &mut ctx,
+                    |src, dst| {
+                        batch(seed, round, dst, src)
+                            .iter()
+                            .map(|m| m.wrapping_add(1))
+                            .collect()
+                    },
+                    [],
+                );
+            }
+            8 => {
+                // The five-lane decision shape on an exchange, then a
+                // reduce straight after it: the two episodes use opposite
+                // banks of both the mailbox and the lanes.
+                let lane = |l: u64| contribution(seed, round, me, l);
+                let got = lanes.exchange(
+                    &mut ctx,
+                    |src, dst| batch(seed, round, src, dst),
+                    [
+                        Lane::Sum(lane(0)),
+                        Lane::Sum(lane(1)),
+                        Lane::Max(lane(2)),
+                        Lane::Max(lane(3)),
+                        Lane::Max(lane(4)),
+                    ],
+                );
+                assert_eq!(got, decision(round), "{tag}");
+                assert_eq!(
+                    ctx.allreduce([Lane::Min(mine), Lane::Window(lane(1))]),
+                    [all(round, 0).min().unwrap(), all(round, 1).min().unwrap()],
+                    "{tag}"
+                );
             }
             _ => {
                 // The debug self-checks are rendezvous episodes too.

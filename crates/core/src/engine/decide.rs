@@ -52,7 +52,8 @@ pub(super) fn pull_term(
 /// volume, the unreached vertices' share of the pull request volume, and
 /// the number of unsettled vertices (the pull model's scan extent). The
 /// push volume walks the active set, which must hold the window's settled
-/// members (the driver collects them after the short fixpoint). The
+/// members (the driver collects them after the short fixpoint), and reads
+/// each member's push-range start as the short kernel recorded it. The
 /// unreached share is the running total the state maintains, installed at
 /// `unreached_bound` (the policy's short bound); a hybrid-tail window's
 /// wider short bound makes it over-count, since every edge with
@@ -69,14 +70,11 @@ pub(super) fn rank_push_bound(
     estimator: PullEstimator,
     w_max: u64,
 ) -> (u64, u64, u64) {
-    let (short_bound, end_dist) = (window.short_bound, window.end_dist);
-    let mut push = 0u64;
-    for u in st.active.iter() {
-        let ul = u as usize;
-        let (_, ws) = lg.row(ul);
-        let start = kernels::push_range_start(ios, ws, st.dist[ul], end_dist, short_bound);
-        push += (ws.len() - start) as u64;
-    }
+    let push = st
+        .active
+        .iter()
+        .map(|u| (lg.degree(u as usize) - st.push_start[u as usize] as usize) as u64)
+        .sum();
     let bound = (
         push,
         st.unreached_pull_mass(),

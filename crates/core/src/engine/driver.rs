@@ -30,7 +30,7 @@ use sssp_comm::transport::{Comm, Lane};
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
 
-use crate::config::{DirectionPolicy, LongPhaseMode, SsspConfig};
+use crate::config::{DirectionPolicy, LongPhaseMode, PullEstimator, SsspConfig};
 use crate::instrument::{BucketRecord, PhaseKind, PhaseRecord, SubPhase};
 use crate::policy::{EpochWindow, Policy};
 use crate::state::{RankState, INF};
@@ -68,8 +68,8 @@ impl ProcessOut {
     /// by external id.
     pub(super) fn fold_into(self, out: &mut RunOutput, dg: &DistGraph) {
         for (rank, dist) in (self.first_rank..).zip(&self.dist) {
-            for (l, &d) in dist.iter().enumerate() {
-                out.distances[dg.vertex(rank, l) as usize] = d;
+            for (&d, v) in dist.iter().zip(dg.vertices(rank)) {
+                out.distances[v as usize] = d;
             }
         }
         out.relax_local_msgs += self.relax_local_msgs;
@@ -88,8 +88,9 @@ pub(super) const SPARE_CAPACITY_FLOOR: usize = 64;
 
 /// The engine-side state of a process's owned ranks, one entry per rank in
 /// every vector: the [`RankState`] (distances, buckets, frontier bitsets),
-/// the outbox lanes, and the relax and request inboxes — plus the
-/// coalescing tables the relax kernels fold into. Reusable across runs:
+/// the outbox lanes, the relax and request inboxes and, with coalescing on,
+/// the table its own proposals wait in — plus the coalescing tables the
+/// relax kernels fold into. Reusable across runs:
 /// [`ProcBufs::prepare`] resets the states in place and keeps every
 /// capacity warm.
 #[derive(Debug, Default)]
@@ -98,11 +99,18 @@ pub struct ProcBufs {
     out: Vec<Outbox<RelaxMsg>>,
     inbox: Vec<Vec<RelaxMsg>>,
     req_inbox: Vec<Vec<RelaxMsg>>,
+    /// Each owned rank's own-proposal table (see [`kernels::Delivered`]),
+    /// swapped into its chunk's set while the rank folds; a table of no
+    /// keys with coalescing off.
+    own: Vec<MinTable>,
     /// One table set per chunk of owned ranks that [`ProcBufs::fan_out`]
-    /// runs in sequence — `min(owned, workers)` sets, so the lockstep
-    /// simulator's table memory is bounded by its worker count, not by `p`.
-    /// A set holds one [`MinTable`] per destination rank, sized to that
-    /// rank's local vertex count; it is empty with coalescing off.
+    /// runs in sequence — `min(owned, workers)` sets. With the `own` tables
+    /// (`n` keys together) the lockstep simulator's tables hold at most
+    /// `(min(owned, workers) + 1) × n` keys, bounded by its worker count,
+    /// not by `p`. A set holds one [`MinTable`] per destination rank, sized
+    /// to that rank's local vertex count (no keys for the rank of a
+    /// one-rank chunk, which folds into `own`); it is empty with coalescing
+    /// off.
     tables: Vec<Vec<MinTable>>,
 }
 
@@ -112,6 +120,20 @@ struct RankIo<'a> {
     out: &'a mut Outbox<RelaxMsg>,
     inbox: &'a [RelaxMsg],
     req_inbox: &'a [RelaxMsg],
+    own: &'a mut MinTable,
+}
+
+impl<'a> RankIo<'a> {
+    /// The rank's state and what the last relax exchange delivered to it,
+    /// with its own proposals, in source-rank order.
+    fn received(self) -> (&'a mut RankState, kernels::Delivered<'a>) {
+        let delivered = kernels::Delivered {
+            inbox: self.inbox,
+            own_at: self.out.own_at,
+            own: self.own,
+        };
+        (self.st, delivered)
+    }
 }
 
 /// Pair up the per-rank slices of a [`ProcBufs`] (or of one chunk of it).
@@ -120,37 +142,46 @@ fn rank_ios<'a>(
     out: &'a mut [Outbox<RelaxMsg>],
     inbox: &'a [Vec<RelaxMsg>],
     req_inbox: &'a [Vec<RelaxMsg>],
+    own: &'a mut [MinTable],
 ) -> impl Iterator<Item = RankIo<'a>> {
     st.iter_mut()
         .zip(out)
         .zip(inbox)
         .zip(req_inbox)
-        .map(|(((st, out), inbox), req_inbox)| RankIo {
+        .zip(own)
+        .map(|((((st, out), inbox), req_inbox), own)| RankIo {
             st,
             out,
             inbox,
             req_inbox,
+            own,
         })
 }
 
 /// Run the relax kernel `$send` against one rank's sink and evaluate to
-/// `(its result, proposals coalesced away)`. With `$coalescing` on, `$sink`
-/// is a [`kernels::Fold`] over the chunk's `$tables`, emitted into the
-/// rank's lanes `$out` before the next rank of the chunk folds; otherwise
-/// it is `$out` itself. A macro rather than a function because the kernel
-/// is instantiated once per sink type.
+/// `(its result, proposals coalesced away, own proposals kept)`. With
+/// `$coalescing` on, `$sink` is a [`kernels::Fold`] over the chunk's
+/// `$tables` with the rank's own table in its slot, emitted into the lanes
+/// of `$io` before the next rank of the chunk folds — all but the own
+/// table, whose proposals stay for the apply; otherwise it is the lanes
+/// themselves. A macro rather than a function because the kernel is
+/// instantiated once per sink type.
 macro_rules! relax_into {
-    ($coalescing:expr, $out:expr, $tables:expr, |$sink:ident| $send:expr) => {
+    ($coalescing:expr, $io:ident, $tables:expr, |$sink:ident| $send:expr) => {
         if $coalescing {
+            let rank = $io.st.rank;
+            std::mem::swap(&mut $tables[rank], $io.own);
             let mut fold = kernels::Fold($tables);
             let sent = {
                 let $sink = &mut fold;
                 $send
             };
-            (sent, fold.emit($out))
+            let (coalesced, kept) = fold.emit($io.out, rank);
+            std::mem::swap(&mut $tables[rank], $io.own);
+            (sent, coalesced, kept)
         } else {
-            let $sink = $out;
-            ($send, 0)
+            let $sink = $io.out;
+            ($send, 0, 0)
         }
     };
 }
@@ -189,20 +220,40 @@ impl ProcBufs {
         }
         // Allocated zeroed: a table's pages become resident only where a
         // proposal lands.
+        let keys = |r| {
+            if coalescing {
+                dg.part.local_count(r)
+            } else {
+                0
+            }
+        };
+        self.own.resize_with(owned.len(), MinTable::default);
+        for (table, r) in self.own.iter_mut().zip(owned.clone()) {
+            if table.n_keys() == keys(r) {
+                table.discard();
+            } else {
+                *table = MinTable::new(keys(r));
+            }
+        }
         let dsts = if coalescing { p } else { 0 };
         let sets = owned.len().min(rayon::current_num_threads()).max(1);
+        // The chunks `fan_out_tables` deals the owned ranks into, one per
+        // set. A rank alone in its chunk only ever folds its own proposals
+        // into its own table, so its slot in the set is a table of no keys.
+        let per_set = owned.len().div_ceil(sets);
         self.tables.resize_with(sets, Vec::new);
-        for set in &mut self.tables {
-            let fits = set.len() == dsts
-                && (0..)
-                    .zip(&*set)
-                    .all(|(d, t)| t.n_keys() == dg.part.local_count(d));
+        for (i, set) in self.tables.iter_mut().enumerate() {
+            let first = owned.start + i * per_set;
+            let alone = per_set == 1 && first < owned.end;
+            let keys = |d| match alone && d == first {
+                true => 0,
+                false => dg.part.local_count(d),
+            };
+            let fits = set.len() == dsts && (0..).zip(&*set).all(|(d, t)| t.n_keys() == keys(d));
             if fits {
                 set.iter_mut().for_each(MinTable::discard);
             } else {
-                *set = (0..dsts)
-                    .map(|d| MinTable::new(dg.part.local_count(d)))
-                    .collect();
+                *set = (0..dsts).map(|d| MinTable::new(keys(d))).collect();
             }
         }
     }
@@ -233,16 +284,17 @@ impl ProcBufs {
             out,
             inbox,
             req_inbox,
+            own,
             tables,
         } = self;
         let (f, fold) = (&f, &fold);
-        let run_chunk = |st, out, inbox, req_inbox, set: &mut [MinTable]| {
-            rank_ios(st, out, inbox, req_inbox)
+        let run_chunk = |st, out, inbox, req_inbox, own, set: &mut [MinTable]| {
+            rank_ios(st, out, inbox, req_inbox, own)
                 .map(|io| f(io, set))
                 .fold(zero, fold)
         };
         if let [set] = tables.as_mut_slice() {
-            return run_chunk(st, out, inbox, req_inbox, set);
+            return run_chunk(st, out, inbox, req_inbox, own, set);
         }
         let per_set = st.len().div_ceil(tables.len());
         let chunks: Vec<_> = st
@@ -250,11 +302,14 @@ impl ProcBufs {
             .zip(out.chunks_mut(per_set))
             .zip(inbox.chunks(per_set))
             .zip(req_inbox.chunks(per_set))
+            .zip(own.chunks_mut(per_set))
             .zip(tables.iter_mut())
             .collect();
         chunks
             .into_par_iter()
-            .map(|((((st, out), inbox), req_inbox), set)| run_chunk(st, out, inbox, req_inbox, set))
+            .map(|(((((st, out), inbox), req_inbox), own), set)| {
+                run_chunk(st, out, inbox, req_inbox, own, set)
+            })
             .reduce_with(fold)
             .unwrap_or(zero)
     }
@@ -304,7 +359,7 @@ impl ProcBufs {
         for lane in self.out.iter_mut().flat_map(|ob| ob.out.iter_mut()) {
             lane.extend((0..len as u64).map(|nd| RelaxMsg { target: 0, nd }));
         }
-        ctx.exchange(&mut self.out, &mut self.inbox, WIRE_BYTES);
+        ctx.exchange(&mut self.out, &mut self.inbox, WIRE_BYTES, []);
         assert!(self.inbox.iter().all(|inbox| inbox.len() == p * len));
         self.inbox.iter().map(Vec::len).max().unwrap_or(0).max(len)
     }
@@ -576,20 +631,24 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             // Stage 1: short-edge phases, to a fixpoint. The window's
             // settled members are then collected into the active set once,
             // in ascending local index: the decision's push volume and
-            // either long phase's send kernels all walk that set.
+            // either long phase's send kernels all walk that set, each
+            // member from the push-range start its last short visit
+            // recorded. An empty short stage leaves every start at 0.
             if self.min_weight < window.short_bound {
                 let start = self.clock();
-                // sssp-lint: protocol: short.active-any
-                while self.any_active() {
-                    // sssp-lint: protocol: short.exchange-relax
-                    self.short_phase(&window);
-                }
+                // sssp-lint: protocol: short.exchange-relax
+                while self.short_phase(&window) {}
                 self.phase_span(PhaseKind::Short, start);
                 let scanning = self.clock();
                 for st in &mut self.bufs.st {
                     st.collect_active_from_window(window.lo, window.hi);
                 }
                 self.span(SubPhase::Scan, scanning);
+            } else {
+                self.bufs
+                    .st
+                    .iter_mut()
+                    .for_each(RankState::clear_push_starts);
             }
 
             // Stage 2: long-edge phase, push or pull.
@@ -722,11 +781,6 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         hi
     }
 
-    fn any_active(&mut self) -> bool {
-        let active = self.bufs.st.iter().any(|st| !st.active.is_empty());
-        self.allreduce(Some(TimeClass::Bucket), [Lane::Any(active)]) == [1]
-    }
-
     /// The §III-C push/pull decision for the window's long phase:
     /// `(mode, est_push, est_pull)`. Always policies skip the collectives
     /// uniformly (every rank holds the same config, so the SPMD sequence
@@ -830,18 +884,24 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
     // -- superstep plumbing --------------------------------------------------
 
     /// Exchange the filled lanes into the relax inboxes, or — for the pull
-    /// phase's request sub-step — into the request inboxes, and track the
-    /// pool high-water mark.
-    fn exchange_into(&mut self, requests: bool) -> StepStats {
-        let lanes = self.bufs.out.iter().flat_map(|ob| ob.out.iter());
-        let mut hwm = lanes.map(Vec::len).max().unwrap_or(0);
+    /// phase's request sub-step — into the request inboxes, reducing
+    /// `lanes` on the way, and track the pool high-water mark.
+    fn exchange_into<const N: usize>(
+        &mut self,
+        requests: bool,
+        lanes: [Lane; N],
+    ) -> (StepStats, [u64; N]) {
+        let filled = self.bufs.out.iter().flat_map(|ob| ob.out.iter());
+        let mut hwm = filled.map(Vec::len).max().unwrap_or(0);
         let waited = self.clock();
         let inboxes = if requests {
             &mut self.bufs.req_inbox
         } else {
             &mut self.bufs.inbox
         };
-        let step = self.ctx.exchange(&mut self.bufs.out, inboxes, WIRE_BYTES);
+        let (step, reduced) = self
+            .ctx
+            .exchange(&mut self.bufs.out, inboxes, WIRE_BYTES, lanes);
         // Not `self.span`: `inboxes` still borrows the buffers.
         close_span(self.rec, SubPhase::ExchangeWait, waited);
         for inbox in inboxes.iter() {
@@ -850,16 +910,23 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         }
         self.sent += step.remote_msgs + step.local_msgs;
         self.epoch_hwm = self.epoch_hwm.max(hwm);
-        step
+        (step, reduced)
     }
 
     /// Exchange a relax superstep whose lanes each hold one target-sorted
-    /// run, so the receiver can apply it as a sequential min-merge. With
-    /// coalescing on, the send fan-out already emitted them from the
-    /// [`MinTable`]s and passes in the `coalesced` proposals it dropped;
+    /// run, so the receiver can apply it as a sequential min-merge, reducing
+    /// `lanes` on the way. With coalescing on, the send fan-out already
+    /// emitted them from the [`MinTable`]s and passes in the `coalesced`
+    /// proposals it dropped and the `own` proposals its ranks kept in their
+    /// own tables, which count as local traffic as if they had travelled;
     /// without it each lane is sorted by `(target, nd)` here and ships
     /// whole. The coalesced count rides on the returned step record.
-    fn exchange_relax(&mut self, coalesced: u64) -> StepStats {
+    fn exchange_relax<const N: usize>(
+        &mut self,
+        coalesced: u64,
+        own: u64,
+        lanes: [Lane; N],
+    ) -> (StepStats, [u64; N]) {
         if !self.job.cfg.coalescing {
             let packing = self.clock();
             for lane in self.bufs.out.iter_mut().flat_map(|ob| ob.out.iter_mut()) {
@@ -867,12 +934,14 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             }
             self.span(SubPhase::Pack, packing);
         }
-        let mut step = self.exchange_into(false);
+        let (mut step, reduced) = self.exchange_into(false, lanes);
+        step.local_msgs += own;
+        (self.sent, self.delivered) = (self.sent + own, self.delivered + own);
         step.coalesced_msgs = coalesced;
         self.out.relax_local_msgs += step.local_msgs;
         self.out.relax_remote_msgs += step.remote_msgs;
         self.out.coalesced_msgs += coalesced;
-        step
+        (step, reduced)
     }
 
     /// Charge and record a finished superstep (after its receive side ran:
@@ -908,53 +977,88 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
 
     // -- phases ---------------------------------------------------------------
 
-    /// One plain relax superstep: `send` fills each rank's lanes (returning
-    /// its relaxation count and the proposals it coalesced away, see
-    /// [`relax_into`]), the lanes travel, and each rank applies its inbox
-    /// and then runs `after`. Returns the relaxations sent.
-    fn relax_round(
+    /// The send half of a relax superstep: begin it on every owned rank and
+    /// let `send` fill the rank's lanes (see [`relax_into`]). Returns the
+    /// relaxations sent, the proposals coalesced away and the own-rank
+    /// proposals kept.
+    fn relax_send(
         &mut self,
-        send: impl Fn(RankIo<'_>, &mut [MinTable]) -> (u64, u64) + Sync,
-        after: impl Fn(&mut RankState) + Sync,
-    ) -> (u64, StepStats) {
-        let (delta, metered) = (self.policy.delta, self.meter.is_some());
+        send: impl Fn(RankIo<'_>, &mut [MinTable]) -> (u64, u64, u64) + Sync,
+    ) -> (u64, u64, u64) {
         let begin_and_send = |io: RankIo<'_>, tables: &mut [MinTable]| {
             begin_superstep(io.st);
             send(io, tables)
         };
         let scanning = self.clock();
-        let (sent, coalesced) = self
-            .bufs
-            .fan_out_tables((0, 0), begin_and_send, |a, b| (a.0 + b.0, a.1 + b.1));
+        let sent = self.bufs.fan_out_tables((0, 0, 0), begin_and_send, |a, b| {
+            (a.0 + b.0, a.1 + b.1, a.2 + b.2)
+        });
         self.span(SubPhase::Scan, scanning);
-        let step = self.exchange_relax(coalesced);
+        sent
+    }
+
+    /// The receive half of a relax superstep: each rank applies what was
+    /// delivered to it and then runs `after`; the superstep is recorded.
+    fn relax_apply(&mut self, step: &StepStats, after: impl Fn(&mut RankState) + Sync) {
+        let (delta, metered) = (self.policy.delta, self.meter.is_some());
         let apply = |io: RankIo<'_>| {
-            kernels::apply_relax(io.st, &delta, io.inbox, metered);
-            after(io.st);
+            let (st, delivered) = io.received();
+            kernels::apply_relax(st, &delta, delivered, metered);
+            after(st);
         };
         let applying = self.clock();
         self.bufs.fan_out((), apply, |(), ()| ());
         self.span(SubPhase::Apply, applying);
-        self.end_superstep(&step);
+        self.end_superstep(step);
+    }
+
+    /// One plain relax superstep: [`Self::relax_send`], the exchange,
+    /// [`Self::relax_apply`]. Returns the relaxations sent.
+    fn relax_round(
+        &mut self,
+        send: impl Fn(RankIo<'_>, &mut [MinTable]) -> (u64, u64, u64) + Sync,
+        after: impl Fn(&mut RankState) + Sync,
+    ) -> (u64, StepStats) {
+        let (sent, coalesced, own) = self.relax_send(send);
+        let (step, []) = self.exchange_relax(coalesced, own, []);
+        self.relax_apply(&step, after);
         (sent, step)
     }
 
     /// One short-edge phase (§II / §III-A): relax the (inner) short edges
-    /// of the active vertices.
-    fn short_phase(&mut self, window: &EpochWindow) {
+    /// of the active vertices. Whether any rank had an active vertex rides
+    /// on the superstep's exchange, so the fixpoint test costs no crossing
+    /// of its own, and it is charged as the activity collective it
+    /// replaces. A superstep no rank was active in sent nothing: it ends
+    /// the fixpoint and is neither applied nor recorded. Returns whether
+    /// the phase ran.
+    fn short_phase(&mut self, window: &EpochWindow) -> bool {
         let (dg, cfg, meter) = (self.job.dg, self.job.cfg, self.meter);
-        let (sent, step) = self.relax_round(
-            |io, tables| {
+        let active = self.bufs.st.iter().any(|st| !st.active.is_empty());
+        let (sent, coalesced, own) = if active {
+            self.relax_send(|io, tables| {
                 let lg = &dg.locals[io.st.rank];
-                relax_into!(cfg.coalescing, io.out, tables, |sink| {
+                relax_into!(cfg.coalescing, io, tables, |sink| {
                     kernels::short_send(lg, dg.addr, io.st, window, cfg.ios, meter, sink)
                 })
-            },
-            // Next phase's active set: changed vertices now inside the
-            // window (the classic B_k under Δ-stepping).
-            |st| st.collect_active_changed_in_window(window.lo, window.hi),
-        );
+            })
+        } else {
+            // Nothing to send: begin the superstep without a fan-out.
+            self.bufs.st.iter_mut().for_each(begin_superstep);
+            (0, 0, 0)
+        };
+        let (step, [any]) = self.exchange_relax(coalesced, own, [Lane::Any(active)]);
+        self.rec.collective(TimeClass::Bucket);
+        if any == 0 {
+            return false;
+        }
+        // Next phase's active set: changed vertices now inside the window
+        // (the classic B_k under Δ-stepping).
+        self.relax_apply(&step, |st| {
+            st.collect_active_changed_in_window(window.lo, window.hi)
+        });
         self.end_phase(window.lo, PhaseKind::Short, sent, 0, step.remote_msgs);
+        true
     }
 
     /// Push-mode long phase (§III-B): every vertex settled in the window
@@ -965,20 +1069,20 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         let (dg, cfg, meter, delta) = (self.job.dg, self.job.cfg, self.meter, self.policy.delta);
         let metered = meter.is_some();
         let scanning = self.clock();
-        let ((outer, long), coalesced) = self.bufs.fan_out_tables(
-            ((0, 0), 0),
+        let ((outer, long), coalesced, own) = self.bufs.fan_out_tables(
+            ((0, 0), 0, 0),
             |io, tables| {
                 begin_superstep(io.st);
                 let lg = &dg.locals[io.st.rank];
-                relax_into!(cfg.coalescing, io.out, tables, |sink| {
-                    kernels::long_push_send(lg, dg.addr, io.st, window, cfg.ios, meter, sink)
+                relax_into!(cfg.coalescing, io, tables, |sink| {
+                    kernels::long_push_send(lg, dg.addr, io.st, window, meter, sink)
                 })
             },
-            |a, b| ((a.0 .0 + b.0 .0, a.0 .1 + b.0 .1), a.1 + b.1),
+            |a, b| ((a.0 .0 + b.0 .0, a.0 .1 + b.0 .1), a.1 + b.1, a.2 + b.2),
         );
         self.span(SubPhase::Scan, scanning);
         // sssp-lint: protocol: long-push.exchange-relax
-        let step = self.exchange_relax(coalesced);
+        let (step, []) = self.exchange_relax(coalesced, own, []);
         let applying = self.clock();
         (
             record.self_edges,
@@ -986,7 +1090,10 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             record.forward_edges,
         ) = self.bufs.fan_out(
             (0, 0, 0),
-            |io| kernels::classify_apply_relax(io.st, window, &delta, io.inbox, metered),
+            |io| {
+                let (st, delivered) = io.received();
+                kernels::classify_apply_relax(st, window, &delta, delivered, metered)
+            },
             |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
         );
         self.span(SubPhase::Apply, applying);
@@ -1009,6 +1116,10 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         let (dg, cfg, meter) = (self.job.dg, self.job.cfg, self.meter);
         let metered = meter.is_some();
         let (mut outer, mut remote_msgs) = (0, 0);
+        // Whether each row's first long edge can be read off its installed
+        // pull term (see `kernels::long_start`).
+        let installed = cfg.pull_estimator == PullEstimator::Exact
+            && window.short_bound == self.policy.short_bound();
 
         // Sub-step 0 (IOS only): the outer short edges of the settled
         // window are not covered by the pull protocol (requests target
@@ -1019,8 +1130,10 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             let (sent, step) = self.relax_round(
                 |io, tables| {
                     let lg = &dg.locals[io.st.rank];
-                    relax_into!(cfg.coalescing, io.out, tables, |sink| {
-                        kernels::outer_short_send(lg, dg.addr, io.st, window, meter, sink)
+                    relax_into!(cfg.coalescing, io, tables, |sink| {
+                        kernels::outer_short_send(
+                            lg, dg.addr, io.st, window, installed, meter, sink,
+                        )
                     })
                 },
                 |_| (),
@@ -1039,14 +1152,14 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
             |io| {
                 begin_superstep(io.st);
                 let lg = &dg.locals[io.st.rank];
-                kernels::pull_request_send(lg, dg.addr, io.st, window, meter, io.out)
+                kernels::pull_request_send(lg, dg.addr, io.st, window, installed, meter, io.out)
             },
             |a, b| (a.0 + b.0, a.1.max(b.1)),
         );
         self.span(SubPhase::Scan, scanning);
         self.rec.scan(TimeClass::Relax, scanned);
         // sssp-lint: protocol: long-pull.requests
-        let step = self.exchange_into(true);
+        let (step, []) = self.exchange_into(true, []);
         self.end_superstep(&step);
         remote_msgs += step.remote_msgs;
 
@@ -1055,7 +1168,7 @@ impl<'a, C: Comm<RelaxMsg>, R: Recorder> Driver<'a, C, R> {
         // sssp-lint: protocol: long-pull.responses
         let (responses, step) = self.relax_round(
             |io, tables| {
-                relax_into!(cfg.coalescing, io.out, tables, |sink| {
+                relax_into!(cfg.coalescing, io, tables, |sink| {
                     kernels::pull_respond(dg.addr, io.st, window, io.req_inbox, metered, sink)
                 })
             },

@@ -55,7 +55,8 @@ impl RelaxSink for Outbox<RelaxMsg> {
 /// The coalescing path: proposals fold straight into the table of their
 /// destination rank (indexed by `dst`, with no test for the local lane),
 /// so a dominated proposal is never materialised. [`Fold::emit`] then
-/// turns each table into its lane.
+/// turns each other rank's table into its lane; the folding rank's own
+/// table keeps its proposals for the apply ([`Delivered`]).
 pub(super) struct Fold<'a>(pub(super) &'a mut [MinTable]);
 
 impl RelaxSink for Fold<'_> {
@@ -66,13 +67,50 @@ impl RelaxSink for Fold<'_> {
 }
 
 impl Fold<'_> {
-    /// Emit every table into the lane of the same destination, in ascending
-    /// target order — the lanes the sort-and-dedup of the folded proposals
-    /// would leave. Returns the proposals coalesced away.
-    pub(super) fn emit(self, out: &mut Outbox<RelaxMsg>) -> u64 {
+    /// Emit every table but rank `own`'s into the lane of the same
+    /// destination, in ascending target order — the lanes the sort-and-dedup
+    /// of the folded proposals would leave. Returns the proposals coalesced
+    /// away (in every table, `own`'s included) and the proposals `own`'s
+    /// table keeps.
+    pub(super) fn emit(self, out: &mut Outbox<RelaxMsg>, own: Rank) -> (u64, u64) {
         let relax = |target, nd| RelaxMsg { target, nd };
-        let lanes = self.0.iter_mut().zip(&mut out.out);
-        lanes.map(|(table, lane)| table.emit(lane, relax)).sum()
+        let (mut coalesced, mut kept) = (0, 0);
+        for (dst, (table, lane)) in self.0.iter_mut().zip(&mut out.out).enumerate() {
+            if dst == own {
+                let (folded, keys) = table.pending();
+                coalesced += folded - keys;
+                kept = keys;
+            } else {
+                coalesced += table.emit(lane, relax);
+            }
+        }
+        (coalesced, kept)
+    }
+}
+
+/// What a relax superstep delivered to one rank, in source-rank order: the
+/// lanes of the lower ranks (`inbox[..own_at]`), the rank's own proposals,
+/// then the lanes of the higher ranks. With coalescing on the own proposals
+/// never travel: they wait in the rank's own [`MinTable`] and are applied
+/// from it, in ascending target order — exactly where and how their lane
+/// would have arrived. Applying them in any other place would change which
+/// stale entries the bucket lanes collect. Without coalescing the own table
+/// is empty and the own lane arrives in the inbox.
+pub(super) struct Delivered<'a> {
+    pub(super) inbox: &'a [RelaxMsg],
+    pub(super) own_at: usize,
+    pub(super) own: &'a mut MinTable,
+}
+
+impl Delivered<'_> {
+    /// Hand `f` every delivered proposal in source-rank order, emptying the
+    /// own table.
+    #[inline]
+    fn for_each(self, mut f: impl FnMut(RelaxMsg)) {
+        let (lower, upper) = self.inbox.split_at(self.own_at);
+        lower.iter().copied().for_each(&mut f);
+        self.own.drain(|target, nd| f(RelaxMsg { target, nd }));
+        upper.iter().copied().for_each(f);
     }
 }
 
@@ -93,6 +131,41 @@ pub(super) fn push_range_start(
     } else {
         ws.partition_point(|&w| (w as u64) < short_bound)
     }
+}
+
+/// [`push_range_start`], recorded in `slot` (a vertex's
+/// [`RankState::push_start`]) and returned. The short kernel records it on
+/// every visit, so after the short fixpoint each window member's slot
+/// holds the start for its final distance.
+#[inline]
+pub(super) fn record_push_start(
+    slot: &mut u32,
+    ios: bool,
+    ws: &[u32],
+    du: u64,
+    end_dist: u64,
+    short_bound: u64,
+) -> usize {
+    let start = push_range_start(ios, ws, du, end_dist, short_bound);
+    *slot = sssp_graph::checked_u32(start);
+    start
+}
+
+/// Index of the first long edge (`w ≥ short_bound`) of the weight-sorted row
+/// `ws` of a vertex whose installed unreached term is `term`. With
+/// `installed`, the run's `Exact` pull terms were installed at this very
+/// short bound, so the term counts exactly the row's long edges
+/// ([`pull_range`] at `d(v) = ∞`) and the index is read off it; otherwise
+/// the row is searched.
+#[inline]
+pub(super) fn long_start(ws: &[u32], term: u32, installed: bool, short_bound: u64) -> usize {
+    let search = || ws.partition_point(|&w| (w as u64) < short_bound);
+    if !installed {
+        return search();
+    }
+    let start = ws.len() - term as usize;
+    debug_assert_eq!(start, search(), "installed long-edge start is stale");
+    start
 }
 
 /// Eq. 1's weight bound for an unsettled vertex at distance `dv` in an epoch
@@ -121,7 +194,17 @@ pub(super) fn pull_threshold(dv: u64, kd: u64) -> u64 {
 /// qualifies.
 #[inline]
 pub(super) fn pull_range(ws: &[u32], dv: u64, kd: u64, short_bound: u64) -> Range<usize> {
-    let lo = ws.partition_point(|&w| (w as u64) < short_bound);
+    pull_range_from(
+        ws,
+        ws.partition_point(|&w| (w as u64) < short_bound),
+        dv,
+        kd,
+    )
+}
+
+/// [`pull_range`] given the row's first long edge `lo` ([`long_start`]).
+#[inline]
+fn pull_range_from(ws: &[u32], lo: usize, dv: u64, kd: u64) -> Range<usize> {
     if dv == INF {
         // The threshold is unbounded: every `u32` weight lies below it.
         return lo..ws.len();
@@ -130,9 +213,22 @@ pub(super) fn pull_range(ws: &[u32], dv: u64, kd: u64, short_bound: u64) -> Rang
     lo..hi.max(lo)
 }
 
+/// One active vertex as the range rule of a push-style send kernel sees
+/// it.
+struct Row<'a> {
+    /// Its distance `d(u)`.
+    du: u64,
+    /// Its weight-sorted row.
+    ws: &'a [u32],
+    /// Its [`RankState::push_start`] slot.
+    push_start: &'a mut u32,
+    /// Its installed unreached term (see [`long_start`]).
+    term: u32,
+}
+
 /// The shared body of the push-style send kernels: every active vertex `u`,
-/// in ascending local index, relaxes the slice `range(d(u), weights)` of
-/// its weight-sorted row. Returns the relaxations produced. Metered
+/// in ascending local index, relaxes the slice `range(row of u)` of its
+/// weight-sorted row. Returns the relaxations produced. Metered
 /// (`meter = Some(π)`), the work is also charged to `u`'s thread (spread
 /// over the rank's threads when `u` is heavy, degree > π) and the count is
 /// split at the short/long boundary, `(w < short_bound, w ≥ short_bound)`;
@@ -144,14 +240,19 @@ fn relax_active_rows(
     short_bound: u64,
     meter: Option<u64>,
     out: &mut impl RelaxSink,
-    range: impl Fn(u64, &[u32]) -> Range<usize>,
+    mut range: impl FnMut(Row<'_>) -> Range<usize>,
 ) -> (u64, u64) {
     let (mut short, mut long) = (0u64, 0u64);
     for u in st.active.iter() {
         let ul = u as usize;
         let du = st.dist[ul];
         let (ts, ws) = lg.row(ul);
-        let edges = range(du, ws);
+        let edges = range(Row {
+            du,
+            ws,
+            push_start: &mut st.push_start[ul],
+            term: st.unreached_term[ul],
+        });
         for (&t, &w) in ts[edges.clone()].iter().zip(&ws[edges.clone()]) {
             invariants::check_relax_headroom(du);
             out.propose(addr.owner(t), addr.local(t), du + u64::from(w));
@@ -170,8 +271,9 @@ fn relax_active_rows(
 }
 
 /// One rank's send side of a short phase (§II / §III-A): relax the (inner)
-/// short edges of the active vertices. Returns the number of relaxations
-/// produced.
+/// short edges of the active vertices, recording where each one's long
+/// push range starts ([`record_push_start`]). Returns the number of
+/// relaxations produced.
 pub(super) fn short_send(
     lg: &LocalGraph,
     addr: Addr,
@@ -186,13 +288,14 @@ pub(super) fn short_send(
         .active
         .iter()
         .all(|u| window.contains(st.bucket_of[u as usize])));
-    let inner_shorts = |du: u64, ws: &[u32]| {
-        debug_assert!(du <= end_dist);
+    let inner_shorts = |row: Row<'_>| {
+        debug_assert!(row.du <= end_dist);
         // The complement of the long phase's push range: with IOS the
         // inner short edges only — d(u) + w must stay inside the window
         // (and the edge must be short). Rows are weight-sorted, so the
         // prefix's last edge is the binding case of the invariant.
-        let hi = push_range_start(ios, ws, du, end_dist, short_bound);
+        let (du, ws) = (row.du, row.ws);
+        let hi = record_push_start(row.push_start, ios, ws, du, end_dist, short_bound);
         if let Some(&w) = ws[..hi].last() {
             invariants::check_ios_inner_edge(ios, w, du, short_bound, end_dist);
         }
@@ -203,30 +306,30 @@ pub(super) fn short_send(
 }
 
 /// One rank's receive side of a relax superstep: apply every delivered
-/// proposal as a min-reduction. Inboxes arrive as concatenated
-/// target-sorted runs (one per sender lane), so a repeated target with a
-/// non-decreasing distance cannot improve — the min-merge skips the relax
-/// call outright. Observationally identical to relaxing every message.
-/// `metered` charges each message to its target's thread.
+/// proposal as a min-reduction, in source-rank order. Proposals arrive as
+/// concatenated target-sorted runs (one per sender), so a repeated target
+/// with a non-decreasing distance cannot improve — the min-merge skips the
+/// relax call outright. Observationally identical to relaxing every
+/// message. `metered` charges each message to its target's thread.
 pub(super) fn apply_relax(
     st: &mut RankState,
     delta: &DeltaParam,
-    msgs: &[RelaxMsg],
+    msgs: Delivered<'_>,
     metered: bool,
 ) {
     let mut prev: Option<(u32, u64)> = None;
-    for &m in msgs {
+    msgs.for_each(|m| {
         if metered {
             st.charge_recv(m.target);
         }
         if let Some((pt, pn)) = prev {
             if pt == m.target && m.nd >= pn {
-                continue;
+                return;
             }
         }
         st.relax(m.target, m.nd, delta);
         prev = Some((m.target, m.nd));
-    }
+    });
 }
 
 /// Receive side of a long push phase with the §III-B / Fig 7 receiver-side
@@ -238,17 +341,17 @@ pub(super) fn classify_apply_relax(
     st: &mut RankState,
     window: &EpochWindow,
     delta: &DeltaParam,
-    msgs: &[RelaxMsg],
+    msgs: Delivered<'_>,
     metered: bool,
 ) -> (u64, u64, u64) {
     if !metered {
-        for &m in msgs {
+        msgs.for_each(|m| {
             st.relax(m.target, m.nd, delta);
-        }
+        });
         return (0, 0, 0);
     }
     let (mut se, mut be, mut fe) = (0u64, 0u64, 0u64);
-    for &m in msgs {
+    msgs.for_each(|m| {
         let b = st.bucket_of[m.target as usize];
         if window.contains(b) {
             se += 1;
@@ -259,47 +362,48 @@ pub(super) fn classify_apply_relax(
         }
         st.charge_recv(m.target);
         st.relax(m.target, m.nd, delta);
-    }
+    });
     (se, be, fe)
 }
 
 /// One rank's send side of a push-mode long phase (§III-B): every vertex
 /// settled in the current window — the active set the driver collected
 /// after the short fixpoint — relaxes its long (and, under IOS,
-/// outer-short) edges outward. Returns `(outer_short, long)` relaxation
-/// counts (see [`relax_active_rows`] for the unmetered split).
+/// outer-short) edges outward, from its recorded push-range start.
+/// Returns `(outer_short, long)` relaxation counts (see
+/// [`relax_active_rows`] for the unmetered split).
 pub(super) fn long_push_send(
     lg: &LocalGraph,
     addr: Addr,
     st: &mut RankState,
     window: &EpochWindow,
-    ios: bool,
     meter: Option<u64>,
     out: &mut impl RelaxSink,
 ) -> (u64, u64) {
-    let (short_bound, end_dist) = (window.short_bound, window.end_dist);
-    relax_active_rows(lg, addr, st, short_bound, meter, out, |du, ws| {
-        push_range_start(ios, ws, du, end_dist, short_bound)..ws.len()
+    relax_active_rows(lg, addr, st, window.short_bound, meter, out, |row| {
+        *row.push_start as usize..row.ws.len()
     })
 }
 
 /// One rank's send side of a pull phase's IOS sub-step 0: the settled
 /// window's outer short edges are not covered by the pull protocol
 /// (requests target long edges), so push them directly, from the active
-/// set the driver collected after the short fixpoint. Returns the number
-/// of outer-short relaxations produced.
+/// set the driver collected after the short fixpoint: each vertex's edges
+/// from its recorded push-range start to its first long edge
+/// ([`long_start`], with `installed` as there). Returns the number of
+/// outer-short relaxations produced.
 pub(super) fn outer_short_send(
     lg: &LocalGraph,
     addr: Addr,
     st: &mut RankState,
     window: &EpochWindow,
+    installed: bool,
     meter: Option<u64>,
     out: &mut impl RelaxSink,
 ) -> u64 {
-    let (short_bound, end_dist) = (window.short_bound, window.end_dist);
-    let outer_shorts = |du, ws: &[u32]| {
-        let long_start = ws.partition_point(|&w| (w as u64) < short_bound);
-        push_range_start(true, ws, du, end_dist, short_bound)..long_start
+    let short_bound = window.short_bound;
+    let outer_shorts = |row: Row<'_>| {
+        *row.push_start as usize..long_start(row.ws, row.term, installed, short_bound)
     };
     // Every edge of the range is short: the count needs no split.
     let (short, long) = relax_active_rows(lg, addr, st, short_bound, meter, out, outer_shorts);
@@ -309,12 +413,14 @@ pub(super) fn outer_short_send(
 /// One rank's send side of a pull phase's request sub-step (§III-B):
 /// every unsettled vertex v asks along each long edge that could still
 /// improve it, `w(e) < d(v) − start_dist` (eq. 1, with the window's start
-/// distance as the `kΔ` base). Returns `(requests, vertices_scanned)`.
+/// distance as the `kΔ` base; each row's first long edge found as
+/// [`long_start`] finds it). Returns `(requests, vertices_scanned)`.
 pub(super) fn pull_request_send(
     lg: &LocalGraph,
     addr: Addr,
     st: &mut RankState,
     window: &EpochWindow,
+    installed: bool,
     meter: Option<u64>,
     out: &mut Outbox<RelaxMsg>,
 ) -> (u64, u64) {
@@ -329,7 +435,8 @@ pub(super) fn pull_request_send(
         scanned += 1;
         let dv = st.dist[vl];
         let (ts, ws) = lg.row(vl);
-        let edges = pull_range(ws, dv, kd, short_bound);
+        let lo = long_start(ws, st.unreached_term[vl], installed, short_bound);
+        let edges = pull_range_from(ws, lo, dv, kd);
         if edges.is_empty() {
             continue;
         }

@@ -697,8 +697,19 @@ fn maintained_volumes_equal_the_full_scan_on_a_driven_state() {
                     // Δ-stepping's wide window is a hybrid-tail window.
                     let window = policy.window(k, k + reach, None);
                     let bound = policy.short_bound();
-                    // The driver's collection after the short fixpoint.
+                    // The driver's collection after the short fixpoint,
+                    // and the push-range starts the short kernel records.
                     st.collect_active_from_window(window.lo, window.hi);
+                    for u in st.active.iter().map(|u| u as usize) {
+                        kernels::record_push_start(
+                            &mut st.push_start[u],
+                            cfg.ios,
+                            lg.row(u).1,
+                            st.dist[u],
+                            window.end_dist,
+                            window.short_bound,
+                        );
+                    }
                     let (push, mass, scanned) = decide::rank_push_bound(
                         &lg, &st, &window, bound, cfg.ios, estimator, w_max,
                     );
@@ -1156,4 +1167,33 @@ fn finish_query_uses_the_whole_query_watermark_not_the_last_epoch() {
             "the last epoch's mark alone sheds the buffers"
         );
     }
+}
+
+#[test]
+fn own_proposals_apply_between_the_lower_and_the_higher_ranks_lanes() {
+    // Rank 1 of 3 at Δ = 10: rank 0 proposes d(5) = 40, rank 1 kept 12 in
+    // its own table, rank 2 proposes 30. In source order 40 lands first
+    // (bucket 4), 12 moves the vertex to bucket 1 and leaves a stale entry
+    // behind, and 30 cannot improve. Own proposals applied first would
+    // leave no entry in bucket 4; applied last, one in bucket 3.
+    let delta = crate::config::DeltaParam::Finite(10);
+    let mut st = RankState::new(1, 8, 1);
+    st.begin_phase();
+    let mut own = sssp_comm::exchange::MinTable::new(8);
+    own.fold(5, 12);
+    own.fold(5, 14);
+    let inbox = [
+        RelaxMsg { target: 5, nd: 40 },
+        RelaxMsg { target: 5, nd: 30 },
+    ];
+    let delivered = kernels::Delivered {
+        inbox: &inbox,
+        own_at: 1,
+        own: &mut own,
+    };
+    kernels::apply_relax(&mut st, &delta, delivered, false);
+    assert_eq!((st.dist[5], st.bucket_of[5]), (12, 1));
+    let scans: Vec<usize> = (1..=4).map(|b| st.window_scan_len(b, b)).collect();
+    assert_eq!(scans, [1, 0, 0, 1]);
+    assert_eq!(own.pending(), (0, 0), "the apply drains the own table");
 }

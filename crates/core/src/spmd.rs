@@ -50,7 +50,8 @@ impl<S: Send, M: Send + Sync> Ranks<S, M> {
 
     /// One superstep: deliver every outbox and refill the inboxes.
     pub(crate) fn exchange<C: Comm<M>>(&mut self, ctx: &mut C, msg_bytes: usize) -> StepStats {
-        ctx.exchange(&mut self.out, &mut self.inbox, msg_bytes)
+        let (step, []) = ctx.exchange(&mut self.out, &mut self.inbox, msg_bytes, []);
+        step
     }
 }
 
@@ -153,8 +154,8 @@ pub(crate) fn gather<T: Copy, X: Default>(
     let (mut comm, mut ledger, mut timed_out) = (CommStats::new(), TimeLedger::new(), false);
     for share in shares {
         for (rank, local) in (share.first..).zip(share.local) {
-            for (l, x) in local.into_iter().enumerate() {
-                values[dg.vertex(rank, l) as usize] = x;
+            for (x, v) in local.into_iter().zip(dg.vertices(rank)) {
+                values[v as usize] = x;
             }
         }
         merge(&mut record, share.record);

@@ -326,10 +326,18 @@ pub struct RankState {
     pub active: SparseBitset,
     /// Per-thread operation ledger for the current superstep.
     pub loads: ThreadLoads,
+    /// Per vertex: the row index where its long-phase push range starts,
+    /// as the short kernel recorded it on its latest visit. A window
+    /// member's latest visit saw its final distance (every change
+    /// re-activates it), so after the short fixpoint this is what the push
+    /// bound and the long kernels read instead of searching the row again.
+    /// Meaningful only for the current window's members.
+    pub push_start: Vec<u32>,
     /// What each vertex adds to the §III-C pull estimate while it is
     /// unreached (see [`RankState::install_unreached_terms`]); all zero
-    /// until a run installs its own.
-    unreached_term: Vec<u32>,
+    /// until a run installs its own. Read-only outside this module: the
+    /// running totals below are kept against it.
+    pub(crate) unreached_term: Vec<u32>,
     /// `Σ unreached_term` over every local vertex — what [`Self::reset`]
     /// restores the running mass to.
     total_pull_mass: u64,
@@ -350,6 +358,7 @@ impl RankState {
             changed: SparseBitset::new(n_local),
             active: SparseBitset::new(n_local),
             loads: ThreadLoads::new(threads),
+            push_start: vec![0; n_local],
             unreached_term: vec![0; n_local],
             total_pull_mass: 0,
             unreached: n_local as u64,
@@ -557,6 +566,15 @@ impl RankState {
             active.insert(v);
         }
         self.active = active;
+    }
+
+    /// Record a push-range start of 0 for every active vertex: what the
+    /// short kernel would record in a window whose short stage is empty
+    /// (every edge at least as heavy as its short bound).
+    pub fn clear_push_starts(&mut self) {
+        for v in self.active.iter() {
+            self.push_start[v as usize] = 0;
+        }
     }
 
     /// Refill `active` with the changed vertices currently in buckets

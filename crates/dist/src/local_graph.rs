@@ -285,6 +285,14 @@ impl DistGraph {
         self.external[self.part.to_global(rank, local) as usize]
     }
 
+    /// External ids of every vertex stored on `rank`, in local order:
+    /// [`DistGraph::vertex`] of each local index, read run by run
+    /// ([`Partition::runs`]) instead of one division per vertex.
+    pub fn vertices(&self, rank: usize) -> impl Iterator<Item = VertexId> + '_ {
+        let runs = self.part.runs(rank);
+        runs.flat_map(|(locals, first)| self.external[first..first + locals.len()].iter().copied())
+    }
+
     #[inline]
     /// Number of ranks.
     pub fn num_ranks(&self) -> usize {

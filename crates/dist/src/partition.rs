@@ -19,6 +19,8 @@
 //! rank stores its vertices hub-first, and everything inside the graph
 //! names a vertex by its rank address (`sssp_dist::Addr`).
 
+use std::ops::Range;
+
 use sssp_graph::VertexId;
 
 /// Block-cyclic partition of `n_base` base vertices plus a cyclic proxy
@@ -135,6 +137,21 @@ impl Partition {
         }
     }
 
+    /// The vertices `rank` owns as runs of consecutive global ids, in
+    /// ascending local order: each `(locals, first)` maps local `l` to
+    /// global `first + (l − locals.start)`. Its base blocks come first, then
+    /// its proxies, one run each. Walking a rank's vertices this way costs
+    /// one step per run, where [`Self::to_global`] divides on every call.
+    pub fn runs(&self, rank: usize) -> impl Iterator<Item = (Range<usize>, usize)> + '_ {
+        let (b, base) = (self.block, self.base_count(rank));
+        let blocks = (0..base)
+            .step_by(b)
+            .map(move |lo| (lo..(lo + b).min(base), lo * self.p + rank * b));
+        let proxies = (0..self.proxy_count(rank))
+            .map(move |i| (base + i..base + i + 1, self.n_base + i * self.p + rank));
+        blocks.chain(proxies)
+    }
+
     /// Global id of `local` on `rank` (inverse of [`Self::to_local`]).
     #[inline]
     pub fn to_global(&self, rank: usize, local: usize) -> VertexId {
@@ -216,6 +233,36 @@ mod tests {
         for v in 0..3u32 {
             let r = part.owner(v);
             assert_eq!(part.to_global(r, part.to_local(v)), v);
+        }
+    }
+
+    #[test]
+    fn runs_walk_every_rank_as_to_global_does() {
+        // The sizes `proptest_dist::partition_roundtrip` draws from: base
+        // counts below 200, proxy counts below 100, 1–16 ranks.
+        for n in (0..200).step_by(7).chain([1, 2, 199]) {
+            for n_proxy in [0, 1, 13, 99] {
+                for p in 1..17 {
+                    let parts = [
+                        Partition::with_proxies(n, n_proxy, p),
+                        Partition::cyclic(n, p),
+                    ];
+                    for (part, rank) in parts.iter().flat_map(|pt| (0..p).map(move |r| (pt, r))) {
+                        let walked: Vec<(usize, VertexId)> = part
+                            .runs(rank)
+                            .flat_map(|(locals, first)| {
+                                locals
+                                    .clone()
+                                    .map(move |l| (l, (first + l - locals.start) as VertexId))
+                            })
+                            .collect();
+                        let direct: Vec<(usize, VertexId)> = (0..part.local_count(rank))
+                            .map(|l| (l, part.to_global(rank, l)))
+                            .collect();
+                        assert_eq!(walked, direct, "{part:?} rank {rank}");
+                    }
+                }
+            }
         }
     }
 

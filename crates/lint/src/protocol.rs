@@ -196,7 +196,7 @@ fn render_table(engine: &Schedule, kernels: &[&Schedule]) -> String {
 const REDUCE_IDENTS: &[&str] = &["allreduce", "allreduce_sum"];
 
 /// Idents that terminate the walk as an [`Op::Exchange`] in method position.
-const EXCHANGE_IDENTS: &[&str] = &["exchange", "exchange_pooled", "exchange_pooled_counted"];
+const EXCHANGE_IDENTS: &[&str] = &["exchange", "exchange_pooled", "exchange_episode"];
 
 /// Classify a call token as a terminal collective, if it is one. The comm
 /// primitives are the protocol alphabet; the walker never descends into
@@ -414,13 +414,7 @@ const TAINT_SEEDS: &[&str] = &["rank", "out", "inbox", "req_inbox", "st", "lg"];
 /// every rank, and the decision heuristics are uniform by construction.
 /// Each must name a `fn` of the pass's files: a name nothing defines would
 /// clear the taint of whatever function later takes it.
-const UNIFORM: &[&str] = &[
-    "any_active",
-    "enabled",
-    "decide",
-    "hybrid_should_switch",
-    "num_ranks",
-];
+const UNIFORM: &[&str] = &["enabled", "decide", "hybrid_should_switch", "num_ranks"];
 
 /// The run's configuration binding, uniform by construction: a value
 /// sanitizes like a [`UNIFORM`] call.
@@ -486,10 +480,37 @@ fn ident_names(text: &str) -> Vec<String> {
         .collect()
 }
 
+/// The driver helpers that hand an exchange's reduced lanes back to their
+/// caller. Each must name a `fn` of the pass's files, as a [`UNIFORM`]
+/// name must.
+const LANE_EXCHANGES: &[&str] = &["exchange_relax", "exchange_into"];
+
+/// True when `rhs` calls an exchange that hands back reduced lanes: a
+/// terminal exchange, or one of the [`LANE_EXCHANGES`].
+fn calls_exchange(rhs: &str) -> bool {
+    call_tokens(rhs).iter().any(|t| {
+        terminal_op(t) == Some(Op::Exchange)
+            || (!t.is_def && LANE_EXCHANGES.contains(&t.ident.as_str()))
+    })
+}
+
+/// The names bound inside an array pattern of `lhs` (`[any]` in
+/// `let (step, [any]) = …`).
+fn array_pattern_names(lhs: &str) -> Vec<String> {
+    lhs.split('[')
+        .skip(1)
+        .filter_map(|rest| rest.split_once(']'))
+        .flat_map(|(inside, _)| ident_names(inside))
+        .collect()
+}
+
 /// Apply one line's `let`/assignment effects to the taint set: a
 /// sanitizer on the right-hand side clears the bound names, a tainted
 /// right-hand side (or a surrounding tainted block) taints them, and a
-/// clean one clears them.
+/// clean one clears them. The lanes an exchange reduces are collective
+/// results like an allreduce's: the names its array pattern binds are
+/// cleared, while the step record beside them is rank-local and follows
+/// the right-hand side.
 fn apply_assign(code: &str, taint: &mut BTreeSet<String>, in_tainted: bool) {
     let t = code.trim();
     let (lhs, rhs) = if let Some(rest) = t.strip_prefix("let ") {
@@ -512,10 +533,19 @@ fn apply_assign(code: &str, taint: &mut BTreeSet<String>, in_tainted: bool) {
     const KEYWORDS: &[&str] = &[
         "mut", "_", "if", "else", "let", "ref", "while", "for", "in", "match", "box",
     ];
-    let names: Vec<String> = ident_names(&lhs)
+    let mut names: Vec<String> = ident_names(&lhs)
         .into_iter()
         .filter(|n| !KEYWORDS.contains(&n.as_str()) && !n.starts_with(char::is_uppercase))
         .collect();
+    if calls_exchange(&rhs) {
+        let reduced = array_pattern_names(&lhs);
+        names.retain(|n| {
+            if reduced.contains(n) {
+                taint.remove(n);
+            }
+            !reduced.contains(n)
+        });
+    }
     if names.is_empty() {
         return;
     }
@@ -879,7 +909,8 @@ fn f(ctx: &mut RankCtx, target: Option<u32>) {
             PROTOCOL.matches(&sf.rel_path) || sf.rel_path == "crates/comm/src/threaded.rs"
         });
         let defined: BTreeSet<String> = files.flat_map(scan_fns).map(|f| f.name).collect();
-        for name in REDUCE_IDENTS.iter().chain(UNIFORM) {
+        let sanitizers = REDUCE_IDENTS.iter().chain(UNIFORM);
+        for name in sanitizers.chain(EXCHANGE_IDENTS).chain(LANE_EXCHANGES) {
             assert!(
                 defined.contains(*name),
                 "no `fn {name}` in the protocol pass's files"

@@ -51,7 +51,7 @@ fn models_cover_the_real_primitives() {
         "wake",
         "mailbox",
         "Barrier::park",
-        "exchange_pooled_counted",
+        "exchange_episode",
     ] {
         assert!(analysis.lock_table.contains(name), "no `{name}`");
     }

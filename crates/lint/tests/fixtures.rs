@@ -177,6 +177,15 @@ fn protocol_divergent_guard_skips_closure_braces_in_the_condition() {
 }
 
 #[test]
+fn protocol_divergent_guard_reads_an_exchanges_lanes_as_collective_results() {
+    let diags = lint_fixture(
+        "protocol_divergent_guard_exchange_lanes.rs",
+        "crates/core/src/engine/fixture.rs",
+    );
+    assert_eq!(lines_for(&diags, "protocol-divergent-guard"), vec![13]);
+}
+
+#[test]
 fn protocol_missing_barrier_flags_back_to_back_locks() {
     let diags = lint_fixture("protocol_missing_barrier.rs", "crates/comm/src/fixture.rs");
     assert_eq!(lines_for(&diags, "protocol-missing-barrier"), vec![10]);
