@@ -632,6 +632,11 @@ pub struct ServingRecord {
     pub cache_hits: u64,
     /// Distance-cache misses over the batch.
     pub cache_misses: u64,
+    /// Queries answered from memory in the single-worker policy replay
+    /// (1 000 queries of a seeded Zipf(1.0) stream, each waited for
+    /// before the next): a deterministic function of the cache policy,
+    /// so `--check` gates it exactly.
+    pub replay_hits: u64,
     /// Epoch-select rounds of one engine-run point-to-point query.
     pub p2p_epochs: u64,
     /// Epoch-select rounds of the matching full single-source query. The
@@ -735,6 +740,13 @@ impl ServingRecord {
                 ));
             }
         }
+        if let Some(base) = field("replay_hits").filter(|&base| base != self.replay_hits) {
+            problems.push(format!(
+                "replay_hits changed: {} vs baseline {base} — the cache policy \
+                 answers a different share of the replay from memory",
+                self.replay_hits
+            ));
+        }
         if field("distances_match") == Some(0) {
             problems.push("committed serving block records diverging distances".to_string());
         }
@@ -781,6 +793,7 @@ impl ServingRecord {
             ("distances_match", Value::int(self.distances_match.into())),
             ("cache_hits", Value::int(self.cache_hits)),
             ("cache_misses", Value::int(self.cache_misses)),
+            ("replay_hits", Value::int(self.replay_hits)),
             ("p2p_epochs", Value::int(self.p2p_epochs)),
             ("full_epochs", Value::int(self.full_epochs)),
             ("panicked", Value::int(self.panicked)),
@@ -1199,6 +1212,7 @@ mod tests {
             distances_match: 1,
             cache_hits: 6,
             cache_misses: 18,
+            replay_hits: 470,
             p2p_epochs: 9,
             full_epochs: 31,
             panicked: 0,
@@ -1217,6 +1231,7 @@ mod tests {
         assert_eq!(count("peak_inflight"), Some(4));
         assert_eq!(count("distances_match"), Some(1));
         assert_eq!(count("cache_hits"), Some(6));
+        assert_eq!(count("replay_hits"), Some(470));
         assert_eq!(count("p2p_epochs"), Some(9));
         assert_eq!(count("full_epochs"), Some(31));
         assert_eq!(count("panicked"), Some(0));
@@ -1342,6 +1357,17 @@ mod tests {
         let p = fresh.check_against(&committed);
         assert_eq!(p.len(), 1, "{p:?}");
         assert!(p[0].contains("scale = 10, this run uses 12"), "{p:?}");
+
+        // The replay count is gated exactly, in both directions.
+        for replay_hits in [469, 471] {
+            let fresh = ServingRecord {
+                replay_hits,
+                ..sample_serving()
+            };
+            let p = fresh.check_against(&committed);
+            assert_eq!(p.len(), 1, "{p:?}");
+            assert!(p[0].starts_with("replay_hits changed"), "{p:?}");
+        }
     }
 
     #[test]

@@ -23,7 +23,15 @@
 //! single-source — all submitted before the first completion, so the
 //! scheduler runs at its admission bound and the cache sees both
 //! landmark and repeat-root traffic.
+//!
+//! After the batch, a single-worker **policy replay** pushes 1 000
+//! queries of a seeded Zipf(1.0) stream through a fresh server, each
+//! waited for before the next: how many it answers from memory depends
+//! on the cache policy alone, so `--check` gates that count exactly
+//! (`replay_hits`). Every distance it returns is checked against
+//! sequential Dijkstra.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,10 +39,19 @@ use sssp_bench::baseline::{committed_block, read_document, upsert, ServingRecord
 use sssp_bench::{build_family, exit_with, pick_roots, print_table, Family, Flags};
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
+use sssp_core::seq::dijkstra;
 use sssp_core::threaded_delta_stepping;
 use sssp_dist::DistGraph;
-use sssp_graph::VertexId;
-use sssp_serve::{QueryOutput, QuerySpec, ServeConfig, SsspServer};
+use sssp_graph::prng::SplitMix;
+use sssp_graph::{Csr, VertexId};
+use sssp_serve::{QueryOutput, QuerySpec, ServeConfig, ServeStats, SsspServer};
+
+/// Queries of the policy replay.
+const REPLAY_QUERIES: usize = 1_000;
+/// Hot roots of the replay's Zipf law and its cache capacity: the repo
+/// benchmark's `serve_repeat` shape.
+const REPLAY_HOT: usize = 1_024;
+const REPLAY_CACHE: usize = 32;
 
 /// The vertex nearest to `root` (smallest nonzero finite distance): the
 /// point-to-point probe target, chosen so the cutoff has the most epochs
@@ -77,6 +94,100 @@ fn measure_epoch_savings(
         .expect("probe point-to-point");
     assert!(!p2p.cache_hit, "cache-less probe must run the engine");
     (p2p.epochs, full.epochs)
+}
+
+/// `own/target/composed` hit routes of one stats snapshot.
+fn routes(stats: &ServeStats) -> String {
+    format!(
+        "{}/{}/{}",
+        stats.own_field_hits, stats.target_field_hits, stats.composed_hits
+    )
+}
+
+/// The policy replay: a one-worker server with the serving benchmark's
+/// cache, fed the benchmark's mix one query at a time — per deck of 20,
+/// 9 single-source, 7 point-to-point, 2 three-seed multi-seed (offsets
+/// below 64) and 2 BFS — with Zipf(1.0) roots over a seeded shuffle of up
+/// to [`REPLAY_HOT`] vertices that have edges. Returns the server's final
+/// stats and whether every distance answer matched sequential Dijkstra.
+fn replay_policy(
+    g: &Csr,
+    dg: &Arc<DistGraph>,
+    cfg: &SsspConfig,
+    model: &MachineModel,
+) -> (ServeStats, bool) {
+    let mut rng = SplitMix::new(0x5EED_2EB1A7);
+    let mut hot: Vec<VertexId> = g.vertices().filter(|&v| g.degree(v) > 0).collect();
+    for i in (1..hot.len()).rev() {
+        hot.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+    hot.truncate(REPLAY_HOT);
+    let mut acc = 0.0;
+    let cdf: Vec<f64> = (1..=hot.len())
+        .map(|rank| {
+            acc += 1.0 / rank as f64;
+            acc
+        })
+        .collect();
+    let root = |rng: &mut SplitMix| {
+        let x = rng.next_f64() * acc;
+        hot[cdf.partition_point(|&c| c < x).min(hot.len() - 1)]
+    };
+    let server = SsspServer::new(
+        Arc::clone(dg),
+        cfg.clone(),
+        *model,
+        ServeConfig {
+            max_inflight: 1,
+            cache_capacity: REPLAY_CACHE,
+            deadline: None,
+        },
+    );
+    let mut oracles: BTreeMap<VertexId, Vec<u64>> = BTreeMap::new();
+    let mut oracle = |v: VertexId| oracles.entry(v).or_insert_with(|| dijkstra(g, v)).clone();
+    let mut deck: Vec<u8> = Vec::new();
+    let mut matches = true;
+    for _ in 0..REPLAY_QUERIES {
+        if deck.is_empty() {
+            deck = [[0u8; 9].as_slice(), &[1; 7], &[2; 2], &[3; 2]].concat();
+            for i in (1..deck.len()).rev() {
+                deck.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+        }
+        let r = root(&mut rng);
+        let served = |spec| server.run(spec).expect("replay spec is valid").output;
+        matches &= match deck.pop() {
+            Some(0) => {
+                let want = oracle(r);
+                let got = served(QuerySpec::SingleSource { root: r });
+                got.distances().is_some_and(|d| **d == want)
+            }
+            Some(1) => {
+                let target = root(&mut rng);
+                let got = served(QuerySpec::PointToPoint { root: r, target });
+                got.target_distance() == Some(oracle(r)[target as usize])
+            }
+            Some(2) => {
+                let mut seeds = vec![(r, 0)];
+                for _ in 0..2 {
+                    seeds.push((root(&mut rng), rng.next_below(64)));
+                }
+                let mut want = vec![u64::MAX; g.num_vertices()];
+                for &(s, o) in &seeds {
+                    for (best, d) in want.iter_mut().zip(oracle(s)) {
+                        *best = (*best).min(d.saturating_add(o));
+                    }
+                }
+                let got = served(QuerySpec::MultiSeed { seeds });
+                got.distances().is_some_and(|d| **d == want)
+            }
+            _ => matches!(
+                served(QuerySpec::Bfs { root: r }),
+                QueryOutput::BfsDepths(_)
+            ),
+        };
+    }
+    (server.stats(), matches)
 }
 
 fn main() {
@@ -184,6 +295,12 @@ fn main() {
     let peak_inflight = stats.peak_inflight;
     let (panicked, timed_out) = (stats.panicked, stats.timed_out);
 
+    let (replay, replay_match) = replay_policy(&g, &dg, &cfg, &model);
+    if !replay_match {
+        eprintln!("the policy replay served an answer that diverged from Dijkstra");
+    }
+    let distances_match = distances_match && replay_match;
+
     let record = ServingRecord {
         family: family.name().to_string(),
         scale,
@@ -195,6 +312,7 @@ fn main() {
         distances_match: u8::from(distances_match),
         cache_hits,
         cache_misses,
+        replay_hits: replay.cache_hits,
         p2p_epochs,
         full_epochs,
         panicked,
@@ -214,6 +332,7 @@ fn main() {
             "wall ms",
             "queries/s",
             "cache hit/miss",
+            "hits own/target/composed",
             "p2p epochs",
             "full epochs",
             "panic/timeout",
@@ -225,11 +344,19 @@ fn main() {
             format!("{:.2}", record.wall_ms),
             format!("{:.1}", record.queries_per_sec),
             format!("{}/{}", record.cache_hits, record.cache_misses),
+            routes(&stats),
             record.p2p_epochs.to_string(),
             record.full_epochs.to_string(),
             format!("{}/{}", record.panicked, record.timed_out),
             if distances_match { "match" } else { "DIVERGED" }.to_string(),
         ]],
+    );
+    println!(
+        "policy replay: {} of {REPLAY_QUERIES} queries answered from memory \
+         (own/target/composed {}), {} misses",
+        record.replay_hits,
+        routes(&replay),
+        replay.cache_misses,
     );
     println!(
         "point-to-point cutoff: {} of {} epochs ({:.0}% saved)",

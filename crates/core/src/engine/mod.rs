@@ -439,6 +439,12 @@ pub fn run_sssp(
 /// kernels, `d(u) + w` in a pull response): a reached distance is at most
 /// seed offset + (n − 1)·`u32::MAX` ≤ `u64::MAX − u32::MAX`, so adding one
 /// more `u32` weight cannot wrap. Debug builds assert it at both sites.
+///
+/// The serving layer's composed multi-seed answers form `o + d(v)` from a
+/// seed offset `o ≤ max_seed_offset(n)` and a single-source distance
+/// `d(v) ≤ (n − 1)·u32::MAX`, so the sum is at most `u64::MAX − u32::MAX`:
+/// it cannot wrap, nor reach the [`INF`] sentinel. `sssp-serve` asserts
+/// that bound in debug builds before each such add.
 pub fn max_seed_offset(n_total: usize) -> u64 {
     let span = u64::try_from(n_total)
         .ok()

@@ -18,10 +18,13 @@
 //!   per-source queries on the lockstep one) — no re-partitioning, no pool
 //!   re-allocation — and publishes the [`QueryResult`].
 //! * A landmark / repeat-root distance cache keyed by the canonicalized
-//!   seed set answers repeated roots (and point-to-point queries whose
-//!   root has a cached full distance field) without running the engine at
-//!   all. [`SsspServer::rebuild`] swaps in a new graph, bumps the
-//!   generation and invalidates the cache.
+//!   seed set answers repeated roots, point-to-point queries whose root
+//!   *or target* has a cached full distance field, and multi-seed queries
+//!   whose every seed has one (composed outside the queue lock) without
+//!   running the engine at all. It admits a new field into its main
+//!   region only when the field is asked for more often than the entry it
+//!   would evict (W-TinyLFU). [`SsspServer::rebuild`] swaps in a new
+//!   graph, bumps the generation and invalidates the cache.
 //!
 //! Results are bit-identical to fresh one-shot runs — the differential
 //! proptests in `tests/` pin scheduler output against

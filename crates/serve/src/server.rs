@@ -37,7 +37,7 @@ use sssp_core::pagerank::pagerank_on;
 use sssp_core::{canonical_seeds, run, EngineScratch, NoopRecorder, Query, SsspConfig, Threaded};
 use sssp_dist::DistGraph;
 
-use crate::cache::{DistanceCache, SeedKey};
+use crate::cache::{DistanceCache, Hit, SeedKey};
 use crate::{QueryError, QueryOutput, QueryResult, QuerySpec};
 
 /// Handle to a submitted query; redeem it with [`SsspServer::wait`] or
@@ -176,6 +176,13 @@ enum Claim {
     Done {
         ticket: Ticket,
         outcome: Result<QueryResult, QueryError>,
+    },
+    /// A cache hit whose answer is composed from resident single-source
+    /// fields — an O(n·k) loop the worker runs after releasing the lock.
+    Compose {
+        ticket: Ticket,
+        parts: Vec<(u64, Arc<Vec<u64>>)>,
+        generation: u64,
     },
     /// A query to execute.
     Run {
@@ -342,7 +349,10 @@ impl SsspServer {
         let q = self.shared.lock_queue();
         ServeStats {
             generation: q.generation,
-            cache_hits: q.cache.hits,
+            cache_hits: q.cache.hits(),
+            own_field_hits: q.cache.own_hits,
+            target_field_hits: q.cache.target_hits,
+            composed_hits: q.cache.composed_hits,
             cache_misses: q.cache.misses,
             peak_inflight: q.peak_running,
             panicked: q.panicked,
@@ -358,8 +368,16 @@ pub struct ServeStats {
     /// The current graph generation (0 until the first
     /// [`SsspServer::rebuild`]).
     pub generation: u64,
-    /// Lookups the distance cache answered.
+    /// Lookups the distance cache answered, by any route: the sum of
+    /// the three fields below.
     pub cache_hits: u64,
+    /// Hits read from the seed set's own field (a point-to-point query:
+    /// its root's).
+    pub own_field_hits: u64,
+    /// Point-to-point hits read from the target's field at the root.
+    pub target_field_hits: u64,
+    /// Multi-seed hits composed from every seed's single-source field.
+    pub composed_hits: u64,
     /// Lookups the distance cache missed.
     pub cache_misses: u64,
     /// The most queries ever observed running at the same instant — the
@@ -422,26 +440,37 @@ fn claim(shared: &Shared) -> Claim {
                     outcome: Err(e),
                 };
             }
-            if let Some(seeds) = spec.seeds() {
-                let key = canonical_seeds(&seeds, n);
-                if let Some(dist) = q.cache.get(&key) {
-                    let output = match &spec {
-                        QuerySpec::PointToPoint { target, .. } => {
-                            QueryOutput::TargetDistance(dist[*target as usize])
-                        }
-                        _ => QueryOutput::Distances(dist),
-                    };
-                    return Claim::Done {
-                        ticket,
-                        outcome: Ok(QueryResult {
+            let output = match &spec {
+                QuerySpec::PointToPoint { root, target } => q
+                    .cache
+                    .lookup_pair(*root, *target)
+                    .map(QueryOutput::TargetDistance),
+                _ => match spec
+                    .seeds()
+                    .and_then(|seeds| q.cache.lookup(&canonical_seeds(&seeds, n)))
+                {
+                    Some(Hit::Own(dist)) => Some(QueryOutput::Distances(dist)),
+                    Some(Hit::Composed(parts)) => {
+                        return Claim::Compose {
                             ticket,
-                            output,
-                            epochs: 0,
-                            cache_hit: true,
+                            parts,
                             generation: q.generation,
-                        }),
-                    };
-                }
+                        }
+                    }
+                    None => None,
+                },
+            };
+            if let Some(output) = output {
+                return Claim::Done {
+                    ticket,
+                    outcome: Ok(QueryResult {
+                        ticket,
+                        output,
+                        epochs: 0,
+                        cache_hit: true,
+                        generation: q.generation,
+                    }),
+                };
             }
             return Claim::Run {
                 ticket,
@@ -486,6 +515,37 @@ fn finish(
     q.running -= 1;
     q.results.insert(ticket.0, outcome);
     shared.done_ready.notify_all();
+}
+
+/// The multi-seed field from resident single-source fields:
+/// `d(v) = min_i(o_i + d_i(v))`, an unreached entry (`u64::MAX`) skipped —
+/// exactly what a run from the seed set computes. Runs outside the queue
+/// lock.
+fn compose(parts: &[(u64, Arc<Vec<u64>>)]) -> Vec<u64> {
+    let n = parts.first().map_or(0, |(_, field)| field.len());
+    let mut out = vec![u64::MAX; n];
+    for (offset, field) in parts {
+        for (best, &d) in out.iter_mut().zip(field.iter()) {
+            if d != u64::MAX {
+                check_compose_headroom(*offset, d);
+                *best = (*best).min(offset + d);
+            }
+        }
+    }
+    out
+}
+
+/// Composition headroom: a seed offset `o ≤ max_seed_offset(n)` plus a
+/// single-source distance `d ≤ (n − 1)·u32::MAX` is at most `u64::MAX −
+/// u32::MAX` (the bound stated at [`sssp_core::max_seed_offset`]), so
+/// `o + d` cannot wrap or collide with the unreached sentinel.
+#[inline]
+fn check_compose_headroom(o: u64, d: u64) {
+    let top = u64::MAX - u64::from(u32::MAX);
+    debug_assert!(
+        d <= top && o <= top - d,
+        "seed offset {o} + distance {d} leaves no headroom below u64::MAX"
+    );
 }
 
 /// Best-effort text of a panic payload: string payloads (the overwhelming
@@ -593,6 +653,27 @@ fn worker_loop(shared: &Shared, cfg: &SsspConfig, model: &MachineModel) {
     loop {
         let (ticket, spec, deadline, graph, generation) = match claim(shared) {
             Claim::Done { ticket, outcome } => {
+                finish(shared, ticket, outcome, None);
+                continue;
+            }
+            Claim::Compose {
+                ticket,
+                parts,
+                generation,
+            } => {
+                // Behind the same guard as an engine run: a failed debug
+                // headroom check fails this ticket only.
+                let composed = catch_unwind(|| compose(&parts));
+                let outcome = match composed {
+                    Ok(dist) => Ok(QueryResult {
+                        ticket,
+                        output: QueryOutput::Distances(Arc::new(dist)),
+                        epochs: 0,
+                        cache_hit: true,
+                        generation,
+                    }),
+                    Err(payload) => Err(QueryError::Panicked(panic_message(payload.as_ref()))),
+                };
                 finish(shared, ticket, outcome, None);
                 continue;
             }
